@@ -136,12 +136,14 @@ _BATCH_CHUNK_MIN = 8
 _SYSTEM_LRU_SIZE = 4
 _systems: "OrderedDict[Tuple, object]" = OrderedDict()
 _routings: "OrderedDict[Tuple, object]" = OrderedDict()
-# Batched path only: the donor core carrying a routing's resolved
-# route plane (arena + memo + numpy mirrors), keyed like _routings, so
+# Batched path, table-routed configurations only (routings without a
+# closed-form route_plane(): meshes, fat-tree, PolarFly, HammingMesh,
+# fault-aware repair paths): the donor core carrying the resolved route
+# table (arena + memo + sorted mirror), keyed like _routings, so
 # consecutive batched sweeps of one configuration skip route
 # resolution entirely.  The per-point path keeps its pre-batch
 # behaviour (fresh core, lazy resolution per point).
-_route_planes: "OrderedDict[Tuple, object]" = OrderedDict()
+_route_tables: "OrderedDict[Tuple, object]" = OrderedDict()
 
 
 def _lru_get(table: "OrderedDict[Tuple, object]", key: Tuple, build):
@@ -684,7 +686,9 @@ def _sweep_batch(
     ``simulate_point`` uses, so every point's result is bit-identical
     to the per-point path.  The cutoff walk re-runs between chunks, so
     a saturated sweep stops after at most one speculative chunk.  On
-    the native path consecutive chunks hand the resolved route plane
+    the native path a routing with a closed-form route plane resolves
+    each chunk's packets in bulk and keeps nothing; for table-routed
+    configurations consecutive chunks hand the resolved route table
     forward (``route_donor``), so each (src, dst) route is resolved
     once per *sweep*, not once per chunk.  Returns only the newly
     simulated points.
@@ -711,9 +715,9 @@ def _sweep_batch(
         and native_available()
     )
     # NativeBatch validates the donor (same graph/routing objects,
-    # deterministic) and silently ignores a stale one, so a plane
+    # deterministic) and silently ignores a stale one, so a table
     # whose routing was rebuilt after LRU eviction is never misused.
-    donor = _route_planes.get(routing_key) if native else None
+    donor = _route_tables.get(routing_key) if native else None
     chunk_size = max(_BATCH_CHUNK_MIN, threads)
     merged = dict(have_ri)
     new: Dict[int, SimResult] = {}
@@ -796,10 +800,10 @@ def _sweep_batch(
             if on_point is not None:
                 on_point(ri, spec.rates[ri], res)
     if native and donor is not None:
-        _route_planes[routing_key] = donor
-        _route_planes.move_to_end(routing_key)
-        while len(_route_planes) > _SYSTEM_LRU_SIZE:
-            _route_planes.popitem(last=False)
+        _route_tables[routing_key] = donor
+        _route_tables.move_to_end(routing_key)
+        while len(_route_tables) > _SYSTEM_LRU_SIZE:
+            _route_tables.popitem(last=False)
     return new
 
 

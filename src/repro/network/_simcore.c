@@ -100,8 +100,8 @@ typedef struct {
     i64 *p_t0;       /* [num_packets] creation cycle */
     i64 *p_meas;     /* [num_packets] created in window */
     i64 *route_lv;   /* per-hop (link*V + vc) */
-    i64 *route_link; /* per-hop link id */
-    i64 *route_delay;/* per-hop in-flight delay */
+    i64 *lv_link;    /* per-lv link id (lv / num_vcs) */
+    i64 *lv_delay;   /* per-lv in-flight delay of its link */
     /* injection events */
     i64 *ev_cycle;   /* [n_ev] sorted */
     i64 *ev_src;     /* [n_ev] */
@@ -252,13 +252,13 @@ i64 sim_run(S *s)
                 desc[nd] = lv;
                 dkey[nd] = (nh == s->p_hops[pid])
                     ? -1
-                    : s->route_link[s->p_off[pid] + nh];
+                    : s->lv_link[s->route_lv[s->p_off[pid] + nh]];
                 nd++;
             }
             if (sqn) {
                 i64 pid = s->sq_arena[s->sq_off[r] + s->sq_head[r]];
                 desc[nd] = -2;
-                dkey[nd] = s->route_link[s->p_off[pid]];
+                dkey[nd] = s->lv_link[s->route_lv[s->p_off[pid]]];
                 nd++;
             }
 
@@ -317,12 +317,12 @@ i64 sim_run(S *s)
                             i64 pid = s->sq_arena[
                                 s->sq_off[r] + s->sq_head[r]];
                             i64 base = s->p_off[pid];
-                            if (s->route_link[base] != key)
+                            i64 nlv = s->route_lv[base];
+                            if (s->lv_link[nlv] != key)
                                 continue;
                             if (budget > 1 && used[ci] >= inj_w)
                                 continue;
                             i64 fidx = s->s_fidx[r];
-                            i64 nlv = s->route_lv[base];
                             if (s->credits[nlv] <= 0)
                                 continue;
                             i64 own = s->owner[nlv];
@@ -333,7 +333,7 @@ i64 sim_run(S *s)
                             s->owner[nlv] = (fidx == szm1) ? -1 : pid;
                             {
                                 i64 dslot =
-                                    (t + s->route_delay[base]) % W;
+                                    (t + s->lv_delay[nlv]) % W;
                                 i64 n2 = s->aw_n[dslot];
                                 if (n2 >= SC) {
                                     s->error = 1;
@@ -398,12 +398,12 @@ i64 sim_run(S *s)
                                 }
                             } else {
                                 i64 base = s->p_off[pid] + nh;
-                                if (s->route_link[base] != key)
+                                i64 nlv = s->route_lv[base];
+                                if (s->lv_link[nlv] != key)
                                     continue;
                                 if (budget > 1
                                     && used[ci] >= s->cap_lv[d])
                                     continue;
-                                i64 nlv = s->route_lv[base];
                                 if (s->credits[nlv] <= 0)
                                     continue;
                                 i64 own = s->owner[nlv];
@@ -430,7 +430,7 @@ i64 sim_run(S *s)
                                     (fidx == szm1) ? -1 : pid;
                                 {
                                     i64 dslot =
-                                        (t + s->route_delay[base]) % W;
+                                        (t + s->lv_delay[nlv]) % W;
                                     i64 n2 = s->aw_n[dslot];
                                     if (n2 >= SC) {
                                         s->error = 1;
@@ -564,4 +564,162 @@ i64 sim_run_batch(S *states, i64 n, i64 threads)
         if (states[i].error)
             return states[i].error;
     return 0;
+}
+
+/* ------------------------------------------------------------------
+ * Route plane: routes of (src, dst[, via]) triples from label tables.
+ *
+ * Walks the tables of repro.routing.plane.RoutePlane (struct Plane
+ * mirrors its _SCALARS + _TABLES field for field; see that class for
+ * what each table holds).  The scalar route() of the routing classes
+ * is the specification.
+ * ------------------------------------------------------------------ */
+
+typedef struct {
+    i64 num_vcs;
+    i64 C;          /* C-groups per W-group */
+    i64 L;          /* nodes per C-group */
+    i64 W;          /* W-groups */
+    i64 seg_w;      /* padded segment row width */
+    i64 cg_w;       /* template links per C-group */
+    i64 reduced;    /* 0: ordinal VC rule, 1: Sec. IV-B reduced policy */
+    i64 merged_vcs; /* reduced: intermediate and destination share VC-2 */
+    i64 vc_spread, vc_local, vc_global, vc_landed; /* ordinal rule */
+    const i64 *node_w, *node_c, *node_l, *cg_links, *seg;
+    const i64 *loc_link, *loc_src, *loc_dst;
+    const i64 *gateway, *glob_link, *glob_src, *glob_dst, *glob_dst_c;
+} Plane;
+
+enum { SEG_XY = 0, SEG_WALK = 1, SEG_DELIVERY = 2 };
+
+/* One route being written: position (w, c, l) and the arena cursor. */
+typedef struct {
+    const Plane *p;
+    i64 *restrict lv;
+    i64 h;
+    i64 w, c, l;
+} Walk;
+
+static inline void walk_hop(Walk *restrict k, i64 link, i64 vc)
+{
+    k->lv[k->h++] = link * k->p->num_vcs + vc;
+}
+
+/* intra-C-group segment from the current node to local index b */
+static void walk_segment(Walk *restrict k, i64 kind, i64 b, i64 vc)
+{
+    const Plane *p = k->p;
+    const i64 *row = p->seg + ((kind * p->L + k->l) * p->L + b) * p->seg_w;
+    const i64 *links = p->cg_links + (k->w * p->C + k->c) * p->cg_w;
+    i64 w = p->seg_w;
+    for (i64 j = 0; j < w && row[j] >= 0; j++)
+        walk_hop(k, links[row[j]], vc);
+    k->l = b;
+}
+
+/* segment to the local port toward C-group `to`, then the channel */
+static void walk_cross(Walk *k, i64 kind, i64 to, i64 vc_mesh, i64 vc_link)
+{
+    const Plane *p = k->p;
+    i64 ch = (k->w * p->C + k->c) * p->C + to;
+    walk_segment(k, kind, p->loc_src[ch], vc_mesh);
+    walk_hop(k, p->loc_link[ch], vc_link);
+    k->c = to;
+    k->l = p->loc_dst[ch];
+}
+
+/* segment to the global port toward W-group `nxt`, then the channel */
+static void walk_leap(Walk *k, i64 kind, i64 nxt, i64 vc_mesh, i64 vc_link)
+{
+    const Plane *p = k->p;
+    i64 ch = k->w * p->W + nxt;
+    walk_segment(k, kind, p->glob_src[ch], vc_mesh);
+    walk_hop(k, p->glob_link[ch], vc_link);
+    k->w = nxt;
+    k->c = p->glob_dst_c[ch];
+    k->l = p->glob_dst[ch];
+}
+
+/* XY segments everywhere; VC by the ordinal rule (see RoutePlane) */
+static void walk_ordinal(Walk *k, i64 vc, i64 via, i64 wd, i64 cd, i64 ld)
+{
+    const Plane *p = k->p;
+    i64 seq[2] = {via >= 0 ? via : wd, wd};
+    i64 steps = k->w == wd ? 0 : via >= 0 ? 2 : 1;
+    for (i64 i = 0; i < steps; i++) {
+        i64 gw = p->gateway[k->w * p->W + seq[i]];
+        if (gw != k->c) {
+            walk_cross(k, SEG_XY, gw, vc, vc + p->vc_local);
+            vc += p->vc_local;
+        }
+        walk_leap(k, SEG_XY, seq[i], vc, vc + p->vc_global);
+        vc += p->vc_global + p->vc_landed;
+    }
+    if (k->c != cd) {
+        walk_cross(k, SEG_XY, cd, vc, vc + p->vc_local);
+        vc += p->vc_local;
+    }
+    walk_segment(k, SEG_XY, ld, vc);
+}
+
+/* Sec. IV-B: VC-0 mesh exit, VC-1 source transit, VC-2 (VC-3 behind
+ * an "any"-scope misroute) on the destination side */
+static void walk_reduced(Walk *k, i64 via, i64 wd, i64 cd, i64 ld)
+{
+    const Plane *p = k->p;
+    i64 dest_vc = via >= 0 && !p->merged_vcs ? 3 : 2;
+    if (k->w == wd) {
+        if (k->c == cd) {
+            walk_segment(k, SEG_XY, ld, 0);
+            return;
+        }
+        walk_cross(k, SEG_XY, cd, 0, dest_vc);
+    } else {
+        i64 first = via >= 0 ? via : wd;
+        i64 gw = p->gateway[k->w * p->W + first];
+        i64 exit_vc = 0;
+        if (gw != k->c) {
+            walk_cross(k, SEG_XY, gw, 0, 1);
+            exit_vc = 1;
+        }
+        walk_leap(k, SEG_XY, first, exit_vc, 2);
+        if (via >= 0) {
+            gw = p->gateway[k->w * p->W + wd];
+            if (gw != k->c)
+                walk_cross(k, SEG_WALK, gw, 2, 2);
+            walk_leap(k, SEG_WALK, wd, 2, dest_vc);
+        }
+        if (k->c != cd)
+            walk_cross(k, SEG_WALK, cd, dest_vc, dest_vc);
+    }
+    walk_segment(k, SEG_DELIVERY, ld, dest_vc);
+}
+
+/* Fills off[i] / hops[i] for every pair and the lv arena behind them;
+ * returns the total hop count.  The caller sizes lv for the longest
+ * route n times over (RoutePlane.max_hops).  via may be NULL (all
+ * minimal); an entry naming either endpoint's group, or given for a
+ * pair inside one group, is ignored like -1. */
+i64 plane_resolve(const Plane *p, i64 n, const i64 *src, const i64 *dst,
+                  const i64 *via, i64 *off, i64 *hops, i64 *lv)
+{
+    Walk k = {p, lv, 0, 0, 0, 0};
+    for (i64 i = 0; i < n; i++) {
+        i64 s = src[i], d = dst[i];
+        i64 wd = p->node_w[d], cd = p->node_c[d], ld = p->node_l[d];
+        i64 v = via ? via[i] : -1;
+        k.w = p->node_w[s];
+        k.c = p->node_c[s];
+        k.l = p->node_l[s];
+        if (v == k.w || v == wd || k.w == wd)
+            v = -1;
+        off[i] = k.h;
+        if (p->reduced)
+            walk_reduced(&k, v, wd, cd, ld);
+        else
+            walk_ordinal(&k, p->vc_spread > 1 ? d % p->vc_spread : 0, v, wd,
+                         cd, ld);
+        hops[i] = k.h - off[i];
+    }
+    return k.h;
 }

@@ -38,7 +38,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .simcore import ArrayCore
+from .simcore import ArrayCore, _check_hops
 from .schedule import InjectionSchedule, build_injection_schedule
 from .stats import SimResult
 from .vecrandom import VecRandom
@@ -132,8 +132,8 @@ class _SimState(ctypes.Structure):
         ("p_t0", _i64p),
         ("p_meas", _i64p),
         ("route_lv", _i64p),
-        ("route_link", _i64p),
-        ("route_delay", _i64p),
+        ("lv_link", _i64p),
+        ("lv_delay", _i64p),
         ("ev_cycle", _i64p),
         ("ev_src", _i64p),
         ("ev_pid", _i64p),
@@ -240,6 +240,12 @@ def load_native():
             ctypes.c_int64,
         ]
         lib.sim_run_batch.restype = ctypes.c_int64
+        # (plane, n, src, dst, via, off, hops, lv): see
+        # repro.routing.plane.RoutePlane.resolve
+        lib.plane_resolve.argtypes = (
+            [ctypes.c_void_p, ctypes.c_int64] + [_i64p] * 6
+        )
+        lib.plane_resolve.restype = ctypes.c_int64
     except OSError:
         return None
     except AttributeError:
@@ -253,12 +259,6 @@ def load_native():
 def native_available() -> bool:
     """True when the compiled kernel can be (or has been) loaded."""
     return load_native() is not None
-
-
-#: largest num_nodes**2 for which the route-pair mirror also keeps a
-#: dense direct-index table (2 x int64 -> 16 MiB at the cap); bigger
-#: graphs fall back to binary search on the sorted key mirror.
-_DENSE_PAIRS_MAX = 1 << 20
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -364,6 +364,10 @@ class NativeCore(ArrayCore):
         self._n_lv_dst = _as_i64(self._lv_dst)
         self._n_cap_lv = _as_i64(self._cap_lv)
         self._n_cdel_lv = _as_i64(self._credit_delay_lv)
+        # the kernel reads a hop's link and in-flight delay off its lv,
+        # so a route arena is the lv array alone
+        self._n_lv_link = np.arange(num_lv, dtype=np.int64) // self.num_vcs
+        self._n_lv_delay = _as_i64(self._hop_delay)[self._n_lv_link]
         self._n_credits = np.full(num_lv, B, dtype=np.int64)
         self._n_owner = np.full(num_lv, -1, dtype=np.int64)
         self._n_buf = _zeros(num_lv * B)
@@ -390,34 +394,45 @@ class NativeCore(ArrayCore):
         scratch = self._max_in + 1
         self._n_sc = [_zeros(scratch) for _ in range(4)]
 
-        # Numpy mirror of the (src, dst) -> (offset, hops) route memo
-        # for bulk lookup: [sorted pair keys, offsets, hops, memo size
-        # at build time].  A shared mutable holder so batch lanes that
-        # adopt this core's route plane see one mirror (see
-        # :meth:`_adopt_route_plane`).  Slots 4/5 hold an optional
-        # dense (src*nn+dst)-indexed offset/hops table (-1 offset =
-        # unresolved) — valid because the slice memo is insert-only.
-        self._pair_mirror: list = [None, None, None, -1, None, None]
-        # Converted int64 route arena [(lv, link, delay) arrays, arena
-        # length at conversion] — shared like the mirror, so a batch
-        # only re-converts when new routes were appended.
+        #: the routing's closed-form route plane, or None: routes are
+        #: then resolved pair by pair into the route table below.
+        # (optional like route_flat / is_deterministic: the cores take
+        # any object with route() and num_vcs, not only
+        # RoutingAlgorithm subclasses)
+        route_plane = getattr(routing, "route_plane", None)
+        self._plane = route_plane() if route_plane is not None else None
+        # Plane cores own a numpy arena: one lv array per resolve call,
+        # packet offsets shifted by the hops before it.
+        self._arena: list = []
+        self._arena_len = 0
+
+        # Table path only.  Numpy mirror of the (src, dst) -> (offset,
+        # hops) route memo for bulk lookup: [sorted pair keys, offsets,
+        # hops, memo size at build time].  A shared mutable holder so
+        # batch lanes that adopt this core's route table see one mirror
+        # (see :meth:`_adopt_route_table`).
+        self._pair_mirror: list = [None, None, None, -1]
+        # Converted int64 route arena [lv array, arena length at
+        # conversion] — shared like the mirror, so a batch only
+        # re-converts when new routes were appended.
         self._np_routes: list = [None, -1]
 
     # ------------------------------------------------------------------
-    def _adopt_route_plane(self, donor: "NativeCore") -> None:
+    def _adopt_route_table(self, donor: "NativeCore") -> None:
         """Share ``donor``'s route arena, memo and pair mirror.
 
-        Only valid for deterministic routings (a route is a pure
-        function of the pair, so lanes can pool resolutions) and only
-        before any route was resolved on this core.  Lists are shared
-        *by reference*: any lane resolving a new pair extends the one
-        arena every lane's packet table points into.
+        Only valid for deterministic table-routed configurations (a
+        route is a pure function of the pair, so lanes can pool
+        resolutions) and only before any route was resolved on this
+        core.  Lists are shared *by reference*: any lane resolving a
+        new pair extends the one arena every lane's packet table
+        points into.
         """
         if not (self._deterministic and donor._deterministic):
             return
         if self._route_lv or self._num_packets:
             raise RuntimeError(
-                "route plane adoption must happen before any route is "
+                "route table adoption must happen before any route is "
                 "resolved on this core"
             )
         self._slice_memo = donor._slice_memo
@@ -450,61 +465,56 @@ class NativeCore(ArrayCore):
             mirror[1] = offs[order]
             mirror[2] = hops[order]
             mirror[3] = n
-            if nn * nn <= _DENSE_PAIRS_MAX:
-                if mirror[4] is None:
-                    mirror[4] = np.full(nn * nn, -1, dtype=np.int64)
-                    mirror[5] = np.empty(nn * nn, dtype=np.int64)
-                mirror[4][keys] = offs
-                mirror[5][keys] = hops
         return mirror
+
+    def _plane_slices(self, srcs, dsts, via=None):
+        """``(offsets, hops)`` of the pairs' routes, resolved through
+        the routing's plane and appended to this core's arena."""
+        routes = self._plane.resolve(srcs, dsts, via)
+        if routes.hops.size:
+            _check_hops(int(routes.hops.max()))
+        base = self._arena_len
+        self._arena.append(routes.lv)
+        self._arena_len = base + routes.lv.size
+        if self._probe_mode:
+            # run_record reads the scalar arena
+            self._route_lv.extend(routes.lv.tolist())
+        return routes.off + base, routes.hops
 
     def _route_slices_bulk(self, srcs: np.ndarray, dsts: np.ndarray):
         """Vectorized ``_route_slice`` over aligned pair arrays.
 
-        Missing pairs are resolved through the scalar single point of
+        With a route plane that is one closed-form call.  Otherwise
+        missing pairs are resolved through the scalar single point of
         truth (appending to the shared arena and memo), then looked up
-        via the sorted mirror.  Returns ``None`` when the memo cap
-        keeps pairs out of the mirror — callers fall back to the
-        scalar pre-pass.
+        via the sorted mirror; returns ``None`` when the memo cap keeps
+        pairs out of the mirror — callers fall back to the scalar
+        pre-pass.
         """
+        if self._plane is not None:
+            return self._plane_slices(srcs, dsts)
         nn = self.graph.num_nodes
         keys = srcs * nn + dsts
-        tab = self._pair_table()
-        # probe the mirror first: on a warmed route plane every pair
-        # hits, and the np.unique pass only runs for actual misses.
-        # Small graphs probe a dense table (one gather); larger ones
-        # binary-search the sorted key mirror.
-        if tab[4] is not None:
-            off = tab[4][keys]
-            miss = off < 0
-            if not miss.any():
-                return off, tab[5][keys]
-            missing = np.unique(keys[miss])
-        elif tab[0] is not None and tab[0].size:
-            tk = tab[0]
-            pos = np.searchsorted(tk, keys)
-            clip = np.minimum(pos, tk.size - 1)
-            miss = (pos >= tk.size) | (tk[clip] != keys)
-            if not miss.any():
-                return tab[1][clip], tab[2][clip]
-            missing = np.unique(keys[miss])
-        else:
-            missing = np.unique(keys)
-        route_slice = self._route_slice
-        for k in missing.tolist():
-            route_slice(int(k // nn), int(k % nn))
-        tab = self._pair_table()
-        if tab[4] is not None:
-            off = tab[4][keys]
-            if (off < 0).any():
-                return None  # memo cap hit: resolved but unmirrored
-            return off, tab[5][keys]
-        tk = tab[0]
-        pos = np.searchsorted(tk, keys)
-        clip = np.minimum(pos, tk.size - 1)
-        if ((pos >= tk.size) | (tk[clip] != keys)).any():
-            return None  # memo cap hit: pairs resolved but unmirrored
-        return tab[1][clip], tab[2][clip]
+        # probe the mirror first: on a warmed route table every pair
+        # hits, and the np.unique pass only runs for actual misses
+        pos, miss = self._mirror_find(keys)
+        if miss.any():
+            route_slice = self._route_slice
+            for k in np.unique(keys[miss]).tolist():
+                route_slice(int(k // nn), int(k % nn))
+            pos, miss = self._mirror_find(keys)
+            if miss.any():
+                return None  # memo cap hit: pairs resolved but unmirrored
+        return self._pair_mirror[1][pos], self._pair_mirror[2][pos]
+
+    def _mirror_find(self, keys: np.ndarray):
+        """Positions of the pair keys in the sorted mirror, and the
+        mask of keys it lacks."""
+        tk = self._pair_table()[0]
+        if not tk.size:
+            return None, np.ones(keys.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(tk, keys), tk.size - 1)
+        return pos, tk[pos] != keys
 
     # ------------------------------------------------------------------
     def _resolve_packets_vec(
@@ -515,10 +525,10 @@ class NativeCore(ArrayCore):
         Destinations come from the traffic pattern's ``dest_batch``
         hook over a :class:`VecRandom` replica of the stdlib stream,
         routes from the bulk memo mirror — both bit-exact with the
-        scalar pre-pass.  Returns ``None`` to decline (non-deterministic
-        routing, no/declining hook, un-mirrorable memo); nothing is
-        consumed from the RNG in that case, so the scalar path can take
-        over from the exact same state.
+        scalar pre-pass.  Returns ``None`` to decline (routing that
+        draws from the RNG, no/declining hook, un-mirrorable memo);
+        nothing is consumed from the RNG in that case, so the scalar
+        path can take over from the exact same state.
         """
         if not self._deterministic:
             return None
@@ -584,6 +594,18 @@ class NativeCore(ArrayCore):
         dest = self.traffic.dest
         py_rng = self._py_rng
         route_slice = self._route_slice
+        # with a plane the loop only draws: the destination and, for a
+        # routing that consults the RNG, its intermediate group (same
+        # draws in the same order as route()); the collected triples
+        # are resolved in one call behind the loop
+        plane = self._plane
+        draw_via = (
+            self.routing.draw_via
+            if plane is not None and not self._deterministic
+            else None
+        )
+        dsts: List[int] = []
+        vias: List[int] = []
         p_off = self._p_off
         p_hops = self._p_hops
         p_t0 = self._p_t0
@@ -605,19 +627,32 @@ class NativeCore(ArrayCore):
             dst = dest(nid, py_rng)
             if dst is None or dst == nid:
                 continue
-            off, nhops = route_slice(nid, dst)
+            if plane is None:
+                off, nhops = route_slice(nid, dst)
+                p_off.append(off)
+                p_hops.append(nhops)
+            else:
+                dsts.append(dst)
+                if draw_via is not None:
+                    via = draw_via(nid, dst, py_rng)
+                    vias.append(-1 if via is None else via)
             pid = npk
             npk += 1
             if probing:
                 p_src.append(nid)
                 p_dst.append(dst)
-            p_off.append(off)
-            p_hops.append(nhops)
             p_t0.append(t)
             p_meas.append(1 if warm <= t < meas_end else 0)
             ev_cycle.append(t)
             ev_src.append(nid)
             ev_pid.append(pid)
+        if dsts:
+            off, nhops = self._plane_slices(
+                _as_i64(ev_src), _as_i64(dsts),
+                _as_i64(vias) if draw_via is not None else None,
+            )
+            p_off.extend(off.tolist())
+            p_hops.extend(nhops.tolist())
         self._num_packets = npk
         return ev_cycle, ev_src, ev_pid
 
@@ -717,7 +752,7 @@ class NativeCore(ArrayCore):
     def _build_state(self, ctx: "_LaneCtx", routes=None) -> _SimState:
         """Pack the kernel's ``struct S`` for a prepared run.
 
-        ``routes`` passes pre-converted shared route arrays (batch
+        ``routes`` passes the pre-converted shared route arena (batch
         lanes convert the common arena once); every numpy buffer the
         struct points into is pinned on ``ctx`` until :meth:`_finish`.
         """
@@ -752,20 +787,19 @@ class NativeCore(ArrayCore):
             np_p_hops = _as_i64(self._p_hops)
             np_p_t0 = _as_i64(self._p_t0)
             np_p_meas = _as_i64(self._p_meas)
-        if routes is None:
-            routes = (
-                _as_i64(self._route_lv),
-                _as_i64(self._route_link),
-                _as_i64(self._route_delay),
-            )
-        np_route_lv, np_route_link, np_route_delay = routes
+        if self._plane is not None:
+            if len(self._arena) > 1:  # one part per earlier run()
+                self._arena = [np.concatenate(self._arena)]
+            routes = self._arena[0] if self._arena else _zeros(0)
+        elif routes is None:
+            routes = _as_i64(self._route_lv)
+        np_route_lv = routes
         np_ev_cycle = ctx.np_ev_cycle
         np_ev_src = ctx.np_ev_src
         np_ev_pid = ctx.np_ev_pid
         n_new = ctx.n_new
         ctx.keepalive = (
-            np_p_off, np_p_hops, np_p_t0, np_p_meas,
-            np_route_lv, np_route_link, np_route_delay,
+            np_p_off, np_p_hops, np_p_t0, np_p_meas, np_route_lv,
         )
 
         st = _SimState(
@@ -822,8 +856,8 @@ class NativeCore(ArrayCore):
             p_t0=_ptr(np_p_t0),
             p_meas=_ptr(np_p_meas),
             route_lv=_ptr(np_route_lv),
-            route_link=_ptr(np_route_link),
-            route_delay=_ptr(np_route_delay),
+            lv_link=_ptr(self._n_lv_link),
+            lv_delay=_ptr(self._n_lv_delay),
             ev_cycle=_ptr(np_ev_cycle),
             ev_src=_ptr(np_ev_src),
             ev_pid=_ptr(np_ev_pid),
@@ -937,27 +971,32 @@ class NativeBatch:
     """N replica lanes of one configuration, run as one kernel call.
 
     Each lane is an isolated :class:`NativeCore` (own seed-derived RNG
-    streams, flit/VC/credit/latency state); what the lanes *share* is
-    the read-only route plane: for deterministic routings every lane
-    adopts the first lane's route arena, (src, dst) memo and numpy pair
-    mirror, so each route slice is resolved once per batch instead of
-    once per lane.  Packet pre-resolution uses the vectorized pre-pass
-    when the traffic pattern offers ``dest_batch`` (falling back to the
-    scalar resolve per lane otherwise), the per-lane ``struct S``
-    states are packed into one contiguous ctypes array, and a single
-    ``sim_run_batch`` call walks the lanes — threaded over
-    :func:`resolve_threads` workers pulling lanes from an atomic
-    cursor, which is bit-identical to the serial loop because lanes
-    share no mutable state.
+    streams, flit/VC/credit/latency state).  Routes come from the
+    routing's closed-form plane when it offers one
+    (:meth:`~repro.routing.base.RoutingAlgorithm.route_plane`): every
+    lane then resolves its own packets in one call and nothing is
+    shared or kept.  Table-routed deterministic configurations instead
+    *share* one route table: every lane adopts the first lane's route
+    arena, (src, dst) memo and sorted pair mirror, so each route slice
+    is resolved once per batch instead of once per lane.  Packet
+    pre-resolution uses the vectorized pre-pass when the traffic
+    pattern offers ``dest_batch`` (falling back to the scalar resolve
+    per lane otherwise), the per-lane ``struct S`` states are packed
+    into one contiguous ctypes array, and a single ``sim_run_batch``
+    call walks the lanes — threaded over :func:`resolve_threads`
+    workers pulling lanes from an atomic cursor, which is bit-identical
+    to the serial loop because lanes share no mutable state.
 
     A batch is **one-shot**: lanes accumulate measurement state, so
     ``run()`` raises on reuse.  Build a fresh batch per lane set (as
     :func:`repro.network.simulator.run_batch` and the engine do).  To
-    amortise route resolution *across* batches of the same
+    amortise table-routed resolution *across* batches of the same
     configuration, pass a previous batch's :attr:`route_donor` as
     ``route_donor`` — the new lanes adopt its already-resolved route
-    plane instead of starting from an empty memo (the arena is
-    append-only, so a stale donor is never wrong, just partial).
+    table instead of starting from an empty memo (the arena is
+    append-only, so a stale donor is never wrong, just partial).  With
+    a route plane there is nothing to donate: ``route_donor`` is
+    accepted and ignored, and :attr:`route_donor` stays ``None``.
     """
 
     def __init__(
@@ -986,10 +1025,11 @@ class NativeBatch:
             )
             if probes:
                 core.enable_probes()
-            if donor is None:
-                donor = core
-            else:
-                core._adopt_route_plane(donor)
+            if core._plane is None:
+                if donor is None:
+                    donor = core
+                else:
+                    core._adopt_route_table(donor)
             self.lanes.append(core)
         self._shared_routes = (
             donor is not None
@@ -998,8 +1038,9 @@ class NativeBatch:
                 core._route_lv is donor._route_lv for core in self.lanes
             )
         )
-        #: lane whose route plane a follow-up batch of the same
-        #: (graph, routing) can adopt via the ``route_donor`` argument.
+        #: lane whose route table a follow-up batch of the same
+        #: (graph, routing) can adopt via the ``route_donor`` argument
+        #: (``None`` with a route plane or a randomised routing).
         self.route_donor: Optional[NativeCore] = (
             self.lanes[0] if self._shared_routes else None
         )
@@ -1050,11 +1091,7 @@ class NativeBatch:
             donor = self.lanes[0]
             cached = donor._np_routes
             if cached[1] != len(donor._route_lv):
-                cached[0] = (
-                    _as_i64(donor._route_lv),
-                    _as_i64(donor._route_link),
-                    _as_i64(donor._route_delay),
-                )
+                cached[0] = _as_i64(donor._route_lv)
                 cached[1] = len(donor._route_lv)
             routes = cached[0]
         states = (_SimState * n)()

@@ -83,6 +83,15 @@ _FIDX_STEP = 1 << _FIDX_SHIFT
 _FIDX_INC = 1 << (_FIDX_SHIFT + _EV_SHIFT)
 
 
+def _check_hops(nhops: int) -> None:
+    """Reject a route the packed flit word cannot count."""
+    if nhops > _MAX_HOPS:
+        raise ValueError(
+            f"route with {nhops} hops exceeds the core's hop "
+            f"field ({_MAX_HOPS}); use the reference core"
+        )
+
+
 class ArrayCore:
     """Array-backed simulation core (see module docstring)."""
 
@@ -371,11 +380,7 @@ class ArrayCore:
             num_vcs = self.num_vcs
             path_lv = tuple(l * num_vcs + v for l, v in path)
         nhops = len(path_lv)
-        if nhops > _MAX_HOPS:
-            raise ValueError(
-                f"route with {nhops} hops exceeds the core's hop "
-                f"field ({_MAX_HOPS}); use the reference core"
-            )
+        _check_hops(nhops)
         route_lv = self._route_lv
         off = len(route_lv)
         route_lv.extend(path_lv)

@@ -4,6 +4,7 @@ from .base import RoutingAlgorithm, path_latency, validate_path
 from .deadlock import DeadlockReport, channel_dependency_graph, verify_deadlock_free
 from .dragonfly import DragonflyRouting
 from .mesh import SwitchStarRouting, XYMeshRouting, xy_links
+from .plane import ResolvedRoutes, RoutePlane
 from .switchless import SwitchlessRouting
 
 __all__ = [
@@ -14,6 +15,8 @@ __all__ = [
     "channel_dependency_graph",
     "verify_deadlock_free",
     "DragonflyRouting",
+    "ResolvedRoutes",
+    "RoutePlane",
     "SwitchStarRouting",
     "XYMeshRouting",
     "xy_links",

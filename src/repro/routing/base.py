@@ -9,7 +9,23 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..network.packet import Hop
 from ..topology.graph import NetworkGraph
 
-__all__ = ["RoutingAlgorithm", "validate_path", "path_latency"]
+__all__ = [
+    "RoutingAlgorithm",
+    "draw_other_group",
+    "validate_path",
+    "path_latency",
+]
+
+
+def draw_other_group(rng: random.Random, num_groups: int, a: int, b: int) -> int:
+    """Uniform draw of a group other than ``a`` and ``b`` (``a != b``,
+    ``num_groups > 2``): one ``randrange(num_groups - 2)``, then skip
+    the two excluded labels in increasing order."""
+    pick = rng.randrange(num_groups - 2)
+    for skip in sorted((a, b)):
+        if pick >= skip:
+            pick += 1
+    return pick
 
 
 class RoutingAlgorithm(ABC):
@@ -64,6 +80,19 @@ class RoutingAlgorithm(ABC):
             if len(memo) < self.route_memo_max:
                 memo[(src, dst)] = hit
         return hit
+
+    def route_plane(self):
+        """The routing's closed-form :class:`~repro.routing.plane.RoutePlane`,
+        or ``None`` when routes are not a function of endpoint labels
+        (the native core then resolves pair by pair through
+        :meth:`route` and keeps a route table).
+
+        A routing that offers a plane also offers ``draw_via(src, dst,
+        rng)`` — the random part of :meth:`route`, consuming the RNG
+        exactly as :meth:`route` does — such that ``route(s, d, rng)``
+        equals the plane's route for ``(s, d, draw_via(s, d, rng))``.
+        """
+        return None
 
     def enumerate_routes(self, src: int, dst: int) -> Iterable[List[Hop]]:
         """All routes the algorithm may produce for this pair.

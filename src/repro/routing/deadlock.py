@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # imported by the functions that need it (~0.1 s)
+    import networkx as nx
 
 from ..network.packet import Hop
 from ..topology.graph import NetworkGraph
@@ -88,6 +89,8 @@ def channel_dependency_graph(
     Returns ``(cdg, pairs_checked)``.  Every route produced by
     ``routing.enumerate_routes`` contributes its consecutive-hop edges.
     """
+    import networkx as nx
+
     rng = random.Random(seed)
     cdg = nx.DiGraph()
     checked = _iter_pairs(graph, pairs, max_pairs, rng)
@@ -116,6 +119,8 @@ def verify_deadlock_free(
     exhaustive and exact for deterministic routings; use ``max_pairs`` to
     sample on very large systems.
     """
+    import networkx as nx
+
     cdg, checked = channel_dependency_graph(
         graph, routing, pairs=pairs, max_pairs=max_pairs, seed=seed
     )

@@ -15,7 +15,8 @@ from typing import Iterable, List, Optional
 
 from ..network.packet import Hop
 from ..topology.dragonfly import DragonflySystem
-from .base import RoutingAlgorithm
+from .base import RoutingAlgorithm, draw_other_group
+from .plane import RoutePlane, dragonfly_plane
 
 __all__ = ["DragonflyRouting"]
 
@@ -58,6 +59,7 @@ class DragonflyRouting(RoutingAlgorithm):
         # intermediate group from it)
         self.is_deterministic = mode == "minimal"
         self.num_vcs = self.num_classes * vc_spread
+        self._plane: Optional[RoutePlane] = None
 
     # ------------------------------------------------------------------
     def _route_via(
@@ -120,19 +122,24 @@ class DragonflyRouting(RoutingAlgorithm):
         hops.append((g.link_between(sys.switches[gd][sd], dst), vc()))
         return hops
 
-    def route(self, src: int, dst: int, rng: random.Random) -> List[Hop]:
+    def draw_via(self, src: int, dst: int, rng: random.Random) -> Optional[int]:
+        """The random part of :meth:`route`: Valiant's intermediate
+        group, ``None`` when the pair is routed minimally."""
+        if self.mode != "valiant":
+            return None
         gs = self.system.group_of(src)
         gd = self.system.group_of(dst)
-        intermediate: Optional[int] = None
-        if self.mode == "valiant" and gs != gd and self.system.num_groups > 2:
-            choices = self.system.num_groups - 2
-            pick = rng.randrange(choices)
-            # skip gs and gd while keeping the draw uniform
-            for skip in sorted((gs, gd)):
-                if pick >= skip:
-                    pick += 1
-            intermediate = pick
-        return self._route_via(src, dst, intermediate)
+        if gs == gd or self.system.num_groups <= 2:
+            return None
+        return draw_other_group(rng, self.system.num_groups, gs, gd)
+
+    def route(self, src: int, dst: int, rng: random.Random) -> List[Hop]:
+        return self._route_via(src, dst, self.draw_via(src, dst, rng))
+
+    def route_plane(self) -> RoutePlane:
+        if self._plane is None:
+            self._plane = dragonfly_plane(self)
+        return self._plane
 
     def enumerate_routes(self, src: int, dst: int) -> Iterable[List[Hop]]:
         gs = self.system.group_of(src)

@@ -52,7 +52,8 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..core.system import SwitchlessSystem
 from ..network.packet import Hop
-from .base import RoutingAlgorithm
+from .base import RoutingAlgorithm, draw_other_group
+from .plane import RoutePlane, switchless_plane
 
 __all__ = ["SwitchlessRouting"]
 
@@ -106,6 +107,7 @@ class SwitchlessRouting(RoutingAlgorithm):
                 self.num_vcs = 3
             else:
                 self.num_vcs = 4 if misroute_scope == "any" else 3
+        self._plane: Optional[RoutePlane] = None
 
     # ------------------------------------------------------------------
     # segment helpers
@@ -340,19 +342,33 @@ class SwitchlessRouting(RoutingAlgorithm):
             src, dst, wseq, merged_vcs=self.misroute_scope == "lower"
         )
 
-    def route(self, src: int, dst: int, rng: random.Random) -> List[Hop]:
+    def draw_via(self, src: int, dst: int, rng: random.Random) -> Optional[int]:
+        """The random part of :meth:`route`: Valiant's intermediate
+        W-group, ``None`` when the pair is routed minimally."""
+        if self.mode != "valiant":
+            return None
         sys = self.system
-        ws, _ = sys.location_of(src)
-        wd, _ = sys.location_of(dst)
-        wi: Optional[int] = None
-        wd2, cd = sys.location_of(dst)
-        if self.mode == "valiant" and ws != wd and sys.num_wgroups > 2:
-            choices = self._legal_intermediates(ws, wd, cd)
-            if choices:
-                wi = choices[rng.randrange(len(choices))]
-            elif self.policy == "reduced" and self.misroute_scope == "lower":
-                self.fallback_count += 1
-        return self._route_via(src, dst, wi)
+        ws = sys.location_of(src)[0]
+        wd, cd = sys.location_of(dst)
+        g = sys.num_wgroups
+        if ws == wd or g <= 2:
+            return None
+        if self.misroute_scope == "any":
+            return draw_other_group(rng, g, ws, wd)
+        choices = self._legal_intermediates(ws, wd, cd)
+        if choices:
+            return choices[rng.randrange(len(choices))]
+        if self.policy == "reduced":
+            self.fallback_count += 1
+        return None
+
+    def route(self, src: int, dst: int, rng: random.Random) -> List[Hop]:
+        return self._route_via(src, dst, self.draw_via(src, dst, rng))
+
+    def route_plane(self) -> RoutePlane:
+        if self._plane is None:
+            self._plane = switchless_plane(self)
+        return self._plane
 
     def enumerate_routes(self, src: int, dst: int) -> Iterable[List[Hop]]:
         sys = self.system

@@ -25,9 +25,19 @@ Every link carries the attributes the paper's evaluation depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-import networkx as nx
+if TYPE_CHECKING:  # networkx costs ~0.1 s to import; only analysis needs it
+    import networkx as nx
 
 __all__ = [
     "LINK_CLASSES",
@@ -249,6 +259,8 @@ class NetworkGraph:
         forward link's attributes.  With ``multigraph=True`` parallel
         channels are preserved (needed for exact bisection counts).
         """
+        import networkx as nx
+
         g: nx.Graph = nx.MultiGraph() if multigraph else nx.Graph()
         for node in self.nodes:
             g.add_node(node.id, kind=node.kind, chip=node.chip)

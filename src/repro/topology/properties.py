@@ -7,9 +7,18 @@ built router graphs via networkx.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-import networkx as nx
+if TYPE_CHECKING:  # imported by the functions that need it (~0.1 s)
+    import networkx as nx
 
 from .graph import NetworkGraph
 
@@ -27,15 +36,21 @@ __all__ = [
 
 def hop_diameter(graph: NetworkGraph) -> int:
     """Diameter in router hops of the undirected channel graph."""
+    import networkx as nx
+
     return nx.diameter(graph.to_networkx())
 
 
 def average_shortest_path(graph: NetworkGraph) -> float:
+    import networkx as nx
+
     return nx.average_shortest_path_length(graph.to_networkx())
 
 
 def terminal_diameter(graph: NetworkGraph) -> int:
     """Max shortest-path hops between any two terminals."""
+    import networkx as nx
+
     g = graph.to_networkx()
     terms = graph.terminals()
     best = 0
@@ -85,6 +100,8 @@ def surviving_networkx(
     :mod:`repro.faults.inject` keeps both directions in sync, so the
     forward direction alone decides.
     """
+    import networkx as nx
+
     dead_links = set(failed_links)
     dead_nodes = set(failed_nodes)
     g = nx.Graph()
@@ -104,6 +121,8 @@ def component_summary(
     g: nx.Graph, terminals: Sequence[int]
 ) -> Dict[str, object]:
     """Connectivity summary of a (possibly degraded) undirected graph."""
+    import networkx as nx
+
     terms = [t for t in terminals if t in g]
     comps = [set(c) for c in nx.connected_components(g)] if len(g) else []
     comps.sort(key=len, reverse=True)
@@ -138,6 +157,8 @@ def pair_path_diversity(
     Unreachable or missing-node pairs count as zero diversity, so the
     metric degrades smoothly as failures partition the network.
     """
+    import networkx as nx
+
     pairs = list(pairs)
     if not pairs:
         return 0.0
