@@ -20,15 +20,9 @@ It also emits the cross-core equivalence report:
   saturation), accepted throughput, and the saturation point stay
   within seed noise.
 
-Since the batched-kernel PR the headline metric is **fleet
-points-per-second**: the engine sweep (``run_experiments``) timed
-batched (one packed ``sim_run_batch`` call per chunk of rates, shared
-route plane, vectorized destination pre-resolution) against the
-per-point path, single-threaded so the speedup is pure amortisation +
-vectorization, not thread parallelism.  A third section times a full
-saturation sweep (cutoff included) both ways, and the batched path
-joins the hard equivalence gate: batched sweep results must be
-bit-identical to per-point results.
+Sweep-level timings (packed chunks, engine dispatch) are the repo
+benchmark's job (``bench/run.py``); the packed-vs-per-lane parity
+gate is ``tests/engine/test_batch_engine.py``.
 
 Usage::
 
@@ -55,26 +49,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api.library import sim_params, switchless_arch  # noqa: E402
-from repro.engine.executor import run_experiments  # noqa: E402
 from repro.engine.spec import ExperimentSpec, build_experiment  # noqa: E402
-from repro.network import (  # noqa: E402
-    THREADS_ENV,
-    Simulator,
-    native_available,
-)
+from repro.network import Simulator, native_available  # noqa: E402
 
 #: offered loads (flits/cycle/chip): low, mid, high, past saturation
 #: for the SW-less W-group (saturation sits near 1.1).
 RATE_POINTS = {"low": 0.3, "mid": 0.6, "high": 0.9, "sat": 1.2}
-
-#: the fleet sweep: non-saturating loads only, so the batched and
-#: per-point paths simulate the exact same point set (no cutoff).
-#: A dense 12-point grid — batching amortizes per-point setup, so the
-#: fleet metric is measured where sweeps actually spend their points.
-FLEET_RATES = [round(0.05 * i, 2) for i in range(1, 13)]
-
-#: the saturation-sweep grid: past the ~1.1 knee, so the cutoff fires.
-SWEEP_RATES = [0.3, 0.6, 0.9, 1.2, 1.5]
 
 
 def fig10_local_uniform_spec(params) -> ExperimentSpec:
@@ -132,106 +112,6 @@ def timing_section(scale: str, new_core: str):
             f"-> {row['speedup']:.1f}x"
         )
     return rows
-
-
-def _timed_sweep(spec, batch: bool, reps: int = 2):
-    """Best-of-``reps`` wall-clock for one engine sweep (no cache, so
-    every point simulates every rep); returns (seconds, sweep)."""
-    best, sweep = math.inf, None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        out = run_experiments([spec], batch=batch, workers=1)[0]
-        best = min(best, time.perf_counter() - t0)
-        sweep = out
-    return best, sweep
-
-
-def fleet_section(scale: str, threads: int = 1):
-    """Fleet points-per-second: batched vs per-point engine sweeps.
-
-    Single-threaded by construction (``REPRO_SIM_THREADS=1``): the
-    reported speedup is amortisation (one route plane, one packed
-    kernel call per chunk) plus the vectorized destination pre-pass —
-    kernel threads would only add to it on multi-core hosts.
-    """
-    params = sim_params(scale)
-    spec = fig10_local_uniform_spec(params).with_rates(FLEET_RATES)
-    saved = os.environ.get(THREADS_ENV)
-    os.environ[THREADS_ENV] = str(threads)
-    try:
-        # warm: compiles the kernel, fills the worker-local system /
-        # routing caches and the shared route memo for both paths
-        run_experiments([spec], batch=True, workers=1)
-        # best-of-4: single-point wall-clocks on shared hosts are
-        # noisy enough to swing the ratio by ~20%
-        t_point, sw_p = _timed_sweep(spec, batch=False, reps=4)
-        t_batch, sw_b = _timed_sweep(spec, batch=True, reps=4)
-    finally:
-        if saved is None:
-            os.environ.pop(THREADS_ENV, None)
-        else:
-            os.environ[THREADS_ENV] = saved
-    n = len(FLEET_RATES)
-    identical = all(
-        rb.to_dict() == rp.to_dict()
-        for rb, rp in zip(sw_b.results, sw_p.results)
-    )
-    section = {
-        "rates": FLEET_RATES,
-        "threads": threads,
-        "points": n,
-        "per_point_seconds": round(t_point, 3),
-        "batched_seconds": round(t_batch, 3),
-        "per_point_pps": round(n / t_point, 3),
-        "batched_pps": round(n / t_batch, 3),
-        "batched_speedup": round(t_point / t_batch, 2),
-        "identical": identical,
-    }
-    print(
-        f"  fleet ({n} points, {threads} thread(s)): "
-        f"per-point {section['per_point_pps']:.2f} pts/s, "
-        f"batched {section['batched_pps']:.2f} pts/s "
-        f"-> {section['batched_speedup']:.2f}x "
-        f"(identical={identical})"
-    )
-    return section
-
-
-def sweep_wallclock_section(scale: str):
-    """Wall-clock of a realistic saturation sweep, cutoff included."""
-    params = sim_params(scale)
-    spec = fig10_local_uniform_spec(params).with_rates(SWEEP_RATES)
-    run_experiments([spec], batch=True, workers=1)  # warm
-    t_point, sw_p = _timed_sweep(spec, batch=False, reps=1)
-    t_batch, sw_b = _timed_sweep(spec, batch=True, reps=1)
-    section = {
-        "rates": SWEEP_RATES,
-        "per_point_seconds": round(t_point, 3),
-        "batched_seconds": round(t_batch, 3),
-        "batched_speedup": round(t_point / t_batch, 2),
-        "swept_points_per_point": len(sw_p.rates),
-        "swept_points_batched": len(sw_b.rates),
-    }
-    print(
-        f"  saturation sweep: per-point {t_point:.2f}s, "
-        f"batched {t_batch:.2f}s -> {section['batched_speedup']:.2f}x "
-        f"({len(sw_b.rates)} rates kept)"
-    )
-    return section
-
-
-def batched_equivalence() -> bool:
-    """Batched engine sweep bit-identical to the per-point sweep."""
-    params = sim_params("quick", seed=23)
-    spec = fig10_local_uniform_spec(params)
-    sw_b = run_experiments([spec], batch=True, workers=1)[0]
-    sw_p = run_experiments([spec], batch=False, workers=1)[0]
-    same = sw_b.rates == sw_p.rates and all(
-        rb.to_dict() == rp.to_dict()
-        for rb, rp in zip(sw_b.results, sw_p.results)
-    )
-    print(f"  batched sweep identical to per-point: {same}")
-    return same
 
 
 def pinned_equivalence(new_core: str) -> bool:
@@ -367,14 +247,8 @@ def main(argv=None) -> int:
 
     print(f"timing (scale={args.scale}):")
     timing = timing_section(args.scale, new_core)
-    print(f"fleet points-per-second (scale={args.scale}):")
-    fleet = fleet_section(args.scale)
-    print(f"saturation-sweep wall-clock (scale={args.scale}):")
-    sweep_wc = sweep_wallclock_section(args.scale)
     print("pinned-schedule equivalence:")
     pinned_ok = pinned_equivalence(new_core)
-    print("batched-sweep equivalence:")
-    batched_ok = batched_equivalence()
     print(f"rng-shift curves over seeds {seeds}:")
     shift = rng_shift_report(seeds, new_core)
 
@@ -390,34 +264,20 @@ def main(argv=None) -> int:
         "native_available": native_available(),
         "timing": timing,
         "mid_load_speedup": mid["speedup"],
-        "fleet": fleet,
-        "fleet_points_per_second": fleet["batched_pps"],
-        "fleet_batched_speedup": fleet["batched_speedup"],
-        "sweep_wallclock": sweep_wc,
         "equivalence": {
             "pinned_identical": pinned_ok,
-            "batched_identical": batched_ok and fleet["identical"],
             "rng_shift": shift,
         },
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"wrote {args.out}: mid-load speedup {mid['speedup']}x, "
-        f"fleet {fleet['batched_pps']:.2f} pts/s "
-        f"({fleet['batched_speedup']}x batched), "
-        f"pinned identical: {pinned_ok}, batched identical: "
-        f"{batched_ok and fleet['identical']}, "
+        f"pinned identical: {pinned_ok}, "
         f"rng-shift clean: {shift['clean']}"
     )
     if mid["speedup"] < 2.0:
         print("WARNING: mid-load speedup below the 2x target")
-    if native_available() and fleet["batched_speedup"] < 2.0:
-        print("WARNING: fleet batched speedup below the 2x target")
-    return (
-        0
-        if pinned_ok and batched_ok and fleet["identical"] and shift["clean"]
-        else 1
-    )
+    return 0 if pinned_ok and shift["clean"] else 1
 
 
 if __name__ == "__main__":

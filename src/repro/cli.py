@@ -29,9 +29,6 @@ Service mode (see the "Simulation service" README section)::
     repro-dragonfly cancel j000001
     repro-dragonfly cache stats --cache-dir ~/.cache/repro
     repro-dragonfly shutdown
-
-``sweep`` remains as a deprecated alias of ``compare`` with a single
-architecture (it now honours ``--preset``).
 """
 
 from __future__ import annotations
@@ -143,8 +140,18 @@ def _parse_workload_opts(text):
     return opts
 
 
+def _run_or_explain(study, workers, cache, on_point):
+    """``study.run``; a malformed ``REPRO_*`` knob or spec axis is one
+    ``error:`` line (and ``None``), not a traceback."""
+    try:
+        return study.run(workers=workers, cache=cache, on_point=on_point)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _run_study(study, args) -> int:
-    """Shared run/report/export path of ``run``, ``compare``, ``sweep``."""
+    """Shared run/report/export path of ``run`` and ``compare``."""
     metrics = getattr(args, "metrics", None)
     if metrics:
         names = [m.strip() for m in metrics.split(",") if m.strip()]
@@ -170,7 +177,9 @@ def _run_study(study, args) -> int:
     on_point = None
     if getattr(args, "progress", False):
         on_point = _progress_printer(study.num_points())
-    result = study.run(workers=args.workers, cache=cache, on_point=on_point)
+    result = _run_or_explain(study, args.workers, cache, on_point)
+    if result is None:
+        return 2
     print(result.render())
     if cache is not None:
         print(
@@ -278,16 +287,6 @@ def _cmd_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _run_study(Study.wrap(scenario), args)
-
-
-def _cmd_sweep(args) -> int:
-    print(
-        "note: 'sweep' is deprecated; use "
-        "'repro-dragonfly compare --arch <arch>' (same flags, multiple "
-        "architectures) instead",
-        file=sys.stderr,
-    )
-    return _cmd_compare(args)
 
 
 def _cmd_report(args) -> int:
@@ -486,7 +485,9 @@ def _cmd_resilience(args) -> int:
     on_point = None
     if args.progress:
         on_point = _progress_printer(study.num_points())
-    result = study.run(workers=args.workers, cache=cache, on_point=on_point)
+    result = _run_or_explain(study, args.workers, cache, on_point)
+    if result is None:
+        return 2
     print(result.render())
     print()
     print(resilience_report(result).render())
@@ -1036,14 +1037,6 @@ def main(argv=None) -> int:
         "format",
     )
 
-    sweep = sub.add_parser(
-        "sweep", help="(deprecated) single-architecture compare"
-    )
-    sweep.add_argument("--arch", choices=("switchless", "dragonfly"),
-                       default="switchless")
-    _add_workload_args(sweep)
-    _add_exec_args(sweep)
-
     verify = sub.add_parser("verify", help="deadlock-freedom check")
     verify.add_argument("--policy", choices=("baseline", "reduced"),
                         default="baseline")
@@ -1247,7 +1240,6 @@ def main(argv=None) -> int:
         "metrics": _cmd_metrics,
         "workloads": _cmd_workloads,
         "resilience": _cmd_resilience,
-        "sweep": _cmd_sweep,
         "verify": _cmd_verify,
         "serve": _cmd_serve,
         "submit": _cmd_submit,

@@ -6,9 +6,10 @@ The engine decouples *describing* an experiment from *running* it:
   description of one latency-vs-load curve (topology + routing +
   traffic + :class:`~repro.network.params.SimParams` + rate list) that
   can be rebuilt from scratch inside a worker process;
-* :func:`~repro.engine.executor.run_experiments` fans the individual
-  ``(spec, rate)`` points out over a ``multiprocessing`` pool with
-  deterministic per-point seeds (serial fallback included);
+* :func:`~repro.engine.executor.run_experiments` walks every spec's
+  sweep in chunks of rates with deterministic per-point seeds: one
+  scheduler, in this process or over a ``multiprocessing`` pool, whose
+  chunk width follows from the simulator core in play;
 * :class:`~repro.engine.cache.ResultCache` is an on-disk JSON store so
   re-running a benchmark only simulates the missing points.
 """
@@ -18,7 +19,6 @@ from .executor import (
     PointCallback,
     run_experiments,
     simulate_point,
-    spec_saturation,
 )
 from .spec import (
     ExperimentSpec,
@@ -61,6 +61,5 @@ __all__ = [
     "register_traffic",
     "run_experiments",
     "simulate_point",
-    "spec_saturation",
     "suggest",
 ]

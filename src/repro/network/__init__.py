@@ -12,7 +12,13 @@ from .params import SimParams
 from .refcore import ReferenceCore
 from .schedule import InjectionSchedule, build_injection_schedule
 from .simcore import ArrayCore
-from .simulator import CORE_ENV, Simulator, run_batch, run_simulation
+from .simulator import (
+    CORE_ENV,
+    Simulator,
+    resolve_core,
+    run_batch,
+    run_simulation,
+)
 from .stats import SIMRESULT_SCHEMA, SimResult
 from .sweep import (
     LOADSWEEP_SCHEMA,
@@ -36,6 +42,7 @@ __all__ = [
     "NativeBatch",
     "NativeCore",
     "native_available",
+    "resolve_core",
     "resolve_threads",
     "ReferenceCore",
     "InjectionSchedule",

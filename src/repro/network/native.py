@@ -47,6 +47,7 @@ __all__ = [
     "NativeBatch",
     "NativeCore",
     "THREADS_ENV",
+    "env_int",
     "load_native",
     "native_available",
     "resolve_threads",
@@ -59,16 +60,29 @@ _C_SOURCE = Path(__file__).with_name("_simcore.c")
 THREADS_ENV = "REPRO_SIM_THREADS"
 
 
+def env_int(name: str, default: int, minimum: int = 1) -> int:
+    """Integer environment knob ``name`` (``default`` when unset or
+    empty); anything but an integer ``>= minimum`` is a
+    :class:`ValueError` that names the variable."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        kind = "a positive" if minimum == 1 else "a non-negative"
+        raise ValueError(f"{name} must be {kind} integer, got {raw!r}")
+    return value
+
+
 def resolve_threads(lanes: int, threads: Optional[int] = None) -> int:
     """Kernel threads for a batch of ``lanes``: explicit argument, else
     ``REPRO_SIM_THREADS``, else the CPU count — clamped to the lane
     count (extra threads would only spin on the empty work queue)."""
     if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            threads = int(env)
-        else:
-            threads = os.cpu_count() or 1
+        threads = env_int(THREADS_ENV, os.cpu_count() or 1)
     return max(1, min(int(threads), max(1, lanes)))
 
 _i64p = ctypes.POINTER(ctypes.c_int64)
@@ -926,41 +940,6 @@ class NativeCore(ArrayCore):
             )
         return self._finish(ctx, st)
 
-    @classmethod
-    def run_batch(
-        cls,
-        graph,
-        routing,
-        traffic,
-        params,
-        lanes,
-        *,
-        threads: Optional[int] = None,
-        probes: bool = False,
-        schedules=None,
-    ):
-        """Run N replica lanes through one packed kernel call.
-
-        ``lanes`` is a sequence of ``(seed, rate)`` pairs; each lane is
-        a fresh core over the shared graph/routing/traffic with
-        ``params`` reseeded per lane.  Returns ``(cores, results)`` —
-        the cores so probed callers can pull :meth:`run_record`.
-        """
-        batch = NativeBatch(
-            graph,
-            routing,
-            traffic,
-            params,
-            [seed for seed, _ in lanes],
-            probes=probes,
-        )
-        results = batch.run(
-            [rate for _, rate in lanes],
-            schedules=schedules,
-            threads=threads,
-        )
-        return batch.lanes, results
-
     # ------------------------------------------------------------------
     def flits_in_flight(self) -> int:
         """Flits currently buffered or on wires (conservation checks)."""
@@ -989,7 +968,7 @@ class NativeBatch:
 
     A batch is **one-shot**: lanes accumulate measurement state, so
     ``run()`` raises on reuse.  Build a fresh batch per lane set (as
-    :func:`repro.network.simulator.run_batch` and the engine do).  To
+    :func:`repro.network.simulator.run_batch` does).  To
     amortise table-routed resolution *across* batches of the same
     configuration, pass a previous batch's :attr:`route_donor` as
     ``route_donor`` — the new lanes adopt its already-resolved route

@@ -63,10 +63,12 @@ numbers differ while curves agree within seed noise
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..metrics import Probe, build_probe
 from ..metrics.record import RunRecord
+from ..obs import trace as obs_trace
 from ..topology.graph import NetworkGraph
 from .native import NativeBatch, NativeCore, native_available
 from .params import SimParams
@@ -75,7 +77,13 @@ from .schedule import InjectionSchedule
 from .simcore import ArrayCore
 from .stats import SimResult
 
-__all__ = ["CORE_ENV", "Simulator", "run_batch", "run_simulation"]
+__all__ = [
+    "CORE_ENV",
+    "Simulator",
+    "resolve_core",
+    "run_batch",
+    "run_simulation",
+]
 
 #: environment override for the default simulation core.
 CORE_ENV = "REPRO_SIM_CORE"
@@ -92,6 +100,45 @@ _CORE_NAMES = {
     NativeCore: "native",
     ReferenceCore: "reference",
 }
+
+
+def resolve_core(core: Optional[str] = None) -> str:
+    """The core a run will use: ``"native"``, ``"array"`` or
+    ``"reference"``.
+
+    An explicit name wins, then ``REPRO_SIM_CORE``, then the native
+    core when it can be compiled, else the array core.  This is the
+    only reader of the variable, so :class:`Simulator`,
+    :func:`run_batch` and the engine always agree on the answer.
+    """
+    source = "simulation core"
+    if core is None:
+        core = os.environ.get(CORE_ENV) or None
+        source = CORE_ENV
+    if core is None:
+        return "native" if native_available() else "array"
+    try:
+        return _CORE_NAMES[_CORES[core]]
+    except KeyError:
+        raise ValueError(
+            f"unknown {source} {core!r}; "
+            f"expected one of {sorted(set(_CORES))}"
+        ) from None
+
+
+def _build_probes(probes) -> List[Probe]:
+    """Probe instances from instances, kind names and ``(name,
+    options)`` pairs (the form the spec metrics axis uses)."""
+    built: List[Probe] = []
+    for p in probes or ():
+        if isinstance(p, Probe):
+            built.append(p)
+        elif isinstance(p, str):
+            built.append(build_probe(p))
+        else:
+            name, opts = p
+            built.append(build_probe(name, **dict(opts)))
+    return built
 
 
 class Simulator:
@@ -140,28 +187,9 @@ class Simulator:
         core: Optional[str] = None,
         probes: Optional[Sequence[Union[Probe, str]]] = None,
     ) -> None:
-        if core is None:
-            core = os.environ.get(CORE_ENV) or None
-        if core is None:
-            core = "native" if native_available() else "array"
-        try:
-            core_cls = _CORES[core]
-        except KeyError:
-            raise ValueError(
-                f"unknown simulation core {core!r}; "
-                f"expected one of {sorted(set(_CORES))}"
-            ) from None
-        self.core_name = _CORE_NAMES[core_cls]
-        self._core = core_cls(graph, routing, traffic, params)
-        self.probes: List[Probe] = []
-        for p in probes or ():
-            if isinstance(p, Probe):
-                self.probes.append(p)
-            elif isinstance(p, str):
-                self.probes.append(build_probe(p))
-            else:  # (name, options) pair, as the spec metrics axis uses
-                name, opts = p
-                self.probes.append(build_probe(name, **dict(opts)))
+        self.core_name = resolve_core(core)
+        self._core = _CORES[self.core_name](graph, routing, traffic, params)
+        self.probes: List[Probe] = _build_probes(probes)
         #: the most recent run's :class:`~repro.metrics.RunRecord`
         #: (``None`` until a probed run happened).
         self.last_record: Optional[RunRecord] = None
@@ -230,11 +258,9 @@ class Simulator:
             self._probed_runs = 1
         result = self._core.run(rate, schedule=schedule, plan=plan)
         if self.probes:
-            record = self._core.run_record(rate)
-            self.last_record = record
-            for probe in self.probes:
-                channel = probe.collect(record)
-                result.channels[channel.name] = channel
+            self.last_record = _collect_channels(
+                self._core, rate, self.probes, result
+            )
         return result
 
     # -- conservation bookkeeping ---------------------------------------
@@ -263,10 +289,27 @@ def run_simulation(
     return sim.run(rate)
 
 
-def _attach_probe_channels(core, rate, probes, result) -> None:
-    for p in probes:
-        channel = p.collect(core.run_record(rate))
+
+
+def _collect_channels(core, rate, probes, result) -> RunRecord:
+    """Decode ``core``'s finished run into one channel per probe on
+    ``result``; returns the record the probes read."""
+    record = core.run_record(rate)
+    for probe in probes:
+        channel = probe.collect(record)
         result.channels[channel.name] = channel
+    return record
+
+
+# Table-routed configurations only (routings without a closed-form
+# route_plane(): meshes, fat-tree, PolarFly, HammingMesh, fault-aware
+# repair paths): the lane carrying the route table (arena + memo +
+# sorted mirror) the last native batch of a routing resolved, so
+# consecutive batches of one configuration resolve each (src, dst)
+# route once, not once per batch.  Keyed by id(routing): the donor
+# holds its routing, so the id cannot be reused while the entry lives.
+_ROUTE_DONORS_MAX = 4
+_route_donors: "OrderedDict[int, NativeCore]" = OrderedDict()
 
 
 def run_batch(
@@ -292,80 +335,71 @@ def run_batch(
     and, on multi-core hosts, threads lanes via ``REPRO_SIM_THREADS``
     / ``threads`` (see :func:`repro.network.native.resolve_threads`).
 
-    ``core`` resolves exactly as in :class:`Simulator`; the packed
-    native batch runs when the native core is selected, every other
-    core falls back to an equivalent serial per-lane loop (same
-    results, no amortisation).  ``probes`` build fresh per-lane probe
-    instances; channels land on each lane's ``SimResult.channels``.
+    ``core`` resolves as in :func:`resolve_core`.  This is the one
+    place that decides between the packed :class:`NativeBatch` (native
+    core) and an equivalent per-lane :class:`Simulator` loop (every
+    other core: same results, no amortisation).  ``probes`` may be
+    instances, kind names or ``(name, options)`` pairs; channels land
+    on each lane's ``SimResult.channels``.
     """
     lanes = list(lanes)
     if schedules is not None and len(schedules) != len(lanes):
         raise ValueError(
             f"{len(schedules)} schedules for {len(lanes)} lanes"
         )
-    if core is None:
-        core = os.environ.get(CORE_ENV) or None
-    if core is None:
-        core = "native" if native_available() else "array"
-    if core not in _CORES:
-        raise ValueError(
-            f"unknown simulation core {core!r}; "
-            f"expected one of {sorted(set(_CORES))}"
-        )
+    core = resolve_core(core)
+    built = _build_probes(probes)
+    n = len(lanes)
+    rates = [rate for _, rate in lanes]
 
-    def lane_probes() -> List[Probe]:
-        built: List[Probe] = []
-        for p in probes or ():
-            if isinstance(p, Probe):
-                built.append(p)
-            elif isinstance(p, str):
-                built.append(build_probe(p))
-            else:
-                name, opts = p
-                built.append(build_probe(name, **dict(opts)))
-        return built
-
-    if core == "native" and native_available():
-        batch = NativeBatch(
-            graph,
-            routing,
-            traffic,
-            params,
-            [seed for seed, _ in lanes],
-            probes=bool(probes),
-        )
-        results = batch.run(
-            [rate for _, rate in lanes],
-            schedules=schedules,
-            threads=threads,
-        )
-        if probes:
-            for i, (res, lane_core) in enumerate(
-                zip(results, batch.lanes)
-            ):
-                _attach_probe_channels(
-                    lane_core, lanes[i][1], lane_probes(), res
-                )
+    if core == "native":
+        # NativeBatch validates the donor (same graph/routing objects,
+        # deterministic) and ignores any other, and the arena is
+        # append-only, so a donor is never wrong, at worst partial.
+        donor = _route_donors.get(id(routing))
+        with obs_trace.span(
+            "kernel.prepare", lanes=n, donor=donor is not None
+        ):
+            batch = NativeBatch(
+                graph,
+                routing,
+                traffic,
+                params,
+                [seed for seed, _ in lanes],
+                probes=bool(built),
+                route_donor=donor,
+            )
+        with obs_trace.span("kernel.run", lanes=n, threads=threads):
+            results = batch.run(
+                rates, schedules=schedules, threads=threads
+            )
+        if batch.route_donor is not None:
+            _route_donors[id(routing)] = batch.route_donor
+            _route_donors.move_to_end(id(routing))
+            while len(_route_donors) > _ROUTE_DONORS_MAX:
+                _route_donors.popitem(last=False)
+        if built:
+            with obs_trace.span("probe.decode", lanes=n):
+                for lane_core, rate, res in zip(
+                    batch.lanes, rates, results
+                ):
+                    _collect_channels(lane_core, rate, built, res)
         return results
 
-    # serial fallback: per-lane simulators, same per-lane seeds and
-    # probe semantics, so results match the packed path bit-for-bit
-    results = []
-    for i, (seed, rate) in enumerate(lanes):
-        sim = Simulator(
-            graph,
-            routing,
-            traffic,
-            params.scaled(seed=int(seed)),
-            core=core,
-            probes=lane_probes() if probes else None,
-        )
-        results.append(
-            sim.run(
+    # per-lane simulators, same per-lane seeds and probe semantics, so
+    # results match the packed path bit-for-bit
+    with obs_trace.span("kernel.run", lanes=n, core=core):
+        return [
+            Simulator(
+                graph,
+                routing,
+                traffic,
+                params.scaled(seed=int(seed)),
+                core=core,
+                probes=built,
+            ).run(
                 rate,
-                schedule=(
-                    schedules[i] if schedules is not None else None
-                ),
+                schedule=schedules[i] if schedules is not None else None,
             )
-        )
-    return results
+            for i, (seed, rate) in enumerate(lanes)
+        ]

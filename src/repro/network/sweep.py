@@ -153,9 +153,10 @@ def sweep_rates(
 ) -> LoadSweep:
     """Simulate each offered rate with a fresh simulator instance.
 
-    This is the in-process primitive under :func:`repro.engine.
-    run_experiments`, which adds spec-based reconstruction, process
-    parallelism and caching on top of the same cutoff semantics.
+    The direct, object-level walk.  :func:`repro.engine.
+    run_experiments` applies the same cutoff (:func:`cutoff_walk`,
+    :func:`assemble_sweep`) to specs it can rebuild in worker
+    processes, several rates per kernel call, with caching.
     """
     params = params or SimParams()
     rates = list(rates)

@@ -565,6 +565,10 @@ class Scheduler:
                     "flight; wait for one to finish or cancel it"
                 )
             execution = self._executions.get(key)
+            if execution is not None and execution.terminal:
+                # finished but not yet retired (finish_execution runs
+                # after the terminal state is visible): start fresh
+                execution = None
             attached = execution is not None
             if execution is None:
                 execution = Execution(key, request, study)

@@ -1,9 +1,9 @@
-"""Engine batched fast path: parity with the per-point schedulers.
+"""Packed chunks: parity with the per-lane reference simulator.
 
-``run_experiments(batch=True)`` must be a pure performance feature:
-identical sweeps, identical per-point seeds, interchangeable cache
-entries, and the same saturation-cutoff semantics as the serial and
-parallel per-point paths.
+A chunk of rates run as one packed kernel batch must be a pure
+performance feature: identical sweeps, identical per-point seeds,
+interchangeable cache entries, and the same saturation-cutoff
+semantics as simulating every rate on its own ``Simulator``.
 """
 
 import os
@@ -13,8 +13,16 @@ import pytest
 from repro.engine import executor as ex
 from repro.engine.cache import ResultCache
 from repro.engine.executor import run_experiments, simulate_point
-from repro.engine.spec import ExperimentSpec, point_key
-from repro.network import SimParams, native_available
+from repro.engine.spec import (
+    ExperimentSpec,
+    build_experiment,
+    build_metrics,
+    point_key,
+    point_seed,
+)
+from repro.network import SimParams, Simulator, native_available
+from repro.network.sweep import assemble_sweep
+from repro.obs import REGISTRY
 
 PARAMS = SimParams(
     warmup_cycles=150, measure_cycles=300, drain_cycles=300, seed=7
@@ -39,6 +47,24 @@ def mesh_spec(rates, label="mesh", **over):
     return ExperimentSpec.create(**kw)
 
 
+def per_lane_reference(spec, stop_after_saturation=1):
+    """The sweep, every rate on its own per-lane ``Simulator``."""
+    graph, routing, traffic = build_experiment(spec)
+    results = {
+        ri: Simulator(
+            graph,
+            routing,
+            traffic,
+            spec.params.scaled(seed=point_seed(spec, r)),
+            probes=build_metrics(spec),
+        ).run(r)
+        for ri, r in enumerate(spec.rates)
+    }
+    return assemble_sweep(
+        spec.label, spec.rates, results, stop_after_saturation
+    )
+
+
 def sweeps_equal(a, b):
     assert a.rates == b.rates
     for ra, rb in zip(a.results, b.results):
@@ -50,70 +76,94 @@ def sweeps_equal(a, b):
             )
 
 
+def batch_lanes_observed():
+    """(count, sum) of the ``engine_batch_lanes`` histogram so far."""
+    hist = REGISTRY.get("engine_batch_lanes")
+    return hist.count(), hist.sum()
+
+
+@pytest.fixture()
+def pool_cpus(monkeypatch):
+    """A real worker pool even on a small box: without this the
+    ``workers x threads <= cpu_count`` clamp runs everything inline."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
+
+
 @needs_native
-class TestBatchedSweepParity:
-    def test_batched_equals_per_point(self, tmp_path):
+class TestPackedChunkParity:
+    @pytest.fixture(autouse=True)
+    def native_session(self, monkeypatch):
+        """Packed chunks need the kernel as the session's core, also
+        on the CI leg that runs the suite with REPRO_SIM_CORE=array."""
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+
+    def test_packed_equals_per_lane(self, tmp_path):
         specs = [
             mesh_spec([0.1, 0.2, 0.3], label="a"),
             mesh_spec([0.1, 0.25], label="b", traffic="bit_reverse"),
         ]
-        c_b = ResultCache(tmp_path / "batched")
-        c_p = ResultCache(tmp_path / "perpoint")
-        sw_b = run_experiments(specs, cache=c_b, batch=True, workers=1)
-        sw_p = run_experiments(specs, cache=c_p, batch=False, workers=1)
-        for b, p in zip(sw_b, sw_p):
-            sweeps_equal(b, p)
+        cache = ResultCache(tmp_path / "packed")
+        sweeps = run_experiments(specs, cache=cache, workers=1)
+        for spec, sweep in zip(specs, sweeps):
+            sweeps_equal(sweep, per_lane_reference(spec))
 
     def test_per_point_seeds_unchanged(self):
-        """Every batched point is simulate_point's exact result — the
+        """Every packed point is simulate_point's exact result — the
         lane seed is the same point_seed-derived value."""
         spec = mesh_spec([0.15, 0.3])
-        sw = run_experiments([spec], batch=True, workers=1)[0]
+        sw = run_experiments([spec], workers=1)[0]
         for rate, res in zip(sw.rates, sw.results):
             assert res.to_dict() == simulate_point(spec, rate).to_dict()
 
-    def test_cache_entries_interchangeable(self, tmp_path):
-        """A cache written by the batched path replays into a
-        batch=False run untouched, and vice versa."""
+    def test_cache_entries_interchangeable(self, tmp_path, monkeypatch):
+        """A cache written by packed chunks replays into a width-1
+        session untouched, and vice versa."""
         spec = mesh_spec([0.1, 0.2])
-        cache = ResultCache(tmp_path / "cache")
-        sw_b = run_experiments([spec], cache=cache, batch=True, workers=1)
-        sw_r = run_experiments([spec], cache=cache, batch=False, workers=1)
-        sweeps_equal(sw_b[0], sw_r[0])
-        # the replay run simulated nothing: every point was a cache hit
-        sw_b2 = run_experiments([spec], cache=cache, batch=True, workers=1)
-        sweeps_equal(sw_b[0], sw_b2[0])
+        [packed] = run_experiments(
+            [spec], cache=ResultCache(tmp_path / "packed"), workers=1
+        )
+        with monkeypatch.context() as m:
+            m.setenv("REPRO_SIM_CORE", "array")
+            replay = ResultCache(tmp_path / "packed")
+            [replayed] = run_experiments([spec], cache=replay, workers=1)
+            assert replay.hits == 2
+            [narrow] = run_experiments(
+                [spec], cache=ResultCache(tmp_path / "narrow"), workers=1
+            )
+        replay = ResultCache(tmp_path / "narrow")
+        [replayed_wide] = run_experiments([spec], cache=replay, workers=1)
+        assert replay.hits == 2
+        sweeps_equal(packed, replayed)
+        sweeps_equal(packed, narrow)
+        sweeps_equal(packed, replayed_wide)
 
-    def test_probed_batched_sweep(self):
+    def test_probed_packed_sweep(self):
         spec = mesh_spec(
             [0.1, 0.2], metrics=["link_util", "latency_hist"]
         )
-        sw_b = run_experiments([spec], batch=True, workers=1)[0]
-        sw_p = run_experiments([spec], batch=False, workers=1)[0]
-        assert sw_b.results[0].channels
-        sweeps_equal(sw_b, sw_p)
+        sw = run_experiments([spec], workers=1)[0]
+        assert sw.results[0].channels
+        sweeps_equal(sw, per_lane_reference(spec))
 
     def test_saturation_cutoff_short_circuits(self, tmp_path):
         """Rates far past saturation must not all be simulated: the
-        chunked walk re-checks the cutoff between batch dispatches, so
-        at most one speculative chunk runs past it."""
+        cutoff is re-checked between chunks, so at most one speculative
+        chunk runs past it."""
         rates = [0.05, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0]
         spec = mesh_spec(rates, label="cutoff")
         cache = ResultCache(tmp_path / "cutoff")
-        sw = run_experiments(
-            [spec], cache=cache, batch=True, workers=1
-        )[0]
+        sw = run_experiments([spec], cache=cache, workers=1)[0]
         simulated = sum(
             1 for r in rates if cache.get(point_key(spec, r)) is not None
         )
         assert simulated < len(rates)
         assert len(sw.rates) < len(rates)
-        # the assembled sweep matches the per-point walk exactly
-        sw_p = run_experiments([spec], batch=False, workers=1)[0]
-        sweeps_equal(sw, sw_p)
+        # the assembled sweep matches the per-lane walk exactly
+        sweeps_equal(sw, per_lane_reference(spec))
 
-    def test_pool_branch_matches_inline(self, tmp_path):
-        """_run_batched over a pool (workers > 1, several specs) and
+    def test_pool_matches_inline(self, tmp_path, pool_cpus):
+        """Packed chunks over a pool (workers > 1, several specs) and
         inline produce the same points and cache writes."""
         specs = [
             mesh_spec([0.1, 0.2], label="p1"),
@@ -121,22 +171,36 @@ class TestBatchedSweepParity:
         ]
         c_pool = ResultCache(tmp_path / "pool")
         c_inline = ResultCache(tmp_path / "inline")
-        have_pool = [{}, {}]
-        have_inline = [{}, {}]
-        ex._run_batched(specs, have_pool, c_pool, 1, workers=2, threads=1)
-        ex._run_batched(
-            specs, have_inline, c_inline, 1, workers=1, threads=1
-        )
-        for hp, hi in zip(have_pool, have_inline):
-            assert set(hp) == set(hi)
-            for ri in hp:
-                assert hp[ri].to_dict() == hi[ri].to_dict()
+        pooled = run_experiments(specs, cache=c_pool, workers=2)
+        inline = run_experiments(specs, cache=c_inline, workers=1)
+        for p, i in zip(pooled, inline):
+            sweeps_equal(p, i)
         for spec in specs:
             for rate in spec.rates:
                 key = point_key(spec, rate)
                 assert (
                     c_pool.get(key).to_dict() == c_inline.get(key).to_dict()
                 )
+
+    def test_mixed_study_packs_the_open_loop_spec(self):
+        """One closed-loop spec must not drag the whole study onto
+        one-rate chunks: the open-loop spec still rides one packed
+        chunk, and both match running the specs on their own."""
+        closed = mesh_spec(
+            [0.5, 1.0], label="ring", workload="ring_allreduce",
+            workload_opts={"volume": 16},
+        )
+        open_loop = mesh_spec([0.1, 0.2, 0.3], label="open")
+        [alone_closed] = run_experiments([closed], workers=1)
+        [alone_open] = run_experiments([open_loop], workers=1)
+
+        count0, lanes0 = batch_lanes_observed()
+        mixed = run_experiments([closed, open_loop], workers=1)
+        count1, lanes1 = batch_lanes_observed()
+        # two one-rate closed-loop chunks + one three-lane packed chunk
+        assert (count1 - count0, lanes1 - lanes0) == (3, 5.0)
+        sweeps_equal(mixed[0], alone_closed)
+        sweeps_equal(mixed[1], alone_open)
 
 
 class TestWorkerThreadBudget:
@@ -154,41 +218,46 @@ class TestWorkerThreadBudget:
         # and the amount of work
         assert ex._resolve_workers(None, 1, kernel_threads=1) == 1
 
-    def test_kernel_threads_env(self, monkeypatch):
-        monkeypatch.setenv(ex.THREADS_ENV, "3")
-        assert ex._kernel_threads() == 3
-        monkeypatch.delenv(ex.THREADS_ENV)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert ex._kernel_threads() == 5
 
+class TestChunkWidth:
+    """Width is computed from what the code can see, never set."""
 
-class TestBatchEnable:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ex.BATCH_ENV, "off")
-        assert ex._batch_enabled(True) is True
-        monkeypatch.delenv(ex.BATCH_ENV)
-        assert ex._batch_enabled(False) is False
-
-    def test_env_disables_auto(self, monkeypatch):
-        monkeypatch.setenv(ex.BATCH_ENV, "0")
-        assert ex._batch_enabled(None) is False
-
-    def test_non_native_core_disables_auto(self, monkeypatch):
-        monkeypatch.delenv(ex.BATCH_ENV, raising=False)
-        monkeypatch.setenv("REPRO_SIM_CORE", "array")
-        assert ex._batch_enabled(None) is False
+    OPEN = mesh_spec([0.1])
+    CLOSED = mesh_spec(
+        [0.5], workload="ring_allreduce", workload_opts={"volume": 16}
+    )
 
     @needs_native
-    def test_auto_on_with_native(self, monkeypatch):
-        monkeypatch.delenv(ex.BATCH_ENV, raising=False)
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
-        assert ex._batch_enabled(None) is True
+    @pytest.mark.parametrize(
+        "core, spec, threads, width",
+        [
+            (None, OPEN, 1, 8),
+            (None, OPEN, 12, 12),
+            ("native", OPEN, 1, 8),
+            ("array", OPEN, 1, 1),
+            ("reference", OPEN, 4, 1),
+            (None, CLOSED, 1, 1),
+            ("native", CLOSED, 12, 1),
+        ],
+    )
+    def test_width_table(self, monkeypatch, core, spec, threads, width):
+        if core is None:
+            monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SIM_CORE", core)
+        assert ex._chunk_width(spec, threads) == width
 
-    def test_forced_batch_works_on_array_core(self, monkeypatch):
-        """batch=True on a non-native session uses the serial fallback
-        of run_batch — same results, no packed kernel."""
+    def test_no_compiler_means_width_one(self, monkeypatch):
+        from repro.network import simulator
+
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        monkeypatch.setattr(simulator, "native_available", lambda: False)
+        assert ex._chunk_width(self.OPEN, 8) == 1
+
+    def test_width_one_sweep_equals_per_lane(self, monkeypatch):
+        """A non-native session walks the same sweep one rate at a
+        time, through the same scheduler."""
         monkeypatch.setenv("REPRO_SIM_CORE", "array")
         spec = mesh_spec([0.1, 0.2])
-        sw_b = run_experiments([spec], batch=True, workers=1)[0]
-        sw_p = run_experiments([spec], batch=False, workers=1)[0]
-        sweeps_equal(sw_b, sw_p)
+        [sweep] = run_experiments([spec], workers=1)
+        sweeps_equal(sweep, per_lane_reference(spec))

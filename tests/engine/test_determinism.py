@@ -1,6 +1,7 @@
 """Engine determinism: serial == parallel == cache replay, bit for bit."""
 
 import json
+import os
 
 import pytest
 
@@ -32,8 +33,20 @@ def switch_spec():
     )
 
 
+@pytest.fixture(params=[None, "array"], ids=["default-core", "array-core"])
+def pooled_session(request, monkeypatch):
+    """Packed chunks (compiled kernel, when there is one) and one-rate
+    chunks (array core), each with room for a two-worker pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
+    if request.param is None:
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SIM_CORE", request.param)
+
+
 class TestSerialParallelEquivalence:
-    def test_bit_identical_results(self):
+    def test_bit_identical_results(self, pooled_session):
         specs = [mesh_spec(), switch_spec()]
         serial = run_experiments(specs, workers=1, stop_after_saturation=2)
         parallel = run_experiments(specs, workers=2, stop_after_saturation=2)
@@ -41,7 +54,7 @@ class TestSerialParallelEquivalence:
             assert s.rates == par.rates
             assert s.results == par.results
 
-    def test_sweep_cutoff_matches_serial_semantics(self):
+    def test_sweep_cutoff_matches_serial_semantics(self, pooled_session):
         # the 4-terminal switch saturates near 1.0, so the cutoff bites
         [sweep] = run_experiments(
             [switch_spec()], workers=2, stop_after_saturation=1

@@ -1,0 +1,83 @@
+"""Environment knobs fail with one sentence naming the variable."""
+
+import pytest
+
+from repro import cli
+from repro.engine import ExperimentSpec, run_experiments
+from repro.engine import executor as ex
+from repro.network import (
+    SimParams,
+    Simulator,
+    resolve_core,
+    resolve_threads,
+)
+
+SPEC = ExperimentSpec.create(
+    topology="mesh", topology_opts={"dim": 4, "chiplet_dim": 2},
+    routing="xy_mesh", traffic="uniform",
+    params=SimParams(warmup_cycles=50, measure_cycles=100, drain_cycles=50),
+    rates=[0.1], label="m",
+)
+
+#: each integer knob with a function that reads it
+READERS = {
+    "REPRO_WORKERS": lambda: ex._resolve_workers(None, 100),
+    "REPRO_SIM_THREADS": lambda: resolve_threads(4),
+    "REPRO_POINT_RETRIES": lambda: run_experiments([SPEC], workers=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@pytest.mark.parametrize("value", ["abc", "1.5", "-2"])
+def test_malformed_integer_knob_names_the_variable(monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=f"^{name} must be a .*integer"):
+        READERS[name]()
+
+
+@pytest.mark.parametrize("name", ["REPRO_WORKERS", "REPRO_SIM_THREADS"])
+def test_zero_workers_or_threads_is_rejected(monkeypatch, name):
+    monkeypatch.setenv(name, "0")
+    with pytest.raises(ValueError, match=f"^{name} must be a positive"):
+        READERS[name]()
+
+
+def test_zero_retries_is_a_valid_budget(monkeypatch):
+    monkeypatch.setenv("REPRO_POINT_RETRIES", "0")
+    [sweep] = run_experiments([SPEC], workers=1)
+    assert len(sweep.rates) == 1
+
+
+def test_engine_reads_threads_up_front(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_THREADS", "two")
+    with pytest.raises(ValueError, match="^REPRO_SIM_THREADS must be"):
+        run_experiments([SPEC], workers=1)
+
+
+def test_unknown_core_lists_the_valid_ones(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_CORE", "bogus")
+    with pytest.raises(ValueError, match="REPRO_SIM_CORE 'bogus'.*'array'"):
+        resolve_core()
+    with pytest.raises(ValueError, match="REPRO_SIM_CORE 'bogus'"):
+        run_experiments([SPEC], workers=1)
+    # an explicit name is judged on its own
+    assert resolve_core("ref") == "reference"
+    with pytest.raises(ValueError, match="simulation core 'fast'"):
+        Simulator(None, None, None, SPEC.params, core="fast")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("REPRO_WORKERS", "abc"),
+        ("REPRO_SIM_THREADS", "0"),
+        ("REPRO_POINT_RETRIES", "-1"),
+        ("REPRO_SIM_CORE", "bogus"),
+    ],
+)
+def test_cli_prints_one_line_and_exits_2(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    assert cli.main(["run", "smoke", "--scale", "quick"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,14 +1,18 @@
-"""Per-point completion callbacks across every scheduling path.
+"""Per-point completion callbacks, inline, pooled and replayed.
 
 ``run_experiments(on_point=...)`` must fire exactly once per simulated
-point — whatever path computed it (serial, process pool, batched native
-kernel, cache replay) — with the right indices and source tag, and the
-callback must observe the same result object that lands in the sweep.
+point — wherever its chunk ran (this process, a pool worker) or
+whether it was replayed from the cache — with the right indices and
+source tag, and the callback must observe the same result object that
+lands in the sweep.
 """
+
+import os
 
 import pytest
 
 from repro.engine import ExperimentSpec, ResultCache, run_experiments
+from repro.engine.executor import _chunk_width
 from repro.network import SimParams
 
 PARAMS = SimParams(
@@ -25,12 +29,12 @@ def _mesh(label="m0", seed=3):
     )
 
 
-def _switch():
+def _switch(label="sw", seed=3):
     return ExperimentSpec.create(
         topology="switch",
         topology_opts={"num_terminals": 4, "terminal_latency": 1},
         routing="switch_star", traffic="uniform",
-        params=PARAMS, rates=RATES, label="sw",
+        params=PARAMS.scaled(seed=seed), rates=RATES, label=label,
     )
 
 
@@ -57,15 +61,49 @@ class TestEnginePaths:
             assert rate == RATES[ri]
             assert sweeps[si].results[ri] == res
 
-    def test_parallel_pool_fires_in_parent(self):
-        specs = [_mesh(), _mesh(label="m1", seed=5)]
-        sweeps, calls = _collect(specs=specs, workers=2)
-        assert len(calls) == 4
-        for si, ri, rate, res, _ in calls:
-            assert sweeps[si].results[ri] == res
+    def test_pool_fires_in_parent_per_chunk(self, tmp_path, monkeypatch):
+        """Pooled chunks report from the parent as each one completes:
+        one ``fresh`` event per simulated point, a chunk's points in
+        rate order, speculative points past a cutoff included."""
+        # a real pool: workers x threads <= cpu_count would clamp it
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("REPRO_SIM_THREADS", "1")
+        parent = os.getpid()
+        # the 4-terminal switch saturates near 1.0: the cutoff bites
+        rates = [0.4, 1.5, 2.2, 3.0]
+        specs = [
+            _switch().with_rates(rates),
+            _switch(label="sw1", seed=5).with_rates(rates),
+        ]
+        cache = ResultCache(tmp_path)
+        pids, calls = [], []
 
-    def test_batched_native_path(self):
-        # two same-shape mesh specs take the packed-arena batch path
+        def on_point(si, ri, rate, res, source):
+            pids.append(os.getpid())
+            calls.append((si, ri, rate, res, source))
+
+        sweeps = run_experiments(
+            specs, workers=2, cache=cache, on_point=on_point
+        )
+        assert set(pids) == {parent}
+        assert {c[4] for c in calls} == {"fresh"}
+        # exactly one event per simulated point
+        assert len(calls) == len({(si, ri) for si, ri, *_ in calls})
+        assert len(calls) == len(cache)
+        seen = {(si, ri): res for si, ri, _, res, _ in calls}
+        for si, sweep in enumerate(sweeps):
+            assert len(sweep.rates) < len(rates)
+            for ri, res in enumerate(sweep.results):
+                assert seen[(si, ri)] == res
+            order = [ri for sj, ri, *_ in calls if sj == si]
+            assert order == sorted(order)
+        if _chunk_width(specs[0], 1) > 1:
+            # the whole sweep rode one packed chunk: the points past
+            # the cutoff were reported but are not in the sweeps
+            assert len(calls) == 2 * len(rates)
+            assert len(calls) > sum(len(s.rates) for s in sweeps)
+
+    def test_inline_packed_chunks(self):
         specs = [_mesh(), _mesh(label="m1", seed=5)]
         serial = run_experiments(specs, workers=1)
         sweeps, calls = _collect(specs=specs, workers=1)

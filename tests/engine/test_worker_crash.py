@@ -1,6 +1,6 @@
 """Engine crash containment: a dead worker process fails only the
-points it was carrying — retried under probation, then blamed as a
-poison point — never the whole run."""
+chunks it was carrying — retried under probation, then blamed as a
+poison chunk — never the whole run."""
 
 import os
 
@@ -58,88 +58,88 @@ def arm_chaos(monkeypatch):
 @pytest.fixture()
 def pool_cpus(monkeypatch):
     """Crash containment needs a real worker pool; on a single-CPU box
-    ``_resolve_workers`` would clamp ``workers=2`` down to the serial
-    path and ``crash-worker`` (child-only) could never fire."""
+    ``_resolve_workers`` would clamp ``workers=2`` down to the inline
+    branch and ``crash-worker`` (child-only) could never fire."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("REPRO_SIM_THREADS", "1")
 
 
-class TestParallelCrashContainment:
+@pytest.fixture(
+    params=[
+        pytest.param("array", id="width1"),
+        pytest.param(None, id="width8", marks=needs_native),
+    ]
+)
+def width(request, monkeypatch):
+    """Both chunk widths go through the one scheduler and the one
+    crash handler: one-rate chunks (a pure-Python core session) and
+    packed chunks (the compiled kernel)."""
+    if request.param is None:
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        return 8
+    monkeypatch.setenv("REPRO_SIM_CORE", request.param)
+    return 1
+
+
+def two_specs():
+    return [
+        mesh_spec([0.1, 0.2], label="a"),
+        mesh_spec([0.1, 0.2], label="b", traffic="bit_reverse"),
+    ]
+
+
+class TestCrashContainment:
     def test_single_worker_crash_is_contained(
-        self, tmp_path, arm_chaos, pool_cpus
+        self, tmp_path, arm_chaos, pool_cpus, width
     ):
-        """One worker SIGKILLs itself mid-point; the run completes and
+        """One worker SIGKILLs itself mid-chunk; the run completes and
         every point is bit-identical to the crash-free baseline."""
-        spec = mesh_spec([0.1, 0.2, 0.3, 0.4])
-        [baseline] = run_experiments([spec], workers=1, batch=False)
+        specs = two_specs()
+        baseline = run_experiments(specs, workers=1)
 
         arm_chaos(f"crash-worker:once={tmp_path}/crash.marker")
-        [survived] = run_experiments([spec], workers=2, batch=False)
-        sweeps_equal(survived, baseline)
+        survived = run_experiments(specs, workers=2)
+        assert os.path.exists(tmp_path / "crash.marker")
+        for s, b in zip(survived, baseline):
+            sweeps_equal(s, b)
 
-    def test_poison_point_blamed_not_the_run(
-        self, tmp_path, arm_chaos, pool_cpus
+    def test_poison_chunk_blamed_not_the_run(
+        self, tmp_path, arm_chaos, pool_cpus, width
     ):
-        """A point that crashes its worker on every attempt raises
-        PointFailure naming it — and the innocent points' results are
-        already in the cache."""
-        spec = mesh_spec([0.1, 0.2, 0.3])
-        arm_chaos("crash-worker:match=m@0.3")
+        """A chunk that crashes its worker on every attempt raises
+        PointFailure naming its spec and rates — and the innocent
+        chunks' results are already in the cache."""
+        arm_chaos("crash-worker:match=b@0.2")
         cache = ResultCache(tmp_path / "cache")
-        with pytest.raises(PointFailure, match="crashed its worker"):
-            run_experiments(
-                [spec], workers=2, batch=False, cache=cache
-            )
-        assert len(cache) == 2  # 0.1 and 0.2 landed before the blame
+        blamed = r"b \(.*rate\(s\) 0\.200 crashed its worker"
+        if width > 1:  # the poison rate takes its whole chunk with it
+            blamed = r"b \(.*rate\(s\) 0\.100, 0\.200 crashed its worker"
+        with pytest.raises(PointFailure, match=blamed):
+            run_experiments(two_specs(), workers=2, cache=cache)
+        # everything outside the poison chunk landed before the blame
+        assert len(cache) == (3 if width == 1 else 2)
 
-    def test_transient_point_error_retried_in_worker(
-        self, tmp_path, arm_chaos
+    def test_transient_chunk_error_retried_in_worker(
+        self, tmp_path, arm_chaos, width
     ):
-        """A raising (not crashing) point is retried inside the worker
-        via the per-point retry budget."""
+        """A raising (not crashing) chunk is retried where it ran via
+        the retry budget."""
         spec = mesh_spec([0.1, 0.2])
-        [baseline] = run_experiments([spec], workers=1, batch=False)
+        [baseline] = run_experiments([spec], workers=1)
 
         arm_chaos(f"fail-point:once={tmp_path}/fail.marker")
-        [survived] = run_experiments([spec], workers=1, batch=False)
+        [survived] = run_experiments([spec], workers=1)
+        assert os.path.exists(tmp_path / "fail.marker")
         sweeps_equal(survived, baseline)
 
     def test_retry_budget_exhaustion_propagates(
-        self, monkeypatch, arm_chaos
+        self, monkeypatch, arm_chaos, width
     ):
-        """With retries disabled, an injected point failure surfaces."""
+        """With retries disabled, an injected failure surfaces."""
         from repro.service.chaos import ChaosError
 
         monkeypatch.setenv("REPRO_POINT_RETRIES", "0")
         spec = mesh_spec([0.1])
         arm_chaos("fail-point:match=m@0.1")
         with pytest.raises(ChaosError):
-            run_experiments([spec], workers=1, batch=False)
-
-
-@needs_native
-class TestBatchedCrashContainment:
-    def test_sweep_crash_retried_solo(self, tmp_path, arm_chaos, pool_cpus):
-        """Batched pooled path: a worker crash re-runs the lost sweeps
-        one at a time; results stay bit-identical to the baseline."""
-        specs = [
-            mesh_spec([0.1, 0.2], label="a"),
-            mesh_spec([0.1, 0.2], label="b", traffic="bit_reverse"),
-        ]
-        baseline = run_experiments(specs, workers=1, batch=True)
-
-        arm_chaos(f"crash-worker:once={tmp_path}/crash.marker")
-        survived = run_experiments(specs, workers=2, batch=True)
-        for s, b in zip(survived, baseline):
-            sweeps_equal(s, b)
-
-    def test_poison_sweep_blamed(self, tmp_path, arm_chaos, pool_cpus):
-        specs = [
-            mesh_spec([0.1], label="a"),
-            mesh_spec([0.1], label="b", traffic="bit_reverse"),
-        ]
-        arm_chaos("crash-worker:match=b@")
-        cache = ResultCache(tmp_path / "cache")
-        with pytest.raises(PointFailure, match="crashed its worker"):
-            run_experiments(specs, workers=2, batch=True, cache=cache)
-        assert len(cache) == 1  # sweep 'a' completed and landed
+            run_experiments([spec], workers=1)

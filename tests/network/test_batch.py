@@ -144,9 +144,12 @@ class TestResolveThreads:
         assert resolve_threads(8) == 8  # still clamped to lanes
 
     def test_floor_of_one(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert resolve_threads(8) == 1
+        assert resolve_threads(8, 0) == 1
         assert resolve_threads(0, 4) == 1
+        # the environment knob is outside input: rejected, not floored
+        monkeypatch.setenv(THREADS_ENV, "0")
+        with pytest.raises(ValueError, match=THREADS_ENV):
+            resolve_threads(8)
 
 
 # ----------------------------------------------------------------------

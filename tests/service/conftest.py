@@ -51,8 +51,8 @@ def tiny_study(measure_cycles=300, rates=(0.4, 0.8), label="m", seed=3):
 
 
 def slow_study(num_rates=16):
-    """A cancellable study: ~0.3 s per point and — because the batched
-    scheduler lands points one native chunk (8 points) at a time —
+    """A cancellable study: ~0.3 s per point and — because the
+    scheduler lands points one packed chunk (8 points) at a time —
     enough rates for two chunks, so there is a real window between the
     first points streaming out and the run finishing."""
     rates = [0.1 + 0.03 * i for i in range(num_rates)]

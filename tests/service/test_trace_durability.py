@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.api import Scenario, Study
 from repro.obs.registry import REGISTRY
 from repro.service import (
     JobRequest,
@@ -67,26 +68,29 @@ def _wait_terminal(service, job_id, timeout=120.0):
 
 class TestWorkerPoolCrash:
     def test_trace_survives_a_broken_pool(
-        self, tmp_path, arm_chaos, pool_cpus, monkeypatch
+        self, tmp_path, arm_chaos, pool_cpus
     ):
-        """A worker SIGKILLs itself mid-point (BrokenProcessPool): the
+        """A worker SIGKILLs itself mid-chunk (BrokenProcessPool): the
         job still lands ``done`` under its original trace_id, the
         surviving worker-process spans carry their pids into the span
         log, and the crash counter moved."""
-        monkeypatch.setenv("REPRO_SIM_BATCH", "0")
         crashes = REGISTRY.counter("engine_worker_crashes_total")
         before = crashes.value()
         arm_chaos(f"crash-worker:once={tmp_path}/crash.marker")
 
+        # two sweeps: one chunk each, so two workers are occupied
+        specs = tuple(
+            tiny_study(rates=(0.1, 0.2), label=label, seed=seed)
+            .scenarios[0].specs[0]
+            for label, seed in (("pool-a", 3), ("pool-b", 5))
+        )
+        study = Study.wrap(
+            Scenario(name="pool", specs=specs, title="two sweeps")
+        )
         service = _service(tmp_path)
         try:
             job, attached = service.submit(
-                JobRequest(
-                    study=tiny_study(
-                        rates=(0.1, 0.2, 0.3, 0.4), label="pool"
-                    ).to_data(),
-                    workers=2,
-                )
+                JobRequest(study=study.to_data(), workers=2)
             )
             trace_id = job.execution.trace_id
             status = _wait_terminal(service, job.id)
@@ -96,11 +100,11 @@ class TestWorkerPoolCrash:
 
             spans = service.spanlog.for_trace(trace_id)
             assert {s["trace_id"] for s in spans} == {trace_id}
-            points = [s for s in spans if s["name"] == "engine.point"]
-            # one span per completed point, emitted *inside* the pool
+            chunks = [s for s in spans if s["name"] == "engine.chunk"]
+            # one span per completed chunk, emitted *inside* the pool
             # workers (they reach the log via the env-carried file sink)
-            assert len(points) >= 4
-            worker_pids = {s["attrs"]["worker"] for s in points}
+            assert sum(s["attrs"]["lanes"] for s in chunks) >= 4
+            worker_pids = {s["attrs"]["worker"] for s in chunks}
             assert worker_pids
             assert all(pid != os.getpid() for pid in worker_pids)
         finally:

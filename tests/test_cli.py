@@ -94,13 +94,6 @@ def test_run_misspelled_name_suggests(capsys):
     assert "fig10_local" in err
 
 
-def test_sweep_misspelled_preset_suggests(capsys):
-    assert main(["sweep", "--preset", "small_equif", "--points", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "did you mean" in err
-    assert "small_equiv" in err
-
-
 def test_run_missing_file(capsys):
     assert main(["run", "no/such/scenario.json"]) == 2
     assert "cannot load" in capsys.readouterr().err
@@ -144,47 +137,39 @@ def test_report_missing_file(capsys, tmp_path):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_compare_smoke(capsys):
+@pytest.mark.parametrize("preset", [None, "radix8_equiv"])
+def test_compare_smoke(capsys, preset):
     rc = main([
         "compare", "--arch", "switchless", "--scope", "local",
         "--points", "2", "--max-rate", "0.4",
         "--warmup", "100", "--measure", "250",
-    ])
+    ] + (["--preset", preset] if preset else []))
     assert rc == 0
-    assert "offered" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "offered" in out
+    assert (preset or "small_equiv") in out
+
+
+@pytest.mark.parametrize(
+    "preset, hints",
+    [
+        ("small_equif", ("did you mean", "small_equiv")),
+        ("bogus", ("available",)),
+    ],
+)
+def test_compare_bad_preset(capsys, preset, hints):
+    assert main([
+        "compare", "--arch", "switchless", "--preset", preset,
+        "--points", "1",
+    ]) == 2
+    err = capsys.readouterr().err
+    for hint in hints:
+        assert hint in err
 
 
 def test_compare_rejects_unknown_arch(capsys):
     assert main(["compare", "--arch", "torus9d", "--points", "1"]) == 2
     assert "unknown architecture" in capsys.readouterr().err
-
-
-def test_sweep_smoke(capsys):
-    rc = main([
-        "sweep", "--arch", "switchless", "--scope", "local",
-        "--points", "2", "--max-rate", "0.4",
-        "--warmup", "100", "--measure", "250",
-    ])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "offered" in captured.out
-    assert "deprecated" in captured.err
-
-
-def test_sweep_preset_flag(capsys):
-    rc = main([
-        "sweep", "--arch", "switchless", "--scope", "local",
-        "--preset", "radix8_equiv",
-        "--points", "2", "--max-rate", "0.4",
-        "--warmup", "100", "--measure", "250",
-    ])
-    assert rc == 0
-    assert "radix8_equiv" in capsys.readouterr().out
-
-
-def test_sweep_bad_preset(capsys):
-    assert main(["sweep", "--preset", "bogus", "--points", "1"]) == 2
-    assert "available" in capsys.readouterr().err
 
 
 def test_resilience_smoke(capsys, tmp_path):
