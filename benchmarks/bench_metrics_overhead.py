@@ -1,33 +1,28 @@
-"""Probe-layer overhead benchmark: probe-off vs baseline, probe-on cost.
+"""Probe-layer overhead benchmark: probe-on cost, probe-off identity.
 
-The observability layer's contract is that *not* using it is free: a
-probe-off run must be bit-identical to — and within noise as fast as —
-the pre-metrics simulator (the PR 4 code path, whose timings on this
-workload are the ``BENCH_simcore.json`` numbers; PRs since then did not
-touch the hot loop).  This benchmark measures, on the same Fig. 10(c)
-local-uniform workload ``bench_simcore.py`` times:
+The observability layer's contract is that *not* using it is free and
+that using it never perturbs the simulation.  On a Fig. 10(c)
+local-uniform workload this benchmark reports, per offered load:
 
-* **probe-off** wall-clock per offered load, compared against the
-  committed baseline file when it matches the current scale/platform
-  (gate: median ratio <= 1.0 + ``--tolerance``, default 3%);
-* **probe-on** wall-clock with the full built-in probe bundle,
-  reported honestly as a ratio over probe-off (the post-run decode is
-  *expected* to cost something — it walks every route);
+* **probe-off** and **probe-on** wall-clock, the latter with the full
+  built-in probe bundle, reported honestly as a ratio over probe-off
+  (the post-run decode is *expected* to cost something — it walks
+  every route);
 * a hard correctness gate at every point: the probe-on run's
-  ``SimResult`` aggregates must equal the probe-off run's bit for bit
-  (probes may never perturb the simulation).
+  ``SimResult`` aggregates must equal the probe-off run's bit for bit.
+
+That probe-off runs stay as fast as they were is gated on every PR by
+the repo benchmark instead (``unit_s`` of ``warm_sweep_local`` in
+``bench/``, against the parent commit).
 
 Usage::
 
     python benchmarks/bench_metrics_overhead.py
         [--scale quick|default|full] [--reps 3]
-        [--baseline BENCH_simcore.json] [--tolerance 0.03]
         [--out BENCH_metrics.json]
 
-The committed ``BENCH_metrics.json`` is produced with ``--scale full``
-(the scale of the committed baseline); CI runs ``--scale quick``, where
-no stored baseline applies and the bit-identity + reported ratios are
-the gate.  Exit code 1 on any gate failure.
+The committed ``BENCH_metrics.json`` is produced with ``--scale full``;
+CI runs ``--scale quick``.  Exit code 1 when the identity gate fails.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from repro.engine.spec import ExperimentSpec, build_experiment  # noqa: E402
 from repro.metrics import list_probes  # noqa: E402
 from repro.network import Simulator, native_available  # noqa: E402
 
-#: same points as bench_simcore.py: low, mid, high, past saturation.
+#: low, mid, high, past saturation.
 RATE_POINTS = {"low": 0.3, "mid": 0.6, "high": 0.9, "sat": 1.2}
 
 #: the full built-in bundle — the honest worst case for probe-on cost.
@@ -93,52 +88,12 @@ def best_time(graph, routing, traffic, params, rate, core, reps,
     return min(times), last
 
 
-def load_baseline(path: Path, scale: str):
-    """Per-rate baseline seconds from BENCH_simcore.json, when usable.
-
-    Usable means: the file exists, was produced at the same scale on
-    the same platform, and carries timings for the core we default to.
-    Anything else returns ``None`` with a reason — the gate is then
-    skipped (and said so in the output) rather than compared against
-    numbers from a different machine.
-    """
-    if not path.is_file():
-        return None, f"no baseline file at {path}"
-    try:
-        data = json.loads(path.read_text())
-    except ValueError:
-        return None, f"unreadable baseline file {path}"
-    if data.get("scale") != scale:
-        return None, (
-            f"baseline scale {data.get('scale')!r} != current {scale!r}"
-        )
-    if data.get("platform") != platform.platform():
-        return None, "baseline was recorded on a different platform"
-    core = "native" if native_available() else "array"
-    key = f"{core}_seconds"
-    per_rate = {}
-    for row in data.get("timing", ()):
-        if key in row:
-            per_rate[float(row["rate"])] = float(row[key])
-    if len(per_rate) != len(RATE_POINTS):
-        return None, f"baseline lacks {key} timings"
-    return per_rate, f"BENCH_simcore.json {core} timings ({scale} scale)"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="full",
                         choices=("quick", "default", "full"))
     parser.add_argument("--reps", type=int, default=5,
                         help="runs per point; the best (min) is reported")
-    parser.add_argument(
-        "--baseline",
-        default=str(Path(__file__).resolve().parent.parent
-                    / "BENCH_simcore.json"),
-        help="pre-metrics timing baseline (BENCH_simcore.json)",
-    )
-    parser.add_argument("--tolerance", type=float, default=0.03,
-                        help="allowed probe-off overhead vs baseline")
     parser.add_argument("--out", default="BENCH_metrics.json")
     args = parser.parse_args(argv)
 
@@ -148,10 +103,6 @@ def main(argv=None) -> int:
     graph, routing, traffic = build_experiment(spec)
     # warm the route memo so neither side pays first-run resolution
     timed_run(graph, routing, traffic, params, RATE_POINTS["low"], core)
-
-    baseline, baseline_note = load_baseline(
-        Path(args.baseline), args.scale
-    )
 
     rows = []
     identical = True
@@ -175,19 +126,15 @@ def main(argv=None) -> int:
             "probe_on_ratio": round(t_on / t_off, 3) if t_off else None,
             "probe_on_identical_aggregates": point_identical,
         }
-        if baseline:
-            row["baseline_seconds"] = round(baseline[rate], 4)
-            row["vs_baseline"] = round(t_off / baseline[rate], 3)
         rows.append(row)
         print(
             f"{label:5s} rate={rate:.1f}  off={t_off:.3f}s  "
             f"on={t_on:.3f}s ({row['probe_on_ratio']}x)"
-            + (f"  vs baseline {row['vs_baseline']}x" if baseline else "")
         )
 
     report = {
         "benchmark": "metrics_probe_overhead",
-        "workload": "fig10_local_uniform (bench_simcore workload)",
+        "workload": "fig10_local_uniform",
         "scale": args.scale,
         "core": core,
         "probe_bundle": PROBE_BUNDLE,
@@ -196,35 +143,13 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "baseline": baseline_note,
-        "timing_statistic": (
-            f"best of {args.reps} (baseline was one post-warmup run; "
-            "noise only ever adds time, so best-of-N vs that single "
-            "sample is the least-noise comparison available)"
-        ),
+        "timing_statistic": f"best of {args.reps}",
         "timing": rows,
         "probe_on_aggregates_identical": identical,
     }
 
-    ok = identical
     if not identical:
         print("FAIL: probe-on run diverged from probe-off aggregates")
-    if baseline:
-        ratios = [r["vs_baseline"] for r in rows]
-        med = statistics.median(ratios)
-        report["probe_off_vs_baseline_median"] = round(med, 3)
-        report["probe_off_gate_tolerance"] = args.tolerance
-        gate_ok = med <= 1.0 + args.tolerance
-        report["probe_off_gate_passed"] = gate_ok
-        print(
-            f"probe-off vs baseline: median {med:.3f}x "
-            f"(gate <= {1.0 + args.tolerance:.2f}x: "
-            f"{'ok' if gate_ok else 'FAIL'})"
-        )
-        ok = ok and gate_ok
-    else:
-        report["probe_off_gate_passed"] = None
-        print(f"baseline gate skipped: {baseline_note}")
     on_med = statistics.median(
         r["probe_on_ratio"] for r in rows if r["probe_on_ratio"]
     )
@@ -233,7 +158,7 @@ def main(argv=None) -> int:
 
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
-    return 0 if ok else 1
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

@@ -688,6 +688,16 @@ def _workload(scale: str) -> Study:
     a degraded wafer cost the same collective?  Rates are pacing
     bandwidths (flits/cycle/chip); every spec carries the ``cct`` /
     ``bubble`` / ``overlap`` channels.
+
+    Reading the numbers: ``ring_allreduce`` moves ``ceil(volume / n)``
+    flits per step, which at this study's volume is one packet per node
+    per phase.  The pacing rate only spaces a node's *successive*
+    packets inside a phase, so the ring's makespan is the same at every
+    rate (the tree and hierarchical schedules, with fewer and larger
+    steps, do move with it).  And no bundled allreduce schedule has a
+    compute phase, so there is nothing to overlap: ``overlap_fraction``
+    is NaN by definition, not by defect (``pipeline`` and
+    ``all_to_all`` with ``compute=`` report a finite one).
     """
     params = sim_params(scale)
     wgroups = 41 if scale == "full" else 2

@@ -1,0 +1,565 @@
+"""The loop-free half of a simulator core, shared by all three.
+
+The paper's minimal and non-minimal algorithms are oblivious and
+source-routed: a packet's destination and route are drawn at injection
+and never depend on network state.  Turning ``(rate, seed)`` into
+packets with routes is therefore a pure function that has nothing to do
+with the per-cycle router model — and :class:`CoreBase` owns it, once,
+for :class:`~repro.network.native.NativeCore`,
+:class:`~repro.network.simcore.ArrayCore` and
+:class:`~repro.network.refcore.ReferenceCore`, which keep only their
+loops:
+
+* the link and ``(link, VC)`` constant tables, the event-wheel size, the
+  two RNG streams (numpy for the injection schedule, stdlib for
+  destination and route choice) and the active-node bookkeeping;
+* ``injection_probs`` / ``make_schedule``, ``enable_probes`` /
+  ``run_record`` and :class:`~repro.network.stats.SimResult` assembly;
+* the **open-loop packet front end** (:meth:`CoreBase._prepare`): the
+  schedule's events are resolved *before* the loop into one
+  :class:`PacketTable` row each — creation cycle, measured flag,
+  source, destination and the route's ``(offset, hops)`` slice of
+  :attr:`CoreBase._routes`.  The stdlib RNG is consumed in schedule
+  order (destination draw, then route draw for packets that are
+  actually created) by this one code path, so the three cores agree on
+  everything but the router model by construction, pinned schedule or
+  not.
+
+Routes live in one of two places (see :mod:`repro.routing.table`): the
+routing object's shared :class:`~repro.routing.table.RouteTable` for a
+deterministic routing, else a per-core
+:class:`~repro.routing.table.RouteArena` — randomised routes, and cores
+that resolve through the routing's closed-form
+:class:`~repro.routing.plane.RoutePlane` (the native core only: the
+Python cores keep checking the plane against the scalar ``route()``).
+
+Closed-loop (``plan``) runs cannot be pre-resolved — release order is
+dynamic — so the two Python loops draw routes at injection through the
+same scalar :meth:`CoreBase.route_slice`.
+
+Measurement state accumulates across ``run()`` calls and the cycle
+clock keeps counting, so leftover in-flight state from a truncated
+drain stays consistent (wheel slots aligned, latencies non-negative).
+The engine still builds a fresh instance per simulated point.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import List, Optional
+
+import numpy as np
+
+from ..metrics.record import RunRecord, failed_links_of
+from ..routing.table import RouteArena
+from ..topology.graph import NetworkGraph
+from .params import SimParams
+from .schedule import InjectionSchedule, build_injection_schedule
+from .stats import SimResult
+from .vecrandom import VecRandom
+
+__all__ = ["CoreBase", "PacketTable"]
+
+# Flit word of the array and native cores:
+# (pid << PID_SHIFT) | (flit_idx << FIDX_SHIFT) | hop.
+_HOP_BITS = 11
+_FIDX_SHIFT = 11
+_PID_SHIFT = 22
+_HOP_MASK = (1 << _HOP_BITS) - 1
+_FIDX_MASK = (1 << (_PID_SHIFT - _FIDX_SHIFT)) - 1
+_MAX_HOPS = _HOP_MASK  # longest representable route
+
+
+def _zeros(n: int) -> np.ndarray:
+    return np.zeros(max(1, int(n)), dtype=np.int64)
+
+
+def _as_i64(values) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=np.int64)
+    return arr if arr.size else _zeros(0)
+
+
+class PacketTable:
+    """Every packet a core created, one int64 row per field.
+
+    Packet ids are column indices; each open-loop pre-pass (or finished
+    closed-loop run) appends its packets in creation order.
+    """
+
+    def __init__(self) -> None:
+        self._rows = np.empty((6, 0), dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self._rows.shape[1]
+
+    def append(self, t0, meas, src, dst, off, hops) -> None:
+        """Append aligned columns (lists or arrays) of new packets."""
+        block = np.empty((6, len(t0)), dtype=np.int64)
+        for row, column in zip(block, (t0, meas, src, dst, off, hops)):
+            row[:] = column
+        self._rows = (
+            np.concatenate([self._rows, block], axis=1)
+            if len(self)
+            else block
+        )
+
+    #: creation cycle (absolute), created-in-window flag, source and
+    #: destination node, route offset into the core's arena, route hops.
+    t0 = property(lambda self: self._rows[0])
+    meas = property(lambda self: self._rows[1])
+    src = property(lambda self: self._rows[2])
+    dst = property(lambda self: self._rows[3])
+    off = property(lambda self: self._rows[4])
+    hops = property(lambda self: self._rows[5])
+
+
+class RunCtx:
+    """One open-loop run, resolved: the window's absolute cycle stamps
+    and which rows of the packet table are this run's injection events
+    (``[pid0, pid0 + n_new)``, in event order — an event that creates
+    no packet was dropped by the pre-pass).  Attributes: ``rate``,
+    ``t0``, ``warm``, ``meas_end``, ``t_end``, ``effective_offered``,
+    ``pid0``, ``n_new``; the native core adds its kernel staging."""
+
+
+class CoreBase:
+    """Construction, front end and measurement of a simulator core
+    (see module docstring); subclasses add ``run()``."""
+
+    #: name reported in :class:`~repro.metrics.RunRecord.core`.
+    core_id = ""
+    #: flits are packed ints, so routes and packets have a length limit.
+    packed_flits = True
+    #: resolve through the routing's closed-form plane when it has one.
+    uses_plane = False
+
+    def __init__(
+        self,
+        graph: NetworkGraph,
+        routing,
+        traffic,
+        params: SimParams,
+    ) -> None:
+        self.graph = graph
+        self.routing = routing
+        self.traffic = traffic
+        self.params = params
+
+        if self.packed_flits and params.packet_length > _FIDX_MASK:
+            raise ValueError(
+                f"packet_length {params.packet_length} exceeds the "
+                f"{self.core_id} core's flit-index field ({_FIDX_MASK}); "
+                "use the reference core"
+            )
+
+        num_vcs = routing.num_vcs
+        self.num_vcs = num_vcs
+        num_lv = graph.num_links * num_vcs
+        self._num_lv = num_lv
+
+        # Per-link constants.  In-flight time is wire latency + router
+        # pipeline; credit return models the reverse wire of the channel.
+        self._hop_delay = [
+            l.latency + params.router_latency for l in graph.links
+        ]
+        self._credit_delay = [max(1, l.latency) for l in graph.links]
+        self._cap = [l.capacity for l in graph.links]
+        # Per-(link, vc) copies, flattened to lv = link * V + vc.
+        self._lv_dst = [graph.links[lv // num_vcs].dst for lv in range(num_lv)]
+        self._cap_lv = [self._cap[lv // num_vcs] for lv in range(num_lv)]
+        self._credit_delay_lv = [
+            self._credit_delay[lv // num_vcs] for lv in range(num_lv)
+        ]
+
+        max_delay = max(self._hop_delay, default=1)
+        max_delay = max(max_delay, max(self._credit_delay, default=1))
+        self._wheel_size = max_delay + 1
+
+        # RNGs: numpy for the injection process, stdlib for destination
+        # and route choices.
+        self._np_rng = np.random.default_rng(params.seed)
+        self._py_rng = random.Random(params.seed ^ 0x5EED)
+
+        # route_flat / is_deterministic / route_plane / route_table are
+        # optional: the cores take any object with route() and num_vcs,
+        # not only RoutingAlgorithm subclasses.
+        self._route_flat = getattr(routing, "route_flat", None)
+        self._deterministic = bool(
+            getattr(routing, "is_deterministic", False)
+        )
+        route_plane = (
+            getattr(routing, "route_plane", None) if self.uses_plane else None
+        )
+        self._plane = route_plane() if route_plane is not None else None
+        route_table = getattr(routing, "route_table", None)
+        #: the routing's shared route table while this core reads it.
+        self._table = (
+            route_table()
+            if self._plane is None and route_table is not None
+            else None
+        )
+        #: the arena this core's packets index: the shared table, or
+        #: this core's own.
+        self._routes = self._table if self._table is not None else RouteArena()
+        self._packets = PacketTable()
+
+        self._active_nodes = list(traffic.active_nodes())
+        self._active_chips = traffic.num_active_chips()
+        chips = graph.chips()
+        self._nodes_per_chip = {
+            nid: len(chips[graph.nodes[nid].chip]) for nid in self._active_nodes
+        }
+
+        self._latencies: List[int] = []
+        self._hops: List[int] = []
+        # Probe bookkeeping (see repro.metrics): disabled by default.
+        # When enabled (before the first run) the ejection sites keep
+        # the delivered packet ids, aligned with ``_latencies``;
+        # everything else run_record() needs is in the packet table.
+        self._probe_mode = False
+        self._eject_pid: List[int] = []
+        self._packets_measured = 0
+        self._flits_ejected_window = 0
+        self.total_flits_injected = 0
+        self.total_flits_ejected = 0
+        #: cycles simulated by previous run() calls.  The clock keeps
+        #: counting across runs so that leftover in-flight events stay
+        #: aligned with their wheel slots and leftover packets report
+        #: non-negative latencies.
+        self._clock = 0
+        #: the closed-loop PhasePlan of the most recent run (None for
+        #: open-loop runs); run_record() reads its phase records and
+        #: measurement window.
+        self._plan = None
+
+    # -- probes ---------------------------------------------------------
+    def enable_probes(self) -> None:
+        """Start recording the per-packet probe surface.
+
+        Must be called before the first ``run()`` — packets delivered
+        earlier have no recorded id, which would misalign the arrays.
+        """
+        if self._clock:
+            raise RuntimeError(
+                "probes must be enabled before the first run()"
+            )
+        self._probe_mode = True
+
+    def run_record(self, rate: float) -> RunRecord:
+        """Bulk measurement record of this core's runs so far."""
+        if not self._probe_mode:
+            raise RuntimeError(
+                "probing was not enabled on this core; pass probes= to "
+                "Simulator (or call enable_probes() before run())"
+            )
+        packets = self._packets
+        p_t0 = packets.t0.tolist()
+        p_done = [-1] * len(p_t0)
+        latencies = self._latencies
+        for i, pid in enumerate(self._eject_pid):
+            p_done[pid] = p_t0[pid] + latencies[i]
+        p = self.params
+        graph = self.graph
+        plan = self._plan
+        if plan is not None:
+            # closed-loop: the window is the measured makespan, not the
+            # (huge) horizon the params carried as a safety bound
+            measure_start = plan._t0
+            measure_cycles = plan.elapsed()
+            measure_end = measure_start + measure_cycles
+            phases = plan.phase_records()
+        else:
+            measure_end = self._clock - p.drain_cycles
+            measure_start = measure_end - p.measure_cycles
+            measure_cycles = p.measure_cycles
+            phases = ()
+        return RunRecord(
+            core=self.core_id,
+            rate=rate,
+            num_nodes=graph.num_nodes,
+            num_links=graph.num_links,
+            num_vcs=self.num_vcs,
+            packet_length=p.packet_length,
+            measure_start=measure_start,
+            measure_end=measure_end,
+            measure_cycles=measure_cycles,
+            active_chips=self._active_chips,
+            phases=phases,
+            p_src=packets.src.tolist(),
+            p_dst=packets.dst.tolist(),
+            p_t0=p_t0,
+            p_meas=packets.meas.tolist(),
+            p_done=p_done,
+            p_hops=packets.hops.tolist(),
+            p_off=packets.off.tolist(),
+            route_lv=self._routes.lv.tolist(),
+            node_chip={
+                nid: node.chip for nid, node in enumerate(graph.nodes)
+            },
+            link_ends=[(l.src, l.dst) for l in graph.links],
+            failed_links=failed_links_of(self.routing),
+        )
+
+    # -- injection process ----------------------------------------------
+    def injection_probs(self, rate: float) -> List[float]:
+        """Per-active-node packet-start probability per cycle."""
+        pkt_len = self.params.packet_length
+        return [
+            rate / (pkt_len * self._nodes_per_chip[nid])
+            for nid in self._active_nodes
+        ]
+
+    def _checked_probs(self, rate: float) -> List[float]:
+        if rate < 0:
+            raise ValueError("rate must be >= 0")
+        probs = self.injection_probs(rate)
+        if any(pr > 1.0 for pr in probs):
+            raise ValueError(
+                f"offered rate {rate} exceeds 1 packet/node/cycle; "
+                "increase packet_length or lower the rate"
+            )
+        return probs
+
+    def make_schedule(self, rate: float) -> InjectionSchedule:
+        """Sample this run's injection schedule (consumes the numpy RNG)."""
+        p = self.params
+        return build_injection_schedule(
+            self._active_nodes,
+            self._checked_probs(rate),
+            p.warmup_cycles + p.measure_cycles,
+            self._np_rng,
+        )
+
+    # -- routes ---------------------------------------------------------
+    def _check_hops(self, nhops: int) -> None:
+        """Reject a route the packed flit word cannot count."""
+        if self.packed_flits and nhops > _MAX_HOPS:
+            raise ValueError(
+                f"route with {nhops} hops exceeds the core's hop "
+                f"field ({_MAX_HOPS}); use the reference core"
+            )
+
+    def route_slice(self, src: int, dst: int):
+        """``(offset, hops)`` into :attr:`_routes` of a route ``src ->
+        dst``, resolved on demand.
+
+        The scalar single point of truth: the scalar pre-pass and the
+        Python loops' closed-loop injection both call it, and it draws
+        from the stdlib RNG exactly as ``routing.route()`` does.
+        """
+        if self._table is not None:
+            sl = self._table.slice(src, dst, self._py_rng)
+            if sl is not None:
+                self._check_hops(sl[1])
+                return sl
+            # The table is full: carry on in an arena of this core's
+            # own, seeded with the table so slices handed out so far
+            # stay valid; from here every packet resolves its route
+            # into it, as randomised routes do.
+            self._routes = RouteArena(self._table.lv)
+            self._table = None
+        if self._route_flat is not None:
+            path_lv = self._route_flat(src, dst, self._py_rng)[1]
+        else:
+            num_vcs = self.num_vcs
+            path_lv = [
+                l * num_vcs + v
+                for l, v in self.routing.route(src, dst, self._py_rng)
+            ]
+        self._check_hops(len(path_lv))
+        return self._routes.extend(path_lv), len(path_lv)
+
+    def _plane_slices(self, srcs, dsts, via=None):
+        """``(offsets, hops)`` of the pairs' routes, resolved through
+        the routing's plane and appended to this core's arena."""
+        routes = self._plane.resolve(srcs, dsts, via)
+        if routes.hops.size:
+            self._check_hops(int(routes.hops.max()))
+        return routes.off + self._routes.extend(routes.lv), routes.hops
+
+    # -- the open-loop packet front end ---------------------------------
+    def _open(self, rate: float) -> RunCtx:
+        """The next run's context, before any packet of it exists."""
+        p = self.params
+        ctx = RunCtx()
+        ctx.rate = rate
+        # absolute cycle stamps: the run covers [t0, t_end)
+        ctx.t0 = self._clock
+        ctx.warm = ctx.t0 + p.warmup_cycles
+        ctx.meas_end = ctx.warm + p.measure_cycles
+        ctx.t_end = ctx.meas_end + p.drain_cycles
+        ctx.effective_offered = 0.0
+        ctx.pid0 = len(self._packets)
+        ctx.n_new = 0
+        return ctx
+
+    def _append_packets(self, t, src, dst, off, hops, ctx: "RunCtx"):
+        t = np.asarray(t, dtype=np.int64)
+        measured = (t >= ctx.warm) & (t < ctx.meas_end)
+        self._packets.append(t, measured, src, dst, off, hops)
+
+    def _resolve_packets(self, schedule: InjectionSchedule, ctx: RunCtx):
+        """Resolve every scheduled event into the packet table.
+
+        Consumes the stdlib RNG in schedule order: the destination
+        draw, then the route draw for packets that are actually
+        created.  Events at or past the injection window are dropped
+        *before* any RNG draw — no core injects into the drain window;
+        stamps are absolute (``t0``-shifted).
+        """
+        dest = self.traffic.dest
+        py_rng = self._py_rng
+        route_slice = self.route_slice
+        # with a plane the loop only draws: the destination and, for a
+        # routing that consults the RNG, its intermediate group (same
+        # draws in the same order as route()); the collected triples
+        # are resolved in one call behind the loop
+        plane = self._plane
+        draw_via = (
+            self.routing.draw_via
+            if plane is not None and not self._deterministic
+            else None
+        )
+        t0 = ctx.t0
+        horizon = ctx.meas_end - t0
+        ts: List[int] = []
+        srcs: List[int] = []
+        dsts: List[int] = []
+        offs: List[int] = []
+        hops: List[int] = []
+        vias: List[int] = []
+        for t, nid in zip(schedule.cycles, schedule.nodes):
+            if t >= horizon:
+                break  # cycles are sorted; no RNG consumed past the gate
+            dst = dest(nid, py_rng)
+            if dst is None or dst == nid:
+                continue
+            if plane is None:
+                off, nhops = route_slice(nid, dst)
+                offs.append(off)
+                hops.append(nhops)
+            elif draw_via is not None:
+                via = draw_via(nid, dst, py_rng)
+                vias.append(-1 if via is None else via)
+            ts.append(t + t0)
+            srcs.append(nid)
+            dsts.append(dst)
+        if plane is not None and srcs:
+            offs, hops = self._plane_slices(
+                _as_i64(srcs), _as_i64(dsts),
+                _as_i64(vias) if draw_via is not None else None,
+            )
+        self._append_packets(ts, srcs, dsts, offs, hops, ctx)
+
+    def _resolve_packets_vec(
+        self, schedule: InjectionSchedule, ctx: RunCtx
+    ) -> bool:
+        """Vectorized twin of :meth:`_resolve_packets`.
+
+        Destinations come from the traffic pattern's ``dest_batch``
+        hook over a :class:`VecRandom` replica of the stdlib stream,
+        routes from the plane or the routing's table in bulk — both
+        bit-exact with the scalar pre-pass.  Returns ``False`` to
+        decline (routing that draws from the RNG, no/declining hook,
+        full table); nothing is consumed from the RNG in that case, so
+        the scalar path can take over from the exact same state.
+        """
+        if not self._deterministic or (
+            self._plane is None and self._table is None
+        ):
+            return False
+        dest_batch = getattr(self.traffic, "dest_batch", None)
+        if dest_batch is None:
+            return False
+        vr = VecRandom.for_rng(self._py_rng)
+        if vr is None:
+            return False
+        cycles = schedule.np_cycles
+        n_ev = int(
+            np.searchsorted(cycles, ctx.meas_end - ctx.t0, side="left")
+        )
+        if n_ev == 0:
+            return True
+        nodes = schedule.np_nodes[:n_ev]
+        dsts = dest_batch(nodes, vr)
+        if dsts is None:
+            return False
+        keep = (dsts >= 0) & (dsts != nodes)
+        k_src = nodes[keep]
+        k_dst = dsts[keep]
+        if self._plane is not None:
+            off, nhops = self._plane_slices(k_src, k_dst)
+        else:
+            bulk = self._table.slices(k_src, k_dst, self._py_rng)
+            if bulk is None:
+                return False  # pre-commit: the RNG was never advanced
+            off, nhops = bulk
+            if nhops.size:
+                self._check_hops(int(nhops.max()))
+        vr.commit()
+        self._append_packets(
+            cycles[:n_ev][keep] + ctx.t0, k_src, k_dst, off, nhops, ctx
+        )
+        return True
+
+    def _prepare(
+        self,
+        rate: float,
+        schedule: Optional[InjectionSchedule] = None,
+        *,
+        vec: bool = False,
+    ) -> RunCtx:
+        """Everything before an open-loop run's loop: schedule sampling
+        and packet pre-resolution (vectorized when ``vec`` and the
+        configuration supports it)."""
+        probs = self._checked_probs(rate)
+        ctx = self._open(rate)
+        # patterns with inactive nodes offer less than the nominal rate
+        if self._active_chips:
+            ctx.effective_offered = (
+                float(np.array(probs, dtype=np.float64).sum())
+                * self.params.packet_length
+                / self._active_chips
+            )
+        if schedule is None:
+            schedule = self.make_schedule(rate)
+        if not (vec and self._resolve_packets_vec(schedule, ctx)):
+            self._resolve_packets(schedule, ctx)
+        ctx.n_new = len(self._packets) - ctx.pid0
+        return ctx
+
+    def _begin(self, rate: float, schedule, plan) -> RunCtx:
+        """Entry of a Python loop's ``run()``: the prepared open-loop
+        run, or a closed-loop ``plan``'s — same window, no packets yet,
+        ``n_new`` counting the plan's first released events."""
+        if plan is not None and schedule is not None:
+            raise ValueError("pass either a schedule or a plan, not both")
+        self._plan = plan
+        if plan is None:
+            return self._prepare(rate, schedule)
+        if rate <= 0:
+            raise ValueError("closed-loop rate must be > 0")
+        # nothing is offered open-loop: the plan injects on demand
+        ctx = self._open(rate)
+        ctx.n_new = plan.begin(ctx.t0)
+        return ctx
+
+    # -- results ----------------------------------------------------------
+    def _result(self, ctx: RunCtx) -> SimResult:
+        plan = self._plan
+        return SimResult.from_samples(
+            offered_rate=ctx.rate,
+            effective_offered=ctx.effective_offered,
+            latencies=self._latencies,
+            hops=self._hops,
+            packets_measured=self._packets_measured,
+            flits_ejected=self._flits_ejected_window,
+            active_chips=self._active_chips,
+            # closed-loop: the window is the measured makespan, so
+            # accepted_rate reports achieved collective bandwidth
+            measure_cycles=(
+                plan.elapsed()
+                if plan is not None
+                else self.params.measure_cycles
+            ),
+        )

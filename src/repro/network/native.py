@@ -1,27 +1,26 @@
-"""Compiled kernel for the struct-of-arrays simulator core.
+"""Compiled kernel for the struct-of-arrays simulator loop.
 
-The pure-Python :class:`~repro.network.simcore.ArrayCore` already lays
-every piece of hot state out as flat integer arrays — which makes the
-inner loop mechanically portable to C.  This module compiles
-``_simcore.c`` on demand (plain ``cc -O2 -shared -fPIC``; no Python
-headers, no build-system dependency), loads it via :mod:`ctypes`, and
-wraps it as :class:`NativeCore`.
+The pure-Python array loop (:mod:`repro.network.simcore`) lays every
+piece of hot state out as flat integer arrays — which makes the inner
+loop mechanically portable to C.  This module compiles ``_simcore.c``
+on demand (plain ``cc -O3 -shared -fPIC``; no Python headers, no
+build-system dependency), loads it via :mod:`ctypes`, and wraps it as
+:class:`NativeCore`.
 
-The enabling observation is that the stdlib RNG stream is consumed
-*only* by destination and route choice, in injection-schedule order —
-so the whole packet table (destinations, flattened routes, creation
-cycles) can be resolved in Python before the hot loop starts, and the
-C kernel runs the entire warmup+measure+drain window without a single
-callback.  Given the same schedule the kernel replicates the Python
-cores' cycle semantics exactly, so ``NativeCore`` produces
-**bit-identical** :class:`~repro.network.stats.SimResult`\\ s to
-``ArrayCore`` (asserted by ``tests/network/test_core_equivalence.py``).
+Packets arrive pre-resolved from the shared front end
+(:mod:`repro.network.corebase`: destinations, routes and creation
+cycles are drawn before the loop on every core), so the C kernel runs
+the entire warmup+measure+drain window without a single callback and
+replicates the Python loops' cycle semantics exactly: ``NativeCore``
+returns **bit-identical** :class:`~repro.network.stats.SimResult`\\ s
+to the array and reference cores (asserted by
+``tests/network/test_core_equivalence.py``).
 
 When no C compiler is available the loader returns ``None`` and
-:class:`~repro.network.simulator.Simulator` silently falls back to the
-pure-Python array core; nothing in the public API changes.  Set
-``REPRO_SIM_CORE=array`` (or ``native``/``reference``) to pin a core,
-and ``REPRO_NATIVE_CACHE`` to relocate the compiled-object cache.
+:class:`~repro.network.simulator.Simulator` falls back to the
+pure-Python array core by default; nothing in the public API changes.
+Set ``REPRO_SIM_CORE=array`` (or ``native``/``reference``) to pin a
+core, and ``REPRO_NATIVE_CACHE`` to relocate the compiled-object cache.
 """
 
 from __future__ import annotations
@@ -38,10 +37,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .simcore import ArrayCore, _check_hops
-from .schedule import InjectionSchedule, build_injection_schedule
+from .corebase import CoreBase, RunCtx, _as_i64, _zeros
+from .schedule import InjectionSchedule
 from .stats import SimResult
-from .vecrandom import VecRandom
 
 __all__ = [
     "NativeBatch",
@@ -275,65 +273,30 @@ def native_available() -> bool:
     return load_native() is not None
 
 
-def _zeros(n: int) -> np.ndarray:
-    return np.zeros(max(1, int(n)), dtype=np.int64)
-
-
-def _as_i64(values) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.int64)
-    return arr if arr.size else _zeros(0)
-
-
 def _ptr(arr: np.ndarray):
     return arr.ctypes.data_as(_i64p)
 
 
-class _LaneCtx:
-    """Per-run staging between prepare, kernel call and finish.
+class NativeCore(CoreBase):
+    """Simulator core whose per-cycle loop runs in the compiled kernel.
 
-    Holds the run's window bookkeeping plus references to every numpy
-    buffer the packed ``struct S`` points into — the batch path keeps
-    one of these per lane alive for the duration of the (possibly
-    threaded) kernel call.
-    """
-
-    __slots__ = (
-        "rate",
-        "meas",
-        "t0",
-        "warm",
-        "meas_end",
-        "effective_offered",
-        "np_ev_cycle",
-        "np_ev_src",
-        "np_ev_pid",
-        "n_new",
-        "lat_out",
-        "hops_out",
-        "pid_out",
-        "keepalive",
-        "st",
-    )
-
-
-class NativeCore(ArrayCore):
-    """Array core whose hot loop runs in the compiled kernel.
-
-    Construction, route resolution, scheduling and measurement stay in
-    Python (inherited from :class:`ArrayCore`); only the per-cycle loop
-    is delegated.  Results are bit-identical to the pure-Python core.
+    Construction, the packet front end and measurement are the shared
+    :class:`~repro.network.corebase.CoreBase`; this class packs the
+    pre-resolved packet table and the router state into the kernel's
+    ``struct S`` and reads the counters back.  Results are
+    bit-identical to the pure-Python cores.
 
     Probing (see :mod:`repro.metrics`) needs no kernel callbacks: the
     kernel already reports every delivered measured packet's latency,
     and alongside it writes the packet id (``pid_out``) — a bulk
-    counter the probe layer decodes post-run.  Source/destination are
-    captured in the Python pre-pass (:meth:`_resolve_packets`).
+    counter the probe layer decodes post-run.
     Raises :class:`RuntimeError` when the kernel cannot be compiled —
     callers that want a fallback should check :func:`native_available`
-    first (as :class:`~repro.network.simulator.Simulator` does).
+    first (as :func:`~repro.network.simulator.resolve_core` does).
     """
 
     core_id = "native"
+    uses_plane = True
 
     def __init__(self, graph, routing, traffic, params) -> None:
         super().__init__(graph, routing, traffic, params)
@@ -345,13 +308,8 @@ class NativeCore(ArrayCore):
                 "use core='array' instead"
             )
         self._lib = lib
-
-        #: packet-table segments kept as numpy arrays by the vectorized
-        #: pre-pass (non-probed cores only — ``run_record`` reads the
-        #: scalar lists).  List entries always precede part entries in
-        #: pid order: the scalar pre-pass flushes parts before
-        #: appending.
-        self._p_parts: list = []
+        #: the array core a closed-loop plan ran on (see :meth:`run`).
+        self._plan_core = None
 
         num_nodes = graph.num_nodes
         num_lv = self._num_lv
@@ -408,278 +366,6 @@ class NativeCore(ArrayCore):
         scratch = self._max_in + 1
         self._n_sc = [_zeros(scratch) for _ in range(4)]
 
-        #: the routing's closed-form route plane, or None: routes are
-        #: then resolved pair by pair into the route table below.
-        # (optional like route_flat / is_deterministic: the cores take
-        # any object with route() and num_vcs, not only
-        # RoutingAlgorithm subclasses)
-        route_plane = getattr(routing, "route_plane", None)
-        self._plane = route_plane() if route_plane is not None else None
-        # Plane cores own a numpy arena: one lv array per resolve call,
-        # packet offsets shifted by the hops before it.
-        self._arena: list = []
-        self._arena_len = 0
-
-        # Table path only.  Numpy mirror of the (src, dst) -> (offset,
-        # hops) route memo for bulk lookup: [sorted pair keys, offsets,
-        # hops, memo size at build time].  A shared mutable holder so
-        # batch lanes that adopt this core's route table see one mirror
-        # (see :meth:`_adopt_route_table`).
-        self._pair_mirror: list = [None, None, None, -1]
-        # Converted int64 route arena [lv array, arena length at
-        # conversion] — shared like the mirror, so a batch only
-        # re-converts when new routes were appended.
-        self._np_routes: list = [None, -1]
-
-    # ------------------------------------------------------------------
-    def _adopt_route_table(self, donor: "NativeCore") -> None:
-        """Share ``donor``'s route arena, memo and pair mirror.
-
-        Only valid for deterministic table-routed configurations (a
-        route is a pure function of the pair, so lanes can pool
-        resolutions) and only before any route was resolved on this
-        core.  Lists are shared *by reference*: any lane resolving a
-        new pair extends the one arena every lane's packet table
-        points into.
-        """
-        if not (self._deterministic and donor._deterministic):
-            return
-        if self._route_lv or self._num_packets:
-            raise RuntimeError(
-                "route table adoption must happen before any route is "
-                "resolved on this core"
-            )
-        self._slice_memo = donor._slice_memo
-        self._route_lv = donor._route_lv
-        self._route_link = donor._route_link
-        self._route_delay = donor._route_delay
-        self._pair_mirror = donor._pair_mirror
-        self._np_routes = donor._np_routes
-
-    def _pair_table(self):
-        """Current numpy view of the route memo (rebuilt when stale)."""
-        memo = self._slice_memo
-        mirror = self._pair_mirror
-        if mirror[3] != len(memo):
-            nn = self.graph.num_nodes
-            n = len(memo)
-            keys = np.fromiter(
-                (s * nn + d for s, d in memo.keys()),
-                dtype=np.int64,
-                count=n,
-            )
-            offs = np.fromiter(
-                (v[0] for v in memo.values()), dtype=np.int64, count=n
-            )
-            hops = np.fromiter(
-                (v[1] for v in memo.values()), dtype=np.int64, count=n
-            )
-            order = np.argsort(keys)
-            mirror[0] = keys[order]
-            mirror[1] = offs[order]
-            mirror[2] = hops[order]
-            mirror[3] = n
-        return mirror
-
-    def _plane_slices(self, srcs, dsts, via=None):
-        """``(offsets, hops)`` of the pairs' routes, resolved through
-        the routing's plane and appended to this core's arena."""
-        routes = self._plane.resolve(srcs, dsts, via)
-        if routes.hops.size:
-            _check_hops(int(routes.hops.max()))
-        base = self._arena_len
-        self._arena.append(routes.lv)
-        self._arena_len = base + routes.lv.size
-        if self._probe_mode:
-            # run_record reads the scalar arena
-            self._route_lv.extend(routes.lv.tolist())
-        return routes.off + base, routes.hops
-
-    def _route_slices_bulk(self, srcs: np.ndarray, dsts: np.ndarray):
-        """Vectorized ``_route_slice`` over aligned pair arrays.
-
-        With a route plane that is one closed-form call.  Otherwise
-        missing pairs are resolved through the scalar single point of
-        truth (appending to the shared arena and memo), then looked up
-        via the sorted mirror; returns ``None`` when the memo cap keeps
-        pairs out of the mirror — callers fall back to the scalar
-        pre-pass.
-        """
-        if self._plane is not None:
-            return self._plane_slices(srcs, dsts)
-        nn = self.graph.num_nodes
-        keys = srcs * nn + dsts
-        # probe the mirror first: on a warmed route table every pair
-        # hits, and the np.unique pass only runs for actual misses
-        pos, miss = self._mirror_find(keys)
-        if miss.any():
-            route_slice = self._route_slice
-            for k in np.unique(keys[miss]).tolist():
-                route_slice(int(k // nn), int(k % nn))
-            pos, miss = self._mirror_find(keys)
-            if miss.any():
-                return None  # memo cap hit: pairs resolved but unmirrored
-        return self._pair_mirror[1][pos], self._pair_mirror[2][pos]
-
-    def _mirror_find(self, keys: np.ndarray):
-        """Positions of the pair keys in the sorted mirror, and the
-        mask of keys it lacks."""
-        tk = self._pair_table()[0]
-        if not tk.size:
-            return None, np.ones(keys.shape, dtype=bool)
-        pos = np.minimum(np.searchsorted(tk, keys), tk.size - 1)
-        return pos, tk[pos] != keys
-
-    # ------------------------------------------------------------------
-    def _resolve_packets_vec(
-        self, schedule: InjectionSchedule, t0, horizon
-    ):
-        """Vectorized twin of :meth:`_resolve_packets`.
-
-        Destinations come from the traffic pattern's ``dest_batch``
-        hook over a :class:`VecRandom` replica of the stdlib stream,
-        routes from the bulk memo mirror — both bit-exact with the
-        scalar pre-pass.  Returns ``None`` to decline (routing that
-        draws from the RNG, no/declining hook, un-mirrorable memo);
-        nothing is consumed from the RNG in that case, so the scalar
-        path can take over from the exact same state.
-        """
-        if not self._deterministic:
-            return None
-        dest_batch = getattr(self.traffic, "dest_batch", None)
-        if dest_batch is None:
-            return None
-        vr = VecRandom.for_rng(self._py_rng)
-        if vr is None:
-            return None
-        cycles = schedule.np_cycles
-        nodes = schedule.np_nodes
-        n_ev = int(np.searchsorted(cycles, horizon, side="left"))
-        cycles = cycles[:n_ev]
-        nodes = nodes[:n_ev]
-        if n_ev == 0:
-            return [], [], []
-        dsts = dest_batch(nodes, vr)
-        if dsts is None:
-            return None
-        keep = (dsts >= 0) & (dsts != nodes)
-        k_src = nodes[keep]
-        k_dst = dsts[keep]
-        k_t = cycles[keep] + t0
-        if k_src.size:
-            bulk = self._route_slices_bulk(k_src, k_dst)
-            if bulk is None:
-                return None  # pre-commit: the RNG was never advanced
-            off, nhops = bulk
-        else:
-            off = nhops = np.empty(0, dtype=np.int64)
-        vr.commit()
-        warm = t0 + self.params.warmup_cycles
-        meas_end = warm + self.params.measure_cycles
-        meas = ((k_t >= warm) & (k_t < meas_end)).astype(np.int64)
-        pid0 = self._num_packets
-        if self._probe_mode:
-            # run_record reads the scalar tables; keep them canonical
-            self._p_off.extend(off.tolist())
-            self._p_hops.extend(nhops.tolist())
-            self._p_t0.extend(k_t.tolist())
-            self._p_meas.extend(meas.tolist())
-            self._p_src.extend(k_src.tolist())
-            self._p_dst.extend(k_dst.tolist())
-        elif k_src.size:
-            self._p_parts.append((off, nhops, k_t, meas))
-        n_new = int(k_src.size)
-        self._num_packets = pid0 + n_new
-        ev_pid = np.arange(pid0, pid0 + n_new, dtype=np.int64)
-        return k_t, k_src, ev_pid
-
-    # ------------------------------------------------------------------
-    def _resolve_packets(self, schedule: InjectionSchedule, t0, horizon):
-        """Resolve every scheduled event into the packet table.
-
-        Consumes the stdlib RNG exactly as the Python cores' injection
-        phase does (destination draw, then route draw for packets that
-        are actually created), so results stay bit-identical.  Events
-        at or past the injection window (``horizon`` run-local cycles)
-        are dropped *before* any RNG draw, matching the reference
-        core's injection gate; stamps are absolute (``t0``-shifted).
-        """
-        self._flush_packet_parts()
-        dest = self.traffic.dest
-        py_rng = self._py_rng
-        route_slice = self._route_slice
-        # with a plane the loop only draws: the destination and, for a
-        # routing that consults the RNG, its intermediate group (same
-        # draws in the same order as route()); the collected triples
-        # are resolved in one call behind the loop
-        plane = self._plane
-        draw_via = (
-            self.routing.draw_via
-            if plane is not None and not self._deterministic
-            else None
-        )
-        dsts: List[int] = []
-        vias: List[int] = []
-        p_off = self._p_off
-        p_hops = self._p_hops
-        p_t0 = self._p_t0
-        p_meas = self._p_meas
-        probing = self._probe_mode
-        p_src = self._p_src
-        p_dst = self._p_dst
-
-        warm = t0 + self.params.warmup_cycles
-        meas_end = warm + self.params.measure_cycles
-        ev_cycle: List[int] = []
-        ev_src: List[int] = []
-        ev_pid: List[int] = []
-        npk = self._num_packets
-        for t, nid in zip(schedule.cycles, schedule.nodes):
-            if t >= horizon:
-                break  # cycles are sorted; no RNG consumed past the gate
-            t += t0
-            dst = dest(nid, py_rng)
-            if dst is None or dst == nid:
-                continue
-            if plane is None:
-                off, nhops = route_slice(nid, dst)
-                p_off.append(off)
-                p_hops.append(nhops)
-            else:
-                dsts.append(dst)
-                if draw_via is not None:
-                    via = draw_via(nid, dst, py_rng)
-                    vias.append(-1 if via is None else via)
-            pid = npk
-            npk += 1
-            if probing:
-                p_src.append(nid)
-                p_dst.append(dst)
-            p_t0.append(t)
-            p_meas.append(1 if warm <= t < meas_end else 0)
-            ev_cycle.append(t)
-            ev_src.append(nid)
-            ev_pid.append(pid)
-        if dsts:
-            off, nhops = self._plane_slices(
-                _as_i64(ev_src), _as_i64(dsts),
-                _as_i64(vias) if draw_via is not None else None,
-            )
-            p_off.extend(off.tolist())
-            p_hops.extend(nhops.tolist())
-        self._num_packets = npk
-        return ev_cycle, ev_src, ev_pid
-
-    def _flush_packet_parts(self) -> None:
-        """Fold vectorized packet-table parts back into the scalar
-        lists (before a scalar pre-pass appends behind them)."""
-        for off, nhops, t, meas in self._p_parts:
-            self._p_off.extend(off.tolist())
-            self._p_hops.extend(nhops.tolist())
-            self._p_t0.extend(t.tolist())
-            self._p_meas.extend(meas.tolist())
-        self._p_parts.clear()
-
     def _rebuild_srcq_arena(self, ev_src) -> None:
         """Re-lay the per-node source-queue slices for this run.
 
@@ -711,109 +397,36 @@ class NativeCore(ArrayCore):
         self._n_sq_head = np.zeros(num_nodes, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def _prepare(
-        self,
-        rate: float,
-        schedule: Optional[InjectionSchedule] = None,
-        *,
-        vec: bool = False,
-    ) -> "_LaneCtx":
-        """Everything before the kernel call, minus the state struct:
-        schedule sampling, packet pre-resolution (vectorized when
-        ``vec`` and the config supports it) and the source-queue arena.
-        """
+    def _build_state(self, ctx: RunCtx) -> _SimState:
+        """Pack the kernel's ``struct S`` for a prepared run; every
+        numpy buffer the struct points into that this core does not
+        hold itself is pinned on ``ctx`` until :meth:`_finish`."""
         p = self.params
-        probs = self._checked_probs(rate)
-        meas = p.measure_cycles
-        horizon = p.warmup_cycles + meas
-        # absolute cycle stamps: this run covers [t0, t_end)
-        t0 = self._clock
-        warm = t0 + p.warmup_cycles
-        meas_end = warm + meas
-
-        effective_offered = (
-            float(np.array(probs, dtype=np.float64).sum())
-            * p.packet_length
-            / self._active_chips
-            if self._active_chips
-            else 0.0
-        )
-
-        if schedule is None:
-            schedule = build_injection_schedule(
-                self._active_nodes, probs, horizon, self._np_rng
-            )
-
-        ev = self._resolve_packets_vec(schedule, t0, horizon) if vec else None
-        if ev is None:
-            ev = self._resolve_packets(schedule, t0, horizon)
-        ev_cycle, ev_src, ev_pid = ev
-        self._rebuild_srcq_arena(ev_src)
-
-        ctx = _LaneCtx()
-        ctx.rate = rate
-        ctx.meas = meas
-        ctx.t0 = t0
-        ctx.warm = warm
-        ctx.meas_end = meas_end
-        ctx.effective_offered = effective_offered
-        ctx.np_ev_cycle = _as_i64(ev_cycle)
-        ctx.np_ev_src = _as_i64(ev_src)
-        ctx.np_ev_pid = _as_i64(ev_pid)
-        ctx.n_new = len(ev_pid)
-        return ctx
-
-    def _build_state(self, ctx: "_LaneCtx", routes=None) -> _SimState:
-        """Pack the kernel's ``struct S`` for a prepared run.
-
-        ``routes`` passes the pre-converted shared route arena (batch
-        lanes convert the common arena once); every numpy buffer the
-        struct points into is pinned on ``ctx`` until :meth:`_finish`.
-        """
-        p = self.params
-        t0 = ctx.t0
-        warm = ctx.warm
-        meas_end = ctx.meas_end
+        packets = self._packets
+        pid0 = ctx.pid0
+        n_new = ctx.n_new
+        # this run's events are the packet table's new rows
+        np_ev_cycle = _as_i64(packets.t0[pid0:])
+        np_ev_src = _as_i64(packets.src[pid0:])
+        np_ev_pid = _as_i64(np.arange(pid0, pid0 + n_new, dtype=np.int64))
+        self._rebuild_srcq_arena(packets.src[pid0:])
         # sized for every latency the kernel may report this run: new
         # packets plus measured leftovers still in flight from earlier
         # runs (each delivered packet reports exactly once)
-        out_cap = self._num_packets - len(self._latencies)
+        out_cap = len(packets) - len(self._latencies)
         lat_out = ctx.lat_out = _zeros(out_cap)
         hops_out = ctx.hops_out = _zeros(out_cap)
         pid_out = ctx.pid_out = _zeros(out_cap)
-        parts = self._p_parts
-        if parts and not self._p_off:
-            # pure-vectorized history: the parts are already
-            # contiguous int64 arrays — no list round-trip
-            if len(parts) == 1:
-                cols = parts[0]
-            else:
-                cols = tuple(
-                    np.concatenate([pt[i] for pt in parts])
-                    for i in range(4)
-                )
-            np_p_off, np_p_hops, np_p_t0, np_p_meas = (
-                _as_i64(c) for c in cols
-            )
-        else:
-            self._flush_packet_parts()
-            np_p_off = _as_i64(self._p_off)
-            np_p_hops = _as_i64(self._p_hops)
-            np_p_t0 = _as_i64(self._p_t0)
-            np_p_meas = _as_i64(self._p_meas)
-        if self._plane is not None:
-            if len(self._arena) > 1:  # one part per earlier run()
-                self._arena = [np.concatenate(self._arena)]
-            routes = self._arena[0] if self._arena else _zeros(0)
-        elif routes is None:
-            routes = _as_i64(self._route_lv)
-        np_route_lv = routes
-        np_ev_cycle = ctx.np_ev_cycle
-        np_ev_src = ctx.np_ev_src
-        np_ev_pid = ctx.np_ev_pid
-        n_new = ctx.n_new
+        np_p_off = _as_i64(packets.off)
+        np_p_hops = _as_i64(packets.hops)
+        np_p_t0 = _as_i64(packets.t0)
+        np_p_meas = _as_i64(packets.meas)
+        # taken only now: lanes of a batch share a routing's table,
+        # which grows (and may move) until the last lane is prepared
+        np_route_lv = _as_i64(self._routes.lv)
         ctx.keepalive = (
             np_p_off, np_p_hops, np_p_t0, np_p_meas, np_route_lv,
+            np_ev_cycle, np_ev_src, np_ev_pid,
         )
 
         st = _SimState(
@@ -827,10 +440,10 @@ class NativeCore(ArrayCore):
             pkt_len=p.packet_length,
             inj_w=p.injection_width,
             ej_w=p.ejection_width,
-            warm=warm,
-            meas_end=meas_end,
-            t_end=meas_end + p.drain_cycles,
-            t0=t0,
+            warm=ctx.warm,
+            meas_end=ctx.meas_end,
+            t_end=ctx.t_end,
+            t0=ctx.t0,
             n_ev=n_new,
             n_lat=0,
             tfi=self.total_flits_injected,
@@ -883,19 +496,17 @@ class NativeCore(ArrayCore):
             sc_cand=_ptr(self._n_sc[2]),
             sc_used=_ptr(self._n_sc[3]),
         )
-        ctx.st = st
         return st
 
-    def _finish(self, ctx: "_LaneCtx", st: _SimState) -> SimResult:
+    def _finish(self, ctx: RunCtx, st: _SimState) -> SimResult:
         """Read the kernel's outputs back and build the result.
 
         ``st`` is the struct the kernel actually ran (for batches, the
-        lane's slot in the packed array — not the ``ctx.st`` template
-        it was copied from).
+        lane's slot in the packed array — not the template
+        :meth:`_build_state` returned, which it was copied from).
         """
-        p = self.params
         self._n_hot_n = int(st.hot_n)
-        self._clock = ctx.meas_end + p.drain_cycles
+        self._clock = ctx.t_end
         self.total_flits_injected = int(st.tfi)
         self.total_flits_ejected = int(st.tfe)
         self._packets_measured = int(st.pm)
@@ -906,16 +517,7 @@ class NativeCore(ArrayCore):
         if self._probe_mode:
             self._eject_pid.extend(ctx.pid_out[:n_lat].tolist())
 
-        return SimResult.from_samples(
-            offered_rate=ctx.rate,
-            effective_offered=ctx.effective_offered,
-            latencies=self._latencies,
-            hops=self._hops,
-            packets_measured=self._packets_measured,
-            flits_ejected=self._flits_ejected_window,
-            active_chips=self._active_chips,
-            measure_cycles=ctx.meas,
-        )
+        return self._result(ctx)
 
     def run(
         self,
@@ -924,13 +526,28 @@ class NativeCore(ArrayCore):
         plan=None,
     ) -> SimResult:
         """Run the full warmup+measure+drain schedule at ``rate``."""
-        if plan is not None:
+        if plan is not None or self._plan_core is not None:
             # The C kernel has no per-cycle callback surface for the
-            # closed-loop feedback, so decline and fall back to the
-            # array core's Python loop (same decline idiom as
-            # ``dest_batch = None``).  Results stay bit-identical to a
-            # plain ArrayCore run of the same plan.
-            return ArrayCore.run(self, rate, schedule=schedule, plan=plan)
+            # closed-loop feedback, so the plan runs on a fresh
+            # ArrayCore of the same configuration (hence bit-identical
+            # to a plain array run), whose record run_record() returns.
+            if self._clock:
+                raise RuntimeError(
+                    "a native core runs a closed-loop plan only as its "
+                    "one run(); build a fresh Simulator"
+                )
+            from .simcore import ArrayCore
+
+            core = self._plan_core = ArrayCore(
+                self.graph, self.routing, self.traffic, self.params
+            )
+            if self._probe_mode:
+                core.enable_probes()
+            result = core.run(rate, schedule, plan)
+            self._clock = core._clock
+            self.total_flits_injected = core.total_flits_injected
+            self.total_flits_ejected = core.total_flits_ejected
+            return result
         ctx = self._prepare(rate, schedule)
         st = self._build_state(ctx)
         err = self._lib.sim_run(ctypes.byref(st))
@@ -939,6 +556,11 @@ class NativeCore(ArrayCore):
                 f"native simulation kernel failed (error code {err})"
             )
         return self._finish(ctx, st)
+
+    def run_record(self, rate: float):
+        if self._plan_core is not None:
+            return self._plan_core.run_record(rate)
+        return super().run_record(rate)
 
     # ------------------------------------------------------------------
     def flits_in_flight(self) -> int:
@@ -951,31 +573,20 @@ class NativeBatch:
 
     Each lane is an isolated :class:`NativeCore` (own seed-derived RNG
     streams, flit/VC/credit/latency state).  Routes come from the
-    routing's closed-form plane when it offers one
-    (:meth:`~repro.routing.base.RoutingAlgorithm.route_plane`): every
-    lane then resolves its own packets in one call and nothing is
-    shared or kept.  Table-routed deterministic configurations instead
-    *share* one route table: every lane adopts the first lane's route
-    arena, (src, dst) memo and sorted pair mirror, so each route slice
-    is resolved once per batch instead of once per lane.  Packet
-    pre-resolution uses the vectorized pre-pass when the traffic
-    pattern offers ``dest_batch`` (falling back to the scalar resolve
-    per lane otherwise), the per-lane ``struct S`` states are packed
-    into one contiguous ctypes array, and a single ``sim_run_batch``
-    call walks the lanes — threaded over :func:`resolve_threads`
-    workers pulling lanes from an atomic cursor, which is bit-identical
-    to the serial loop because lanes share no mutable state.
+    routing object — its closed-form plane, resolved per lane in one
+    call, or else its shared route table — so nothing about routes is
+    batch state.  Packet pre-resolution uses the vectorized pre-pass
+    when the configuration supports it (falling back to the scalar
+    resolve per lane otherwise), the per-lane ``struct S`` states are
+    packed into one contiguous ctypes array, and a single
+    ``sim_run_batch`` call walks the lanes — threaded over
+    :func:`resolve_threads` workers pulling lanes from an atomic
+    cursor, which is bit-identical to the serial loop because lanes
+    share no mutable state.
 
     A batch is **one-shot**: lanes accumulate measurement state, so
     ``run()`` raises on reuse.  Build a fresh batch per lane set (as
-    :func:`repro.network.simulator.run_batch` does).  To
-    amortise table-routed resolution *across* batches of the same
-    configuration, pass a previous batch's :attr:`route_donor` as
-    ``route_donor`` — the new lanes adopt its already-resolved route
-    table instead of starting from an empty memo (the arena is
-    append-only, so a stale donor is never wrong, just partial).  With
-    a route plane there is nothing to donate: ``route_donor`` is
-    accepted and ignored, and :attr:`route_donor` stays ``None``.
+    :func:`repro.network.simulator.run_batch` does).
     """
 
     def __init__(
@@ -990,39 +601,16 @@ class NativeBatch:
         route_donor: Optional[NativeCore] = None,
     ) -> None:
         self.lanes: List[NativeCore] = []
-        donor: Optional[NativeCore] = None
-        if (
-            route_donor is not None
-            and route_donor.graph is graph
-            and route_donor.routing is routing
-            and route_donor._deterministic
-        ):
-            donor = route_donor
         for seed in seeds:
             core = NativeCore(
                 graph, routing, traffic, params.scaled(seed=int(seed))
             )
             if probes:
                 core.enable_probes()
-            if core._plane is None:
-                if donor is None:
-                    donor = core
-                else:
-                    core._adopt_route_table(donor)
             self.lanes.append(core)
-        self._shared_routes = (
-            donor is not None
-            and donor._deterministic
-            and all(
-                core._route_lv is donor._route_lv for core in self.lanes
-            )
-        )
-        #: lane whose route table a follow-up batch of the same
-        #: (graph, routing) can adopt via the ``route_donor`` argument
-        #: (``None`` with a route plane or a randomised routing).
-        self.route_donor: Optional[NativeCore] = (
-            self.lanes[0] if self._shared_routes else None
-        )
+        # inert: bench/layers.py still passes route_donor= and reads
+        # .route_donor; route sharing is the routing's table now
+        self.route_donor: Optional[NativeCore] = None
         self._ran = False
 
     def __len__(self) -> int:
@@ -1062,20 +650,11 @@ class NativeBatch:
             )
             for i, core in enumerate(self.lanes)
         ]
-        # all lanes resolved: the shared arena is final, convert once
-        # (and keep the conversion on the shared plane so a follow-up
-        # batch adopting it re-converts only if routes were appended)
-        routes = None
-        if self._shared_routes:
-            donor = self.lanes[0]
-            cached = donor._np_routes
-            if cached[1] != len(donor._route_lv):
-                cached[0] = _as_i64(donor._route_lv)
-                cached[1] = len(donor._route_lv)
-            routes = cached[0]
+        # every lane is resolved before any state is packed: a shared
+        # route table is final only now
         states = (_SimState * n)()
         for i, (core, ctx) in enumerate(zip(self.lanes, ctxs)):
-            states[i] = core._build_state(ctx, routes)
+            states[i] = core._build_state(ctx)
         lib = self.lanes[0]._lib
         err = lib.sim_run_batch(states, n, resolve_threads(n, threads))
         if err:

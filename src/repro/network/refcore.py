@@ -3,11 +3,12 @@
 This is the original, heap-object implementation of the cycle-accurate
 VC simulator: flits are small mutable lists, packets are
 :class:`~repro.network.packet.Packet` objects, VC ownership is object
-identity.  It is kept as the semantic reference for
-:mod:`repro.network.simcore` (the struct-of-arrays production core):
-given the same pinned :class:`~repro.network.schedule.InjectionSchedule`
-both cores must produce *identical* results, which the cross-core
-equivalence tests assert.
+identity.  It is kept as the short, obviously-correct executable
+specification of the router model: it consumes the same pre-resolved
+packets as :mod:`repro.network.simcore` and the compiled kernel (the
+shared front end of :mod:`repro.network.corebase`), so all three must
+produce *identical* results, pinned schedule or not, which the
+cross-core equivalence tests assert.
 
 The per-cycle model (see :mod:`repro.network.simulator` for the full
 description):
@@ -17,8 +18,8 @@ description):
 2. *Flit arrival* — flits that finished traversing a link (+ router
    pipeline) are appended to the downstream input buffer of their
    ``(link, VC)`` pair.
-3. *Injection* — packet starts come either from the legacy per-cycle
-   Bernoulli draw or from a prebuilt injection schedule.
+3. *Injection* — the cycle's pre-resolved packets (or a closed-loop
+   plan's released events) enter their source queues.
 4. *Arbitration* — head flits request outputs; each output link grants
    up to ``capacity`` flits per cycle, round-robin over requesting
    inputs, subject to downstream credits and wormhole VC ownership.
@@ -26,69 +27,35 @@ description):
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from ..metrics.record import RunRecord, failed_links_of
-from ..topology.graph import NetworkGraph
+from .corebase import CoreBase
 from .packet import Packet
-from .params import SimParams
-from .schedule import InjectionSchedule, build_injection_schedule
+from .schedule import InjectionSchedule
 from .stats import SimResult
 
 __all__ = ["ReferenceCore"]
 
 
-class ReferenceCore:
+class ReferenceCore(CoreBase):
     """Object-based simulation core (see module docstring)."""
 
-    #: name reported in :class:`~repro.metrics.RunRecord.core`.
     core_id = "reference"
+    #: flits are objects: no hop or flit-index field to overflow.
+    packed_flits = False
 
-    def __init__(
-        self,
-        graph: NetworkGraph,
-        routing,
-        traffic,
-        params: SimParams,
-    ) -> None:
-        self.graph = graph
-        self.routing = routing
-        self.traffic = traffic
-        self.params = params
-
-        num_links = graph.num_links
+    def __init__(self, graph, routing, traffic, params) -> None:
+        super().__init__(graph, routing, traffic, params)
+        num_lv = self._num_lv
         num_nodes = graph.num_nodes
-        num_vcs = routing.num_vcs
-        self.num_vcs = num_vcs
-
-        # Per-link constants (flattened for the hot loop).
-        self._link_dst = [l.dst for l in graph.links]
-        # effective in-flight time: wire latency + router pipeline
-        self._hop_delay = [
-            l.latency + params.router_latency for l in graph.links
-        ]
-        # credit return time models the reverse wire of the same channel
-        self._credit_delay = [max(1, l.latency) for l in graph.links]
-        self._cap = [l.capacity for l in graph.links]
 
         # Per-(link, vc) state, flattened to one index lv = link*V + vc:
         # integer indexing and hashing beat (link, vc) tuples in the hot
         # loop by a wide margin.
-        num_lv = num_links * num_vcs
         self._buf: List[deque] = [deque() for _ in range(num_lv)]
         self._credits: List[int] = [params.vc_buffer_size] * num_lv
         self._owner: List[Optional[Packet]] = [None] * num_lv
-
-        # Per-lv copies of the per-link constants (avoids lv // V).
-        self._lv_dst = [self._link_dst[lv // num_vcs] for lv in range(num_lv)]
-        self._cap_lv = [self._cap[lv // num_vcs] for lv in range(num_lv)]
-        self._credit_delay_lv = [
-            self._credit_delay[lv // num_vcs] for lv in range(num_lv)
-        ]
 
         # Per-router dispatch state.  ``_nonempty[r]`` maps lv -> True
         # (int keys, insertion ordered) for every non-empty input of
@@ -101,184 +68,14 @@ class ReferenceCore:
         self._hot_list: List[int] = []
 
         # Event wheels.
-        max_delay = max(self._hop_delay, default=1)
-        max_delay = max(max_delay, max(self._credit_delay, default=1))
-        self._wheel_size = max_delay + 1
         self._arrivals: List[list] = [[] for _ in range(self._wheel_size)]
         self._credit_ret: List[list] = [[] for _ in range(self._wheel_size)]
 
         # Round-robin pointers: one per output link, one per ejection port.
-        self._rr_link = [0] * num_links
+        self._rr_link = [0] * graph.num_links
         self._rr_eject = [0] * num_nodes
 
-        # RNGs: numpy for the injection process, stdlib for route choices.
-        self._np_rng = np.random.default_rng(params.seed)
-        self._py_rng = random.Random(params.seed ^ 0x5EED)
-
-        # RoutingAlgorithm subclasses provide flattened (and, when
-        # deterministic, memoised) routes; duck-typed routings need only
-        # expose route().
-        self._route_flat = getattr(routing, "route_flat", None)
-
-        # Traffic bookkeeping.
-        self._active_nodes = list(traffic.active_nodes())
-        self._active_chips = traffic.num_active_chips()
-        chips = graph.chips()
-        self._nodes_per_chip = {
-            nid: len(chips[graph.nodes[nid].chip]) for nid in self._active_nodes
-        }
-
-        # Measurement.
-        self._pid = 0
-        # Probe surface (repro.metrics): when enabled, every created
-        # Packet is retained so run_record() can rebuild the flat
-        # per-packet arrays post-run.  Object retention has no effect
-        # on simulation state or RNG consumption.
-        self._probe_mode = False
-        self._packets: List[Packet] = []
-        self._latencies: List[int] = []
-        self._hops: List[int] = []
-        self._packets_measured = 0
-        self._flits_ejected_window = 0
-        self.total_flits_injected = 0
-        self.total_flits_ejected = 0
-        #: cycles simulated by previous run() calls; keeps leftover
-        #: in-flight events aligned with their wheel slots and packet
-        #: timestamps monotonic across repeated run() calls.  0 for a
-        #: fresh instance, where behaviour is bit-identical to the
-        #: original single-run implementation.
-        self._clock = 0
-        #: the closed-loop PhasePlan of the most recent run (None for
-        #: open-loop runs); run_record() reads its phase records and
-        #: measurement window.
-        self._plan = None
-
     # ------------------------------------------------------------------
-    def injection_probs(self, rate: float) -> List[float]:
-        """Per-active-node packet-start probability per cycle."""
-        pkt_len = self.params.packet_length
-        return [
-            rate / (pkt_len * self._nodes_per_chip[nid])
-            for nid in self._active_nodes
-        ]
-
-    def make_schedule(self, rate: float) -> InjectionSchedule:
-        """Sample an injection schedule (consumes the numpy RNG).
-
-        Statistically identical to the per-cycle Bernoulli draw; used to
-        pin both cores to the same packet starts.
-        """
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        probs = self.injection_probs(rate)
-        if any(pr > 1.0 for pr in probs):
-            raise ValueError(
-                f"offered rate {rate} exceeds 1 packet/node/cycle; "
-                "increase packet_length or lower the rate"
-            )
-        p = self.params
-        return build_injection_schedule(
-            self._active_nodes,
-            probs,
-            p.warmup_cycles + p.measure_cycles,
-            self._np_rng,
-        )
-
-    def _make_packet(
-        self, t: int, src: int, measured: bool, dst: Optional[int] = None
-    ) -> Optional[Packet]:
-        # a caller-provided destination (closed-loop plan events) skips
-        # the traffic draw, so no RNG is consumed — matching the array
-        # core's plan-mode stream
-        if dst is None:
-            dst = self.traffic.dest(src, self._py_rng)
-        if dst is None or dst == src:
-            return None
-        if self._route_flat is not None:
-            path, path_lv = self._route_flat(src, dst, self._py_rng)
-        else:
-            path = tuple(self.routing.route(src, dst, self._py_rng))
-            num_vcs = self.num_vcs
-            path_lv = tuple(l * num_vcs + v for l, v in path)
-        pkt = Packet(
-            self._pid, src, dst, self.params.packet_length, path, t, measured
-        )
-        pkt.path_lv = path_lv
-        self._pid += 1
-        if self._probe_mode:
-            self._packets.append(pkt)
-        return pkt
-
-    # ------------------------------------------------------------------
-    def enable_probes(self) -> None:
-        """Start retaining packets for the probe surface."""
-        if self._clock:
-            raise RuntimeError(
-                "probes must be enabled before the first run()"
-            )
-        self._probe_mode = True
-
-    def run_record(self, rate: float) -> RunRecord:
-        """Bulk measurement record of this core's runs so far."""
-        if not self._probe_mode:
-            raise RuntimeError(
-                "probing was not enabled on this core; pass probes= to "
-                "Simulator (or call enable_probes() before run())"
-            )
-        p = self.params
-        graph = self.graph
-        plan = self._plan
-        if plan is not None:
-            # closed-loop: the window is the measured makespan, not the
-            # (huge) horizon the params carried as a safety bound
-            measure_start = plan._t0
-            measure_cycles = plan.elapsed()
-            measure_end = measure_start + measure_cycles
-            phases = plan.phase_records()
-        else:
-            measure_start = self._clock - p.drain_cycles - p.measure_cycles
-            measure_cycles = p.measure_cycles
-            measure_end = measure_start + measure_cycles
-            phases = ()
-        p_src, p_dst, p_t0, p_meas = [], [], [], []
-        p_done, p_hops, p_off = [], [], []
-        route_lv: List[int] = []
-        for pkt in self._packets:
-            p_src.append(pkt.src)
-            p_dst.append(pkt.dst)
-            p_t0.append(pkt.t_create)
-            p_meas.append(1 if pkt.measured else 0)
-            p_done.append(pkt.t_done)
-            p_hops.append(pkt.path_len)
-            p_off.append(len(route_lv))
-            route_lv.extend(pkt.path_lv)
-        return RunRecord(
-            core=self.core_id,
-            rate=rate,
-            num_nodes=graph.num_nodes,
-            num_links=graph.num_links,
-            num_vcs=self.num_vcs,
-            packet_length=p.packet_length,
-            measure_start=measure_start,
-            measure_end=measure_end,
-            measure_cycles=measure_cycles,
-            active_chips=self._active_chips,
-            p_src=p_src,
-            p_dst=p_dst,
-            p_t0=p_t0,
-            p_meas=p_meas,
-            p_done=p_done,
-            p_hops=p_hops,
-            p_off=p_off,
-            route_lv=route_lv,
-            node_chip={
-                nid: node.chip for nid, node in enumerate(graph.nodes)
-            },
-            link_ends=[(l.src, l.dst) for l in graph.links],
-            failed_links=failed_links_of(self.routing),
-            phases=phases,
-        )
-
     def _finish_flit(self, pkt: Packet, fidx: int, t: int, in_window: bool) -> None:
         """Account one flit leaving the network at its destination."""
         self.total_flits_ejected += 1
@@ -289,6 +86,8 @@ class ReferenceCore:
             if pkt.measured:
                 self._latencies.append(t - pkt.t_create)
                 self._hops.append(len(pkt.path))
+                if self._probe_mode:
+                    self._eject_pid.append(pkt.pid)
             if self._plan is not None:
                 self._plan.packet_done(pkt.pid, t)
 
@@ -302,68 +101,37 @@ class ReferenceCore:
         """Run the full warmup+measure+drain schedule at ``rate``.
 
         ``rate`` is offered load in flits/cycle/chip over the traffic
-        pattern's active chips.  When ``schedule`` is given, packet
-        starts come from it (in order) instead of per-cycle Bernoulli
-        draws — the mode the cross-core equivalence tests pin.
-        ``plan`` switches to closed-loop mode: events come from a
+        pattern's active chips; ``schedule`` pins the packet starts
+        instead of sampling them.  ``plan`` switches to closed-loop
+        mode: events come from a
         :class:`~repro.workload.driver.PhasePlan` whose phase releases
         feed back from tail-flit ejections, and the loop ends when the
         last phase drains.
         """
-        if plan is not None and schedule is not None:
-            raise ValueError("pass either a schedule or a plan, not both")
+        ctx = self._begin(rate, schedule, plan)
+        t0, warm, meas_end, t_end = ctx.t0, ctx.warm, ctx.meas_end, ctx.t_end
         p = self.params
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        self._plan = plan
-        meas = p.measure_cycles
-        # absolute cycle stamps: this run covers [t0, t_end)
-        t0 = self._clock
-        warm = t0 + p.warmup_cycles
-        meas_end = warm + meas
-        t_end = meas_end + p.drain_cycles
         pkt_len = p.packet_length
-
+        num_vcs = self.num_vcs
+        packets = self._packets
+        pid0 = ctx.pid0
         if plan is not None:
-            if rate <= 0:
-                raise ValueError("closed-loop rate must be > 0")
-            # nothing is offered open-loop: the plan injects on demand
-            effective_offered = 0.0
             ev_cycles = plan.ev_cycles
             ev_nodes = plan.ev_nodes
             ev_dests = plan.ev_dests
-            n_ev = plan.begin(t0)
-            ev_ptr = 0
+            # routes are drawn at injection (release order is dynamic)
+            ev_off: List[int] = []
+            ev_hops: List[int] = []
+            ev_meas: List[bool] = []
         else:
-            # Per-node Bernoulli probability of *starting a packet*
-            # this cycle.
-            active = self._active_nodes
-            probs = np.array(self.injection_probs(rate), dtype=np.float64)
-            if np.any(probs > 1.0):
-                raise ValueError(
-                    f"offered rate {rate} exceeds 1 packet/node/cycle; "
-                    "increase packet_length or lower the rate"
-                )
-            active_arr = np.array(active, dtype=np.int64)
-            # patterns with inactive nodes offer less than the nominal
-            # rate
-            effective_offered = (
-                float(probs.sum()) * pkt_len / self._active_chips
-                if self._active_chips
-                else 0.0
-            )
-
-            # Pinned-schedule injection state (None -> legacy Bernoulli).
-            if schedule is not None:
-                # schedule cycles are run-local; shift onto the clock
-                ev_cycles = (
-                    [c + t0 for c in schedule.cycles]
-                    if t0
-                    else schedule.cycles
-                )
-                ev_nodes = schedule.nodes
-                n_ev = len(ev_cycles)
-                ev_ptr = 0
+            # this run's events are the packet table's new rows
+            ev_cycles = packets.t0[pid0:].tolist()
+            ev_nodes = packets.src[pid0:].tolist()
+            ev_dests = packets.dst[pid0:].tolist()
+            ev_off = packets.off[pid0:].tolist()
+            ev_hops = packets.hops[pid0:].tolist()
+        n_ev = ctx.n_new
+        ev_ptr = 0
 
         wheel_size = self._wheel_size
         arrivals = self._arrivals
@@ -382,7 +150,6 @@ class ReferenceCore:
         credit_delay_lv = self._credit_delay_lv
         hop_delay = self._hop_delay
         cap = self._cap
-        np_rng = self._np_rng
         inj_w = p.injection_width
         ej_w = p.ejection_width
         finish_flit = self._finish_flit
@@ -414,43 +181,28 @@ class ReferenceCore:
 
             # --- 3. packet generation ----------------------------------
             if t < meas_end:
-                if plan is not None:
-                    starts = []
-                    while ev_ptr < n_ev and ev_cycles[ev_ptr] == t:
-                        nid = ev_nodes[ev_ptr]
-                        dst = ev_dests[ev_ptr]
-                        ev_ptr += 1
-                        # dst is pre-drawn and never None/self, so the
-                        # packet always materialises and pid stays equal
-                        # to the event index (the plan relies on that).
-                        pkt = self._make_packet(t, nid, in_window, dst=dst)
-                        if in_window:
-                            self._packets_measured += 1
-                        if not pkt.path:
-                            for fidx in range(pkt.size):
-                                self.total_flits_injected += 1
-                                finish_flit(pkt, fidx, t, in_window)
-                            continue
-                        srcq[nid].append([pkt, 0])
-                        if not hot_flag[nid]:
-                            hot_flag[nid] = 1
-                            hot_list.append(nid)
-                elif schedule is not None:
-                    starts = []
-                    while ev_ptr < n_ev and ev_cycles[ev_ptr] == t:
-                        starts.append(ev_nodes[ev_ptr])
-                        ev_ptr += 1
-                else:
-                    mask = np_rng.random(len(active_arr)) < probs
-                    starts = (
-                        [int(n) for n in active_arr[mask]]
-                        if mask.any()
-                        else []
+                while ev_ptr < n_ev and ev_cycles[ev_ptr] == t:
+                    nid = ev_nodes[ev_ptr]
+                    dst = ev_dests[ev_ptr]
+                    if plan is not None:
+                        off, nhops = self.route_slice(nid, dst)
+                        ev_off.append(off)
+                        ev_hops.append(nhops)
+                        ev_meas.append(in_window)
+                    else:
+                        off, nhops = ev_off[ev_ptr], ev_hops[ev_ptr]
+                    path_lv = tuple(
+                        self._routes.lv[off: off + nhops].tolist()
                     )
-                for nid in starts:
-                    pkt = self._make_packet(t, nid, in_window)
-                    if pkt is None:
-                        continue
+                    # every event creates its packet, so packet ids
+                    # follow event order (a plan relies on that)
+                    pkt = Packet(
+                        pid0 + ev_ptr, nid, dst, pkt_len,
+                        [(lv // num_vcs, lv % num_vcs) for lv in path_lv],
+                        t, in_window,
+                    )
+                    pkt.path_lv = path_lv
+                    ev_ptr += 1
                     if in_window:
                         self._packets_measured += 1
                     if not pkt.path:
@@ -705,17 +457,14 @@ class ReferenceCore:
 
         self._hot_list = hot_list
         self._clock = t_end
+        if plan is not None:
+            n = len(ev_off)
+            packets.append(
+                ev_cycles[:n], ev_meas, ev_nodes[:n], ev_dests[:n],
+                ev_off, ev_hops,
+            )
 
-        return SimResult.from_samples(
-            offered_rate=rate,
-            effective_offered=effective_offered,
-            latencies=self._latencies,
-            hops=self._hops,
-            packets_measured=self._packets_measured,
-            flits_ejected=self._flits_ejected_window,
-            active_chips=self._active_chips,
-            measure_cycles=plan.elapsed() if plan is not None else meas,
-        )
+        return self._result(ctx)
 
     # ------------------------------------------------------------------
     def flits_in_flight(self) -> int:

@@ -11,17 +11,9 @@ event list sorted by cycle.  The simulator then just walks a pointer —
 idle cycles cost a single integer comparison, and cores can even jump
 over provably idle stretches.
 
-Both simulator cores accept a prebuilt :class:`InjectionSchedule`, which
-is what makes cross-core equivalence exact: with a *pinned* schedule the
-only remaining randomness (destination and route choice) is drawn from
-the same ``random.Random`` stream in the same order by both cores.
-
-Determinism note: the schedule sampler consumes the numpy RNG stream
-differently from the retired per-cycle mask (one geometric batch per
-node instead of one uniform draw per cycle), so per-seed results shift
-relative to pre-schedule versions of this repo.  The process law is
-unchanged — saturation points and latency curves agree within seed
-noise (see ``benchmarks/bench_simcore.py``).
+Every simulator core samples its schedule here, from the same numpy
+stream (:meth:`repro.network.corebase.CoreBase.make_schedule`), or
+accepts a prebuilt :class:`InjectionSchedule` to pin the packet starts.
 """
 
 from __future__ import annotations

@@ -38,32 +38,33 @@ appear in routes because :class:`repro.faults.FaultAwareRouting` routes
 around them; the simulator arrays keep the healthy graph's link ids, so
 degraded and healthy runs share the same core machinery.
 
-:class:`Simulator` is a thin facade over three interchangeable cores:
+:class:`Simulator` is a thin facade over three interchangeable loops
+under one front end.  :class:`~repro.network.corebase.CoreBase` turns
+``(rate, seed)`` into packets with routes — schedule, destination and
+route are drawn once, before the loop, by the same code on every core
+— and each core adds only its implementation of the per-cycle model:
 
 * :class:`~repro.network.native.NativeCore` (default when a C compiler
-  is present) — the struct-of-arrays core with its hot loop compiled
-  on demand from ``_simcore.c``; bit-identical results to the array
-  core.
+  is present) — the struct-of-arrays loop compiled on demand from
+  ``_simcore.c``.
 * :class:`~repro.network.simcore.ArrayCore` (portable default) — the
-  pure-Python struct-of-arrays core: packed-int flits, flat route
-  arrays, integer VC ownership, cached head-flit requests, and
-  idle-cycle fast-forwarding.
+  same loop in pure Python: packed-int flits, integer VC ownership,
+  cached head-flit requests, and idle-cycle fast-forwarding; also the
+  loop closed-loop plans run on.
 * :class:`~repro.network.refcore.ReferenceCore` — the original
   object-based implementation, kept as the semantic reference.
 
 Select explicitly with ``Simulator(..., core="reference")`` or globally
-via the ``REPRO_SIM_CORE`` environment variable.  Given the same pinned
-:class:`~repro.network.schedule.InjectionSchedule` all cores produce
-identical results; run free, the array/native cores consume the numpy
-RNG stream differently from the reference core, so individual per-seed
-numbers differ while curves agree within seed noise
-(``benchmarks/bench_simcore.py`` quantifies both).
+via the ``REPRO_SIM_CORE`` environment variable.  For the same
+``(graph, routing, traffic, params, rate)`` all cores return identical
+results and probe channels, whether or not an
+:class:`~repro.network.schedule.InjectionSchedule` is pinned
+(``tests/network/test_core_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..metrics import Probe, build_probe
@@ -110,6 +111,8 @@ def resolve_core(core: Optional[str] = None) -> str:
     core when it can be compiled, else the array core.  This is the
     only reader of the variable, so :class:`Simulator`,
     :func:`run_batch` and the engine always agree on the answer.
+    Asking for the native core by name on a host that cannot compile
+    it is a :class:`ValueError`, like any other unusable value.
     """
     source = "simulation core"
     if core is None:
@@ -118,12 +121,20 @@ def resolve_core(core: Optional[str] = None) -> str:
     if core is None:
         return "native" if native_available() else "array"
     try:
-        return _CORE_NAMES[_CORES[core]]
+        name = _CORE_NAMES[_CORES[core]]
     except KeyError:
         raise ValueError(
             f"unknown {source} {core!r}; "
             f"expected one of {sorted(set(_CORES))}"
         ) from None
+    if name == "native" and not native_available():
+        raise ValueError(
+            f"{source} {core!r} needs a C compiler and none was found "
+            "(or the kernel failed to build); use 'array' or "
+            f"'reference', or leave {CORE_ENV} unset to fall back "
+            "automatically"
+        )
+    return name
 
 
 def _build_probes(probes) -> List[Probe]:
@@ -237,11 +248,11 @@ class Simulator:
 
         ``rate`` is offered load in flits/cycle/chip over the traffic
         pattern's active chips.  ``schedule`` pins the packet-start
-        events (used by the cross-core equivalence harness); by default
-        the core samples its own.  ``plan`` switches to closed-loop
-        mode (see :class:`~repro.workload.driver.PhasePlan`): injections
-        follow the plan's phase releases and the run ends when the last
-        phase drains.
+        events; by default the core samples its own.  ``plan`` switches
+        to closed-loop mode (see
+        :class:`~repro.workload.driver.PhasePlan`): injections follow
+        the plan's phase releases and the run ends when the last phase
+        drains.
 
         With probes attached, each probe decodes the run's record into
         one channel on the returned result — strictly after the core
@@ -289,8 +300,6 @@ def run_simulation(
     return sim.run(rate)
 
 
-
-
 def _collect_channels(core, rate, probes, result) -> RunRecord:
     """Decode ``core``'s finished run into one channel per probe on
     ``result``; returns the record the probes read."""
@@ -299,17 +308,6 @@ def _collect_channels(core, rate, probes, result) -> RunRecord:
         channel = probe.collect(record)
         result.channels[channel.name] = channel
     return record
-
-
-# Table-routed configurations only (routings without a closed-form
-# route_plane(): meshes, fat-tree, PolarFly, HammingMesh, fault-aware
-# repair paths): the lane carrying the route table (arena + memo +
-# sorted mirror) the last native batch of a routing resolved, so
-# consecutive batches of one configuration resolve each (src, dst)
-# route once, not once per batch.  Keyed by id(routing): the donor
-# holds its routing, so the id cannot be reused while the entry lives.
-_ROUTE_DONORS_MAX = 4
-_route_donors: "OrderedDict[int, NativeCore]" = OrderedDict()
 
 
 def run_batch(
@@ -330,10 +328,10 @@ def run_batch(
     a fresh simulator over the shared ``graph``/``routing``/``traffic``
     with ``params`` reseeded to ``lanes[i][0]``.  Results are
     **bit-identical** to running each lane through its own
-    :class:`Simulator` — the batch only amortises setup (shared route
-    resolution, vectorized destination pre-resolution, one kernel call)
-    and, on multi-core hosts, threads lanes via ``REPRO_SIM_THREADS``
-    / ``threads`` (see :func:`repro.network.native.resolve_threads`).
+    :class:`Simulator` — the batch only amortises setup (vectorized
+    packet pre-resolution, one kernel call) and, on multi-core hosts,
+    threads lanes via ``REPRO_SIM_THREADS`` / ``threads`` (see
+    :func:`repro.network.native.resolve_threads`).
 
     ``core`` resolves as in :func:`resolve_core`.  This is the one
     place that decides between the packed :class:`NativeBatch` (native
@@ -353,13 +351,7 @@ def run_batch(
     rates = [rate for _, rate in lanes]
 
     if core == "native":
-        # NativeBatch validates the donor (same graph/routing objects,
-        # deterministic) and ignores any other, and the arena is
-        # append-only, so a donor is never wrong, at worst partial.
-        donor = _route_donors.get(id(routing))
-        with obs_trace.span(
-            "kernel.prepare", lanes=n, donor=donor is not None
-        ):
+        with obs_trace.span("kernel.prepare", lanes=n):
             batch = NativeBatch(
                 graph,
                 routing,
@@ -367,17 +359,11 @@ def run_batch(
                 params,
                 [seed for seed, _ in lanes],
                 probes=bool(built),
-                route_donor=donor,
             )
         with obs_trace.span("kernel.run", lanes=n, threads=threads):
             results = batch.run(
                 rates, schedules=schedules, threads=threads
             )
-        if batch.route_donor is not None:
-            _route_donors[id(routing)] = batch.route_donor
-            _route_donors.move_to_end(id(routing))
-            while len(_route_donors) > _ROUTE_DONORS_MAX:
-                _route_donors.popitem(last=False)
         if built:
             with obs_trace.span("probe.decode", lanes=n):
                 for lane_core, rate, res in zip(

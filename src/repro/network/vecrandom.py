@@ -2,9 +2,9 @@
 
 The simulator's bit-identity contract pins every destination draw to
 the stdlib ``random.Random`` stream (see
-:meth:`repro.network.native.NativeCore._resolve_packets`).  Resolving a
+:meth:`repro.network.corebase.CoreBase._resolve_packets`).  Resolving a
 batch of replicas event-by-event in Python is the dominant cost of the
-native core's pre-pass, so :class:`VecRandom` replays the *same* MT19937
+packet pre-pass, so :class:`VecRandom` replays the *same* MT19937
 stream in numpy: it imports a ``random.Random`` instance's state via
 ``getstate()``, generates tempered 32-bit words with a vectorized twist,
 replicates CPython's ``_randbelow_with_getrandbits`` rejection sampling

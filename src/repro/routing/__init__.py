@@ -6,6 +6,7 @@ from .dragonfly import DragonflyRouting
 from .mesh import SwitchStarRouting, XYMeshRouting, xy_links
 from .plane import ResolvedRoutes, RoutePlane
 from .switchless import SwitchlessRouting
+from .table import RouteArena, RouteTable
 
 __all__ = [
     "RoutingAlgorithm",
@@ -16,7 +17,9 @@ __all__ = [
     "verify_deadlock_free",
     "DragonflyRouting",
     "ResolvedRoutes",
+    "RouteArena",
     "RoutePlane",
+    "RouteTable",
     "SwitchStarRouting",
     "XYMeshRouting",
     "xy_links",

@@ -8,6 +8,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..network.packet import Hop
 from ..topology.graph import NetworkGraph
+from .table import RouteTable
 
 __all__ = [
     "RoutingAlgorithm",
@@ -84,8 +85,7 @@ class RoutingAlgorithm(ABC):
     def route_plane(self):
         """The routing's closed-form :class:`~repro.routing.plane.RoutePlane`,
         or ``None`` when routes are not a function of endpoint labels
-        (the native core then resolves pair by pair through
-        :meth:`route` and keeps a route table).
+        (the native core then reads :meth:`route_table`).
 
         A routing that offers a plane also offers ``draw_via(src, dst,
         rng)`` — the random part of :meth:`route`, consuming the RNG
@@ -93,6 +93,19 @@ class RoutingAlgorithm(ABC):
         equals the plane's route for ``(s, d, draw_via(s, d, rng))``.
         """
         return None
+
+    def route_table(self) -> Optional[RouteTable]:
+        """The routing's :class:`~repro.routing.table.RouteTable`, built
+        on first use, or ``None`` for a randomised routing.  Every
+        simulator core of this object that does not resolve through
+        :meth:`route_plane` reads it, so each pair is resolved once for
+        as long as the routing lives."""
+        if not self.is_deterministic:
+            return None
+        table = getattr(self, "_route_table", None)
+        if table is None:
+            table = self._route_table = RouteTable(self)
+        return table
 
     def enumerate_routes(self, src: int, dst: int) -> Iterable[List[Hop]]:
         """All routes the algorithm may produce for this pair.

@@ -5,8 +5,8 @@
 to event streams, cancel — with one **warm executor thread** draining
 the scheduler.  Executions run in-process through ``Study.run``, so the
 engine's worker-local LRUs (built topologies, routings with their route
-planes or memos), ``run_batch``'s ``route_donor`` route tables and the
-compiled native kernel stay resident across jobs: a resubmission pays
+planes or route tables) and the compiled native kernel stay resident
+across jobs: a resubmission pays
 zero process startup, zero kernel compile and zero route resolution.
 Engine worker processes (``workers > 1``) still fork per job for
 intra-job parallelism — on Linux they inherit the warm state.

@@ -16,7 +16,8 @@ stay bit-identical:
 * every phase's event *template* (per-node packet offsets and
   chip-counterpart destinations) is computed at plan construction, so
   no traffic RNG is consumed at runtime — the cores' stdlib RNG streams
-  only see route draws, in the same order;
+  only see route draws, in the same order, through the shared
+  :meth:`~repro.network.corebase.CoreBase.route_slice`;
 * packet ids equal event-consumption order (the plan never drops an
   event at injection time), so ``ev_phase[pid]`` maps a delivered
   packet back to its phase;
@@ -27,9 +28,8 @@ stay bit-identical:
   events with strict cycle equality (the reference core) never misses
   a release materialised at the end of cycle ``t_done``.
 
-The native core declines closed-loop runs and falls back to the array
-core's Python loop — mirroring the ``dest_batch = None`` decline idiom
-— because the C kernel has no per-cycle callback surface.
+The C kernel has no per-cycle callback surface, so a native core hands
+a plan to a fresh array core of the same configuration.
 
 Faults: when the traffic is a
 :class:`~repro.faults.traffic.FaultMaskedTraffic`, events whose source

@@ -66,6 +66,28 @@ def test_unknown_core_lists_the_valid_ones(monkeypatch):
         Simulator(None, None, None, SPEC.params, core="fast")
 
 
+def test_native_core_without_a_compiler_is_one_sentence(
+    monkeypatch, capsys
+):
+    from repro.network import simulator
+
+    monkeypatch.setattr(simulator, "native_available", lambda: False)
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    assert resolve_core() == "array"  # unset: falls back quietly
+    with pytest.raises(
+        ValueError, match="simulation core 'native' needs a C compiler"
+    ):
+        resolve_core("native")
+    monkeypatch.setenv("REPRO_SIM_CORE", "native")
+    with pytest.raises(
+        ValueError, match="^REPRO_SIM_CORE 'native' needs.*'array'"
+    ):
+        resolve_core()
+    test_cli_prints_one_line_and_exits_2(
+        monkeypatch, capsys, "REPRO_SIM_CORE", "native"
+    )
+
+
 @pytest.mark.parametrize(
     "name, value",
     [

@@ -1,10 +1,10 @@
 """Cross-core metric equivalence: probe channels agree bit-for-bit.
 
-With a pinned injection schedule all three cores build the same packet
-table, so the post-run probe decode must produce *identical* channels —
-on the smoke scenario's configurations and on a degraded (faulted)
-switchless system, whose repair routes exercise the probe layer's
-route decoding on an irregular graph.
+All three cores read the same packet table off the shared front end
+(no schedule is pinned here), so the post-run probe decode must
+produce *identical* channels — on the smoke scenario's configurations
+and on a degraded (faulted) switchless system, whose repair routes
+exercise the probe layer's route decoding on an irregular graph.
 """
 
 from pathlib import Path
@@ -29,15 +29,12 @@ PROBES = [
 
 def channels_per_core(spec, rate):
     graph, routing, traffic = build_experiment(spec)
-    schedule = Simulator(
-        graph, routing, traffic, spec.params
-    ).make_schedule(rate)
     out = {}
     for core in CORES:
         sim = Simulator(
             graph, routing, traffic, spec.params, core=core, probes=PROBES
         )
-        res = sim.run(rate, schedule=schedule)
+        res = sim.run(rate)
         out[core] = {
             name: ch.to_dict() for name, ch in res.channels.items()
         }

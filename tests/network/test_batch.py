@@ -353,9 +353,11 @@ class TestBatchLaneEdges:
         with pytest.raises(ValueError, match="rates"):
             batch.run([0.2])
 
-    def test_unpinned_batch_matches_unpinned_serial(self):
+    @pytest.mark.parametrize("core", SERIAL_CORES)
+    def test_unpinned_batch_matches_unpinned_serial(self, core):
         """Free-running lanes sample their own schedules from their
-        seed-derived streams — identical to free-running serial runs."""
+        seed-derived streams — identical to free-running serial runs
+        on every core."""
         spec = switchless_spec()
         lanes = self.lanes(4)
         graph, routing, traffic = build_experiment(spec)
@@ -369,7 +371,7 @@ class TestBatchLaneEdges:
                 routing,
                 traffic,
                 spec.params.scaled(seed=int(seed)),
-                core="native",
+                core=core,
             )
             serial.append(sim.run(rate))
         for b, s in zip(batched, serial):

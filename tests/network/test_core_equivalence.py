@@ -1,15 +1,12 @@
 """Cross-core equivalence: array, native and reference cores agree.
 
-With a pinned :class:`~repro.network.schedule.InjectionSchedule` the
-only randomness left (destination and route choice) is drawn from the
-same stdlib RNG stream in the same order by every core, so all
-``SimResult`` fields must be *identical* — these tests pin the smoke
-scenario's configurations plus a wafer-scale switchless one.
-
-Unpinned, the array and native cores sample the same schedule from the
-same numpy stream, so they must also agree bit-for-bit with each other
-(the reference core consumes the numpy stream differently and is only
-statistically equivalent; ``benchmarks/bench_simcore.py`` covers that).
+Schedule, destination and route of every packet are drawn by one
+shared front end (:mod:`repro.network.corebase`) before any core's
+loop starts, so all ``SimResult`` fields must be *identical* across
+cores — with a pinned
+:class:`~repro.network.schedule.InjectionSchedule` and without one.
+These tests cover the smoke scenario's configurations, a wafer-scale
+switchless one and a faulted system.
 """
 
 from pathlib import Path
@@ -56,6 +53,26 @@ def switchless_spec():
         ),
         rates=[0.4],
         label="SW-less",
+    )
+
+
+def faulted_spec():
+    return ExperimentSpec.create(
+        topology="switchless",
+        topology_opts={
+            "mesh_dim": 3, "chiplet_dim": 1, "num_local": 2,
+            "num_global": 1,
+        },
+        routing="switchless",
+        routing_opts={"mode": "minimal"},
+        traffic="uniform",
+        faults={"model": "random", "link_rate": 0.08, "seed": 3},
+        params=SimParams(
+            warmup_cycles=120, measure_cycles=300, drain_cycles=200,
+            seed=9,
+        ),
+        rates=[0.25],
+        label="SW-less-degraded",
     )
 
 
@@ -135,24 +152,37 @@ class TestPinnedSchedule:
         assert len(set(injected.values())) == 1, injected
 
 
-@pytest.mark.skipif(
-    not native_available(), reason="no C compiler for the native core"
-)
-class TestNativeMatchesArray:
-    def test_unpinned_results_identical(self):
-        """Free-running native and array cores share the schedule
-        sampler and RNG streams, so they agree without pinning."""
-        spec = switchless_spec()
-        graph, routing, traffic = build_experiment(spec)
-        rate = spec.rates[0]
-        res_n = Simulator(
-            graph, routing, traffic, spec.params, core="native"
-        ).run(rate)
-        res_a = Simulator(
-            graph, routing, traffic, spec.params, core="array"
-        ).run(rate)
-        assert res_n.to_dict() == res_a.to_dict()
+class TestUnpinned:
+    @pytest.mark.parametrize(
+        "spec",
+        smoke_specs()
+        + [
+            pytest.param(switchless_spec(), id="switchless"),
+            pytest.param(faulted_spec(), id="faulted"),
+        ],
+    )
+    def test_unpinned_results_identical(self, spec):
+        """Free-running cores sample the same schedule from the same
+        numpy stream and resolve it through the same front end, so
+        they agree without pinning."""
+        for rate in spec.rates:
+            sims, results = run_cores(spec, rate, pinned=False)
+            ref = results["reference"].to_dict()
+            base = sims["reference"]
+            for core, res in results.items():
+                assert res.to_dict() == ref, (
+                    f"{core} core diverged at rate {rate}"
+                )
+                sim = sims[core]
+                assert (
+                    sim.total_flits_injected == base.total_flits_injected
+                ), core
+                assert (
+                    sim.total_flits_ejected == base.total_flits_ejected
+                ), core
 
+
+class TestRepeatedRuns:
     def test_repeated_runs_accumulate_identically(self):
         """run() twice on one instance (drain leftovers persist)."""
         study = load_study(REPO / "scenarios" / "smoke.json")
@@ -160,12 +190,13 @@ class TestNativeMatchesArray:
         graph, routing, traffic = build_experiment(spec)
         sims = [
             Simulator(graph, routing, traffic, spec.params, core=c)
-            for c in ("native", "array")
+            for c in CORES
         ]
         for rate in (0.6, 0.3):
-            res = [sim.run(rate) for sim in sims]
-            assert res[0].to_dict() == res[1].to_dict(), f"rate {rate}"
-        assert sims[0].flits_in_flight() == sims[1].flits_in_flight()
+            res = [sim.run(rate).to_dict() for sim in sims]
+            assert res.count(res[0]) == len(res), f"rate {rate}"
+        in_flight = [sim.flits_in_flight() for sim in sims]
+        assert in_flight.count(in_flight[0]) == len(sims)
 
     def test_leftover_packets_survive_truncated_drain(self):
         """A zero-cycle drain strands measured packets in flight; the
@@ -178,13 +209,13 @@ class TestNativeMatchesArray:
         graph, routing, traffic = build_experiment(spec)
         sims = [
             Simulator(graph, routing, traffic, params, core=c)
-            for c in ("native", "array")
+            for c in CORES
         ]
-        first = [sim.run(0.9) for sim in sims]
-        assert first[0].to_dict() == first[1].to_dict()
+        first = [sim.run(0.9).to_dict() for sim in sims]
+        assert first.count(first[0]) == len(sims)
         assert sims[0].flits_in_flight() > 0  # drain really truncated
         second = [sim.run(0.0) for sim in sims]
-        assert second[0].to_dict() == second[1].to_dict()
+        assert all(r.to_dict() == second[0].to_dict() for r in second)
         for res in second:
             assert res.avg_latency >= 0
             assert res.p50_latency >= 0

@@ -2,9 +2,9 @@
 
 A routing that offers ``route_plane()`` is resolved in bulk from labels
 and leaves no per-pair state behind; one that returns ``None`` goes
-through the memo + sorted-mirror table.  Results are bit-identical
-either way (and to the pure-Python cores, which always run the scalar
-``route()``).
+through the routing's shared :class:`~repro.routing.RouteTable`.
+Results are bit-identical either way (and to the pure-Python cores,
+which always run the scalar ``route()``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from repro.network import (
     NativeBatch,
     SimParams,
     Simulator,
+    corebase,
     native_available,
-    simcore,
 )
 from repro.routing import DragonflyRouting, SwitchlessRouting
 from repro.topology.dragonfly import DragonflyConfig, build_dragonfly
@@ -81,13 +81,20 @@ def test_switchless_plane_equals_table(switchless, mode, policy):
         == table.lanes[0].routing.fallback_count
     )
     for core in plane.lanes:
-        assert core._plane is not None
-        assert not core._slice_memo and not core._route_lv
-        assert core._pair_mirror[0] is None
-    assert plane.route_donor is None
+        assert core._plane is not None and core._table is None
+    # a plane run builds neither the routing's table nor its memo
+    assert not hasattr(plane.lanes[0].routing, "_route_table")
+    assert not hasattr(plane.lanes[0].routing, "_route_memo")
     assert all(core._plane is None for core in table.lanes)
+    shared = table.lanes[0].routing.route_table()
     if mode == "minimal":
-        assert table.lanes[0]._slice_memo and table.route_donor is not None
+        assert len(shared)
+        assert all(core._routes is shared for core in table.lanes)
+    else:
+        # randomised routes are per packet: a per-core arena each
+        assert shared is None
+        arenas = {id(core._routes) for core in table.lanes}
+        assert len(arenas) == len(table.lanes)
 
 
 @pytest.mark.parametrize("mode", ["minimal", "valiant"])
@@ -115,9 +122,13 @@ def test_plane_core_equals_python_cores(switchless, mode):
     assert results["native"] == results["array"]
 
 
-def test_route_donor_is_accepted_and_inert(switchless):
-    routing = SwitchlessRouting(switchless, "minimal")
+@pytest.mark.parametrize(
+    "cls", [SwitchlessRouting, TableRoutedSwitchless], ids=["plane", "table"]
+)
+def test_route_donor_is_accepted_and_inert(switchless, cls):
+    routing = cls(switchless, "minimal")
     first, want = run_batch(switchless, routing)
+    assert first.route_donor is None
     second, got = run_batch(
         switchless, routing, route_donor=first.lanes[0]
     )
@@ -136,9 +147,10 @@ def test_probed_record_reads_the_plane_arena(switchless):
 
 
 def test_overlong_route_still_raises(switchless, monkeypatch):
-    monkeypatch.setattr(simcore, "_MAX_HOPS", 3)
-    with pytest.raises(ValueError, match="exceeds the core's hop field"):
-        run_batch(switchless, SwitchlessRouting(switchless, "minimal"))
+    monkeypatch.setattr(corebase, "_MAX_HOPS", 3)
+    for cls in (SwitchlessRouting, TableRoutedSwitchless):
+        with pytest.raises(ValueError, match="exceeds the core's hop field"):
+            run_batch(switchless, cls(switchless, "minimal"))
 
 
 def test_no_per_pair_state_survives_a_batch(switchless):
@@ -153,13 +165,11 @@ def test_no_per_pair_state_survives_a_batch(switchless):
         before = tracemalloc.get_traced_memory()[0]
         batch = NativeBatch(graph, routing, traffic, PARAMS, SEEDS[:1])
         batch.run([rate], threads=1)
-        packets = sum(core._num_packets for core in batch.lanes)
-        donor = batch.route_donor
+        packets = sum(len(core._packets) for core in batch.lanes)
         del batch
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.stop()
-        del donor
         return kept, packets
 
     plane_routing = SwitchlessRouting(switchless, "minimal")
@@ -170,5 +180,7 @@ def test_no_per_pair_state_survives_a_batch(switchless):
     assert many < few + 16_384
     assert not hasattr(plane_routing, "_route_memo")
 
-    table, n_table = retained(TableRoutedSwitchless(switchless, "minimal"), 0.5)
+    # the table lives on (and with) the routing object
+    table_routing = TableRoutedSwitchless(switchless, "minimal")
+    table, n_table = retained(table_routing, 0.5)
     assert table > 50 * n_table > many

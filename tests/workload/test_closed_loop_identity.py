@@ -3,8 +3,8 @@
 The PhasePlan precomputes every event template and destination, so the
 cores' RNG streams see route draws only, in the same order — closed-loop
 runs must match across cores exactly like open-loop runs do.  The native
-core declines plan mode and falls back to the array core's Python loop,
-so it matches trivially (asserted anyway).
+core hands a plan to a fresh array core, so it matches trivially
+(asserted anyway).
 """
 
 import math
@@ -103,6 +103,36 @@ def test_native_declines_to_array_loop():
     except (RuntimeError, OSError) as exc:  # kernel unavailable here
         pytest.skip(f"native core unavailable: {exc}")
     assert_identical(a, n)
+
+
+def test_native_runs_a_plan_only_as_its_one_run():
+    """The plan runs on a fresh array core behind the native one, so a
+    native core cannot mix it with runs of its own."""
+    from repro.network import native_available
+
+    if not native_available():
+        pytest.skip("no C compiler for the native core")
+    spec = mesh_spec(
+        workload="ring_allreduce", workload_opts={"volume": 32}
+    )
+    graph, routing, traffic = build_experiment(spec)
+    workload = workload_for_traffic(
+        spec.workload, dict(spec.workload_opts), traffic
+    )
+
+    def plan():
+        return PhasePlan(
+            workload, traffic, params=spec.params, rate=RATE, seed=1
+        )
+
+    sim = Simulator(graph, routing, traffic, spec.params, core="native")
+    sim.run(0.2)
+    with pytest.raises(RuntimeError, match="only as its one run"):
+        sim.run(RATE, plan=plan())
+    sim = Simulator(graph, routing, traffic, spec.params, core="native")
+    sim.run(RATE, plan=plan())
+    with pytest.raises(RuntimeError, match="only as its one run"):
+        sim.run(0.2)
 
 
 def switchless_spec(**kw):

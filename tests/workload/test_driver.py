@@ -1,5 +1,7 @@
 """PhasePlan semantics and the closed-loop driver."""
 
+import math
+
 import pytest
 
 from repro.engine import ExperimentSpec, build_experiment
@@ -160,6 +162,37 @@ class TestRunClosedLoop:
         cct = result.channels["cct"]
         assert cct.summary["phases"] == 0.0
         assert cct.rows == ()
+
+    def test_pacing_shows_only_past_one_packet_per_node_per_phase(self):
+        """The pacing rate sets the interval between a node's packets
+        inside one phase, and overlap needs a phase that computes —
+        why the bundled ``workload`` study (one packet per node per
+        ring step, no compute) reports one makespan at every rate and
+        a NaN ``overlap_fraction``."""
+        def channels(rate, **opts):
+            spec, _ = mesh_experiment(
+                workload="ring_allreduce", workload_opts=opts,
+                metrics=("cct", "overlap"),
+            )
+            return simulate_point(spec, rate).channels
+
+        def makespan(rate, volume):
+            return channels(rate, volume=volume)["cct"].summary["makespan"]
+
+        # 4 chips, 4-flit packets: volume 64 is 4 packets per node per
+        # phase, volume 16 is one
+        assert makespan(0.25, 64) > makespan(1.0, 64)
+        assert makespan(0.25, 16) == makespan(1.0, 16)
+        ring = channels(0.5, volume=64)["overlap"].summary
+        assert ring["compute_cycles"] == 0
+        assert math.isnan(ring["overlap_fraction"])
+        spec, _ = mesh_experiment(
+            workload="all_to_all",
+            workload_opts={"volume": 32, "compute": 40},
+            metrics=("overlap",),
+        )
+        computing = simulate_point(spec, 0.5).channels["overlap"].summary
+        assert math.isfinite(computing["overlap_fraction"])
 
     def test_overlap_reported_for_pipeline(self):
         spec, _ = mesh_experiment(
