@@ -3,8 +3,8 @@
 The unit of work is a *chunk*: the next few missing rates of one spec,
 simulated together by :func:`_run_chunk`.  How many is computed, never
 set (:func:`_chunk_width`): a packed batch of lanes when the session's
-core is the compiled kernel and the spec is open-loop, one rate
-otherwise.  Every lane is simulated with its
+core is the compiled kernel (open-loop and closed-loop specs alike),
+one rate otherwise.  Every lane is simulated with its
 :func:`~repro.engine.spec.point_seed`-derived seed, so a point's result
 is a pure function of the spec and rate — identical whatever chunk it
 rode in, whether that chunk ran in this process or in a pool worker,
@@ -147,12 +147,13 @@ def _chunk_width(spec: ExperimentSpec, threads: int) -> int:
     """Rates of ``spec`` simulated per chunk.
 
     A packed batch — at least :data:`_BATCH_CHUNK_MIN` lanes, one per
-    kernel thread beyond that — when the compiled kernel will run them;
-    one otherwise: the pure-Python cores gain nothing from a batch and
-    are parallelised by the process pool instead, and a closed-loop
-    plan needs a per-cycle callback the kernel does not have.
+    kernel thread beyond that — when the compiled kernel will run them,
+    whether the spec is open-loop or carries a workload (the kernel
+    releases a closed-loop plan's phases itself); one otherwise: the
+    pure-Python cores gain nothing from a batch and are parallelised by
+    the process pool instead.
     """
-    if resolve_core() == "native" and not spec.workload:
+    if resolve_core() == "native":
         return max(_BATCH_CHUNK_MIN, threads)
     return 1
 
@@ -184,17 +185,13 @@ def _run_chunk(
         graph, routing, traffic = build_experiment(
             spec, system=system, routing=routing
         )
+    plans = None
     if spec.workload:
-        # closed-loop: phase-scheduled injection, window = makespan
-        from ..workload.driver import run_closed_loop
+        # closed-loop: each lane's injections follow its own plan of the
+        # workload's phases, and its window is the measured makespan
+        from ..workload.driver import plan_points
 
-        with obs_trace.span(
-            "kernel.run", lanes=len(rates), workload=spec.workload
-        ):
-            return [
-                run_closed_loop(spec, graph, routing, traffic, rate)
-                for rate in rates
-            ]
+        plans = plan_points(spec, traffic, rates)
     return run_batch(
         graph,
         routing,
@@ -203,6 +200,7 @@ def _run_chunk(
         [(point_seed(spec, rate), rate) for rate in rates],
         threads=threads,
         probes=build_metrics(spec),
+        plans=plans,
     )
 
 

@@ -1,7 +1,7 @@
 /* Native kernel for the struct-of-arrays simulator core.
  *
  * Compiled on demand by repro.network.native with a plain
- * ``cc -O2 -shared -fPIC`` (no Python headers), loaded via ctypes.
+ * ``cc -O3 -shared -fPIC`` (no Python headers), loaded via ctypes.
  * All state lives in caller-owned int64 buffers, so a core instance
  * can run() repeatedly (drain leftovers persist) and Python can
  * inspect buffers for conservation checks.
@@ -9,11 +9,22 @@
  * The cycle model replicates repro.network.refcore.ReferenceCore
  * exactly — phases, per-output round-robin over candidate inputs in
  * input-insertion order, multi-pass grants for capacity > 1, wormhole
- * VC ownership, credit flow — so that, given the same injection
- * schedule and pre-resolved packet table, results are bit-identical
- * to both Python cores.  The Python wrapper pre-resolves every
- * packet's destination and route (the only consumers of the stdlib
- * RNG stream) in schedule order, so this kernel needs no callbacks.
+ * VC ownership, credit flow — so that, given the same pre-resolved
+ * packet table, results are bit-identical to both Python cores.  The
+ * Python wrapper pre-resolves every packet's destination and route
+ * (the only consumers of the stdlib RNG stream) before the run, so
+ * this kernel needs no callbacks in either of its two modes:
+ *
+ * - open loop: the packets inject at their scheduled cycles
+ *   (ev_cycle sorted, absolute);
+ * - plan mode (S.plan set): the packets are the template events of a
+ *   repro.workload.driver.PhasePlan, phase-major, and *when* they
+ *   inject is decided here.  A phase is released one cycle after the
+ *   last phase it waits on drained (indeg counts those down; rem
+ *   counts a phase's undelivered packets down at the tail-flit
+ *   ejection), its events inject compute + ev_off cycles later, and
+ *   the run ends when every phase has drained.
+ *   PhasePlan.begin/packet_done/flush is the specification.
  *
  * Flit words use the Python core's packing, minus the event tag that
  * would overflow 64 bits: f = (pid << 22) | (flit_idx << 11) | hop.
@@ -29,6 +40,39 @@ typedef int64_t i64;
 #define PID_SHIFT 22
 #define HOP_MASK ((1 << HOP_BITS) - 1)
 #define FIDX_MASK ((1 << (PID_SHIFT - FIDX_SHIFT)) - 1)
+
+/* A closed-loop plan: the flat arrays of a PhasePlan, which this
+ * kernel counts down and stamps in place, plus the scratch release
+ * needs.  Mirrored by _PlanState in repro.network.native; every buffer
+ * is sized by the plan (n_ph phases, n_ev events) and exists only for
+ * a plan's run. */
+typedef struct {
+    i64 n_ph;
+    i64 pid0;        /* first packet id of the run: event e is pid0 + e */
+    /* scratch counters, zero on entry */
+    i64 act_n;       /* released phases with events left */
+    i64 q_head, q_tail;
+    i64 done_n;      /* drained phases */
+    /* the templates (read-only) */
+    i64 *ev_off;     /* [n_ev] injection cycle, relative to phase start */
+    i64 *ev_phase;   /* [n_ev] phase of each event */
+    i64 *ev0;        /* [n_ph + 1] phase i owns events ev0[i]..ev0[i+1] */
+    i64 *compute;    /* [n_ph] cycles from release to first injection */
+    i64 *dep_ptr;    /* [n_ph + 1] CSR of the phases waiting on phase i */
+    i64 *dep_idx;
+    /* counters */
+    i64 *indeg;      /* [n_ph] undrained upstream phases, counts down */
+    i64 *rem;        /* [n_ph] undelivered packets, counts down */
+    /* cycle stamps, -1 until reached */
+    i64 *release;    /* [n_ph] */
+    i64 *comm_start; /* [n_ph] first injection */
+    i64 *done;       /* [n_ph] drain */
+    /* scratch */
+    i64 *cur;        /* [n_ph] next event of a released phase */
+    i64 *act;        /* [n_ph] the act_n active phases, release order */
+    i64 *queue;      /* [n_ph] phases released this cycle, FIFO; every
+                      * phase passes through once, so it never wraps */
+} Plan;
 
 /* Everything the kernel touches; mirrored field-for-field by the
  * ctypes.Structure in repro.network.native.  int64 scalars first,
@@ -49,7 +93,8 @@ typedef struct {
     i64 meas_end;
     i64 t_end;
     i64 t0;         /* first cycle of this run (continues prior runs) */
-    /* injection events (pre-resolved packets, schedule order) */
+    /* injection events (pre-resolved packets: schedule order, or a
+     * plan's template order) */
     i64 n_ev;
     /* outputs / running counters (read-modify-write) */
     i64 n_lat;
@@ -94,7 +139,8 @@ typedef struct {
     i64 *hot_a;      /* [num_nodes] current list */
     i64 *hot_b;      /* [num_nodes] next list */
     unsigned char *hot_flag; /* [num_nodes] */
-    /* packet table and flattened routes (read-only here) */
+    /* packet table and flattened routes (read-only here, except that
+     * plan mode stamps p_t0 and p_meas at injection) */
     i64 *p_off;      /* [num_packets] route offset */
     i64 *p_hops;     /* [num_packets] route length */
     i64 *p_t0;       /* [num_packets] creation cycle */
@@ -103,7 +149,7 @@ typedef struct {
     i64 *lv_link;    /* per-lv link id (lv / num_vcs) */
     i64 *lv_delay;   /* per-lv in-flight delay of its link */
     /* injection events */
-    i64 *ev_cycle;   /* [n_ev] sorted */
+    i64 *ev_cycle;   /* [n_ev] sorted (open loop only) */
     i64 *ev_src;     /* [n_ev] */
     i64 *ev_pid;     /* [n_ev] */
     /* measurement output */
@@ -115,6 +161,8 @@ typedef struct {
     i64 *sc_key;
     i64 *sc_cand;
     i64 *sc_used;
+    /* closed-loop plan; NULL for an open-loop run */
+    Plan *plan;
 } S;
 
 /* drop input lv from router r's insertion-ordered list */
@@ -132,6 +180,106 @@ static void ne_remove(S *s, i64 r, i64 lv)
     }
 }
 
+/* ------------------------------------------------------------------
+ * Plan mode: phase release as dependency counters.
+ * ------------------------------------------------------------------ */
+
+/* phase i drained at t_done (or had nothing to send): the phases it
+ * was the last to hold back are released the cycle after */
+static void plan_drained(Plan *p, i64 i, i64 t_done)
+{
+    p->done[i] = t_done;
+    p->done_n++;
+    for (i64 k = p->dep_ptr[i]; k < p->dep_ptr[i + 1]; k++) {
+        i64 j = p->dep_idx[k];
+        if (--p->indeg[j] == 0) {
+            p->release[j] = t_done + 1;
+            p->queue[p->q_tail++] = j;
+        }
+    }
+}
+
+/* tail flit of packet pid left the network at cycle t (leftovers of an
+ * earlier open-loop run, pid < pid0, are not the plan's) */
+static inline void plan_packet_done(Plan *p, i64 pid, i64 t)
+{
+    i64 e = pid - p->pid0;
+    if (e >= 0) {
+        i64 i = p->ev_phase[e];
+        if (--p->rem[i] == 0)
+            plan_drained(p, i, t);
+    }
+}
+
+/* end of cycle: start every phase released during it.  A phase with
+ * nothing to send drains after its compute delay, on the spot, which
+ * may queue further phases behind it. */
+static void plan_flush(Plan *p)
+{
+    while (p->q_head < p->q_tail) {
+        i64 i = p->queue[p->q_head++];
+        i64 start = p->release[i] + p->compute[i];
+        i64 e = p->ev0[i];
+        if (e < p->ev0[i + 1]) {
+            p->comm_start[i] = start + p->ev_off[e];
+            p->cur[i] = e;
+            p->act[p->act_n++] = i;
+        } else {
+            plan_drained(p, i, start);
+        }
+    }
+}
+
+/* the DAG's roots are released at t0 */
+static void plan_begin(Plan *p, i64 t0)
+{
+    for (i64 i = 0; i < p->n_ph; i++)
+        if (p->indeg[i] == 0) {
+            p->release[i] = t0;
+            p->queue[p->q_tail++] = i;
+        }
+    plan_flush(p);
+}
+
+static inline i64 plan_cycle(const Plan *p, i64 i, i64 e)
+{
+    return p->release[i] + p->compute[i] + p->ev_off[e];
+}
+
+/* The next event due by cycle t, or -1.  Scanning the released phases
+ * in release order yields a cycle's events by (release sequence,
+ * template index): the order PhasePlan.flush's stable sort gives them.
+ * A phase leaves the active list with its last event. */
+static i64 plan_due(Plan *p, i64 t)
+{
+    for (i64 a = 0; a < p->act_n; a++) {
+        i64 i = p->act[a];
+        i64 e = p->cur[i];
+        if (plan_cycle(p, i, e) > t)
+            continue;
+        if (++p->cur[i] == p->ev0[i + 1]) {
+            p->act_n--;
+            for (i64 b = a; b < p->act_n; b++)
+                p->act[b] = p->act[b + 1];
+        }
+        return e;
+    }
+    return -1;
+}
+
+/* cycle of the earliest released event not yet injected, or -1 */
+static i64 plan_next_cycle(const Plan *p)
+{
+    i64 best = -1;
+    for (i64 a = 0; a < p->act_n; a++) {
+        i64 i = p->act[a];
+        i64 c = plan_cycle(p, i, p->cur[i]);
+        if (best < 0 || c < best)
+            best = c;
+    }
+    return best;
+}
+
 i64 sim_run(S *s)
 {
     const i64 W = s->wheel_size, SC = s->slot_cap, BC = s->buf_cap;
@@ -139,6 +287,7 @@ i64 sim_run(S *s)
     const i64 inj_w = s->inj_w, ej_w = s->ej_w;
     const i64 warm = s->warm, meas_end = s->meas_end, t_end = s->t_end;
     const i64 n_ev = s->n_ev;
+    Plan *const plan = s->plan;
 
     i64 *hot = s->hot_a, *nxt = s->hot_b;
     i64 hot_n = s->hot_n, nxt_n;
@@ -149,6 +298,9 @@ i64 sim_run(S *s)
     i64 pending = 0;
     for (i64 i = 0; i < W; i++)
         pending += s->aw_n[i] + s->cw_n[i];
+
+    if (plan)
+        plan_begin(plan, s->t0);
 
     for (i64 t = s->t0; t < t_end; ) {
         i64 slot = t % W;
@@ -195,11 +347,25 @@ i64 sim_run(S *s)
             }
         }
 
-        /* --- 3. packet generation (pre-resolved schedule) -------- */
-        while (ipk < n_ev && s->ev_cycle[ipk] <= t) {
-            i64 pid = s->ev_pid[ipk];
-            i64 src = s->ev_src[ipk];
-            ipk++;
+        /* --- 3. packet generation (pre-resolved packets) --------- */
+        for (;;) {
+            i64 e;
+            if (plan) {
+                e = plan_due(plan, t);
+                if (e < 0)
+                    break;
+            } else {
+                if (ipk >= n_ev || s->ev_cycle[ipk] > t)
+                    break;
+                e = ipk++;
+            }
+            i64 pid = s->ev_pid[e];
+            i64 src = s->ev_src[e];
+            if (plan) {
+                /* a plan's packet is created when it is released */
+                s->p_t0[pid] = t;
+                s->p_meas[pid] = in_window;
+            }
             if (s->p_meas[pid])
                 pm++;
             if (s->p_hops[pid] == 0) {
@@ -213,6 +379,8 @@ i64 sim_run(S *s)
                     s->pid_out[n_lat] = pid;
                     n_lat++;
                 }
+                if (plan)
+                    plan_packet_done(plan, pid, t);
                 continue;
             }
             if (s->sq_len[src] == 0)
@@ -388,13 +556,17 @@ i64 sim_run(S *s)
                                 tfe++;
                                 if (in_window)
                                     few++;
-                                if (fidx == szm1 && s->p_meas[pid]) {
-                                    s->lat_out[n_lat] =
-                                        t - s->p_t0[pid];
-                                    s->hops_out[n_lat] =
-                                        s->p_hops[pid];
-                                    s->pid_out[n_lat] = pid;
-                                    n_lat++;
+                                if (fidx == szm1) {
+                                    if (s->p_meas[pid]) {
+                                        s->lat_out[n_lat] =
+                                            t - s->p_t0[pid];
+                                        s->hops_out[n_lat] =
+                                            s->p_hops[pid];
+                                        s->pid_out[n_lat] = pid;
+                                        n_lat++;
+                                    }
+                                    if (plan)
+                                        plan_packet_done(plan, pid, t);
                                 }
                             } else {
                                 i64 base = s->p_off[pid] + nh;
@@ -469,12 +641,21 @@ i64 sim_run(S *s)
         }
 
         t++;
+        /* --- 5. phase releases (plan mode) ----------------------- */
+        if (plan) {
+            /* phases that drained this cycle release their dependents
+             * at t: started here, before the next generation pass */
+            plan_flush(plan);
+            if (plan->done_n == plan->n_ph)
+                break;
+        }
         /* --- idle fast-forward ----------------------------------- */
         if (hot_n == 0 && pending == 0) {
-            if (ipk < n_ev)
-                t = s->ev_cycle[ipk];
-            else
+            i64 next = plan ? plan_next_cycle(plan)
+                     : ipk < n_ev ? s->ev_cycle[ipk] : -1;
+            if (next < 0)
                 break;
+            t = next;
         }
     }
 

@@ -33,9 +33,14 @@ that resolve through the routing's closed-form
 :class:`~repro.routing.plane.RoutePlane` (the native core only: the
 Python cores keep checking the plane against the scalar ``route()``).
 
-Closed-loop (``plan``) runs cannot be pre-resolved — release order is
-dynamic — so the two Python loops draw routes at injection through the
-same scalar :meth:`CoreBase.route_slice`.
+Closed-loop (``plan``) runs are pre-resolved too
+(:meth:`CoreBase._begin`): *when* a phase's events inject is dynamic,
+but which packets exist is not, so every template event of the
+:class:`~repro.workload.driver.PhasePlan` becomes a packet-table row
+before the loop, in template order — its route resolved through the
+same bulk calls, its creation cycle and measured flag stamped by the
+loop at injection.  A plan's packet ids are therefore static
+(``pid0`` + template index) on every core.
 
 Measurement state accumulates across ``run()`` calls and the cycle
 clock keeps counting, so leftover in-flight state from a truncated
@@ -82,8 +87,10 @@ def _as_i64(values) -> np.ndarray:
 class PacketTable:
     """Every packet a core created, one int64 row per field.
 
-    Packet ids are column indices; each open-loop pre-pass (or finished
-    closed-loop run) appends its packets in creation order.
+    Packet ids are column indices; each pre-pass appends its packets
+    once: an open-loop run's in creation order, a closed-loop plan's in
+    template order (``t0`` = -1 and ``meas`` = 0 until a loop injects
+    the packet and stamps both in place).
     """
 
     def __init__(self) -> None:
@@ -528,20 +535,51 @@ class CoreBase:
         ctx.n_new = len(self._packets) - ctx.pid0
         return ctx
 
-    def _begin(self, rate: float, schedule, plan) -> RunCtx:
-        """Entry of a Python loop's ``run()``: the prepared open-loop
-        run, or a closed-loop ``plan``'s — same window, no packets yet,
-        ``n_new`` counting the plan's first released events."""
+    def _begin(
+        self, rate: float, schedule, plan, *, vec: bool = False
+    ) -> RunCtx:
+        """Everything before a loop: the prepared open-loop run, or a
+        closed-loop ``plan``'s.
+
+        A plan's template events become this run's packet rows, in
+        template order, with routes resolved the way the open-loop
+        pre-passes do: in one call through the plane or the routing's
+        table when the routing is deterministic, else (a randomised
+        routing, a full table) pair by pair through :meth:`route_slice`,
+        which is then the stdlib RNG's only consumer.  The plan brings
+        its own window, ``[t0, t0 + horizon)`` with no warmup and no
+        drain, and nothing is offered open-loop.
+        """
         if plan is not None and schedule is not None:
             raise ValueError("pass either a schedule or a plan, not both")
         self._plan = plan
         if plan is None:
-            return self._prepare(rate, schedule)
+            return self._prepare(rate, schedule, vec=vec)
         if rate <= 0:
             raise ValueError("closed-loop rate must be > 0")
-        # nothing is offered open-loop: the plan injects on demand
         ctx = self._open(rate)
-        ctx.n_new = plan.begin(ctx.t0)
+        ctx.warm = ctx.t0
+        ctx.meas_end = ctx.t_end = ctx.t0 + plan.horizon()
+        srcs, dsts = plan.tpl_src, plan.tpl_dst
+        bulk = None
+        if self._deterministic and srcs.size:
+            if self._plane is not None:
+                bulk = self._plane_slices(srcs, dsts)
+            elif self._table is not None:
+                bulk = self._table.slices(srcs, dsts, self._py_rng)
+                if bulk is not None:
+                    self._check_hops(int(bulk[1].max()))
+        if bulk is None:
+            pairs = [
+                self.route_slice(src, dst)
+                for src, dst in zip(srcs.tolist(), dsts.tolist())
+            ]
+            bulk = [sl[0] for sl in pairs], [sl[1] for sl in pairs]
+        n = srcs.size
+        self._packets.append(
+            np.full(n, -1), np.zeros(n), srcs, dsts, *bulk
+        )
+        ctx.n_new = n
         return ctx
 
     # -- results ----------------------------------------------------------

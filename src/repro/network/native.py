@@ -8,13 +8,17 @@ build-system dependency), loads it via :mod:`ctypes`, and wraps it as
 :class:`NativeCore`.
 
 Packets arrive pre-resolved from the shared front end
-(:mod:`repro.network.corebase`: destinations, routes and creation
-cycles are drawn before the loop on every core), so the C kernel runs
-the entire warmup+measure+drain window without a single callback and
-replicates the Python loops' cycle semantics exactly: ``NativeCore``
-returns **bit-identical** :class:`~repro.network.stats.SimResult`\\ s
-to the array and reference cores (asserted by
-``tests/network/test_core_equivalence.py``).
+(:mod:`repro.network.corebase`: destinations and routes are drawn
+before the loop on every core), so the C kernel runs an entire window
+without a single callback — open-loop, where the packets' creation
+cycles are pre-drawn too, and closed-loop, where a
+:class:`~repro.workload.driver.PhasePlan`'s flat arrays are handed to
+the kernel's plan mode and phase release is integer dependency
+counters inside it.  It replicates the Python loops' cycle semantics
+exactly: ``NativeCore`` returns **bit-identical**
+:class:`~repro.network.stats.SimResult`\\ s to the array and reference
+cores (asserted by ``tests/network/test_core_equivalence.py`` and
+``tests/workload/test_closed_loop_identity.py``).
 
 When no C compiler is available the loader returns ``None`` and
 :class:`~repro.network.simulator.Simulator` falls back to the
@@ -87,6 +91,34 @@ _i64p = ctypes.POINTER(ctypes.c_int64)
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 
 
+class _PlanState(ctypes.Structure):
+    """Mirror of ``Plan`` in ``_simcore.c`` (same field order): a
+    closed-loop plan's arrays plus the kernel's release scratch."""
+
+    _fields_ = [
+        ("n_ph", ctypes.c_int64),
+        ("pid0", ctypes.c_int64),
+        ("act_n", ctypes.c_int64),
+        ("q_head", ctypes.c_int64),
+        ("q_tail", ctypes.c_int64),
+        ("done_n", ctypes.c_int64),
+        ("ev_off", _i64p),
+        ("ev_phase", _i64p),
+        ("ev0", _i64p),
+        ("compute", _i64p),
+        ("dep_ptr", _i64p),
+        ("dep_idx", _i64p),
+        ("indeg", _i64p),
+        ("rem", _i64p),
+        ("release", _i64p),
+        ("comm_start", _i64p),
+        ("done", _i64p),
+        ("cur", _i64p),
+        ("act", _i64p),
+        ("queue", _i64p),
+    ]
+
+
 class _SimState(ctypes.Structure):
     """Mirror of ``struct S`` in ``_simcore.c`` (same field order)."""
 
@@ -156,6 +188,7 @@ class _SimState(ctypes.Structure):
         ("sc_key", _i64p),
         ("sc_cand", _i64p),
         ("sc_used", _i64p),
+        ("plan", ctypes.POINTER(_PlanState)),
     ]
 
 
@@ -277,6 +310,12 @@ def _ptr(arr: np.ndarray):
     return arr.ctypes.data_as(_i64p)
 
 
+def _unset(n: int) -> np.ndarray:
+    """Like ``_zeros`` but uninitialised: for buffers read only below
+    a count that starts at zero."""
+    return np.empty(max(1, int(n)), dtype=np.int64)
+
+
 class NativeCore(CoreBase):
     """Simulator core whose per-cycle loop runs in the compiled kernel.
 
@@ -289,7 +328,9 @@ class NativeCore(CoreBase):
     Probing (see :mod:`repro.metrics`) needs no kernel callbacks: the
     kernel already reports every delivered measured packet's latency,
     and alongside it writes the packet id (``pid_out``) — a bulk
-    counter the probe layer decodes post-run.
+    counter the probe layer decodes post-run.  Neither does a
+    closed-loop plan: the struct points at the plan's own arrays, the
+    kernel counts its phases down and stamps their cycles in place.
     Raises :class:`RuntimeError` when the kernel cannot be compiled —
     callers that want a fallback should check :func:`native_available`
     first (as :func:`~repro.network.simulator.resolve_core` does).
@@ -308,8 +349,6 @@ class NativeCore(CoreBase):
                 "use core='array' instead"
             )
         self._lib = lib
-        #: the array core a closed-loop plan ran on (see :meth:`run`).
-        self._plan_core = None
 
         num_nodes = graph.num_nodes
         num_lv = self._num_lv
@@ -342,7 +381,16 @@ class NativeCore(CoreBase):
         self._n_lv_delay = _as_i64(self._hop_delay)[self._n_lv_link]
         self._n_credits = np.full(num_lv, B, dtype=np.int64)
         self._n_owner = np.full(num_lv, -1, dtype=np.int64)
-        self._n_buf = _zeros(num_lv * B)
+        # The flit rings and the wheel slots below are nine tenths of a
+        # lane's state, sized for the worst case and mostly never
+        # touched.  The kernel reads a ring entry or a slot entry only
+        # below its count (b_len, aw_n, cw_n) and writes it before it
+        # counts it, so they need no zeroing — and must not get it:
+        # zeroed memory is only free while the allocator hands out
+        # fresh pages, and once a freed batch's heap is recycled calloc
+        # clears every page of them (measured: +14 MB peak RSS on a
+        # five-lane Valiant sweep).
+        self._n_buf = _unset(num_lv * B)
         self._n_b_head = _zeros(num_lv)
         self._n_b_len = _zeros(num_lv)
         self._n_ne_arr = _zeros(num_nodes * self._max_in)
@@ -352,10 +400,10 @@ class NativeCore(CoreBase):
         self._n_sq_head = _zeros(num_nodes)
         self._n_sq_len = _zeros(num_nodes)
         self._n_s_fidx = _zeros(num_nodes)
-        self._n_aw_f = _zeros(W * slot_cap)
-        self._n_aw_lv = _zeros(W * slot_cap)
+        self._n_aw_f = _unset(W * slot_cap)
+        self._n_aw_lv = _unset(W * slot_cap)
         self._n_aw_n = _zeros(W)
-        self._n_cw_lv = _zeros(W * slot_cap)
+        self._n_cw_lv = _unset(W * slot_cap)
         self._n_cw_n = _zeros(W)
         self._n_rr_link = _zeros(graph.num_links)
         self._n_rr_eject = _zeros(num_nodes)
@@ -403,9 +451,11 @@ class NativeCore(CoreBase):
         hold itself is pinned on ``ctx`` until :meth:`_finish`."""
         p = self.params
         packets = self._packets
+        plan = self._plan
         pid0 = ctx.pid0
         n_new = ctx.n_new
-        # this run's events are the packet table's new rows
+        # this run's events are the packet table's new rows (a plan's
+        # have no cycle yet: the kernel decides, see below)
         np_ev_cycle = _as_i64(packets.t0[pid0:])
         np_ev_src = _as_i64(packets.src[pid0:])
         np_ev_pid = _as_i64(np.arange(pid0, pid0 + n_new, dtype=np.int64))
@@ -419,6 +469,8 @@ class NativeCore(CoreBase):
         pid_out = ctx.pid_out = _zeros(out_cap)
         np_p_off = _as_i64(packets.off)
         np_p_hops = _as_i64(packets.hops)
+        # views of the table's rows, not copies: plan mode stamps a
+        # packet's creation cycle and measured flag at injection
         np_p_t0 = _as_i64(packets.t0)
         np_p_meas = _as_i64(packets.meas)
         # taken only now: lanes of a batch share a routing's table,
@@ -496,6 +548,31 @@ class NativeCore(CoreBase):
             sc_cand=_ptr(self._n_sc[2]),
             sc_used=_ptr(self._n_sc[3]),
         )
+        if plan is not None:
+            plan.start(ctx.t0, pid0)
+            n_ph = plan.num_phases
+            scratch = ctx.plan_scratch = [_zeros(n_ph) for _ in range(3)]
+            # the plan's own arrays: the kernel's counters and stamps
+            # are the plan's state when it returns
+            ctx.plan_state = _PlanState(
+                n_ph=n_ph,
+                pid0=pid0,
+                ev_off=_ptr(plan.tpl_off),
+                ev_phase=_ptr(plan.tpl_phase),
+                ev0=_ptr(plan.ph_ev0),
+                compute=_ptr(plan.ph_compute),
+                dep_ptr=_ptr(plan.dep_ptr),
+                dep_idx=_ptr(plan.dep_idx),
+                indeg=_ptr(plan.ph_indeg),
+                rem=_ptr(plan.ph_rem),
+                release=_ptr(plan.ph_release),
+                comm_start=_ptr(plan.ph_comm_start),
+                done=_ptr(plan.ph_done),
+                cur=_ptr(scratch[0]),
+                act=_ptr(scratch[1]),
+                queue=_ptr(scratch[2]),
+            )
+            st.plan = ctypes.pointer(ctx.plan_state)
         return st
 
     def _finish(self, ctx: RunCtx, st: _SimState) -> SimResult:
@@ -525,30 +602,9 @@ class NativeCore(CoreBase):
         schedule: Optional[InjectionSchedule] = None,
         plan=None,
     ) -> SimResult:
-        """Run the full warmup+measure+drain schedule at ``rate``."""
-        if plan is not None or self._plan_core is not None:
-            # The C kernel has no per-cycle callback surface for the
-            # closed-loop feedback, so the plan runs on a fresh
-            # ArrayCore of the same configuration (hence bit-identical
-            # to a plain array run), whose record run_record() returns.
-            if self._clock:
-                raise RuntimeError(
-                    "a native core runs a closed-loop plan only as its "
-                    "one run(); build a fresh Simulator"
-                )
-            from .simcore import ArrayCore
-
-            core = self._plan_core = ArrayCore(
-                self.graph, self.routing, self.traffic, self.params
-            )
-            if self._probe_mode:
-                core.enable_probes()
-            result = core.run(rate, schedule, plan)
-            self._clock = core._clock
-            self.total_flits_injected = core.total_flits_injected
-            self.total_flits_ejected = core.total_flits_ejected
-            return result
-        ctx = self._prepare(rate, schedule)
+        """Run the full warmup+measure+drain schedule at ``rate``, or
+        the closed-loop ``plan`` paced at it."""
+        ctx = self._begin(rate, schedule, plan)
         st = self._build_state(ctx)
         err = self._lib.sim_run(ctypes.byref(st))
         if err:
@@ -556,11 +612,6 @@ class NativeCore(CoreBase):
                 f"native simulation kernel failed (error code {err})"
             )
         return self._finish(ctx, st)
-
-    def run_record(self, rate: float):
-        if self._plan_core is not None:
-            return self._plan_core.run_record(rate)
-        return super().run_record(rate)
 
     # ------------------------------------------------------------------
     def flits_in_flight(self) -> int:
@@ -572,7 +623,9 @@ class NativeBatch:
     """N replica lanes of one configuration, run as one kernel call.
 
     Each lane is an isolated :class:`NativeCore` (own seed-derived RNG
-    streams, flit/VC/credit/latency state).  Routes come from the
+    streams, flit/VC/credit/latency state, and its own
+    :class:`~repro.workload.driver.PhasePlan` when the lanes run
+    closed-loop).  Routes come from the
     routing object — its closed-form plane, resolved per lane in one
     call, or else its shared route table — so nothing about routes is
     batch state.  Packet pre-resolution uses the vectorized pre-pass
@@ -622,9 +675,11 @@ class NativeBatch:
         schedules=None,
         *,
         threads: Optional[int] = None,
+        plans=None,
     ) -> List[SimResult]:
         """Run lane ``i`` at ``rates[i]`` (optionally pinning
-        ``schedules[i]``); returns per-lane results in lane order."""
+        ``schedules[i]``, or closed-loop under ``plans[i]``); returns
+        per-lane results in lane order."""
         if self._ran:
             raise RuntimeError(
                 "NativeBatch is one-shot: lanes accumulate measurement "
@@ -636,16 +691,16 @@ class NativeBatch:
             raise ValueError(
                 f"{len(rates)} rates for {n} lanes"
             )
-        if schedules is not None and len(schedules) != n:
-            raise ValueError(
-                f"{len(schedules)} schedules for {n} lanes"
-            )
+        for name, per_lane in (("schedules", schedules), ("plans", plans)):
+            if per_lane is not None and len(per_lane) != n:
+                raise ValueError(f"{len(per_lane)} {name} for {n} lanes")
         if n == 0:
             return []
         ctxs = [
-            core._prepare(
+            core._begin(
                 rates[i],
                 schedules[i] if schedules is not None else None,
+                plans[i] if plans is not None else None,
                 vec=True,
             )
             for i, core in enumerate(self.lanes)

@@ -103,10 +103,10 @@ class ReferenceCore(CoreBase):
         ``rate`` is offered load in flits/cycle/chip over the traffic
         pattern's active chips; ``schedule`` pins the packet starts
         instead of sampling them.  ``plan`` switches to closed-loop
-        mode: events come from a
-        :class:`~repro.workload.driver.PhasePlan` whose phase releases
-        feed back from tail-flit ejections, and the loop ends when the
-        last phase drains.
+        mode: the (pre-resolved) packets inject when a
+        :class:`~repro.workload.driver.PhasePlan` releases them, its
+        phase releases feed back from tail-flit ejections, and the
+        loop ends when the last phase drains.
         """
         ctx = self._begin(rate, schedule, plan)
         t0, warm, meas_end, t_end = ctx.t0, ctx.warm, ctx.meas_end, ctx.t_end
@@ -115,22 +115,22 @@ class ReferenceCore(CoreBase):
         num_vcs = self.num_vcs
         packets = self._packets
         pid0 = ctx.pid0
+        # this run's packets are the packet table's new rows
+        p_dst = packets.dst[pid0:].tolist()
+        p_off = packets.off[pid0:].tolist()
+        p_hops = packets.hops[pid0:].tolist()
         if plan is not None:
+            # the plan releases the rows (template order) phase by
+            # phase; the lists grow at every flush
+            n_ev = plan.begin(t0, pid0)
             ev_cycles = plan.ev_cycles
             ev_nodes = plan.ev_nodes
-            ev_dests = plan.ev_dests
-            # routes are drawn at injection (release order is dynamic)
-            ev_off: List[int] = []
-            ev_hops: List[int] = []
-            ev_meas: List[bool] = []
+            ev_pids = plan.ev_pids
         else:
-            # this run's events are the packet table's new rows
+            n_ev = ctx.n_new
             ev_cycles = packets.t0[pid0:].tolist()
             ev_nodes = packets.src[pid0:].tolist()
-            ev_dests = packets.dst[pid0:].tolist()
-            ev_off = packets.off[pid0:].tolist()
-            ev_hops = packets.hops[pid0:].tolist()
-        n_ev = ctx.n_new
+            ev_pids = range(pid0, pid0 + n_ev)
         ev_ptr = 0
 
         wheel_size = self._wheel_size
@@ -183,21 +183,18 @@ class ReferenceCore(CoreBase):
             if t < meas_end:
                 while ev_ptr < n_ev and ev_cycles[ev_ptr] == t:
                     nid = ev_nodes[ev_ptr]
-                    dst = ev_dests[ev_ptr]
+                    pid = ev_pids[ev_ptr]
+                    row = pid - pid0
                     if plan is not None:
-                        off, nhops = self.route_slice(nid, dst)
-                        ev_off.append(off)
-                        ev_hops.append(nhops)
-                        ev_meas.append(in_window)
-                    else:
-                        off, nhops = ev_off[ev_ptr], ev_hops[ev_ptr]
+                        # closed-loop: injection stamps the row
+                        packets.t0[pid] = t
+                        packets.meas[pid] = in_window
+                    off = p_off[row]
                     path_lv = tuple(
-                        self._routes.lv[off: off + nhops].tolist()
+                        self._routes.lv[off: off + p_hops[row]].tolist()
                     )
-                    # every event creates its packet, so packet ids
-                    # follow event order (a plan relies on that)
                     pkt = Packet(
-                        pid0 + ev_ptr, nid, dst, pkt_len,
+                        pid, nid, p_dst[row], pkt_len,
                         [(lv // num_vcs, lv % num_vcs) for lv in path_lv],
                         t, in_window,
                     )
@@ -457,12 +454,6 @@ class ReferenceCore(CoreBase):
 
         self._hot_list = hot_list
         self._clock = t_end
-        if plan is not None:
-            n = len(ev_off)
-            packets.append(
-                ev_cycles[:n], ev_meas, ev_nodes[:n], ev_dests[:n],
-                ev_off, ev_hops,
-            )
 
         return self._result(ctx)
 

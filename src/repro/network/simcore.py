@@ -29,9 +29,10 @@ routes come pre-resolved from the shared front end
   flight and nothing will inject are skipped outright (the drain phase
   ends as soon as the network is empty).
 
-It is the loop the compiled kernel (``_simcore.c``) was ported from and
-the one closed-loop ``plan`` runs execute on; all three cores return
-identical results (``tests/network/test_core_equivalence.py``).
+It is the loop the compiled kernel (``_simcore.c``) was ported from;
+all three cores return identical results, open-loop
+(``tests/network/test_core_equivalence.py``) and under a closed-loop
+plan (``tests/workload/test_closed_loop_identity.py``).
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ class ArrayCore(CoreBase):
     ) -> SimResult:
         """Run the full warmup+measure+drain schedule at ``rate``.
 
-        ``plan`` switches the run to closed-loop mode: injection events
-        come from (and phase completions feed back into) a
+        ``plan`` switches the run to closed-loop mode: the order and
+        cycle of the (pre-resolved) packets' injection come from, and
+        phase completions feed back into, a
         :class:`~repro.workload.driver.PhasePlan` instead of a
         pre-sampled schedule, and the loop ends when the plan's last
         phase drains.
@@ -145,21 +147,24 @@ class ArrayCore(CoreBase):
         packets = self._packets
         pid0 = ctx.pid0
         # list views of the packet table (every run's packets: drain
-        # leftovers stay addressable); a plan appends to them in-loop
+        # leftovers stay addressable)
         p_off = packets.off.tolist()
         p_hops = packets.hops.tolist()
         p_t0 = packets.t0.tolist()
         p_meas = packets.meas.tolist()
-        p_dst: List[int] = []
         if plan is not None:
+            # the plan releases this run's rows (template order) phase
+            # by phase; the lists grow at every flush
+            n_ev = plan.begin(t0, pid0)
             ev_cycles = plan.ev_cycles
             ev_nodes = plan.ev_nodes
-            ev_dests = plan.ev_dests
+            ev_pids = plan.ev_pids
         else:
             # this run's events are the packet table's new rows
+            n_ev = ctx.n_new
             ev_cycles = p_t0[pid0:]
             ev_nodes = packets.src[pid0:].tolist()
-        n_ev = ctx.n_new
+            ev_pids = range(pid0, pid0 + n_ev)
         ip = 0
         route_lv = self._routes.lv.tolist()
         lv_link = self._lv_link
@@ -184,7 +189,6 @@ class ArrayCore(CoreBase):
         inj_w = p.injection_width
         ej_w = p.ejection_width
 
-        route_slice = self.route_slice
         plan_done = plan.packet_done if plan is not None else None
 
         hd_key = self._hd_key
@@ -299,25 +303,12 @@ class ArrayCore(CoreBase):
                 ip = n_ev
             while ip < n_ev and ev_cycles[ip] <= t:
                 nid = ev_nodes[ip]
-                # every event creates its packet, so packet ids follow
-                # event order (a plan's phase lookup key)
-                pid = pid0 + ip
+                pid = ev_pids[ip]
                 if plan_done is not None:
-                    # closed-loop: the destination was planned at
-                    # release, the route is drawn here
-                    dst = ev_dests[ip]
-                    off, nhops = route_slice(nid, dst)
-                    if off + nhops > len(route_lv):
-                        route_lv.extend(
-                            self._routes.lv[len(route_lv):].tolist()
-                        )
-                    p_off.append(off)
-                    p_hops.append(nhops)
-                    p_t0.append(t)
-                    p_meas.append(in_window)
-                    p_dst.append(dst)
-                else:
-                    nhops = p_hops[pid]
+                    # closed-loop: the row exists, injection stamps it
+                    p_t0[pid] = t
+                    p_meas[pid] = in_window
+                nhops = p_hops[pid]
                 ip += 1
                 if in_window:
                     pm += 1
@@ -763,10 +754,8 @@ class ArrayCore(CoreBase):
         self._hot_list = hot_list
         self._clock = t_end
         if plan is not None:
-            packets.append(
-                p_t0[pid0:], p_meas[pid0:], ev_nodes[: len(p_dst)], p_dst,
-                p_off[pid0:], p_hops[pid0:],
-            )
+            packets.t0[pid0:] = p_t0[pid0:]
+            packets.meas[pid0:] = p_meas[pid0:]
         self._packets_measured = pm
         self._flits_ejected_window = few
         self.total_flits_injected = tfi

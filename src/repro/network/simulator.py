@@ -46,20 +46,28 @@ route are drawn once, before the loop, by the same code on every core
 
 * :class:`~repro.network.native.NativeCore` (default when a C compiler
   is present) — the struct-of-arrays loop compiled on demand from
-  ``_simcore.c``.
+  ``_simcore.c``, open-loop and closed-loop (the kernel's plan mode
+  owns phase release).
 * :class:`~repro.network.simcore.ArrayCore` (portable default) — the
   same loop in pure Python: packed-int flits, integer VC ownership,
-  cached head-flit requests, and idle-cycle fast-forwarding; also the
-  loop closed-loop plans run on.
+  cached head-flit requests, and idle-cycle fast-forwarding.
 * :class:`~repro.network.refcore.ReferenceCore` — the original
   object-based implementation, kept as the semantic reference.
+
+A closed-loop run (``run(rate, plan=...)``, see
+:mod:`repro.workload.driver`) goes through the same front end: the
+plan's template events are packet rows with routes before the loop
+starts, and only their release is dynamic — counters in the kernel,
+``PhasePlan.begin/packet_done/flush`` under the two Python loops,
+which is the specification the kernel is tested against.
 
 Select explicitly with ``Simulator(..., core="reference")`` or globally
 via the ``REPRO_SIM_CORE`` environment variable.  For the same
 ``(graph, routing, traffic, params, rate)`` all cores return identical
 results and probe channels, whether or not an
 :class:`~repro.network.schedule.InjectionSchedule` is pinned
-(``tests/network/test_core_equivalence.py``).
+(``tests/network/test_core_equivalence.py``), or a plan given
+(``tests/workload/test_closed_loop_identity.py``).
 """
 
 from __future__ import annotations
@@ -251,8 +259,9 @@ class Simulator:
         events; by default the core samples its own.  ``plan`` switches
         to closed-loop mode (see
         :class:`~repro.workload.driver.PhasePlan`): injections follow
-        the plan's phase releases and the run ends when the last phase
-        drains.
+        the plan's phase releases, the window is the plan's
+        ``[t0, t0 + horizon())`` whatever ``params`` says, and the run
+        ends when the last phase drains.
 
         With probes attached, each probe decodes the run's record into
         one channel on the returned result — strictly after the core
@@ -321,6 +330,7 @@ def run_batch(
     threads: Optional[int] = None,
     probes: Optional[Sequence[Union[Probe, str]]] = None,
     schedules: Optional[Sequence[InjectionSchedule]] = None,
+    plans: Optional[Sequence] = None,
 ) -> List[SimResult]:
     """Simulate N replica lanes of one configuration as a batch.
 
@@ -339,16 +349,26 @@ def run_batch(
     other core: same results, no amortisation).  ``probes`` may be
     instances, kind names or ``(name, options)`` pairs; channels land
     on each lane's ``SimResult.channels``.
+
+    ``plans`` makes the lanes closed-loop: lane ``i`` runs
+    ``plans[i]`` (a fresh :class:`~repro.workload.driver.PhasePlan`
+    each) paced at its rate, on the same path — packed into the one
+    kernel call on the native core.  A lane whose plan did not drain
+    inside its horizon raises :class:`RuntimeError` naming the stuck
+    phases.
     """
     lanes = list(lanes)
-    if schedules is not None and len(schedules) != len(lanes):
-        raise ValueError(
-            f"{len(schedules)} schedules for {len(lanes)} lanes"
-        )
+    for name, per_lane in (("schedules", schedules), ("plans", plans)):
+        if per_lane is not None and len(per_lane) != len(lanes):
+            raise ValueError(
+                f"{len(per_lane)} {name} for {len(lanes)} lanes"
+            )
     core = resolve_core(core)
     built = _build_probes(probes)
     n = len(lanes)
     rates = [rate for _, rate in lanes]
+    # span attribute only: what the lanes run when they are closed-loop
+    workload = plans[0].workload.name if plans else None
 
     if core == "native":
         with obs_trace.span("kernel.prepare", lanes=n):
@@ -360,9 +380,11 @@ def run_batch(
                 [seed for seed, _ in lanes],
                 probes=bool(built),
             )
-        with obs_trace.span("kernel.run", lanes=n, threads=threads):
+        with obs_trace.span(
+            "kernel.run", lanes=n, threads=threads, workload=workload
+        ):
             results = batch.run(
-                rates, schedules=schedules, threads=threads
+                rates, schedules=schedules, threads=threads, plans=plans
             )
         if built:
             with obs_trace.span("probe.decode", lanes=n):
@@ -370,22 +392,27 @@ def run_batch(
                     batch.lanes, rates, results
                 ):
                     _collect_channels(lane_core, rate, built, res)
-        return results
-
-    # per-lane simulators, same per-lane seeds and probe semantics, so
-    # results match the packed path bit-for-bit
-    with obs_trace.span("kernel.run", lanes=n, core=core):
-        return [
-            Simulator(
-                graph,
-                routing,
-                traffic,
-                params.scaled(seed=int(seed)),
-                core=core,
-                probes=built,
-            ).run(
-                rate,
-                schedule=schedules[i] if schedules is not None else None,
-            )
-            for i, (seed, rate) in enumerate(lanes)
-        ]
+    else:
+        # per-lane simulators, same per-lane seeds and probe semantics,
+        # so results match the packed path bit-for-bit
+        with obs_trace.span(
+            "kernel.run", lanes=n, core=core, workload=workload
+        ):
+            results = [
+                Simulator(
+                    graph,
+                    routing,
+                    traffic,
+                    params.scaled(seed=int(seed)),
+                    core=core,
+                    probes=built,
+                ).run(
+                    rate,
+                    schedule=schedules[i] if schedules is not None else None,
+                    plan=plans[i] if plans is not None else None,
+                )
+                for i, (seed, rate) in enumerate(lanes)
+            ]
+    for plan in plans or ():
+        plan.check_drained()
+    return results

@@ -2,34 +2,52 @@
 
 Open-loop runs pre-sample every packet start into an
 :class:`~repro.network.schedule.InjectionSchedule`.  Closed-loop runs
-instead carry a :class:`PhasePlan`: the plan owns the event arrays the
-cores walk, watches per-phase completion counts through a
-``packet_done`` callback at the tail-flit ejection sites, and releases
-a phase's injections only once every upstream phase has drained (plus
-the phase's ``compute`` delay) — the dependency-driven behaviour of
-real training traffic.
+instead carry a :class:`PhasePlan`: a phase's injections are released
+only once every upstream phase has drained (plus the phase's
+``compute`` delay) — the dependency-driven behaviour of real training
+traffic.
 
-Mechanics, shared by :class:`~repro.network.simcore.ArrayCore` and
-:class:`~repro.network.refcore.ReferenceCore` so their closed-loop runs
-stay bit-identical:
+Everything about a plan except *when* a phase is released is known
+before the run, and the plan holds it as flat int64 arrays: every
+phase's event *template* (per-event packet offset, source and
+pre-drawn chip-counterpart destination, phase-major), the per-phase
+event range and compute delay, the in-degree and the dependents in CSR
+form.  The shared front end
+(:meth:`~repro.network.corebase.CoreBase._begin`) turns the template
+events into packet-table rows — routes resolved in bulk, in template
+order — before any loop starts, so a plan's packet ids are static:
+template index plus the run's first id.  What is left for the run is
+release, and it exists twice:
 
-* every phase's event *template* (per-node packet offsets and
-  chip-counterpart destinations) is computed at plan construction, so
-  no traffic RNG is consumed at runtime — the cores' stdlib RNG streams
-  only see route draws, in the same order, through the shared
-  :meth:`~repro.network.corebase.CoreBase.route_slice`;
-* packet ids equal event-consumption order (the plan never drops an
-  event at injection time), so ``ev_phase[pid]`` maps a delivered
-  packet back to its phase;
-* released events are merged into the tail of the event arrays (never
-  before the consumption pointer) with a stable sort, keeping the
-  arrays cycle-ordered;
+* **in the compiled kernel** (``_simcore.c``, plan mode), as integer
+  counters over these arrays: a per-phase count of undelivered packets
+  decremented at the tail-flit ejection, a per-phase count of undrained
+  upstream phases decremented when one drains, release at
+  ``t_done + 1``, injection as a merge over the released phases.  The
+  kernel writes each phase's release / first-injection / drain cycle
+  into the plan's arrays; nothing calls back into Python.
+* **here**, as the executable specification the kernel is tested
+  against, which the two Python loops
+  (:class:`~repro.network.refcore.ReferenceCore`,
+  :class:`~repro.network.simcore.ArrayCore`) drive: ``begin(t0)``
+  materialises the DAG's root phases into the event lists the loops
+  walk, ``packet_done(pid, t)`` is called at every tail-flit ejection,
+  ``flush(ip)`` (end of cycle, when ``dirty``) merges newly released
+  phases in, and ``finished`` breaks the loop.
+
+Mechanics both share:
+
+* released events are merged behind the consumption pointer in
+  ``(cycle, release sequence, template index)`` order — here with a
+  stable sort of the tail, in the kernel as a scan over the released
+  phases in release order;
 * dependents are released at ``t_done + 1``, so a core that matches
   events with strict cycle equality (the reference core) never misses
-  a release materialised at the end of cycle ``t_done``.
-
-The C kernel has no per-cycle callback surface, so a native core hands
-a plan to a fresh array core of the same configuration.
+  a release materialised at the end of cycle ``t_done``;
+* a phase with nothing to send (compute-only, or fully masked) drains
+  at its release plus compute delay and cascades on the spot;
+* a plan brings its own run window: ``[t0, t0 + horizon())``, no
+  warmup and no drain.
 
 Faults: when the traffic is a
 :class:`~repro.faults.traffic.FaultMaskedTraffic`, events whose source
@@ -45,11 +63,14 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..network.params import SimParams
 from .ir import Workload
 
 __all__ = [
     "PhasePlan",
+    "plan_points",
     "run_closed_loop",
     "participating_chips",
     "workload_for_traffic",
@@ -82,14 +103,16 @@ def participating_chips(traffic):
 
 
 class PhasePlan:
-    """Runtime state of one closed-loop run (see module docstring).
+    """One closed-loop run: templates, dependency counters and the
+    per-phase cycle stamps (see module docstring).
 
-    The cores treat the plan as the owner of the injection event
-    arrays: ``begin(t0)`` materialises the DAG's root phases and
-    returns the initial event count, ``packet_done(pid, t)`` is called
-    at every tail-flit ejection, ``flush(ip)`` (end of cycle, when
-    ``dirty``) merges newly released phases into the arrays, and
-    ``finished`` breaks the simulation loop.
+    Attributes a core reads (all int64, ``P`` phases, ``E`` events):
+    ``ph_ev0[P + 1]`` (phase ``i`` owns events ``ph_ev0[i]:ph_ev0[i +
+    1]``), ``tpl_off`` / ``tpl_src`` / ``tpl_dst`` / ``tpl_phase``
+    ``[E]``, ``ph_compute[P]``, ``dep_ptr[P + 1]`` / ``dep_idx`` (CSR of
+    dependents), and the run state ``ph_indeg`` / ``ph_rem`` (count
+    down) and ``ph_release`` / ``ph_comm_start`` / ``ph_done`` (cycle
+    stamps, ``-1`` until reached).
     """
 
     def __init__(
@@ -123,7 +146,8 @@ class PhasePlan:
         for ci in positions:
             for nid in chip_nodes[ci]:
                 node_order[nid] = len(node_order)
-        self._templates: List[List[Tuple[int, int, int]]] = []
+        flat: List[Tuple[int, int, int, int]] = []
+        counts: List[int] = []
         self._masked: List[int] = []
         for ph in workload.phases:
             events: List[Tuple[int, int, int, int]] = []
@@ -161,34 +185,55 @@ class PhasePlan:
                                 (j * interval, node_order[src], src, dst)
                             )
                 events.sort()
-            self._templates.append([(o, s, d) for o, _, s, d in events])
+            flat.extend(events)
+            counts.append(len(events))
             self._masked.append(masked)
 
-        # ---- runtime state --------------------------------------------
+        # ---- flat, phase-major (what every consumer reads) ------------
         P = workload.num_phases
+        self.total_events = len(flat)
+        self.ph_ev0 = np.zeros(P + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.ph_ev0[1:])
+        columns = np.array(flat, dtype=np.int64).reshape(-1, 4)
+        self.tpl_off = np.ascontiguousarray(columns[:, 0])
+        self.tpl_src = np.ascontiguousarray(columns[:, 2])
+        self.tpl_dst = np.ascontiguousarray(columns[:, 3])
+        self.tpl_phase = np.repeat(np.arange(P, dtype=np.int64), counts)
+        self.ph_compute = np.array(
+            [ph.compute for ph in workload.phases], dtype=np.int64
+        )
         idx = workload.phase_index()
-        self._indeg = [len(ph.after) for ph in workload.phases]
-        self._deps: List[List[int]] = [[] for _ in range(P)]
+        deps: List[List[int]] = [[] for _ in range(P)]
         for i, ph in enumerate(workload.phases):
             for dep in ph.after:
-                self._deps[idx[dep]].append(i)
-        self._release_c = [-1] * P
-        self._comm_start_c = [-1] * P
-        self._done_c = [-1] * P
-        self._remaining = [len(t) for t in self._templates]
-        self._phases_done = 0
-        self._pending: List[Tuple[int, int]] = []
+                deps[idx[dep]].append(i)
+        self.dep_ptr = np.zeros(P + 1, dtype=np.int64)
+        np.cumsum([len(d) for d in deps], out=self.dep_ptr[1:])
+        self.dep_idx = np.array(
+            [j for d in deps for j in d], dtype=np.int64
+        )
+
+        # ---- run state: counters down, cycle stamps up ----------------
+        self.ph_indeg = np.array(
+            [len(ph.after) for ph in workload.phases], dtype=np.int64
+        )
+        self.ph_rem = np.array(counts, dtype=np.int64)
+        self.ph_release = np.full(P, -1, dtype=np.int64)
+        self.ph_comm_start = np.full(P, -1, dtype=np.int64)
+        self.ph_done = np.full(P, -1, dtype=np.int64)
         self._t0 = 0
+        self._pid0 = 0
         self._begun = False
+
+        # ---- the Python loops' view (begin / packet_done / flush) -----
+        self._pending: List[Tuple[int, int]] = []
         #: set when completions queued releases a flush must materialise.
         self.dirty = False
-
-        #: event arrays the cores walk (the plan appends, never drops).
+        #: released events in injection order: cycle, source node and
+        #: packet id (the run's first id + the event's template index).
         self.ev_cycles: List[int] = []
         self.ev_nodes: List[int] = []
-        self.ev_dests: List[int] = []
-        self.ev_phase: List[int] = []
-        self.total_events = sum(len(t) for t in self._templates)
+        self.ev_pids: List[int] = []
 
     # ------------------------------------------------------------------
     @property
@@ -197,41 +242,50 @@ class PhasePlan:
 
     @property
     def finished(self) -> bool:
-        return self._phases_done == self.workload.num_phases
+        return bool((self.ph_done >= 0).all())
 
-    def begin(self, t0: int) -> int:
-        """Materialise the DAG's root phases; returns the event count."""
+    def start(self, t0: int, pid0: int = 0) -> None:
+        """Claim the plan for the one run it describes: starting at
+        cycle ``t0``, its packets numbered from ``pid0`` in template
+        order (the kernel releases the root phases itself)."""
         if self._begun:
             raise RuntimeError(
                 "a PhasePlan is single-run: build a fresh plan per run()"
             )
         self._begun = True
         self._t0 = t0
+        self._pid0 = pid0
+
+    def begin(self, t0: int, pid0: int = 0) -> int:
+        """:meth:`start`, then materialise the DAG's root phases;
+        returns the event count."""
+        self.start(t0, pid0)
         for i in self.workload.topo_order():
-            if self._indeg[i] == 0:
+            if self.ph_indeg[i] == 0:
                 self._pending.append((i, t0))
         self.dirty = True
         return self.flush(0)
 
     def packet_done(self, pid: int, t: int) -> None:
         """Tail flit of packet ``pid`` ejected at cycle ``t``."""
-        i = self.ev_phase[pid]
-        rem = self._remaining
+        if pid < self._pid0:
+            return  # a leftover of the core's earlier open-loop run
+        i = self.tpl_phase[pid - self._pid0]
+        rem = self.ph_rem
         rem[i] -= 1
         if rem[i] == 0:
-            self._done_c[i] = t
-            self._phases_done += 1
-            self._cascade(i, t)
+            self._drained(i, t)
 
-    def _cascade(self, i: int, t_done: int) -> None:
-        for j in self._deps[i]:
-            self._indeg[j] -= 1
-            if self._indeg[j] == 0:
+    def _drained(self, i: int, t_done: int) -> None:
+        self.ph_done[i] = t_done
+        for j in self.dep_idx[self.dep_ptr[i]:self.dep_ptr[i + 1]]:
+            self.ph_indeg[j] -= 1
+            if self.ph_indeg[j] == 0:
                 self._pending.append((j, t_done + 1))
                 self.dirty = True
 
     def flush(self, ip: int) -> int:
-        """Materialise pending releases into the event arrays.
+        """Materialise pending releases into the event lists.
 
         ``ip`` is the core's consumption pointer: events at positions
         ``< ip`` are already injected and must not move; the tail is
@@ -241,49 +295,40 @@ class PhasePlan:
         appended = False
         while self._pending:
             i, base = self._pending.pop(0)
-            ph = self.workload.phases[i]
-            start = base + ph.compute
-            self._release_c[i] = base
-            events = self._templates[i]
-            if events:
-                self._comm_start_c[i] = start + events[0][0]
-                cyc = self.ev_cycles
-                nod = self.ev_nodes
-                dst = self.ev_dests
-                phl = self.ev_phase
-                for off, s, d in events:
-                    cyc.append(start + off)
-                    nod.append(s)
-                    dst.append(d)
-                    phl.append(i)
+            start = base + int(self.ph_compute[i])
+            self.ph_release[i] = base
+            e0, e1 = self.ph_ev0[i:i + 2].tolist()
+            if e0 < e1:
+                offs = self.tpl_off[e0:e1].tolist()
+                self.ph_comm_start[i] = start + offs[0]
+                self.ev_cycles.extend(start + off for off in offs)
+                self.ev_nodes.extend(self.tpl_src[e0:e1].tolist())
+                self.ev_pids.extend(
+                    range(self._pid0 + e0, self._pid0 + e1)
+                )
                 appended = True
             else:
                 # compute-only (or fully masked) phase: done after its
                 # compute delay, cascading dependents immediately
-                self._done_c[i] = start
-                self._phases_done += 1
-                self._cascade(i, start)
+                self._drained(i, start)
         if appended and ip < len(self.ev_cycles):
             tail = sorted(
                 zip(
-                    self.ev_cycles[ip:],
-                    self.ev_nodes[ip:],
-                    self.ev_dests[ip:],
-                    self.ev_phase[ip:],
+                    self.ev_cycles[ip:], self.ev_nodes[ip:],
+                    self.ev_pids[ip:],
                 ),
                 key=lambda e: e[0],
             )
             self.ev_cycles[ip:] = [e[0] for e in tail]
             self.ev_nodes[ip:] = [e[1] for e in tail]
-            self.ev_dests[ip:] = [e[2] for e in tail]
-            self.ev_phase[ip:] = [e[3] for e in tail]
+            self.ev_pids[ip:] = [e[2] for e in tail]
         self.dirty = False
         return len(self.ev_cycles)
 
     # ------------------------------------------------------------------
     def elapsed(self) -> int:
         """Makespan in cycles (through the last completed phase)."""
-        last = max((d for d in self._done_c if d >= 0), default=self._t0)
+        last = max(int(self.ph_done.max()), self._t0)
         return max(1, last - self._t0 + 1)
 
     def horizon(self) -> int:
@@ -294,30 +339,50 @@ class PhasePlan:
         slack; the loop breaks at ``finished`` long before this in any
         healthy run, so the bound only caps a stalled (buggy) run.
         """
-        bound = 4096
-        L = self._L
-        for ph, events in zip(self.workload.phases, self._templates):
-            span = events[-1][0] if events else 0
-            bound += ph.compute + span + len(events) * L * 8 + 2048
-        return bound
+        ev0 = self.ph_ev0
+        counts = ev0[1:] - ev0[:-1]
+        # a phase's last event has its largest offset
+        spans = np.where(
+            counts > 0, np.append(self.tpl_off, 0)[ev0[1:] - 1], 0
+        )
+        per_phase = self.ph_compute + spans + counts * (self._L * 8) + 2048
+        return 4096 + int(per_phase.sum())
 
     def phase_records(self) -> Tuple[Dict, ...]:
         """Per-phase completion records for :class:`RunRecord.phases`."""
         recs = []
+        packets = (self.ph_ev0[1:] - self.ph_ev0[:-1]).tolist()
+        release = self.ph_release.tolist()
+        comm_start = self.ph_comm_start.tolist()
+        done = self.ph_done.tolist()
         for i, ph in enumerate(self.workload.phases):
             recs.append(
                 {
                     "name": ph.name,
-                    "release": self._release_c[i],
-                    "comm_start": self._comm_start_c[i],
-                    "done": self._done_c[i],
+                    "release": release[i],
+                    "comm_start": comm_start[i],
+                    "done": done[i],
                     "compute": ph.compute,
-                    "packets": len(self._templates[i]),
-                    "flits": len(self._templates[i]) * self._L,
+                    "packets": packets[i],
+                    "flits": packets[i] * self._L,
                     "masked": self._masked[i],
                 }
             )
         return tuple(recs)
+
+    def check_drained(self) -> None:
+        """Raise unless every phase drained inside the run window."""
+        stuck = [
+            ph.name
+            for ph, done in zip(self.workload.phases, self.ph_done)
+            if done < 0
+        ]
+        if stuck:
+            raise RuntimeError(
+                f"closed-loop run of workload {self.workload.name!r} "
+                f"did not drain within {self.horizon()} cycles; stuck "
+                f"phase(s): {', '.join(stuck)}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +393,23 @@ def workload_for_traffic(name: str, opts, traffic) -> Workload:
 
     _, positions, _ = participating_chips(traffic)
     return build_workload(name, opts, num_chips=len(positions))
+
+
+def plan_points(spec, traffic, rates) -> List[PhasePlan]:
+    """One fresh :class:`PhasePlan` of the spec's workload per pacing
+    rate, each seeded like the point it belongs to."""
+    from ..engine.spec import point_seed
+
+    workload = workload_for_traffic(
+        spec.workload, dict(spec.workload_opts), traffic
+    )
+    return [
+        PhasePlan(
+            workload, traffic, params=spec.params, rate=rate,
+            seed=point_seed(spec, rate),
+        )
+        for rate in rates
+    ]
 
 
 def run_closed_loop(
@@ -343,44 +425,24 @@ def run_closed_loop(
 
     Builds the spec's workload over the traffic's participating chips,
     plans the phases, and runs one simulator at ``rate`` (the pacing
-    bandwidth, flits/cycle/chip) under the plan.  The run window is
+    bandwidth, flits/cycle/chip) under the plan: the one-lane call of
+    the batch the executor runs.  The run window is the plan's
     ``[0, horizon)`` with no warmup/drain; the core breaks out as soon
     as the last phase drains, and the result's ``measure_cycles`` is
     the measured makespan — so ``accepted_rate`` reports the achieved
-    collective bandwidth.
+    collective bandwidth.  A plan that does not drain inside its
+    horizon raises :class:`RuntimeError` naming the stuck phases.
     """
     from ..engine.spec import build_metrics, point_seed
-    from ..network.simulator import Simulator
+    from ..network.simulator import run_batch
 
-    workload = workload_for_traffic(
-        spec.workload, dict(spec.workload_opts), traffic
-    )
-    seed = point_seed(spec, rate)
-    plan = PhasePlan(
-        workload, traffic, params=spec.params, rate=rate, seed=seed
-    )
-    params = spec.params.scaled(
-        seed=seed,
-        warmup_cycles=0,
-        measure_cycles=plan.horizon(),
-        drain_cycles=0,
-    )
-    sim = Simulator(
+    return run_batch(
         graph,
         routing,
         traffic,
-        params,
+        spec.params,
+        [(point_seed(spec, rate), rate)],
         core=core,
         probes=build_metrics(spec),
-    )
-    result = sim.run(rate, plan=plan)
-    if not plan.finished:
-        stuck = [
-            r["name"] for r in plan.phase_records() if r["done"] < 0
-        ]
-        raise RuntimeError(
-            f"closed-loop run of workload {workload.name!r} did not "
-            f"drain within {plan.horizon()} cycles; stuck phase(s): "
-            f"{', '.join(stuck)}"
-        )
-    return result
+        plans=plan_points(spec, traffic, [rate]),
+    )[0]

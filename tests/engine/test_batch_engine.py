@@ -182,10 +182,10 @@ class TestPackedChunkParity:
                     c_pool.get(key).to_dict() == c_inline.get(key).to_dict()
                 )
 
-    def test_mixed_study_packs_the_open_loop_spec(self):
-        """One closed-loop spec must not drag the whole study onto
-        one-rate chunks: the open-loop spec still rides one packed
-        chunk, and both match running the specs on their own."""
+    def test_mixed_study_packs_both_specs(self):
+        """A closed-loop spec rides packed chunks like an open-loop
+        one (the kernel releases its phases), and both match running
+        the specs on their own."""
         closed = mesh_spec(
             [0.5, 1.0], label="ring", workload="ring_allreduce",
             workload_opts={"volume": 16},
@@ -197,10 +197,40 @@ class TestPackedChunkParity:
         count0, lanes0 = batch_lanes_observed()
         mixed = run_experiments([closed, open_loop], workers=1)
         count1, lanes1 = batch_lanes_observed()
-        # two one-rate closed-loop chunks + one three-lane packed chunk
-        assert (count1 - count0, lanes1 - lanes0) == (3, 5.0)
+        # one two-lane closed-loop chunk + one three-lane open-loop one
+        assert (count1 - count0, lanes1 - lanes0) == (2, 5.0)
         sweeps_equal(mixed[0], alone_closed)
         sweeps_equal(mixed[1], alone_open)
+
+    def test_one_span_shape_for_both_loops(self):
+        """Closed-loop chunks emit the open-loop chunks' three kernel
+        spans, with the lane count; the workload rides as an attribute."""
+        from repro.obs import trace
+
+        specs = {
+            "": mesh_spec([0.1, 0.2], metrics=["latency_hist"]),
+            "ring_allreduce": mesh_spec(
+                [0.5, 1.0], workload="ring_allreduce",
+                workload_opts={"volume": 16}, metrics=["cct"],
+            ),
+        }
+        for workload, spec in specs.items():
+            spans = []
+            trace.add_sink(spans.append)
+            try:
+                run_experiments([spec], workers=1)
+            finally:
+                trace.remove_sink(spans.append)
+            kernel = {
+                s["name"]: s["attrs"] for s in spans
+                if s["name"] in ("kernel.prepare", "kernel.run",
+                                 "probe.decode")
+            }
+            assert sorted(kernel) == [
+                "kernel.prepare", "kernel.run", "probe.decode"
+            ], workload
+            assert {a["lanes"] for a in kernel.values()} == {2}
+            assert (kernel["kernel.run"]["workload"] or "") == workload
 
 
 class TestWorkerThreadBudget:
@@ -236,8 +266,9 @@ class TestChunkWidth:
             ("native", OPEN, 1, 8),
             ("array", OPEN, 1, 1),
             ("reference", OPEN, 4, 1),
-            (None, CLOSED, 1, 1),
-            ("native", CLOSED, 12, 1),
+            (None, CLOSED, 1, 8),
+            ("native", CLOSED, 12, 12),
+            ("array", CLOSED, 1, 1),
         ],
     )
     def test_width_table(self, monkeypatch, core, spec, threads, width):

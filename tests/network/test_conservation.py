@@ -6,8 +6,10 @@ configurations that includes capacity > 1 links and ejection_width > 1:
 * always: ``total_flits_injected == total_flits_ejected +
   flits_in_flight()`` — no flit is created or destroyed in transit;
 * after a full run at sub-saturation load with a generous drain
-  window: the network is empty (``flits_in_flight() == 0``) and every
-  injected flit was ejected.
+  window (or a closed-loop plan that finished): the network is empty
+  (``flits_in_flight() == 0``), every injected flit was ejected, every
+  credit is back at ``vc_buffer_size`` (or on its way) and no VC has an
+  owner.
 """
 
 import pytest
@@ -60,7 +62,33 @@ def _build(config, seed):
     raise AssertionError(config)
 
 
+def _vc_state(core):
+    """``(credits, owners)`` per (link, VC): credits counting the ones
+    still on the return wheel (a plan's run ends with its last tail
+    flit, one credit delay before that credit is home), owners as -1
+    when free."""
+    if core.core_id == "native":
+        credits = core._n_credits.tolist()
+        cap = core._slot_cap
+        returning = [
+            lv
+            for slot, n in enumerate(core._n_cw_n.tolist())
+            for lv in core._n_cw_lv[slot * cap: slot * cap + n].tolist()
+        ]
+        owners = core._n_owner.tolist()
+    else:
+        credits = list(core._credits)
+        returning = [lv for slot in core._credit_ret for lv in slot]
+        free = None if core.core_id == "reference" else -1
+        owners = [-1 if own == free else own for own in core._owner]
+    for lv in returning:
+        credits[lv] += 1
+    return credits, owners
+
+
 def _assert_conserved(sim, drained=True):
+    """The invariants above, on any core after any run (open-loop or
+    under a plan)."""
     in_flight = sim.flits_in_flight()
     assert (
         sim.total_flits_injected == sim.total_flits_ejected + in_flight
@@ -68,6 +96,9 @@ def _assert_conserved(sim, drained=True):
     if drained:
         assert in_flight == 0
         assert sim.total_flits_injected == sim.total_flits_ejected
+        credits, owners = _vc_state(sim._core)
+        assert set(credits) <= {sim.params.vc_buffer_size}
+        assert set(owners) <= {-1}
 
 
 @pytest.mark.parametrize("core", CORES)

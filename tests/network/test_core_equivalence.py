@@ -227,3 +227,29 @@ def test_unknown_core_rejected():
     graph, routing, traffic = build_experiment(spec)
     with pytest.raises(ValueError, match="unknown simulation core"):
         Simulator(graph, routing, traffic, spec.params, core="turbo")
+
+
+@pytest.mark.skipif(
+    not native_available(), reason="no C compiler for the native core"
+)
+def test_native_never_reads_unset_state(monkeypatch):
+    """The flit rings and wheel slots are allocated uninitialised: the
+    kernel may read an entry only below its count.  Garbage in them
+    must not show, at a load that wraps the rings and fills the slots."""
+    import numpy as np
+
+    from repro.network import native
+
+    monkeypatch.setattr(
+        native, "_unset",
+        lambda n: np.full(max(1, int(n)), -0x5A5A5A5A5A5A5A5),
+    )
+    spec = switchless_spec()
+    for rate in (0.4, 2.0):
+        graph, routing, traffic = build_experiment(spec)
+        results = [
+            Simulator(graph, routing, traffic, spec.params, core=core)
+            .run(rate).to_dict()
+            for core in ("native", "reference")
+        ]
+        assert results[0] == results[1], rate

@@ -54,7 +54,7 @@ class TestPhasePlan:
         plan = self.build_plan()
         n_ev = plan.begin(0)
         # ring: one root phase; later phases are gated
-        assert n_ev == len(plan._templates[0])
+        assert n_ev == plan.ph_ev0[1]
         assert n_ev < plan.total_events
         assert not plan.finished
 
@@ -71,10 +71,10 @@ class TestPhasePlan:
             plan.packet_done(pid, 100 + pid)
         assert plan.dirty  # phase 0 done -> phase 1 pending
         n2 = plan.flush(n_ev)
-        assert n2 == n_ev + len(plan._templates[1])
+        assert n2 == plan.ph_ev0[2]
         # dependent released at t_done + 1, after its compute (0 here)
         t_done = 100 + n_ev - 1
-        assert plan._release_c[1] == t_done + 1
+        assert plan.ph_release[1] == t_done + 1
         assert min(plan.ev_cycles[n_ev:]) >= t_done + 1
 
     def test_event_arrays_stay_cycle_sorted_past_pointer(self):
@@ -126,10 +126,7 @@ class TestPhasePlan:
 
     def test_horizon_bounds_the_run(self):
         plan = self.build_plan()
-        per_phase_flits = sum(
-            len(t) for t in plan._templates
-        ) * plan._L
-        assert plan.horizon() > per_phase_flits
+        assert plan.horizon() > plan.total_events * plan._L
 
 
 class TestRunClosedLoop:
