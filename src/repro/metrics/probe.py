@@ -3,11 +3,17 @@
 A :class:`Probe` turns one run's :class:`~repro.metrics.RunRecord` into
 one :class:`~repro.metrics.MetricChannel`.  Subclasses either
 
+* override :meth:`Probe.collect` and reduce the record's int64 columns
+  directly — what every built-in does (:mod:`repro.metrics.probes`),
+  and the only form cheap enough to leave on across a sweep; or
 * implement the narrow *event surface* — ``on_inject`` / ``on_hop`` /
   ``on_eject`` plus ``begin``/``finish`` — and inherit the generic
-  :meth:`Probe.collect` replay; or
-* override :meth:`Probe.collect` outright and decode the record's bulk
-  arrays directly (what the built-in probes do, with numpy).
+  :meth:`Probe.collect`, which replays the record packet by packet as
+  plain-Python :class:`~repro.metrics.PacketView` /
+  :class:`~repro.metrics.HopEvent` values.  That is the extension
+  point for a question asked once, and the executable specification
+  the built-in reductions are property-tested against; it costs a
+  Python call per hop.
 
 Either way probes run strictly *post-run*: the simulator hot loops (and
 the compiled native kernel) contain no probe callbacks, which is what
@@ -17,7 +23,9 @@ without the metrics layer.
 Probe kinds register under a stable name (``@register_probe``) so the
 declarative :class:`~repro.engine.ExperimentSpec` can carry a hashed
 ``metrics`` axis of ``(name, options)`` entries and worker processes
-can rebuild the probes from the registry.
+can rebuild the probes from the registry.  Options are validated by
+the probe's constructor, which :func:`normalize_metrics` calls once at
+spec-creation time.
 """
 
 from __future__ import annotations

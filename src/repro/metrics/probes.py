@@ -1,12 +1,16 @@
 """Built-in probe kinds.
 
-Every probe here decodes the :class:`~repro.metrics.RunRecord` bulk
-arrays directly (vectorised where it pays) instead of using the generic
-event replay, but produces exactly what an event-surface implementation
-would: all statistics are restricted to the *measured* packet
-population (packets created inside the measurement window), and — for
-anything route- or completion-based — to the measured packets that
-were actually delivered, mirroring ``SimResult``'s conventions.
+The six open-loop probes are array reductions over the
+:class:`~repro.metrics.RunRecord` columns — a ``bincount`` or
+``histogram`` pass each, over one shared population (the record's
+measured delivered packets) and, for the two utilisation probes, one
+shared hop gather (:attr:`RunRecord.lv_hops`).  All statistics are
+restricted to the *measured* packet population (packets created inside
+the measurement window), and — for anything route- or completion-based
+— to the measured packets that were actually delivered, mirroring
+``SimResult``'s conventions; rows and summaries hold plain Python
+numbers.  ``tests/metrics/test_probe_reductions.py`` holds each
+reduction to an event-surface implementation, row by row.
 
 Registered kinds:
 
@@ -35,9 +39,7 @@ Registered kinds:
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,39 +59,46 @@ __all__ = [
     "VCUtilizationProbe",
 ]
 
-
-def _nan() -> float:
-    return float("nan")
+_NAN = float("nan")
 
 
-def _mean(values) -> float:
-    values = list(values)
-    return float(np.mean(values)) if values else _nan()
+def _stat(fn, values, default: float = _NAN) -> float:
+    """``fn`` over ``values`` as a float; ``default`` when empty."""
+    return float(fn(values)) if len(values) else default
 
 
-def _route_flit_counts(record: RunRecord, key) -> Counter:
-    """Flit traversals of measured delivered packets, grouped by
-    ``key(lv)`` — the one route walk both utilisation probes share."""
-    counts: Counter = Counter()
-    pkt_len = record.packet_length
-    for pid in record.measured_delivered_pids():
-        for lv in record.route(pid):
-            counts[key(lv)] += pkt_len
-    return counts
+def _rows(*columns) -> Tuple[Tuple, ...]:
+    """Aligned column arrays -> a channel's tuple of row tuples."""
+    return tuple(zip(*(c.tolist() for c in columns)))
 
 
-def _keep_hottest(rows, top: int, flits_index: int):
-    """Top-``top`` rows by flit count, re-sorted ascending by id.
+def _tally(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``values`` (small ints of either sign), ascending, and
+    how often each occurs."""
+    if not values.size:
+        return values, values
+    low = values.min()
+    counts = np.bincount(values - low)
+    distinct = np.flatnonzero(counts)
+    return distinct + low, counts[distinct]
 
-    Callers must compute summary statistics from the *full* table
-    first — truncation only thins what gets exported as rows.
+
+def _checked_top(top) -> int:
+    if isinstance(top, bool) or not isinstance(top, int) or top < 0:
+        raise ValueError(f"top must be an integer >= 0, got {top!r}")
+    return top
+
+
+def _hottest(flits: np.ndarray, top: int):
+    """Index of the ``top`` largest entries (ties: lowest id first), in
+    id order; everything when ``top`` is 0.
+
+    Callers compute summary statistics from the *full* table first —
+    truncation only thins what gets exported as rows.
     """
-    if top and len(rows) > top:
-        rows = sorted(
-            rows, key=lambda r: (-r[flits_index],) + r[:flits_index]
-        )[:top]
-        rows.sort(key=lambda r: r[:flits_index])
-    return rows
+    if top and flits.size > top:
+        return np.sort(np.argsort(-flits, kind="stable")[:top])
+    return slice(None)
 
 
 # ----------------------------------------------------------------------
@@ -104,45 +113,35 @@ class LinkUtilizationProbe(Probe):
 
     def __init__(self, top: int = 0) -> None:
         #: keep only the ``top`` most-loaded links (0 = all used links).
-        self.top = int(top)
+        self.top = _checked_top(top)
 
     def collect(self, record: RunRecord) -> MetricChannel:
-        num_vcs = record.num_vcs
-        counts = _route_flit_counts(record, lambda lv: lv // num_vcs)
-        cycles = max(1, record.measure_cycles)
-        total = sum(counts.values())
-        rows = []
-        for link, flits in sorted(counts.items()):
-            src, dst = (
-                record.link_ends[link]
-                if link < len(record.link_ends)
-                else (-1, -1)
-            )
-            rows.append(
-                (
-                    link,
-                    src,
-                    dst,
-                    flits,
-                    flits / cycles,
-                    flits / total if total else 0.0,
-                )
-            )
-        loads = [r[4] for r in rows]  # summary: the FULL table
-        max_row = max(rows, key=lambda r: r[3], default=None)
-        rows = _keep_hottest(rows, self.top, flits_index=3)
+        per_link = record.lv_hops.sum(axis=1) * record.packet_length
+        links = np.flatnonzero(per_link)
+        flits = per_link[links]
+        total = int(flits.sum())
+        load = flits / max(1, record.measure_cycles)
+        # links past the record's endpoint table report (-1, -1)
+        ends = np.full((len(per_link), 2), -1, dtype=np.int64)
+        known = record.link_ends[: len(ends)]
+        ends[: len(known)] = known
+        keep = _hottest(flits, self.top)  # summary: the FULL table
+        shown = links[keep]
         return MetricChannel(
             name=self.channel_name(),
             kind="table",
             columns=("link", "src", "dst", "flits", "flits_per_cycle",
                      "share"),
-            rows=tuple(rows),
+            rows=_rows(
+                shown, ends[shown, 0], ends[shown, 1], flits[keep],
+                load[keep], (flits / max(1, total))[keep],
+            ),
             summary={
-                "links_used": float(len(counts)),
+                "links_used": float(links.size),
                 "total_flit_hops": float(total),
-                "mean_flits_per_cycle": _mean(loads),
-                "max_flits_per_cycle": max(loads, default=_nan()),
-                "max_link": float(max_row[0]) if max_row else _nan(),
+                "mean_flits_per_cycle": _stat(np.mean, load),
+                "max_flits_per_cycle": _stat(np.max, load),
+                "max_link": _stat(lambda f: links[f.argmax()], flits),
             },
             meta={"top": self.top, "population": "measured_delivered"},
         )
@@ -157,35 +156,30 @@ class VCUtilizationProbe(Probe):
     description = "per-(link, VC) flit load (measured delivered packets)"
 
     def __init__(self, top: int = 0) -> None:
-        self.top = int(top)
+        self.top = _checked_top(top)
 
     def collect(self, record: RunRecord) -> MetricChannel:
-        counts = _route_flit_counts(record, lambda lv: lv)
-        cycles = max(1, record.measure_cycles)
         num_vcs = record.num_vcs
-        rows = [
-            (lv // num_vcs, lv % num_vcs, flits, flits / cycles)
-            for lv, flits in sorted(counts.items())
-        ]
-        loads = [r[2] for r in rows]  # summary: the FULL table
-        rows = _keep_hottest(rows, self.top, flits_index=2)
-        per_vc: Counter = Counter()
-        for lv, flits in counts.items():
-            per_vc[lv % num_vcs] += flits
-        balance = (
-            max(per_vc.values()) / (sum(per_vc.values()) / len(per_vc))
-            if per_vc
-            else _nan()
-        )
+        per_lv = record.lv_hops * record.packet_length
+        lvs = np.flatnonzero(per_lv)
+        flits = per_lv.ravel()[lvs]
+        per_vc = per_lv.sum(axis=0)
+        per_vc = per_vc[per_vc > 0]
+        keep = _hottest(flits, self.top)  # summary: the FULL table
         return MetricChannel(
             name=self.channel_name(),
             kind="table",
             columns=("link", "vc", "flits", "flits_per_cycle"),
-            rows=tuple(rows),
+            rows=_rows(
+                lvs[keep] // num_vcs, lvs[keep] % num_vcs, flits[keep],
+                flits[keep] / max(1, record.measure_cycles),
+            ),
             summary={
-                "lvs_used": float(len(counts)),
-                "max_flits": float(max(loads, default=0)),
-                "vc_imbalance": balance,
+                "lvs_used": float(lvs.size),
+                "max_flits": _stat(np.max, flits, 0.0),
+                "vc_imbalance": _stat(
+                    lambda v: v.max() / (v.sum() / v.size), per_vc
+                ),
             },
             meta={"top": self.top, "num_vcs": num_vcs},
         )
@@ -205,36 +199,27 @@ class LatencyHistogramProbe(Probe):
         self.bins = int(bins)
 
     def collect(self, record: RunRecord) -> MetricChannel:
-        lats = np.asarray(
-            [record.latency(pid) for pid in record.measured_delivered_pids()],
-            dtype=np.float64,
-        )
+        pids = record.measured_delivered_pids()
+        lats = (record.p_done[pids] - record.p_t0[pids]).astype(np.float64)
         if lats.size:
             counts, edges = np.histogram(lats, bins=self.bins)
-            rows = tuple(
-                (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-                for i in range(len(counts))
-            )
-            summary = {
-                "packets": float(lats.size),
-                "avg": float(lats.mean()),
-                "p50": float(np.percentile(lats, 50)),
-                "p99": float(np.percentile(lats, 99)),
-                "min": float(lats.min()),
-                "max": float(lats.max()),
-            }
+            rows = _rows(edges[:-1], edges[1:], counts)
+            p50, p99 = np.percentile(lats, (50, 99))
         else:
-            rows = ()
-            summary = {
-                "packets": 0.0, "avg": _nan(), "p50": _nan(),
-                "p99": _nan(), "min": _nan(), "max": _nan(),
-            }
+            rows, p50, p99 = (), _NAN, _NAN
         return MetricChannel(
             name=self.channel_name(),
             kind="histogram",
             columns=("bin_lo", "bin_hi", "count"),
             rows=rows,
-            summary=summary,
+            summary={
+                "packets": float(lats.size),
+                "avg": _stat(np.mean, lats),
+                "p50": float(p50),
+                "p99": float(p99),
+                "min": _stat(np.min, lats),
+                "max": _stat(np.max, lats),
+            },
             meta={"bins": self.bins, "unit": "cycles"},
         )
 
@@ -265,48 +250,38 @@ class TimeSeriesProbe(Probe):
     def collect(self, record: RunRecord) -> MetricChannel:
         w = self.window
         start, end = record.measure_start, record.measure_end
-        span = max(1, end - start)
-        nwin = (span + w - 1) // w
-        injected = [0] * (nwin + 1)   # [-1] = fold-over (never used for t0)
-        completed = [0] * (nwin + 1)  # [-1] = completions in the drain
-        lat_sum = [0] * nwin
-        lat_n = [0] * nwin
-        for pid in record.measured_pids():
-            wi = (record.p_t0[pid] - start) // w
-            injected[wi] += 1
-            done = record.p_done[pid]
-            if done >= 0:
-                completed[min((done - start) // w, nwin)] += 1
-                lat_sum[wi] += done - record.p_t0[pid]
-                lat_n[wi] += 1
-        rows = []
-        backlog = 0
-        for wi in range(nwin):
-            backlog += injected[wi] - completed[wi]
-            rows.append(
-                (
-                    start + wi * w,
-                    min(start + (wi + 1) * w, end),
-                    injected[wi],
-                    completed[wi],
-                    backlog,
-                    lat_sum[wi] / lat_n[wi] if lat_n[wi] else _nan(),
-                )
-            )
-        lat_first = rows[0][5] if rows else _nan()
-        lat_last = rows[-1][5] if rows else _nan()
+        nwin = (max(1, end - start) + w - 1) // w
+        pids = np.flatnonzero(record.p_meas)
+        t0, done = record.p_t0[pids], record.p_done[pids]
+        created = (t0 - start) // w  # window of creation
+        injected = np.bincount(created, minlength=nwin)
+        ok = done >= 0
+        t0, done, born = t0[ok], done[ok], created[ok]  # the completed
+        # completions landing in the drain fold into slot ``nwin``
+        completed = np.bincount(
+            np.minimum((done - start) // w, nwin), minlength=nwin + 1
+        )
+        lat_n = np.bincount(born, minlength=nwin)
+        lat_sum = np.bincount(born, weights=done - t0, minlength=nwin)
+        with np.errstate(invalid="ignore"):
+            avg_latency = lat_sum / lat_n  # 0/0 -> NaN: nothing completed
+        backlog = np.cumsum(injected - completed[:nwin])
+        t_start = start + w * np.arange(nwin)
         return MetricChannel(
             name=self.channel_name(),
             kind="timeseries",
             columns=("t_start", "t_end", "injected", "completed",
                      "backlog", "avg_latency"),
-            rows=tuple(rows),
+            rows=_rows(
+                t_start, np.minimum(t_start + w, end), injected,
+                completed[:nwin], backlog, avg_latency,
+            ),
             summary={
                 "windows": float(nwin),
-                "peak_backlog": float(max((r[4] for r in rows), default=0)),
+                "peak_backlog": float(backlog.max()),
                 "completed_in_drain": float(completed[nwin]),
-                "first_window_latency": lat_first,
-                "last_window_latency": lat_last,
+                "first_window_latency": float(avg_latency[0]),
+                "last_window_latency": float(avg_latency[-1]),
             },
             meta={"window": w, "unit": "cycles"},
         )
@@ -320,10 +295,12 @@ class MisrouteProbe(Probe):
     A measured delivered packet is *misrouted* when its route is longer
     than the minimal hop distance from its source to its destination
     router over the simulated graph — exactly the population Valiant
-    routing inflates in Fig. 13.  Distances are computed post-run by
-    BFS over the record's *surviving* directed links (failed links of
-    a degraded run are excluded, so routes repaired around faults are
-    measured against an achievable floor), memoised per source.
+    routing inflates in Fig. 13.  Distances are BFS rows over the
+    record's *surviving* directed links (failed links of a degraded run
+    are excluded, so routes repaired around faults are measured against
+    an achievable floor), kept per source on the graph's
+    :class:`~repro.metrics.record.GraphTables` and shared by every
+    point simulated over it.
 
     Note the floor is *graph*-minimal: flat routings (mesh XY) report a
     0 ratio in minimal mode, while hierarchical policies (switch-less
@@ -340,69 +317,34 @@ class MisrouteProbe(Probe):
     )
 
     def collect(self, record: RunRecord) -> MetricChannel:
-        adj: Dict[int, List[int]] = defaultdict(list)
-        failed = record.failed_links
-        for link, (src, dst) in enumerate(record.link_ends):
-            if link in failed:
-                continue
-            adj[src].append(dst)
-        dist_from: Dict[int, Dict[int, int]] = {}
+        pids = record.measured_delivered_pids()
+        hops = record.p_hops[pids]
+        floor = record.tables.min_hops(record.p_src[pids], record.p_dst[pids])
+        # a delivered packet proves the pair was connected, so BFS over
+        # the surviving links should always reach; keep the observed
+        # route as the floor as a safety net
+        floor = np.where(floor < 0, hops, floor)
+        excess, counts = _tally(hops - floor)
+        packets = int(pids.size)
+        misrouted = int(counts[excess > 0].sum())
+        hops_total, min_total = int(hops.sum()), int(floor.sum())
 
-        def dist(src: int, dst: int) -> int:
-            table = dist_from.get(src)
-            if table is None:
-                table = {src: 0}
-                frontier = [src]
-                while frontier:
-                    nxt = []
-                    for u in frontier:
-                        du = table[u]
-                        for v in adj.get(u, ()):
-                            if v not in table:
-                                table[v] = du + 1
-                                nxt.append(v)
-                    frontier = nxt
-                dist_from[src] = table
-            return table.get(dst, -1)
+        def per_packet(total: int) -> float:
+            return total / packets if packets else _NAN
 
-        excess_hist: Counter = Counter()
-        packets = 0
-        misrouted = 0
-        hops_total = 0
-        min_total = 0
-        for pid in record.measured_delivered_pids():
-            hops = record.p_hops[pid]
-            lo = dist(record.p_src[pid], record.p_dst[pid])
-            if lo < 0:
-                # a delivered packet proves the pair was connected, so
-                # BFS over the surviving links should always reach;
-                # keep the observed route as the floor as a safety net
-                lo = hops
-            packets += 1
-            hops_total += hops
-            min_total += lo
-            excess = hops - lo
-            excess_hist[excess] += 1
-            if excess > 0:
-                misrouted += 1
-        rows = tuple(
-            (excess, count) for excess, count in sorted(excess_hist.items())
-        )
         return MetricChannel(
             name=self.channel_name(),
             kind="histogram",
             columns=("excess_hops", "packets"),
-            rows=rows,
+            rows=_rows(excess, counts),
             summary={
                 "packets": float(packets),
                 "misrouted": float(misrouted),
-                "misroute_ratio": misrouted / packets if packets else _nan(),
-                "avg_hops": hops_total / packets if packets else _nan(),
-                "avg_min_hops": min_total / packets if packets else _nan(),
-                "avg_excess": (
-                    (hops_total - min_total) / packets if packets else _nan()
-                ),
-                "max_excess": float(max(excess_hist, default=0)),
+                "misroute_ratio": per_packet(misrouted),
+                "avg_hops": per_packet(hops_total),
+                "avg_min_hops": per_packet(min_total),
+                "avg_excess": per_packet(hops_total - min_total),
+                "max_excess": _stat(np.max, excess, 0.0),
             },
             meta={"population": "measured_delivered"},
         )
@@ -417,35 +359,26 @@ class EjectionFairnessProbe(Probe):
     description = "per-destination-chip delivered flits + Jain index"
 
     def collect(self, record: RunRecord) -> MetricChannel:
-        pkt_len = record.packet_length
-        per_chip: Counter = Counter()
-        pkts_per_chip: Counter = Counter()
-        for pid in record.measured_delivered_pids():
-            chip = record.node_chip.get(record.p_dst[pid], -1)
-            per_chip[chip] += pkt_len
-            pkts_per_chip[chip] += 1
-        rows = tuple(
-            (chip, pkts_per_chip[chip], flits)
-            for chip, flits in sorted(per_chip.items())
-        )
-        flits = list(per_chip.values())
-        if flits:
-            total = float(sum(flits))
-            sq = float(sum(f * f for f in flits))
-            jain = total * total / (len(flits) * sq) if sq else _nan()
-        else:
-            jain = _nan()
+        dst = record.p_dst[record.measured_delivered_pids()]
+        chips, packets = _tally(record.node_chip[dst])
+        flits = packets * record.packet_length
+        total = float(flits.sum())
+        squares = float((flits * flits).sum())
         return MetricChannel(
             name=self.channel_name(),
             kind="table",
             columns=("chip", "packets", "flits"),
-            rows=rows,
+            rows=_rows(chips, packets, flits),
             summary={
-                "chips": float(len(per_chip)),
-                "jain_index": jain,
-                "min_flits": float(min(flits, default=0)),
-                "max_flits": float(max(flits, default=0)),
-                "mean_flits": _mean(flits),
+                "chips": float(chips.size),
+                "jain_index": (
+                    total * total / (chips.size * squares)
+                    if squares
+                    else _NAN
+                ),
+                "min_flits": _stat(np.min, flits, 0.0),
+                "max_flits": _stat(np.max, flits, 0.0),
+                "mean_flits": _stat(np.mean, flits),
             },
             meta={"population": "measured_delivered"},
         )
@@ -535,10 +468,10 @@ class CCTProbe(Probe):
             summary={
                 "phases": float(len(phases)),
                 "makespan": float(end - start),
-                "avg_cct": _mean(ccts),
+                "avg_cct": _stat(np.mean, ccts),
                 "max_cct": float(max(ccts, default=-1)),
                 "critical_phase": (
-                    float(rows.index(crit)) if crit else _nan()
+                    float(rows.index(crit)) if crit else _NAN
                 ),
                 "total_flits": float(sum(r[7] for r in rows)),
                 "masked_packets": float(sum(r[8] for r in rows)),
@@ -580,7 +513,7 @@ class BubbleProbe(Probe):
                 "comm_busy_cycles": float(comm_busy),
                 "bubble_cycles": float(bubble),
                 "bubble_fraction": (
-                    bubble / makespan if makespan else _nan()
+                    bubble / makespan if makespan else _NAN
                 ),
             },
             meta={"population": "closed_loop_phases"},
@@ -635,7 +568,7 @@ class OverlapProbe(Probe):
                 "comm_busy_cycles": float(comm_busy),
                 "overlap_cycles": float(hidden),
                 "overlap_fraction": (
-                    hidden / compute_busy if compute_busy else _nan()
+                    hidden / compute_busy if compute_busy else _NAN
                 ),
             },
             meta={"population": "closed_loop_phases"},

@@ -55,7 +55,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..metrics.record import RunRecord, failed_links_of
+from ..metrics.record import RunRecord, graph_tables
 from ..routing.table import RouteArena
 from ..topology.graph import NetworkGraph
 from .params import SimParams
@@ -217,6 +217,8 @@ class CoreBase:
             nid: len(chips[graph.nodes[nid].chip]) for nid in self._active_nodes
         }
 
+        # per measured packet ejected: lists the Python loops append
+        # to, int64 arrays on the native core (the kernel's outputs)
         self._latencies: List[int] = []
         self._hops: List[int] = []
         # Probe bookkeeping (see repro.metrics): disabled by default.
@@ -260,11 +262,13 @@ class CoreBase:
                 "Simulator (or call enable_probes() before run())"
             )
         packets = self._packets
-        p_t0 = packets.t0.tolist()
-        p_done = [-1] * len(p_t0)
-        latencies = self._latencies
-        for i, pid in enumerate(self._eject_pid):
-            p_done[pid] = p_t0[pid] + latencies[i]
+        # completion cycle of every packet that reported one: a scatter
+        # of the ejection-site arrays (ids aligned with _latencies)
+        done_pid = np.asarray(self._eject_pid, dtype=np.int64)
+        p_done = np.full(len(packets), -1, dtype=np.int64)
+        p_done[done_pid] = packets.t0[done_pid] + np.asarray(
+            self._latencies, dtype=np.int64
+        )
         p = self.params
         graph = self.graph
         plan = self._plan
@@ -292,19 +296,17 @@ class CoreBase:
             measure_cycles=measure_cycles,
             active_chips=self._active_chips,
             phases=phases,
-            p_src=packets.src.tolist(),
-            p_dst=packets.dst.tolist(),
-            p_t0=p_t0,
-            p_meas=packets.meas.tolist(),
+            p_src=packets.src,
+            p_dst=packets.dst,
+            p_t0=packets.t0,
+            p_meas=packets.meas,
             p_done=p_done,
-            p_hops=packets.hops.tolist(),
-            p_off=packets.off.tolist(),
-            route_lv=self._routes.lv.tolist(),
-            node_chip={
-                nid: node.chip for nid, node in enumerate(graph.nodes)
-            },
-            link_ends=[(l.src, l.dst) for l in graph.links],
-            failed_links=failed_links_of(self.routing),
+            p_hops=packets.hops,
+            p_off=packets.off,
+            route_lv=self._routes.lv,
+            tables=graph_tables(
+                graph, getattr(self.routing, "degraded", None)
+            ),
         )
 
     # -- injection process ----------------------------------------------

@@ -349,6 +349,10 @@ class NativeCore(CoreBase):
                 "use core='array' instead"
             )
         self._lib = lib
+        # what the kernel reports per ejected packet, kept as arrays
+        self._latencies = self._hops = self._eject_pid = np.empty(
+            0, dtype=np.int64
+        )
 
         num_nodes = graph.num_nodes
         num_lv = self._num_lv
@@ -589,10 +593,16 @@ class NativeCore(CoreBase):
         self._packets_measured = int(st.pm)
         self._flits_ejected_window = int(st.few)
         n_lat = int(st.n_lat)
-        self._latencies.extend(ctx.lat_out[:n_lat].tolist())
-        self._hops.extend(ctx.hops_out[:n_lat].tolist())
+        # the kernel's ejection records stay arrays, copied out of the
+        # run's oversized output buffers
+        self._latencies = np.concatenate(
+            [self._latencies, ctx.lat_out[:n_lat]]
+        )
+        self._hops = np.concatenate([self._hops, ctx.hops_out[:n_lat]])
         if self._probe_mode:
-            self._eject_pid.extend(ctx.pid_out[:n_lat].tolist())
+            self._eject_pid = np.concatenate(
+                [self._eject_pid, ctx.pid_out[:n_lat]]
+            )
 
         return self._result(ctx)
 

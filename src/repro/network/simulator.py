@@ -387,11 +387,23 @@ def run_batch(
                 rates, schedules=schedules, threads=threads, plans=plans
             )
         if built:
-            with obs_trace.span("probe.decode", lanes=n):
-                for lane_core, rate, res in zip(
-                    batch.lanes, rates, results
-                ):
+            with obs_trace.span("probe.decode", lanes=n) as decode:
+                records = [
                     _collect_channels(lane_core, rate, built, res)
+                    for lane_core, rate, res in zip(
+                        batch.lanes, rates, results
+                    )
+                ]
+                # decode cost per hop: the chunk's measured delivered
+                # packets and the route hops gathered for them
+                delivered = [r.measured_delivered_pids() for r in records]
+                decode.set(
+                    packets=sum(pids.size for pids in delivered),
+                    hops=sum(
+                        int(r.p_hops[pids].sum())
+                        for r, pids in zip(records, delivered)
+                    ),
+                )
     else:
         # per-lane simulators, same per-lane seeds and probe semantics,
         # so results match the packed path bit-for-bit

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -106,21 +106,21 @@ class SimResult:
         *,
         offered_rate: float,
         effective_offered: float = -1.0,
-        latencies: List[int],
-        hops: List[int],
+        latencies: Sequence[int],
+        hops: Sequence[int],
         packets_measured: int,
         flits_ejected: int,
         active_chips: int,
         measure_cycles: int,
     ) -> "SimResult":
-        if latencies:
+        if len(latencies):
             arr = np.asarray(latencies, dtype=np.float64)
             avg = float(arr.mean())
             p50 = float(np.percentile(arr, 50))
             p99 = float(np.percentile(arr, 99))
         else:
             avg = p50 = p99 = float("nan")
-        avg_hops = float(np.mean(hops)) if hops else float("nan")
+        avg_hops = float(np.mean(hops)) if len(hops) else float("nan")
         accepted = (
             flits_ejected / (measure_cycles * active_chips)
             if measure_cycles > 0 and active_chips > 0

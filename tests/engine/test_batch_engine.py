@@ -218,7 +218,7 @@ class TestPackedChunkParity:
             spans = []
             trace.add_sink(spans.append)
             try:
-                run_experiments([spec], workers=1)
+                (sweep,) = run_experiments([spec], workers=1)
             finally:
                 trace.remove_sink(spans.append)
             kernel = {
@@ -231,6 +231,14 @@ class TestPackedChunkParity:
             ], workload
             assert {a["lanes"] for a in kernel.values()} == {2}
             assert (kernel["kernel.run"]["workload"] or "") == workload
+            # decode cost per hop: the chunk's measured delivered
+            # packets and the route hops gathered for them
+            decode = kernel["probe.decode"]
+            delivered = sum(r.packets_delivered for r in sweep.results)
+            assert decode["packets"] == delivered > 0
+            assert decode["hops"] == round(
+                sum(r.avg_hops * r.packets_delivered for r in sweep.results)
+            ) > 0
 
 
 class TestWorkerThreadBudget:

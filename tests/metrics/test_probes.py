@@ -71,6 +71,22 @@ class TestRegistry:
         with pytest.raises(ValueError, match="appears twice"):
             normalize_metrics([("link_util", {"top": 5}), "link_util"])
 
+    @pytest.mark.parametrize("kind", ["link_util", "vc_util"])
+    @pytest.mark.parametrize("top", [-1, 2.5, True, "3"])
+    def test_top_must_be_a_non_negative_integer(self, kind, top):
+        """``top=-1`` used to slice ``sorted(rows)[:-1]`` and silently
+        drop the least-loaded row; it now fails where ``bins < 1`` and
+        ``window < 1`` do, at spec-creation time."""
+        with pytest.raises(ValueError, match="top must be an integer >= 0"):
+            ExperimentSpec.create(
+                topology="switchless",
+                topology_opts={"preset": "small_equiv"},
+                routing="switchless",
+                traffic="uniform",
+                params=PARAMS,
+                metrics=[(kind, {"top": top})],
+            )
+
     def test_build_probes_realises_options(self):
         probes = build_probes([("latency_hist", {"bins": 4})])
         assert probes[0].bins == 4

@@ -157,6 +157,21 @@ class TestCli:
         assert main(["report", str(out), "--channel", "zap"]) == 2
         assert "no channel" in capsys.readouterr().err
 
+    def test_run_negative_top_is_one_error_line(self, tmp_path, capsys):
+        """Probe options reach the CLI through a study file's metrics
+        axis; a negative ``top`` is one ``error:`` line and exit 2."""
+        from repro.cli import main
+
+        study = probed_study().with_metrics([("link_util", {"top": 5})])
+        path = study.save(tmp_path / "study.json")
+        text = path.read_text()
+        assert '"top": 5' in text
+        path.write_text(text.replace('"top": 5', '"top": -1'))
+        assert main(["run", str(path), "--workers", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "top must be an integer >= 0" in err[0]
+
     def test_run_unknown_metric_suggests(self, capsys):
         from repro.cli import main
 
