@@ -6,9 +6,11 @@ baseline (4-VC) vs reduced (3-VC) schemes and mesh vs IO-router C-groups
 verdicts of the CDG checker (the reproduction's Sec. IV-B finding).
 """
 
-from conftest import once, pick_rates, print_figure, run_curves, sim_params
+from conftest import SCALE, once, pick_rates, sim_params
 
+from repro.api import ScenarioResult
 from repro.core import SwitchlessConfig, build_switchless
+from repro.network import sweep_rates
 from repro.routing import SwitchlessRouting, verify_deadlock_free
 from repro.traffic import UniformTraffic
 
@@ -36,23 +38,28 @@ def _run():
             UniformTraffic(io_sys.graph),
         ),
     }
-    sweeps = run_curves(
-        configs, pick_rates([0.15, 0.3, 0.45, 0.6]), params=params
+    rates = pick_rates([0.15, 0.3, 0.45, 0.6])
+    figure = ScenarioResult(
+        name="ablation_vc_schemes",
+        title=f"Ablation A1: VC schemes and C-group styles (scale={SCALE})",
+        note="reduced saves one VC; CDG verdicts quantify its safety domain",
+        curves=tuple(
+            sweep_rates(*triple, rates, params, label=label)
+            for label, triple in configs.items()
+        ),
     )
     verdicts = {}
     for label, (graph, routing, _t) in configs.items():
         verdicts[label] = verify_deadlock_free(
             graph, routing, max_pairs=1200
         ).acyclic
-    return sweeps, verdicts
+    return figure, verdicts
 
 
 def bench_ablation_vc_schemes(benchmark):
-    sweeps, verdicts = once(benchmark, _run)
-    print_figure(
-        "Ablation A1: VC schemes and C-group styles", sweeps,
-        "reduced saves one VC; CDG verdicts quantify its safety domain",
-    )
+    figure, verdicts = once(benchmark, _run)
+    print()
+    print(figure.render())
     print("CDG acyclic verdicts:")
     for label, ok in verdicts.items():
         print(f"  {label:28s} {'ACYCLIC' if ok else 'CYCLIC (documented)'}")

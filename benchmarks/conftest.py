@@ -4,7 +4,7 @@ Every bench regenerates one table or figure of the paper and prints the
 measured series next to the paper's reference values.  The figure
 benches are thin wrappers over the bundled ``repro.api`` scenario
 library (:func:`run_library_study`); only the ablation bench still
-builds live objects, via :func:`run_curves`.
+builds live objects, and sweeps them with ``repro.network.sweep_rates``.
 
 Because the substrate is a pure-Python cycle-accurate simulator, the
 default scale trades simulated cycles / system size for wall-clock
@@ -16,13 +16,13 @@ for paper-exact configurations and Table IV cycle counts, or
 from __future__ import annotations
 
 import os
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.api import StudyResult, build_study
 from repro.api import pick_rates as _pick_rates
 from repro.api import sim_params as _sim_params
 from repro.engine import ResultCache
-from repro.network import LoadSweep, SimParams, sweep_rates
+from repro.network import SimParams
 
 SCALE = os.environ.get("REPRO_SCALE", "default")
 
@@ -53,40 +53,6 @@ def run_library_study(name: str) -> StudyResult:
     print(f"(scale={SCALE})")
     print(result.render())
     return result
-
-
-def run_curves(
-    configs: Dict[str, tuple],
-    rates: Sequence[float],
-    *,
-    params: SimParams,
-    stop_after_saturation: int = 1,
-) -> Dict[str, LoadSweep]:
-    """Sweep each labeled (graph, routing, traffic) triple in-process.
-
-    Legacy path for benches whose knobs (VC policy ablations) build live
-    objects; the figure benches run bundled studies instead.
-    """
-    out: Dict[str, LoadSweep] = {}
-    for label, (graph, routing, traffic) in configs.items():
-        out[label] = sweep_rates(
-            graph, routing, traffic, rates, params,
-            label=label, stop_after_saturation=stop_after_saturation,
-        )
-    return out
-
-
-def print_figure(title: str, sweeps: Dict[str, LoadSweep], notes: str = "") -> None:
-    print()
-    print(f"==== {title} (scale={SCALE}) ====")
-    if notes:
-        print(notes)
-    for sweep in sweeps.values():
-        print(sweep.format_table())
-        print(
-            f"-> saturation ~{sweep.saturation_rate:.2f}, "
-            f"max accepted {sweep.max_accepted:.2f} flits/cycle/chip"
-        )
 
 
 def once(benchmark, fn):

@@ -15,7 +15,7 @@ Walks the `repro.metrics` probe API end to end:
 Run:  python examples/link_utilization.py
 """
 
-from repro.analysis import hot_links, link_load_summary, misroute_table
+from repro.metrics import hot_links, link_load_summary, misroute_table
 from repro.api import Scenario, Study, make_spec, sim_params
 from repro.engine.spec import ExperimentSpec, build_experiment
 from repro.network import SimParams, Simulator

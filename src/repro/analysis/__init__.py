@@ -30,14 +30,6 @@ from .scalability import (
     total_chiplets,
     verify_equation_1,
 )
-from .telemetry import (
-    channel_frame,
-    congestion_evolution,
-    hot_links,
-    link_load_summary,
-    misroute_rows,
-    misroute_table,
-)
 from .tables import (
     TABLE_I,
     ChipSpec,
@@ -66,6 +58,4 @@ __all__ = [
     "balanced_parameters", "cgroup_bisection_bandwidth",
     "global_throughput_bound", "intra_cgroup_throughput_bound",
     "is_balanced", "local_throughput_bound",
-    "channel_frame", "congestion_evolution", "hot_links",
-    "link_load_summary", "misroute_rows", "misroute_table",
 ]

@@ -6,7 +6,9 @@ Each level is a plain dataclass with a stable, schema-tagged JSON form:
 * :class:`PointResult` — one simulated ``(spec, rate)`` point;
 * :class:`CurveResult` — one labeled latency-vs-load curve (the points
   of one :class:`~repro.engine.ExperimentSpec`), with the saturation
-  summaries the benchmarks assert on;
+  summaries the benchmarks assert on — both defined beside
+  ``SimResult`` in :mod:`repro.network.stats` (the engine returns them
+  as they are) and re-exported here;
 * :class:`ScenarioResult` — the curves of one comparative scenario
   (typically one figure panel of the paper), addressable by label;
 * :class:`StudyResult` — the scenarios of one campaign, with
@@ -27,9 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from ..metrics import MetricChannel
-from ..network.stats import SimResult
-from ..network.sweep import LoadSweep
+from ..network.stats import CurveResult, PointResult
 
 __all__ = [
     "STUDY_RESULT_SCHEMA",
@@ -49,154 +49,6 @@ def _fmt(value: float) -> str:
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     return f"{value:.6g}"
-
-
-@dataclass(frozen=True)
-class PointResult:
-    """One simulated point of a curve: an offered rate and its outcome."""
-
-    rate: float
-    result: SimResult
-
-    @property
-    def offered(self) -> float:
-        return self.result.offered_rate
-
-    @property
-    def accepted(self) -> float:
-        return self.result.accepted_rate
-
-    @property
-    def avg_latency(self) -> float:
-        return self.result.avg_latency
-
-    @property
-    def saturated(self) -> bool:
-        return self.result.saturated
-
-    @property
-    def channels(self) -> Dict[str, MetricChannel]:
-        """Metric channels of this point (see :mod:`repro.metrics`)."""
-        return self.result.channels
-
-    def channel(self, name: str) -> MetricChannel:
-        try:
-            return self.result.channels[name]
-        except KeyError:
-            raise KeyError(
-                f"point rate={self.rate} has no channel {name!r}; "
-                f"channels: {sorted(self.result.channels)}"
-            ) from None
-
-    def to_dict(self) -> Dict:
-        return {"rate": self.rate, "result": self.result.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PointResult":
-        return cls(
-            rate=float(data["rate"]),
-            result=SimResult.from_dict(data["result"]),
-        )
-
-
-@dataclass(frozen=True)
-class CurveResult:
-    """One labeled latency-vs-load curve and its saturation summary."""
-
-    label: str
-    points: tuple
-    #: ``config_key()`` of the spec that produced the curve, tying the
-    #: result back to its cache entries.
-    spec_key: str = ""
-
-    @property
-    def rates(self) -> List[float]:
-        return [p.rate for p in self.points]
-
-    @property
-    def saturation_rate(self) -> float:
-        """First offered rate at which the run saturated (inf if none)."""
-        for p in self.points:
-            if p.saturated:
-                return p.rate
-        return float("inf")
-
-    @property
-    def max_accepted(self) -> float:
-        """Highest accepted throughput seen across the curve."""
-        return max((p.accepted for p in self.points), default=0.0)
-
-    def zero_load_latency(self) -> float:
-        """Average latency at the lowest *non-saturated* measured rate.
-
-        Saturated points are skipped (their latency reflects the
-        measurement window, not the network); ``nan`` when every point
-        saturated or the curve is empty — summaries carry the NaN
-        through (JSON ``null``, empty CSV cell) rather than reporting
-        a bogus number.
-        """
-        for p in self.points:
-            if not p.saturated:
-                return p.avg_latency
-        return float("nan")
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "saturation_rate": self.saturation_rate,
-            "max_accepted": self.max_accepted,
-            "zero_load_latency": self.zero_load_latency(),
-        }
-
-    def channel_names(self) -> List[str]:
-        """Channel names present on any point of this curve."""
-        names: List[str] = []
-        for p in self.points:
-            for name in p.channels:
-                if name not in names:
-                    names.append(name)
-        return names
-
-    def format_table(self) -> str:
-        lines = [f"# {self.label}", "offered  accepted  avg_latency"]
-        for p in self.points:
-            lines.append(
-                f"{p.rate:7.3f}  {p.accepted:8.3f}  {p.avg_latency:11.1f}"
-            )
-        return "\n".join(lines)
-
-    def to_sweep(self) -> LoadSweep:
-        """View as the engine's :class:`~repro.network.sweep.LoadSweep`."""
-        return LoadSweep(
-            label=self.label,
-            rates=[p.rate for p in self.points],
-            results=[p.result for p in self.points],
-        )
-
-    @classmethod
-    def from_sweep(cls, sweep: LoadSweep, spec_key: str = "") -> "CurveResult":
-        return cls(
-            label=sweep.label,
-            points=tuple(
-                PointResult(rate=r, result=res)
-                for r, res in zip(sweep.rates, sweep.results)
-            ),
-            spec_key=spec_key,
-        )
-
-    def to_dict(self) -> Dict:
-        return {
-            "label": self.label,
-            "spec_key": self.spec_key,
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CurveResult":
-        return cls(
-            label=data["label"],
-            points=tuple(PointResult.from_dict(p) for p in data["points"]),
-            spec_key=data.get("spec_key", ""),
-        )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from typing import Callable
 
 from ..engine import ExperimentSpec, ResultCache, run_experiments
 from ..network.stats import SimResult
-from .results import CurveResult, ScenarioResult, StudyResult
+from .results import ScenarioResult, StudyResult
 
 __all__ = [
     "SCENARIO_SCHEMA",
@@ -311,7 +311,7 @@ class Study:
                     scn_name, label = _origin[si]
                     on_point(scn_name, label, rate, res, source)
 
-            sweeps = iter(
+            curves = iter(
                 run_experiments(
                     specs,
                     workers=workers,
@@ -321,13 +321,9 @@ class Study:
                 )
             )
             for si, scn in members:
-                curves = tuple(
-                    CurveResult.from_sweep(next(sweeps), spec.config_key())
-                    for spec in scn.specs
-                )
                 results[si] = ScenarioResult(
                     name=scn.name,
-                    curves=curves,
+                    curves=tuple(next(curves) for _ in scn.specs),
                     title=scn.title,
                     note=scn.note,
                     baseline=scn.baseline,

@@ -11,12 +11,15 @@ rode in, whether that chunk ran in this process or in a pool worker,
 or in a previous session whose result is replayed from the
 :class:`~repro.engine.cache.ResultCache`.
 
-Sweep semantics match :func:`repro.network.sweep.sweep_rates`: rates
-are walked in order and the sweep is cut off after
+Every spec comes back as one :class:`~repro.network.stats.CurveResult`
+(``spec_key`` = the spec's ``config_key()``), the same type
+:func:`repro.network.sweep_rates` returns and ``repro.api`` nests into
+scenarios, cut by the same rule (:func:`~repro.network.stats.
+cutoff_walk`): rates are walked in order and the curve ends after
 ``stop_after_saturation`` saturated points.  The scheduler may
 *speculatively* simulate a few points past the eventual cutoff — the
 rest of a chunk, or chunks in flight on other workers (they are cached
-but excluded from the returned sweep), which is what lets a single
+but excluded from the returned curve), which is what lets a single
 sweep's points run concurrently.
 """
 
@@ -35,8 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..network.native import THREADS_ENV, env_int
 from ..network.simulator import resolve_core, run_batch
-from ..network.stats import SimResult
-from ..network.sweep import LoadSweep, assemble_sweep, cutoff_walk
+from ..network.stats import CurveResult, PointResult, SimResult, cutoff_walk
 from ..obs import REGISTRY
 from ..obs import trace as obs_trace
 from .cache import ResultCache
@@ -327,14 +329,14 @@ def run_experiments(
     cache: Optional[ResultCache] = None,
     stop_after_saturation: int = 1,
     on_point: Optional[PointCallback] = None,
-) -> List[LoadSweep]:
+) -> List[CurveResult]:
     """Run every spec's sweep, fanning chunks out over a process pool.
 
     Parameters
     ----------
     specs:
-        Experiments to run; one :class:`LoadSweep` is returned per spec,
-        in order.
+        Experiments to run; one :class:`~repro.network.stats.
+        CurveResult` is returned per spec, in order.
     workers:
         Pool size.  ``None`` reads ``REPRO_WORKERS`` and falls back to
         the CPU count; ``<= 1`` runs the same chunks in this process,
@@ -347,13 +349,13 @@ def run_experiments(
         instead of re-run, and fresh points are written back.
     stop_after_saturation:
         Cut each sweep off after this many saturated points, exactly as
-        :func:`repro.network.sweep.sweep_rates` does.
+        :func:`repro.network.sweep_rates` does.
     on_point:
         Optional :data:`PointCallback` invoked in *this* process as each
         point completes — cache replays first (``source="cache"``), then
         fresh points chunk by chunk in completion order, the points of
         one chunk in rate order (``source="fresh"``).  Its events may be
-        a superset of the returned sweeps: speculative points past a
+        a superset of the returned curves: speculative points past a
         saturation cutoff are reported (and cached) but excluded from
         the assembled results.  Raising from the hook aborts the run;
         already-completed points stay cached, which is how the service
@@ -406,13 +408,8 @@ def run_experiments(
                     workers, threads, retries, on_point,
                 )
 
-        sweeps = [
-            assemble_sweep(
-                spec.label or spec.describe(),
-                spec.rates,
-                have[si],
-                stop_after_saturation,
-            )
+        curves = [
+            _curve(spec, have[si], stop_after_saturation)
             for si, spec in enumerate(specs)
         ]
         logger.info(
@@ -424,7 +421,26 @@ def run_experiments(
             workers,
             time.perf_counter() - t0,
         )
-    return sweeps
+    return curves
+
+
+def _curve(
+    spec: ExperimentSpec,
+    results: Dict[int, SimResult],
+    stop_after_saturation: int,
+) -> CurveResult:
+    """The curve a serial in-order walk of ``spec`` would return."""
+    complete, n = cutoff_walk(
+        len(spec.rates), results, stop_after_saturation
+    )
+    assert complete, f"{spec.describe()}: no result for rate index {n}"
+    return CurveResult(
+        label=spec.label or spec.describe(),
+        points=tuple(
+            PointResult(spec.rates[ri], results[ri]) for ri in range(n)
+        ),
+        spec_key=spec.config_key(),
+    )
 
 
 def _store(

@@ -34,11 +34,7 @@ or declaratively, through the engine/scenario layer::
     study.with_metrics(["timeseries"]).run(workers=4)
 """
 
-from .channel import (
-    METRIC_CHANNEL_FRAME_SCHEMA,
-    METRIC_CHANNEL_SCHEMA,
-    MetricChannel,
-)
+from .channel import METRIC_CHANNEL_SCHEMA, MetricChannel
 from .probe import (
     Probe,
     build_probe,
@@ -58,9 +54,16 @@ from .probes import (
     VCUtilizationProbe,
 )
 from .record import HopEvent, PacketView, RunRecord
+from .summary import (
+    channel_columns,
+    congestion_evolution,
+    hot_links,
+    link_load_summary,
+    misroute_rows,
+    misroute_table,
+)
 
 __all__ = [
-    "METRIC_CHANNEL_FRAME_SCHEMA",
     "METRIC_CHANNEL_SCHEMA",
     "MetricChannel",
     "Probe",
@@ -80,4 +83,10 @@ __all__ = [
     "normalize_metrics",
     "probe_descriptions",
     "register_probe",
+    "channel_columns",
+    "congestion_evolution",
+    "hot_links",
+    "link_load_summary",
+    "misroute_rows",
+    "misroute_table",
 ]

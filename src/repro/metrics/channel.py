@@ -21,21 +21,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "METRIC_CHANNEL_FRAME_SCHEMA",
-    "METRIC_CHANNEL_SCHEMA",
-    "MetricChannel",
-]
+__all__ = ["METRIC_CHANNEL_SCHEMA", "MetricChannel"]
 
 #: stable schema tag of serialised channels; bump the version suffix on
 #: incompatible layout changes so foreign payloads are rejected loudly.
 METRIC_CHANNEL_SCHEMA = "repro.metric-channel/v1"
-
-#: schema tag of one streaming frame (see :meth:`MetricChannel.
-#: to_frames`); the simulation service sends large channels as a frame
-#: sequence so subscribers see telemetry rows incrementally instead of
-#: one oversized event line.
-METRIC_CHANNEL_FRAME_SCHEMA = "repro.metric-channel-frame/v1"
 
 
 def _encode_cell(value):
@@ -160,96 +150,6 @@ class MetricChannel:
                 for k, v in data.get("summary", {}).items()
             },
             meta=dict(data.get("meta", {})),
-        )
-
-    # -- streaming frames ----------------------------------------------
-    def to_frames(self, max_rows: int = 256) -> List[Dict]:
-        """Split into an ordered list of JSON-scalar frames.
-
-        Frame 0 carries the header (name, kind, columns, summary, meta,
-        total row/frame counts); every frame carries at most
-        ``max_rows`` encoded rows.  A row-less channel still produces
-        the single header frame.  :meth:`from_frames` is the lossless
-        inverse — the service's streaming endpoint emits one event line
-        per frame so a subscriber can render telemetry incrementally.
-        """
-        if max_rows < 1:
-            raise ValueError("max_rows must be >= 1")
-        encoded = [
-            [_encode_cell(v) for v in row] for row in self.rows
-        ]
-        slabs = [
-            encoded[i : i + max_rows]
-            for i in range(0, len(encoded), max_rows)
-        ] or [[]]
-        frames: List[Dict] = []
-        for i, slab in enumerate(slabs):
-            frame = {
-                "schema": METRIC_CHANNEL_FRAME_SCHEMA,
-                "name": self.name,
-                "frame": i,
-                "frames": len(slabs),
-                "rows": slab,
-            }
-            if i == 0:
-                frame["kind"] = self.kind
-                frame["columns"] = list(self.columns)
-                frame["summary"] = {
-                    k: _encode_cell(v) for k, v in self.summary.items()
-                }
-                frame["meta"] = dict(self.meta)
-                frame["num_rows"] = len(encoded)
-            frames.append(frame)
-        return frames
-
-    @classmethod
-    def from_frames(cls, frames: Sequence[Dict]) -> "MetricChannel":
-        """Reassemble a channel from :meth:`to_frames` output.
-
-        Frames may arrive as any iterable but must be complete and in
-        order for one channel; gaps, reordering, mixed names or a wrong
-        schema tag are rejected loudly rather than silently mis-merged.
-        """
-        frames = list(frames)
-        if not frames:
-            raise ValueError("cannot assemble a channel from no frames")
-        head = frames[0]
-        if head.get("schema") != METRIC_CHANNEL_FRAME_SCHEMA:
-            raise ValueError(
-                f"cannot read {head.get('schema')!r} payload as "
-                f"{METRIC_CHANNEL_FRAME_SCHEMA!r}"
-            )
-        if head.get("frame") != 0 or "columns" not in head:
-            raise ValueError("first frame must be the header frame")
-        total = int(head.get("frames", len(frames)))
-        if len(frames) != total:
-            raise ValueError(
-                f"channel {head.get('name')!r}: got {len(frames)} "
-                f"frame(s), expected {total}"
-            )
-        rows: List[List] = []
-        for i, frame in enumerate(frames):
-            if frame.get("name") != head.get("name"):
-                raise ValueError(
-                    f"frame {i} belongs to channel "
-                    f"{frame.get('name')!r}, not {head.get('name')!r}"
-                )
-            if frame.get("frame") != i:
-                raise ValueError(
-                    f"frame sequence broken at position {i} "
-                    f"(got frame {frame.get('frame')!r})"
-                )
-            rows.extend(frame.get("rows", ()))
-        return cls.from_dict(
-            {
-                "schema": METRIC_CHANNEL_SCHEMA,
-                "name": head["name"],
-                "kind": head.get("kind", "table"),
-                "columns": head.get("columns", ()),
-                "rows": rows,
-                "summary": head.get("summary", {}),
-                "meta": head.get("meta", {}),
-            }
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:

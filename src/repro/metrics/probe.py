@@ -168,11 +168,22 @@ def normalize_metrics(metrics) -> Tuple[Tuple[str, Tuple], ...]:
 
 
 def build_probes(metrics) -> List[Probe]:
-    """Realise a (possibly frozen) metrics axis into probe instances."""
-    return [
+    """Realise a metrics axis into probe instances, in order.
+
+    :class:`Probe` instances pass through; everything else (kind names,
+    ``(name, options)`` pairs, the frozen spec form) is validated
+    together by :func:`normalize_metrics` and instantiated.
+    """
+    if isinstance(metrics, str):
+        metrics = [metrics]
+    entries = list(metrics or ())
+    built = (
         build_probe(name, **dict(opts))
-        for name, opts in normalize_metrics(metrics)
-    ]
+        for name, opts in normalize_metrics(
+            [e for e in entries if not isinstance(e, Probe)]
+        )
+    )
+    return [e if isinstance(e, Probe) else next(built) for e in entries]
 
 
 def metrics_to_data(metrics: Sequence) -> List:

@@ -1,7 +1,6 @@
-"""Channel-based telemetry analysis.
+"""Channel summaries: the consumer side of this package.
 
-Where the closed-form modules of this package predict single numbers,
-these helpers consume the typed :class:`~repro.metrics.MetricChannel`
+These helpers read the typed :class:`~repro.metrics.MetricChannel`
 payloads that probes attach to simulated points — per-link load maps,
 misroute ratios and congestion time series — and condense them into
 the curve-level summaries the paper's Fig. 13-style discussion needs.
@@ -18,7 +17,7 @@ import math
 from typing import Dict, List, Tuple
 
 __all__ = [
-    "channel_frame",
+    "channel_columns",
     "congestion_evolution",
     "hot_links",
     "link_load_summary",
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 
-def channel_frame(channel) -> Dict[str, List]:
+def channel_columns(channel) -> Dict[str, List]:
     """Column-major view of a channel: column name -> value list."""
     return {
         name: channel.column(name) for name in channel.columns
@@ -110,4 +109,4 @@ def congestion_evolution(point) -> Dict[str, List]:
     congestion-onset signal (a stable network plateaus, a saturated one
     climbs monotonically).
     """
-    return channel_frame(point.channel("timeseries"))
+    return channel_columns(point.channel("timeseries"))

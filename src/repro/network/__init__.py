@@ -15,18 +15,17 @@ from .simcore import ArrayCore
 from .simulator import (
     CORE_ENV,
     Simulator,
+    find_saturation,
     resolve_core,
     run_batch,
-    run_simulation,
-)
-from .stats import SIMRESULT_SCHEMA, SimResult
-from .sweep import (
-    LOADSWEEP_SCHEMA,
-    LoadSweep,
-    assemble_sweep,
-    cutoff_walk,
-    find_saturation,
     sweep_rates,
+)
+from .stats import (
+    SIMRESULT_SCHEMA,
+    CurveResult,
+    PointResult,
+    SimResult,
+    cutoff_walk,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "SimParams",
     "Simulator",
     "run_batch",
-    "run_simulation",
     "CORE_ENV",
     "THREADS_ENV",
     "ArrayCore",
@@ -49,9 +47,8 @@ __all__ = [
     "build_injection_schedule",
     "SIMRESULT_SCHEMA",
     "SimResult",
-    "LOADSWEEP_SCHEMA",
-    "LoadSweep",
-    "assemble_sweep",
+    "PointResult",
+    "CurveResult",
     "cutoff_walk",
     "find_saturation",
     "sweep_rates",

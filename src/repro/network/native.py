@@ -345,8 +345,9 @@ class NativeCore(CoreBase):
         if lib is None:
             raise RuntimeError(
                 "native simulation core unavailable "
-                "(no C compiler or compilation failed); "
-                "use core='array' instead"
+                "(no C compiler or compilation failed); leave core= and "
+                "REPRO_SIM_CORE unset and resolve_core() falls back to "
+                "the array core"
             )
         self._lib = lib
         # what the kernel reports per ejected packet, kept as arrays

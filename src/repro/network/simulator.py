@@ -73,9 +73,9 @@ results and probe channels, whether or not an
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..metrics import Probe, build_probe
+from ..metrics import Probe, build_probes
 from ..metrics.record import RunRecord
 from ..obs import trace as obs_trace
 from ..topology.graph import NetworkGraph
@@ -84,14 +84,15 @@ from .params import SimParams
 from .refcore import ReferenceCore
 from .schedule import InjectionSchedule
 from .simcore import ArrayCore
-from .stats import SimResult
+from .stats import CurveResult, PointResult, SimResult, cutoff_walk
 
 __all__ = [
     "CORE_ENV",
     "Simulator",
+    "find_saturation",
     "resolve_core",
     "run_batch",
-    "run_simulation",
+    "sweep_rates",
 ]
 
 #: environment override for the default simulation core.
@@ -145,21 +146,6 @@ def resolve_core(core: Optional[str] = None) -> str:
     return name
 
 
-def _build_probes(probes) -> List[Probe]:
-    """Probe instances from instances, kind names and ``(name,
-    options)`` pairs (the form the spec metrics axis uses)."""
-    built: List[Probe] = []
-    for p in probes or ():
-        if isinstance(p, Probe):
-            built.append(p)
-        elif isinstance(p, str):
-            built.append(build_probe(p))
-        else:
-            name, opts = p
-            built.append(build_probe(name, **dict(opts)))
-    return built
-
-
 class Simulator:
     """One simulation instance binding a graph, routing and traffic.
 
@@ -208,7 +194,7 @@ class Simulator:
     ) -> None:
         self.core_name = resolve_core(core)
         self._core = _CORES[self.core_name](graph, routing, traffic, params)
-        self.probes: List[Probe] = _build_probes(probes)
+        self.probes: List[Probe] = build_probes(probes)
         #: the most recent run's :class:`~repro.metrics.RunRecord`
         #: (``None`` until a probed run happened).
         self.last_record: Optional[RunRecord] = None
@@ -297,18 +283,6 @@ class Simulator:
         return self._core.flits_in_flight()
 
 
-def run_simulation(
-    graph: NetworkGraph,
-    routing,
-    traffic,
-    rate: float,
-    params: Optional[SimParams] = None,
-) -> SimResult:
-    """Convenience wrapper: build a fresh :class:`Simulator` and run it."""
-    sim = Simulator(graph, routing, traffic, params or SimParams())
-    return sim.run(rate)
-
-
 def _collect_channels(core, rate, probes, result) -> RunRecord:
     """Decode ``core``'s finished run into one channel per probe on
     ``result``; returns the record the probes read."""
@@ -364,7 +338,7 @@ def run_batch(
                 f"{len(per_lane)} {name} for {len(lanes)} lanes"
             )
     core = resolve_core(core)
-    built = _build_probes(probes)
+    built = build_probes(probes)
     n = len(lanes)
     rates = [rate for _, rate in lanes]
     # span attribute only: what the lanes run when they are closed-loop
@@ -428,3 +402,73 @@ def run_batch(
     for plan in plans or ():
         plan.check_drained()
     return results
+
+
+def sweep_rates(
+    graph: NetworkGraph,
+    routing,
+    traffic,
+    rates: Sequence[float],
+    params: Optional[SimParams] = None,
+    *,
+    label: str = "",
+    stop_after_saturation: int = 1,
+) -> CurveResult:
+    """One latency-vs-load curve: each offered rate on a fresh
+    :class:`Simulator`, in order, cut off after
+    ``stop_after_saturation`` saturated points.
+
+    The direct, object-level walk.  :func:`repro.engine.
+    run_experiments` applies the same cutoff (:func:`~repro.network.
+    stats.cutoff_walk`) to specs it can rebuild in worker processes,
+    several rates per kernel call, with caching.
+    """
+    params = params or SimParams()
+    rates = [float(r) for r in rates]
+    results: Dict[int, SimResult] = {}
+    while True:
+        complete, n = cutoff_walk(len(rates), results, stop_after_saturation)
+        if complete:
+            break
+        results[n] = Simulator(graph, routing, traffic, params).run(rates[n])
+    return CurveResult(
+        label=label,
+        points=tuple(PointResult(rates[ri], results[ri]) for ri in range(n)),
+    )
+
+
+def find_saturation(
+    graph_factory: Callable[[], Tuple[NetworkGraph, object, object]],
+    *,
+    params: Optional[SimParams] = None,
+    lo: float = 0.05,
+    hi: float = 4.0,
+    tol: float = 0.05,
+    max_iter: int = 12,
+) -> float:
+    """Bisect for the saturation injection rate (flits/cycle/chip).
+
+    ``graph_factory`` returns a fresh ``(graph, routing, traffic)`` triple
+    per probe so simulator state never leaks between probes.  Returns the
+    highest rate that is *not* saturated, within ``tol``.
+    """
+    params = params or SimParams()
+
+    def probe(rate: float) -> bool:
+        graph, routing, traffic = graph_factory()
+        return Simulator(graph, routing, traffic, params).run(rate).saturated
+
+    if probe(lo):
+        return 0.0
+    if not probe(hi):
+        return hi
+    good, bad = lo, hi
+    for _ in range(max_iter):
+        if bad - good <= tol:
+            break
+        mid = 0.5 * (good + bad)
+        if probe(mid):
+            bad = mid
+        else:
+            good = mid
+    return good

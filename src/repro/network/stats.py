@@ -1,16 +1,32 @@
-"""Measurement aggregation for simulation runs."""
+"""Measurement aggregation: one run, one point, one curve.
+
+* :class:`SimResult` — the outcome of one simulation run;
+* :class:`PointResult` — a run at its offered rate on a curve;
+* :class:`CurveResult` — one labeled latency-vs-load curve (Figs.
+  10-14) with its saturation summaries: what :func:`~repro.network.
+  simulator.sweep_rates` and :func:`repro.engine.run_experiments`
+  return and :mod:`repro.api.results` nests into scenarios and studies;
+* :func:`cutoff_walk` — the one saturation-cutoff rule both of them
+  apply.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..metrics.channel import MetricChannel
 
-__all__ = ["SIMRESULT_SCHEMA", "SimResult"]
+__all__ = [
+    "SIMRESULT_SCHEMA",
+    "CurveResult",
+    "PointResult",
+    "SimResult",
+    "cutoff_walk",
+]
 
 #: stable schema tag stamped into serialised results; bump the version
 #: suffix on incompatible field changes so foreign/stale payloads are
@@ -192,3 +208,163 @@ class SimResult:
             f"lat={self.avg_latency:.1f}cyc p99={self.p99_latency:.1f} "
             f"delivered={self.packets_delivered}/{self.packets_measured}"
         )
+
+
+@dataclass(frozen=True)
+class PointResult:
+    """One simulated point of a curve: an offered rate and its outcome."""
+
+    rate: float
+    result: SimResult
+
+    @property
+    def offered(self) -> float:
+        return self.result.offered_rate
+
+    @property
+    def accepted(self) -> float:
+        return self.result.accepted_rate
+
+    @property
+    def avg_latency(self) -> float:
+        return self.result.avg_latency
+
+    @property
+    def saturated(self) -> bool:
+        return self.result.saturated
+
+    @property
+    def channels(self) -> Dict[str, MetricChannel]:
+        """Metric channels of this point (see :mod:`repro.metrics`)."""
+        return self.result.channels
+
+    def channel(self, name: str) -> MetricChannel:
+        try:
+            return self.result.channels[name]
+        except KeyError:
+            raise KeyError(
+                f"point rate={self.rate} has no channel {name!r}; "
+                f"channels: {sorted(self.result.channels)}"
+            ) from None
+
+    def to_dict(self) -> Dict:
+        return {"rate": self.rate, "result": self.result.to_dict()}
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "PointResult":
+        return cls(
+            rate=float(data["rate"]),
+            result=SimResult.from_dict(data["result"]),
+        )
+
+
+@dataclass(frozen=True)
+class CurveResult:
+    """One labeled latency-vs-load curve and its saturation summary."""
+
+    label: str
+    points: tuple
+    #: ``config_key()`` of the spec that produced the curve, tying the
+    #: result back to its cache entries (empty for object-level sweeps).
+    spec_key: str = ""
+
+    @property
+    def rates(self) -> List[float]:
+        return [p.rate for p in self.points]
+
+    @property
+    def results(self) -> List[SimResult]:
+        return [p.result for p in self.points]
+
+    @property
+    def saturation_rate(self) -> float:
+        """First offered rate at which the run saturated (inf if none)."""
+        for p in self.points:
+            if p.saturated:
+                return p.rate
+        return float("inf")
+
+    @property
+    def max_accepted(self) -> float:
+        """Highest accepted throughput seen across the curve."""
+        return max((p.accepted for p in self.points), default=0.0)
+
+    def zero_load_latency(self) -> float:
+        """Average latency at the lowest *non-saturated* measured rate.
+
+        A saturated point's mean latency is a queueing artefact (it
+        mostly measures how long the window was), so saturated points
+        are skipped even when they sit first in the curve; ``nan`` when
+        every point saturated or the curve is empty — summaries carry
+        the NaN through (JSON ``null``, empty CSV cell) rather than
+        reporting a bogus number.
+        """
+        for p in self.points:
+            if not p.saturated:
+                return p.avg_latency
+        return float("nan")
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            "saturation_rate": self.saturation_rate,
+            "max_accepted": self.max_accepted,
+            "zero_load_latency": self.zero_load_latency(),
+        }
+
+    def channel_names(self) -> List[str]:
+        """Channel names present on any point of this curve."""
+        names: List[str] = []
+        for p in self.points:
+            for name in p.channels:
+                if name not in names:
+                    names.append(name)
+        return names
+
+    def format_table(self) -> str:
+        lines = [f"# {self.label}", "offered  accepted  avg_latency"]
+        for p in self.points:
+            lines.append(
+                f"{p.rate:7.3f}  {p.accepted:8.3f}  {p.avg_latency:11.1f}"
+            )
+        return "\n".join(lines)
+
+    def to_dict(self) -> Dict:
+        return {
+            "label": self.label,
+            "spec_key": self.spec_key,
+            "points": [p.to_dict() for p in self.points],
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "CurveResult":
+        return cls(
+            label=data["label"],
+            points=tuple(PointResult.from_dict(p) for p in data["points"]),
+            spec_key=data.get("spec_key", ""),
+        )
+
+
+def cutoff_walk(
+    num_rates: int,
+    results: Dict[int, SimResult],
+    stop_after_saturation: int,
+) -> Tuple[bool, int]:
+    """Walk a sweep's rate indices in order against known results.
+
+    ``results`` maps rate index -> :class:`SimResult` (gaps allowed —
+    the engine fills them out of order).  Returns ``(complete, n)``:
+    when complete, ``n`` is the curve length after the saturation cutoff
+    (past saturation the latency is unbounded anyway, and those runs are
+    the most expensive ones); otherwise ``n`` is the first missing rate
+    index that must be simulated next.
+    """
+    saturated = 0
+    for ri in range(num_rates):
+        res = results.get(ri)
+        if res is None:
+            return False, ri
+        if res.saturated:
+            saturated += 1
+            if saturated >= stop_after_saturation:
+                return True, ri + 1
+    return True, num_rates

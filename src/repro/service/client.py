@@ -3,9 +3,8 @@
 :class:`ServiceClient` wraps the JSON endpoints of
 :mod:`repro.service.server`; the only non-trivial part is
 :meth:`~ServiceClient.stream`, which reads the chunked NDJSON event
-feed line by line, and :meth:`~ServiceClient.watch`, which folds the
-stream back into a complete :class:`~repro.api.StudyResult`
-(reassembling framed metric channels transparently).
+feed line by line, and :meth:`~ServiceClient.watch`, which follows it
+to the :class:`~repro.api.StudyResult` in the terminal ``done`` event.
 
 Example::
 
@@ -29,7 +28,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 from urllib.parse import urlparse
 
 from ..api import Study, StudyResult
-from ..metrics import MetricChannel
 from ..obs import trace as obs_trace
 from ..obs.log import get_logger
 from .protocol import JobRequest
@@ -385,12 +383,23 @@ class ServiceClient:
                 if not line:
                     continue
                 try:
-                    yield json.loads(line)
+                    event = json.loads(line)
                 except ValueError as exc:
                     # torn line from an abruptly closed connection
                     raise ServiceError(
                         f"event stream dropped mid-line: {exc}"
                     ) from None
+                if event.get("event") in TERMINAL_EVENTS:
+                    # the server ends the stream here: read its
+                    # terminal chunk before hanging up, so it never
+                    # writes into (or reads from) a reset socket
+                    try:
+                        resp.read()
+                    except (OSError, http.client.HTTPException):
+                        pass
+                    yield event
+                    return
+                yield event
         finally:
             conn.close()
 
@@ -402,42 +411,14 @@ class ServiceClient:
     ) -> StudyResult:
         """Follow the stream to completion and return the result.
 
-        ``on_event`` sees every event *after* framed metric channels
-        have been reassembled into their ``point`` event (so consumers
-        handle one uniform shape).  Raises :class:`ServiceError` when
-        the job ends in ``error`` / ``failed`` / ``cancelled`` /
-        detaches.  Dropped connections are survived transparently by
-        :meth:`stream`'s reconnect logic.
+        ``on_event`` sees every event as streamed (a ``point`` event
+        carries its metric channels inline).  Raises
+        :class:`ServiceError` when the job ends in ``error`` /
+        ``failed`` / ``cancelled`` / detaches.  Dropped connections are
+        survived transparently by :meth:`stream`'s reconnect logic.
         """
-        pending: Dict[Tuple, Dict[str, List[Dict]]] = {}
         for event in self.stream(job_id, start=start):
             name = event.get("event")
-            if name == "channel_frame":
-                slot = (
-                    event.get("scenario"),
-                    event.get("curve"),
-                    event.get("rate"),
-                )
-                frames = pending.setdefault(slot, {}).setdefault(
-                    event["channel"], []
-                )
-                frames.append(event["payload"])
-                point = pending[slot].get("__point__")
-                if point is not None and _frames_complete(
-                    pending[slot], point[0].get("framed_channels", ())
-                ):
-                    merged = _merge_frames(pending.pop(slot))
-                    if on_event is not None:
-                        on_event(merged)
-                continue
-            if name == "point" and event.get("framed_channels"):
-                slot = (
-                    event.get("scenario"),
-                    event.get("curve"),
-                    event.get("rate"),
-                )
-                pending.setdefault(slot, {})["__point__"] = [event]
-                continue
             if on_event is not None:
                 on_event(event)
             if name == "done":
@@ -461,25 +442,3 @@ class ServiceClient:
         raise ServiceError(
             f"event stream for job {job_id} ended without a terminal event"
         )
-
-
-def _frames_complete(slot: Dict, names) -> bool:
-    for name in names:
-        frames = slot.get(name)
-        if not frames:
-            return False
-        if len(frames) < int(frames[0].get("frames", 1)):
-            return False
-    return True
-
-
-def _merge_frames(slot: Dict) -> Dict:
-    """Fold buffered channel frames back into their point event."""
-    [point] = slot.pop("__point__")
-    result = point.get("result", {})
-    channels = result.setdefault("channels", {})
-    for name, frames in slot.items():
-        channels[name] = MetricChannel.from_frames(frames).to_dict()
-    point = dict(point)
-    point["framed_channels"] = []
-    return point

@@ -45,11 +45,6 @@ __all__ = [
 #: retry budget and was parked with its last traceback.
 TERMINAL_STATES = ("done", "error", "failed", "cancelled")
 
-#: channels larger than this many rows are streamed as frame events
-#: instead of riding inline in the ``point`` event (see
-#: :meth:`~repro.metrics.MetricChannel.to_frames`).
-FRAME_ROWS = 256
-
 # runtime telemetry (see repro.obs).  Counters are process-global and
 # monotonic, so multiple service instances in one process (tests) can
 # share them safely; point-in-time gauges are refreshed by the server
@@ -156,6 +151,10 @@ class Execution:
         self._queue_span = obs_trace.NOOP_SPAN
         self._queued_at = time.time()
         self._events: List[Dict] = []
+        #: the terminal event is in the log (or the execution was
+        #: restored read-only).  This ends a subscriber's stream; ``state``
+        #: turns terminal earlier, before the journal write and that event.
+        self.log_complete = False
         self._cond = threading.Condition()
 
     # -- tracing -------------------------------------------------------
@@ -211,6 +210,8 @@ class Execution:
             self._events.append(event)
             if self.sink is not None:
                 self.sink.append(event)
+            if event["event"] in TERMINAL_STATES:  # named after the state
+                self.log_complete = True
             self._cond.notify_all()
 
     def _notify(self, state: str) -> None:
@@ -249,31 +250,12 @@ class Execution:
         result: SimResult,
         source: str,
     ) -> None:
-        """One completed point: a ``point`` event plus channel frames.
-
-        Channels with more than :data:`FRAME_ROWS` rows are stripped
-        from the point payload and streamed as ``channel_frame`` events
-        right behind it — subscribers reassemble them with
-        :meth:`MetricChannel.from_frames` (the client does this
-        transparently).
-        """
+        """One completed point: a ``point`` event carrying the whole
+        ``SimResult.to_dict()``, metric channels inline."""
         self.points_done += 1
         self.beat()
         if source == "cache":
             self.cache_hits += 1
-        payload = result.to_dict()
-        framed = {}
-        for name, channel in result.channels.items():
-            if channel.num_rows > FRAME_ROWS:
-                framed[name] = channel.to_frames(FRAME_ROWS)
-        if framed:
-            payload["channels"] = {
-                name: ch
-                for name, ch in payload["channels"].items()
-                if name not in framed
-            }
-            if not payload["channels"]:
-                del payload["channels"]
         self._emit(
             {
                 "event": "point",
@@ -283,22 +265,9 @@ class Execution:
                 "source": source,
                 "points_done": self.points_done,
                 "points_total": self.points_total,
-                "result": payload,
-                "framed_channels": sorted(framed),
+                "result": result.to_dict(),
             }
         )
-        for name in sorted(framed):
-            for frame in framed[name]:
-                self._emit(
-                    {
-                        "event": "channel_frame",
-                        "scenario": scenario,
-                        "curve": label,
-                        "rate": rate,
-                        "channel": name,
-                        "payload": frame,
-                    }
-                )
 
     def finish(self, result: StudyResult, cache_stats: Dict) -> None:
         with self._cond:
@@ -392,14 +361,13 @@ class Execution:
         self, start: int, timeout: Optional[float] = None
     ) -> List[Dict]:
         """Events from index ``start``; blocks until at least one new
-        event exists or the execution is terminal (then returns
-        whatever is left, possibly nothing)."""
+        event exists or the log is complete (then returns whatever is
+        left, possibly nothing)."""
         with self._cond:
-            if not self._cond.wait_for(
-                lambda: len(self._events) > start or self.terminal,
+            self._cond.wait_for(
+                lambda: len(self._events) > start or self.log_complete,
                 timeout=timeout,
-            ):
-                return []
+            )
             return self._events[start:]
 
     def events_snapshot(self) -> List[Dict]:
@@ -426,6 +394,7 @@ class Execution:
         execution = cls(key, request, study)
         execution.state = state
         execution._events = list(events)
+        execution.log_complete = True
         execution.error = error
         execution.trace_id = trace_id
         for event in events:

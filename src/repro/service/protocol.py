@@ -10,11 +10,17 @@ same style as the scenario files:
   tenancy fields (client id, priority);
 * job status dicts (``repro.job-status/v1``) — id, state, queue
   position, progress counters, dedupe linkage;
-* event lines (``repro.job-event/v1``) — the NDJSON stream a
-  subscriber reads: ``start``, per-point ``point`` events (cache
-  replays included, tagged ``source="cache"``), ``channel_frame``
-  events carrying large :class:`~repro.metrics.MetricChannel` tables
-  incrementally, and a terminal ``done`` / ``error`` / ``cancelled``.
+* event lines (``repro.job-event/v2``) — the NDJSON stream a
+  subscriber reads, each tagged ``schema`` / ``seq`` / ``event``:
+  ``start`` (``study``, ``key``, ``points_total``, ``resumed``); one
+  ``point`` per completed point, cache replays included (``scenario``,
+  ``curve``, ``rate``, ``source`` = ``"cache"`` | ``"fresh"``,
+  ``points_done``, ``points_total``, and ``result``: the point's whole
+  ``SimResult.to_dict()``, metric channels inline); ``retry`` per
+  supervised re-attempt; one terminal ``done`` (with the
+  ``StudyResult``) / ``error`` / ``failed`` / ``cancelled``.  v1 sent
+  channels past 256 rows as separate frame events; v1 logs in a
+  ``--state-dir`` still restore (``done`` is unchanged).
 
 The request's *execution key* — the digest under which concurrent and
 repeat submissions dedupe — is computed from the canonical study
@@ -41,7 +47,7 @@ __all__ = [
 
 JOB_REQUEST_SCHEMA = "repro.job-request/v1"
 JOB_STATUS_SCHEMA = "repro.job-status/v1"
-JOB_EVENT_SCHEMA = "repro.job-event/v1"
+JOB_EVENT_SCHEMA = "repro.job-event/v2"
 
 #: lifecycle of a job: ``queued -> running -> done``, with ``error``
 #: (single hard failure), ``failed`` (quarantined after exhausting

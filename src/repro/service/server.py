@@ -311,10 +311,12 @@ class SimulationService:
         logger.info("job %s cancelled (state=%s)", job.id, job.state)
         return job.status()
 
-    def events(
+    def event_batches(
         self, job_id: str, start: int = 0, timeout: Optional[float] = 30.0
     ):
-        """Yield the job's events from ``start`` until terminal.
+        """Yield the job's events from ``start`` until terminal, in the
+        batches they became available in (what the HTTP stream writes
+        as one chunk each).
 
         A cancelled *job* on a still-live execution terminates the
         stream with a synthetic ``detached`` event — the execution (and
@@ -325,20 +327,20 @@ class SimulationService:
         seq = start
         while True:
             if job.cancelled and not execution.terminal:
-                yield {
-                    "event": "detached",
-                    "seq": seq,
-                    "reason": "job cancelled; execution continues for "
-                    "other subscribers",
-                }
+                yield [
+                    {
+                        "event": "detached",
+                        "seq": seq,
+                        "reason": "job cancelled; execution continues "
+                        "for other subscribers",
+                    }
+                ]
                 return
             batch = execution.wait_events(seq, timeout=timeout)
-            for event in batch:
-                yield event
-                seq = event["seq"] + 1
-            if execution.terminal and seq >= len(
-                execution.events_snapshot()
-            ):
+            if batch:
+                yield batch
+                seq = batch[-1]["seq"] + 1
+            elif execution.log_complete:
                 return
 
     def stats(self) -> Dict:
@@ -559,6 +561,10 @@ class SimulationService:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
+    # TCP_NODELAY on every accepted connection: a response is a few
+    # small writes, and under Nagle the last one waits ~40 ms on the
+    # client's delayed ACK
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SimulationService:
@@ -600,13 +606,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _path_parts(self) -> List[str]:
         path, _, self._query = self.path.partition("?")
         return [p for p in path.split("/") if p]
-
-    def _query_int(self, name: str, default: int) -> int:
-        for pair in (self._query or "").split("&"):
-            k, _, v = pair.partition("=")
-            if k == name and v:
-                return int(v)
-        return default
 
     def _query_param(self, name: str) -> Optional[str]:
         for pair in (self._query or "").split("&"):
@@ -704,7 +703,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(f"unknown endpoint {self.path!r}", 404)
         except KeyError as exc:
             self._error(str(exc.args[0]), 404)
-        except BrokenPipeError:
+        except ConnectionError:
             pass  # client hung up mid-stream
 
     def _handle_post(self, parts: List[str]) -> None:
@@ -740,38 +739,41 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(f"bad request: {exc}", 400)
         except KeyError as exc:
             self._error(str(exc.args[0]), 404)
-        except BrokenPipeError:
+        except ConnectionError:
             pass
 
     # -- streaming -----------------------------------------------------
-    def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")
-
     def _stream_events(self, job_id: str) -> None:
+        """One chunk per batch of events, then the terminal chunk; the
+        connection is not reused (the client reads to EOF and hangs
+        up, so a keep-alive read would only find a closed socket)."""
         service = self.service
         service.job(job_id)  # 404 before committing to a stream
-        start = self._query_int("from", 0)
+        start = int(self._query_param("from") or 0)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
+        self.send_header("Connection", "close")
         self.end_headers()
-        dropped = False
-        try:
-            for event in service.events(job_id, start=start):
+        self.close_connection = True
+        for batch in service.event_batches(job_id, start=start):
+            lines = []
+            for event in batch:
                 if chaos.should_fire("drop-stream"):
-                    # yank the connection mid-stream: no terminal
-                    # chunk, socket torn down — clients must
-                    # reconnect with ?from=<next seq>
-                    dropped = True
-                    self.close_connection = True
-                    self.connection.close()
-                    return
-                self._write_chunk(json.dumps(event).encode() + b"\n")
-                self.wfile.flush()
-        finally:
-            if not dropped:
-                self._write_chunk(b"")  # terminal chunk
-                self.wfile.write(b"\r\n")
+                    break
+                lines.append(json.dumps(event).encode() + b"\n")
+            data = b"".join(lines)
+            if data:
+                self.wfile.write(
+                    f"{len(data):x}\r\n".encode() + data + b"\r\n"
+                )
+            if len(lines) < len(batch):
+                # chaos yanked the connection mid-stream: no terminal
+                # chunk, socket torn down — clients must reconnect
+                # with ?from=<next seq>
+                self.connection.close()
+                return
+        self.wfile.write(b"0\r\n\r\n")  # terminal chunk
 
     def _job_result(self, job_id: str) -> None:
         job = self.service.job(job_id)

@@ -7,7 +7,7 @@ results keyed by the engine's ``point_key`` digests (``config_key`` +
 
 Three layers, each usable on its own:
 
-* :class:`ResultStore` wraps the engine's :class:`~repro.engine.cache.
+* :class:`ResultStore` extends the engine's :class:`~repro.engine.cache.
   ResultCache` with LRU eviction bounds (``max_entries`` /
   ``max_bytes``), a directory stats scan (entry count, bytes,
   ENGINE_VERSION mix, stale-version detection) and a ``cache_stats``
@@ -218,12 +218,11 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-class ResultStore:
+class ResultStore(ResultCache):
     """Bounded, inspectable content-addressed store over a cache dir.
 
-    Duck-compatible with :class:`~repro.engine.cache.ResultCache` where
-    the engine and ``Study.run`` need it (``get`` / ``put`` /
-    ``__contains__`` / ``__len__`` / ``root`` / ``hits`` / ``misses``),
+    A :class:`~repro.engine.cache.ResultCache` (same files, same
+    ``get`` / ``put`` / ``clear`` / ``root`` / ``hits`` / ``misses``)
     plus:
 
     * **LRU eviction** — ``max_entries`` / ``max_bytes`` bounds enforced
@@ -248,33 +247,19 @@ class ResultStore:
             raise ValueError("max_entries must be >= 1")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
-        self.cache = ResultCache(root)
+        super().__init__(root)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.single_flight = SingleFlight(
-            self.cache.root, stale_after=stale_after
-        )
+        self.single_flight = SingleFlight(self.root, stale_after=stale_after)
         self.evicted = 0
 
     # -- ResultCache surface -------------------------------------------
-    @property
-    def root(self) -> Path:
-        return self.cache.root
-
-    @property
-    def hits(self) -> int:
-        return self.cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self.cache.misses
-
     def get(self, key: str) -> Optional[SimResult]:
-        res = self.cache.get(key)
+        res = super().get(key)
         if res is not None:
             _M_HITS.inc()
             try:  # LRU recency: a hit counts as a use
-                os.utime(self.cache._path(key))
+                os.utime(self._path(key))
             except OSError:
                 pass
         else:
@@ -286,18 +271,12 @@ class ResultStore:
     ) -> None:
         meta = dict(meta or {})
         meta.setdefault("engine", ENGINE_VERSION)
-        self.cache.put(key, result, meta=meta)
+        super().put(key, result, meta=meta)
         self.prune()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.cache
-
-    def __len__(self) -> int:
-        return len(self.cache)
 
     def clear(self) -> int:
         self.single_flight.clear(all_locks=True)
-        return self.cache.clear()
+        return super().clear()
 
     # -- bounds --------------------------------------------------------
     def entries(self) -> List[Tuple[str, Path, int, float]]:
@@ -497,9 +476,6 @@ class SingleFlightCache:
         if key in self._owned:
             self.store.single_flight.release(key)
             self._owned.discard(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.store
 
     def close(self) -> None:
         """Release owned-but-never-computed locks (cutoff leftovers)."""

@@ -145,3 +145,49 @@ def test_csv_nan_cells_empty():
     )
     row = res.to_csv().splitlines()[1].split(",")
     assert row[6] == ""  # avg_latency cell
+
+
+class TestOneCurveType:
+    def test_api_reexports_the_engine_curve_type(self):
+        import repro.network
+
+        assert CurveResult is repro.network.CurveResult
+        assert PointResult is repro.network.PointResult
+
+    @pytest.mark.parametrize(
+        "metrics, digest",
+        [
+            (
+                (),
+                "db25f1a359c42aca48628e6cc0450fb2"
+                "f816f6e71a5e4ae160bbbdd0a954c5ce",
+            ),
+            (
+                ("link_util", "misroute"),
+                "8195d3dae324090be092d5f27ba0d3b8"
+                "4bd28160402e12ee92500d3d68405667",
+            ),
+        ],
+    )
+    def test_study_payload_bytes_are_pinned(self, metrics, digest):
+        """``Study.run(...).to_dict()`` minus ``meta`` for the smoke
+        study, probe-off and probed, serialises to the bytes it did
+        when the engine returned sweeps that ``Study.run`` converted
+        (digests taken at that commit): saved
+        ``repro.study-result/v1`` files and cache entries keep
+        reading."""
+        import hashlib
+        import json
+
+        from repro.api import build_study
+
+        study = build_study("smoke", scale="quick")
+        if metrics:
+            study = study.with_metrics(list(metrics))
+        payload = study.run(workers=1).to_dict()
+        del payload["meta"]
+        text = json.dumps(payload)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert StudyResult.from_dict(
+            {**payload, "meta": {}}
+        ).to_dict()["scenarios"] == payload["scenarios"]

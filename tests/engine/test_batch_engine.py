@@ -20,8 +20,14 @@ from repro.engine.spec import (
     point_key,
     point_seed,
 )
-from repro.network import SimParams, Simulator, native_available
-from repro.network.sweep import assemble_sweep
+from repro.network import (
+    CurveResult,
+    PointResult,
+    SimParams,
+    Simulator,
+    cutoff_walk,
+    native_available,
+)
 from repro.obs import REGISTRY
 
 PARAMS = SimParams(
@@ -48,7 +54,8 @@ def mesh_spec(rates, label="mesh", **over):
 
 
 def per_lane_reference(spec, stop_after_saturation=1):
-    """The sweep, every rate on its own per-lane ``Simulator``."""
+    """The curve of a serial in-order walk, every rate on its own
+    per-lane ``Simulator``."""
     graph, routing, traffic = build_experiment(spec)
     results = {
         ri: Simulator(
@@ -60,13 +67,22 @@ def per_lane_reference(spec, stop_after_saturation=1):
         ).run(r)
         for ri, r in enumerate(spec.rates)
     }
-    return assemble_sweep(
-        spec.label, spec.rates, results, stop_after_saturation
+    complete, n = cutoff_walk(
+        len(spec.rates), results, stop_after_saturation
+    )
+    assert complete
+    return CurveResult(
+        label=spec.label,
+        points=tuple(
+            PointResult(spec.rates[ri], results[ri]) for ri in range(n)
+        ),
+        spec_key=spec.config_key(),
     )
 
 
 def sweeps_equal(a, b):
-    assert a.rates == b.rates
+    assert isinstance(a, CurveResult) and isinstance(b, CurveResult)
+    assert (a.label, a.spec_key, a.rates) == (b.label, b.spec_key, b.rates)
     for ra, rb in zip(a.results, b.results):
         assert ra.to_dict() == rb.to_dict()
         assert set(ra.channels) == set(rb.channels)
@@ -300,3 +316,34 @@ class TestChunkWidth:
         spec = mesh_spec([0.1, 0.2])
         [sweep] = run_experiments([spec], workers=1)
         sweeps_equal(sweep, per_lane_reference(spec))
+
+
+class TestReturnedCurves:
+    """``run_experiments`` hands back the finished ``CurveResult``s:
+    nothing above the engine converts or re-labels them."""
+
+    RATES = [0.05, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0]
+
+    @pytest.mark.parametrize("stop", [1, 2, 3])
+    def test_cutoff_matches_a_serial_in_order_walk(self, stop):
+        specs = [
+            mesh_spec(self.RATES, label="cut"),
+            mesh_spec([0.1, 0.2], label=""),
+        ]
+        curves = run_experiments(
+            specs, workers=1, stop_after_saturation=stop
+        )
+        assert [c.spec_key for c in curves] == [
+            s.config_key() for s in specs
+        ]
+        # an unlabeled spec is labeled by its description
+        assert curves[1].label == specs[1].describe()
+        sweeps_equal(curves[0], per_lane_reference(specs[0], stop))
+        assert len(curves[0].points) < len(self.RATES)
+        assert sum(p.saturated for p in curves[0].points) == stop
+        assert curves[0].points[-1].saturated
+
+    def test_results_property_mirrors_points(self):
+        [curve] = run_experiments([mesh_spec([0.1, 0.2])], workers=1)
+        assert curve.results == [p.result for p in curve.points]
+        assert curve.rates == [p.rate for p in curve.points]

@@ -88,6 +88,22 @@ def test_native_core_without_a_compiler_is_one_sentence(
     )
 
 
+def test_native_core_hint_names_the_fallback_rule(monkeypatch):
+    """Built directly on a host with no compiler, ``NativeCore`` says
+    what ``resolve_core`` would have done, not a core name to type."""
+    from repro.engine import build_experiment
+    from repro.network import NativeCore, native
+
+    monkeypatch.setattr(native, "load_native", lambda: None)
+    graph, routing, traffic = build_experiment(SPEC)
+    with pytest.raises(
+        RuntimeError,
+        match="REPRO_SIM_CORE unset and resolve_core.. falls back to the "
+        "array core",
+    ):
+        NativeCore(graph, routing, traffic, SPEC.params)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [

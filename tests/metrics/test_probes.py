@@ -87,9 +87,21 @@ class TestRegistry:
                 metrics=[(kind, {"top": top})],
             )
 
-    def test_build_probes_realises_options(self):
+    def test_probe_list_realises_options(self):
         probes = build_probes([("latency_hist", {"bins": 4})])
         assert probes[0].bins == 4
+
+    def test_probe_list_passes_instances_through(self):
+        """The one probe-list builder serves ``Simulator(probes=...)``
+        too: instances stay themselves, in place, among built ones."""
+        mine = build_probe("misroute")
+        probes = build_probes(["link_util", mine, ("vc_util", {"top": 3})])
+        assert [p.name for p in probes] == ["link_util", "misroute", "vc_util"]
+        assert probes[1] is mine and probes[2].top == 3
+        assert build_probes(probes) == probes
+        assert build_probes(None) == [] and build_probes("misroute")
+        with pytest.raises(ValueError, match="appears twice"):
+            build_probes(["link_util", mine, "link_util"])
 
 
 class TestChannelsOnResult:

@@ -1,11 +1,11 @@
-"""Channel-consuming analysis helpers (repro.analysis.telemetry)."""
+"""Channel-consuming summary helpers (repro.metrics.summary)."""
 
 import math
 
 import pytest
 
-from repro.analysis import (
-    channel_frame,
+from repro.metrics import (
+    channel_columns,
     congestion_evolution,
     hot_links,
     link_load_summary,
@@ -26,9 +26,9 @@ def first_point(result):
     return result.scenarios[0].curves[0].points[0]
 
 
-def test_channel_frame_is_column_major(result):
+def test_channel_columns_is_column_major(result):
     ch = first_point(result).channel("link_util")
-    frame = channel_frame(ch)
+    frame = channel_columns(ch)
     assert set(frame) == set(ch.columns)
     assert len(frame["link"]) == ch.num_rows
 

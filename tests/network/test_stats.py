@@ -2,7 +2,9 @@
 
 import math
 
-from repro.network.stats import SimResult
+import pytest
+
+from repro.network.stats import PointResult, SimResult, cutoff_walk
 
 
 def make(offered=0.5, latencies=None, measured=100, delivered_flits=400,
@@ -88,3 +90,38 @@ def test_from_dict_rejects_foreign_schema():
         assert "someone-else/v3" in str(exc)
     else:
         raise AssertionError("foreign schema accepted")
+
+
+# -- the one saturation-cutoff rule ------------------------------------
+def _sat(flag):
+    # offered = accepted = 0.4; 10% of 1000 packets delivered when saturated
+    res = make(
+        offered=0.4, measured=1000, latencies=[10] * (100 if flag else 1000)
+    )
+    assert res.saturated == bool(flag)
+    return res
+
+
+@pytest.mark.parametrize(
+    "flags, stop, expected",
+    [
+        ([0, 0, 0], 1, (True, 3)),          # never saturates: whole sweep
+        ([0, 1, 0, 0], 1, (True, 2)),       # cut right after the first
+        ([0, 1, 0, 1, 0], 2, (True, 4)),    # ... or after the second
+        ([0, None, 1], 1, (False, 1)),      # a gap is the next thing to run
+        ([1, None, None], 1, (True, 1)),    # nothing past the cutoff is needed
+        ([], 1, (True, 0)),
+    ],
+)
+def test_cutoff_walk(flags, stop, expected):
+    results = {
+        ri: _sat(flag) for ri, flag in enumerate(flags) if flag is not None
+    }
+    assert cutoff_walk(len(flags), results, stop) == expected
+
+
+def test_point_names_its_channels_when_one_is_missing():
+    point = PointResult(0.5, make())
+    assert (point.offered, point.accepted) == (0.5, point.result.accepted_rate)
+    with pytest.raises(KeyError, match=r"rate=0.5 has no channel 'link_util'"):
+        point.channel("link_util")

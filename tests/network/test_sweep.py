@@ -43,14 +43,14 @@ def test_sweep_stops_after_saturation():
     assert sweep.saturation_rate <= 2.0
 
 
-def test_zero_load_latency_and_rows():
+def test_zero_load_latency_and_table():
     g, r, t = tiny_net()
     sweep = sweep_rates(g, r, t, [0.1], PARAMS)
     assert sweep.zero_load_latency() > 0
-    rows = sweep.rows()
-    assert len(rows) == 1 and len(rows[0]) == 3
+    assert sweep.spec_key == ""  # object-level: no spec behind it
     table = sweep.format_table()
     assert "offered" in table
+    assert len(table.splitlines()) == 3  # label, header, one point
 
 
 def test_find_saturation_brackets_link_capacity():
@@ -62,16 +62,26 @@ def test_find_saturation_brackets_link_capacity():
     assert 0.5 < sat < 1.6
 
 
-def test_loadsweep_dict_round_trip():
+def test_curve_dict_round_trip():
+    from repro.network import CurveResult
+
     g, r, t = tiny_net()
     sweep = sweep_rates(g, r, t, [0.1, 0.3], PARAMS, label="pair")
-    data = sweep.to_dict()
-    assert data["schema"] == "repro.load-sweep/v1"
-    from repro.network import LoadSweep
-
-    clone = LoadSweep.from_dict(data)
+    clone = CurveResult.from_dict(sweep.to_dict())
     assert clone.label == sweep.label
     assert clone.rates == sweep.rates
     assert [res.to_dict() for res in clone.results] == [
         res.to_dict() for res in sweep.results
     ]
+
+
+def test_sweep_is_a_fresh_simulator_per_rate_with_params_as_given():
+    from repro.network import Simulator
+
+    g, r, t = tiny_net()
+    rates = [0.1, 0.3]
+    sweep = sweep_rates(g, r, t, rates, PARAMS)
+    assert [p.rate for p in sweep.points] == rates
+    for p in sweep.points:
+        alone = Simulator(g, r, t, PARAMS).run(p.rate)
+        assert p.result.to_dict() == alone.to_dict()

@@ -1,10 +1,17 @@
-"""find_saturation bisection and LoadSweep properties on a tiny mesh."""
+"""find_saturation bisection and CurveResult properties on a tiny mesh."""
 
 import math
 
 import pytest
 
-from repro.network import LoadSweep, SimParams, SimResult, find_saturation, sweep_rates
+from repro.network import (
+    CurveResult,
+    PointResult,
+    SimParams,
+    SimResult,
+    find_saturation,
+    sweep_rates,
+)
 from repro.routing import XYMeshRouting
 from repro.topology.mesh import MeshSpec, build_mesh
 from repro.traffic import UniformTraffic
@@ -42,13 +49,15 @@ def fake_result(rate: float, saturated: bool) -> SimResult:
     )
 
 
-class TestLoadSweepProperties:
+class TestCurveProperties:
     def sweep(self, flags):
         rates = [0.2 * (i + 1) for i in range(len(flags))]
-        return LoadSweep(
+        return CurveResult(
             label="synthetic",
-            rates=rates,
-            results=[fake_result(r, s) for r, s in zip(rates, flags)],
+            points=tuple(
+                PointResult(r, fake_result(r, s))
+                for r, s in zip(rates, flags)
+            ),
         )
 
     def test_saturation_rate_is_first_saturated(self):
@@ -66,7 +75,7 @@ class TestLoadSweepProperties:
         assert sweep.max_accepted == pytest.approx(0.27)
 
     def test_empty_sweep(self):
-        sweep = LoadSweep(label="empty", rates=[], results=[])
+        sweep = CurveResult(label="empty", points=())
         assert sweep.max_accepted == 0.0
         assert math.isinf(sweep.saturation_rate)
         assert math.isnan(sweep.zero_load_latency())

@@ -1,5 +1,5 @@
 """End-to-end acceptance: concurrent clients, exactly-once compute,
-identical streams, bit-identical offline parity, framed telemetry."""
+identical streams, bit-identical offline parity, inline telemetry."""
 
 import threading
 
@@ -78,54 +78,47 @@ class TestConcurrentClients:
             assert status["points_done"] == study.num_points()
 
 
-class TestFramedTelemetry:
-    def test_large_channels_stream_as_frames(self, service, monkeypatch):
-        """Metric channels above the frame threshold travel as
-        ``channel_frame`` events and reassemble client-side into the
-        exact offline channels."""
-        monkeypatch.setattr("repro.service.jobs.FRAME_ROWS", 4)
+#: every event kind a stream may carry (``repro.job-event/v2``).
+EVENT_KINDS = {
+    "start", "point", "retry", "done", "error", "failed", "cancelled",
+    "detached",
+}
+
+
+class TestInlineChannels:
+    def test_point_events_carry_their_channels(self, service):
+        """A ``point`` event is the point's whole ``SimResult.to_dict()``
+        — metric channels inline, however many rows — and equals the
+        offline run's; the stream has one shape per result."""
         client, _ = service
         study = tiny_study()
-        job = client.submit_study(study, metrics=("link_util",))
+        metrics = ("link_util", "misroute")
+        job = client.submit_study(study, metrics=metrics)
 
         raw = list(client.stream(job["id"]))
-        frames = [e for e in raw if e["event"] == "channel_frame"]
-        assert frames, "expected framed channel events"
-        assert {f["channel"] for f in frames} == {"link_util"}
+        assert {e["event"] for e in raw} <= EVENT_KINDS
+        assert {e["schema"] for e in raw} == {"repro.job-event/v2"}
         points = [e for e in raw if e["event"] == "point"]
-        assert all(
-            p["framed_channels"] == ["link_util"] for p in points
-        )
-        # the framed channel is stripped from the inline point payload
-        assert all(
-            "link_util" not in p["result"].get("channels", {})
-            for p in points
-        )
+        assert len(points) == study.num_points()
 
-        # watch() reassembles: the merged point events carry the full
-        # channel again, and the final result matches the offline run
-        merged = []
-        result = client.watch(job["id"], on_event=merged.append)
-        merged_points = [e for e in merged if e["event"] == "point"]
-        assert len(merged_points) == study.num_points()
-        for p in merged_points:
-            assert p["framed_channels"] == []
-            assert "link_util" in p["result"]["channels"]
+        offline = study.with_metrics(list(metrics)).run(workers=1)
+        [curve] = offline.scenarios[0].curves
+        by_rate = {p.rate: p.result.to_dict() for p in curve.points}
+        for event in points:
+            assert set(event) == {
+                "schema", "seq", "event", "scenario", "curve", "rate",
+                "source", "points_done", "points_total", "result",
+            }
+            assert event["result"] == by_rate[event["rate"]]
+            channels = event["result"]["channels"]
+            assert list(channels) == list(metrics)
+            assert len(channels["link_util"]["rows"]) > 4
 
-        offline = study.with_metrics(["link_util"]).run(workers=1)
+        # watch() hands consumers the events exactly as streamed
+        seen = []
+        result = client.watch(job["id"], on_event=seen.append)
+        assert seen == raw
         assert _physics(result.to_dict()) == _physics(offline.to_dict())
-
-    def test_small_channels_stay_inline(self, service):
-        client, _ = service
-        study = tiny_study()
-        job = client.submit_study(study, metrics=("link_util",))
-        raw = list(client.stream(job["id"]))
-        assert [e for e in raw if e["event"] == "channel_frame"] == []
-        points = [e for e in raw if e["event"] == "point"]
-        assert all(
-            "link_util" in p["result"].get("channels", {})
-            for p in points
-        )
 
 
 class TestLateSubscriber:

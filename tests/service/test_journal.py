@@ -270,6 +270,50 @@ class TestRestart:
         )
         second.shutdown()
 
+    def test_v1_event_log_still_restores(self, tmp_path):
+        """``data/state_v1.tar.gz`` is a ``--state-dir`` written by the
+        last tree that split large channels out of ``point`` events
+        into separate frame lines (``repro.job-event/v1``; one probed
+        point, frames forced at 4 rows).  Its finished job still
+        restores: status, the raw event replay and ``/result``."""
+        import shutil
+        import threading
+
+        from repro.service import ServiceClient, create_server
+
+        shutil.unpack_archive(
+            Path(__file__).parent / "data" / "state_v1.tar.gz", tmp_path
+        )
+        server = create_server(
+            port=0,
+            cache_dir=tmp_path / "store",
+            state_dir=tmp_path / "state",
+        )
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_address[1]}"
+            )
+            assert server.service.restored_jobs == 1
+            status = client.status("j000001")
+            assert status["state"] == "done"
+            assert status["points_done"] == 1
+            events = list(client.stream("j000001"))
+            assert {e["schema"] for e in events} == {"repro.job-event/v1"}
+            kinds = [e["event"] for e in events]
+            assert kinds[:2] == ["start", "point"]
+            assert kinds[-1] == "done"
+            assert len(set(kinds[2:-1])) == 1  # the v1 frame lines
+            result = client.result("j000001")
+            [point] = result.scenarios[0].curves[0].points
+            assert point.channel("link_util").num_rows > 4
+            assert client.watch("j000001").to_dict() == result.to_dict()
+        finally:
+            server.initiate_shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
     def test_cancelled_queued_job_stays_cancelled(self, tmp_path):
         store_dir = tmp_path / "store"
         state_dir = tmp_path / "state"

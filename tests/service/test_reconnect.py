@@ -47,30 +47,28 @@ class TestStreamReconnect:
         snapshot = server.service.job(job["id"]).execution.events_snapshot()
         assert events == snapshot
 
-    def test_watch_survives_drops_with_framed_channels(
-        self, service, drop_stream, monkeypatch
+    def test_watch_survives_drops_with_probed_points(
+        self, service, drop_stream
     ):
-        """watch() over a torn stream still reassembles framed metric
-        channels and returns the exact result."""
-        monkeypatch.setattr("repro.service.jobs.FRAME_ROWS", 4)
+        """watch() over a torn stream of channel-carrying point events
+        still delivers each event once and returns the exact result."""
         client, _ = service
         study = tiny_study()
         job = client.submit_study(study, metrics=("link_util",))
-        baseline = client.watch(job["id"])  # clean first pass
+        clean = []
+        baseline = client.watch(job["id"], on_event=clean.append)
 
         drop_stream("drop-stream:every=4")
-        merged = []
-        result = client.watch(job["id"], on_event=merged.append)
+        torn = []
+        result = client.watch(job["id"], on_event=torn.append)
+        assert torn == clean
         assert _physics(result.to_dict()) == _physics(
             baseline.to_dict()
         )
-        points = [e for e in merged if e["event"] == "point"]
+        points = [e for e in torn if e["event"] == "point"]
         assert len(points) == study.num_points()
         for point in points:
-            assert point["framed_channels"] == []
             assert "link_util" in point["result"]["channels"]
-        # no frame escaped unmerged despite the reconnects
-        assert [e for e in merged if e["event"] == "channel_frame"] == []
 
         offline = study.with_metrics(["link_util"]).run(workers=1)
         assert _physics(result.to_dict()) == _physics(offline.to_dict())

@@ -185,3 +185,110 @@ class TestWarmResubmission:
         assert cache["name"] == "cache_stats"
         counters = dict(cache["rows"])
         assert counters["entries"] == 2.0
+
+
+class TestEventStreamTransport:
+    def test_warm_jobs_leave_no_reset_or_traceback(
+        self, service, capsys, caplog, monkeypatch
+    ):
+        """The client reads a stream to its terminal chunk before
+        hanging up and the server does not reuse a streaming
+        connection, so neither side ever touches a reset socket: 30
+        warm jobs print no ``socketserver`` traceback and log no
+        warning; accepted sockets have Nagle off (a response is a few
+        small writes, and the last used to wait ~40 ms on the client's
+        delayed ACK)."""
+        import logging
+        import socket
+
+        client, server = service
+        nodelay = []
+        handler = server.RequestHandlerClass
+        setup = handler.setup
+
+        def recording_setup(self):
+            setup(self)
+            nodelay.append(
+                self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(handler, "setup", recording_setup)
+        study = tiny_study()
+        first = client.watch(client.submit_study(study)["id"])  # fills the store
+        with caplog.at_level(logging.DEBUG, logger="repro.service"):
+            for _ in range(30):
+                job = client.submit_study(study)
+                assert client.watch(job["id"]).to_dict()[
+                    "scenarios"
+                ] == first.to_dict()["scenarios"]
+        # handler threads finish their connection after the client
+        # returned; give the last one a beat
+        time.sleep(0.2)
+        assert "Exception occurred" not in capsys.readouterr().err
+        assert [
+            r.getMessage()
+            for r in caplog.records
+            if r.levelno >= logging.WARNING
+        ] == []
+        assert len(nodelay) >= 62 and all(nodelay)
+
+    def test_stream_ends_on_the_terminal_event_not_the_state(
+        self, service, caplog, monkeypatch
+    ):
+        """``state`` turns terminal before the journal write and the
+        terminal event.  A subscriber that loops inside that window
+        waits for the event; it used to see a finished execution with
+        nothing left, end the stream, and make the client reconnect."""
+        import logging
+
+        from repro.service.jobs import Execution
+
+        notify = Execution._notify
+
+        def slow_notify(self, state):
+            notify(self, state)
+            if state == "done":
+                time.sleep(0.02)  # a slow journal fsync
+
+        monkeypatch.setattr(Execution, "_notify", slow_notify)
+        client, _ = service
+        with caplog.at_level(logging.DEBUG, logger="repro.service"):
+            for _ in range(5):
+                job = client.submit_study(tiny_study())
+                assert list(client.stream(job["id"]))[-1]["event"] == "done"
+        assert [
+            r.getMessage()
+            for r in caplog.records
+            if "reconnecting" in r.getMessage()
+        ] == []
+
+    def test_a_batch_of_events_is_one_chunk(self, service):
+        """A late subscriber's whole history is one ``wait_events``
+        batch, so it arrives as one chunk then the terminal chunk, on
+        a connection the server announces it will close."""
+        import http.client
+        import json
+
+        client, _ = service
+        job = client.submit_study(tiny_study())
+        history = list(client.stream(job["id"]))
+
+        conn = http.client.HTTPConnection(client.host, client.port)
+        try:
+            conn.request("GET", f"/api/jobs/{job['id']}/events")
+            resp = conn.getresponse()
+            assert resp.getheader("Connection") == "close"
+            assert resp.getheader("Transfer-Encoding") == "chunked"
+            raw = resp.fp  # below http.client's chunk decoding
+            size = int(raw.readline(), 16)
+            body = raw.read(size)
+            assert raw.readline() == b"\r\n"
+            assert raw.readline() == b"0\r\n"  # terminal chunk next
+            assert raw.readline() == b"\r\n"
+            assert raw.read() == b""  # and the server hung up
+        finally:
+            conn.close()
+        events = [json.loads(line) for line in body.splitlines()]
+        assert events == history and len(events) >= 4

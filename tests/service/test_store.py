@@ -29,6 +29,22 @@ class TestStoreBasics:
         assert got == _result()
         assert store.hits == 1
 
+    def test_store_is_a_result_cache(self, tmp_path):
+        """One set of files, one class hierarchy: the engine's cache
+        reads what the store wrote and the other way round."""
+        from repro.engine import ResultCache
+
+        store = ResultStore(tmp_path)
+        assert isinstance(store, ResultCache)
+        ResultCache(tmp_path).put("k2", _result(0.3))
+        assert store.get("k2") == _result(0.3)
+        assert store.get("nope") is None
+        assert (store.hits, store.misses, len(store)) == (1, 1, 1)
+        assert store.root == tmp_path
+        store.put("k3", _result())
+        assert ResultCache(tmp_path).get("k3") == _result()
+        assert store.clear() == 2 and len(store) == 0
+
     def test_put_stamps_engine_version(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("k1", _result(), meta={"label": "x"})
