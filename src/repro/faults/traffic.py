@@ -56,10 +56,11 @@ class FaultMaskedTraffic:
         return self._active_chips
 
     #: masking happens per destination in :meth:`dest`, so the base
-    #: pattern's vectorized ``dest_batch`` hook must not leak through
-    #: ``__getattr__`` — a dead destination would bypass the mask.  The
-    #: class attribute shadows the delegation and declines the hook.
-    dest_batch = None
+    #: pattern's draw rows (and ``dest_batch``, which reads them) must
+    #: not leak through ``__getattr__`` — a dead destination would
+    #: bypass the mask.  The class attributes shadow the delegation and
+    #: decline both hooks: masked traffic keeps the scalar pre-pass.
+    dest_rows = dest_batch = None
 
     def dest(self, src: int, rng: random.Random) -> Optional[int]:
         dst = self.base.dest(src, rng)

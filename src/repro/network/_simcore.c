@@ -29,6 +29,10 @@
  * Flit words use the Python core's packing, minus the event tag that
  * would overflow 64 bits: f = (pid << 22) | (flit_idx << 11) | hop.
  * Wheel events are parallel (flit, lv) arrays.
+ *
+ * The pre-resolution itself has two entry points at the end of this
+ * file: draw_pass (destinations and Valiant intermediates, from the
+ * stdlib stream) and plane_resolve (routes, from label tables).
  */
 
 #include <stdint.h>
@@ -105,11 +109,11 @@ typedef struct {
     i64 hot_n;
     i64 error;      /* 0 ok; 1 wheel overflow; 2 ne overflow */
 
-    /* per-link / per-lv constants */
-    i64 *cap;        /* [num_links] flits per cycle */
-    i64 *lv_dst;     /* [num_lv] destination router */
-    i64 *cap_lv;     /* [num_lv] upstream link capacity */
-    i64 *cdel_lv;    /* [num_lv] credit return delay */
+    /* per-link / per-lv constants, shared read-only by every lane */
+    const i64 *cap;     /* [num_links] flits per cycle */
+    const i64 *lv_dst;  /* [num_lv] destination router */
+    const i64 *cap_lv;  /* [num_lv] upstream link capacity */
+    const i64 *cdel_lv; /* [num_lv] credit return delay */
     /* mutable per-lv state */
     i64 *credits;    /* [num_lv] */
     i64 *owner;      /* [num_lv] owning pid, -1 free */
@@ -146,8 +150,8 @@ typedef struct {
     i64 *p_t0;       /* [num_packets] creation cycle */
     i64 *p_meas;     /* [num_packets] created in window */
     i64 *route_lv;   /* per-hop (link*V + vc) */
-    i64 *lv_link;    /* per-lv link id (lv / num_vcs) */
-    i64 *lv_delay;   /* per-lv in-flight delay of its link */
+    const i64 *lv_link;  /* per-lv link id (lv / num_vcs), shared */
+    const i64 *lv_delay; /* per-lv in-flight delay of its link, shared */
     /* injection events */
     i64 *ev_cycle;   /* [n_ev] sorted (open loop only) */
     i64 *ev_src;     /* [n_ev] */
@@ -903,4 +907,123 @@ i64 plane_resolve(const Plane *p, i64 n, const i64 *src, const i64 *dst,
         hops[i] = k.h - off[i];
     }
     return k.h;
+}
+
+/* ------------------------------------------------------------------
+ * Draw pass: destinations and Valiant intermediates of scheduled
+ * events, from CPython's own MT19937 stream.
+ *
+ * mt is a random.Random's getstate() words: the 624-word key, then the
+ * position.  The pass advances it exactly as the scalar pre-pass
+ * (TrafficPattern.dest, then routing.draw_via for a kept packet)
+ * advances the Python object, so setstate() on the result continues
+ * the stream.  Every draw is one idiom: a uniform pick from a CSR row
+ * keyed by labels, with up to two excluded positions skipped in
+ * increasing order.  The tables are repro.network.vecrandom.DestRows
+ * and ViaRows (same field order).
+ * ------------------------------------------------------------------ */
+
+#define MT_N 624
+#define MT_M 397
+
+/* CPython's genrand_uint32 (Modules/_randommodule.c) */
+static uint32_t mt_word(uint32_t *mt)
+{
+    uint32_t y, i = mt[MT_N];
+    if (i >= MT_N) {
+        for (int k = 0; k < MT_N; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[(k + 1) % MT_N] & 0x7fffffffU);
+            mt[k] = mt[(k + MT_M) % MT_N] ^ (y >> 1)
+                ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        }
+        i = 0;
+    }
+    y = mt[i];
+    mt[MT_N] = i + 1;
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* CPython's _randbelow_with_getrandbits(n), 0 < n < 2**32: k-bit
+ * values, one word each, redrawn while >= n (so n = 1 still draws) */
+static i64 mt_below(uint32_t *mt, i64 n)
+{
+    int shift = __builtin_clzll((unsigned long long)n) - 32;
+    i64 r;
+    do
+        r = mt_word(mt) >> shift;
+    while (r >= n);
+    return r;
+}
+
+/* uniform pick from row r of (ptr, val), positions a <= b skipped (-1:
+ * none); val NULL means a row's values are its positions.  -1, with no
+ * word drawn, when the row has nothing left. */
+static i64 pick(uint32_t *mt, const i64 *ptr, const i64 *val, i64 r, i64 a,
+                i64 b)
+{
+    i64 lo = ptr[r];
+    i64 m = ptr[r + 1] - lo - (a >= 0) - (b >= 0);
+    if (m <= 0)
+        return -1;
+    i64 j = mt_below(mt, m);
+    if (a >= 0 && j >= a)
+        j++;
+    if (b >= 0 && j >= b)
+        j++;
+    return val ? val[lo + j] : j;
+}
+
+typedef struct {
+    i64 chain;        /* a picked value keys a second, skip-free pick */
+    const i64 *ptr, *val;
+    const i64 *key;   /* [nodes] row a source draws from, -1: none */
+    const i64 *skip;  /* [nodes] position excluded from it, -1: none */
+    const i64 *fixed; /* [nodes] destination without a draw, -1: drop */
+} DestRows;
+
+typedef struct {
+    i64 groups;       /* pairs inside one group, or <= 2 groups: minimal */
+    i64 subs;         /* rows keyed (gs * groups + gd) * subs + sub[d] */
+    i64 count_fallback; /* an empty keyed row counts as a fallback */
+    const i64 *ptr, *val;
+    const i64 *group; /* [nodes] */
+    const i64 *sub;   /* [nodes]; NULL: row 0 with gs and gd skipped */
+} ViaRows;
+
+/* Fills dst[i] (-1: dropped) and, with v, via[i] (-1: minimal) for the
+ * n events of sources src; returns the fallbacks counted. */
+i64 draw_pass(uint32_t *mt, const DestRows *d, const ViaRows *v, i64 n,
+              const i64 *src, i64 *dst, i64 *via)
+{
+    i64 fallbacks = 0;
+    for (i64 i = 0; i < n; i++) {
+        i64 s = src[i], t = d->fixed[s];
+        if (d->key[s] >= 0) {
+            t = pick(mt, d->ptr, d->val, d->key[s], d->skip[s], -1);
+            if (d->chain && t >= 0)
+                t = pick(mt, d->ptr, d->val, t, -1, -1);
+        }
+        dst[i] = t;
+        if (!v)
+            continue;
+        via[i] = -1;
+        if (t < 0 || t == s)
+            continue; /* no packet, no route */
+        i64 gs = v->group[s], gd = v->group[t];
+        if (gs == gd || v->groups <= 2)
+            continue;
+        if (v->sub) {
+            via[i] = pick(mt, v->ptr, v->val,
+                          (gs * v->groups + gd) * v->subs + v->sub[t], -1, -1);
+            if (via[i] < 0)
+                fallbacks += v->count_fallback;
+        } else {
+            via[i] = pick(mt, v->ptr, v->val, 0, gs < gd ? gs : gd,
+                          gs < gd ? gd : gs);
+        }
+    }
+    return fallbacks;
 }

@@ -10,9 +10,10 @@ for :class:`~repro.network.native.NativeCore`,
 :class:`~repro.network.refcore.ReferenceCore`, which keep only their
 loops:
 
-* the link and ``(link, VC)`` constant tables, the event-wheel size, the
-  two RNG streams (numpy for the injection schedule, stdlib for
-  destination and route choice) and the active-node bookkeeping;
+* the link and ``(link, VC)`` constant tables (:class:`LinkTables`,
+  shared by every core of a graph), the event-wheel size, the two RNG
+  streams (numpy for the injection schedule, stdlib for destination and
+  route choice) and the active-node bookkeeping;
 * ``injection_probs`` / ``make_schedule``, ``enable_probes`` /
   ``run_record`` and :class:`~repro.network.stats.SimResult` assembly;
 * the **open-loop packet front end** (:meth:`CoreBase._prepare`): the
@@ -23,7 +24,9 @@ loops:
   order (destination draw, then route draw for packets that are
   actually created) by this one code path, so the three cores agree on
   everything but the router model by construction, pinned schedule or
-  not.
+  not.  The native core runs the same draws in the compiled kernel
+  (:meth:`CoreBase._resolve_packets_vec`), bit-exact, whenever the
+  traffic pattern and routing publish them as rows.
 
 Routes live in one of two places (see :mod:`repro.routing.table`): the
 routing object's shared :class:`~repro.routing.table.RouteTable` for a
@@ -51,6 +54,7 @@ The engine still builds a fresh instance per simulated point.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import List, Optional
 
 import numpy as np
@@ -63,7 +67,7 @@ from .schedule import InjectionSchedule, build_injection_schedule
 from .stats import SimResult
 from .vecrandom import VecRandom
 
-__all__ = ["CoreBase", "PacketTable"]
+__all__ = ["CoreBase", "LinkTables", "PacketTable", "link_tables"]
 
 # Flit word of the array and native cores:
 # (pid << PID_SHIFT) | (flit_idx << FIDX_SHIFT) | hop.
@@ -120,6 +124,52 @@ class PacketTable:
     hops = property(lambda self: self._rows[5])
 
 
+class LinkTables:
+    """The per-link and per-``(link, VC)`` constants of one ``(graph,
+    num_vcs, router_latency)``, int64, flattened to ``lv = link * V +
+    vc``.  Read-only: :func:`link_tables` shares one instance between
+    every core of the graph — the lanes of a batch and the points of a
+    sweep.  In-flight time is wire latency + router pipeline; credit
+    return models the reverse wire of the channel."""
+
+    def __init__(self, graph, num_vcs: int, router_latency: int) -> None:
+        links = graph.links
+        latency = np.array([l.latency for l in links], dtype=np.int64)
+        link_dst = np.array([l.dst for l in links], dtype=np.int64)
+        credit_delay = np.maximum(latency, 1)
+        self.cap = np.array([l.capacity for l in links], dtype=np.int64)
+        self.hop_delay = latency + router_latency
+        lv_link = self.lv_link = np.repeat(
+            np.arange(len(links), dtype=np.int64), num_vcs
+        )
+        self.lv_dst = link_dst[lv_link]
+        self.cap_lv = self.cap[lv_link]
+        self.cdel_lv = credit_delay[lv_link]
+        self.lv_delay = self.hop_delay[lv_link]
+        self.wheel_size = 1 + int(
+            max(self.hop_delay.max(initial=1), credit_delay.max(initial=1))
+        )
+        #: most (link, VC) inputs of any router
+        self.max_in = max(
+            1, int(np.bincount(link_dst).max(initial=0)) * num_vcs
+        )
+
+
+_link_tables: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def link_tables(graph, num_vcs: int, router_latency: int) -> LinkTables:
+    """The shared :class:`LinkTables` of ``graph``, built on first use
+    and kept for as long as the graph lives (like
+    :func:`~repro.metrics.record.graph_tables`)."""
+    per_graph = _link_tables.setdefault(graph, {})
+    key = (num_vcs, router_latency)
+    tables = per_graph.get(key)
+    if tables is None or tables.cap.size != graph.num_links:
+        tables = per_graph[key] = LinkTables(graph, num_vcs, router_latency)
+    return tables
+
+
 class RunCtx:
     """One open-loop run, resolved: the window's absolute cycle stamps
     and which rows of the packet table are this run's injection events
@@ -137,8 +187,9 @@ class CoreBase:
     core_id = ""
     #: flits are packed ints, so routes and packets have a length limit.
     packed_flits = True
-    #: resolve through the routing's closed-form plane when it has one.
-    uses_plane = False
+    #: run the front end through the compiled kernel: routes through
+    #: the routing's closed-form plane, draws through the draw pass.
+    compiled_front_end = False
 
     def __init__(
         self,
@@ -159,28 +210,14 @@ class CoreBase:
                 "use the reference core"
             )
 
-        num_vcs = routing.num_vcs
-        self.num_vcs = num_vcs
-        num_lv = graph.num_links * num_vcs
-        self._num_lv = num_lv
-
-        # Per-link constants.  In-flight time is wire latency + router
-        # pipeline; credit return models the reverse wire of the channel.
-        self._hop_delay = [
-            l.latency + params.router_latency for l in graph.links
-        ]
-        self._credit_delay = [max(1, l.latency) for l in graph.links]
-        self._cap = [l.capacity for l in graph.links]
-        # Per-(link, vc) copies, flattened to lv = link * V + vc.
-        self._lv_dst = [graph.links[lv // num_vcs].dst for lv in range(num_lv)]
-        self._cap_lv = [self._cap[lv // num_vcs] for lv in range(num_lv)]
-        self._credit_delay_lv = [
-            self._credit_delay[lv // num_vcs] for lv in range(num_lv)
-        ]
-
-        max_delay = max(self._hop_delay, default=1)
-        max_delay = max(max_delay, max(self._credit_delay, default=1))
-        self._wheel_size = max_delay + 1
+        self.num_vcs = routing.num_vcs
+        self._num_lv = graph.num_links * self.num_vcs
+        #: per-link and per-(link, VC) constants, shared read-only with
+        #: every core of this graph
+        self._links = link_tables(
+            graph, self.num_vcs, params.router_latency
+        )
+        self._wheel_size = self._links.wheel_size
 
         # RNGs: numpy for the injection process, stdlib for destination
         # and route choices.
@@ -195,7 +232,9 @@ class CoreBase:
             getattr(routing, "is_deterministic", False)
         )
         route_plane = (
-            getattr(routing, "route_plane", None) if self.uses_plane else None
+            getattr(routing, "route_plane", None)
+            if self.compiled_front_end
+            else None
         )
         self._plane = route_plane() if route_plane is not None else None
         route_table = getattr(routing, "route_table", None)
@@ -419,16 +458,9 @@ class CoreBase:
         dest = self.traffic.dest
         py_rng = self._py_rng
         route_slice = self.route_slice
-        # with a plane the loop only draws: the destination and, for a
-        # routing that consults the RNG, its intermediate group (same
-        # draws in the same order as route()); the collected triples
-        # are resolved in one call behind the loop
-        plane = self._plane
-        draw_via = (
-            self.routing.draw_via
-            if plane is not None and not self._deterministic
-            else None
-        )
+        # with a plane and a routing that never draws, the loop only
+        # draws destinations; the pairs are resolved in one call behind
+        bulk = self._plane is not None and self._deterministic
         t0 = ctx.t0
         horizon = ctx.meas_end - t0
         ts: List[int] = []
@@ -436,51 +468,49 @@ class CoreBase:
         dsts: List[int] = []
         offs: List[int] = []
         hops: List[int] = []
-        vias: List[int] = []
         for t, nid in zip(schedule.cycles, schedule.nodes):
             if t >= horizon:
                 break  # cycles are sorted; no RNG consumed past the gate
             dst = dest(nid, py_rng)
             if dst is None or dst == nid:
                 continue
-            if plane is None:
+            if not bulk:
                 off, nhops = route_slice(nid, dst)
                 offs.append(off)
                 hops.append(nhops)
-            elif draw_via is not None:
-                via = draw_via(nid, dst, py_rng)
-                vias.append(-1 if via is None else via)
             ts.append(t + t0)
             srcs.append(nid)
             dsts.append(dst)
-        if plane is not None and srcs:
-            offs, hops = self._plane_slices(
-                _as_i64(srcs), _as_i64(dsts),
-                _as_i64(vias) if draw_via is not None else None,
-            )
+        if bulk and srcs:
+            offs, hops = self._plane_slices(_as_i64(srcs), _as_i64(dsts))
         self._append_packets(ts, srcs, dsts, offs, hops, ctx)
 
     def _resolve_packets_vec(
         self, schedule: InjectionSchedule, ctx: RunCtx
     ) -> bool:
-        """Vectorized twin of :meth:`_resolve_packets`.
+        """Compiled twin of :meth:`_resolve_packets`, bit-exact with it.
 
-        Destinations come from the traffic pattern's ``dest_batch``
-        hook over a :class:`VecRandom` replica of the stdlib stream,
-        routes from the plane or the routing's table in bulk — both
-        bit-exact with the scalar pre-pass.  Returns ``False`` to
-        decline (routing that draws from the RNG, no/declining hook,
-        full table); nothing is consumed from the RNG in that case, so
-        the scalar path can take over from the exact same state.
+        One kernel draw pass (:meth:`VecRandom.draw`) replays the
+        scalar loop's draws on the same stdlib stream — each event's
+        destination from the pattern's ``dest_rows``, then, for a
+        kept packet of a randomised routing, its intermediate group
+        from the routing's ``via_rows`` — and the routes come from the
+        plane (or a deterministic routing's table) in bulk.  Returns
+        ``False`` to decline (a pattern or routing without rows, no
+        plane or table, a full table); nothing is consumed from the RNG
+        in that case, so the scalar path takes over from the exact same
+        state.
         """
-        if not self._deterministic or (
-            self._plane is None and self._table is None
-        ):
-            return False
-        dest_batch = getattr(self.traffic, "dest_batch", None)
-        if dest_batch is None:
-            return False
-        vr = VecRandom.for_rng(self._py_rng)
+        plane = self._plane
+        if plane is None and self._table is None:
+            return False  # a randomised routing without a plane
+        dest = getattr(self.traffic, "dest_rows", None)
+        via = None
+        if not self._deterministic:
+            via = getattr(self.routing, "via_rows", None)
+            if via is None:
+                return False
+        vr = VecRandom.for_rng(self._py_rng) if dest is not None else None
         if vr is None:
             return False
         cycles = schedule.np_cycles
@@ -490,14 +520,14 @@ class CoreBase:
         if n_ev == 0:
             return True
         nodes = schedule.np_nodes[:n_ev]
-        dsts = dest_batch(nodes, vr)
-        if dsts is None:
-            return False
+        dsts, vias, fallbacks = vr.draw(nodes, dest, via)
         keep = (dsts >= 0) & (dsts != nodes)
         k_src = nodes[keep]
         k_dst = dsts[keep]
-        if self._plane is not None:
-            off, nhops = self._plane_slices(k_src, k_dst)
+        if plane is not None:
+            off, nhops = self._plane_slices(
+                k_src, k_dst, vias[keep] if via is not None else None
+            )
         else:
             bulk = self._table.slices(k_src, k_dst, self._py_rng)
             if bulk is None:
@@ -506,21 +536,20 @@ class CoreBase:
             if nhops.size:
                 self._check_hops(int(nhops.max()))
         vr.commit()
+        if fallbacks:
+            self.routing.fallback_count += fallbacks
         self._append_packets(
             cycles[:n_ev][keep] + ctx.t0, k_src, k_dst, off, nhops, ctx
         )
         return True
 
     def _prepare(
-        self,
-        rate: float,
-        schedule: Optional[InjectionSchedule] = None,
-        *,
-        vec: bool = False,
+        self, rate: float, schedule: Optional[InjectionSchedule] = None
     ) -> RunCtx:
         """Everything before an open-loop run's loop: schedule sampling
-        and packet pre-resolution (vectorized when ``vec`` and the
-        configuration supports it)."""
+        and packet pre-resolution (compiled on a
+        :attr:`compiled_front_end` core when the configuration publishes
+        its draws)."""
         probs = self._checked_probs(rate)
         ctx = self._open(rate)
         # patterns with inactive nodes offer less than the nominal rate
@@ -532,14 +561,15 @@ class CoreBase:
             )
         if schedule is None:
             schedule = self.make_schedule(rate)
-        if not (vec and self._resolve_packets_vec(schedule, ctx)):
+        if not (
+            self.compiled_front_end
+            and self._resolve_packets_vec(schedule, ctx)
+        ):
             self._resolve_packets(schedule, ctx)
         ctx.n_new = len(self._packets) - ctx.pid0
         return ctx
 
-    def _begin(
-        self, rate: float, schedule, plan, *, vec: bool = False
-    ) -> RunCtx:
+    def _begin(self, rate: float, schedule, plan) -> RunCtx:
         """Everything before a loop: the prepared open-loop run, or a
         closed-loop ``plan``'s.
 
@@ -556,7 +586,7 @@ class CoreBase:
             raise ValueError("pass either a schedule or a plan, not both")
         self._plan = plan
         if plan is None:
-            return self._prepare(rate, schedule, vec=vec)
+            return self._prepare(rate, schedule)
         if rate <= 0:
             raise ValueError("closed-loop rate must be > 0")
         ctx = self._open(rate)

@@ -291,6 +291,13 @@ def load_native():
             [ctypes.c_void_p, ctypes.c_int64] + [_i64p] * 6
         )
         lib.plane_resolve.restype = ctypes.c_int64
+        # (state, dest, via, n, src, dst, via_out): see
+        # repro.network.vecrandom.VecRandom.draw
+        lib.draw_pass.argtypes = [
+            ctypes.POINTER(ctypes.c_uint32), ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_int64, _i64p, _i64p, _i64p,
+        ]
+        lib.draw_pass.restype = ctypes.c_int64
     except OSError:
         return None
     except AttributeError:
@@ -337,7 +344,7 @@ class NativeCore(CoreBase):
     """
 
     core_id = "native"
-    uses_plane = True
+    compiled_front_end = True
 
     def __init__(self, graph, routing, traffic, params) -> None:
         super().__init__(graph, routing, traffic, params)
@@ -358,11 +365,7 @@ class NativeCore(CoreBase):
         num_nodes = graph.num_nodes
         num_lv = self._num_lv
         B = params.vc_buffer_size
-
-        indeg = [0] * num_nodes
-        for link in graph.links:
-            indeg[link.dst] += 1
-        self._max_in = max(1, max(indeg, default=0) * self.num_vcs)
+        links = self._links
 
         # Per-wheel-slot capacity.  Arrivals delivered in one cycle are
         # bounded by the sum of link capacities (one issuing cycle per
@@ -370,20 +373,12 @@ class NativeCore(CoreBase):
         # cycles into one slot when links have different latencies, but
         # per issuing cycle each of a link's num_vcs buffers pops at
         # most `capacity` flits, so num_vcs * sum(cap) bounds both.
-        slot_cap = self.num_vcs * sum(self._cap) + num_nodes * max(
+        slot_cap = self.num_vcs * int(links.cap.sum()) + num_nodes * max(
             params.ejection_width, params.injection_width
         ) + 8
         self._slot_cap = slot_cap
         W = self._wheel_size
 
-        self._n_cap = _as_i64(self._cap)
-        self._n_lv_dst = _as_i64(self._lv_dst)
-        self._n_cap_lv = _as_i64(self._cap_lv)
-        self._n_cdel_lv = _as_i64(self._credit_delay_lv)
-        # the kernel reads a hop's link and in-flight delay off its lv,
-        # so a route arena is the lv array alone
-        self._n_lv_link = np.arange(num_lv, dtype=np.int64) // self.num_vcs
-        self._n_lv_delay = _as_i64(self._hop_delay)[self._n_lv_link]
         self._n_credits = np.full(num_lv, B, dtype=np.int64)
         self._n_owner = np.full(num_lv, -1, dtype=np.int64)
         # The flit rings and the wheel slots below are nine tenths of a
@@ -398,7 +393,7 @@ class NativeCore(CoreBase):
         self._n_buf = _unset(num_lv * B)
         self._n_b_head = _zeros(num_lv)
         self._n_b_len = _zeros(num_lv)
-        self._n_ne_arr = _zeros(num_nodes * self._max_in)
+        self._n_ne_arr = _zeros(num_nodes * links.max_in)
         self._n_ne_len = _zeros(num_nodes)
         self._n_sq_arena = _zeros(0)
         self._n_sq_off = _zeros(num_nodes)
@@ -416,7 +411,7 @@ class NativeCore(CoreBase):
         self._n_hot_b = _zeros(num_nodes)
         self._n_hot_flag = np.zeros(max(1, num_nodes), dtype=np.uint8)
         self._n_hot_n = 0
-        scratch = self._max_in + 1
+        scratch = links.max_in + 1
         self._n_sc = [_zeros(scratch) for _ in range(4)]
 
     def _rebuild_srcq_arena(self, ev_src) -> None:
@@ -455,6 +450,7 @@ class NativeCore(CoreBase):
         numpy buffer the struct points into that this core does not
         hold itself is pinned on ``ctx`` until :meth:`_finish`."""
         p = self.params
+        links = self._links
         packets = self._packets
         plan = self._plan
         pid0 = ctx.pid0
@@ -493,7 +489,7 @@ class NativeCore(CoreBase):
             wheel_size=self._wheel_size,
             slot_cap=self._slot_cap,
             buf_cap=p.vc_buffer_size,
-            max_in=self._max_in,
+            max_in=links.max_in,
             pkt_len=p.packet_length,
             inj_w=p.injection_width,
             ej_w=p.ejection_width,
@@ -509,10 +505,10 @@ class NativeCore(CoreBase):
             few=self._flits_ejected_window,
             hot_n=self._n_hot_n,
             error=0,
-            cap=_ptr(self._n_cap),
-            lv_dst=_ptr(self._n_lv_dst),
-            cap_lv=_ptr(self._n_cap_lv),
-            cdel_lv=_ptr(self._n_cdel_lv),
+            cap=_ptr(links.cap),
+            lv_dst=_ptr(links.lv_dst),
+            cap_lv=_ptr(links.cap_lv),
+            cdel_lv=_ptr(links.cdel_lv),
             credits=_ptr(self._n_credits),
             owner=_ptr(self._n_owner),
             buf=_ptr(self._n_buf),
@@ -540,8 +536,8 @@ class NativeCore(CoreBase):
             p_t0=_ptr(np_p_t0),
             p_meas=_ptr(np_p_meas),
             route_lv=_ptr(np_route_lv),
-            lv_link=_ptr(self._n_lv_link),
-            lv_delay=_ptr(self._n_lv_delay),
+            lv_link=_ptr(links.lv_link),
+            lv_delay=_ptr(links.lv_delay),
             ev_cycle=_ptr(np_ev_cycle),
             ev_src=_ptr(np_ev_src),
             ev_pid=_ptr(np_ev_pid),
@@ -639,9 +635,11 @@ class NativeBatch:
     closed-loop).  Routes come from the
     routing object — its closed-form plane, resolved per lane in one
     call, or else its shared route table — so nothing about routes is
-    batch state.  Packet pre-resolution uses the vectorized pre-pass
-    when the configuration supports it (falling back to the scalar
-    resolve per lane otherwise), the per-lane ``struct S`` states are
+    batch state; nor are the link constants, which every lane reads
+    from the graph's shared :class:`~repro.network.corebase.LinkTables`.
+    Each lane's packets are pre-resolved by the compiled front end
+    (falling back to the scalar resolve for a pattern or routing that
+    publishes no draw rows), the per-lane ``struct S`` states are
     packed into one contiguous ctypes array, and a single
     ``sim_run_batch`` call walks the lanes — threaded over
     :func:`resolve_threads` workers pulling lanes from an atomic
@@ -712,7 +710,6 @@ class NativeBatch:
                 rates[i],
                 schedules[i] if schedules is not None else None,
                 plans[i] if plans is not None else None,
-                vec=True,
             )
             for i, core in enumerate(self.lanes)
         ]

@@ -145,11 +145,12 @@ class ReferenceCore(CoreBase):
         hot_list = self._hot_list
         rr_link = self._rr_link
         rr_eject = self._rr_eject
-        lv_dst = self._lv_dst
-        cap_lv = self._cap_lv
-        credit_delay_lv = self._credit_delay_lv
-        hop_delay = self._hop_delay
-        cap = self._cap
+        links = self._links
+        lv_dst = links.lv_dst.tolist()
+        cap_lv = links.cap_lv.tolist()
+        credit_delay_lv = links.cdel_lv.tolist()
+        hop_delay = links.hop_delay.tolist()
+        cap = links.cap.tolist()
         inj_w = p.injection_width
         ej_w = p.ejection_width
         finish_flit = self._finish_flit

@@ -73,12 +73,11 @@ class ArrayCore(CoreBase):
         num_lv = self._num_lv
         num_nodes = graph.num_nodes
         num_links = graph.num_links
-        num_vcs = self.num_vcs
 
         # a hop's output link (arbitration key) and in-flight delay,
         # read off its lv
-        self._lv_link = [lv // num_vcs for lv in range(num_lv)]
-        self._lv_delay = [self._hop_delay[l] for l in self._lv_link]
+        self._lv_link = self._links.lv_link.tolist()
+        self._lv_delay = self._links.lv_delay.tolist()
 
         self._buf: List[deque] = [deque() for _ in range(num_lv)]
         self._credits: List[int] = [params.vc_buffer_size] * num_lv
@@ -182,10 +181,11 @@ class ArrayCore(CoreBase):
         hot_list = self._hot_list
         rr_link = self._rr_link
         rr_eject = self._rr_eject
-        lv_dst = self._lv_dst
-        cap_lv = self._cap_lv
-        cdel_lv = self._credit_delay_lv
-        cap = self._cap
+        links = self._links
+        lv_dst = links.lv_dst.tolist()
+        cap_lv = links.cap_lv.tolist()
+        cdel_lv = links.cdel_lv.tolist()
+        cap = links.cap.tolist()
         inj_w = p.injection_width
         ej_w = p.ejection_width
 

@@ -1,186 +1,212 @@
-"""Vectorized, bit-exact replica of the stdlib Mersenne Twister.
+"""Batch draws on the exact stdlib MT19937 stream.
 
-The simulator's bit-identity contract pins every destination draw to
-the stdlib ``random.Random`` stream (see
-:meth:`repro.network.corebase.CoreBase._resolve_packets`).  Resolving a
-batch of replicas event-by-event in Python is the dominant cost of the
-packet pre-pass, so :class:`VecRandom` replays the *same* MT19937
-stream in numpy: it imports a ``random.Random`` instance's state via
-``getstate()``, generates tempered 32-bit words with a vectorized twist,
-replicates CPython's ``_randbelow_with_getrandbits`` rejection sampling
-en bloc, and writes the advanced state back with ``setstate()`` — so
-scalar draws before and after a vectorized block see exactly the stream
-they would have seen without it.
+The simulator's bit-identity contract pins every destination and
+Valiant-intermediate draw to the stdlib ``random.Random`` stream, in
+schedule order (see
+:meth:`repro.network.corebase.CoreBase._resolve_packets`, the scalar
+specification).  Drawing a batch event by event in Python dominated the
+packet pre-pass, so the compiled kernel's ``draw_pass`` (``_simcore.c``)
+replays the *same* stream: :class:`VecRandom` imports a
+``random.Random``'s state via ``getstate()``, the kernel generates words
+and replicates CPython's ``_randbelow_with_getrandbits`` rejection
+sampling, and :meth:`VecRandom.commit` writes the advanced state back
+with ``setstate()`` — so scalar draws before and after a batch see
+exactly the stream they would have seen without it.
 
-Two CPython facts make the vectorization exact:
+What is drawn is data.  Every draw the bundled patterns and routings
+make is a uniform pick from a row keyed by labels, with up to two
+excluded positions skipped in increasing order
+(:func:`repro.routing.base.draw_other_group` is the idiom), so a pattern
+publishes its destination draw as :class:`DestRows` and a Valiant
+routing its intermediate draw as :class:`ViaRows`.  A pattern or
+routing whose draw is not of that shape (``rng.random()``, a mask
+applied after the draw) publishes nothing and keeps the scalar path.
 
-* ``getrandbits(k)`` for ``k <= 32`` consumes exactly one output word
-  (``genrand_uint32() >> (32 - k)``), and
-* ``_randbelow(n)`` redraws while the ``k = n.bit_length()``-bit value
-  is ``>= n`` — so the i-th *accepted* word of the stream is the result
-  of the i-th call, no matter how the calls are grouped.
-
-Anything outside that envelope (``n >= 2**32``, a ``random.Random``
-subclass, a non-version-3 state) makes :meth:`VecRandom.for_rng` or
-:meth:`VecRandom.randbelow` decline with ``None``, and callers fall
-back to the scalar path.
+A ``random.Random`` subclass, a non-version-3 state or a host without
+the kernel makes :meth:`VecRandom.for_rng` decline with ``None``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import random
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["VecRandom"]
+__all__ = ["DestRows", "KernelTables", "VecRandom", "ViaRows", "csr"]
 
-_N = 624
-_M = 397
-_MATRIX_A = np.uint32(0x9908B0DF)
-_UPPER = np.uint32(0x80000000)
-_LOWER = np.uint32(0x7FFFFFFF)
-_ZERO = np.uint32(0)
-_ONE = np.uint32(1)
+_STATE_WORDS = 625  # the MT19937 key plus the position
+_i64p = ctypes.POINTER(ctypes.c_int64)
 
 
-def _twist(mt: np.ndarray) -> np.ndarray:
-    """One MT19937 state transition (624 words -> 624 words).
+def csr(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ptr, val)`` of ``rows``: row ``r`` is ``val[ptr[r]:ptr[r+1]]``."""
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    ptr[1:] = np.cumsum([len(row) for row in rows])
+    val = np.fromiter(
+        (v for row in rows for v in row), dtype=np.int64, count=int(ptr[-1])
+    )
+    return ptr, val
 
-    The reference loop updates in place with reads that reach at most
-    227 slots back, so splitting at the wrap points [0, 227), [227,
-    454), [454, 623), {623} makes every segment's reads refer either to
-    the *old* state or to a segment already computed — each segment
-    vectorizes.
+
+class KernelTables:
+    """Scalars and int64 tables handed to the compiled kernel as one
+    struct: ``_SCALARS + _TABLES`` is the field order of its C twin, a
+    table left out is ``NULL``.  The draw rows below and
+    :class:`~repro.routing.plane.RoutePlane` are such tables."""
+
+    _SCALARS: Tuple[str, ...] = ()
+    _TABLES: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._Struct = type(
+            f"_{cls.__name__}Struct",
+            (ctypes.Structure,),
+            {
+                "_fields_": [(n, ctypes.c_int64) for n in cls._SCALARS]
+                + [(n, _i64p) for n in cls._TABLES]
+            },
+        )
+
+    def __init__(self, **fields) -> None:
+        values = {}
+        for name in self._SCALARS:
+            values[name] = int(fields.pop(name, 0))
+            setattr(self, name, values[name])
+        for name in self._TABLES:
+            table = fields.pop(name, None)
+            if table is not None:
+                table = np.ascontiguousarray(table, dtype=np.int64)
+                values[name] = table.ctypes.data_as(_i64p)
+            setattr(self, name, table)
+        if fields:
+            raise TypeError(f"unknown fields {sorted(fields)}")
+        self._struct = self._Struct(**values)
+
+
+class DestRows(KernelTables):
+    """A traffic pattern's destination draw as data.
+
+    Source ``s`` draws from row ``key[s]`` of ``(ptr, val)`` with
+    position ``skip[s]`` excluded (``-1``: none); a source with
+    ``key[s] == -1`` draws nothing and sends to ``fixed[s]`` (``-1``:
+    drop).  With ``chain`` the picked value is itself a row key and a
+    second, skip-free pick from that row is the destination (a chip,
+    then a node on it).  A row left empty by its skip drops the packet
+    without drawing, as the scalar ``dest()`` returns ``None``.
     """
-    new = mt.copy()
-    y = (mt[0:227] & _UPPER) | (mt[1:228] & _LOWER)
-    new[0:227] = mt[397:624] ^ (y >> _ONE) ^ np.where(y & _ONE, _MATRIX_A, _ZERO)
-    y = (mt[227:454] & _UPPER) | (mt[228:455] & _LOWER)
-    new[227:454] = new[0:227] ^ (y >> _ONE) ^ np.where(y & _ONE, _MATRIX_A, _ZERO)
-    y = (mt[454:623] & _UPPER) | (mt[455:624] & _LOWER)
-    new[454:623] = new[227:396] ^ (y >> _ONE) ^ np.where(y & _ONE, _MATRIX_A, _ZERO)
-    y = (mt[623] & _UPPER) | (new[0] & _LOWER)
-    new[623] = new[396] ^ (y >> _ONE) ^ (_MATRIX_A if y & _ONE else _ZERO)
-    return new
+
+    _SCALARS = ("chain",)
+    _TABLES = ("ptr", "val", "key", "skip", "fixed")
+
+    @classmethod
+    def build(
+        cls, num_nodes: int, rows, srcs, keys, skips=-1, *,
+        fixed=None, chain: bool = False,
+    ) -> "DestRows":
+        """Sources ``srcs`` draw from ``rows[keys]`` skipping position
+        ``skips``; ``fixed`` maps other sources to their destination."""
+        table = np.full((3, num_nodes), -1, dtype=np.int64)
+        srcs = np.asarray(srcs, dtype=np.int64)
+        table[0][srcs] = keys
+        table[1][srcs] = skips
+        if fixed:
+            table[2][list(fixed)] = list(fixed.values())
+        ptr, val = csr(rows)
+        return cls(
+            chain=chain, ptr=ptr, val=val,
+            key=table[0], skip=table[1], fixed=table[2],
+        )
 
 
-def _temper(y: np.ndarray) -> np.ndarray:
-    """MT19937 output tempering (vectorized, uint32 in/out)."""
-    y = y ^ (y >> np.uint32(11))
-    y = y ^ ((y << np.uint32(7)) & np.uint32(0x9D2C5680))
-    y = y ^ ((y << np.uint32(15)) & np.uint32(0xEFC60000))
-    return y ^ (y >> np.uint32(18))
+class ViaRows(KernelTables):
+    """A Valiant routing's intermediate-group draw as data.
+
+    A kept packet ``s -> d`` whose endpoints' ``group`` labels differ,
+    on more than two ``groups``, draws its intermediate group: with
+    ``sub`` from row ``(gs * groups + gd) * subs + sub[d]`` (an empty row
+    routes it minimally, counted as a fallback when
+    ``count_fallback``), else from row 0 with ``gs`` and ``gd``
+    skipped.  ``val`` left out means a row's values are its positions.
+    """
+
+    _SCALARS = ("groups", "subs", "count_fallback")
+    _TABLES = ("ptr", "val", "group", "sub")
+
+    @classmethod
+    def other_group(cls, group, groups: int) -> "ViaRows":
+        """Any group but the pair's own two (``draw_other_group``)."""
+        return cls(groups=groups, ptr=[0, groups], group=group)
 
 
 class VecRandom:
     """Batch view over one ``random.Random``'s MT19937 stream.
 
-    Usage: build with :meth:`for_rng`, draw with :meth:`randbelow`,
-    then :meth:`commit` the advanced state back onto the source RNG
-    before anyone consumes it scalar-wise again.  The source RNG must
-    not be touched between ``for_rng`` and ``commit``.
+    Usage: build with :meth:`for_rng`, draw with :meth:`draw` or
+    :meth:`randbelow`, then :meth:`commit` the advanced state back onto
+    the source RNG before anyone consumes it scalar-wise again.  The
+    source RNG must not be touched between ``for_rng`` and ``commit``;
+    dropping the view without committing leaves the RNG where it was.
     """
 
-    def __init__(self, rng: random.Random, mt: np.ndarray, pos: int, gauss):
+    def __init__(self, rng: random.Random, state: np.ndarray, gauss, lib):
         self._rng = rng
-        self._mt = mt
-        self._pos = pos
+        self._state = state
         self._gauss = gauss
+        self._lib = lib
 
     @classmethod
     def for_rng(cls, rng: random.Random) -> Optional["VecRandom"]:
         """Wrap ``rng``; ``None`` when its stream cannot be replicated
-        (subclass with overridden methods, unknown state version)."""
+        (subclass with overridden methods, unknown state version, no
+        compiled kernel)."""
         if type(rng) is not random.Random:
             return None
         state = rng.getstate()
-        if len(state) != 3 or state[0] != 3:
+        if len(state) != 3 or state[0] != 3 or len(state[1]) != _STATE_WORDS:
             return None
-        _, internal, gauss = state
-        if len(internal) != _N + 1:
+        from .native import load_native  # lazy: native imports corebase
+
+        lib = load_native()
+        if lib is None:
             return None
-        mt = np.array(internal[:_N], dtype=np.uint32)
-        return cls(rng, mt, int(internal[_N]), gauss)
+        return cls(rng, np.array(state[1], dtype=np.uint32), state[2], lib)
 
-    # ------------------------------------------------------------------
-    def _take_words(self, m: int, trail=None) -> np.ndarray:
-        """Next ``m`` tempered output words, advancing the state.
-
-        ``_twist`` is functional (returns a fresh array), so each
-        intermediate state survives by reference: with ``trail`` (a
-        list) every post-twist state array is recorded, letting
-        :meth:`randbelow` rewind to any intermediate word position
-        without re-twisting.
-        """
-        out = np.empty(m, dtype=np.uint32)
-        filled = 0
-        while filled < m:
-            if self._pos >= _N:
-                self._mt = _twist(self._mt)
-                self._pos = 0
-                if trail is not None:
-                    trail.append(self._mt)
-            take = min(_N - self._pos, m - filled)
-            out[filled : filled + take] = self._mt[
-                self._pos : self._pos + take
-            ]
-            self._pos += take
-            filled += take
-        return _temper(out)
+    def draw(self, srcs, dest: DestRows, via: Optional[ViaRows] = None):
+        """``(dst, via, fallbacks)`` of events from sources ``srcs``, in
+        order: each event's destination (``-1``: dropped) and, with
+        ``via`` rows, the intermediate group of each kept packet
+        (``-1``: minimal; ``None`` without rows)."""
+        srcs = np.ascontiguousarray(srcs, dtype=np.int64)
+        n = srcs.size
+        if n and not (0 <= srcs.min() and srcs.max() < dest.key.size):
+            raise ValueError("source outside the rows' nodes")
+        dst = np.empty(n, dtype=np.int64)
+        vias = np.empty(n, dtype=np.int64) if via is not None else None
+        fallbacks = self._lib.draw_pass(
+            self._state.ctypes.data_as(ctypes.POINTER(ctypes.c_uint32)),
+            ctypes.byref(dest._struct),
+            ctypes.byref(via._struct) if via is not None else None,
+            n,
+            srcs.ctypes.data_as(_i64p),
+            dst.ctypes.data_as(_i64p),
+            vias.ctypes.data_as(_i64p) if vias is not None else None,
+        )
+        return dst, vias, int(fallbacks)
 
     def randbelow(self, n: int, count: int) -> Optional[np.ndarray]:
-        """The results of ``count`` consecutive ``randrange(n)`` calls.
-
-        Replicates CPython's rejection sampling exactly: draw
-        ``k``-bit values (one word each), keep those ``< n``.  Returns
-        ``None`` (consuming nothing) when ``n`` needs more than one
-        word per draw — the caller falls back to scalar draws.
-        """
+        """The results of ``count`` consecutive ``randrange(n)`` calls;
+        ``None`` (consuming nothing) when ``n`` needs more than one word
+        per draw."""
         n = int(n)
         if n <= 0:
             raise ValueError("n must be positive")
-        k = n.bit_length()
-        if k > 32:
+        if n.bit_length() > 32:
             return None
-        out = np.empty(count, dtype=np.int64)
-        shift = np.uint32(32 - k)
-        # acceptance rate is n / 2^k in (0.5, 1]; oversample by the
-        # expected reject count (plus noise margin) so one round
-        # usually suffices without over-drawing words that the
-        # overshoot path would only roll back again — for the common
-        # near-power-of-two n the overhead collapses to the margin
-        rejects_per_accept = float(((1 << k) - n) / n)
-        have = 0
-        while have < count:
-            need = count - have
-            m = need + int(need * rejects_per_accept * 1.5) + 16
-            snap_mt, snap_pos = self._mt, self._pos
-            trail: list = []
-            w = self._take_words(m, trail) >> shift
-            acc = np.flatnonzero(w < n)
-            if acc.size >= need:
-                used = int(acc[need - 1]) + 1
-                if used < m:
-                    # overshot: rewind to the state right after word
-                    # `used`.  The first `_N - snap_pos` words came off
-                    # `snap_mt`; each trail entry spans `_N` more — so
-                    # the target state is a recorded array plus an
-                    # index, no re-twisting needed.
-                    first = _N - snap_pos
-                    if used <= first:
-                        self._mt, self._pos = snap_mt, snap_pos + used
-                    else:
-                        j, pos = divmod(used - first - 1, _N)
-                        self._mt, self._pos = trail[j], pos + 1
-                out[have:] = w[acc[:need]]
-                have = count
-            else:
-                out[have : have + acc.size] = w[acc]
-                have += acc.size
-        return out
+        row = DestRows(ptr=[0, n], key=[0], skip=[-1], fixed=[-1])
+        return self.draw(np.zeros(count, dtype=np.int64), row)[0]
 
     def commit(self) -> None:
         """Write the advanced state back onto the wrapped RNG."""
-        internal = tuple(int(x) for x in self._mt) + (int(self._pos),)
-        self._rng.setstate((3, internal, self._gauss))
+        self._rng.setstate((3, tuple(self._state.tolist()), self._gauss))

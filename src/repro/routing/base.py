@@ -90,9 +90,16 @@ class RoutingAlgorithm(ABC):
         A routing that offers a plane also offers ``draw_via(src, dst,
         rng)`` — the random part of :meth:`route`, consuming the RNG
         exactly as :meth:`route` does — such that ``route(s, d, rng)``
-        equals the plane's route for ``(s, d, draw_via(s, d, rng))``.
+        equals the plane's route for ``(s, d, draw_via(s, d, rng))``;
+        a randomised one also offers :attr:`via_rows`.
         """
         return None
+
+    #: ``draw_via`` as data: the
+    #: :class:`~repro.network.vecrandom.ViaRows` the compiled draw pass
+    #: replays on the same stream, or ``None`` (no such draw, or not a
+    #: pick from label-keyed rows).
+    via_rows = None
 
     def route_table(self) -> Optional[RouteTable]:
         """The routing's :class:`~repro.routing.table.RouteTable`, built

@@ -11,9 +11,11 @@ hop sequence terminal -> local -> global is acyclic per group.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Iterable, List, Optional
 
 from ..network.packet import Hop
+from ..network.vecrandom import ViaRows
 from ..topology.dragonfly import DragonflySystem
 from .base import RoutingAlgorithm, draw_other_group
 from .plane import RoutePlane, dragonfly_plane
@@ -140,6 +142,13 @@ class DragonflyRouting(RoutingAlgorithm):
         if self._plane is None:
             self._plane = dragonfly_plane(self)
         return self._plane
+
+    @cached_property
+    def via_rows(self) -> Optional[ViaRows]:
+        if self.mode != "valiant":
+            return None
+        plane = self.route_plane()
+        return ViaRows.other_group(plane.node_w, plane.W)
 
     def enumerate_routes(self, src: int, dst: int) -> Iterable[List[Hop]]:
         gs = self.system.group_of(src)

@@ -35,29 +35,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..network.vecrandom import KernelTables
+
 __all__ = ["ResolvedRoutes", "RoutePlane", "switchless_plane", "dragonfly_plane"]
 
 #: segment kinds of a C-group (first axis of :attr:`RoutePlane.seg`).
 _XY, _WALK, _DELIVERY = 0, 1, 2
 
 _i64p = ctypes.POINTER(ctypes.c_int64)
-
-#: scalar and table fields of ``struct Plane`` in ``_simcore.c``, in
-#: declaration order; every one is an attribute of :class:`RoutePlane`.
-_SCALARS = (
-    "num_vcs", "C", "L", "W", "seg_w", "cg_w", "reduced", "merged_vcs",
-    "vc_spread", "vc_local", "vc_global", "vc_landed",
-)
-_TABLES = (
-    "node_w", "node_c", "node_l", "cg_links", "seg", "loc_link", "loc_src",
-    "loc_dst", "gateway", "glob_link", "glob_src", "glob_dst", "glob_dst_c",
-)
-
-
-class _PlaneStruct(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_int64) for name in _SCALARS] + [
-        (name, _i64p) for name in _TABLES
-    ]
 
 
 class ResolvedRoutes(NamedTuple):
@@ -76,7 +61,7 @@ def _ptr(arr: np.ndarray):
     return arr.ctypes.data_as(_i64p)
 
 
-class RoutePlane:
+class RoutePlane(KernelTables):
     """Label tables of one routing object plus the bulk resolver.
 
     Positions are ``(w, c, l)``: W-group, C-group index inside it and
@@ -102,20 +87,16 @@ class RoutePlane:
     ``reduced`` selects the Sec. IV-B walker instead.
     """
 
-    def __init__(self, **fields) -> None:
-        for name in _SCALARS:
-            setattr(self, name, int(fields.pop(name)))
-        for name in _TABLES:
-            setattr(
-                self, name,
-                np.ascontiguousarray(fields.pop(name), dtype=np.int64),
-            )
-        if fields:
-            raise TypeError(f"unknown plane fields {sorted(fields)}")
-        self._struct = _PlaneStruct(
-            **{name: getattr(self, name) for name in _SCALARS},
-            **{name: _ptr(getattr(self, name)) for name in _TABLES},
-        )
+    #: the fields of ``struct Plane`` in ``_simcore.c``, in order
+    _SCALARS = (
+        "num_vcs", "C", "L", "W", "seg_w", "cg_w", "reduced", "merged_vcs",
+        "vc_spread", "vc_local", "vc_global", "vc_landed",
+    )
+    _TABLES = (
+        "node_w", "node_c", "node_l", "cg_links", "seg", "loc_link",
+        "loc_src", "loc_dst", "gateway", "glob_link", "glob_src",
+        "glob_dst", "glob_dst_c",
+    )
 
     def max_hops(self, detours: bool = True) -> int:
         """Upper bound on a route's hops: per W-group crossed at most
@@ -126,7 +107,7 @@ class RoutePlane:
 
     def table_bytes(self) -> int:
         """Memory held by the plane's tables."""
-        return sum(getattr(self, name).nbytes for name in _TABLES)
+        return sum(getattr(self, name).nbytes for name in self._TABLES)
 
     # ------------------------------------------------------------------
     def resolve(self, srcs, dsts, via=None) -> ResolvedRoutes:

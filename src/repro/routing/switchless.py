@@ -48,10 +48,12 @@ Two virtual-channel policies are provided:
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Iterable, List, Optional, Tuple
 
 from ..core.system import SwitchlessSystem
 from ..network.packet import Hop
+from ..network.vecrandom import ViaRows, csr
 from .base import RoutingAlgorithm, draw_other_group
 from .plane import RoutePlane, switchless_plane
 
@@ -369,6 +371,28 @@ class SwitchlessRouting(RoutingAlgorithm):
         if self._plane is None:
             self._plane = switchless_plane(self)
         return self._plane
+
+    @cached_property
+    def via_rows(self) -> Optional[ViaRows]:
+        """Scope "any": any W-group but the pair's own two; "lower": the
+        materialised :meth:`_legal_intermediates` row of ``(ws, wd,
+        cd)``."""
+        if self.mode != "valiant":
+            return None
+        plane = self.route_plane()
+        g, subs = plane.W, plane.C
+        if self.misroute_scope == "any":
+            return ViaRows.other_group(plane.node_w, g)
+        ptr, val = csr([
+            self._legal_intermediates(ws, wd, cd) if ws != wd else ()
+            for ws in range(g)
+            for wd in range(g)
+            for cd in range(subs)
+        ])
+        return ViaRows(
+            groups=g, subs=subs, count_fallback=self.policy == "reduced",
+            ptr=ptr, val=val, group=plane.node_w, sub=plane.node_c,
+        )
 
     def enumerate_routes(self, src: int, dst: int) -> Iterable[List[Hop]]:
         sys = self.system

@@ -153,7 +153,7 @@ class Execution:
         self._events: List[Dict] = []
         #: the terminal event is in the log (or the execution was
         #: restored read-only).  This ends a subscriber's stream; ``state``
-        #: turns terminal earlier, before the journal write and that event.
+        #: turns terminal right after, in the same critical section.
         self.log_complete = False
         self._cond = threading.Condition()
 
@@ -269,33 +269,37 @@ class Execution:
             }
         )
 
-    def finish(self, result: StudyResult, cache_stats: Dict) -> None:
+    def _terminate(self, state: str, event: Dict, **fields) -> bool:
+        """Turn terminal: set ``fields``, end the trace, notify the
+        journal, append the terminal event and only then set ``state`` —
+        one critical section, so whoever reads a terminal state
+        (``Job.status`` reads it without the lock) finds the event
+        already in the log.  ``False`` when already terminal."""
         with self._cond:
             if self.state in TERMINAL_STATES:
-                return
-            self.state = "done"
-            self.result = result
-        self._end_trace("done")
-        self._notify("done")
-        self._emit(
+                return False
+            for name, value in fields.items():
+                setattr(self, name, value)
+            self._end_trace(state, fields.get("error"))
+            self._notify(state)
+            self._emit({"event": state, **event})
+            self.state = state
+        return True
+
+    def finish(self, result: StudyResult, cache_stats: Dict) -> None:
+        self._terminate(
+            "done",
             {
-                "event": "done",
                 "points_done": self.points_done,
                 "cache_hits": self.cache_hits,
                 "cache": cache_stats,
                 "result": result.to_dict(),
-            }
+            },
+            result=result,
         )
 
     def fail(self, error: str) -> None:
-        with self._cond:
-            if self.state in TERMINAL_STATES:
-                return
-            self.state = "error"
-            self.error = error
-        self._end_trace("error", error)
-        self._notify("error")
-        self._emit({"event": "error", "error": error})
+        self._terminate("error", {"error": error}, error=error)
 
     def record_retry(
         self, attempt: int, max_attempts: int, delay: float, error: str
@@ -323,34 +327,20 @@ class Execution:
         job stops consuming retries, and ``status`` surfaces the last
         traceback for post-mortems.
         """
-        with self._cond:
-            if self.state in TERMINAL_STATES:
-                return
-            self.state = "failed"
-            self.error = error
-            self.traceback = traceback_text
-            self.attempts = attempts
-        _M_QUARANTINES.inc()
-        self._end_trace("failed", error)
-        self._notify("failed")
-        self._emit(
-            {
-                "event": "failed",
-                "error": error,
-                "traceback": traceback_text,
-                "attempts": attempts,
-                "points_done": self.points_done,
-            }
-        )
+        event = {
+            "error": error,
+            "traceback": traceback_text,
+            "attempts": attempts,
+            "points_done": self.points_done,
+        }
+        if self._terminate(
+            "failed", event,
+            error=error, traceback=traceback_text, attempts=attempts,
+        ):
+            _M_QUARANTINES.inc()
 
     def mark_cancelled(self) -> None:
-        with self._cond:
-            if self.state in TERMINAL_STATES:
-                return
-            self.state = "cancelled"
-        self._end_trace("cancelled")
-        self._notify("cancelled")
-        self._emit({"event": "cancelled", "points_done": self.points_done})
+        self._terminate("cancelled", {"points_done": self.points_done})
 
     @property
     def terminal(self) -> bool:

@@ -15,8 +15,10 @@ so they take a ``group_nodes`` mapping rather than a raw scope:
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
+from ..network.vecrandom import DestRows
 from ..topology.graph import NetworkGraph
 from .base import TrafficPattern
 
@@ -57,6 +59,10 @@ class HotspotTraffic(TrafficPattern):
         nodes = idx.chip_nodes[idx.chips[d]]
         return nodes[rng.randrange(len(nodes))]
 
+    @cached_property
+    def dest_rows(self) -> DestRows:
+        return self.index.other_chip_rows(self.graph.num_nodes)
+
 
 class WorstCaseTraffic(TrafficPattern):
     """Group ``i`` sends to random nodes of group ``(i+1) mod g``."""
@@ -85,3 +91,12 @@ class WorstCaseTraffic(TrafficPattern):
     def dest(self, src: int, rng: random.Random) -> Optional[int]:
         tgt = self._groups[self._target_group[src]]
         return tgt[rng.randrange(len(tgt))]
+
+    @cached_property
+    def dest_rows(self) -> DestRows:
+        # one row per group; a source draws from its target group's
+        nodes = self.index.nodes
+        return DestRows.build(
+            self.graph.num_nodes, self._groups, nodes,
+            [self._target_group[nid] for nid in nodes],
+        )

@@ -23,6 +23,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..network.vecrandom import DestRows
 from ..topology.graph import NetworkGraph
 
 __all__ = ["TrafficPattern", "ChipIndex"]
@@ -75,6 +76,19 @@ class ChipIndex:
     def num_chips(self) -> int:
         return len(self.chips)
 
+    def other_chip_rows(self, num_nodes: int) -> DestRows:
+        """:class:`DestRows` of "a chip other
+        than the source's, then a node on it": row 0 holds the row keys
+        of the chips (rows ``1..``, their nodes), each source skips its
+        own chip's position."""
+        return DestRows.build(
+            num_nodes,
+            [range(1, self.num_chips + 1)]
+            + [self.chip_nodes[chip] for chip in self.chips],
+            self.nodes, 0, [self.node_pos[nid][0] for nid in self.nodes],
+            chain=True,
+        )
+
     def counterpart(self, src: int, dst_chip_pos: int, rng: random.Random) -> int:
         """Node on chip ``dst_chip_pos`` at the same offset as ``src``.
 
@@ -109,23 +123,19 @@ class TrafficPattern(ABC):
     def dest(self, src: int, rng: random.Random) -> Optional[int]:
         """Destination node for a packet from ``src`` (None = drop)."""
 
+    #: :meth:`dest` as data: :class:`DestRows` the compiled draw pass
+    #: replays exactly as the scalar calls would consume the RNG (the
+    #: native core's batched pre-pass), or ``None`` when the draw is not
+    #: a pick from label-keyed rows.  Patterns opt in with a cached
+    #: property.
+    dest_rows: Optional[DestRows] = None
+
     def dest_batch(self, srcs, vr):
-        """Vectorized counterpart of :meth:`dest` (optional hook).
-
-        ``srcs`` is an int64 array of source node ids (one per
-        scheduled event, in event order); ``vr`` is a
-        :class:`~repro.network.vecrandom.VecRandom` over the same
-        stdlib RNG :meth:`dest` would have been handed.  A pattern that
-        implements this must return an int64 array of destinations
-        aligned with ``srcs`` (``-1`` encodes the scalar ``None``
-        drop), and must consume ``vr`` *exactly* as the equivalent
-        sequence of scalar :meth:`dest` calls would consume the RNG —
-        that equivalence is what keeps the native core's batched
-        pre-pass bit-identical to the scalar one (the caller commits
-        ``vr`` back onto the RNG afterwards).
-
-        Returning ``None`` declines (nothing consumed); the caller
-        then falls back to per-event scalar :meth:`dest` calls.  The
-        default declines, so patterns opt in explicitly.
-        """
-        return None
+        """Destinations of the events from ``srcs`` (int64, event
+        order; ``-1`` encodes the scalar ``None`` drop), drawn through
+        ``vr`` — a :class:`~repro.network.vecrandom.VecRandom` over the
+        RNG :meth:`dest` would have been handed — from
+        :attr:`dest_rows`; the caller commits ``vr`` afterwards.
+        ``None`` declines, consuming nothing."""
+        rows = self.dest_rows
+        return None if rows is None else vr.draw(srcs, rows)[0]

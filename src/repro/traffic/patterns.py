@@ -17,10 +17,12 @@ this only affects the full-system runs of Fig. 11).
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..network.vecrandom import DestRows
 from ..topology.graph import NetworkGraph
 from .base import TrafficPattern
 
@@ -31,19 +33,6 @@ __all__ = [
     "BitShuffleTraffic",
     "BitTransposeTraffic",
 ]
-
-
-def _scope_arrays(pattern: TrafficPattern):
-    """Cached ``(node id -> scope index, scope index -> node id)``
-    arrays for vectorized destination lookup."""
-    arrs = getattr(pattern, "_scope_arrs", None)
-    if arrs is None:
-        idx = pattern.index
-        nodes = np.asarray(idx.nodes, dtype=np.int64)
-        pos = np.full(pattern.graph.num_nodes, -1, dtype=np.int64)
-        pos[nodes] = np.arange(nodes.size, dtype=np.int64)
-        arrs = pattern._scope_arrs = (pos, nodes)
-    return arrs
 
 
 class UniformTraffic(TrafficPattern):
@@ -85,28 +74,16 @@ class UniformTraffic(TrafficPattern):
         nodes = idx.chip_nodes[idx.chips[d]]
         return nodes[rng.randrange(len(nodes))]
 
-    def dest_batch(self, srcs, vr):
-        """Vectorized ``exclude="node"`` draws (see the base hook).
-
-        The scalar path consumes exactly one ``randrange(n - 1)`` per
-        event, so the whole batch maps onto one
-        :meth:`~repro.network.vecrandom.VecRandom.randbelow` call plus
-        the self-skip shift.  ``exclude="chip"`` makes two *dependent*
-        draws per event (chip, then node on that chip's variable-size
-        list) and declines to the scalar path.
-        """
-        if self.exclude != "node":
-            return None
-        n = self.index.num_nodes
-        srcs = np.asarray(srcs, dtype=np.int64)
-        if n < 2:  # scalar dest() drops without consuming the RNG
-            return np.full(srcs.size, -1, dtype=np.int64)
-        draws = vr.randbelow(n - 1, srcs.size)
-        if draws is None:
-            return None
-        pos, nodes = _scope_arrays(self)
-        i = pos[srcs]
-        return nodes[draws + (draws >= i)]
+    @cached_property
+    def dest_rows(self) -> DestRows:
+        idx = self.index
+        if self.exclude == "chip":
+            return idx.other_chip_rows(self.graph.num_nodes)
+        # one row, the scope; each source skips its own position
+        return DestRows.build(
+            self.graph.num_nodes, [idx.nodes], idx.nodes, 0,
+            np.arange(idx.num_nodes),
+        )
 
 
 def _bits_for(n: int) -> int:
@@ -160,34 +137,20 @@ class PermutationTraffic(TrafficPattern):
             return self.index.nodes[j]
         return d
 
-    def dest_batch(self, srcs, vr):
-        """Vectorized permutation lookup (see the base hook).
-
-        Sources inside the power-of-two prefix are a pure table lookup
-        (no RNG); only the uniform-fallback tail consumes draws, and it
-        does so in event order — so drawing the fallback subset en bloc
-        replicates the scalar stream exactly.  Scopes that *are* a
-        power of two (every paper configuration) consume nothing.
-        """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        pos, nodes = _scope_arrays(self)
-        i = pos[srcs]
-        dest_of = getattr(self, "_dest_arr", None)
-        if dest_of is None:
-            dest_of = self._dest_arr = np.array(
-                [-1 if d is None else d for d in self._dest_of],
-                dtype=np.int64,
-            )
-        out = dest_of[i]
-        fb = np.flatnonzero(i >= self._pow2)
-        if fb.size:
-            n = self.index.num_nodes
-            draws = vr.randbelow(n - 1, fb.size)
-            if draws is None:
-                return None
-            j = draws + (draws >= i[fb])
-            out[fb] = nodes[j]
-        return out
+    @cached_property
+    def dest_rows(self) -> DestRows:
+        # the power-of-two prefix is a table lookup (no draw); the tail
+        # draws from the scope, skipping itself, as UniformTraffic does
+        idx = self.index
+        pow2 = self._pow2
+        return DestRows.build(
+            self.graph.num_nodes, [idx.nodes], idx.nodes[pow2:], 0,
+            np.arange(pow2, idx.num_nodes),
+            fixed={
+                nid: -1 if d is None else d
+                for nid, d in zip(idx.nodes[:pow2], self._dest_of)
+            },
+        )
 
 
 class BitReverseTraffic(PermutationTraffic):

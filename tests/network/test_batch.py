@@ -1,13 +1,13 @@
-"""Batched native execution: VecRandom exactness and lane bit-identity.
+"""Batched native execution: draw exactness and lane bit-identity.
 
 The batch contract is absolute: N lanes packed into one
 ``sim_run_batch`` call produce results **bit-identical** to N serial
 per-lane runs, for any thread count, any lane count, healthy or
 degraded topologies, with or without probes.  These tests pin
 injection schedules so every core (reference, array, native) must
-agree with the batched lanes exactly, and they drive the vectorized
-destination pre-pass through its decline paths (fault-masked traffic,
-non-power-of-two permutation scopes).
+agree with the batched lanes exactly, and they drive the compiled
+pre-pass through its edges (fault-masked traffic declines, a
+non-power-of-two permutation scope draws only for its tail).
 """
 
 import random
@@ -62,16 +62,18 @@ def switchless_spec(**over):
 
 
 # ----------------------------------------------------------------------
-# VecRandom: bit-exact MT19937 replication
+# VecRandom: the kernel's draws on the exact MT19937 stream
 # ----------------------------------------------------------------------
 class TestVecRandom:
     def test_word_stream_matches_getrandbits(self):
+        """A 32-bit draw is one raw word (only 2**32 - 1 is rejected),
+        so the kernel's words are getrandbits(32)'s, across twists."""
         for seed in (0, 7, 123456):
             rng = random.Random(seed)
             vr = VecRandom.for_rng(random.Random(seed))
-            words = vr._take_words(2000)
+            words = vr.randbelow(2**32 - 1, 2000)
             expect = [rng.getrandbits(32) for _ in range(2000)]
-            assert words.tolist() == expect
+            assert words.tolist() == [w for w in expect if w < 2**32 - 1]
 
     @pytest.mark.parametrize(
         "n",
@@ -231,7 +233,7 @@ class TestBatchBitIdentity:
             assert b.to_dict() == s.to_dict()
 
     def test_failed_chips_batch_matches_serial(self):
-        """FaultMaskedTraffic has no dest_batch hook, so the vectorized
+        """FaultMaskedTraffic publishes no draw rows, so the compiled
         pre-pass declines and lanes resolve scalar — results must be
         unaffected either way."""
         spec = mesh_spec(
@@ -243,6 +245,28 @@ class TestBatchBitIdentity:
             core="native", schedules=schedules,
         )
         serial = serial_results(spec, self.LANES, schedules, "array")
+        for b, s in zip(batched, serial):
+            assert b.to_dict() == s.to_dict()
+
+    @pytest.mark.parametrize("mode", ["minimal", "valiant"])
+    def test_degraded_hotspot_matches_reference(self, mode):
+        """Fault-masked traffic publishes no draw rows (the base
+        pattern's would bypass the mask), so a degraded hotspot run
+        resolves scalar on the native core, Min or Valiant — and stays
+        bit-identical to the reference core."""
+        spec = switchless_spec(
+            traffic="hotspot",
+            traffic_opts={"num_hot": 3},
+            routing_opts={"mode": mode},
+            faults={"model": "fixed", "failed_chips": [0, 5]},
+        )
+        lanes = self.LANES[:3]
+        graph, routing, traffic, schedules = pinned_setup(spec, lanes)
+        batched = run_batch(
+            graph, routing, traffic, spec.params, lanes,
+            core="native", schedules=schedules,
+        )
+        serial = serial_results(spec, lanes, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -263,7 +287,7 @@ class TestBatchBitIdentity:
 
     def test_non_pow2_permutation_scope_matches_serial(self):
         """A 13-node scope exercises the uniform-fallback tail of the
-        permutation dest_batch hook (draws consumed in event order)."""
+        permutation's draw rows (draws consumed in event order)."""
         spec = mesh_spec(
             traffic="bit_reverse",
             traffic_opts={"scope": ("nodes", list(range(13)))},
@@ -411,7 +435,7 @@ class TestRunBatchFacade:
 
 
 # ----------------------------------------------------------------------
-# traffic dest_batch hooks in isolation
+# traffic dest_batch (the draw rows through VecRandom) in isolation
 # ----------------------------------------------------------------------
 class TestDestBatchHooks:
     def _check_hook(self, traffic, srcs):
@@ -454,11 +478,25 @@ class TestDestBatchHooks:
         srcs = [n for n in traffic.active_nodes()] * 30
         assert self._check_hook(traffic, srcs)
 
+    def test_adversarial_and_chip_hooks_exact(self):
+        for kind, opts in (
+            ("hotspot", {"num_hot": 3}),
+            ("worst_case", {}),
+            ("uniform", {"exclude": "chip"}),
+        ):
+            _, _, traffic = build_experiment(
+                switchless_spec(traffic=kind, traffic_opts=opts)
+            )
+            srcs = [n for n in traffic.active_nodes()][::7] * 20
+            assert self._check_hook(traffic, srcs), kind
+
     def test_fault_masked_traffic_has_no_hook(self):
-        """FaultMaskedTraffic filters dest() per event, so it offers no
-        dest_batch — the vectorized pre-pass must see None and decline
-        to the scalar path (covered end-to-end by the failed-chips
-        bit-identity test above)."""
+        """FaultMaskedTraffic filters dest() per event, so it offers
+        neither draw rows nor dest_batch — the compiled pre-pass must
+        see None and decline to the scalar path (covered end-to-end by
+        the failed-chips and degraded-hotspot bit-identity tests
+        above)."""
         spec = mesh_spec(faults={"model": "fixed", "failed_chips": [1]})
         graph, _, traffic = build_experiment(spec)
         assert getattr(traffic, "dest_batch", None) is None
+        assert getattr(traffic, "dest_rows", None) is None

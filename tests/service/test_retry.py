@@ -12,6 +12,7 @@ from repro.service import (
     SimulationService,
     chaos,
 )
+from repro.service.jobs import Execution
 
 from .conftest import tiny_study
 
@@ -147,6 +148,37 @@ class TestSupervisedRetry:
             )
             assert attached is False  # not glued to the failed run
             assert _wait_terminal(service, job2.id)["state"] == "done"
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize(
+        "directive,terminal", [("fail-point:match=m@", "failed"), ("", "done")]
+    )
+    def test_terminal_status_implies_terminal_event(
+        self, tmp_path, arm_chaos, monkeypatch, directive, terminal
+    ):
+        """A terminal state is published only once its event is in the
+        log: with the journal notification slowed down, the first
+        status poll that reads a terminal state already finds the
+        terminal event in the snapshot."""
+        notify = Execution._notify
+
+        def slow_notify(execution, state):
+            if state == terminal:
+                time.sleep(0.3)
+            notify(execution, state)
+
+        monkeypatch.setattr(Execution, "_notify", slow_notify)
+        arm_chaos(directive)
+        service = _service(tmp_path)
+        try:
+            job, _ = service.submit(
+                JobRequest(study=tiny_study().to_data())
+            )
+            status = _wait_terminal(service, job.id)
+            events = service.job(job.id).execution.events_snapshot()
+            assert status["state"] == terminal
+            assert events[-1]["event"] == terminal
         finally:
             service.shutdown()
 
