@@ -16,11 +16,11 @@ Every spec comes back as one :class:`~repro.network.stats.CurveResult`
 :func:`repro.network.sweep_rates` returns and ``repro.api`` nests into
 scenarios, cut by the same rule (:func:`~repro.network.stats.
 cutoff_walk`): rates are walked in order and the curve ends after
-``stop_after_saturation`` saturated points.  The scheduler may
-*speculatively* simulate a few points past the eventual cutoff — the
-rest of a chunk, or chunks in flight on other workers (they are cached
-but excluded from the returned curve), which is what lets a single
-sweep's points run concurrently.
+``stop_after_saturation`` saturated points.  Chunks carry the rule
+down to :func:`~repro.network.simulator.run_batch`, which stops at the
+cutoff, so nothing past it is simulated or cached — except in a pool,
+by a chunk started while earlier rates of its sweep were in flight
+(which is what lets a single sweep's points run concurrently).
 """
 
 from __future__ import annotations
@@ -114,13 +114,9 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: propagates.  Crash retries (dead worker) use the same budget.
 POINT_RETRIES_ENV = "REPRO_POINT_RETRIES"
 
-#: minimum lanes per packed chunk.  Each chunk is one packed kernel
-#: call; points past a saturation cutoff inside the final chunk are
-#: speculative (cached but excluded from the sweep), exactly like
-#: chunks in flight on other workers.  Eight lanes amortize per-chunk
-#: setup (batch construction, route-plane lookups) measurably better
-#: than four while still keeping at most seven speculative points past
-#: a cutoff.
+#: minimum lanes per packed chunk (its lanes stop at the cutoff).
+#: Eight lanes amortize per-chunk setup (batch construction,
+#: route-plane lookups) measurably better than four.
 _BATCH_CHUNK_MIN = 8
 
 # Worker-local reuse of built topologies and routings: building a graph
@@ -161,9 +157,11 @@ def _chunk_width(spec: ExperimentSpec, threads: int) -> int:
 
 
 def _run_chunk(
-    spec: ExperimentSpec, rates: Sequence[float], threads: int
+    spec: ExperimentSpec, rates: Sequence[float], threads: int,
+    stop_after: Optional[int] = None,
 ) -> List[SimResult]:
-    """Simulate ``rates`` of ``spec``, each with its derived seed."""
+    """Simulate ``rates`` of ``spec``, each with its derived seed, up to
+    ``stop_after`` saturated points (see ``run_batch``)."""
     label = spec.label or spec.describe()
     if os.environ.get("REPRO_CHAOS"):
         # fault injection (tests only): lazy so the production path
@@ -203,6 +201,7 @@ def _run_chunk(
         threads=threads,
         probes=build_metrics(spec),
         plans=plans,
+        stop_after=stop_after,
     )
 
 
@@ -216,6 +215,7 @@ def _chunk_task(
     rates: Sequence[float],
     threads: int,
     retries: int,
+    stop_after: Optional[int] = None,
 ) -> Tuple[List[SimResult], float]:
     """One chunk with the retry budget applied, wherever it runs.
 
@@ -223,7 +223,8 @@ def _chunk_task(
     (results are pure functions of ``(spec, rate)``, so a retry is
     exact); the last error propagates.  Worker *crashes* cannot be
     handled here — the scheduler contains those.  Returns the results
-    and the chunk's wall time.
+    (a prefix of ``rates`` when ``stop_after`` cut it) and the wall
+    time.
 
     In a pool worker the span parents to the ``REPRO_TRACEPARENT``
     carrier and lands in the ``REPRO_SPANLOG`` file (both inherited
@@ -241,7 +242,7 @@ def _chunk_task(
         while True:
             attempt += 1
             try:
-                results = _run_chunk(spec, rates, threads)
+                results = _run_chunk(spec, rates, threads, stop_after)
                 break
             except Exception as exc:
                 if attempt > retries:
@@ -354,10 +355,10 @@ def run_experiments(
         Optional :data:`PointCallback` invoked in *this* process as each
         point completes — cache replays first (``source="cache"``), then
         fresh points chunk by chunk in completion order, the points of
-        one chunk in rate order (``source="fresh"``).  Its events may be
-        a superset of the returned curves: speculative points past a
-        saturation cutoff are reported (and cached) but excluded from
-        the assembled results.  Raising from the hook aborts the run;
+        one chunk in rate order (``source="fresh"``).  Its events are
+        the returned curves' points, plus (in a pool only) those of
+        chunks cut too late, as the module doc says.  Raising from the
+        hook aborts the run;
         already-completed points stay cached, which is how the service
         layer implements job cancellation.
     """
@@ -367,11 +368,12 @@ def run_experiments(
     have: List[Dict[int, SimResult]] = [{} for _ in specs]
 
     with obs_trace.span("engine.run", specs=len(specs)) as run_span:
-        # Replay every cached point first: cutoffs may be decided.
+        # Replay cached points first, each sweep up to its cutoff.
         if cache is not None:
             with obs_trace.span("engine.cache_replay") as replay_span:
                 replayed = 0
                 for si, spec in enumerate(specs):
+                    saturated = 0
                     for ri, rate in enumerate(spec.rates):
                         res = cache.get(point_key(spec, rate))
                         if res is not None:
@@ -379,12 +381,15 @@ def run_experiments(
                             replayed += 1
                             if on_point is not None:
                                 on_point(si, ri, rate, res, "cache")
+                            saturated += res.saturated
+                            if saturated >= stop_after_saturation:
+                                break
                 if replayed:
                     _M_POINTS.inc(replayed, source="cache")
                 replay_span.set(points=replayed)
 
         missing = [
-            len(spec.rates) - len(have[si])
+            len(_needed(len(spec.rates), have[si], stop_after_saturation))
             for si, spec in enumerate(specs)
         ]
         threads = env_int(THREADS_ENV, os.cpu_count() or 1)
@@ -422,6 +427,23 @@ def run_experiments(
             time.perf_counter() - t0,
         )
     return curves
+
+
+def _needed(
+    num_rates: int, results: Dict[int, SimResult], stop_after_saturation: int
+) -> List[int]:
+    """Missing rate indices before the ``stop_after_saturation``-th
+    known saturated point; empty once ``cutoff_walk`` is complete."""
+    needed, saturated = [], 0
+    for ri in range(num_rates):
+        res = results.get(ri)
+        if res is None:
+            needed.append(ri)
+        elif res.saturated:
+            saturated += 1
+            if saturated >= stop_after_saturation:
+                break
+    return needed
 
 
 def _curve(
@@ -485,9 +507,11 @@ def _schedule(
     across incomplete sweeps in rate order; each completion immediately
     refills the freed worker.  Saturation cutoffs are re-evaluated on
     every completion, so a sweep that saturates stops feeding new
-    chunks (in-flight ones finish, are cached, and are simply excluded
-    by the final assembly — results are order-independent thanks to the
-    per-point derived seeds).  With ``workers <= 1`` the same chunks
+    chunks.  A chunk's budget is the cutoff minus the saturations known
+    before its first rate: exact serially, never too small in a pool
+    (an in-flight saturation only moves the cutoff earlier); points
+    past the final cutoff are excluded by the assembly (results are
+    order-independent thanks to the per-point derived seeds).  With ``workers <= 1`` the same chunks
     run one at a time in this process and no pool is created.  Only
     this process records results: ``have``, the cache, ``on_point`` and
     the metrics.
@@ -509,11 +533,16 @@ def _schedule(
 
     def task(chunk: Chunk) -> Tuple:
         """Arguments of the chunk's :func:`_chunk_task` call."""
-        return specs[chunk[0]], rates_of(chunk), threads, retries
+        si, ris = chunk
+        known = sum(r.saturated for ri, r in have[si].items() if ri < ris[0])
+        # >= 1 when scheduled; a probation re-run may find it spent
+        budget = max(1, stop_after_saturation - known)
+        return specs[si], rates_of(chunk), threads, retries, budget
 
     def record(chunk: Chunk, done: Tuple[List[SimResult], float]) -> None:
         si, ris = chunk
         results, seconds = done
+        ris = ris[:len(results)]
         logger.debug(
             "%s %d lane(s) done in %.2fs",
             specs[si].describe(), len(ris), seconds,
@@ -533,15 +562,12 @@ def _schedule(
         """Chunks to start, round-robin across incomplete sweeps."""
         queues = []
         for si, spec in enumerate(specs):
-            complete, first = cutoff_walk(
-                len(spec.rates), have[si], stop_after_saturation
-            )
-            if complete:
-                continue
             pending = [
                 ri
-                for ri in range(first, len(spec.rates))
-                if ri not in have[si] and (si, ri) not in inflight
+                for ri in _needed(
+                    len(spec.rates), have[si], stop_after_saturation
+                )
+                if (si, ri) not in inflight
             ]
             if pending:
                 queues.append([
@@ -612,7 +638,7 @@ def _schedule(
                 return
         except BrokenProcessPool:
             _M_CRASHES.inc()
-            # a chunk is recorded whole, so its first point tells
+            # a chunk is recorded at once, so its first point tells
             lost = [
                 chunk for chunk in inflight_now
                 if chunk[1][0] not in have[chunk[0]]

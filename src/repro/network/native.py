@@ -43,7 +43,7 @@ import numpy as np
 
 from .corebase import CoreBase, RunCtx, _as_i64, _zeros
 from .schedule import InjectionSchedule
-from .stats import SimResult
+from .stats import SimResult, cutoff_walk
 
 __all__ = [
     "NativeBatch",
@@ -381,16 +381,8 @@ class NativeCore(CoreBase):
 
         self._n_credits = np.full(num_lv, B, dtype=np.int64)
         self._n_owner = np.full(num_lv, -1, dtype=np.int64)
-        # The flit rings and the wheel slots below are nine tenths of a
-        # lane's state, sized for the worst case and mostly never
-        # touched.  The kernel reads a ring entry or a slot entry only
-        # below its count (b_len, aw_n, cw_n) and writes it before it
-        # counts it, so they need no zeroing — and must not get it:
-        # zeroed memory is only free while the allocator hands out
-        # fresh pages, and once a freed batch's heap is recycled calloc
-        # clears every page of them (measured: +14 MB peak RSS on a
-        # five-lane Valiant sweep).
-        self._n_buf = _unset(num_lv * B)
+        # flit rings and wheel slots: allocated by _build_state
+        self._drop_rings()
         self._n_b_head = _zeros(num_lv)
         self._n_b_len = _zeros(num_lv)
         self._n_ne_arr = _zeros(num_nodes * links.max_in)
@@ -400,10 +392,7 @@ class NativeCore(CoreBase):
         self._n_sq_head = _zeros(num_nodes)
         self._n_sq_len = _zeros(num_nodes)
         self._n_s_fidx = _zeros(num_nodes)
-        self._n_aw_f = _unset(W * slot_cap)
-        self._n_aw_lv = _unset(W * slot_cap)
         self._n_aw_n = _zeros(W)
-        self._n_cw_lv = _unset(W * slot_cap)
         self._n_cw_n = _zeros(W)
         self._n_rr_link = _zeros(graph.num_links)
         self._n_rr_eject = _zeros(num_nodes)
@@ -460,6 +449,21 @@ class NativeCore(CoreBase):
         np_ev_cycle = _as_i64(packets.t0[pid0:])
         np_ev_src = _as_i64(packets.src[pid0:])
         np_ev_pid = _as_i64(np.arange(pid0, pid0 + n_new, dtype=np.int64))
+        if self._n_buf is None:
+            # The flit rings and the wheel slots are nine tenths of a
+            # lane's state, sized for the worst case and mostly never
+            # touched.  The kernel reads a ring entry or a slot entry
+            # only below its count (b_len, aw_n, cw_n) and writes it
+            # before it counts it, so they need no zeroing — and must
+            # not get it: zeroed memory is only free while the
+            # allocator hands out fresh pages, and once a freed batch's
+            # heap is recycled calloc clears every page of them
+            # (measured: +14 MB peak RSS on a five-lane Valiant sweep).
+            slots = self._wheel_size * self._slot_cap
+            self._n_buf = _unset(self._num_lv * p.vc_buffer_size)
+            self._n_aw_f, self._n_aw_lv, self._n_cw_lv = (
+                _unset(slots) for _ in range(3)
+            )
         self._rebuild_srcq_arena(packets.src[pid0:])
         # sized for every latency the kernel may report this run: new
         # packets plus measured leftovers still in flight from earlier
@@ -620,6 +624,10 @@ class NativeCore(CoreBase):
             )
         return self._finish(ctx, st)
 
+    def _drop_rings(self) -> None:
+        """Free rings and wheel slots (``flits_in_flight`` reads counts)."""
+        self._n_buf = self._n_aw_f = self._n_aw_lv = self._n_cw_lv = None
+
     # ------------------------------------------------------------------
     def flits_in_flight(self) -> int:
         """Flits currently buffered or on wires (conservation checks)."""
@@ -639,12 +647,12 @@ class NativeBatch:
     from the graph's shared :class:`~repro.network.corebase.LinkTables`.
     Each lane's packets are pre-resolved by the compiled front end
     (falling back to the scalar resolve for a pattern or routing that
-    publishes no draw rows), the per-lane ``struct S`` states are
-    packed into one contiguous ctypes array, and a single
-    ``sim_run_batch`` call walks the lanes — threaded over
-    :func:`resolve_threads` workers pulling lanes from an atomic
-    cursor, which is bit-identical to the serial loop because lanes
-    share no mutable state.
+    publishes no draw rows).  Lanes run in order, in waves of
+    :func:`resolve_threads` lanes, each wave's ``struct S`` states
+    packed into one ctypes array for one ``sim_run_batch`` call —
+    threaded over workers pulling lanes from an atomic cursor, which is
+    bit-identical to the serial loop because lanes share no mutable
+    state.  One wave's rings and wheels are alive at a time.
 
     A batch is **one-shot**: lanes accumulate measurement state, so
     ``run()`` raises on reuse.  Build a fresh batch per lane set (as
@@ -685,10 +693,16 @@ class NativeBatch:
         *,
         threads: Optional[int] = None,
         plans=None,
+        stop_after: Optional[int] = None,
     ) -> List[SimResult]:
         """Run lane ``i`` at ``rates[i]`` (optionally pinning
         ``schedules[i]``, or closed-loop under ``plans[i]``); returns
-        per-lane results in lane order."""
+        per-lane results in lane order.
+
+        With ``stop_after`` = k the lanes are a curve's rates, cut by
+        :func:`~repro.network.stats.cutoff_walk`: lanes past the wave
+        holding the k-th saturated one never run, and the results end
+        at that lane."""
         if self._ran:
             raise RuntimeError(
                 "NativeBatch is one-shot: lanes accumulate measurement "
@@ -703,30 +717,37 @@ class NativeBatch:
         for name, per_lane in (("schedules", schedules), ("plans", plans)):
             if per_lane is not None and len(per_lane) != n:
                 raise ValueError(f"{len(per_lane)} {name} for {n} lanes")
-        if n == 0:
-            return []
-        ctxs = [
-            core._begin(
-                rates[i],
-                schedules[i] if schedules is not None else None,
-                plans[i] if plans is not None else None,
+        wave = resolve_threads(n, threads)
+        results: List[SimResult] = []
+        for lo in range(0, n, wave):
+            cores = self.lanes[lo:lo + wave]
+            ctxs = [
+                core._begin(
+                    rates[i],
+                    schedules[i] if schedules is not None else None,
+                    plans[i] if plans is not None else None,
+                )
+                for i, core in enumerate(cores, lo)
+            ]
+            # the wave is resolved before any state is packed: a shared
+            # route table is final for these lanes only now
+            states = (_SimState * len(cores))(
+                *(core._build_state(ctx) for core, ctx in zip(cores, ctxs))
             )
-            for i, core in enumerate(self.lanes)
-        ]
-        # every lane is resolved before any state is packed: a shared
-        # route table is final only now
-        states = (_SimState * n)()
-        for i, (core, ctx) in enumerate(zip(self.lanes, ctxs)):
-            states[i] = core._build_state(ctx)
-        lib = self.lanes[0]._lib
-        err = lib.sim_run_batch(states, n, resolve_threads(n, threads))
-        if err:
-            codes = [int(states[i].error) for i in range(n)]
-            raise RuntimeError(
-                "native batch kernel failed "
-                f"(first error {err}; per-lane codes {codes})"
+            err = cores[0]._lib.sim_run_batch(states, len(cores), len(cores))
+            if err:
+                # earlier waves all returned 0
+                codes = [0] * lo + [int(st.error) for st in states]
+                raise RuntimeError(
+                    "native batch kernel failed "
+                    f"(first error {err}; per-lane codes {codes})"
+                )
+            for core, ctx, st in zip(cores, ctxs, states):
+                results.append(core._finish(ctx, st))
+                core._drop_rings()
+            cut, kept = cutoff_walk(
+                n, dict(enumerate(results)), stop_after or n + 1
             )
-        return [
-            core._finish(ctx, states[i])
-            for i, (core, ctx) in enumerate(zip(self.lanes, ctxs))
-        ]
+            if cut:
+                return results[:kept]
+        return results

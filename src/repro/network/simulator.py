@@ -305,6 +305,7 @@ def run_batch(
     probes: Optional[Sequence[Union[Probe, str]]] = None,
     schedules: Optional[Sequence[InjectionSchedule]] = None,
     plans: Optional[Sequence] = None,
+    stop_after: Optional[int] = None,
 ) -> List[SimResult]:
     """Simulate N replica lanes of one configuration as a batch.
 
@@ -330,6 +331,11 @@ def run_batch(
     kernel call on the native core.  A lane whose plan did not drain
     inside its horizon raises :class:`RuntimeError` naming the stuck
     phases.
+
+    ``stop_after`` = k makes the lanes a curve's rates, cut after k
+    saturated points (:func:`~repro.network.stats.cutoff_walk`): on
+    every core the results end at the k-th saturated lane, and no lane
+    after it runs (on the native core: after its wave of threads).
     """
     lanes = list(lanes)
     for name, per_lane in (("schedules", schedules), ("plans", plans)):
@@ -358,7 +364,8 @@ def run_batch(
             "kernel.run", lanes=n, threads=threads, workload=workload
         ):
             results = batch.run(
-                rates, schedules=schedules, threads=threads, plans=plans
+                rates, schedules=schedules, threads=threads, plans=plans,
+                stop_after=stop_after,
             )
         if built:
             with obs_trace.span("probe.decode", lanes=n) as decode:
@@ -384,8 +391,9 @@ def run_batch(
         with obs_trace.span(
             "kernel.run", lanes=n, core=core, workload=workload
         ):
-            results = [
-                Simulator(
+            results, saturated = [], 0
+            for i, (seed, rate) in enumerate(lanes):
+                results.append(Simulator(
                     graph,
                     routing,
                     traffic,
@@ -396,10 +404,11 @@ def run_batch(
                     rate,
                     schedule=schedules[i] if schedules is not None else None,
                     plan=plans[i] if plans is not None else None,
-                )
-                for i, (seed, rate) in enumerate(lanes)
-            ]
-    for plan in plans or ():
+                ))
+                saturated += results[-1].saturated
+                if stop_after and saturated >= stop_after:
+                    break
+    for plan in (plans or ())[:len(results)]:
         plan.check_drained()
     return results
 

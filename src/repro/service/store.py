@@ -410,9 +410,12 @@ class SingleFlightCache:
     counted in :attr:`fallbacks`, never wrong results (both sides write
     the same deterministic bytes).
 
+    The engine's replay reads each sweep in rate order only up to its
+    saturation cutoff, and nothing past a cutoff is stored, so a warm
+    resubmission reads exactly the stored points and takes no lock.
     Use as a context manager, or call :meth:`close` in a ``finally`` —
-    saturation cutoffs legitimately skip points whose locks were
-    acquired during the replay scan, and those must be released.
+    a cold run's replay scan locks every missing rate, the cutoff
+    legitimately skips some of them, and those must be released.
     """
 
     def __init__(

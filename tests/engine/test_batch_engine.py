@@ -163,9 +163,8 @@ class TestPackedChunkParity:
         sweeps_equal(sw, per_lane_reference(spec))
 
     def test_saturation_cutoff_short_circuits(self, tmp_path):
-        """Rates far past saturation must not all be simulated: the
-        cutoff is re-checked between chunks, so at most one speculative
-        chunk runs past it."""
+        """Rates past the cutoff are never simulated: a chunk's lanes
+        stop at it, so the cache holds exactly the sweep's points."""
         rates = [0.05, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0]
         spec = mesh_spec(rates, label="cutoff")
         cache = ResultCache(tmp_path / "cutoff")
@@ -173,8 +172,7 @@ class TestPackedChunkParity:
         simulated = sum(
             1 for r in rates if cache.get(point_key(spec, r)) is not None
         )
-        assert simulated < len(rates)
-        assert len(sw.rates) < len(rates)
+        assert simulated == len(sw.rates) < len(rates)
         # the assembled sweep matches the per-lane walk exactly
         sweeps_equal(sw, per_lane_reference(spec))
 

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.engine import ExperimentSpec, ResultCache, run_experiments
-from repro.engine.executor import _chunk_width
+from repro.engine import executor
 from repro.network import SimParams
 
 PARAMS = SimParams(
@@ -64,10 +64,16 @@ class TestEnginePaths:
     def test_pool_fires_in_parent_per_chunk(self, tmp_path, monkeypatch):
         """Pooled chunks report from the parent as each one completes:
         one ``fresh`` event per simulated point, a chunk's points in
-        rate order, speculative points past a cutoff included."""
+        rate order, and nothing past a cutoff — the chunk stops there,
+        so its events and cache entries are exactly the curve's."""
         # a real pool: workers x threads <= cpu_count would clamp it
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("REPRO_SIM_THREADS", "1")
+        # one chunk per sweep on every core (the pure-Python cores run
+        # one rate per chunk otherwise, completing in the pool's order)
+        monkeypatch.setattr(
+            executor, "_chunk_width", lambda spec, threads: len(spec.rates)
+        )
         parent = os.getpid()
         # the 4-terminal switch saturates near 1.0: the cutoff bites
         rates = [0.4, 1.5, 2.2, 3.0]
@@ -87,21 +93,11 @@ class TestEnginePaths:
         )
         assert set(pids) == {parent}
         assert {c[4] for c in calls} == {"fresh"}
-        # exactly one event per simulated point
-        assert len(calls) == len({(si, ri) for si, ri, *_ in calls})
-        assert len(calls) == len(cache)
-        seen = {(si, ri): res for si, ri, _, res, _ in calls}
+        assert len(calls) == len(cache) == sum(len(s.rates) for s in sweeps)
         for si, sweep in enumerate(sweeps):
             assert len(sweep.rates) < len(rates)
-            for ri, res in enumerate(sweep.results):
-                assert seen[(si, ri)] == res
-            order = [ri for sj, ri, *_ in calls if sj == si]
-            assert order == sorted(order)
-        if _chunk_width(specs[0], 1) > 1:
-            # the whole sweep rode one packed chunk: the points past
-            # the cutoff were reported but are not in the sweeps
-            assert len(calls) == 2 * len(rates)
-            assert len(calls) > sum(len(s.rates) for s in sweeps)
+            events = [(ri, res) for sj, ri, _, res, _ in calls if sj == si]
+            assert events == list(enumerate(sweep.results))
 
     def test_inline_packed_chunks(self):
         specs = [_mesh(), _mesh(label="m1", seed=5)]
