@@ -25,4 +25,4 @@ Public API overview
     Physical C-group floorplanning on a 300 mm wafer (Fig. 9).
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

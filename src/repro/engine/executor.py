@@ -191,7 +191,8 @@ def _run_chunk(
         # workload's phases, and its window is the measured makespan
         from ..workload.driver import plan_points
 
-        plans = plan_points(spec, traffic, rates)
+        with obs_trace.span("workload.plan", label=label, lanes=len(rates)):
+            plans = plan_points(spec, traffic, rates)
     return run_batch(
         graph,
         routing,

@@ -13,7 +13,10 @@ fault-aware repair routing uses.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..topology.graph import NetworkGraph
 from ..topology.properties import (
@@ -96,6 +99,16 @@ class DegradedTopology:
 
     def component_of(self, nid: int) -> Optional[int]:
         return self._component.get(nid)
+
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        """The view as one int64 vector over the graph's nodes: a node's
+        component, ``-1`` for a failed node.  ``alive(a)`` is ``lab[a] >=
+        0`` and ``reachable(a, b)`` is ``lab[a] >= 0 and lab[a] ==
+        lab[b]``."""
+        lab = np.full(self.graph.num_nodes, -1, dtype=np.int64)
+        lab[list(self._component)] = list(self._component.values())
+        return lab
 
     def component_members(self, comp: int) -> List[int]:
         return self._comp_members[comp]

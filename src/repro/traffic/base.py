@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..network.vecrandom import DestRows
 from ..topology.graph import NetworkGraph
 
-__all__ = ["TrafficPattern", "ChipIndex"]
+__all__ = ["TrafficPattern", "ChipIndex", "ChipSources"]
 
 
 class ChipIndex:
@@ -101,6 +104,35 @@ class ChipIndex:
             return nodes[off]
         return nodes[rng.randrange(len(nodes))]
 
+    @cached_property
+    def counterpart_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`counterpart` as data: ``(table, lengths)``, int64, where
+        ``table[p, off]`` is the node at offset ``off`` of the chip at
+        position ``p`` (``-1`` past the chip's ``lengths[p]`` nodes)."""
+        rows = [self.chip_nodes[chip] for chip in self.chips]
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        table = np.full((len(rows), int(lengths.max())), -1, dtype=np.int64)
+        for p, row in enumerate(rows):
+            table[p, :len(row)] = row
+        return table, lengths
+
+
+class ChipSources(NamedTuple):
+    """A pattern's active nodes grouped by chip, as int64 arrays.
+
+    Chips come in first-appearance order of :meth:`active_nodes`
+    (``positions``, :class:`ChipIndex` positions), nodes in active order
+    within a chip: group ``g`` is ``nodes[bounds[g]:bounds[g + 1]]``,
+    and ``rank`` / ``offset`` give each node's group and its offset on
+    its chip (:attr:`ChipIndex.node_pos`).
+    """
+
+    positions: np.ndarray
+    bounds: np.ndarray
+    nodes: np.ndarray
+    rank: np.ndarray
+    offset: np.ndarray
+
 
 class TrafficPattern(ABC):
     """Destination generator over a scope of terminal nodes."""
@@ -118,6 +150,26 @@ class TrafficPattern(ABC):
     def num_active_chips(self) -> int:
         """Chips used to normalise flits/cycle/chip (default: all in scope)."""
         return self.index.num_chips
+
+    @cached_property
+    def chip_sources(self) -> ChipSources:
+        """:meth:`active_nodes` grouped by chip (see :class:`ChipSources`)."""
+        active = np.asarray(self.active_nodes(), dtype=np.int64)
+        node_pos = self.index.node_pos
+        pos, offset = np.array(
+            [node_pos[nid] for nid in active.tolist()], dtype=np.int64
+        ).reshape(-1, 2).T
+        chips, first = np.unique(pos, return_index=True)
+        positions = chips[np.argsort(first)]
+        rank_of = np.empty(self.index.num_chips, dtype=np.int64)
+        rank_of[positions] = np.arange(len(positions))
+        rank = rank_of[pos]
+        order = np.argsort(rank, kind="stable")
+        bounds = np.zeros(len(positions) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rank, minlength=len(positions)), out=bounds[1:])
+        return ChipSources(
+            positions, bounds, active[order], rank[order], offset[order]
+        )
 
     @abstractmethod
     def dest(self, src: int, rng: random.Random) -> Optional[int]:

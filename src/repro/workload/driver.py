@@ -12,7 +12,13 @@ before the run, and the plan holds it as flat int64 arrays: every
 phase's event *template* (per-event packet offset, source and
 pre-drawn chip-counterpart destination, phase-major), the per-phase
 event range and compute delay, the in-degree and the dependents in CSR
-form.  The shared front end
+form.  The templates are built as array passes over label tables
+cached per traffic pattern — the participating sources grouped by chip
+(:attr:`~repro.traffic.base.TrafficPattern.chip_sources`), the
+``(chip position, offset) -> node`` counterpart table
+(:attr:`~repro.traffic.base.ChipIndex.counterpart_table`) and, under
+faults, the degraded view's component labels — with no Python loop per
+event.  The shared front end
 (:meth:`~repro.network.corebase.CoreBase._begin`) turns the template
 events into packet-table rows — routes resolved in bulk, in template
 order — before any loop starts, so a plan's packet ids are static:
@@ -90,21 +96,33 @@ def participating_chips(traffic):
     event instead.
     """
     base = getattr(traffic, "base", traffic)
-    index = base.index
-    positions: List[int] = []
-    nodes: Dict[int, List[int]] = {}
-    for nid in base.active_nodes():
-        ci, _ = index.node_pos[nid]
-        if ci not in nodes:
-            nodes[ci] = []
-            positions.append(ci)
-        nodes[ci].append(nid)
-    return index, positions, nodes
+    sources = base.chip_sources
+    positions = sources.positions.tolist()
+    bounds = sources.bounds.tolist()
+    members = sources.nodes.tolist()
+    nodes = {
+        ci: members[bounds[g]:bounds[g + 1]] for g, ci in enumerate(positions)
+    }
+    return base.index, positions, nodes
 
 
 class PhasePlan:
     """One closed-loop run: templates, dependency counters and the
     per-phase cycle stamps (see module docstring).
+
+    The build is one event grid over ``(phase, source, j)`` — phases in
+    workload order, sources in node order (chips in first-appearance
+    scope order, then scope order within a chip), ``j`` the source's
+    packet within the phase — which is also the order destinations are
+    drawn in: each event's destination chip comes from the phase's
+    pattern, its destination node from the counterpart table, and only
+    events whose in-chip offset the destination chip lacks draw a random
+    node of it from the plan's stdlib RNG, in grid order (masked events
+    included, so the stream never depends on the faults).  Fault
+    masking is ``lab[src] >= 0 & lab[src] == lab[dst]`` over the
+    component labels, per-phase masked counts a ``bincount``; a phase's
+    events are then ordered by ``(offset, node order)`` with one
+    ``lexsort``, a pair unique within a phase.
 
     Attributes a core reads (all int64, ``P`` phases, ``E`` events):
     ``ph_ev0[P + 1]`` (phase ``i`` owns events ``ph_ev0[i]:ph_ev0[i +
@@ -128,77 +146,88 @@ class PhasePlan:
         self.workload = workload
         self.rate = float(rate)
         self._L = params.packet_length
-        index, positions, chip_nodes = participating_chips(traffic)
-        if len(positions) < 2:
+        base = getattr(traffic, "base", traffic)
+        sources = base.chip_sources
+        n = len(sources.positions)
+        if n < 2:
             raise ValueError(
                 "closed-loop workloads need >= 2 participating chips "
-                f"in scope, got {len(positions)}"
+                f"in scope, got {n}"
             )
         degraded = getattr(traffic, "degraded", None)
         rng = random.Random(seed ^ 0x10AD)
+        P = workload.num_phases
+        L = self._L
 
         # ---- per-phase event templates --------------------------------
-        # (offset, src, dst) per event, sorted by (offset, scope order);
-        # offsets are relative to the phase's first injection cycle.
-        n = len(positions)
-        L = self._L
-        node_order: Dict[int, int] = {}
-        for ci in positions:
-            for nid in chip_nodes[ci]:
-                node_order[nid] = len(node_order)
-        flat: List[Tuple[int, int, int, int]] = []
-        counts: List[int] = []
-        self._masked: List[int] = []
-        for ph in workload.phases:
-            events: List[Tuple[int, int, int, int]] = []
-            masked = 0
-            if ph.communicates:
-                k = max(1, int(math.ceil(ph.volume / L)))
-                tag = ph.pattern[0]
-                shift = int(ph.pattern[1]) % n if tag == "shift" else 0
-                if tag == "shift" and shift == 0:
-                    shift = 1  # a wrapped stride still has to move data
-                for pi, ci in enumerate(positions):
-                    m = len(chip_nodes[ci])
-                    # per-node packet interval: a chip with m nodes
-                    # injecting a packet every I cycles offers
-                    # m*L/I flits/cycle/chip; >= L keeps each node's
-                    # packets back-to-back at most
-                    interval = max(L, int(math.ceil(m * L / self.rate)))
-                    for src in chip_nodes[ci]:
-                        for j in range(k):
-                            if tag == "shift":
-                                dpos = positions[(pi + shift) % n]
-                            else:  # all_to_all
-                                dpos = positions[
-                                    (pi + 1 + j % (n - 1)) % n
-                                ]
-                            dst = index.counterpart(src, dpos, rng)
-                            if degraded is not None and (
-                                not degraded.alive(src)
-                                or not degraded.alive(dst)
-                                or not degraded.reachable(src, dst)
-                            ):
-                                masked += 1
-                                continue
-                            events.append(
-                                (j * interval, node_order[src], src, dst)
-                            )
-                events.sort()
-            flat.extend(events)
-            counts.append(len(events))
-            self._masked.append(masked)
+        # one grid over (phase, source, j) in node order, the order the
+        # destinations are drawn in; offsets are relative to the phase's
+        # first injection cycle
+        comm, ks, shifts = [], [], []
+        for i, ph in enumerate(workload.phases):
+            if not ph.communicates:
+                continue
+            comm.append(i)
+            ks.append(max(1, int(math.ceil(ph.volume / L))))
+            if ph.pattern[0] == "shift":
+                # a wrapped stride still has to move data
+                shifts.append(int(ph.pattern[1]) % n or 1)
+            else:  # all_to_all: the chip steps with j
+                shifts.append(-1)
+        sizes = np.array(ks, dtype=np.int64) * len(sources.nodes)
+        phase = np.repeat(np.array(comm, dtype=np.int64), sizes)
+        k = np.repeat(np.array(ks, dtype=np.int64), sizes)
+        q = np.arange(len(phase), dtype=np.int64) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+        s, j = q // k, q % k
+        shift = np.repeat(np.array(shifts, dtype=np.int64), sizes)
+        rank = sources.rank[s]
+        dpos = sources.positions[
+            np.where(shift > 0, rank + shift, rank + 1 + j % (n - 1)) % n
+        ]
+        # the source's counterpart on the destination chip; an offset the
+        # chip lacks falls back to a random node of it, drawn in grid order
+        table, lengths = base.index.counterpart_table
+        dst = table[dpos, sources.offset[s]]
+        miss = np.flatnonzero(dst < 0)
+        if len(miss):
+            dst[miss] = table[
+                dpos[miss],
+                [rng.randrange(size) for size in lengths[dpos[miss]].tolist()],
+            ]
+        src = sources.nodes[s]
+        if degraded is not None:
+            lab = degraded.component_labels
+            keep = (lab[src] >= 0) & (lab[src] == lab[dst])
+            self._masked = np.bincount(
+                phase[~keep], minlength=P
+            ).tolist()
+            phase, s, j, src, dst = (
+                a[keep] for a in (phase, s, j, src, dst)
+            )
+        else:
+            self._masked = [0] * P
+        # per-node packet interval: a chip with m nodes injecting a
+        # packet every I cycles offers m*L/I flits/cycle/chip; >= L keeps
+        # each node's packets back-to-back at most
+        m = np.diff(sources.bounds)[sources.rank]
+        interval = np.maximum(
+            L, np.ceil(m * L / self.rate).astype(np.int64)
+        )
+        off = j * interval[s]
+        # (offset, node order) is unique within a phase
+        order = np.lexsort((s, off, phase))
+        counts = np.bincount(phase, minlength=P)
 
         # ---- flat, phase-major (what every consumer reads) ------------
-        P = workload.num_phases
-        self.total_events = len(flat)
+        self.total_events = len(order)
         self.ph_ev0 = np.zeros(P + 1, dtype=np.int64)
         np.cumsum(counts, out=self.ph_ev0[1:])
-        columns = np.array(flat, dtype=np.int64).reshape(-1, 4)
-        self.tpl_off = np.ascontiguousarray(columns[:, 0])
-        self.tpl_src = np.ascontiguousarray(columns[:, 2])
-        self.tpl_dst = np.ascontiguousarray(columns[:, 3])
-        self.tpl_phase = np.repeat(np.arange(P, dtype=np.int64), counts)
+        self.tpl_off = off[order]
+        self.tpl_src = src[order]
+        self.tpl_dst = dst[order]
+        self.tpl_phase = phase[order]
         self.ph_compute = np.array(
             [ph.compute for ph in workload.phases], dtype=np.int64
         )
@@ -217,7 +246,7 @@ class PhasePlan:
         self.ph_indeg = np.array(
             [len(ph.after) for ph in workload.phases], dtype=np.int64
         )
-        self.ph_rem = np.array(counts, dtype=np.int64)
+        self.ph_rem = counts.astype(np.int64)
         self.ph_release = np.full(P, -1, dtype=np.int64)
         self.ph_comm_start = np.full(P, -1, dtype=np.int64)
         self.ph_done = np.full(P, -1, dtype=np.int64)

@@ -218,7 +218,8 @@ class TestPackedChunkParity:
 
     def test_one_span_shape_for_both_loops(self):
         """Closed-loop chunks emit the open-loop chunks' three kernel
-        spans, with the lane count; the workload rides as an attribute."""
+        spans, with the lane count; the workload rides as an attribute,
+        and only the closed-loop chunk adds a ``workload.plan`` span."""
         from repro.obs import trace
 
         specs = {
@@ -245,6 +246,9 @@ class TestPackedChunkParity:
             ], workload
             assert {a["lanes"] for a in kernel.values()} == {2}
             assert (kernel["kernel.run"]["workload"] or "") == workload
+            # the closed-loop chunk's plan build is its own span
+            plans = [s["attrs"] for s in spans if s["name"] == "workload.plan"]
+            assert [a["lanes"] for a in plans] == ([2] if workload else [])
             # decode cost per hop: the chunk's measured delivered
             # packets and the route hops gathered for them
             decode = kernel["probe.decode"]

@@ -43,6 +43,24 @@ class TestView:
         assert deg.path_ok([(live, 0)])
         assert not deg.path_ok([(live, 0), (dead, 1)])
 
+    def test_component_labels_agree_with_the_view(self, system):
+        deg = _degraded(
+            system, model="random", link_rate=0.25, die_rate=0.15, seed=7
+        )
+        assert deg.num_components > 1 and deg.failed_nodes
+        lab = deg.component_labels.tolist()
+        nodes = range(system.graph.num_nodes)
+        assert len(lab) == len(nodes)
+        for a in nodes:
+            assert (lab[a] >= 0) == deg.alive(a)
+            assert lab[a] == (
+                -1 if deg.component_of(a) is None else deg.component_of(a)
+            )
+            for b in nodes:
+                assert (
+                    lab[a] >= 0 and lab[a] == lab[b]
+                ) == deg.reachable(a, b)
+
     def test_memoised_instance_reused(self, system):
         spec = FaultSpec(model="random", link_rate=0.05, seed=2)
         assert degrade(system, spec) is degrade(system, spec)

@@ -15,6 +15,7 @@ network quiescent: the invariants of
 
 import functools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +44,9 @@ def fabric(name):
 
 class DeadChips:
     """What a plan reads of a ``FaultMaskedTraffic``: the base pattern
-    and which endpoints are alive."""
+    and which endpoints are alive, as the degraded view's component
+    labels (and as the scalar ``alive`` / ``reachable`` the reference
+    loop of ``test_plan_build`` asks)."""
 
     def __init__(self, base, dead_nodes):
         self.base = base
@@ -55,6 +58,15 @@ class DeadChips:
 
     def reachable(self, src, dst):
         return True
+
+    @property
+    def component_labels(self):
+        """One component, ``-1`` for a dead node."""
+        return np.array(
+            [-1 if n in self._dead else 0
+             for n in range(self.base.graph.num_nodes)],
+            dtype=np.int64,
+        )
 
 
 class Teleport:
