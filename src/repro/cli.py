@@ -29,6 +29,12 @@ Service mode (see the "Simulation service" README section)::
     repro-dragonfly cancel j000001
     repro-dragonfly cache stats --cache-dir ~/.cache/repro
     repro-dragonfly shutdown
+
+Every verb is one row of :func:`_verb_table` (help, handler, arguments,
+whether it talks to a service); :func:`main` builds the parser from it
+and is the one error boundary: a ``ValueError`` / ``OSError`` (or, for
+service verbs, a ``ServiceError``) from a handler is one ``error:``
+line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -72,6 +78,15 @@ from .network import SimParams
 from .routing import SwitchlessRouting, verify_deadlock_free
 
 
+def _note(text: str) -> None:
+    print(text, file=sys.stderr)
+
+
+def _names(text) -> list:
+    """``a,b,,c`` -> ``["a", "b", "c"]``."""
+    return [m.strip() for m in (text or "").split(",") if m.strip()]
+
+
 def _cmd_tables(_args) -> int:
     print(format_table_i())
     print()
@@ -96,30 +111,73 @@ def _cmd_layout(_args) -> int:
 
 
 # ----------------------------------------------------------------------
-# scenario-facade commands
+# loaders, the per-point progress line and the result emitter
 # ----------------------------------------------------------------------
-def _setup_logging(verbose: bool) -> None:
-    if verbose:
-        logging.basicConfig(level=logging.DEBUG, format="%(message)s")
-        logging.getLogger("repro.engine").setLevel(logging.DEBUG)
+def _load_target(args) -> Study:
+    """``run`` / ``submit`` target: bundled study name or scenario/study
+    JSON path."""
+    target = args.scenario
+    try:
+        if Path(target).is_file() or target.endswith(".json"):
+            return load_study(target)
+        return build_study(target, scale=args.scale)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot load {target!r}: {exc}") from None
+
+
+def _load_results(path: str) -> StudyResult:
+    """``report`` / ``metrics`` input: a saved StudyResult JSON file."""
+    try:
+        return StudyResult.load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+def _point_line(done, total, scenario, curve, rate, lat, acc, source) -> str:
+    """The per-point progress line of ``--progress`` and ``watch``."""
+    return (
+        f"# [{done}/{total}] {scenario}/{curve} rate={rate:g} "
+        f"lat={lat:.1f}cyc acc={acc:.3f} ({source})"
+    )
 
 
 def _progress_printer(total: int):
-    """Per-point progress lines on stderr (``--progress``)."""
+    """``on_point`` hook printing one progress line per point."""
     count = [0]
 
     def on_point(scenario, label, rate, res, source) -> None:
         count[0] += 1
-        print(
-            f"# [{count[0]}/{total}] {scenario}/{label} rate={rate:g} "
-            f"lat={res.avg_latency:.1f}cyc acc={res.accepted_rate:.3f} "
-            f"({source})",
-            file=sys.stderr,
-        )
+        _note(_point_line(count[0], total, scenario, label, rate,
+                          res.avg_latency, res.accepted_rate, source))
 
     return on_point
 
 
+def _emit(result, args, cache=None, appendix: str = "") -> int:
+    """The one result tail: rendered tables, an optional appendix, the
+    cache counters, then the ``--out`` JSON and ``--csv`` files."""
+    print(result.render())
+    if appendix:
+        print()
+        print(appendix)
+    if cache is not None:
+        print(
+            f"# cache: {cache.hits} hit(s), {cache.misses} miss(es) "
+            f"({cache.root})"
+        )
+    out = getattr(args, "out", None)
+    if out:
+        result.save(out)
+        print(f"# results written to {out}")
+    if args.csv:
+        Path(args.csv).write_text(result.to_csv())
+        print(f"# csv written to {args.csv}")
+    return 0
+
+
+# ----------------------------------------------------------------------
+# scenario-facade commands
+# ----------------------------------------------------------------------
 def _parse_workload_opts(text):
     """``k=v,k=v`` -> builder options dict (ints where they parse)."""
     opts = {}
@@ -140,84 +198,33 @@ def _parse_workload_opts(text):
     return opts
 
 
-def _run_or_explain(study, workers, cache, on_point):
-    """``study.run``; a malformed ``REPRO_*`` knob or spec axis is one
-    ``error:`` line (and ``None``), not a traceback."""
-    try:
-        return study.run(workers=workers, cache=cache, on_point=on_point)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
-def _run_study(study, args) -> int:
-    """Shared run/report/export path of ``run`` and ``compare``."""
-    metrics = getattr(args, "metrics", None)
-    if metrics:
-        names = [m.strip() for m in metrics.split(",") if m.strip()]
-        try:
-            study = study.with_metrics(names)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+def _run_study(study, args, report=None) -> int:
+    """Run path of ``run``, ``compare`` and ``resilience``: the metrics
+    and workload axes, ``study.run``, then the result emitter (with
+    ``report(result)`` as its appendix)."""
+    if args.metrics:
+        study = study.with_metrics(_names(args.metrics))
     workload = getattr(args, "workload", None)
     if workload:
-        try:
-            opts = _parse_workload_opts(
-                getattr(args, "workload_opts", None) or ""
-            )
-            if workload == "trace" and "trace" in opts:
-                # the value is a file path on the CLI; inline it
-                opts["trace"] = Path(opts["trace"]).read_text()
-            study = study.with_workload(workload, opts)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        opts = _parse_workload_opts(args.workload_opts or "")
+        if workload == "trace" and "trace" in opts:
+            # the value is a file path on the CLI; inline it
+            opts["trace"] = Path(opts["trace"]).read_text()
+        study = study.with_workload(workload, opts)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     on_point = None
-    if getattr(args, "progress", False):
+    if args.progress:
         on_point = _progress_printer(study.num_points())
-    result = _run_or_explain(study, args.workers, cache, on_point)
-    if result is None:
-        return 2
-    print(result.render())
-    if cache is not None:
-        print(
-            f"# cache: {cache.hits} hit(s), {cache.misses} miss(es) "
-            f"({cache.root})"
-        )
-    out = getattr(args, "out", None)
-    if out:
-        result.save(out)
-        print(f"# results written to {out}")
-    csv = getattr(args, "csv", None)
-    if csv:
-        Path(csv).write_text(result.to_csv())
-        print(f"# csv written to {csv}")
-    return 0
-
-
-def _load_run_target(target: str, scale: str):
-    """Bundled study name or scenario/study JSON path -> Study."""
-    if Path(target).is_file() or target.endswith(".json"):
-        return load_study(target)
-    return build_study(target, scale=scale)
+    result = study.run(workers=args.workers, cache=cache, on_point=on_point)
+    return _emit(result, args, cache, report(result) if report else "")
 
 
 def _cmd_run(args) -> int:
-    _setup_logging(args.verbose)
-    try:
-        study = _load_run_target(args.scenario, args.scale)
-    except (OSError, ValueError, KeyError) as exc:
-        print(
-            f"error: cannot load {args.scenario!r}: {exc}", file=sys.stderr
-        )
-        return 2
-    return _run_study(study, args)
+    return _run_study(_load_target(args), args)
 
 
 def _cmd_list(args) -> int:
-    tag = getattr(args, "tag", None)
+    tag = args.tag
     shown = 0
     print("bundled scenarios (run with: repro-dragonfly run <name>):")
     for name in list_library():
@@ -258,6 +265,10 @@ def _cmd_list(args) -> int:
 
 
 def _compare_rates(args):
+    if args.points < 1:
+        raise ValueError(
+            f"--points must be a positive integer, got {args.points}"
+        )
     return [
         args.max_rate * (i + 1) / args.points for i in range(args.points)
     ]
@@ -271,45 +282,68 @@ def _compare_params(args) -> SimParams:
 
 
 def _cmd_compare(args) -> int:
-    _setup_logging(args.verbose)
-    arches = [a for a in args.arch.split(",") if a.strip()]
-    try:
-        scenario = compare_scenario(
-            arches,
-            pattern=args.pattern,
-            scope=args.scope,
-            preset=args.preset,
-            routing=args.routing,
-            rates=_compare_rates(args),
-            params=_compare_params(args),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = compare_scenario(
+        _names(args.arch),
+        pattern=args.pattern,
+        scope=args.scope,
+        preset=args.preset,
+        routing=args.routing,
+        rates=_compare_rates(args),
+        params=_compare_params(args),
+    )
     return _run_study(Study.wrap(scenario), args)
 
 
-def _cmd_report(args) -> int:
-    try:
-        result = StudyResult.load(args.results)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read {args.results}: {exc}", file=sys.stderr)
-        return 2
-    channel = getattr(args, "channel", None)
-    if channel:
+def _cmd_resilience(args) -> int:
+    """The ``run`` path between a per-instance deadlock check and the
+    saturation-retention report; exit 1 when an instance may deadlock."""
+    if args.smoke:
+        study = build_study("resilience_smoke", scale="quick")
+    else:
         try:
-            print(result.render_channel(channel))
-            if args.csv:
-                Path(args.csv).write_text(result.channel_csv(channel))
-                print(f"# channel csv written to {args.csv}")
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        return 0
-    print(result.render())
-    if args.csv:
-        Path(args.csv).write_text(result.to_csv())
-        print(f"# csv written to {args.csv}")
+            failure_rates = [float(v) for v in _names(args.failure_rates)]
+        except ValueError:
+            raise ValueError(
+                f"cannot parse failure-rate list {args.failure_rates!r}"
+            ) from None
+        study = resilience_study(
+            arches=_names(args.arch),
+            failure_rates=failure_rates,
+            rates=_compare_rates(args),
+            preset=args.preset,
+            traffic=args.pattern.replace("-", "_"),
+            scope=args.scope,
+            routing_mode=args.routing,
+            fault_model=args.model,
+            fault_seed=args.fault_seed,
+            params=_compare_params(args),
+        )
+    deadlock_ok = True
+    if not args.no_verify:
+        print("# deadlock freedom on each sampled fault instance:")
+        for rec in verify_study_faults(study, max_pairs=args.max_pairs):
+            status = "deadlock-free" if rec["acyclic"] else "DEADLOCK RISK"
+            print(
+                f"#   {rec['scenario']:12s} {rec['label']:14s} "
+                f"{rec['faults']}: {status}"
+            )
+            deadlock_ok = deadlock_ok and rec["acyclic"]
+    _run_study(study, args, lambda res: resilience_report(res).render())
+    return 0 if deadlock_ok else 1
+
+
+def _cmd_report(args) -> int:
+    result = _load_results(args.results)
+    channel = args.channel
+    if not channel:
+        return _emit(result, args)
+    try:
+        print(result.render_channel(channel))
+        if args.csv:
+            Path(args.csv).write_text(result.channel_csv(channel))
+            print(f"# channel csv written to {args.csv}")
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     return 0
 
 
@@ -347,13 +381,10 @@ def _live_metrics_line(data) -> str:
     return "  ".join(fields)
 
 
-def _cmd_live_metrics(args) -> int:
+def _live_metrics(args, client) -> int:
     """``metrics --live``: poll a service's /api/metrics surface."""
     import time as _time
 
-    from .service import ServiceError
-
-    client = _service_client(args)
     remaining = args.count
     try:
         while True:
@@ -365,27 +396,17 @@ def _cmd_live_metrics(args) -> int:
                 if remaining <= 0:
                     return 0
             _time.sleep(args.interval)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         return 0
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args, client=None) -> int:
     """Probe-kind listing, channels in a results file, or (with
     ``--live``/``--server``) a running service's runtime metrics."""
     if args.live:
-        return _cmd_live_metrics(args)
+        return _live_metrics(args, client)
     if args.server:
-        from .service import ServiceError
-
-        client = _service_client(args)
-        try:
-            print(client.metrics(fmt="prometheus"), end="")
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        print(client.metrics(fmt="prometheus"), end="")
         return 0
     if not args.results:
         print("registered metric probes (run with: "
@@ -395,11 +416,7 @@ def _cmd_metrics(args) -> int:
         print("the cct/bubble/overlap channels need a closed-loop run "
               "(see 'repro-dragonfly workloads')")
         return 0
-    try:
-        result = StudyResult.load(args.results)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read {args.results}: {exc}", file=sys.stderr)
-        return 2
+    result = _load_results(args.results)
     names = result.channel_names()
     if not names:
         print(f"{args.results}: no metric channels (the study ran "
@@ -414,7 +431,7 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_workloads(args) -> int:
+def _cmd_workloads(_args) -> int:
     """List the closed-loop application workloads and the trace schema."""
     from .workload import TRACE_SCHEMA, workload_descriptions
 
@@ -437,74 +454,6 @@ def _cmd_workloads(args) -> int:
     return 0
 
 
-def _parse_floats(text: str, what: str) -> list:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"cannot parse {what} list {text!r}") from None
-
-
-def _cmd_resilience(args) -> int:
-    """Failure-rate x load sweep with retention report and deadlock check."""
-    _setup_logging(args.verbose)
-    try:
-        if args.smoke:
-            study = build_study("resilience_smoke", scale="quick")
-        else:
-            arches = [a for a in args.arch.split(",") if a.strip()]
-            study = resilience_study(
-                arches=arches,
-                failure_rates=_parse_floats(
-                    args.failure_rates, "failure-rate"
-                ),
-                rates=_compare_rates(args),
-                preset=args.preset,
-                traffic=args.pattern.replace("-", "_"),
-                scope=args.scope,
-                routing_mode=args.routing,
-                fault_model=args.model,
-                fault_seed=args.fault_seed,
-                params=_compare_params(args),
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    deadlock_ok = True
-    if not args.no_verify:
-        print("# deadlock freedom on each sampled fault instance:")
-        for rec in verify_study_faults(study, max_pairs=args.max_pairs):
-            status = "deadlock-free" if rec["acyclic"] else "DEADLOCK RISK"
-            print(
-                f"#   {rec['scenario']:12s} {rec['label']:14s} "
-                f"{rec['faults']}: {status}"
-            )
-            deadlock_ok = deadlock_ok and rec["acyclic"]
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    on_point = None
-    if args.progress:
-        on_point = _progress_printer(study.num_points())
-    result = _run_or_explain(study, args.workers, cache, on_point)
-    if result is None:
-        return 2
-    print(result.render())
-    print()
-    print(resilience_report(result).render())
-    if cache is not None:
-        print(
-            f"# cache: {cache.hits} hit(s), {cache.misses} miss(es) "
-            f"({cache.root})"
-        )
-    if args.out:
-        result.save(args.out)
-        print(f"# results written to {args.out}")
-    if args.csv:
-        Path(args.csv).write_text(result.to_csv())
-        print(f"# csv written to {args.csv}")
-    return 0 if deadlock_ok else 1
-
-
 def _cmd_verify(args) -> int:
     system = build_switchless(SwitchlessConfig.small_equiv())
     ok = True
@@ -519,15 +468,8 @@ def _cmd_verify(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# service commands
+# service commands (the dispatcher hands each one its ServiceClient)
 # ----------------------------------------------------------------------
-def _default_cache_dir() -> str:
-    return os.environ.get(
-        "REPRO_CACHE_DIR",
-        str(Path.home() / ".cache" / "repro-dragonfly"),
-    )
-
-
 def _cmd_serve(args) -> int:
     from .obs import setup_logging
     from .service import RetryPolicy, create_server, serve
@@ -545,11 +487,9 @@ def _cmd_serve(args) -> int:
             state_dir=args.state_dir,
             retry=RetryPolicy(max_attempts=args.max_attempts),
             hang_timeout=args.hang_timeout,
-            telemetry=not args.no_telemetry,
         )
     except (OSError, ValueError) as exc:
-        print(f"error: cannot start service: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot start service: {exc}") from None
     host, port = server.server_address[:2]
 
     def banner(line):
@@ -577,64 +517,51 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _service_client(args):
-    from .service import ServiceClient
-
-    return ServiceClient(args.server)
-
-
 def _watch_event_printer(event) -> None:
     """Progress lines for the ``watch`` / ``submit --watch`` stream."""
     kind = event.get("event")
     if kind == "start":
-        print(
+        _note(
             f"# start {event['study']} "
             f"({event['points_total']} point(s))"
-            + (" [resumed after restart]" if event.get("resumed") else ""),
-            file=sys.stderr,
+            + (" [resumed after restart]" if event.get("resumed") else "")
         )
     elif kind == "point":
         res = event.get("result", {})
-        print(
-            f"# [{event['points_done']}/{event['points_total']}] "
-            f"{event['scenario']}/{event['curve']} "
-            f"rate={event['rate']:g} "
-            f"lat={res.get('avg_latency') or float('nan'):.1f}cyc "
-            f"acc={res.get('accepted_rate') or float('nan'):.3f} "
-            f"({event['source']})",
-            file=sys.stderr,
-        )
+        _note(_point_line(
+            event["points_done"], event["points_total"],
+            event["scenario"], event["curve"], event["rate"],
+            res.get("avg_latency") or float("nan"),
+            res.get("accepted_rate") or float("nan"), event["source"],
+        ))
     elif kind == "retry":
-        print(
+        _note(
             f"# retry {event['attempt']}/{event['max_attempts']} in "
-            f"{event['delay']:g}s: {event.get('error')}",
-            file=sys.stderr,
+            f"{event['delay']:g}s: {event.get('error')}"
         )
     elif kind == "failed":
-        print(
+        _note(
             f"# FAILED after {event.get('attempts')} attempt(s): "
-            f"{event.get('error')}",
-            file=sys.stderr,
+            f"{event.get('error')}"
         )
         if event.get("traceback"):
-            print(event["traceback"], file=sys.stderr)
+            _note(event["traceback"])
     elif kind == "done":
         cache = event.get("cache", {}).get("summary", {})
-        print(
+        _note(
             f"# done: {event['points_done']} point(s), "
-            f"{event['cache_hits']} from cache",
-            file=sys.stderr,
+            f"{event['cache_hits']} from cache"
         )
         if cache:
-            print(
+            _note(
                 f"# store: {cache.get('entries', 0):.0f} entries, "
-                f"{cache.get('bytes', 0):.0f} bytes",
-                file=sys.stderr,
+                f"{cache.get('bytes', 0):.0f} bytes"
             )
 
 
 def _watch_job(client, job_id: str, args) -> int:
-    """Shared streaming tail of ``watch`` and ``submit --watch``."""
+    """Streaming tail of ``watch`` and ``submit --watch``: exit 0 done,
+    3 cancelled, 4 failed, 1 any other stream error."""
     from .service import ServiceError
 
     try:
@@ -645,66 +572,37 @@ def _watch_job(client, job_id: str, args) -> int:
         except ServiceError:
             state = None
         if state == "cancelled":
-            print(f"# job {job_id} cancelled", file=sys.stderr)
+            _note(f"# job {job_id} cancelled")
             return 3
-        if state == "failed":
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(result.render())
-    out = getattr(args, "out", None)
-    if out:
-        result.save(out)
-        print(f"# results written to {out}")
-    csv = getattr(args, "csv", None)
-    if csv:
-        Path(csv).write_text(result.to_csv())
-        print(f"# csv written to {csv}")
-    return 0
+        _note(f"error: {exc}")
+        return 4 if state == "failed" else 1
+    return _emit(result, args)
 
 
-def _cmd_submit(args) -> int:
-    from .service import JobRequest, ServiceError
+def _cmd_submit(args, client) -> int:
+    from .service import JobRequest
 
-    try:
-        study = _load_run_target(args.scenario, args.scale)
-    except (OSError, ValueError, KeyError) as exc:
-        print(
-            f"error: cannot load {args.scenario!r}: {exc}", file=sys.stderr
-        )
-        return 2
-    metrics = tuple(
-        m.strip() for m in (args.metrics or "").split(",") if m.strip()
-    )
     request = JobRequest(
-        study=study.to_data(),
+        study=_load_target(args).to_data(),
         client=args.client,
         priority=args.priority,
         workers=args.workers,
-        metrics=metrics,
+        metrics=tuple(_names(args.metrics)),
     )
-    client = _service_client(args)
-    try:
-        status = client.submit(request)
-    except (ServiceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    status = client.submit(request)
     note = " (attached to in-flight run)" if status.get("attached") else ""
-    print(
+    _note(
         f"# job {status['id']}: {status['state']}{note}, "
         f"{status['points_total']} point(s), "
-        f"{status.get('queued_ahead', 0)} execution(s) queued ahead",
-        file=sys.stderr,
+        f"{status.get('queued_ahead', 0)} execution(s) queued ahead"
     )
     # the id alone on stdout, so scripts can do JOB=$(... submit ...)
     print(status["id"])
     if args.watch:
         return _watch_job(client, status["id"], args)
-    print(
+    _note(
         f"# follow with: repro-dragonfly watch {status['id']} "
-        f"--server {client.address}",
-        file=sys.stderr,
+        f"--server {client.address}"
     )
     return 0
 
@@ -719,18 +617,11 @@ def _format_job_line(job) -> str:
     )
 
 
-def _cmd_status(args) -> int:
-    from .service import ServiceError
-
-    client = _service_client(args)
-    try:
-        if args.job:
-            print(json.dumps(client.status(args.job), indent=2))
-            return 0
-        jobs = client.jobs()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_status(args, client) -> int:
+    if args.job:
+        print(json.dumps(client.status(args.job), indent=2))
+        return 0
+    jobs = client.jobs()
     if not jobs:
         print("no jobs")
         return 0
@@ -740,17 +631,11 @@ def _cmd_status(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args, client) -> int:
     """Render a job's span waterfall from the service trace endpoint."""
     from .obs import render_waterfall
-    from .service import ServiceError
 
-    client = _service_client(args)
-    try:
-        payload = client.trace(args.job)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload = client.trace(args.job)
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -765,27 +650,13 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_watch(args) -> int:
-    from .service import ServiceError
-
-    client = _service_client(args)
-    try:
-        client.status(args.job)  # fail fast on unknown ids
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_watch(args, client) -> int:
+    client.status(args.job)  # fail fast on unknown ids
     return _watch_job(client, args.job, args)
 
 
-def _cmd_cancel(args) -> int:
-    from .service import ServiceError
-
-    client = _service_client(args)
-    try:
-        status = client.cancel(args.job)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_cancel(args, client) -> int:
+    status = client.cancel(args.job)
     print(
         f"# job {status['id']}: {status['state']} "
         f"after {status['points_done']}/{status['points_total']} point(s)"
@@ -793,15 +664,8 @@ def _cmd_cancel(args) -> int:
     return 0
 
 
-def _cmd_shutdown(args) -> int:
-    from .service import ServiceError
-
-    client = _service_client(args)
-    try:
-        client.shutdown()
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_shutdown(_args, client) -> int:
+    client.shutdown()
     print(f"# service at {client.address} shutting down")
     return 0
 
@@ -816,11 +680,7 @@ def _cmd_cache(args) -> int:
         return 0
     if args.action == "prune":
         if args.max_entries is None and args.max_bytes is None:
-            print(
-                "error: prune needs --max-entries and/or --max-bytes",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError("prune needs --max-entries and/or --max-bytes")
         removed = store.prune(
             max_entries=args.max_entries, max_bytes=args.max_bytes
         )
@@ -851,59 +711,314 @@ def _cmd_cache(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# argument wiring
+# the verb table and the dispatcher
 # ----------------------------------------------------------------------
-def _add_exec_args(parser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="simulation processes (default: REPRO_WORKERS or CPU count; "
-        "1 = serial)",
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+def _always(_args) -> bool:
+    return True
+
+
+def _verb_table():
+    """``name -> (help, handler, arguments, service)``, in help order.
+
+    ``service`` is ``None`` for an offline verb; otherwise the verb
+    gets ``--server`` and, when ``service(args)`` holds, its handler is
+    called as ``handler(args, client)``.  Built per call so defaults
+    read the environment at parse time.
+    """
+    target = (
+        _arg("scenario", help="bundled study name (see 'list') or path to "
+             "a scenarios/*.json file"),
+        _arg("--scale", choices=SCALES, default="default",
+             help="system size / cycle count for bundled names (ignored "
+             "for files)"),
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="reuse/store per-point results in this directory",
+    output = (
+        _arg("--out", default=None, metavar="FILE",
+             help="also write the StudyResult JSON here"),
+        _arg("--csv", default=None, metavar="FILE",
+             help="also write the flat per-point CSV here"),
     )
-    parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the StudyResult JSON here",
-    )
-    parser.add_argument(
-        "--csv", default=None, metavar="FILE",
-        help="also write the flat per-point CSV here",
-    )
-    parser.add_argument(
+    metrics = _arg(
         "--metrics", default=None, metavar="KINDS",
-        help="attach metric probes to every curve (comma-separated "
-        "kinds, see 'repro-dragonfly metrics'); channels land in the "
-        "results JSON",
+        help="attach metric probes to every curve (comma-separated kinds, "
+        "see 'repro-dragonfly metrics'); channels land in the results JSON",
     )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="print one line per completed simulation point on stderr",
+    execution = output + (
+        _arg("--workers", type=int, default=None,
+             help="simulation processes (default: REPRO_WORKERS or CPU "
+             "count; 1 = serial)"),
+        _arg("--cache-dir", default=None,
+             help="reuse/store per-point results in this directory"),
+        metrics,
+        _arg("--progress", action="store_true",
+             help="print one line per completed simulation point on "
+             "stderr"),
+        _arg("-v", "--verbose", action="store_true",
+             help="engine progress logging"),
     )
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="engine progress logging")
+
+    def workload(points, max_rate):
+        return (
+            _arg("--arch", default="switchless,dragonfly",
+                 help="comma-separated list: switchless, switchless-2b, "
+                 "switchless-4b, dragonfly"),
+            _arg("--routing", choices=("minimal", "valiant"),
+                 default="minimal"),
+            _arg("--scope", choices=("local", "global"), default="local"),
+            _arg("--pattern", default="uniform",
+                 help="traffic kind (see 'repro-dragonfly list'); hyphens "
+                 "accepted"),
+            _arg("--preset", default="small_equiv",
+                 help="SwitchlessConfig preset sizing the system (see "
+                 "'repro-dragonfly list')"),
+            _arg("--points", type=int, default=points),
+            _arg("--max-rate", type=float, default=max_rate),
+            _arg("--warmup", type=int, default=300),
+            _arg("--measure", type=int, default=1000),
+            _arg("--seed", type=int, default=0),
+        )
+
+    store_dir = _arg(
+        "--cache-dir",
+        default=os.environ.get(
+            "REPRO_CACHE_DIR", str(Path.home() / ".cache" / "repro-dragonfly")
+        ),
+        help="result store directory, shared with offline runs (default: "
+        "$REPRO_CACHE_DIR or ~/.cache/repro-dragonfly)",
+    )
+    job = _arg("job", help="job id from 'submit'")
+    return {
+        "tables": ("print Tables I, II and IV", _cmd_tables, (), None),
+        "table3": ("print the Table III case study", _cmd_table3, (), None),
+        "layout": ("print the Fig. 9 layout summary", _cmd_layout, (), None),
+        "run": (
+            "run a bundled scenario or a scenario/study JSON file",
+            _cmd_run,
+            target + (
+                _arg("--workload", default=None, metavar="NAME",
+                     help="re-drive every curve closed-loop with this "
+                     "application workload (see 'repro-dragonfly "
+                     "workloads'); rates become pacing bandwidths"),
+                _arg("--workload-opts", default=None, metavar="K=V[,K=V]",
+                     help="builder options for --workload (e.g. "
+                     "volume=256); for --workload trace, trace=<path> "
+                     "names the trace JSON file"),
+            ) + execution,
+            None,
+        ),
+        "list": (
+            "bundled scenarios and registered topology/routing/traffic "
+            "kinds",
+            _cmd_list,
+            (_arg("--tag", default=None,
+                  help="only show bundled studies carrying this tag (e.g. "
+                  "figure, smoke, resilience)"),),
+            None,
+        ),
+        "compare": (
+            "compare architectures under one workload",
+            _cmd_compare,
+            workload(6, 1.5) + execution,
+            None,
+        ),
+        "resilience": (
+            "throughput-under-failure sweep: failure rate x load with "
+            "saturation-retention report and per-instance deadlock check",
+            _cmd_resilience,
+            (
+                _arg("--failure-rates", default="0,0.02,0.05,0.1",
+                     help="comma-separated fault axis (random model: "
+                     "per-channel failure probability; yield model: "
+                     "defect clusters per wafer)"),
+                _arg("--model", choices=("random", "yield"),
+                     default="random",
+                     help="fault model realising the failure rates"),
+                _arg("--fault-seed", type=int, default=7,
+                     help="seed of the fault sampling stream (not the sim "
+                     "seed)"),
+                _arg("--no-verify", action="store_true",
+                     help="skip the per-instance deadlock-freedom "
+                     "verification"),
+                _arg("--max-pairs", type=int, default=300,
+                     help="terminal pairs sampled per deadlock check"),
+                _arg("--smoke", action="store_true",
+                     help="run the bundled resilience_smoke study (ignores "
+                     "the workload flags; used by CI)"),
+            )
+            # resilience probes the saturation region, not the full axis
+            + workload(4, 0.6) + execution,
+            None,
+        ),
+        "report": (
+            "render a saved StudyResult JSON file",
+            _cmd_report,
+            (
+                _arg("results", help="path to a results JSON file"),
+                _arg("--csv", default=None, metavar="FILE",
+                     help="also write the flat per-point CSV here (with "
+                     "--channel: that channel's long-form CSV)"),
+                _arg("--channel", default=None, metavar="NAME",
+                     help="render one metric channel across all points "
+                     "instead of the curve tables (see 'repro-dragonfly "
+                     "metrics <results>')"),
+            ),
+            None,
+        ),
+        "metrics": (
+            "list registered metric probes, or the channels inside a "
+            "results file",
+            _cmd_metrics,
+            (
+                _arg("results", nargs="?", default=None,
+                     help="optional path to a StudyResult JSON file"),
+                _arg("--live", action="store_true",
+                     help="poll the service /api/metrics surface and print "
+                     "one status line per interval (Ctrl-C to stop)"),
+                _arg("--interval", type=float, default=2.0,
+                     metavar="SECONDS",
+                     help="--live polling interval (default: 2s)"),
+                _arg("--count", type=int, default=None, metavar="N",
+                     help="--live: stop after N polls (default: run until "
+                     "Ctrl-C)"),
+            ),
+            lambda args: args.live or args.server,
+        ),
+        "workloads": (
+            "list the closed-loop application workloads and the trace "
+            "format",
+            _cmd_workloads,
+            (),
+            None,
+        ),
+        "verify": (
+            "deadlock-freedom check",
+            _cmd_verify,
+            (
+                _arg("--policy", choices=("baseline", "reduced"),
+                     default="baseline"),
+                _arg("--max-pairs", type=int, default=2000),
+            ),
+            None,
+        ),
+        "serve": (
+            "run the simulation service: async job queue, streaming "
+            "telemetry, shared result store, warm engine state",
+            _cmd_serve,
+            (
+                _arg("--host", default="127.0.0.1"),
+                _arg("--port", type=int, default=8642,
+                     help="TCP port (0 picks an ephemeral port)"),
+                store_dir,
+                _arg("--workers", type=int, default=1,
+                     help="default engine worker processes per job (a "
+                     "request's 'workers' field overrides)"),
+                _arg("--max-inflight", type=int, default=8,
+                     help="per-client cap on jobs in flight (submissions "
+                     "beyond it are rejected with HTTP 429)"),
+                _arg("--max-entries", type=int, default=None,
+                     help="bound the store to this many entries (LRU "
+                     "eviction)"),
+                _arg("--max-bytes", type=int, default=None,
+                     help="bound the store to this many bytes (LRU "
+                     "eviction)"),
+                _arg("--state-dir", default=None, metavar="DIR",
+                     help="journal jobs here and replay them on startup: "
+                     "a server restarted against the same directory "
+                     "resumes interrupted jobs (completed points come "
+                     "back from the result store)"),
+                _arg("--max-attempts", type=int, default=3,
+                     help="supervised retry budget per execution; after "
+                     "this many failed attempts a job is quarantined as "
+                     "'failed' with its traceback (default: 3)"),
+                _arg("--hang-timeout", type=float, default=None,
+                     metavar="SECONDS",
+                     help="watchdog: reap a running job this many seconds "
+                     "after its last heartbeat (default: disabled)"),
+                _arg("--log-format", choices=("text", "json"),
+                     default="text",
+                     help="service log lines: classic text or structured "
+                     "NDJSON (each line carries trace_id/job/state "
+                     "fields)"),
+            ),
+            None,
+        ),
+        "trace": (
+            "render a job's span waterfall (queue wait, engine, kernel "
+            "chunks) from a telemetry-enabled service",
+            _cmd_trace,
+            (job, _arg("--json", action="store_true",
+                       help="print the raw repro.trace/v1 payload "
+                       "instead")),
+            _always,
+        ),
+        "submit": (
+            "submit a study to a running service",
+            _cmd_submit,
+            target + (
+                metrics,
+                _arg("--workers", type=int, default=None,
+                     help="engine worker processes for this job (default: "
+                     "the server's --workers)"),
+                _arg("--client", default=os.environ.get("USER", ""),
+                     help="client id for fairness accounting (default: "
+                     "$USER)"),
+                _arg("--priority", type=int, default=0,
+                     help="higher runs first; FIFO within a priority "
+                     "level"),
+                _arg("--watch", action="store_true",
+                     help="follow the event stream to completion (like "
+                     "'watch'; --out/--csv apply then)"),
+            ) + output,
+            _always,
+        ),
+        "status": (
+            "job status (or all jobs) on a running service",
+            _cmd_status,
+            (_arg("job", nargs="?", default=None,
+                  help="job id (omit to list every job)"),),
+            _always,
+        ),
+        "watch": (
+            "stream a job's per-point telemetry to completion (exit 0 "
+            "done, 3 cancelled, 1 error)",
+            _cmd_watch,
+            (job,) + output,
+            _always,
+        ),
+        "cancel": ("cancel a job", _cmd_cancel, (job,), _always),
+        "shutdown": (
+            "stop a running service cleanly", _cmd_shutdown, (), _always,
+        ),
+        "cache": (
+            "inspect or maintain a result store directory",
+            _cmd_cache,
+            (
+                _arg("action", nargs="?", default="stats",
+                     choices=("stats", "clear", "prune"),
+                     help="stats (default): entry count, bytes, "
+                     "engine-version mix; clear: delete every entry; "
+                     "prune: LRU-evict to the bounds"),
+                store_dir,
+                _arg("--max-entries", type=int, default=None,
+                     help="prune: keep at most this many entries"),
+                _arg("--max-bytes", type=int, default=None,
+                     help="prune: keep at most this many bytes"),
+            ),
+            None,
+        ),
+    }
 
 
-def _add_workload_args(parser) -> None:
-    parser.add_argument("--routing", choices=("minimal", "valiant"),
-                        default="minimal")
-    parser.add_argument("--scope", choices=("local", "global"),
-                        default="local")
-    parser.add_argument(
-        "--pattern", default="uniform",
-        help="traffic kind (see 'repro-dragonfly list'); hyphens accepted",
-    )
-    parser.add_argument(
-        "--preset", default="small_equiv",
-        help="SwitchlessConfig preset sizing the system "
-        "(see 'repro-dragonfly list')",
-    )
-    parser.add_argument("--points", type=int, default=6)
-    parser.add_argument("--max-rate", type=float, default=1.5)
-    parser.add_argument("--warmup", type=int, default=300)
-    parser.add_argument("--measure", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
+_SERVER = _arg(
+    "--server", default=None, metavar="URL",
+    help="service address (default: $REPRO_SERVICE_URL or "
+    "http://127.0.0.1:8642)",
+)
 
 
 def main(argv=None) -> int:
@@ -912,345 +1027,28 @@ def main(argv=None) -> int:
         description="Switch-Less Dragonfly on Wafers (SC'24) reproduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("tables", help="print Tables I, II and IV")
-    sub.add_parser("table3", help="print the Table III case study")
-    sub.add_parser("layout", help="print the Fig. 9 layout summary")
-
-    run = sub.add_parser(
-        "run", help="run a bundled scenario or a scenario/study JSON file"
-    )
-    run.add_argument(
-        "scenario",
-        help="bundled study name (see 'list') or path to a "
-        "scenarios/*.json file",
-    )
-    run.add_argument(
-        "--scale", choices=SCALES, default="default",
-        help="system size / cycle count for bundled names "
-        "(ignored for files)",
-    )
-    run.add_argument(
-        "--workload", default=None, metavar="NAME",
-        help="re-drive every curve closed-loop with this application "
-        "workload (see 'repro-dragonfly workloads'); rates become "
-        "pacing bandwidths",
-    )
-    run.add_argument(
-        "--workload-opts", default=None, metavar="K=V[,K=V]",
-        help="builder options for --workload (e.g. volume=256); for "
-        "--workload trace, trace=<path> names the trace JSON file",
-    )
-    _add_exec_args(run)
-
-    list_p = sub.add_parser(
-        "list",
-        help="bundled scenarios and registered topology/routing/traffic "
-        "kinds",
-    )
-    list_p.add_argument(
-        "--tag", default=None,
-        help="only show bundled studies carrying this tag "
-        "(e.g. figure, smoke, resilience)",
-    )
-
-    compare = sub.add_parser(
-        "compare", help="compare architectures under one workload"
-    )
-    compare.add_argument(
-        "--arch", default="switchless,dragonfly",
-        help="comma-separated list: switchless, switchless-2b, "
-        "switchless-4b, dragonfly",
-    )
-    _add_workload_args(compare)
-    _add_exec_args(compare)
-
-    resilience = sub.add_parser(
-        "resilience",
-        help="throughput-under-failure sweep: failure rate x load with "
-        "saturation-retention report and per-instance deadlock check",
-    )
-    resilience.add_argument(
-        "--arch", default="switchless,dragonfly",
-        help="comma-separated list: switchless, switchless-2b, "
-        "switchless-4b, dragonfly",
-    )
-    resilience.add_argument(
-        "--failure-rates", default="0,0.02,0.05,0.1",
-        help="comma-separated fault axis (random model: per-channel "
-        "failure probability; yield model: defect clusters per wafer)",
-    )
-    resilience.add_argument(
-        "--model", choices=("random", "yield"), default="random",
-        help="fault model realising the failure rates",
-    )
-    resilience.add_argument(
-        "--fault-seed", type=int, default=7,
-        help="seed of the fault sampling stream (not the sim seed)",
-    )
-    resilience.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the per-instance deadlock-freedom verification",
-    )
-    resilience.add_argument(
-        "--max-pairs", type=int, default=300,
-        help="terminal pairs sampled per deadlock check",
-    )
-    resilience.add_argument(
-        "--smoke", action="store_true",
-        help="run the bundled resilience_smoke study (ignores the "
-        "workload flags; used by CI)",
-    )
-    _add_workload_args(resilience)
-    _add_exec_args(resilience)
-    # resilience probes the saturation region, not the full load axis
-    resilience.set_defaults(points=4, max_rate=0.6)
-
-    report = sub.add_parser(
-        "report", help="render a saved StudyResult JSON file"
-    )
-    report.add_argument("results", help="path to a results JSON file")
-    report.add_argument(
-        "--csv", default=None, metavar="FILE",
-        help="also write the flat per-point CSV here (with --channel: "
-        "that channel's long-form CSV)",
-    )
-    report.add_argument(
-        "--channel", default=None, metavar="NAME",
-        help="render one metric channel across all points instead of "
-        "the curve tables (see 'repro-dragonfly metrics <results>')",
-    )
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="list registered metric probes, or the channels inside a "
-        "results file",
-    )
-    metrics.add_argument(
-        "results", nargs="?", default=None,
-        help="optional path to a StudyResult JSON file",
-    )
-
-    sub.add_parser(
-        "workloads",
-        help="list the closed-loop application workloads and the trace "
-        "format",
-    )
-
-    verify = sub.add_parser("verify", help="deadlock-freedom check")
-    verify.add_argument("--policy", choices=("baseline", "reduced"),
-                        default="baseline")
-    verify.add_argument("--max-pairs", type=int, default=2000)
-
-    # -- service mode --------------------------------------------------
-    def _add_server_arg(p) -> None:
-        p.add_argument(
-            "--server", default=None, metavar="URL",
-            help="service address (default: $REPRO_SERVICE_URL or "
-            "http://127.0.0.1:8642)",
-        )
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the simulation service: async job queue, streaming "
-        "telemetry, shared result store, warm engine state",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument(
-        "--port", type=int, default=8642,
-        help="TCP port (0 picks an ephemeral port)",
-    )
-    serve_p.add_argument(
-        "--cache-dir", default=_default_cache_dir(),
-        help="result store directory, shared with offline runs "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro-dragonfly)",
-    )
-    serve_p.add_argument(
-        "--workers", type=int, default=1,
-        help="default engine worker processes per job (a request's "
-        "'workers' field overrides)",
-    )
-    serve_p.add_argument(
-        "--max-inflight", type=int, default=8,
-        help="per-client cap on jobs in flight (submissions beyond it "
-        "are rejected with HTTP 429)",
-    )
-    serve_p.add_argument(
-        "--max-entries", type=int, default=None,
-        help="bound the store to this many entries (LRU eviction)",
-    )
-    serve_p.add_argument(
-        "--max-bytes", type=int, default=None,
-        help="bound the store to this many bytes (LRU eviction)",
-    )
-    serve_p.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help="journal jobs here and replay them on startup: a server "
-        "restarted against the same directory resumes interrupted "
-        "jobs (completed points come back from the result store)",
-    )
-    serve_p.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="supervised retry budget per execution; after this many "
-        "failed attempts a job is quarantined as 'failed' with its "
-        "traceback (default: 3)",
-    )
-    serve_p.add_argument(
-        "--hang-timeout", type=float, default=None, metavar="SECONDS",
-        help="watchdog: reap a running job this many seconds after "
-        "its last heartbeat (default: disabled)",
-    )
-    serve_p.add_argument(
-        "--log-format", choices=("text", "json"), default="text",
-        help="service log lines: classic text or structured NDJSON "
-        "(each line carries trace_id/job/state fields)",
-    )
-    serve_p.add_argument(
-        "--no-telemetry", action="store_true",
-        help="disable the runtime telemetry plane (span log, trace "
-        "endpoint; metrics counters still tick but gauges go stale)",
-    )
-
-    # runtime-metrics flags on the 'metrics' verb (probe listing above)
-    _add_server_arg(metrics)
-    metrics.add_argument(
-        "--live", action="store_true",
-        help="poll the service /api/metrics surface and print one "
-        "status line per interval (Ctrl-C to stop)",
-    )
-    metrics.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="--live polling interval (default: 2s)",
-    )
-    metrics.add_argument(
-        "--count", type=int, default=None, metavar="N",
-        help="--live: stop after N polls (default: run until Ctrl-C)",
-    )
-
-    trace_p = sub.add_parser(
-        "trace",
-        help="render a job's span waterfall (queue wait, engine, "
-        "kernel chunks) from a telemetry-enabled service",
-    )
-    trace_p.add_argument("job", help="job id from 'submit'")
-    trace_p.add_argument(
-        "--json", action="store_true",
-        help="print the raw repro.trace/v1 payload instead",
-    )
-    _add_server_arg(trace_p)
-
-    submit = sub.add_parser(
-        "submit", help="submit a study to a running service"
-    )
-    submit.add_argument(
-        "scenario",
-        help="bundled study name (see 'list') or path to a "
-        "scenarios/*.json file",
-    )
-    submit.add_argument(
-        "--scale", choices=SCALES, default="default",
-        help="system size for bundled names (ignored for files)",
-    )
-    submit.add_argument(
-        "--metrics", default=None, metavar="KINDS",
-        help="metric probe kinds applied to every curve (comma-separated)",
-    )
-    submit.add_argument(
-        "--workers", type=int, default=None,
-        help="engine worker processes for this job (default: the "
-        "server's --workers)",
-    )
-    submit.add_argument(
-        "--client", default=os.environ.get("USER", ""),
-        help="client id for fairness accounting (default: $USER)",
-    )
-    submit.add_argument(
-        "--priority", type=int, default=0,
-        help="higher runs first; FIFO within a priority level",
-    )
-    submit.add_argument(
-        "--watch", action="store_true",
-        help="follow the event stream to completion (like 'watch')",
-    )
-    submit.add_argument("--out", default=None, metavar="FILE",
-                        help="with --watch: write the StudyResult here")
-    submit.add_argument("--csv", default=None, metavar="FILE",
-                        help="with --watch: write the per-point CSV here")
-    _add_server_arg(submit)
-
-    status_p = sub.add_parser(
-        "status", help="job status (or all jobs) on a running service"
-    )
-    status_p.add_argument(
-        "job", nargs="?", default=None,
-        help="job id (omit to list every job)",
-    )
-    _add_server_arg(status_p)
-
-    watch = sub.add_parser(
-        "watch",
-        help="stream a job's per-point telemetry to completion "
-        "(exit 0 done, 3 cancelled, 1 error)",
-    )
-    watch.add_argument("job", help="job id from 'submit'")
-    watch.add_argument("--out", default=None, metavar="FILE",
-                       help="write the final StudyResult JSON here")
-    watch.add_argument("--csv", default=None, metavar="FILE",
-                       help="write the flat per-point CSV here")
-    _add_server_arg(watch)
-
-    cancel = sub.add_parser("cancel", help="cancel a job")
-    cancel.add_argument("job", help="job id from 'submit'")
-    _add_server_arg(cancel)
-
-    shutdown_p = sub.add_parser(
-        "shutdown", help="stop a running service cleanly"
-    )
-    _add_server_arg(shutdown_p)
-
-    cache_p = sub.add_parser(
-        "cache",
-        help="inspect or maintain a result store directory",
-    )
-    cache_p.add_argument(
-        "action", nargs="?", default="stats",
-        choices=("stats", "clear", "prune"),
-        help="stats (default): entry count, bytes, engine-version mix; "
-        "clear: delete every entry; prune: LRU-evict to the bounds",
-    )
-    cache_p.add_argument(
-        "--cache-dir", default=_default_cache_dir(),
-        help="store directory (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro-dragonfly)",
-    )
-    cache_p.add_argument("--max-entries", type=int, default=None,
-                         help="prune: keep at most this many entries")
-    cache_p.add_argument("--max-bytes", type=int, default=None,
-                         help="prune: keep at most this many bytes")
-
+    verbs = _verb_table()
+    for name, (text, _, arguments, service) in verbs.items():
+        verb = sub.add_parser(name, help=text)
+        for flags, kwargs in arguments + ((_SERVER,) if service else ()):
+            verb.add_argument(*flags, **kwargs)
     args = parser.parse_args(argv)
-    handler = {
-        "tables": _cmd_tables,
-        "table3": _cmd_table3,
-        "layout": _cmd_layout,
-        "run": _cmd_run,
-        "list": _cmd_list,
-        "compare": _cmd_compare,
-        "report": _cmd_report,
-        "metrics": _cmd_metrics,
-        "workloads": _cmd_workloads,
-        "resilience": _cmd_resilience,
-        "verify": _cmd_verify,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "status": _cmd_status,
-        "trace": _cmd_trace,
-        "watch": _cmd_watch,
-        "cancel": _cmd_cancel,
-        "shutdown": _cmd_shutdown,
-        "cache": _cmd_cache,
-    }[args.command]
-    return handler(args)
+    _, handler, _, service = verbs[args.command]
+    if getattr(args, "verbose", False):
+        logging.basicConfig(level=logging.DEBUG, format="%(message)s")
+        logging.getLogger("repro.engine").setLevel(logging.DEBUG)
+    errors = (OSError, ValueError)
+    try:
+        if not (service and service(args)):
+            return handler(args)
+        # service imports stay lazy: offline verbs never load them
+        from .service import ServiceClient, ServiceError
+
+        errors += (ServiceError,)
+        return handler(args, ServiceClient(args.server))
+    except errors as exc:
+        _note(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -116,7 +116,6 @@ OPTION_TABLE = {
         (("--hang-timeout",), "hang_timeout", None, "float", None, None),
         (("--log-format",), "log_format", "text", None, ("text", "json"),
          None),
-        (("--no-telemetry",), "no_telemetry", False, None, None, 0),
     ],
     "trace": [
         ("job", "job", None, None, None, None),
