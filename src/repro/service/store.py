@@ -107,7 +107,7 @@ class SingleFlight:
                     os.O_CREAT | os.O_EXCL | os.O_WRONLY,
                 )
             except FileExistsError:
-                if not self._steal_if_stale(key):
+                if not self._steal_if_stale(key) and self.locked(key):
                     return False
                 continue
             with os.fdopen(fd, "w") as fh:
@@ -133,12 +133,17 @@ class SingleFlight:
         return self._lock_path(key).exists()
 
     def _steal_if_stale(self, key: str) -> bool:
-        """Remove the lock if its holder is dead or too old."""
+        """Remove the lock if its holder is dead or too old.
+
+        A lock that vanished before it could be inspected was released,
+        not stolen: that is ``False`` too (its holder may have just
+        published), and callers re-check the lock.
+        """
         path = self._lock_path(key)
         try:
             age = time.time() - path.stat().st_mtime
         except OSError:
-            return True  # already gone
+            return False
         pid = self.holder(key)
         if pid is None:
             # unreadable/empty lock: orphaned by a crash mid-create —
@@ -161,10 +166,10 @@ class SingleFlight:
     def wait(self, key: str, timeout: float) -> bool:
         """Block until the key's lock disappears.
 
-        Returns ``True`` when the holder released it (its result should
-        now be in the store) and ``False`` on timeout or when the lock
-        was stale and got stolen (the caller should try to acquire and
-        compute itself).
+        Returns ``True`` when the holder released it and ``False`` on
+        timeout or when the lock was stale and got stolen.  Either way
+        the caller re-reads the store before computing itself: a holder
+        may publish and release at any moment of the wait.
         """
         deadline = time.monotonic() + timeout
         waited = False
@@ -458,12 +463,10 @@ class SingleFlightCache:
         with obs_trace.span(
             "store.singleflight_wait", key=key[:16]
         ) as sp:
-            released = sf.wait(key, timeout)
-            sp.set(released=released)
-        if released:
-            res = self.store.get(key)
-            if res is not None:
-                return res
+            sp.set(released=sf.wait(key, timeout))
+        res = self.store.get(key)
+        if res is not None:
+            return res
         # holder died, timed out, or published nothing: compute locally
         if sf.try_acquire(key):
             self._owned.add(key)

@@ -253,6 +253,28 @@ class TestSingleFlightCache:
         assert got == _result()
         assert waiter.computed == 0
 
+    def test_release_inside_the_wait_window_is_not_a_steal(self, tmp_path):
+        """The owner publishes and releases between the waiter's lock
+        check and its stale-lock inspection: the waiter must read the
+        published entry, not take the key and simulate it again."""
+        owner = SingleFlightCache(ResultStore(tmp_path))
+        assert owner.get("k") is None
+        store = ResultStore(tmp_path)
+        sf = store.single_flight
+        check = sf.locked
+
+        def locked_then_owner_finishes(key):
+            held = check(key)
+            if held and owner.computed == 0:
+                owner.put("k", _result())  # publish + release right here
+            return held
+
+        sf.locked = locked_then_owner_finishes
+        waiter = SingleFlightCache(store)
+        assert waiter.get("k") == _result()
+        assert not waiter._owned and not check("k")
+        assert sf.steals == 0 and waiter.fallbacks == 0
+
 
 class TestRestartHygiene:
     """SingleFlight.clear(): a restarting server removes only *dead*
