@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from ..engine.spec import shaped
 from ..network.stats import CurveResult, PointResult
 
 __all__ = [
@@ -125,9 +126,13 @@ class ScenarioResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ScenarioResult":
+        shaped(data, dict, "a scenario result")
         return cls(
             name=data["name"],
-            curves=tuple(CurveResult.from_dict(c) for c in data["curves"]),
+            curves=tuple(
+                CurveResult.from_dict(c)
+                for c in shaped(data["curves"], list, "'curves'")
+            ),
             title=data.get("title", ""),
             note=data.get("note", ""),
             baseline=data.get("baseline", ""),
@@ -201,7 +206,7 @@ class StudyResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "StudyResult":
-        schema = data.get("schema")
+        schema = shaped(data, dict, "a study result").get("schema")
         if schema != STUDY_RESULT_SCHEMA:
             raise ValueError(
                 f"cannot read {schema!r} payload as {STUDY_RESULT_SCHEMA!r}"
@@ -209,7 +214,8 @@ class StudyResult:
         return cls(
             name=data["name"],
             scenarios=tuple(
-                ScenarioResult.from_dict(s) for s in data["scenarios"]
+                ScenarioResult.from_dict(s)
+                for s in shaped(data["scenarios"], list, "'scenarios'")
             ),
             title=data.get("title", ""),
             meta=dict(data.get("meta", {})),

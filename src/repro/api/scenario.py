@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from typing import Callable
 
 from ..engine import ExperimentSpec, ResultCache, run_experiments
+from ..engine.spec import shaped
 from ..network.stats import SimResult
 from .results import ScenarioResult, StudyResult
 
@@ -155,7 +156,7 @@ class Scenario:
 
     @classmethod
     def from_data(cls, data: Dict) -> "Scenario":
-        schema = data.get("schema")
+        schema = shaped(data, dict, "a scenario").get("schema")
         if schema is not None and schema != SCENARIO_SCHEMA:
             raise ValueError(
                 f"cannot read {schema!r} payload as {SCENARIO_SCHEMA!r}"
@@ -163,7 +164,8 @@ class Scenario:
         return cls(
             name=data["name"],
             specs=tuple(
-                ExperimentSpec.from_data(s) for s in data["specs"]
+                ExperimentSpec.from_data(s)
+                for s in shaped(data["specs"], list, "'specs'")
             ),
             title=data.get("title", ""),
             note=data.get("note", ""),
@@ -365,7 +367,7 @@ class Study:
 
     @classmethod
     def from_data(cls, data: Dict) -> "Study":
-        schema = data.get("schema")
+        schema = shaped(data, dict, "a study").get("schema")
         if schema == SCENARIO_SCHEMA:
             return cls.wrap(Scenario.from_data(data))
         if schema is not None and schema != STUDY_SCHEMA:
@@ -375,7 +377,8 @@ class Study:
         return cls(
             name=data["name"],
             scenarios=tuple(
-                Scenario.from_data(s) for s in data["scenarios"]
+                Scenario.from_data(s)
+                for s in shaped(data["scenarios"], list, "'scenarios'")
             ),
             title=data.get("title", ""),
             description=data.get("description", ""),

@@ -278,6 +278,8 @@ def _resolve_workers(
     cpus = os.cpu_count() or 1
     if workers is None:
         workers = env_int(WORKERS_ENV, cpus)
+    elif workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     budget = max(1, cpus // max(1, kernel_threads))
     return max(1, min(workers, total_chunks, budget))
 

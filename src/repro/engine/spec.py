@@ -69,6 +69,7 @@ __all__ = [
     "register_routing",
     "register_topology",
     "register_traffic",
+    "shaped",
     "suggest",
 ]
 
@@ -109,6 +110,17 @@ __all__ = [
 #: workload, and only closed-loop keys and seeds move.
 ENGINE_VERSION = 4
 PLAN_REVISION = 5
+
+
+def shaped(value, kind: type, what: str):
+    """``value`` when it is a ``kind`` (``dict``: a JSON object,
+    ``list``: an array), else a ``ValueError`` naming ``what`` — parsers
+    of external JSON check a shape before indexing into it, so hostile
+    input is a clear error instead of an ``AttributeError``."""
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise ValueError(f"{what} must be a JSON {shape}, got {value!r:.60}")
+    return value
 
 
 def suggest(name: str, candidates: Sequence[str]) -> str:
@@ -421,6 +433,7 @@ class ExperimentSpec:
         """Rebuild a spec from :meth:`to_data` output (or hand-written
         scenario-file JSON).  Unknown ``params`` keys are ignored so old
         files survive new simulator knobs."""
+        shaped(data, dict, "an experiment spec")
         params_data = data.get("params") or {}
         params = SimParams(
             **{

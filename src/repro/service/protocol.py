@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..api import Study
+from ..engine.spec import shaped
 
 __all__ = [
     "JOB_EVENT_SCHEMA",
@@ -76,6 +77,10 @@ class JobRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.study, dict) or not self.study:
             raise ValueError("a job request needs a study payload")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(
+                f"workers must be a positive integer, got {self.workers}"
+            )
 
     def build_study(self) -> Study:
         """Realise the payload (validating it) with metrics applied.
@@ -116,7 +121,7 @@ class JobRequest:
 
     @classmethod
     def from_data(cls, data: Dict) -> "JobRequest":
-        schema = data.get("schema")
+        schema = shaped(data, dict, "a job request").get("schema")
         if schema is not None and schema != JOB_REQUEST_SCHEMA:
             raise ValueError(
                 f"cannot read {schema!r} payload as {JOB_REQUEST_SCHEMA!r}"

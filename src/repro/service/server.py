@@ -749,14 +749,21 @@ class _Handler(BaseHTTPRequestHandler):
         up, so a keep-alive read would only find a closed socket)."""
         service = self.service
         service.job(job_id)  # 404 before committing to a stream
-        start = int(self._query_param("from") or 0)
+        start = self._query_param("from") or "0"
+        if not start.isdigit():
+            self._error(
+                "bad request: 'from' must be a non-negative event seq, "
+                f"got {start!r}",
+                400,
+            )
+            return
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.send_header("Connection", "close")
         self.end_headers()
         self.close_connection = True
-        for batch in service.event_batches(job_id, start=start):
+        for batch in service.event_batches(job_id, start=int(start)):
             lines = []
             for event in batch:
                 if chaos.should_fire("drop-stream"):

@@ -201,7 +201,9 @@ def workload_descriptions() -> Dict[str, str]:
 
 
 def _per_step(volume: int, steps: int) -> int:
-    return max(1, int(math.ceil(volume / steps)))
+    if volume < 1:
+        raise ValueError(f"workload volume must be >= 1 flit, got {volume}")
+    return int(math.ceil(volume / steps))
 
 
 @register_workload(

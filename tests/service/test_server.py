@@ -292,3 +292,53 @@ class TestEventStreamTransport:
             conn.close()
         events = [json.loads(line) for line in body.splitlines()]
         assert events == history and len(events) >= 4
+
+
+class TestHostileInputs:
+    """Malformed cursors and bodies get a 400 with a JSON error — never
+    a handler traceback and a dropped connection."""
+
+    @staticmethod
+    def _raw(client, method, path, body=None):
+        import http.client
+        import json
+
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        try:
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read() or b"{}")
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("cursor", ["abc", "-2"])
+    def test_bad_event_cursor_is_400(self, service, capsys, cursor):
+        client, _ = service
+        job = client.submit_study(tiny_study())
+        client.watch(job["id"])
+        code, body = self._raw(
+            client, "GET", f"/api/jobs/{job['id']}/events?from={cursor}"
+        )
+        assert code == 400 and "'from'" in body["error"]
+        assert "Exception occurred" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, hint",
+        [
+            ("[1, 2]", "job request must be a JSON object"),
+            ('{"study": {"name": "x", "scenarios": [1]}}',
+             "scenario must be a JSON object"),
+            (None, "workers must be a positive integer, got -3"),
+        ],
+    )
+    def test_bad_job_body_is_400(self, service, capsys, payload, hint):
+        import json
+
+        client, _ = service
+        if payload is None:  # a valid study with a negative pool size
+            payload = json.dumps(
+                {"study": tiny_study().to_data(), "workers": -3}
+            )
+        code, body = self._raw(client, "POST", "/api/jobs", payload)
+        assert code == 400 and hint in body["error"]
+        assert "Exception occurred" not in capsys.readouterr().err
