@@ -1,5 +1,5 @@
 """Ad-hoc architecture comparisons: the facade behind ``repro-dragonfly
-compare`` (and the deprecated ``sweep`` alias).
+compare``.
 
 :func:`compare_scenario` builds a one-panel :class:`~repro.api.Scenario`
 with one curve per requested architecture token:

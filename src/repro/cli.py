@@ -748,12 +748,13 @@ def _verb_table():
         help="attach metric probes to every curve (comma-separated kinds, "
         "see 'repro-dragonfly metrics'); channels land in the results JSON",
     )
-    execution = output + (
+    execution = (
         _arg("--workers", type=int, default=None,
              help="simulation processes (default: REPRO_WORKERS or CPU "
              "count; 1 = serial)"),
         _arg("--cache-dir", default=None,
              help="reuse/store per-point results in this directory"),
+    ) + output + (
         metrics,
         _arg("--progress", action="store_true",
              help="print one line per completed simulation point on "
@@ -762,11 +763,12 @@ def _verb_table():
              help="engine progress logging"),
     )
 
-    def workload(points, max_rate):
+    def workload(points, max_rate, *after_arch):
         return (
             _arg("--arch", default="switchless,dragonfly",
                  help="comma-separated list: switchless, switchless-2b, "
                  "switchless-4b, dragonfly"),
+        ) + after_arch + (
             _arg("--routing", choices=("minimal", "valiant"),
                  default="minimal"),
             _arg("--scope", choices=("local", "global"), default="local"),
@@ -830,7 +832,9 @@ def _verb_table():
             "throughput-under-failure sweep: failure rate x load with "
             "saturation-retention report and per-instance deadlock check",
             _cmd_resilience,
-            (
+            # resilience probes the saturation region, not the full axis
+            workload(
+                4, 0.6,
                 _arg("--failure-rates", default="0,0.02,0.05,0.1",
                      help="comma-separated fault axis (random model: "
                      "per-channel failure probability; yield model: "
@@ -849,9 +853,7 @@ def _verb_table():
                 _arg("--smoke", action="store_true",
                      help="run the bundled resilience_smoke study (ignores "
                      "the workload flags; used by CI)"),
-            )
-            # resilience probes the saturation region, not the full axis
-            + workload(4, 0.6) + execution,
+            ) + execution,
             None,
         ),
         "report": (
