@@ -750,7 +750,7 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.service
         service.job(job_id)  # 404 before committing to a stream
         start = self._query_param("from") or "0"
-        if not start.isdigit():
+        if not (start.isascii() and start.isdigit()):
             self._error(
                 "bad request: 'from' must be a non-negative event seq, "
                 f"got {start!r}",

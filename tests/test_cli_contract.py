@@ -386,8 +386,11 @@ def test_transcript(case, golden, tmp_path, monkeypatch, capsys,
 
 # -- a live service: watch / submit --watch ------------------------------
 @pytest.fixture()
-def live_server(tmp_path):
+def live_server(tmp_path, monkeypatch):
     from repro.service import create_server
+
+    # server log lines are not part of the CLI transcript
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", False)
 
     server = create_server(
         host="127.0.0.1", port=0, cache_dir=tmp_path / "store",
