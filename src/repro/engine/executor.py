@@ -123,10 +123,24 @@ _BATCH_CHUNK_MIN = 8
 # can cost as much as simulating a low-rate point, every point of a
 # sweep shares one, and a reused deterministic routing carries its
 # (src, dst) -> path memo from point to point.  Keyed by the spec
-# fields that define each object.
-_SYSTEM_LRU_SIZE = 4
+# fields that define each object.  Chunks of a study's specs run round
+# robin, so a table smaller than a study's distinct keys misses on every
+# chunk; eight holds the largest bundled working set (``resilience``:
+# eight routings; ``fig14_allreduce``: five systems).
+_SYSTEM_LRU_SIZE = 8
 _systems: "OrderedDict[Tuple, object]" = OrderedDict()
 _routings: "OrderedDict[Tuple, object]" = OrderedDict()
+
+
+def _system_key(spec: ExperimentSpec) -> Tuple:
+    return (spec.topology, spec.topology_opts)
+
+
+def _routing_key(spec: ExperimentSpec) -> Tuple:
+    # the fault axis is part of the routing identity: a fault-aware
+    # wrapper (and its repair trees / route memo) must never be reused
+    # for a different fault instance, nor for the healthy system
+    return _system_key(spec) + (spec.routing, spec.routing_opts, spec.faults)
 
 
 def _lru_get(table: "OrderedDict[Tuple, object]", key: Tuple, build):
@@ -171,15 +185,11 @@ def _run_chunk(
         for rate in rates:
             chaos.engine_point(f"{label}@{rate:g}")
     with obs_trace.span("engine.build", label=label):
-        topo_key = (spec.topology, spec.topology_opts)
-        system = _lru_get(_systems, topo_key, lambda: build_system(spec))
-        # the fault axis is part of the routing identity: a fault-aware
-        # wrapper (and its repair trees / route memo) must never be
-        # reused for a different fault instance, nor for the healthy
-        # system
+        system = _lru_get(
+            _systems, _system_key(spec), lambda: build_system(spec)
+        )
         routing = _lru_get(
-            _routings,
-            topo_key + (spec.routing, spec.routing_opts, spec.faults),
+            _routings, _routing_key(spec),
             lambda: build_routing(spec, system),
         )
         graph, routing, traffic = build_experiment(

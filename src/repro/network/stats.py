@@ -132,8 +132,7 @@ class SimResult:
         if len(latencies):
             arr = np.asarray(latencies, dtype=np.float64)
             avg = float(arr.mean())
-            p50 = float(np.percentile(arr, 50))
-            p99 = float(np.percentile(arr, 99))
+            p50, p99 = (float(p) for p in np.percentile(arr, (50, 99)))
         else:
             avg = p50 = p99 = float("nan")
         avg_hops = float(np.mean(hops)) if len(hops) else float("nan")

@@ -7,9 +7,11 @@ semantics as simulating every rate on its own ``Simulator``.
 """
 
 import os
+from collections import OrderedDict
 
 import pytest
 
+from repro.api.library import SCALES, build_study, list_library
 from repro.engine import executor as ex
 from repro.engine.cache import ResultCache
 from repro.engine.executor import run_experiments, simulate_point
@@ -349,3 +351,43 @@ class TestReturnedCurves:
         [curve] = run_experiments([mesh_spec([0.1, 0.2])], workers=1)
         assert curve.results == [p.result for p in curve.points]
         assert curve.rates == [p.rate for p in curve.points]
+
+
+class TestBuildReuse:
+    """Chunks run a study's specs round robin, so the worker-local
+    system and routing tables must hold a whole study's keys, or every
+    chunk rebuilds its routing (and that routing's route plane)."""
+
+    @needs_native
+    def test_second_run_builds_no_routing(self, monkeypatch):
+        # the reuse is core-independent; the kernel keeps the run short
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        monkeypatch.setattr(ex, "_systems", OrderedDict())
+        monkeypatch.setattr(ex, "_routings", OrderedDict())
+        built = []
+        real = ex.build_routing
+
+        def counting(spec, system):
+            built.append(spec.label)
+            return real(spec, system)
+
+        monkeypatch.setattr(ex, "build_routing", counting)
+        # five routing keys over three systems
+        study = build_study("fig13_misrouting", "quick")
+        study.run(workers=1)
+        assert len(built) == 5
+        built.clear()
+        study.run(workers=1)
+        assert built == []
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_every_bundled_study_fits(self, scale):
+        for name in list_library():
+            specs = [
+                spec
+                for scenario in build_study(name, scale).scenarios
+                for spec in scenario.specs
+            ]
+            for key in (ex._system_key, ex._routing_key):
+                distinct = {key(spec) for spec in specs}
+                assert len(distinct) <= ex._SYSTEM_LRU_SIZE, (name, key)
