@@ -6,8 +6,8 @@ Public API overview
     The paper's contribution: the wafer-based switch-less Dragonfly
     (chiplet → C-group → wafer → W-group → system) and its labeling.
 ``repro.topology``
-    Comparison topologies (switch-based Dragonfly, 2D mesh, Fat-Tree,
-    HammingMesh, PolarFly) lowered to a common router-graph substrate.
+    Simulated baselines (switch-based Dragonfly, 2D mesh, single switch)
+    lowered to a common router-graph substrate.
 ``repro.network``
     Cycle-accurate flit-level virtual-channel simulator.
 ``repro.metrics``

@@ -320,8 +320,9 @@ def _cmd_resilience(args) -> int:
         )
     deadlock_ok = True
     if not args.no_verify:
+        records = verify_study_faults(study, max_pairs=args.max_pairs)
         print("# deadlock freedom on each sampled fault instance:")
-        for rec in verify_study_faults(study, max_pairs=args.max_pairs):
+        for rec in records:
             status = "deadlock-free" if rec["acyclic"] else "DEADLOCK RISK"
             print(
                 f"#   {rec['scenario']:12s} {rec['label']:14s} "

@@ -27,6 +27,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -160,6 +161,15 @@ def _freeze_value(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise TypeError(f"option value {value!r} is not spec-serialisable")
+
+
+def _freeze_rates(rates: Sequence[float]) -> Tuple[float, ...]:
+    """Freeze the offered-rate axis: every rate finite and >= 0."""
+    frozen = tuple(float(r) for r in rates)
+    for r in frozen:
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"rate must be a finite number >= 0, got {r}")
+    return frozen
 
 
 def _thaw_opts(opts: Tuple) -> Dict:
@@ -362,7 +372,7 @@ class ExperimentSpec:
             routing_opts=_freeze(routing_opts or {}),
             traffic_opts=_freeze(traffic_opts or {}),
             params=params or SimParams(),
-            rates=tuple(float(r) for r in rates),
+            rates=_freeze_rates(rates),
             label=label,
             faults=_freeze(faults or {}),
             metrics=normalize_metrics(metrics),  # fail fast here too
@@ -390,7 +400,7 @@ class ExperimentSpec:
         return replace(self, metrics=normalize_metrics(metrics))
 
     def with_rates(self, rates: Sequence[float]) -> "ExperimentSpec":
-        return replace(self, rates=tuple(float(r) for r in rates))
+        return replace(self, rates=_freeze_rates(rates))
 
     def with_label(self, label: str) -> "ExperimentSpec":
         return replace(self, label=label)

@@ -63,6 +63,10 @@ def _iter_pairs(
     max_pairs: Optional[int],
     rng: random.Random,
 ) -> List[Tuple[int, int]]:
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError(
+            f"max_pairs must be a positive integer, got {max_pairs}"
+        )
     if pairs is None:
         terms = graph.terminals()
         all_pairs = [

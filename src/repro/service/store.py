@@ -223,6 +223,12 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _check_bounds(max_entries: Optional[int], max_bytes: Optional[int]):
+    for name, bound in (("max_entries", max_entries), ("max_bytes", max_bytes)):
+        if bound is not None and bound < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 class ResultStore(ResultCache):
     """Bounded, inspectable content-addressed store over a cache dir.
 
@@ -248,10 +254,7 @@ class ResultStore(ResultCache):
         max_bytes: Optional[int] = None,
         stale_after: float = 600.0,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
+        _check_bounds(max_entries, max_bytes)
         super().__init__(root)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
@@ -306,8 +309,10 @@ class ResultStore(ResultCache):
         Explicit arguments override the store's configured bounds (the
         ``cache prune`` CLI path); with neither configured nor given
         this is a no-op.  Entries whose key has an active single-flight
-        lock are skipped — someone is mid-computation on them.
+        lock are skipped — someone is mid-computation on them.  A bound
+        below 1 is an error, not a wipe: ``clear`` empties the store.
         """
+        _check_bounds(max_entries, max_bytes)
         max_entries = self.max_entries if max_entries is None else max_entries
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
         if max_entries is None and max_bytes is None:

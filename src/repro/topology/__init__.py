@@ -1,23 +1,14 @@
 """Network topologies lowered to the shared router-graph substrate."""
 
 from .dragonfly import DragonflyConfig, DragonflySystem, build_dragonfly
-from .fattree import FatTreeSystem, build_fattree
 from .graph import LINK_CLASSES, Link, NetworkGraph, Node
-from .hammingmesh import (
-    HammingMeshConfig,
-    HammingMeshSystem,
-    build_hammingmesh,
-)
 from .mesh import (
-    DojoSpec,
     MeshBlock,
     MeshSpec,
     SwitchBlock,
-    build_dojo_mesh_with_switch,
     build_mesh,
     build_switch_with_terminals,
 )
-from .polarfly import PolarFlySystem, build_polarfly, polarfly_size
 from .properties import (
     average_shortest_path,
     bisection_channels,
@@ -29,12 +20,8 @@ from .properties import (
 __all__ = [
     "LINK_CLASSES", "Link", "NetworkGraph", "Node",
     "DragonflyConfig", "DragonflySystem", "build_dragonfly",
-    "FatTreeSystem", "build_fattree",
-    "HammingMeshConfig", "HammingMeshSystem", "build_hammingmesh",
-    "DojoSpec", "MeshBlock", "MeshSpec", "SwitchBlock",
-    "build_dojo_mesh_with_switch", "build_mesh",
+    "MeshBlock", "MeshSpec", "SwitchBlock", "build_mesh",
     "build_switch_with_terminals",
-    "PolarFlySystem", "build_polarfly", "polarfly_size",
     "average_shortest_path", "bisection_channels", "degree_histogram",
     "hop_diameter", "terminal_diameter",
 ]

@@ -1,8 +1,8 @@
 """Directed-multigraph network substrate shared by every topology.
 
-All topologies in this package (switch-based Dragonfly, 2D mesh, Fat-Tree,
-HammingMesh, PolarFly and the switch-less Dragonfly-on-wafers) are lowered to
-the same representation: a :class:`NetworkGraph` of :class:`Node` routers
+Every simulated topology (the switch-based Dragonfly, the 2D mesh and the
+single switch of this package, and the switch-less Dragonfly-on-wafers of
+:mod:`repro.core`) is lowered to the same representation: a :class:`NetworkGraph` of :class:`Node` routers
 connected by *directed* :class:`Link` channels.  A full-duplex physical
 channel is represented as two directed links (see :meth:`NetworkGraph
 .add_channel`).

@@ -5,9 +5,8 @@ Two roles:
 * the on-wafer 2D-mesh of chiplets used inside every C-group of the
   switch-less Dragonfly (Fig. 3(b)), where nodes are on-chip routers and
   chips are ``chiplet_dim x chiplet_dim`` blocks of nodes;
-* the standalone baselines of Fig. 10(a) and Table III row 1 — a
-  non-blocking switch with directly attached terminals, and a DOJO-style
-  2D-mesh whose edges feed a central switch.
+* the standalone baseline of Fig. 10(a) — a non-blocking switch with
+  directly attached terminals.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ __all__ = [
     "xy_links",
     "SwitchBlock",
     "build_switch_with_terminals",
-    "DojoSpec",
-    "build_dojo_mesh_with_switch",
 ]
 
 #: default per-bit transport energy by link class (Table II).
@@ -268,51 +265,3 @@ def build_switch_with_terminals(
         )
         terms.append(t)
     return SwitchBlock(graph, switch, terms)
-
-
-# ----------------------------------------------------------------------
-# DOJO-style 2D mesh + central edge switch (Table III row 1)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DojoSpec:
-    """A 2D mesh of chips whose perimeter links feed one central switch.
-
-    Models the DOJO supercomputer's scale-out described in Sec. II-A2:
-    a large 2D-mesh of wafers with a centralized switch connecting all
-    edges to cut the diameter.
-    """
-
-    dim: int
-    sr_latency: int = 1
-    switch_latency: int = 8
-    capacity: int = 1
-
-
-@dataclass
-class DojoBlock:
-    graph: NetworkGraph
-    mesh: MeshBlock
-    switch: int
-
-
-def build_dojo_mesh_with_switch(spec: DojoSpec) -> DojoBlock:
-    graph = NetworkGraph(f"dojo{spec.dim}x{spec.dim}")
-    mesh = build_mesh(
-        MeshSpec(
-            dim=spec.dim,
-            chiplet_dim=1,
-            sr_latency=spec.sr_latency,
-            capacity=spec.capacity,
-        ),
-        graph,
-    )
-    switch = graph.add_node("switch", chip=-1, is_terminal=False)
-    for nid in mesh.perimeter_nodes():
-        graph.add_channel(
-            nid, switch,
-            latency=spec.switch_latency,
-            capacity=spec.capacity,
-            energy_pj=DEFAULT_ENERGY["local"],
-            klass="local",
-        )
-    return DojoBlock(graph, mesh, switch)

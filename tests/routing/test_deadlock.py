@@ -87,3 +87,11 @@ def test_invalid_paths_caught():
 
     with pytest.raises(ValueError):
         verify_deadlock_free(g, Broken(g, 4))
+
+
+@pytest.mark.parametrize("max_pairs", [0, -3])
+def test_empty_sample_is_rejected(max_pairs):
+    """Checking no pair proves nothing, so it must not read as acyclic."""
+    g = make_ring()
+    with pytest.raises(ValueError, match=f"max_pairs .* got {max_pairs}"):
+        verify_deadlock_free(g, ClockwiseRouting(g, 4), max_pairs=max_pairs)

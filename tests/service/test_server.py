@@ -342,3 +342,21 @@ class TestHostileInputs:
         code, body = self._raw(client, "POST", "/api/jobs", payload)
         assert code == 400 and hint in body["error"]
         assert "Exception occurred" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [-0.5, float("nan"), float("inf")])
+    def test_bad_rate_is_400(self, service, capsys, rate):
+        """A rate the kernel cannot run is refused at the door, not
+        accepted and then failed after every supervised attempt."""
+        import json
+
+        client, _ = service
+        study = tiny_study().to_data()
+        study["scenarios"][0]["specs"][0]["rates"] = [rate]
+        code, body = self._raw(
+            client, "POST", "/api/jobs", json.dumps({"study": study})
+        )
+        assert code == 400
+        assert f"rate must be a finite number >= 0, got {rate}" in (
+            body["error"]
+        )
+        assert "Exception occurred" not in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Mesh/switch/DOJO builders and XY paths."""
+"""Mesh/switch builders and XY paths."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.routing.base import validate_path
 from repro.topology.mesh import (
-    DojoSpec,
     MeshSpec,
-    build_dojo_mesh_with_switch,
     build_mesh,
     build_switch_with_terminals,
     xy_links,
@@ -103,19 +101,3 @@ class TestSwitchBlock:
         assert sw.graph.degree_out(sw.switch) == 6
         assert not sw.graph.nodes[sw.switch].is_terminal
         sw.graph.validate()
-
-
-class TestDojo:
-    def test_structure(self):
-        dojo = build_dojo_mesh_with_switch(DojoSpec(dim=4))
-        # every perimeter node gets a switch channel
-        assert dojo.graph.degree_out(dojo.switch) == 12
-        dojo.graph.validate()
-
-    def test_switch_cuts_diameter(self):
-        from repro.topology.properties import terminal_diameter
-
-        spec = DojoSpec(dim=6)
-        with_sw = build_dojo_mesh_with_switch(spec)
-        plain = build_mesh(MeshSpec(dim=6))
-        assert terminal_diameter(with_sw.graph) < terminal_diameter(plain.graph)
