@@ -223,8 +223,11 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _check_bounds(max_entries: Optional[int], max_bytes: Optional[int]):
-    for name, bound in (("max_entries", max_entries), ("max_bytes", max_bytes)):
+def _check_bounds(
+    max_entries: Optional[int], max_bytes: Optional[int]
+) -> None:
+    for name, bound in (("max_entries", max_entries),
+                        ("max_bytes", max_bytes)):
         if bound is not None and bound < 1:
             raise ValueError(f"{name} must be >= 1")
 

@@ -2,10 +2,10 @@
 
 Every simulated topology (the switch-based Dragonfly, the 2D mesh and the
 single switch of this package, and the switch-less Dragonfly-on-wafers of
-:mod:`repro.core`) is lowered to the same representation: a :class:`NetworkGraph` of :class:`Node` routers
-connected by *directed* :class:`Link` channels.  A full-duplex physical
-channel is represented as two directed links (see :meth:`NetworkGraph
-.add_channel`).
+:mod:`repro.core`) is lowered to the same representation: a
+:class:`NetworkGraph` of :class:`Node` routers connected by *directed*
+:class:`Link` channels.  A full-duplex physical channel is represented as
+two directed links (see :meth:`NetworkGraph.add_channel`).
 
 Every link carries the attributes the paper's evaluation depends on:
 
