@@ -1,9 +1,10 @@
 /* Native kernel for the struct-of-arrays simulator core.
  *
  * Compiled on demand by repro.network.native with a plain
- * ``cc -O1 -shared -fPIC`` (no Python headers), loaded via ctypes:
- * -O1 halves the compile every cold process pays, and the kernel runs
- * within 2% of an -O3 build (see the module doc there).
+ * ``cc -O1 -shared -fPIC`` (no Python headers), loaded via ctypes.
+ * Every cold process pays that compile, so it runs at -O1 (the kernel
+ * is within 2% of an -O3 build) and writes only new files: no temp
+ * file is reopened with truncation (the module doc there has numbers).
  * All state lives in caller-owned int64 buffers, so a core instance
  * can run() repeatedly (drain leftovers persist) and Python can
  * inspect buffers for conservation checks.

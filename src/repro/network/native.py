@@ -5,10 +5,21 @@ piece of hot state out as flat integer arrays — which makes the inner
 loop mechanically portable to C.  This module compiles ``_simcore.c``
 on demand (plain ``cc -O1 -shared -fPIC``; no Python headers, no
 build-system dependency), loads it via :mod:`ctypes`, and wraps it as
-:class:`NativeCore`.  ``-O1`` rather than ``-O3`` because the compile
-is part of every cold process's start-up: it takes about half the
-time (0.49 -> 0.28 s, gcc 12 on a 2-vCPU x86-64 Xeon) while the
-kernel's thread-CPU per study stays within 2% of the ``-O3`` build.
+:class:`NativeCore`.  The compile is part of every cold process's
+start-up, so it is kept short two ways:
+
+- ``-O1`` rather than ``-O3``: the kernel's thread-CPU per study stays
+  within 2% of the ``-O3`` build, and the compile is ~0.1 s shorter.
+- The toolchain only ever writes files that do not exist yet: each
+  build runs in a fresh private directory with ``-save-temps=obj``, so
+  the ``.i``/``.s``/``.o`` intermediates and the ``.so`` are all new
+  names.  A one-step ``cc ... -o tmp.so`` instead makes its temp names
+  with ``mkstemp`` and cc1/as reopen them with truncation, which on
+  ext4 (``auto_da_alloc``) forces a flush to disk at every close.
+
+Median of five builds, gcc 12.2 on a 2-vCPU AMD EPYC (ext4): ``-O1``
+0.34 s one-step vs 0.20 s with new files only; ``-O3`` 0.43 vs 0.31 s.
+The built ``.so`` is byte-identical either way.
 
 Packets arrive pre-resolved from the shared front end
 (:mod:`repro.network.corebase`: destinations and routes are drawn
@@ -34,7 +45,9 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
+import shlex
 import shutil
 import subprocess
 import sysconfig
@@ -59,6 +72,8 @@ __all__ = [
 ]
 
 _C_SOURCE = Path(__file__).with_name("_simcore.c")
+
+_log = logging.getLogger(__name__)
 
 #: environment override for batch-lane kernel threads (default: auto =
 #: the CPU count; ``1`` forces serial lanes).
@@ -195,10 +210,24 @@ class _SimState(ctypes.Structure):
     ]
 
 
-def _find_cc() -> Optional[str]:
-    for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
+def _find_cc() -> Optional[List[str]]:
+    """The compiler's argv prefix: ``CC`` split like a shell word list
+    (``CC="ccache gcc"`` keeps its arguments), else the first of
+    ``cc``/``gcc``/``clang`` on ``PATH``."""
+    env = os.environ.get("CC", "")
+    try:
+        argv = shlex.split(env)
+    except ValueError:  # unbalanced quotes
+        argv = []
+    if argv and shutil.which(argv[0]):
+        return argv
+    if env.strip():
+        _log.warning(
+            "CC=%r names no program on PATH; trying cc, gcc, clang", env
+        )
+    for cand in ("cc", "gcc", "clang"):
+        if shutil.which(cand):
+            return [cand]
     return None
 
 
@@ -222,8 +251,47 @@ _FLAG_SETS = (
 )
 
 
+def _build(cc: List[str], flags: List[str], out: Path) -> None:
+    """Compile ``_simcore.c`` with ``cc + flags`` and move it to ``out``.
+
+    The compile runs in a fresh directory beside ``out`` (same file
+    system, so the final ``os.replace`` is atomic and concurrent
+    builders race safely), and ``-save-temps=obj`` names every
+    intermediate after the new ``k.so`` there: no file the toolchain
+    writes exists before it opens it (see the module doc).  A failure
+    raises :class:`RuntimeError` naming the command and the tail of its
+    stderr; nothing of the attempt is left behind.
+    """
+    out.parent.mkdir(parents=True, exist_ok=True)
+    work = tempfile.mkdtemp(dir=out.parent)
+    cmd = [*cc, *flags, "-save-temps=obj", str(_C_SOURCE), "-o", "k.so"]
+    try:
+        try:
+            res = subprocess.run(
+                cmd,
+                cwd=work,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+            err = res.stderr.decode(errors="replace")
+            failed = res.returncode != 0
+        except (OSError, subprocess.SubprocessError) as exc:
+            err, failed = str(exc), True
+        if failed:
+            tail = "\n".join(err.strip().splitlines()[-20:])
+            raise RuntimeError(f"{shlex.join(cmd)} failed:\n{tail}")
+        os.replace(os.path.join(work, "k.so"), out)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
 def _compile_library() -> Optional[Path]:
-    """Compile ``_simcore.c`` into the cache, reusing prior builds."""
+    """Compile ``_simcore.c`` into the cache, reusing prior builds.
+
+    When every flag set fails it logs one warning with the last
+    failure: the caller then falls back to the much slower array core.
+    """
     cc = _find_cc()
     if cc is None or not _C_SOURCE.is_file():
         return None
@@ -244,32 +312,16 @@ def _compile_library() -> Optional[Path]:
     for out in outs:
         if out.is_file():
             return out
+    failure = None
     for flags, out in zip(_FLAG_SETS, outs):
-        tmp = None
         try:
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            cmd = [cc, *flags, str(_C_SOURCE), "-o", tmp]
-            res = subprocess.run(
-                cmd,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                timeout=120,
-            )
-            if res.returncode != 0:
-                continue
-            os.replace(tmp, out)  # atomic: concurrent builders race safely
-            tmp = None
+            _build(cc, flags, out)
             return out
-        except (OSError, subprocess.SubprocessError):
-            continue
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
+        except (OSError, RuntimeError) as exc:
+            failure = exc
+    _log.warning(
+        "native kernel build failed, using the array core: %s", failure
+    )
     return None
 
 
