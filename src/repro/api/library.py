@@ -698,6 +698,8 @@ def _workload(scale: str) -> Study:
     compute phase, so there is nothing to overlap: ``overlap_fraction``
     is NaN by definition, not by defect (``pipeline`` and
     ``all_to_all`` with ``compute=`` report a finite one).
+    ``degraded-fabric/Healthy`` is ``schedules/Ring`` under another
+    label: the engine simulates its points once and shares them.
     """
     params = sim_params(scale)
     wgroups = 41 if scale == "full" else 2

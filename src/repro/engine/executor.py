@@ -21,6 +21,12 @@ down to :func:`~repro.network.simulator.run_batch`, which stops at the
 cutoff, so nothing past it is simulated or cached — except in a pool,
 by a chunk started while earlier rates of its sweep were in flight
 (which is what lets a single sweep's points run concurrently).
+
+A point's identity is its :func:`~repro.engine.spec.point_key` (the
+label is not part of it), hashed once per point per run.  Each key is
+read from the cache once, simulated once — by the first curve that
+needs it, never while it is in flight — and stored once; its result
+then goes to every other point with that key.
 """
 
 from __future__ import annotations
@@ -73,7 +79,8 @@ class PointFailure(RuntimeError):
 #: signature of the optional per-point completion hook of
 #: :func:`run_experiments`: ``on_point(spec_index, rate_index, rate,
 #: result, source)`` where ``source`` is ``"cache"`` for replayed
-#: points and ``"fresh"`` for newly simulated ones.  Exceptions raised
+#: points and ``"fresh"`` for newly simulated ones (a point sharing
+#: another point's key gets that point's source).  Exceptions raised
 #: by the hook abort the run (chunks in flight on pool workers are
 #: abandoned; every point reported so far is already in the cache).
 PointCallback = Callable[[int, int, float, SimResult, str], None]
@@ -88,8 +95,8 @@ logger = logging.getLogger("repro.engine")
 # registry copies; their spans still land via the REPRO_SPANLOG file.
 _M_POINTS = REGISTRY.counter(
     "engine_points_total",
-    "Points delivered by run_experiments "
-    "(source=cache replayed, source=fresh simulated)",
+    "Points delivered by run_experiments (source=cache replayed, "
+    "source=fresh simulated, source=shared another point's key)",
     ("source",),
 )
 _M_POINT_SECONDS = REGISTRY.histogram(
@@ -368,7 +375,10 @@ def run_experiments(
         Optional :data:`PointCallback` invoked in *this* process as each
         point completes — cache replays first (``source="cache"``), then
         fresh points chunk by chunk in completion order, the points of
-        one chunk in rate order (``source="fresh"``).  Its events are
+        one chunk in rate order (``source="fresh"``).  A point whose
+        key another point of the run already read or simulated fires
+        its own event with that point's source, once every earlier rate
+        of its sweep is known.  Its events are
         the returned curves' points, plus (in a pool only) those of
         chunks cut too late, as the module doc says.  Raising from the
         hook aborts the run;
@@ -379,27 +389,57 @@ def run_experiments(
         raise ValueError("stop_after_saturation must be >= 1")
     specs = list(specs)
     have: List[Dict[int, SimResult]] = [{} for _ in specs]
+    keys: Dict[Tuple[int, int], str] = {}
+    # result and source of every key read or simulated in this run
+    known: Dict[str, Tuple[SimResult, str]] = {}
+    asked: Set[str] = set()
+    counts = {"cache": 0, "shared": 0}
+
+    def key_of(si: int, ri: int) -> str:
+        """The point's ``point_key``, hashed once per run."""
+        if (si, ri) not in keys:
+            keys[si, ri] = point_key(specs[si], specs[si].rates[ri])
+        return keys[si, ri]
+
+    def fill() -> None:
+        """Walk each sweep in rate order up to its cutoff, handing out
+        what is known: a point's own cache hit (one ``get`` per key), or
+        a key another point read or simulated (``shared``: only at the
+        sweep's first missing rate, so the cutoff is already decided)."""
+        for si, spec in enumerate(specs):
+            saturated, frontier = 0, True
+            for ri, rate in enumerate(spec.rates):
+                res = have[si].get(ri)
+                if res is None:
+                    key = key_of(si, ri)
+                    if key in known:
+                        if frontier:
+                            res = known[key][0]
+                            counts["shared"] += 1
+                    elif cache is not None and key not in asked:
+                        asked.add(key)
+                        res = cache.get(key)
+                        if res is not None:
+                            known[key] = (res, "cache")
+                            counts["cache"] += 1
+                    if res is None:
+                        frontier = False
+                        continue
+                    have[si][ri] = res
+                    if on_point is not None:
+                        on_point(si, ri, rate, res, known[key][1])
+                saturated += res.saturated
+                if saturated >= stop_after_saturation:
+                    break
 
     with obs_trace.span("engine.run", specs=len(specs)) as run_span:
         # Replay cached points first, each sweep up to its cutoff.
         if cache is not None:
             with obs_trace.span("engine.cache_replay") as replay_span:
-                replayed = 0
-                for si, spec in enumerate(specs):
-                    saturated = 0
-                    for ri, rate in enumerate(spec.rates):
-                        res = cache.get(point_key(spec, rate))
-                        if res is not None:
-                            have[si][ri] = res
-                            replayed += 1
-                            if on_point is not None:
-                                on_point(si, ri, rate, res, "cache")
-                            saturated += res.saturated
-                            if saturated >= stop_after_saturation:
-                                break
-                if replayed:
-                    _M_POINTS.inc(replayed, source="cache")
-                replay_span.set(points=replayed)
+                fill()
+                if counts["cache"]:
+                    _M_POINTS.inc(counts["cache"], source="cache")
+                replay_span.set(points=counts["cache"])
 
         missing = [
             len(_needed(len(spec.rates), have[si], stop_after_saturation))
@@ -423,8 +463,12 @@ def run_experiments(
             with _trace_context_for_workers():
                 _schedule(
                     specs, have, widths, cache, stop_after_saturation,
-                    workers, threads, retries, on_point,
+                    workers, threads, retries, on_point, key_of, known,
+                    fill,
                 )
+        if counts["shared"]:
+            _M_POINTS.inc(counts["shared"], source="shared")
+        run_span.set(shared=counts["shared"])
 
         curves = [
             _curve(spec, have[si], stop_after_saturation)
@@ -478,30 +522,6 @@ def _curve(
     )
 
 
-def _store(
-    cache: Optional[ResultCache],
-    spec: ExperimentSpec,
-    rate: float,
-    res: SimResult,
-) -> None:
-    if cache is not None:
-        with obs_trace.span("store.write", rate=rate):
-            cache.put(
-                point_key(spec, rate),
-                res,
-                # the engine version is hashed into the key, so stamping
-                # it here is redundant for lookups — but it lets the
-                # store's stats scan report the version mix of a
-                # long-lived directory (see ``repro-dragonfly cache
-                # stats``)
-                meta={
-                    "label": spec.label,
-                    "rate": rate,
-                    "engine": ENGINE_VERSION,
-                },
-            )
-
-
 def _schedule(
     specs: Sequence[ExperimentSpec],
     have: List[Dict[int, SimResult]],
@@ -512,6 +532,9 @@ def _schedule(
     threads: int,
     retries: int,
     on_point: Optional[PointCallback],
+    key_of: Callable[[int, int], str],
+    known: Dict[str, Tuple[SimResult, str]],
+    fill: Callable[[], None],
 ) -> None:
     """Completion-driven chunk scheduler: workers never idle on a
     barrier.
@@ -526,8 +549,9 @@ def _schedule(
     past the final cutoff are excluded by the assembly (results are
     order-independent thanks to the per-point derived seeds).  With ``workers <= 1`` the same chunks
     run one at a time in this process and no pool is created.  Only
-    this process records results: ``have``, the cache, ``on_point`` and
-    the metrics.
+    this process records results: ``have``, ``known``, the cache,
+    ``on_point`` and the metrics; after each chunk ``fill`` hands its
+    keys to the other points that share them.
 
     **Crash containment.**  A worker dying (SIGKILL, segfault, OOM)
     breaks the whole ``ProcessPoolExecutor``; every in-flight chunk is
@@ -565,23 +589,42 @@ def _schedule(
         for ri, rate, res in zip(ris, rates_of(chunk), results):
             _M_POINT_SECONDS.observe(seconds / len(ris))
             have[si][ri] = res
-            _store(cache, specs[si], rate, res)
+            key = key_of(si, ri)
+            known[key] = (res, "fresh")
+            if cache is not None:
+                # the engine version is hashed into the key; stamping it
+                # lets the store's stats scan report the version mix of
+                # a long-lived directory (``repro-dragonfly cache stats``)
+                meta = {
+                    "label": specs[si].label, "rate": rate,
+                    "engine": ENGINE_VERSION,
+                }
+                with obs_trace.span("store.write", rate=rate):
+                    cache.put(key, res, meta=meta)
             if on_point is not None:
                 on_point(si, ri, rate, res, "fresh")
+        fill()
 
     def next_chunks(
         inflight: Set[Tuple[int, int]], limit: int
     ) -> List[Chunk]:
-        """Chunks to start, round-robin across incomplete sweeps."""
+        """Chunks to start, round-robin across incomplete sweeps.  A
+        sweep's chunks end before its first point whose key is known,
+        in flight or already picked for another point."""
+        taken = {key_of(si, ri) for si, ri in inflight}
         queues = []
         for si, spec in enumerate(specs):
-            pending = [
-                ri
-                for ri in _needed(
-                    len(spec.rates), have[si], stop_after_saturation
-                )
-                if (si, ri) not in inflight
-            ]
+            pending = []
+            for ri in _needed(
+                len(spec.rates), have[si], stop_after_saturation
+            ):
+                if (si, ri) in inflight:
+                    continue
+                key = key_of(si, ri)
+                if key in taken or key in known:
+                    break
+                taken.add(key)
+                pending.append(ri)
             if pending:
                 queues.append([
                     (si, tuple(pending[i:i + widths[si]]))

@@ -463,6 +463,8 @@ class SingleFlightCache:
         res = self.store.get(key)
         if res is not None:
             return res
+        if key in self._owned:
+            return None  # our own lock: never wait on ourselves
         sf = self.store.single_flight
         if sf.try_acquire(key):
             self._owned.add(key)

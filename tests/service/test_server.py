@@ -187,6 +187,63 @@ class TestWarmResubmission:
         assert counters["entries"] == 2.0
 
 
+class TestSharedPoints:
+    def test_aliased_curves_run_once_without_waiting_on_own_locks(
+        self, tmp_path
+    ):
+        """Two scenarios hold one spec under different labels: each key
+        is simulated once, every point still streams, and the job never
+        waits on a single-flight lock it holds itself."""
+        import threading
+
+        from repro.api import Scenario, Study
+        from repro.service import ServiceClient, create_server
+
+        spec = tiny_study().scenarios[0].specs[0]
+        study = Study(
+            name="alias", title="aliased curves",
+            scenarios=(
+                Scenario(
+                    name="a", title="a", specs=(spec.with_label("Ring"),)
+                ),
+                Scenario(
+                    name="b", title="b",
+                    specs=(spec.with_label("Healthy"),),
+                ),
+            ),
+        )
+        server = create_server(
+            host="127.0.0.1", port=0, cache_dir=tmp_path / "store",
+            state_dir=tmp_path / "state", default_workers=1,
+        )
+        thread = threading.Thread(
+            target=server.serve_forever, daemon=True
+        )
+        thread.start()
+        client = ServiceClient(
+            f"http://127.0.0.1:{server.server_address[1]}"
+        )
+        try:
+            job = client.submit_study(study)
+            events = []
+            result = client.watch(job["id"], on_event=events.append)
+            status = client.status(job["id"])
+        finally:
+            server.initiate_shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert status["points_done"] == status["points_total"] == 4
+        ring, healthy = (scn.curves[0] for scn in result.scenarios)
+        assert (ring.label, healthy.label) == ("Ring", "Healthy")
+        assert [r.to_dict() for r in ring.results] == [
+            r.to_dict() for r in healthy.results
+        ]
+        [done] = [e for e in events if e["event"] == "done"]
+        counters = dict(done["cache"]["rows"])
+        assert counters["sf_waits"] == 0
+        assert counters["entries"] == 2
+
+
 class TestEventStreamTransport:
     def test_warm_jobs_leave_no_reset_or_traceback(
         self, service, capsys, caplog, monkeypatch

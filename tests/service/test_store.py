@@ -220,6 +220,20 @@ class TestSingleFlightCache:
             assert store.single_flight.locked("skipped")
         assert not store.single_flight.locked("skipped")
 
+    def test_second_get_of_an_owned_key_does_not_wait(self, tmp_path):
+        """Asking twice for a key this cache already owns returns the
+        miss at once: the lock is ours, so waiting on it could only
+        time out."""
+        store = ResultStore(tmp_path)
+        with SingleFlightCache(store, hold_wait=5) as cache:
+            t0 = time.monotonic()
+            assert cache.get("k") is None
+            assert cache.get("k") is None
+            assert time.monotonic() - t0 < 0.5
+            assert cache.fallbacks == 0
+            assert store.single_flight.waits == 0
+            assert store.single_flight.locked("k")
+
     def test_holder_timeout_falls_back_to_compute(self, tmp_path):
         store = ResultStore(tmp_path)
         foreign = SingleFlight(tmp_path)
