@@ -700,7 +700,6 @@ def _cmd_cache(args) -> int:
         f"{tag}: {n}" for tag, n in stats.get("version_mix", {}).items()
     )
     print(f"  version mix        {mix or '(empty)'}")
-    print(f"  in-flight locks    {stats['locks']}")
     stale = stats.get("stale_entries", 0)
     if stale:
         print(

@@ -12,8 +12,7 @@ long-running daemon:
   (identical submissions dedupe onto one run), fair scheduling with
   per-client in-flight caps, per-job cancellation;
 * :mod:`repro.service.store` — a content-addressed result store
-  (``ResultCache`` layout, same keys) with LRU-bounded capacity and
-  cross-process single-flight locks;
+  (``ResultCache`` layout, same keys) with LRU-bounded capacity;
 * :mod:`repro.service.protocol` — the schema-tagged wire types;
 * :mod:`repro.service.journal` — the write-ahead job journal and
   on-disk event logs behind ``serve --state-dir``: acknowledged jobs
@@ -64,7 +63,7 @@ from .protocol import (
     JobRequest,
 )
 from .server import DEFAULT_PORT, SimulationService, create_server, serve
-from .store import ResultStore, SingleFlight, SingleFlightCache
+from .store import ResultStore
 
 __all__ = [
     "BusyError",
@@ -89,8 +88,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "SimulationService",
-    "SingleFlight",
-    "SingleFlightCache",
     "TERMINAL_EVENTS",
     "TERMINAL_STATES",
     "create_server",

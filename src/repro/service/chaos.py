@@ -21,9 +21,6 @@ set, so production paths pay one ``os.environ`` lookup):
 ``torn-event``      tear an event-log append mid-line and wedge the
                     log (what a crash mid-``write`` leaves behind)
 ``drop-stream``     abruptly close an event-stream HTTP connection
-``sf-delay``        sleep ``seconds`` before single-flight acquire
-``sf-steal``        treat any single-flight lock as stale (forced
-                    steal, exercising the duplicate-compute fallback)
 =================== =================================================
 
 Firing policy parameters (first match wins):

@@ -126,11 +126,6 @@ class SimulationService:
                 self.state_dir / "spans.ndjson" if self.state_dir else None
             )
             self.spanlog = SpanLog(span_path).install()
-        # startup hygiene: adopt locks orphaned by dead processes, but
-        # never steal a live sibling server's in-flight computation
-        reaped = self.store.single_flight.clear()
-        if reaped:
-            logger.info("reaped %d dead single-flight lock(s)", reaped)
         self.scheduler = Scheduler(
             max_inflight_per_client=max_inflight_per_client,
             execution_hook=(
@@ -459,7 +454,6 @@ class SimulationService:
                 attempt += 1
                 execution.attempts = attempt
                 execution.beat()
-                cache = self.store.single_flight_cache()
                 # one span per supervised attempt, parented to the
                 # execution's root; the engine's spans nest under it
                 # via the ambient context (study.run executes on this
@@ -475,7 +469,7 @@ class SimulationService:
                     with obs_trace.use_context(ambient):
                         result = execution.study.run(
                             workers=workers,
-                            cache=cache,
+                            cache=self.store,
                             on_point=on_point,
                         )
                     attempt_span.end()
@@ -549,8 +543,6 @@ class SimulationService:
                         time.sleep(
                             min(0.05, max(0.0, deadline - time.time()))
                         )
-                finally:
-                    cache.close()
         finally:
             self.scheduler.finish_execution(execution)
 

@@ -1,119 +1,139 @@
-"""Two processes, one cache dir, one computation (satellite: shared
-store with cross-process single-flight).
+"""Two processes, one store directory, no torn entry.
 
-Process A starts first and — because the engine's replay scan misses
-every point — acquires the single-flight lock for all of them.  Process
-B starts only once A holds the locks (the parent polls for the lock
-files), so B never becomes an owner: it blocks on A's locks and replays
-each point from the store the moment A publishes it.  The physics runs
-exactly once, and both processes end with bit-identical sweeps.
+Nothing coordinates processes that share a store directory: both may
+simulate a point the other is simulating.  What holds without any lock
+is that every write is a temp file plus ``os.replace`` of the same
+deterministic bytes.  So two processes running one sweep at once end
+with bit-identical curves, and the directory holds one parseable entry
+per distinct point key and no abandoned temp file.  One side writes
+through the service's ``ResultStore`` and the other through the plain
+``ResultCache`` that ``run --cache-dir`` uses.
 """
 
+import json
 import multiprocessing
-import time
 
 import pytest
 
-from repro.engine import ExperimentSpec, run_experiments
+from repro.engine import ExperimentSpec, ResultCache, run_experiments
+from repro.engine.spec import point_key
 from repro.network import SimParams
-from repro.service import ResultStore, SingleFlight
+from repro.network.stats import SimResult
+from repro.service import ResultStore
 
 PARAMS = SimParams(
     warmup_cycles=100, measure_cycles=300, drain_cycles=150, seed=3
 )
-RATES = [0.4, 0.8, 1.2]
+RATES = [0.2, 0.4, 0.6, 0.8]
 
 
-def _spec():
-    return ExperimentSpec.create(
+def _specs():
+    mesh = dict(
         topology="mesh", topology_opts={"dim": 4, "chiplet_dim": 2},
-        routing="xy_mesh", traffic="uniform",
-        params=PARAMS, rates=RATES, label="shared",
+        routing="xy_mesh", params=PARAMS, rates=RATES,
     )
+    return [
+        ExperimentSpec.create(traffic="uniform", label="uniform", **mesh),
+        ExperimentSpec.create(
+            traffic="bit_transpose", label="bit_transpose", **mesh
+        ),
+    ]
 
 
-def _run_with_shared_store(root, started, conn):
-    """Child: run the sweep through a SingleFlightCache over ``root``."""
-    store = ResultStore(root)
-    with store.single_flight_cache() as cache:
-        started.set()
-        [sweep] = run_experiments([_spec()], workers=1, cache=cache)
-        conn.send(
-            {
-                "computed": cache.computed,
-                "fallbacks": cache.fallbacks,
-                "results": [r.to_dict() for r in sweep.results],
-            }
-        )
+def _cache(kind, root):
+    return ResultStore(root) if kind == "store" else ResultCache(root)
+
+
+def _run(kind, root, workers, barrier, conn):
+    """Child: run the sweep through a ``kind`` cache over ``root``."""
+    cache = _cache(kind, root)
+    barrier.wait(timeout=30)
+    curves = run_experiments(_specs(), workers=workers, cache=cache)
+    conn.send([[r.to_dict() for r in c.results] for c in curves])
     conn.close()
 
 
-def test_two_processes_compute_each_point_exactly_once(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_two_processes_on_one_directory_leave_whole_entries(
+    tmp_path, workers
+):
     ctx = multiprocessing.get_context("fork")
-    procs, pipes, events = [], [], []
-    for _ in range(2):
+    barrier = ctx.Barrier(2)
+    procs, pipes = [], []
+    for kind in ("store", "cache"):
         parent_conn, child_conn = ctx.Pipe()
-        started = ctx.Event()
-        proc = ctx.Process(
-            target=_run_with_shared_store,
-            args=(str(tmp_path), started, child_conn),
+        procs.append(
+            ctx.Process(
+                target=_run,
+                args=(kind, str(tmp_path), workers, barrier, child_conn),
+            )
         )
-        procs.append(proc)
         pipes.append(parent_conn)
-        events.append(started)
-
-    procs[0].start()
-    assert events[0].wait(timeout=30)
-    # B enters only once A owns every point's lock (or has already
-    # published some results) — so B can never become a second owner
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        locks = len(list(tmp_path.glob("*.lock")))
-        entries = len(list(tmp_path.glob("*.json")))
-        if locks + entries >= len(RATES):
-            break
-        time.sleep(0.005)
-    else:
-        pytest.fail("process A never acquired the point locks")
-    procs[1].start()
-
+    for proc in procs:
+        proc.start()
     reports = [conn.recv() for conn in pipes]
     for proc in procs:
         proc.join(timeout=60)
         assert proc.exitcode == 0
 
-    total_computed = sum(rep["computed"] for rep in reports)
-    assert total_computed == len(RATES), (
-        f"expected exactly-once compute of {len(RATES)} points, got "
-        f"{[rep['computed'] for rep in reports]}"
-    )
-    assert all(rep["fallbacks"] == 0 for rep in reports)
-    assert reports[0]["results"] == reports[1]["results"]
-    # no lock file survives a clean finish
-    assert list(tmp_path.glob("*.lock")) == []
-    # and the store holds exactly the unique points
-    assert len(list(tmp_path.glob("*.json"))) == len(RATES)
+    assert reports[0] == reports[1]
+    entries = sorted(tmp_path.glob("*.json"))
+    for path in entries:
+        SimResult.from_dict(json.loads(path.read_text())["result"])
+    assert list(tmp_path.glob(".tmp-*.part")) == []
+    keys = {
+        point_key(spec, rate)
+        for spec, curve in zip(_specs(), reports[0])
+        for rate in RATES[: len(curve)]
+    }
+    assert {path.stem for path in entries} == keys
 
 
-def test_third_run_replays_without_locks(tmp_path):
-    """After the store is warm, a fresh run computes nothing."""
-    store = ResultStore(tmp_path)
-    with store.single_flight_cache() as cache:
-        [first] = run_experiments([_spec()], workers=1, cache=cache)
-        assert cache.computed == len(RATES)
-    again = ResultStore(tmp_path)
-    with again.single_flight_cache() as cache2:
-        [replay] = run_experiments([_spec()], workers=1, cache=cache2)
-        assert cache2.computed == 0
-    assert [r.to_dict() for r in replay.results] == [
+def _rewrite(kind, root, key, result, times, barrier):
+    """Child: write one key ``times`` times through a ``kind`` cache."""
+    cache = _cache(kind, root)
+    barrier.wait(timeout=30)
+    for _ in range(times):
+        cache.put(key, result, meta={"engine": 0})
+
+
+def test_readers_never_see_a_torn_entry_while_writers_race(tmp_path):
+    """Two processes rewrite one key over and over while this one
+    reads it: once the entry exists, every read parses whole."""
+    [curve] = run_experiments(_specs()[:1], workers=1)
+    key, result = "racing", curve.results[0]
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(3)
+    procs = [
+        ctx.Process(
+            target=_rewrite,
+            args=(kind, str(tmp_path), key, result, 300, barrier),
+        )
+        for kind in ("store", "cache")
+    ]
+    for proc in procs:
+        proc.start()
+    reader = ResultCache(tmp_path)
+    barrier.wait(timeout=30)
+    reads = 0
+    while any(proc.is_alive() for proc in procs) or reads == 0:
+        if key in reader:
+            assert reader.get(key) == result
+            reads += 1
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+    assert reads > 0 and reader.misses == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{key}.json"]
+
+
+def test_a_third_run_replays_every_point(tmp_path):
+    """A directory one process filled replays in full for another."""
+    [first] = run_experiments(_specs()[:1], workers=1,
+                              cache=ResultStore(tmp_path))
+    offline = ResultCache(tmp_path)
+    [again] = run_experiments(_specs()[:1], workers=1, cache=offline)
+    assert (offline.hits, offline.misses) == (len(first.results), 0)
+    assert [r.to_dict() for r in again.results] == [
         r.to_dict() for r in first.results
     ]
-
-
-def test_stale_lock_of_dead_process_is_stolen(tmp_path):
-    sf = SingleFlight(tmp_path)
-    # fabricate a lock held by a pid that cannot exist
-    (tmp_path / "somekey.lock").write_text("99999999 0.0")
-    assert sf.try_acquire("somekey")
-    assert sf.steals == 1
-    sf.release("somekey")

@@ -4,8 +4,8 @@ simulated, cached, reported or replayed.
 A chunk carries its budget of saturated points down to ``run_batch``
 (the cutoff minus the saturations already known before its first
 rate), the cache replay reads a sweep only up to its cutoff, and a
-warm resubmission through the service's ``SingleFlightCache`` reads
-exactly the returned points without taking a lock.
+warm resubmission through the service's ``ResultStore`` reads exactly
+the returned points and schedules no work.
 """
 
 import os
@@ -114,22 +114,14 @@ def test_needed_stops_at_the_kth_known_saturation():
     assert executor._needed(3, {**results, 1: results[0]}, 1) == []
 
 
-def test_warm_replay_reads_the_curve_and_takes_no_lock(
+def test_warm_replay_reads_exactly_the_stored_points(
     tmp_path, monkeypatch
 ):
     store = ResultStore(tmp_path / "store")
     specs = [switch(), switch(label="sw1", seed=5)]
-    with store.single_flight_cache() as cold:
-        first, _ = run(specs, workers=1, cache=cold)
+    first, _ = run(specs, workers=1, cache=store)
     points = sum(len(c.results) for c in first)
     assert len(store) == points
-
-    acquired = []
-    try_acquire = store.single_flight.try_acquire
-    monkeypatch.setattr(
-        store.single_flight, "try_acquire",
-        lambda key: acquired.append(key) or try_acquire(key),
-    )
 
     # a decided study asks no core and opens no pool
     def forbidden(*args, **kwargs):
@@ -138,9 +130,7 @@ def test_warm_replay_reads_the_curve_and_takes_no_lock(
     monkeypatch.setattr(executor, "resolve_core", forbidden)
     monkeypatch.setattr(executor, "ProcessPoolExecutor", forbidden)
     hits, misses = store.hits, store.misses
-    with store.single_flight_cache() as warm:
-        second, calls = run(specs, workers=2, cache=warm)
-    assert acquired == []
+    second, calls = run(specs, workers=2, cache=store)
     assert (store.hits - hits, store.misses - misses) == (points, 0)
     assert [c.results for c in second] == [c.results for c in first]
     assert [(si, ri, res) for si, ri, res, _ in calls] == [

@@ -137,6 +137,32 @@ class TestCacheVerb:
         assert "removed 2" in capsys.readouterr().out
         assert len(ResultStore(cache_dir)) == 0
 
+    def test_clear_removes_old_lock_files(self, capsys, tmp_path):
+        """A directory written by an older version can hold
+        ``<key>.lock`` files beside its entries; a wipe takes them too."""
+        store = ResultStore(tmp_path / "store")
+        tiny_study().run(workers=1, cache=store)
+        for path in list(store.root.glob("*.json")):
+            path.with_suffix(".lock").write_text("12345 0.0")
+        rc = main(["cache", "clear", "--cache-dir", str(store.root)])
+        assert rc == 0
+        assert "removed 2" in capsys.readouterr().out
+        assert list(store.root.iterdir()) == []
+
+    def test_offline_run_replays_a_store_the_service_filled(
+        self, capsys, served, tmp_path
+    ):
+        client, server, server_args = served
+        study_path = _study_file(tmp_path)
+        tiny_study().save(study_path)
+        job_id, _ = _submit_id(capsys, served, study_path)
+        main(["watch", job_id, *server_args])
+        capsys.readouterr()
+        cache_dir = str(server.service.store.root)
+        rc = main(["run", study_path, "--cache-dir", cache_dir])
+        assert rc == 0
+        assert "# cache: 2 hit(s), 0 miss(es)" in capsys.readouterr().out
+
     def test_prune_requires_bounds(self, capsys, tmp_path):
         rc = main(["cache", "prune", "--cache-dir", str(tmp_path)])
         assert rc == 2

@@ -152,6 +152,26 @@ class TestTenancy:
             "entries"
         ] >= done
 
+    def test_cancelled_job_leaves_only_whole_entries(self, service):
+        """A cancel mid-run needs no cleanup: the store holds parseable
+        entries and no temp file once the executor has moved on."""
+        import json
+
+        from repro.network.stats import SimResult
+
+        client, server = service
+        job = client.submit_study(slow_study())
+        while client.status(job["id"])["points_done"] < 1:
+            time.sleep(0.05)
+        client.cancel(job["id"])
+        # the executor is serial: once the next job is done, the
+        # cancelled one has let go of the store
+        client.watch(client.submit_study(tiny_study())["id"])
+        root = server.service.store.root
+        assert list(root.glob(".tmp-*")) == []
+        for path in root.glob("*.json"):
+            SimResult.from_dict(json.loads(path.read_text())["result"])
+
 
 class TestWarmResubmission:
     def test_resubmit_replays_from_store(self, service):
@@ -188,12 +208,9 @@ class TestWarmResubmission:
 
 
 class TestSharedPoints:
-    def test_aliased_curves_run_once_without_waiting_on_own_locks(
-        self, tmp_path
-    ):
+    def test_aliased_curves_run_once(self, tmp_path):
         """Two scenarios hold one spec under different labels: each key
-        is simulated once, every point still streams, and the job never
-        waits on a single-flight lock it holds itself."""
+        is simulated once and every point still streams."""
         import threading
 
         from repro.api import Scenario, Study
@@ -223,11 +240,24 @@ class TestSharedPoints:
         client = ServiceClient(
             f"http://127.0.0.1:{server.server_address[1]}"
         )
+
+        def shared():
+            return sum(
+                sample["value"]
+                for metric in client.metrics()["metrics"]
+                if metric["name"] == "engine_points_total"
+                for sample in metric["samples"]
+                if sample["labels"].get("source") == "shared"
+            )
+
         try:
+            before = shared()
             job = client.submit_study(study)
             events = []
             result = client.watch(job["id"], on_event=events.append)
             status = client.status(job["id"])
+            # the registry is process-global: the job's own delta
+            shared_points = shared() - before
         finally:
             server.initiate_shutdown()
             server.server_close()
@@ -238,10 +268,77 @@ class TestSharedPoints:
         assert [r.to_dict() for r in ring.results] == [
             r.to_dict() for r in healthy.results
         ]
+        assert shared_points == 2  # Healthy's keys came from Ring
+        assert len([e for e in events if e["event"] == "point"]) == 4
         [done] = [e for e in events if e["event"] == "done"]
-        counters = dict(done["cache"]["rows"])
-        assert counters["sf_waits"] == 0
-        assert counters["entries"] == 2
+        assert dict(done["cache"]["rows"])["entries"] == 2
+
+
+class TestSharedDirectory:
+    def test_a_second_server_on_the_directory_replays_every_point(
+        self, tmp_path
+    ):
+        """Servers share a store directory with no coordination: what
+        one computed, the next one replays as ``cache``."""
+        import threading
+
+        from repro.service import ServiceClient, create_server
+
+        def run_on_fresh_server():
+            server = create_server(
+                host="127.0.0.1", port=0, cache_dir=tmp_path / "store",
+                default_workers=1,
+            )
+            thread = threading.Thread(
+                target=server.serve_forever, daemon=True
+            )
+            thread.start()
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_address[1]}"
+            )
+            try:
+                events = []
+                job = client.submit_study(tiny_study())
+                result = client.watch(job["id"], on_event=events.append)
+            finally:
+                server.initiate_shutdown()
+                server.server_close()
+                thread.join(timeout=10)
+            sources = [e["source"] for e in events if e["event"] == "point"]
+            return result, sources
+
+        first, cold = run_on_fresh_server()
+        second, warm = run_on_fresh_server()
+        assert cold == ["fresh", "fresh"] and warm == ["cache", "cache"]
+        assert _physics(second.to_dict()) == _physics(first.to_dict())
+
+
+class TestOldLockFiles:
+    def test_a_live_pid_lock_file_does_not_hold_a_job(self, service):
+        """Nothing reads the ``<key>.lock`` files an older version
+        left in a store directory: a job whose keys all carry one, held
+        by a live pid, simulates its points at once."""
+        import os
+
+        from repro.engine.spec import point_key
+
+        client, server = service
+        study = tiny_study()
+        root = server.service.store.root
+        [spec] = study.scenarios[0].specs
+        for rate in spec.rates:
+            (root / f"{point_key(spec, rate)}.lock").write_text(
+                f"{os.getpid()} {time.time():.3f}"
+            )
+        t0 = time.monotonic()
+        events = []
+        client.watch(client.submit_study(study)["id"],
+                     on_event=events.append)
+        assert time.monotonic() - t0 < 10
+        sources = [e["source"] for e in events if e["event"] == "point"]
+        assert sources == ["fresh"] * len(spec.rates)
+        [done] = [e for e in events if e["event"] == "done"]
+        assert dict(done["cache"]["rows"])["entries"] == len(spec.rates)
 
 
 class TestEventStreamTransport:

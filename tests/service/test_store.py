@@ -1,14 +1,13 @@
-"""ResultStore: bounds, stats, single-flight adapter semantics."""
+"""ResultStore: bounds, stats, eviction and wipe."""
 
 import json
-import os
 import time
 
 import pytest
 
 from repro.engine.spec import ENGINE_VERSION
 from repro.network.stats import SimResult
-from repro.service import ResultStore, SingleFlight, SingleFlightCache
+from repro.service import ResultStore
 
 
 def _result(rate=0.5):
@@ -52,11 +51,40 @@ class TestStoreBasics:
         assert payload["meta"]["engine"] == ENGINE_VERSION
         assert payload["meta"]["label"] == "x"
 
+    def test_put_keeps_a_callers_engine_stamp(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k", _result(), meta={"engine": ENGINE_VERSION - 1})
+        payload = json.loads((tmp_path / "k.json").read_text())
+        assert payload["meta"]["engine"] == ENGINE_VERSION - 1
+        assert store.stats()["stale_entries"] == 1
+
+    def test_store_on_a_file_path_is_refused(self, tmp_path):
+        path = tmp_path / "not-a-dir"
+        path.write_text("")
+        with pytest.raises(ValueError, match="not a directory"):
+            ResultStore(path)
+
+    def test_entries_are_oldest_first_and_skip_temp_files(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for key in ("b", "a", "c"):
+            store.put(key, _result())
+            time.sleep(0.01)
+        (tmp_path / ".tmp-abandoned.part").write_text('{"half": ')
+        assert [key for key, _, _, _ in store.entries()] == ["b", "a", "c"]
+
     def test_bounds_validated(self, tmp_path):
         with pytest.raises(ValueError):
             ResultStore(tmp_path, max_entries=0)
         with pytest.raises(ValueError):
             ResultStore(tmp_path, max_bytes=0)
+        # a bound below 1 is an error on prune too, not a wipe
+        store = ResultStore(tmp_path)
+        store.put("k", _result())
+        with pytest.raises(ValueError, match="max_entries"):
+            store.prune(max_entries=0)
+        with pytest.raises(ValueError, match="max_bytes"):
+            store.prune(max_bytes=0)
+        assert "k" in store
 
 
 class TestEviction:
@@ -83,6 +111,24 @@ class TestEviction:
         assert "old" in store
         assert "mid" not in store
 
+    def test_hit_survives_eviction_by_another_process(
+        self, tmp_path, monkeypatch
+    ):
+        """Another process sharing the directory may evict an entry
+        between its read and the recency touch: the read still counts."""
+        from repro.service import store as store_mod
+
+        store = ResultStore(tmp_path)
+        store.put("k", _result())
+
+        def evicted_first(path, *args):
+            path.unlink()
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(store_mod.os, "utime", evicted_first)
+        assert store.get("k") == _result()
+        assert (store.hits, len(store)) == (1, 0)
+
     def test_eviction_by_bytes(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("a", _result())
@@ -95,15 +141,24 @@ class TestEviction:
         assert len(store) == 2
         assert "a" not in store
 
-    def test_locked_keys_survive_eviction(self, tmp_path):
+    def test_unbounded_prune_is_a_no_op(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for i in range(3):
+            store.put(f"k{i}", _result())
+        assert store.prune() == 0
+        assert len(store) == 3 and store.evicted == 0
+
+    def test_old_lock_files_are_not_entries(self, tmp_path):
+        """A ``<key>.lock`` left by an older version neither counts as
+        an entry nor pins its key: eviction goes by recency alone."""
         store = ResultStore(tmp_path, max_entries=1)
         store.put("pinned", _result())
-        store.single_flight.try_acquire("pinned")
+        (tmp_path / "pinned.lock").write_text("12345 0.0")
         time.sleep(0.01)
         store.put("fresh", _result())
-        # over the bound, but the locked entry cannot be evicted
-        assert "pinned" in store
-        store.single_flight.release("pinned")
+        assert "pinned" not in store and "fresh" in store
+        assert len(store) == store.stats(scan_meta=False)["entries"] == 1
+        assert (tmp_path / "pinned.lock").exists()
 
     def test_explicit_prune_overrides(self, tmp_path):
         store = ResultStore(tmp_path)  # unbounded
@@ -138,6 +193,55 @@ class TestStats:
         }
         assert stats["stale_entries"] == 2
 
+    def test_stats_scan_counts_an_unreadable_entry_as_unknown(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        store.put("good", _result())
+        (tmp_path / "torn.json").write_text('{"key": "torn", "res')
+        stats = store.stats(scan_meta=True)
+        assert stats["version_mix"] == {
+            f"v{ENGINE_VERSION}": 1, "unknown": 1,
+        }
+        assert stats["stale_entries"] == 1
+        assert store.get("torn") is None
+
+    def test_stats_without_scan_skips_the_version_mix(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k", _result())
+        stats = store.stats(scan_meta=False)
+        assert "version_mix" not in stats and "stale_entries" not in stats
+        assert set(stats) == {
+            "root", "entries", "bytes", "engine_version",
+            "hits", "misses", "evicted",
+        }
+
+    def test_store_metrics_count_hits_misses_and_evictions(self, tmp_path):
+        from repro.obs import REGISTRY
+
+        def total(name):
+            return sum(
+                sample["value"]
+                for metric in REGISTRY.collect()
+                if metric["name"] == name
+                for sample in metric["samples"]
+            )
+
+        names = (
+            "store_hits_total", "store_misses_total",
+            "store_evictions_total",
+        )
+        before = [total(name) for name in names]
+        store = ResultStore(tmp_path, max_entries=1)
+        store.put("a", _result())
+        time.sleep(0.01)
+        store.put("b", _result())
+        store.get("a")
+        store.get("b")
+        after = [total(name) for name in names]
+        # the registry is process-global: compare deltas
+        assert [x - y for x, y in zip(after, before)] == [1, 1, 1]
+
     def test_stats_channel_shape(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put("k", _result())
@@ -147,6 +251,10 @@ class TestStats:
         counters = dict(chan.rows)
         assert counters["entries"] == 1.0
         assert counters["hits"] == 1.0
+        # numeric counters only; the root rides in the channel meta
+        assert "root" not in counters
+        assert all(isinstance(v, float) for v in counters.values())
+        assert chan.meta["root"] == str(tmp_path)
         # round-trips through the wire form
         from repro.metrics import MetricChannel
 
@@ -154,190 +262,13 @@ class TestStats:
             chan.to_dict()
         )
 
-    def test_clear_removes_entries_and_locks(self, tmp_path):
+    def test_clear_removes_entries_and_old_lock_files(self, tmp_path):
+        """A directory written by an older version can hold
+        ``<key>.lock`` files that nothing reads any more: a wipe takes
+        them along with the entries and leaves the directory empty."""
         store = ResultStore(tmp_path)
         store.put("k", _result())
-        store.single_flight.try_acquire("other")
+        (tmp_path / "other.lock").write_text("12345 0.0")
         assert store.clear() == 1
         assert len(store) == 0
-        assert list(tmp_path.glob("*.lock")) == []
-
-
-class TestSingleFlight:
-    def test_acquire_is_exclusive(self, tmp_path):
-        a, b = SingleFlight(tmp_path), SingleFlight(tmp_path)
-        assert a.try_acquire("k")
-        assert not b.try_acquire("k")
-        assert b.holder("k") == os.getpid()
-        a.release("k")
-        assert b.try_acquire("k")
-        b.release("k")
-
-    def test_wait_returns_when_released(self, tmp_path):
-        import threading
-
-        a, b = SingleFlight(tmp_path), SingleFlight(tmp_path)
-        a.try_acquire("k")
-        timer = threading.Timer(0.1, a.release, args=("k",))
-        timer.start()
-        assert b.wait("k", timeout=5.0)
-        assert b.waits == 1
-        timer.join()
-
-    def test_wait_times_out(self, tmp_path):
-        a, b = SingleFlight(tmp_path), SingleFlight(tmp_path)
-        a.try_acquire("k")
-        assert not b.wait("k", timeout=0.1)
-        a.release("k")
-
-    def test_stale_age_lock_is_stolen(self, tmp_path):
-        sf = SingleFlight(tmp_path, stale_after=0.05)
-        # a live-pid lock that is simply too old
-        path = tmp_path / "k.lock"
-        path.write_text(f"{os.getpid()} 0.0")
-        old = time.time() - 60
-        os.utime(path, (old, old))
-        assert sf.try_acquire("k")
-        assert sf.steals == 1
-        sf.release("k")
-
-
-class TestSingleFlightCache:
-    def test_owner_computes_and_releases_on_put(self, tmp_path):
-        store = ResultStore(tmp_path)
-        cache = SingleFlightCache(store)
-        assert cache.get("k") is None  # miss -> we own the key
-        assert store.single_flight.locked("k")
-        cache.put("k", _result())
-        assert not store.single_flight.locked("k")
-        assert cache.computed == 1
-        assert cache.get("k") == _result()
-
-    def test_close_releases_unused_locks(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with store.single_flight_cache() as cache:
-            assert cache.get("skipped") is None  # e.g. saturation cutoff
-            assert store.single_flight.locked("skipped")
-        assert not store.single_flight.locked("skipped")
-
-    def test_second_get_of_an_owned_key_does_not_wait(self, tmp_path):
-        """Asking twice for a key this cache already owns returns the
-        miss at once: the lock is ours, so waiting on it could only
-        time out."""
-        store = ResultStore(tmp_path)
-        with SingleFlightCache(store, hold_wait=5) as cache:
-            t0 = time.monotonic()
-            assert cache.get("k") is None
-            assert cache.get("k") is None
-            assert time.monotonic() - t0 < 0.5
-            assert cache.fallbacks == 0
-            assert store.single_flight.waits == 0
-            assert store.single_flight.locked("k")
-
-    def test_holder_timeout_falls_back_to_compute(self, tmp_path):
-        store = ResultStore(tmp_path)
-        foreign = SingleFlight(tmp_path)
-        foreign.try_acquire("busy")
-        cache = SingleFlightCache(store, wait_timeout=0.1, hold_wait=0.1)
-        cache.get("mine")  # own something -> short hold_wait applies
-        assert cache.get("busy") is None  # timed out waiting
-        assert cache.fallbacks == 1
-        # the fallback may still publish; both sides write identical bytes
-        cache.put("busy", _result())
-        assert store.get("busy") == _result()
-        cache.close()
-        foreign.release("busy")
-
-    def test_waiter_picks_up_published_result(self, tmp_path):
-        import threading
-
-        store = ResultStore(tmp_path)
-        owner = SingleFlightCache(store)
-        assert owner.get("k") is None
-
-        def publish():
-            time.sleep(0.1)
-            owner.put("k", _result())
-
-        thread = threading.Thread(target=publish)
-        thread.start()
-        waiter = SingleFlightCache(ResultStore(tmp_path))
-        got = waiter.get("k")  # blocks until the owner publishes
-        thread.join()
-        assert got == _result()
-        assert waiter.computed == 0
-
-    def test_release_inside_the_wait_window_is_not_a_steal(self, tmp_path):
-        """The owner publishes and releases between the waiter's lock
-        check and its stale-lock inspection: the waiter must read the
-        published entry, not take the key and simulate it again."""
-        owner = SingleFlightCache(ResultStore(tmp_path))
-        assert owner.get("k") is None
-        store = ResultStore(tmp_path)
-        sf = store.single_flight
-        check = sf.locked
-
-        def locked_then_owner_finishes(key):
-            held = check(key)
-            if held and owner.computed == 0:
-                owner.put("k", _result())  # publish + release right here
-            return held
-
-        sf.locked = locked_then_owner_finishes
-        waiter = SingleFlightCache(store)
-        assert waiter.get("k") == _result()
-        assert not waiter._owned and not check("k")
-        assert sf.steals == 0 and waiter.fallbacks == 0
-
-
-class TestRestartHygiene:
-    """SingleFlight.clear(): a restarting server removes only *dead*
-    holders' locks, so siblings sharing the store keep their in-flight
-    computations."""
-
-    def _dead_pid(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
-        return proc.pid
-
-    def test_dead_holder_lock_cleared(self, tmp_path):
-        sf = SingleFlight(tmp_path)
-        (tmp_path / "orphan.lock").write_text(
-            f"{self._dead_pid()} {time.time():.3f}"
-        )
-        assert sf.clear() == 1
-        assert not sf.locked("orphan")
-
-    def test_live_holder_lock_survives_default_clear(self, tmp_path):
-        sf = SingleFlight(tmp_path)
-        assert sf.try_acquire("mine")  # held by this (live) process
-        assert sf.clear() == 0
-        assert sf.locked("mine")
-        # the store-wipe path takes everything regardless
-        assert sf.clear(all_locks=True) == 1
-        assert not sf.locked("mine")
-
-    def test_fresh_unreadable_lock_gets_grace(self, tmp_path):
-        # a sibling between O_CREAT and writing its pid: empty file,
-        # seconds old -- not provably dead yet
-        sf = SingleFlight(tmp_path)
-        path = tmp_path / "halfborn.lock"
-        path.write_text("")
-        assert sf.clear() == 0
-        assert sf.locked("halfborn")
-        # ...but an *old* empty lock is an orphaned crash artifact
-        past = time.time() - 60
-        os.utime(path, (past, past))
-        assert sf.clear() == 1
-        assert not sf.locked("halfborn")
-
-    def test_store_clear_wipes_all_locks(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put("k", _result())
-        assert store.single_flight.try_acquire("k")  # live, ours
-        store.clear()
-        assert len(store) == 0
-        assert not store.single_flight.locked("k")
+        assert list(tmp_path.iterdir()) == []
