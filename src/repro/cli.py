@@ -672,9 +672,7 @@ def _cmd_shutdown(_args, client) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from .service import ResultStore
-
-    store = ResultStore(args.cache_dir)
+    store = ResultCache(args.cache_dir)
     if args.action == "clear":
         removed = store.clear()
         print(f"# removed {removed} entr(ies) from {store.root}")

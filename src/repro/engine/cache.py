@@ -1,10 +1,12 @@
-"""On-disk JSON store for simulated points.
+"""On-disk JSON store for simulated points (offline runs and service).
 
 One file per ``(spec, rate)`` point, named by its :func:`~
 repro.engine.spec.point_key` digest, so concurrent writers (pool
-workers, parallel benchmark jobs) never contend on a shared file.
+workers, processes sharing a directory) never contend on a shared file.
 Writes are atomic (temp file + ``os.replace``); a corrupt or truncated
-entry is treated as a miss and overwritten on the next run.
+entry is treated as a miss and overwritten on the next run.  Optional
+LRU bounds (recency = file mtime, refreshed on every hit), a stats scan
+and a ``cache_stats`` metric channel make it the service's store too.
 """
 
 from __future__ import annotations
@@ -13,16 +15,25 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+from ..metrics import MetricChannel
 from ..network.stats import SimResult
 from ..obs import REGISTRY
+from .spec import ENGINE_VERSION
 
 __all__ = ["ResultCache"]
 
-# runtime telemetry (repro.obs): raw cache write volume.  Hit/miss
-# accounting lives one layer up in the service ResultStore — counting
-# here too would double-report every store lookup.
+# runtime telemetry (repro.obs)
+_M_HITS = REGISTRY.counter(
+    "store_hits_total", "Result-store lookups served from disk"
+)
+_M_MISSES = REGISTRY.counter(
+    "store_misses_total", "Result-store lookups that missed"
+)
+_M_EVICTIONS = REGISTRY.counter(
+    "store_evictions_total", "Entries evicted by the LRU bounds"
+)
 _M_WRITES = REGISTRY.counter(
     "cache_writes_total", "Point results written to the on-disk cache"
 )
@@ -31,24 +42,46 @@ _M_WRITE_BYTES = REGISTRY.counter(
 )
 
 
-class ResultCache:
-    """Directory-backed result store keyed by point digests."""
+def _check_bounds(
+    max_entries: Optional[int], max_bytes: Optional[int]
+) -> None:
+    for name, bound in (("max_entries", max_entries),
+                        ("max_bytes", max_bytes)):
+        if bound is not None and bound < 1:
+            raise ValueError(f"{name} must be >= 1")
 
-    def __init__(self, root: Union[str, Path]) -> None:
+
+class ResultCache:
+    """Directory-backed result store keyed by point digests; after
+    every write, entries beyond ``max_entries`` / ``max_bytes`` (if set)
+    are evicted least-recently-used first."""
+
+    def __init__(
+        self,
+        root: Union[str, Path],
+        *,
+        max_entries: Optional[int] = None,
+        max_bytes: Optional[int] = None,
+    ) -> None:
+        _check_bounds(max_entries, max_bytes)
         self.root = Path(root)
         if self.root.exists() and not self.root.is_dir():
             raise ValueError(
                 f"cache path {self.root} exists and is not a directory"
             )
         self.root.mkdir(parents=True, exist_ok=True)
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
+        self.evicted = 0
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> Optional[SimResult]:
-        """Stored result for ``key``, or ``None`` (counted as a miss)."""
+        """Stored result for ``key``, or ``None`` (counted as a miss);
+        a hit refreshes the entry's mtime (its LRU recency)."""
         path = self._path(key)
         try:
             with path.open() as fh:
@@ -56,15 +89,25 @@ class ResultCache:
             result = SimResult.from_dict(data["result"])
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
+            _M_MISSES.inc()
             return None
         self.hits += 1
+        _M_HITS.inc()
+        try:
+            os.utime(path)
+        except OSError:
+            pass
         return result
 
     def put(self, key: str, result: SimResult, meta: Optional[Dict] = None) -> None:
-        """Store ``result`` under ``key`` atomically."""
-        payload = {"key": key, "result": result.to_dict()}
-        if meta:
-            payload["meta"] = meta
+        """Store ``result`` under ``key`` atomically, then apply the
+        bounds.  ``meta["engine"]`` is stamped so :meth:`stats` can
+        report the version mix of a long-lived directory."""
+        payload = {
+            "key": key,
+            "result": result.to_dict(),
+            "meta": {"engine": ENGINE_VERSION, **(meta or {})},
+        }
         # .part suffix (not .json) so a write abandoned by a killed run
         # is never globbed as a cache entry by __len__/clear
         fd, tmp = tempfile.mkstemp(
@@ -83,6 +126,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
+        self.prune()
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
@@ -91,11 +135,123 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*.json"))
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry (and the ``<key>.lock`` files older
+        versions left); returns how many entries were removed."""
         n = 0
         for path in self.root.glob("*.json"):
             path.unlink()
             n += 1
-        for leftover in self.root.glob(".tmp-*.part"):
-            leftover.unlink()
+        for leftover in (*self.root.glob(".tmp-*.part"),
+                         *self.root.glob("*.lock")):
+            try:
+                leftover.unlink()
+            except OSError:
+                pass
         return n
+
+    # -- bounds --------------------------------------------------------
+    def entries(self) -> List[Tuple[str, Path, int, float]]:
+        """``(key, path, size_bytes, mtime)`` per entry, oldest first."""
+        out = []
+        for path in self.root.glob("*.json"):
+            try:
+                st = path.stat()
+            except OSError:
+                continue  # raced with eviction/clear
+            out.append((path.stem, path, st.st_size, st.st_mtime))
+        out.sort(key=lambda e: e[3])
+        return out
+
+    def prune(
+        self,
+        max_entries: Optional[int] = None,
+        max_bytes: Optional[int] = None,
+    ) -> int:
+        """Evict least-recently-used entries beyond the bounds.
+
+        Explicit arguments override the cache's configured bounds (the
+        ``cache prune`` CLI path); with neither configured nor given
+        this is a no-op.  A bound below 1 is an error, not a wipe:
+        ``clear`` empties the cache.
+        """
+        _check_bounds(max_entries, max_bytes)
+        max_entries = self.max_entries if max_entries is None else max_entries
+        max_bytes = self.max_bytes if max_bytes is None else max_bytes
+        if max_entries is None and max_bytes is None:
+            return 0
+        entries = self.entries()
+        total = sum(size for _, _, size, _ in entries)
+        count = len(entries)
+        removed = 0
+        for _, path, size, _ in entries:
+            over_entries = max_entries is not None and count > max_entries
+            over_bytes = max_bytes is not None and total > max_bytes
+            if not over_entries and not over_bytes:
+                break
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            removed += 1
+            count -= 1
+            total -= size
+        self.evicted += removed
+        if removed:
+            _M_EVICTIONS.inc(removed)
+        return removed
+
+    # -- inspection ----------------------------------------------------
+    def stats(self, scan_meta: bool = True) -> Dict:
+        """Counters plus (optionally) a per-entry metadata scan.
+
+        ``scan_meta=True`` opens every entry to read its stamped engine
+        version — fine for CLI inspection, skip it on hot paths.  The
+        ``stale_entries`` count covers entries stamped with a different
+        ENGINE_VERSION (or none, i.e. written before stamping existed):
+        their keys hash the old version, so they occupy disk but can
+        never be hit again.
+        """
+        entries = self.entries()
+        stats: Dict = {
+            "root": str(self.root),
+            "entries": len(entries),
+            "bytes": sum(size for _, _, size, _ in entries),
+            "engine_version": ENGINE_VERSION,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evicted": self.evicted,
+        }
+        if scan_meta:
+            mix: Dict[str, int] = {}
+            stale = 0
+            for _, path, _, _ in entries:
+                try:
+                    with path.open() as fh:
+                        meta = json.load(fh).get("meta", {})
+                    version = meta.get("engine")
+                except (OSError, ValueError):
+                    version = None
+                tag = "unknown" if version is None else f"v{version}"
+                mix[tag] = mix.get(tag, 0) + 1
+                if version != ENGINE_VERSION:
+                    stale += 1
+            stats["version_mix"] = dict(sorted(mix.items()))
+            stats["stale_entries"] = stale
+        return stats
+
+    def stats_channel(self, scan_meta: bool = False) -> MetricChannel:
+        """The counters as a ``cache_stats`` metric channel."""
+        stats = self.stats(scan_meta=scan_meta)
+        rows = tuple(
+            (name, float(value))
+            for name, value in stats.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        )
+        return MetricChannel(
+            name="cache_stats",
+            kind="counters",
+            columns=("counter", "value"),
+            rows=rows,
+            summary={name: value for name, value in rows},
+            meta={"root": str(self.root)},
+        )

@@ -49,7 +49,6 @@ from ..obs import REGISTRY
 from ..obs import trace as obs_trace
 from .cache import ResultCache
 from .spec import (
-    ENGINE_VERSION,
     ExperimentSpec,
     build_experiment,
     build_metrics,
@@ -71,7 +70,7 @@ class PointFailure(RuntimeError):
     """A chunk of points that keeps killing its worker process.
 
     Raised by the scheduler after a crash-suspect re-ran solo and
-    crashed again through its retry budget — a *poison* input.  A dead
+    crashed again (:data:`_MAX_CRASHES` crashes) — a *poison* input.  A dead
     worker only ever fails the chunks it was carrying: everything else
     in the run completes (or is retried) normally.
     """
@@ -116,10 +115,12 @@ _M_BATCH_LANES = REGISTRY.histogram(
 #: environment override for the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: environment override for the retry budget: how many times a chunk
-#: that *raised* (not crashed) is re-attempted before its error
-#: propagates.  Crash retries (dead worker) use the same budget.
-POINT_RETRIES_ENV = "REPRO_POINT_RETRIES"
+#: crashes of one chunk's worker (the last one solo, under probation)
+#: before the scheduler gives up on it with :class:`PointFailure`.  A
+#: chunk that *raises* is not re-run here: results are pure functions
+#: of ``(spec, rate)``, so its error propagates at once and the service
+#: supervisor retries the whole execution.
+_MAX_CRASHES = 2
 
 #: minimum lanes per packed chunk (its lanes stop at the cutoff).
 #: Eight lanes amortize per-chunk setup (batch construction,
@@ -232,17 +233,11 @@ def _chunk_task(
     spec: ExperimentSpec,
     rates: Sequence[float],
     threads: int,
-    retries: int,
     stop_after: Optional[int] = None,
 ) -> Tuple[List[SimResult], float]:
-    """One chunk with the retry budget applied, wherever it runs.
-
-    A raising chunk is re-attempted up to ``retries`` extra times
-    (results are pure functions of ``(spec, rate)``, so a retry is
-    exact); the last error propagates.  Worker *crashes* cannot be
-    handled here — the scheduler contains those.  Returns the results
-    (a prefix of ``rates`` when ``stop_after`` cut it) and the wall
-    time.
+    """One chunk, wherever it runs: the results (a prefix of ``rates``
+    when ``stop_after`` cut it) and the wall time.  An error propagates
+    at once; worker *crashes* are contained by the scheduler.
 
     In a pool worker the span parents to the ``REPRO_TRACEPARENT``
     carrier and lands in the ``REPRO_SPANLOG`` file (both inherited
@@ -256,23 +251,7 @@ def _chunk_task(
         rates=list(rates),
         worker=os.getpid(),
     ):
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                results = _run_chunk(spec, rates, threads, stop_after)
-                break
-            except Exception as exc:
-                if attempt > retries:
-                    raise
-                logger.warning(
-                    "%s rates=%s attempt %d failed (%s: %s); retrying",
-                    spec.describe(),
-                    list(rates),
-                    attempt,
-                    type(exc).__name__,
-                    exc,
-                )
+        results = _run_chunk(spec, rates, threads, stop_after)
     return results, time.perf_counter() - t0
 
 
@@ -446,7 +425,6 @@ def run_experiments(
             for si, spec in enumerate(specs)
         ]
         threads = env_int(THREADS_ENV, os.cpu_count() or 1)
-        retries = env_int(POINT_RETRIES_ENV, 1, minimum=0)
         # a fully replayed study never asks which core is in play
         widths = [
             _chunk_width(spec, threads) if missing[si] else 1
@@ -463,7 +441,7 @@ def run_experiments(
             with _trace_context_for_workers():
                 _schedule(
                     specs, have, widths, cache, stop_after_saturation,
-                    workers, threads, retries, on_point, key_of, known,
+                    workers, threads, on_point, key_of, known,
                     fill,
                 )
         if counts["shared"]:
@@ -530,7 +508,6 @@ def _schedule(
     stop_after_saturation: int,
     workers: int,
     threads: int,
-    retries: int,
     on_point: Optional[PointCallback],
     key_of: Callable[[int, int], str],
     known: Dict[str, Tuple[SimResult, str]],
@@ -557,10 +534,10 @@ def _schedule(
     breaks the whole ``ProcessPoolExecutor``; every in-flight chunk is
     lost but nothing tells us *which* chunk killed it.  The lost chunks
     go on **probation**: a fresh pool re-runs them one at a time, so a
-    poison chunk crashes solo and is blamed definitively — after the
-    retry budget it raises :class:`PointFailure`; innocent casualties
-    complete on their first probation pass and the scheduler resumes
-    full-width.  Completed chunks are already cached, so a crash never
+    poison chunk crashes solo and is blamed definitively — after
+    :data:`_MAX_CRASHES` crashes it raises :class:`PointFailure`;
+    innocent casualties complete on their first probation pass and the
+    scheduler resumes full-width.  Completed chunks are already cached, so a crash never
     loses finished work.
     """
 
@@ -574,7 +551,7 @@ def _schedule(
         known = sum(r.saturated for ri, r in have[si].items() if ri < ris[0])
         # >= 1 when scheduled; a probation re-run may find it spent
         budget = max(1, stop_after_saturation - known)
-        return specs[si], rates_of(chunk), threads, retries, budget
+        return specs[si], rates_of(chunk), threads, budget
 
     def record(chunk: Chunk, done: Tuple[List[SimResult], float]) -> None:
         si, ris = chunk
@@ -592,15 +569,10 @@ def _schedule(
             key = key_of(si, ri)
             known[key] = (res, "fresh")
             if cache is not None:
-                # the engine version is hashed into the key; stamping it
-                # lets the store's stats scan report the version mix of
-                # a long-lived directory (``repro-dragonfly cache stats``)
-                meta = {
-                    "label": specs[si].label, "rate": rate,
-                    "engine": ENGINE_VERSION,
-                }
                 with obs_trace.span("store.write", rate=rate):
-                    cache.put(key, res, meta=meta)
+                    cache.put(
+                        key, res, meta={"label": specs[si].label, "rate": rate}
+                    )
             if on_point is not None:
                 on_point(si, ri, rate, res, "fresh")
         fill()
@@ -652,7 +624,6 @@ def _schedule(
             record(picked[0], _chunk_task(*task(picked[0])))
 
     ctx = _pool_context()
-    max_crashes = 1 + retries
     crashes: Dict[Chunk, int] = {}
     probation: List[Chunk] = []
     while True:
@@ -702,7 +673,7 @@ def _schedule(
             if len(lost) == 1:
                 chunk = lost[0]
                 crashes[chunk] = crashes.get(chunk, 0) + 1
-                if crashes[chunk] >= max_crashes:
+                if crashes[chunk] >= _MAX_CRASHES:
                     raise PointFailure(
                         f"{specs[chunk[0]].describe()} rate(s) "
                         f"{', '.join(f'{r:.3f}' for r in rates_of(chunk))}"

@@ -14,9 +14,11 @@ sink.  Finished spans (``repro.span/v1`` dicts, see
 
 :meth:`SpanLog.for_trace` merges both views, deduplicating on
 ``span_id`` (a span is only ever emitted once, but the file may hold
-what memory already has).  File reads go through the same tolerant
-NDJSON parsing the journal uses — a crash mid-append costs one span,
-never the trace.
+what memory already has).  File reads skip an undecodable line and
+keep reading (the journal's :func:`~repro.service.journal.
+read_ndjson_tolerant`, by contrast, stops at the first bad line and
+truncates the file there) — a crash mid-append costs one span, never
+the trace.
 """
 
 from __future__ import annotations

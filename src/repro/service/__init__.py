@@ -11,8 +11,6 @@ long-running daemon:
 * :mod:`repro.service.jobs` — executions, subscriber fan-out
   (identical submissions dedupe onto one run), fair scheduling with
   per-client in-flight caps, per-job cancellation;
-* :mod:`repro.service.store` — a content-addressed result store
-  (``ResultCache`` layout, same keys) with LRU-bounded capacity;
 * :mod:`repro.service.protocol` — the schema-tagged wire types;
 * :mod:`repro.service.journal` — the write-ahead job journal and
   on-disk event logs behind ``serve --state-dir``: acknowledged jobs
@@ -63,7 +61,7 @@ from .protocol import (
     JobRequest,
 )
 from .server import DEFAULT_PORT, SimulationService, create_server, serve
-from .store import ResultStore
+from ..engine.cache import ResultCache as ResultStore
 
 __all__ = [
     "BusyError",

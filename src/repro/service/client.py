@@ -45,7 +45,7 @@ DEFAULT_SERVER_ENV = "REPRO_SERVICE_URL"
 #: events after which an execution emits nothing further — a stream
 #: that delivered one of these ended for real, not by a dropped
 #: connection.
-TERMINAL_EVENTS = ("done", "error", "failed", "cancelled", "detached")
+TERMINAL_EVENTS = ("done", "failed", "cancelled", "detached")
 
 logger = get_logger("repro.service")
 
@@ -413,8 +413,8 @@ class ServiceClient:
 
         ``on_event`` sees every event as streamed (a ``point`` event
         carries its metric channels inline).  Raises
-        :class:`ServiceError` when the job ends in ``error`` /
-        ``failed`` / ``cancelled`` / detaches.  Dropped connections are
+        :class:`ServiceError` when the job ends ``failed`` /
+        ``cancelled`` / detaches.  Dropped connections are
         survived transparently by :meth:`stream`'s reconnect logic.
         """
         for event in self.stream(job_id, start=start):
@@ -423,8 +423,6 @@ class ServiceClient:
                 on_event(event)
             if name == "done":
                 return StudyResult.from_dict(event["result"])
-            if name == "error":
-                raise ServiceError(f"job {job_id} failed: {event['error']}")
             if name == "failed":
                 attempts = event.get("attempts")
                 raise ServiceError(

@@ -43,7 +43,7 @@ __all__ = [
 #: states in which an execution emits no further events.  ``failed``
 #: is the quarantine state: the execution kept erroring through its
 #: retry budget and was parked with its last traceback.
-TERMINAL_STATES = ("done", "error", "failed", "cancelled")
+TERMINAL_STATES = ("done", "failed", "cancelled")
 
 # runtime telemetry (see repro.obs).  Counters are process-global and
 # monotonic, so multiple service instances in one process (tests) can
@@ -298,9 +298,6 @@ class Execution:
             result=result,
         )
 
-    def fail(self, error: str) -> None:
-        self._terminate("error", {"error": error}, error=error)
-
     def record_retry(
         self, attempt: int, max_attempts: int, delay: float, error: str
     ) -> None:
@@ -323,7 +320,7 @@ class Execution:
     ) -> None:
         """Park a poison execution as ``failed`` with its traceback.
 
-        Terminal like ``error``/``cancelled``: the queue moves on, the
+        Terminal like ``cancelled``: the queue moves on, the
         job stops consuming retries, and ``status`` surfaces the last
         traceback for post-mortems.
         """
@@ -404,8 +401,6 @@ class Execution:
                 execution.error = event.get("error", error)
                 execution.traceback = event.get("traceback")
                 execution.attempts = event.get("attempts", 0)
-            elif kind == "error":
-                execution.error = event.get("error", error)
         return execution
 
 

@@ -12,8 +12,8 @@ protocol.JobRequest` (fsynced *before* the submission is acknowledged,
 so an acknowledged job is never lost) and every execution state
 transition.  On startup the service replays it: executions whose last
 recorded state is non-terminal are re-enqueued — their completed
-points come back from the shared :class:`~repro.service.store.
-ResultStore`, so a job killed mid-sweep resumes and finishes
+points come back from the shared :class:`~repro.engine.cache.
+ResultCache`, so a job killed mid-sweep resumes and finishes
 bit-identical to an uninterrupted run.  Terminal executions are
 restored read-only (status / events / result keep answering) from
 their event logs.

@@ -50,11 +50,10 @@ JOB_REQUEST_SCHEMA = "repro.job-request/v1"
 JOB_STATUS_SCHEMA = "repro.job-status/v1"
 JOB_EVENT_SCHEMA = "repro.job-event/v2"
 
-#: lifecycle of a job: ``queued -> running -> done``, with ``error``
-#: (single hard failure), ``failed`` (quarantined after exhausting
-#: supervised retries, traceback attached) and ``cancelled`` as the
-#: other terminal states.
-JOB_STATES = ("queued", "running", "done", "error", "failed", "cancelled")
+#: lifecycle of a job: ``queued -> running -> done``, with ``failed``
+#: (quarantined after exhausting supervised retries, traceback
+#: attached) and ``cancelled`` as the other terminal states.
+JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import __version__
+from ..engine.cache import ResultCache
 from ..engine.spec import ENGINE_VERSION
 from ..obs import REGISTRY, SpanLog, to_json, to_prometheus
 from ..obs import trace as obs_trace
@@ -58,7 +59,6 @@ from .jobs import (
 )
 from .journal import EventLog, JobJournal, JournalView
 from .protocol import JOB_STATES, JobRequest
-from .store import ResultStore
 
 __all__ = ["SimulationService", "create_server", "serve"]
 
@@ -93,7 +93,7 @@ class SimulationService:
 
     def __init__(
         self,
-        store: Union[ResultStore, str, Path],
+        store: Union[ResultCache, str, Path],
         *,
         default_workers: Optional[int] = 1,
         max_inflight_per_client: int = 8,
@@ -104,7 +104,7 @@ class SimulationService:
         telemetry: bool = True,
     ) -> None:
         if isinstance(store, (str, Path)):
-            store = ResultStore(store)
+            store = ResultCache(store)
         self.store = store
         self.default_workers = default_workers
         self.retry = retry or RetryPolicy()
@@ -856,7 +856,7 @@ def create_server(
     port: int = DEFAULT_PORT,
     *,
     cache_dir: Union[str, Path, None] = None,
-    store: Optional[ResultStore] = None,
+    store: Optional[ResultCache] = None,
     default_workers: Optional[int] = 1,
     max_inflight_per_client: int = 8,
     max_entries: Optional[int] = None,
@@ -882,7 +882,7 @@ def create_server(
     if store is None:
         if cache_dir is None:
             raise ValueError("need a cache_dir (or a prebuilt store)")
-        store = ResultStore(
+        store = ResultCache(
             cache_dir, max_entries=max_entries, max_bytes=max_bytes
         )
     service = SimulationService(

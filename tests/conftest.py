@@ -2,11 +2,35 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core import SwitchlessConfig, build_switchless
 from repro.network import SimParams
+from repro.obs import trace
 from repro.topology.dragonfly import DragonflyConfig, build_dragonfly
+
+_TRACE_CARRIERS = (
+    trace.SPANLOG_ENV, trace.TRACEPARENT_ENV, trace.TRACEPARENT_PID_ENV,
+)
+
+
+@pytest.fixture(autouse=True)
+def _isolate_telemetry():
+    """Restore the process-wide span sinks and the env carriers after
+    each test: a test that simulates a crash by never shutting its
+    service down must not leave a sink (or a ``REPRO_SPANLOG`` path
+    into a deleted tmp dir) behind for the next test file."""
+    sinks = list(trace._sinks)
+    env = {name: os.environ.get(name) for name in _TRACE_CARRIERS}
+    yield
+    trace._sinks[:] = sinks
+    for name, value in env.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ simulated, cached, reported or replayed.
 A chunk carries its budget of saturated points down to ``run_batch``
 (the cutoff minus the saturations already known before its first
 rate), the cache replay reads a sweep only up to its cutoff, and a
-warm resubmission through the service's ``ResultStore`` reads exactly
+warm resubmission through the service's store (a ``ResultCache``) reads exactly
 the returned points and schedules no work.
 """
 
@@ -16,7 +16,6 @@ from repro.engine import ExperimentSpec, ResultCache, run_experiments
 from repro.engine import executor
 from repro.engine.spec import point_key
 from repro.network import SimParams
-from repro.service.store import ResultStore
 
 PARAMS = SimParams(
     warmup_cycles=100, measure_cycles=300, drain_cycles=150, seed=3
@@ -117,7 +116,7 @@ def test_needed_stops_at_the_kth_known_saturation():
 def test_warm_replay_reads_exactly_the_stored_points(
     tmp_path, monkeypatch
 ):
-    store = ResultStore(tmp_path / "store")
+    store = ResultCache(tmp_path / "store")
     specs = [switch(), switch(label="sw1", seed=5)]
     first, _ = run(specs, workers=1, cache=store)
     points = sum(len(c.results) for c in first)

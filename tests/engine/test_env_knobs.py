@@ -23,7 +23,6 @@ SPEC = ExperimentSpec.create(
 READERS = {
     "REPRO_WORKERS": lambda: ex._resolve_workers(None, 100),
     "REPRO_SIM_THREADS": lambda: resolve_threads(4),
-    "REPRO_POINT_RETRIES": lambda: run_experiments([SPEC], workers=1),
 }
 
 
@@ -40,12 +39,6 @@ def test_zero_workers_or_threads_is_rejected(monkeypatch, name):
     monkeypatch.setenv(name, "0")
     with pytest.raises(ValueError, match=f"^{name} must be a positive"):
         READERS[name]()
-
-
-def test_zero_retries_is_a_valid_budget(monkeypatch):
-    monkeypatch.setenv("REPRO_POINT_RETRIES", "0")
-    [sweep] = run_experiments([SPEC], workers=1)
-    assert len(sweep.rates) == 1
 
 
 def test_engine_reads_threads_up_front(monkeypatch):
@@ -109,7 +102,6 @@ def test_native_core_hint_names_the_fallback_rule(monkeypatch):
     [
         ("REPRO_WORKERS", "abc"),
         ("REPRO_SIM_THREADS", "0"),
-        ("REPRO_POINT_RETRIES", "-1"),
         ("REPRO_SIM_CORE", "bogus"),
     ],
 )

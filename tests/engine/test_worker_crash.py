@@ -119,27 +119,11 @@ class TestCrashContainment:
         # everything outside the poison chunk landed before the blame
         assert len(cache) == (3 if width == 1 else 2)
 
-    def test_transient_chunk_error_retried_in_worker(
-        self, tmp_path, arm_chaos, width
-    ):
-        """A raising (not crashing) chunk is retried where it ran via
-        the retry budget."""
-        spec = mesh_spec([0.1, 0.2])
-        [baseline] = run_experiments([spec], workers=1)
-
-        arm_chaos(f"fail-point:once={tmp_path}/fail.marker")
-        [survived] = run_experiments([spec], workers=1)
-        assert os.path.exists(tmp_path / "fail.marker")
-        sweeps_equal(survived, baseline)
-
-    def test_retry_budget_exhaustion_propagates(
-        self, monkeypatch, arm_chaos, width
-    ):
-        """With retries disabled, an injected failure surfaces."""
+    def test_chunk_error_propagates_at_once(self, arm_chaos, width):
+        """A raising (not crashing) chunk is not re-run by the engine:
+        its first error surfaces (the service supervisor retries)."""
         from repro.service.chaos import ChaosError
 
-        monkeypatch.setenv("REPRO_POINT_RETRIES", "0")
-        spec = mesh_spec([0.1])
-        arm_chaos("fail-point:match=m@0.1")
+        arm_chaos("fail-point:times=1")
         with pytest.raises(ChaosError):
-            run_experiments([spec], workers=1)
+            run_experiments([mesh_spec([0.1, 0.2])], workers=1)

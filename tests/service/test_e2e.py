@@ -80,8 +80,7 @@ class TestConcurrentClients:
 
 #: every event kind a stream may carry (``repro.job-event/v2``).
 EVENT_KINDS = {
-    "start", "point", "retry", "done", "error", "failed", "cancelled",
-    "detached",
+    "start", "point", "retry", "done", "failed", "cancelled", "detached",
 }
 
 

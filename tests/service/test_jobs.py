@@ -197,17 +197,20 @@ class TestExecutionEvents:
         job, _ = sched.submit(_request())
         exe = sched.next_execution(timeout=1)
         exe.mark_running()
-        exe.fail("boom")
+        exe.quarantine("boom", None, attempts=1)
         events = exe.events_snapshot()
         assert [e["seq"] for e in events] == list(range(len(events)))
         assert events[0]["event"] == "start"
         assert events[-1] == {
             "schema": events[-1]["schema"],
             "seq": events[-1]["seq"],
-            "event": "error",
+            "event": "failed",
             "error": "boom",
+            "traceback": None,
+            "attempts": 1,
+            "points_done": 0,
         }
-        assert job.state == "error"
+        assert job.state == "failed"
 
     def test_wait_events_blocks_then_drains(self):
         sched = Scheduler()
@@ -223,5 +226,5 @@ class TestExecutionEvents:
         timer.join()
         assert events and events[0]["event"] == "start"
         # terminal executions return the tail without blocking
-        exe.fail("x")
+        exe.quarantine("x", None, attempts=1)
         assert exe.wait_events(len(exe.events_snapshot()), timeout=0.05) == []

@@ -40,7 +40,7 @@ def _wait_terminal(service, job_id, timeout=60.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
         status = service.status(job_id)
-        if status["state"] in ("done", "error", "failed", "cancelled"):
+        if status["state"] in ("done", "failed", "cancelled"):
             return status
         time.sleep(0.02)
     raise AssertionError(f"job {job_id} never reached a terminal state")
@@ -153,14 +153,14 @@ class TestJobJournal:
         journal.record_state("key-a", "running")
         journal.record_job("j000002", "key-a", req)
         journal.record_cancel("j000002")
-        journal.record_state("key-a", "error", error="boom")
+        journal.record_state("key-a", "failed", error="boom")
         view = journal.replay()
         assert set(view.jobs) == {"j000001", "j000002"}
         assert view.jobs["j000001"].key == "key-a"
         assert view.jobs["j000001"].cancelled is False
         assert view.jobs["j000002"].cancelled is True
         assert view.jobs["j000001"].request.client == "alice"
-        assert view.states == {"key-a": "error"}
+        assert view.states == {"key-a": "failed"}
         assert view.errors == {"key-a": "boom"}
         journal.close()
 

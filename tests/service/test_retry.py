@@ -27,7 +27,7 @@ def _wait_terminal(service, job_id, timeout=30.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
         status = service.status(job_id)
-        if status["state"] in ("done", "error", "failed", "cancelled"):
+        if status["state"] in ("done", "failed", "cancelled"):
             return status
         time.sleep(0.02)
     raise AssertionError(f"job {job_id} never reached a terminal state")
@@ -35,10 +35,8 @@ def _wait_terminal(service, job_id, timeout=30.0):
 
 @pytest.fixture()
 def arm_chaos(monkeypatch):
-    """Arm REPRO_CHAOS directives; engine point-level retries are
-    disabled so the *service* retry budget is what is under test."""
-    monkeypatch.setenv("REPRO_POINT_RETRIES", "0")
-
+    """Arm REPRO_CHAOS directives (the engine never re-runs a raising
+    chunk, so the *service* retry budget is what is under test)."""
     def arm(directives):
         monkeypatch.setenv("REPRO_CHAOS", directives)
         chaos.reset()

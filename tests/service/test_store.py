@@ -1,6 +1,8 @@
-"""ResultStore: bounds, stats, eviction and wipe."""
+"""The result store (``ResultStore`` = the engine's ``ResultCache``):
+bounds, stats, eviction and wipe."""
 
 import json
+import os
 import time
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from repro.engine.spec import ENGINE_VERSION
 from repro.network.stats import SimResult
 from repro.service import ResultStore
+
+from .conftest import tiny_study
 
 
 def _result(rate=0.5):
@@ -28,21 +32,21 @@ class TestStoreBasics:
         assert got == _result()
         assert store.hits == 1
 
-    def test_store_is_a_result_cache(self, tmp_path):
-        """One set of files, one class hierarchy: the engine's cache
-        reads what the store wrote and the other way round."""
-        from repro.engine import ResultCache
+    def test_store_is_the_result_cache(self):
+        """One class: the service's store is the engine's cache."""
+        import repro.engine
+        import repro.service
 
+        assert repro.service.ResultStore is repro.engine.ResultCache
+
+    def test_counts_hits_and_misses(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert isinstance(store, ResultCache)
-        ResultCache(tmp_path).put("k2", _result(0.3))
+        store.put("k2", _result(0.3))
         assert store.get("k2") == _result(0.3)
         assert store.get("nope") is None
         assert (store.hits, store.misses, len(store)) == (1, 1, 1)
         assert store.root == tmp_path
-        store.put("k3", _result())
-        assert ResultCache(tmp_path).get("k3") == _result()
-        assert store.clear() == 2 and len(store) == 0
+        assert store.clear() == 1 and len(store) == 0
 
     def test_put_stamps_engine_version(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -111,12 +115,29 @@ class TestEviction:
         assert "old" in store
         assert "mid" not in store
 
+    def test_offline_replay_refreshes_recency(self, tmp_path):
+        """A ``Study.run(cache=dir)`` hit is a use too: ``cache prune``
+        keeps recently replayed points over a newer, unread entry."""
+        study = tiny_study()
+        study.run(workers=1, cache=tmp_path)
+        store = ResultStore(tmp_path)
+        points = len(store)
+        replayed = {key for key, _, _, _ in store.entries()}
+        store.put("unread", _result())
+        past = time.time() - 1000
+        for key in replayed:
+            os.utime(tmp_path / f"{key}.json", (past, past))
+
+        study.run(workers=1, cache=tmp_path)  # every point a hit
+        assert store.prune(max_entries=points) == 1
+        assert {key for key, _, _, _ in store.entries()} == replayed
+
     def test_hit_survives_eviction_by_another_process(
         self, tmp_path, monkeypatch
     ):
         """Another process sharing the directory may evict an entry
         between its read and the recency touch: the read still counts."""
-        from repro.service import store as store_mod
+        from repro.engine import cache as cache_mod
 
         store = ResultStore(tmp_path)
         store.put("k", _result())
@@ -125,7 +146,7 @@ class TestEviction:
             path.unlink()
             raise FileNotFoundError(path)
 
-        monkeypatch.setattr(store_mod.os, "utime", evicted_first)
+        monkeypatch.setattr(cache_mod.os, "utime", evicted_first)
         assert store.get("k") == _result()
         assert (store.hits, len(store)) == (1, 0)
 
