@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -16,21 +17,31 @@ _TRACE_CARRIERS = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _isolate_telemetry():
-    """Restore the process-wide span sinks and the env carriers after
-    each test: a test that simulates a crash by never shutting its
-    service down must not leave a sink (or a ``REPRO_SPANLOG`` path
-    into a deleted tmp dir) behind for the next test file."""
+@contextlib.contextmanager
+def telemetry_restored():
+    """On exit, put the process-wide span sinks and the trace env
+    carriers back as they were on entry."""
     sinks = list(trace._sinks)
     env = {name: os.environ.get(name) for name in _TRACE_CARRIERS}
-    yield
-    trace._sinks[:] = sinks
-    for name, value in env.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+    try:
+        yield
+    finally:
+        trace._sinks[:] = sinks
+        for name, value in env.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+@pytest.fixture(autouse=True)
+def _isolate_telemetry():
+    """Restore the span sinks and the env carriers after each test: a
+    test that simulates a crash by never shutting its service down must
+    not leave a sink (or a ``REPRO_SPANLOG`` path into a deleted tmp
+    dir) behind for the next test file."""
+    with telemetry_restored():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -107,3 +107,20 @@ class TestVersionStamp:
         assert meta["engine"] == ENGINE_VERSION
         assert meta["label"] == "atomic"
         assert meta["rate"] == spec.rates[0]
+
+
+class TestBounds:
+    def test_bounded_cache_evicts_during_a_run(self, tmp_path):
+        """An offline run may bound its cache: every write beyond
+        ``max_entries`` evicts, and a rerun still returns the same
+        sweep (replaying what stayed, simulating what went)."""
+        spec = _spec(rates=(0.1, 0.2, 0.3))
+        cache = ResultCache(tmp_path, max_entries=2)
+        [first] = run_experiments([spec], workers=1, cache=cache)
+        assert (len(cache), cache.evicted) == (2, 1)
+
+        again = ResultCache(tmp_path, max_entries=2)
+        [second] = run_experiments([spec], workers=1, cache=again)
+        assert second.results == first.results
+        assert (again.hits, again.misses) == (2, 1)
+        assert len(again) == 2

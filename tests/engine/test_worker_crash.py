@@ -127,3 +127,26 @@ class TestCrashContainment:
         arm_chaos("fail-point:times=1")
         with pytest.raises(ChaosError):
             run_experiments([mesh_spec([0.1, 0.2])], workers=1)
+
+    def test_finished_chunks_replay_after_a_chunk_error(
+        self, tmp_path, arm_chaos, width
+    ):
+        """A transient error ends the run, but the chunks that finished
+        before it are in the cache: the next attempt (the service
+        supervisor's retry) replays them and simulates only the rest,
+        bit-identical to a clean run."""
+        from repro.service.chaos import ChaosError
+
+        specs = two_specs()
+        baseline = run_experiments(specs, workers=1)
+        arm_chaos("fail-point:times=1:match=b@0.2")
+        with pytest.raises(ChaosError):
+            run_experiments(specs, workers=1, cache=ResultCache(tmp_path))
+        finished = 3 if width == 1 else 2
+        assert len(ResultCache(tmp_path)) == finished
+
+        cache = ResultCache(tmp_path)
+        retried = run_experiments(specs, workers=1, cache=cache)
+        assert cache.hits == finished
+        for s, b in zip(retried, baseline):
+            sweeps_equal(s, b)

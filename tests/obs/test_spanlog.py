@@ -3,8 +3,12 @@
 import json
 import os
 
+import pytest
+
 from repro.obs import SpanLog, trace
 from repro.obs.trace import span
+
+from ..conftest import telemetry_restored
 
 
 def _span(trace_id, span_id, name="s", start=1.0, **extra):
@@ -89,3 +93,27 @@ class TestInstall:
             log.close()
         assert trace.SPANLOG_ENV not in os.environ
         assert not trace.tracing_active()
+
+    @pytest.mark.parametrize(
+        "before", [None, "/elsewhere/spans.ndjson"], ids=["unset", "set"]
+    )
+    def test_leaked_install_does_not_outlive_its_test(
+        self, tmp_path, monkeypatch, before
+    ):
+        """A log installed and never closed (a service that simulated a
+        crash) is undone by the suite's per-test isolation: the sinks
+        and both trace carriers read as they did before."""
+        if before is None:
+            monkeypatch.delenv(trace.SPANLOG_ENV, raising=False)
+        else:
+            monkeypatch.setenv(trace.SPANLOG_ENV, before)
+        monkeypatch.delenv(trace.TRACEPARENT_ENV, raising=False)
+        sinks = list(trace._sinks)
+        with telemetry_restored():
+            log = SpanLog(tmp_path / "spans.ndjson").install()
+            os.environ[trace.TRACEPARENT_ENV] = "00-t-s-01"
+            assert log in trace._sinks
+        assert trace._sinks == sinks
+        assert os.environ.get(trace.SPANLOG_ENV) == before
+        assert trace.TRACEPARENT_ENV not in os.environ
+        log.close()

@@ -228,3 +228,13 @@ class TestExecutionEvents:
         # terminal executions return the tail without blocking
         exe.quarantine("x", None, attempts=1)
         assert exe.wait_events(len(exe.events_snapshot()), timeout=0.05) == []
+
+
+def test_error_is_neither_a_state_nor_a_terminal_event():
+    """Quarantine (``failed``) is the only way a job ends in error:
+    nothing can produce an ``error`` state, so no table names one."""
+    from repro.service import JOB_STATES, TERMINAL_EVENTS
+    from repro.service.jobs import TERMINAL_STATES, Execution
+
+    assert "error" not in {*JOB_STATES, *TERMINAL_STATES, *TERMINAL_EVENTS}
+    assert not hasattr(Execution, "fail")

@@ -267,3 +267,19 @@ class TestClientRequestRetry:
             client.status("j999999")
         assert err.value.code == 404
         assert attempts == ["GET"]
+
+    def test_watch_reads_past_a_non_terminal_event(self, monkeypatch):
+        """``error`` is no event kind the service emits: ``watch``
+        does not end on one, and a stream that stops without a terminal
+        event is still an error."""
+        from repro.service import ServiceClient, ServiceError
+
+        client = ServiceClient("http://127.0.0.1:9")
+        events = [{"event": "start"}, {"event": "error", "error": "boom"}]
+        monkeypatch.setattr(
+            client, "stream", lambda job_id, start=0: iter(events)
+        )
+        seen = []
+        with pytest.raises(ServiceError, match="without a terminal event"):
+            client.watch("j000001", on_event=seen.append)
+        assert seen == events
