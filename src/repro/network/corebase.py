@@ -170,6 +170,14 @@ def link_tables(graph, num_vcs: int, router_latency: int) -> LinkTables:
     return tables
 
 
+def _window_events(schedule: InjectionSchedule, ctx: "RunCtx") -> int:
+    """How many of the schedule's (sorted) events start before the
+    run's injection window closes; later ones never become packets."""
+    return int(
+        np.searchsorted(schedule.cycles, ctx.meas_end - ctx.t0, side="left")
+    )
+
+
 class RunCtx:
     """One open-loop run, resolved: the window's absolute cycle stamps
     and which rows of the packet table are this run's injection events
@@ -462,15 +470,16 @@ class CoreBase:
         # draws destinations; the pairs are resolved in one call behind
         bulk = self._plane is not None and self._deterministic
         t0 = ctx.t0
-        horizon = ctx.meas_end - t0
+        # cycles are sorted: no RNG is consumed past the gate
+        n_ev = _window_events(schedule, ctx)
         ts: List[int] = []
         srcs: List[int] = []
         dsts: List[int] = []
         offs: List[int] = []
         hops: List[int] = []
-        for t, nid in zip(schedule.cycles, schedule.nodes):
-            if t >= horizon:
-                break  # cycles are sorted; no RNG consumed past the gate
+        for t, nid in zip(
+            schedule.cycles[:n_ev].tolist(), schedule.nodes[:n_ev].tolist()
+        ):
             dst = dest(nid, py_rng)
             if dst is None or dst == nid:
                 continue
@@ -513,13 +522,10 @@ class CoreBase:
         vr = VecRandom.for_rng(self._py_rng) if dest is not None else None
         if vr is None:
             return False
-        cycles = schedule.np_cycles
-        n_ev = int(
-            np.searchsorted(cycles, ctx.meas_end - ctx.t0, side="left")
-        )
+        n_ev = _window_events(schedule, ctx)
         if n_ev == 0:
             return True
-        nodes = schedule.np_nodes[:n_ev]
+        nodes = schedule.nodes[:n_ev]
         dsts, vias, fallbacks = vr.draw(nodes, dest, via)
         keep = (dsts >= 0) & (dsts != nodes)
         k_src = nodes[keep]
@@ -539,7 +545,8 @@ class CoreBase:
         if fallbacks:
             self.routing.fallback_count += fallbacks
         self._append_packets(
-            cycles[:n_ev][keep] + ctx.t0, k_src, k_dst, off, nhops, ctx
+            schedule.cycles[:n_ev][keep] + ctx.t0, k_src, k_dst, off, nhops,
+            ctx,
         )
         return True
 

@@ -9,7 +9,10 @@ build-system dependency), loads it via :mod:`ctypes`, and wraps it as
 start-up, so it is kept short two ways:
 
 - ``-O1`` rather than ``-O3``: the kernel's thread-CPU per study stays
-  within 2% of the ``-O3`` build, and the compile is ~0.1 s shorter.
+  within 2% of the ``-O3`` build on a 2-vCPU AMD EPYC, and the compile
+  is ~0.1 s shorter.  On a 2-vCPU Intel Xeon ``-O2`` and ``-O3`` are
+  flat too (±5%), while ``-Og`` compiles in 0.22 s instead of 0.33 s
+  but runs the kernel ~10% slower.
 - The toolchain only ever writes files that do not exist yet: each
   build runs in a fresh private directory with ``-save-temps=obj``, so
   the ``.i``/``.s``/``.o`` intermediates and the ``.so`` are all new
@@ -20,6 +23,17 @@ start-up, so it is kept short two ways:
 Median of five builds, gcc 12.2 on a 2-vCPU AMD EPYC (ext4): ``-O1``
 0.34 s one-step vs 0.20 s with new files only; ``-O3`` 0.43 vs 0.31 s.
 The built ``.so`` is byte-identical either way.
+
+What did not make the kernel faster, each bit-identical and flat
+within ±5% on that Xeon: a per-flit next-hop ring, a packed per-(link,
+VC) record, modulo-free ring and wheel wraps, a ``MADV_HUGEPAGE`` arena
+for rings and wheels, rewinding an emptied ring's head, and ``-O2`` or
+``-O3`` builds.  Line-level PC sampling spreads kernel time over
+collect (~24%), forward (~21%), arrivals (~12%) and grouping and
+round-robin (~17%); only ~1% of arbitration visits grant nothing.  No
+one loop dominates, so the next lever is doing less per packet —
+routes computed from labels in the kernel instead of read from a
+stored arena — not tuning this loop.
 
 Packets arrive pre-resolved from the shared front end
 (:mod:`repro.network.corebase`: destinations and routes are drawn
@@ -386,6 +400,16 @@ def _unset(n: int) -> np.ndarray:
     return np.empty(max(1, int(n)), dtype=np.int64)
 
 
+#: a lane's kernel state besides the rings and wheel slots: per
+#: ``(link, VC)``, per node and per wheel slot (see ``struct S``)
+_KERNEL_STATE = (
+    "_n_credits", "_n_owner", "_n_b_head", "_n_b_len", "_n_ne_arr",
+    "_n_ne_len", "_n_sq_arena", "_n_sq_off", "_n_sq_head", "_n_sq_len",
+    "_n_s_fidx", "_n_aw_n", "_n_cw_n", "_n_rr_link", "_n_rr_eject",
+    "_n_hot_a", "_n_hot_b", "_n_hot_flag", "_n_sc",
+)
+
+
 class NativeCore(CoreBase):
     """Simulator core whose per-cycle loop runs in the compiled kernel.
 
@@ -425,27 +449,34 @@ class NativeCore(CoreBase):
             0, dtype=np.int64
         )
 
-        num_nodes = graph.num_nodes
-        num_lv = self._num_lv
-        B = params.vc_buffer_size
-        links = self._links
-
         # Per-wheel-slot capacity.  Arrivals delivered in one cycle are
         # bounded by the sum of link capacities (one issuing cycle per
         # link and slot).  Credit returns fold *different* issuing
         # cycles into one slot when links have different latencies, but
         # per issuing cycle each of a link's num_vcs buffers pops at
         # most `capacity` flits, so num_vcs * sum(cap) bounds both.
-        slot_cap = self.num_vcs * int(links.cap.sum()) + num_nodes * max(
+        links = self._links
+        slot_cap = self.num_vcs * int(links.cap.sum()) + graph.num_nodes * max(
             params.ejection_width, params.injection_width
         ) + 8
         self._slot_cap = slot_cap
-        W = self._wheel_size
+        # the kernel state lives from the first _build_state to
+        # _release: a lane a cutoff never runs holds none of it
+        self._drop_state()
+        self._n_hot_n = 0
+        #: flits a released lane left in flight
+        self._n_left = 0
 
-        self._n_credits = np.full(num_lv, B, dtype=np.int64)
+    def _alloc_state(self) -> None:
+        """Allocate the kernel state a run starts from (all idle)."""
+        num_nodes = self.graph.num_nodes
+        num_lv = self._num_lv
+        links = self._links
+        W = self._wheel_size
+        self._n_credits = np.full(
+            num_lv, self.params.vc_buffer_size, dtype=np.int64
+        )
         self._n_owner = np.full(num_lv, -1, dtype=np.int64)
-        # flit rings and wheel slots: allocated by _build_state
-        self._drop_rings()
         self._n_b_head = _zeros(num_lv)
         self._n_b_len = _zeros(num_lv)
         self._n_ne_arr = _zeros(num_nodes * links.max_in)
@@ -457,14 +488,12 @@ class NativeCore(CoreBase):
         self._n_s_fidx = _zeros(num_nodes)
         self._n_aw_n = _zeros(W)
         self._n_cw_n = _zeros(W)
-        self._n_rr_link = _zeros(graph.num_links)
+        self._n_rr_link = _zeros(self.graph.num_links)
         self._n_rr_eject = _zeros(num_nodes)
         self._n_hot_a = _zeros(num_nodes)
         self._n_hot_b = _zeros(num_nodes)
         self._n_hot_flag = np.zeros(max(1, num_nodes), dtype=np.uint8)
-        self._n_hot_n = 0
-        scratch = links.max_in + 1
-        self._n_sc = [_zeros(scratch) for _ in range(4)]
+        self._n_sc = [_zeros(links.max_in + 1) for _ in range(4)]
 
     def _rebuild_srcq_arena(self, ev_src) -> None:
         """Re-lay the per-node source-queue slices for this run.
@@ -512,6 +541,8 @@ class NativeCore(CoreBase):
         np_ev_cycle = _as_i64(packets.t0[pid0:])
         np_ev_src = _as_i64(packets.src[pid0:])
         np_ev_pid = _as_i64(np.arange(pid0, pid0 + n_new, dtype=np.int64))
+        if self._n_credits is None:
+            self._alloc_state()
         if self._n_buf is None:
             # The flit rings and the wheel slots are nine tenths of a
             # lane's state, sized for the worst case and mostly never
@@ -691,9 +722,28 @@ class NativeCore(CoreBase):
         """Free rings and wheel slots (``flits_in_flight`` reads counts)."""
         self._n_buf = self._n_aw_f = self._n_aw_lv = self._n_cw_lv = None
 
+    def _drop_state(self) -> None:
+        """Free the whole kernel state, rings included."""
+        self._drop_rings()
+        for name in _KERNEL_STATE:
+            setattr(self, name, None)
+
+    def _release(self) -> None:
+        """Free everything a finished lane holds per packet, per
+        ``(link, VC)`` and per node — packet table, route arena,
+        ejection records, kernel state — keeping its counters:
+        ``total_flits_*`` stay and ``flits_in_flight()`` reads what the
+        lane left.  The lane can neither run nor be probed again."""
+        self._n_left = self.flits_in_flight()
+        self._packets = self._routes = self._table = None
+        self._latencies = self._hops = self._eject_pid = None
+        self._drop_state()
+
     # ------------------------------------------------------------------
     def flits_in_flight(self) -> int:
         """Flits currently buffered or on wires (conservation checks)."""
+        if self._n_b_len is None:  # never ran, or released
+            return self._n_left
         return int(self._n_b_len.sum()) + int(self._n_aw_n.sum())
 
 
@@ -715,7 +765,10 @@ class NativeBatch:
     packed into one ctypes array for one ``sim_run_batch`` call —
     threaded over workers pulling lanes from an atomic cursor, which is
     bit-identical to the serial loop because lanes share no mutable
-    state.  One wave's rings and wheels are alive at a time.
+    state.  One wave's rings and wheels are alive at a time; a lane
+    holds no kernel state before its wave, and under ``run(release=
+    True)`` (what :func:`~repro.network.simulator.run_batch` passes
+    when nothing probes the lanes) none of its packets after it either.
 
     A batch is **one-shot**: lanes accumulate measurement state, so
     ``run()`` raises on reuse.  Build a fresh batch per lane set (as
@@ -757,6 +810,7 @@ class NativeBatch:
         threads: Optional[int] = None,
         plans=None,
         stop_after: Optional[int] = None,
+        release: bool = False,
     ) -> List[SimResult]:
         """Run lane ``i`` at ``rates[i]`` (optionally pinning
         ``schedules[i]``, or closed-loop under ``plans[i]``); returns
@@ -765,7 +819,10 @@ class NativeBatch:
         With ``stop_after`` = k the lanes are a curve's rates, cut by
         :func:`~repro.network.stats.cutoff_walk`: lanes past the wave
         holding the k-th saturated one never run, and the results end
-        at that lane."""
+        at that lane.  With ``release`` each lane is released
+        (:meth:`NativeCore._release`) as soon as its wave is read back,
+        so a batch holds one wave's packets at a time; its lanes then
+        keep only their counters and cannot be probed."""
         if self._ran:
             raise RuntimeError(
                 "NativeBatch is one-shot: lanes accumulate measurement "
@@ -780,37 +837,48 @@ class NativeBatch:
         for name, per_lane in (("schedules", schedules), ("plans", plans)):
             if per_lane is not None and len(per_lane) != n:
                 raise ValueError(f"{len(per_lane)} {name} for {n} lanes")
+        runs = [
+            (
+                rates[i],
+                schedules[i] if schedules is not None else None,
+                plans[i] if plans is not None else None,
+            )
+            for i in range(n)
+        ]
         wave = resolve_threads(n, threads)
         results: List[SimResult] = []
         for lo in range(0, n, wave):
-            cores = self.lanes[lo:lo + wave]
-            ctxs = [
-                core._begin(
-                    rates[i],
-                    schedules[i] if schedules is not None else None,
-                    plans[i] if plans is not None else None,
-                )
-                for i, core in enumerate(cores, lo)
-            ]
-            # the wave is resolved before any state is packed: a shared
-            # route table is final for these lanes only now
-            states = (_SimState * len(cores))(
-                *(core._build_state(ctx) for core, ctx in zip(cores, ctxs))
-            )
-            err = cores[0]._lib.sim_run_batch(states, len(cores), len(cores))
-            if err:
-                # earlier waves all returned 0
-                codes = [0] * lo + [int(st.error) for st in states]
-                raise RuntimeError(
-                    "native batch kernel failed "
-                    f"(first error {err}; per-lane codes {codes})"
-                )
-            for core, ctx, st in zip(cores, ctxs, states):
-                results.append(core._finish(ctx, st))
-                core._drop_rings()
+            results += self._run_wave(lo, runs[lo:lo + wave], release)
             cut, kept = cutoff_walk(
                 n, dict(enumerate(results)), stop_after or n + 1
             )
             if cut:
                 return results[:kept]
+        return results
+
+    def _run_wave(self, lo: int, runs, release: bool) -> List[SimResult]:
+        """Run lanes ``lo, lo + 1, ...`` under ``runs`` (their ``(rate,
+        schedule, plan)``) in one kernel call.  The wave's staging —
+        contexts, packed states, output buffers — dies on return."""
+        cores = self.lanes[lo:lo + len(runs)]
+        ctxs = [core._begin(*run) for core, run in zip(cores, runs)]
+        # the wave is resolved before any state is packed: a shared
+        # route table is final for these lanes only now
+        states = (_SimState * len(cores))(
+            *(core._build_state(ctx) for core, ctx in zip(cores, ctxs))
+        )
+        err = cores[0]._lib.sim_run_batch(states, len(cores), len(cores))
+        if err:
+            # earlier waves all returned 0
+            codes = [0] * lo + [int(st.error) for st in states]
+            raise RuntimeError(
+                "native batch kernel failed "
+                f"(first error {err}; per-lane codes {codes})"
+            )
+        results = []
+        for core, ctx, st in zip(cores, ctxs, states):
+            results.append(core._finish(ctx, st))
+            core._drop_rings()
+            if release:
+                core._release()
         return results

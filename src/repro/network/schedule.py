@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Sequence
 
 import numpy as np
@@ -28,7 +27,11 @@ import numpy as np
 __all__ = ["InjectionSchedule", "build_injection_schedule"]
 
 
-@dataclass(frozen=True)
+def _i64(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class InjectionSchedule:
     """Packet-start events for one run, sorted by (cycle, source order).
 
@@ -36,31 +39,46 @@ class InjectionSchedule:
     packet.  Within a cycle, events keep the order of the traffic
     pattern's active-node list — the same order the per-cycle Bernoulli
     mask used to walk, so arbitration sees sources in a familiar order.
+
+    Both columns are int64 arrays and nothing else is kept per event:
+    16 bytes an event (a pair of Python-int lists beside them cost
+    another ~80).  Sequences passed in are converted once; schedules
+    compare equal when their horizons and columns are.
     """
 
     #: event cycles, non-decreasing, all < horizon.
-    cycles: List[int] = field(default_factory=list)
+    cycles: np.ndarray = field(default_factory=lambda: _i64(()))
     #: event source node ids, aligned with :attr:`cycles`.
-    nodes: List[int] = field(default_factory=list)
+    nodes: np.ndarray = field(default_factory=lambda: _i64(()))
     #: cycles [0, horizon) the schedule was sampled over.
     horizon: int = 0
 
+    def __post_init__(self) -> None:
+        cycles, nodes = _i64(self.cycles), _i64(self.nodes)
+        if cycles.ndim != 1 or cycles.shape != nodes.shape:
+            raise ValueError("cycles and nodes must be aligned 1-d columns")
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "nodes", nodes)
+
     def __len__(self) -> int:
-        return len(self.cycles)
+        return self.cycles.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InjectionSchedule):
+            return NotImplemented
+        return (
+            self.horizon == other.horizon
+            and np.array_equal(self.cycles, other.cycles)
+            and np.array_equal(self.nodes, other.nodes)
+        )
 
     def offered_packets(self) -> int:
         """Total packet-start events (an upper bound on packets sent)."""
-        return len(self.cycles)
+        return self.cycles.size
 
-    @cached_property
-    def np_cycles(self) -> np.ndarray:
-        """int64 array view of :attr:`cycles` (converted once)."""
-        return np.asarray(self.cycles, dtype=np.int64)
-
-    @cached_property
-    def np_nodes(self) -> np.ndarray:
-        """int64 array view of :attr:`nodes` (converted once)."""
-        return np.asarray(self.nodes, dtype=np.int64)
+    #: the columns under their former names (they were lists once)
+    np_cycles = property(lambda self: self.cycles)
+    np_nodes = property(lambda self: self.nodes)
 
 
 def _geometric_arrivals(
@@ -145,7 +163,7 @@ def build_injection_schedule(
     if fast is not None:
         cycles, order = fast
         if not cycles.size:
-            return InjectionSchedule([], [], horizon)
+            return InjectionSchedule(horizon=horizon)
     else:
         cycle_parts: List[np.ndarray] = []
         order_parts: List[np.ndarray] = []
@@ -161,18 +179,11 @@ def build_injection_schedule(
                 cycle_parts.append(times)
                 order_parts.append(np.full(times.size, i, dtype=np.int64))
         if not cycle_parts:
-            return InjectionSchedule([], [], horizon)
+            return InjectionSchedule(horizon=horizon)
         cycles = np.concatenate(cycle_parts)
         order = np.concatenate(order_parts)
     # lexsort: primary key last — sort by cycle, ties by active-list order
     idx = np.lexsort((order, cycles))
-    cycle_arr = cycles[idx]
-    node_arr = np.asarray(active_nodes, dtype=np.int64)[order[idx]]
-    sched = InjectionSchedule(
-        cycle_arr.tolist(), node_arr.tolist(), horizon
+    return InjectionSchedule(
+        cycles[idx], _i64(active_nodes)[order[idx]], horizon
     )
-    # pre-seed the cached array views — vectorized consumers skip the
-    # list round-trip entirely
-    sched.__dict__["np_cycles"] = cycle_arr
-    sched.__dict__["np_nodes"] = node_arr
-    return sched

@@ -363,9 +363,11 @@ def run_batch(
         with obs_trace.span(
             "kernel.run", lanes=n, threads=threads, workload=workload
         ):
+            # unprobed lanes are read once, by _finish: each one frees
+            # its packets as soon as its wave is back
             results = batch.run(
                 rates, schedules=schedules, threads=threads, plans=plans,
-                stop_after=stop_after,
+                stop_after=stop_after, release=not built,
             )
         if built:
             with obs_trace.span("probe.decode", lanes=n) as decode:

@@ -200,6 +200,15 @@ class SimulationService:
                 (j for j in jobs if j.trace_id and j.span_id), None
             )
             if live:
+                if state not in JOB_STATES:
+                    # e.g. the retired "error" state: not terminal, so
+                    # the execution runs again, but not silently
+                    logger.warning(
+                        "journal: execution %s recorded unknown state "
+                        "%r; re-running it",
+                        key[:12],
+                        state,
+                    )
                 execution = Execution(key, jobs[0].request, study)
                 execution.resumed = True
                 # resume *inside* the original trace: the new root

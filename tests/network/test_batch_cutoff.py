@@ -7,6 +7,7 @@ core runs lanes in waves of kernel threads; under
 and are dropped, so the prefix rule is checked inside a wave too.
 """
 
+import numpy as np
 import pytest
 
 from repro.engine.spec import ExperimentSpec, build_experiment
@@ -64,8 +65,9 @@ def test_prefix_through_kth_saturated_lane(switch, core, stop_after, kept):
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_lanes_past_the_deciding_wave_never_run(switch, threads):
     """Lanes after the wave holding the cutoff are neither resolved nor
-    given kernel state; every lane is still listed, and a lane that
-    ran keeps its conservation counters with its rings freed."""
+    given kernel state (none is allocated before a lane's wave); every
+    lane is still listed, and a lane that ran keeps its conservation
+    counters with its rings freed."""
     batch = NativeBatch(*switch, PARAMS, [seed for seed, _ in LANES])
     got = batch.run(
         [rate for _, rate in LANES], threads=threads, stop_after=1
@@ -78,6 +80,17 @@ def test_lanes_past_the_deciding_wave_never_run(switch, threads):
     ]
     for core in batch.lanes:
         assert core._n_buf is None
+    # unrun lanes never allocated kernel state either
+    for core in batch.lanes[ran:]:
+        assert not [
+            name
+            for name, value in vars(core).items()
+            if name.startswith("_n_") and isinstance(value, (np.ndarray, list))
+        ]
+        for name in ("_n_credits", "_n_owner", "_n_b_head", "_n_b_len",
+                     "_n_ne_arr", "_n_sq_off", "_n_aw_n", "_n_rr_link"):
+            assert getattr(core, name) is None, name
+        assert core.flits_in_flight() == 0
     saturated = batch.lanes[1]
     assert saturated.flits_in_flight() == (
         saturated.total_flits_injected - saturated.total_flits_ejected

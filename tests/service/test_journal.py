@@ -314,6 +314,48 @@ class TestRestart:
             server.server_close()
             thread.join(timeout=10)
 
+    def test_retired_error_state_reruns_with_a_warning(
+        self, tmp_path, caplog
+    ):
+        """A ``--state-dir`` from a tree that still had the ``error``
+        state: the journal's last word on an execution is a hand-written
+        ``error`` record.  Not terminal, so the restart re-runs it to
+        ``done`` — after one warning naming the execution and the
+        state."""
+        store_dir = tmp_path / "store"
+        state_dir = tmp_path / "state"
+        first = self._service(store_dir, state_dir, start_executor=False)
+        job, _ = first.submit(_request())
+        key = first.job(job.id).execution.key
+        first.journal.close()  # the crash: nothing journaled after this
+        with open(state_dir / "journal.ndjson", "a") as fh:
+            fh.write(
+                json.dumps(
+                    {
+                        "rec": "state",
+                        "key": key,
+                        "state": "error",
+                        "error": "Traceback (most recent call last): ...",
+                    }
+                )
+                + "\n"
+            )
+
+        with caplog.at_level("WARNING", logger="repro.service"):
+            second = self._service(store_dir, state_dir)
+        warned = [
+            rec.getMessage()
+            for rec in caplog.records
+            if "unknown state" in rec.getMessage()
+        ]
+        assert warned == [
+            f"journal: execution {key[:12]} recorded unknown state "
+            "'error'; re-running it"
+        ]
+        assert second.resumed_executions == 1
+        assert _wait_terminal(second, job.id)["state"] == "done"
+        second.shutdown()
+
     def test_cancelled_queued_job_stays_cancelled(self, tmp_path):
         store_dir = tmp_path / "store"
         state_dir = tmp_path / "state"
