@@ -5,8 +5,10 @@ repro.engine.spec.point_key` digest, so concurrent writers (pool
 workers, processes sharing a directory) never contend on a shared file.
 Writes are atomic (temp file + ``os.replace``); a corrupt or truncated
 entry is treated as a miss and overwritten on the next run.  Optional
-LRU bounds (recency = file mtime, refreshed on every hit), a stats scan
-and a ``cache_stats`` metric channel make it the service's store too.
+LRU bounds (recency = file mtime, refreshed on every hit), entry and
+byte totals kept up to date by this instance's writes (one directory
+scan the first time they are needed), and a ``cache_stats`` metric
+channel make it the service's store too.
 """
 
 from __future__ import annotations
@@ -54,7 +56,15 @@ def _check_bounds(
 class ResultCache:
     """Directory-backed result store keyed by point digests; after
     every write, entries beyond ``max_entries`` / ``max_bytes`` (if set)
-    are evicted least-recently-used first."""
+    are evicted least-recently-used first.
+
+    The entry and byte totals come from one directory scan the first
+    time they are needed; after that ``put``, ``prune`` and ``clear``
+    keep them current, so reading them costs nothing per job and a
+    bounded ``put`` scans only when a bound is exceeded.  Writes by
+    other processes sharing the directory show up at the next full
+    scan (``prune`` or ``stats(scan_meta=True)``).
+    """
 
     def __init__(
         self,
@@ -75,6 +85,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evicted = 0
+        #: ``[entries, bytes]``, ``None`` until first needed
+        self._totals: Optional[List[int]] = None
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -113,11 +125,18 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(
             dir=self.root, prefix=".tmp-", suffix=".part"
         )
+        path = self._path(key)
+        replaced: Optional[int] = None  # size of the entry overwritten
         try:
             with os.fdopen(fd, "w") as fh:
-                text = json.dumps(payload)
+                text = json.dumps(payload)  # ASCII: one byte per char
                 fh.write(text)
-            os.replace(tmp, self._path(key))
+            if self._totals is not None:
+                try:
+                    replaced = path.stat().st_size
+                except FileNotFoundError:
+                    pass
+            os.replace(tmp, path)
             _M_WRITES.inc()
             _M_WRITE_BYTES.inc(len(text))
         except BaseException:
@@ -126,7 +145,16 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.prune()
+        if self._totals is not None:
+            # an overwrite replaces an entry: it counts once
+            self._totals[0] += replaced is None
+            self._totals[1] += len(text) - (replaced or 0)
+        if self.max_entries is not None or self.max_bytes is not None:
+            count, total = self._ensure_totals()
+            if (
+                self.max_entries is not None and count > self.max_entries
+            ) or (self.max_bytes is not None and total > self.max_bytes):
+                self.prune()
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
@@ -141,6 +169,7 @@ class ResultCache:
         for path in self.root.glob("*.json"):
             path.unlink()
             n += 1
+        self._totals = [0, 0]
         for leftover in (*self.root.glob(".tmp-*.part"),
                          *self.root.glob("*.lock")):
             try:
@@ -150,6 +179,17 @@ class ResultCache:
         return n
 
     # -- bounds --------------------------------------------------------
+    def _rescan(self) -> List[Tuple[str, Path, int, float]]:
+        """:meth:`entries`, resetting the totals from them."""
+        entries = self.entries()
+        self._totals = [len(entries), sum(e[2] for e in entries)]
+        return entries
+
+    def _ensure_totals(self) -> List[int]:
+        if self._totals is None:
+            self._rescan()
+        return self._totals
+
     def entries(self) -> List[Tuple[str, Path, int, float]]:
         """``(key, path, size_bytes, mtime)`` per entry, oldest first."""
         out = []
@@ -195,6 +235,7 @@ class ResultCache:
             removed += 1
             count -= 1
             total -= size
+        self._totals = [count, total]
         self.evicted += removed
         if removed:
             _M_EVICTIONS.inc(removed)
@@ -204,18 +245,20 @@ class ResultCache:
     def stats(self, scan_meta: bool = True) -> Dict:
         """Counters plus (optionally) a per-entry metadata scan.
 
-        ``scan_meta=True`` opens every entry to read its stamped engine
-        version — fine for CLI inspection, skip it on hot paths.  The
+        ``scan_meta=True`` rescans the directory and opens every entry
+        to read its stamped engine version — fine for CLI inspection;
+        without it the kept totals answer at no cost.  The
         ``stale_entries`` count covers entries stamped with a different
         ENGINE_VERSION (or none, i.e. written before stamping existed):
         their keys hash the old version, so they occupy disk but can
         never be hit again.
         """
-        entries = self.entries()
+        entries = self._rescan() if scan_meta else ()
+        count, total = self._ensure_totals()
         stats: Dict = {
             "root": str(self.root),
-            "entries": len(entries),
-            "bytes": sum(size for _, _, size, _ in entries),
+            "entries": count,
+            "bytes": total,
             "engine_version": ENGINE_VERSION,
             "hits": self.hits,
             "misses": self.misses,

@@ -162,7 +162,8 @@ typedef struct {
     /* measurement output */
     i64 *lat_out;    /* [>= packets] */
     i64 *hops_out;   /* [>= packets] */
-    i64 *pid_out;    /* [>= packets] delivered pid per latency sample */
+    i64 *pid_out;    /* [>= packets] delivered pid per latency sample,
+                        NULL when unprobed */
     /* scratch (max_in + 1 each) */
     i64 *sc_desc;
     i64 *sc_key;
@@ -383,7 +384,8 @@ i64 sim_run(S *s)
                     few += pkt_len;
                     s->lat_out[n_lat] = 0;
                     s->hops_out[n_lat] = 0;
-                    s->pid_out[n_lat] = pid;
+                    if (s->pid_out)
+                        s->pid_out[n_lat] = pid;
                     n_lat++;
                 }
                 if (plan)
@@ -569,7 +571,8 @@ i64 sim_run(S *s)
                                             t - s->p_t0[pid];
                                         s->hops_out[n_lat] =
                                             s->p_hops[pid];
-                                        s->pid_out[n_lat] = pid;
+                                        if (s->pid_out)
+                                            s->pid_out[n_lat] = pid;
                                         n_lat++;
                                     }
                                     if (plan)

@@ -421,10 +421,11 @@ class NativeCore(CoreBase):
 
     Probing (see :mod:`repro.metrics`) needs no kernel callbacks: the
     kernel already reports every delivered measured packet's latency,
-    and alongside it writes the packet id (``pid_out``) — a bulk
-    counter the probe layer decodes post-run.  Neither does a
-    closed-loop plan: the struct points at the plan's own arrays, the
-    kernel counts its phases down and stamps their cycles in place.
+    and alongside it writes the packet id (``pid_out``, probed runs
+    only) — a bulk counter the probe layer decodes post-run.  Neither
+    does a closed-loop plan: the struct points at the plan's own
+    arrays, the kernel counts its phases down and stamps their cycles
+    in place.
     Raises :class:`RuntimeError` when the kernel cannot be compiled —
     callers that want a fallback should check :func:`native_available`
     first (as :func:`~repro.network.simulator.resolve_core` does).
@@ -565,7 +566,11 @@ class NativeCore(CoreBase):
         out_cap = len(packets) - len(self._latencies)
         lat_out = ctx.lat_out = _zeros(out_cap)
         hops_out = ctx.hops_out = _zeros(out_cap)
-        pid_out = ctx.pid_out = _zeros(out_cap)
+        # only the probe layer reads delivered packet ids: unprobed
+        # runs pass NULL and the kernel skips the write
+        pid_out = ctx.pid_out = (
+            _zeros(out_cap) if self._probe_mode else None
+        )
         np_p_off = _as_i64(packets.off)
         np_p_hops = _as_i64(packets.hops)
         # views of the table's rows, not copies: plan mode stamps a
@@ -641,7 +646,7 @@ class NativeCore(CoreBase):
             ev_pid=_ptr(np_ev_pid),
             lat_out=_ptr(lat_out),
             hops_out=_ptr(hops_out),
-            pid_out=_ptr(pid_out),
+            pid_out=None if pid_out is None else _ptr(pid_out),
             sc_desc=_ptr(self._n_sc[0]),
             sc_key=_ptr(self._n_sc[1]),
             sc_cand=_ptr(self._n_sc[2]),

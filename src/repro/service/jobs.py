@@ -18,16 +18,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..api import Study, StudyResult
 from ..network.stats import SimResult
 from ..obs import REGISTRY
 from ..obs import trace as obs_trace
+from .journal import encode_event, scan_ndjson_tolerant
 from .protocol import JOB_EVENT_SCHEMA, JOB_STATUS_SCHEMA, JobRequest
 
 __all__ = [
@@ -103,20 +106,40 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * random.random())
 
 
+def _read_log(path: Path) -> List[bytes]:
+    """A finished log's lines, as written (a missing file is empty)."""
+    try:
+        lines = path.read_bytes().splitlines(keepends=True)
+    except OSError:
+        return []
+    if lines and not lines[-1].endswith(b"\n"):
+        lines.pop()  # a torn tail is not an event
+    return lines
+
+
 class Execution:
     """One deduped computation and its append-only event log.
 
-    Subscribers (any number, attaching at any time) read events by
-    index under :meth:`wait_events`; the log is complete from event 0,
-    so a late subscriber replays the full history before blocking on
-    the live tail.  All mutation happens under one condition variable.
+    Each event is encoded once; the same line goes to the on-disk log
+    (``sink``) and to every subscriber.  Subscribers (any number,
+    attaching at any time) read lines by index under
+    :meth:`wait_lines`; the log is complete from event 0, so a late
+    subscriber replays the full history before blocking on the live
+    tail.  At its terminal event an execution closes its log and, once
+    the file holds every line, keeps only the file's path
+    (``log_path``): its lines, study and spans are dropped, and every
+    later read — stream replays, :meth:`events_snapshot`,
+    :attr:`result` — comes from the file.  All mutation happens under
+    one condition variable.
     """
 
     def __init__(
         self, key: str, request: JobRequest, study: Study
     ) -> None:
         self.key = key
-        self.study = study
+        #: the study to run; dropped at the terminal transition
+        self.study: Optional[Study] = study
+        self.study_name = study.name
         self.workers = request.workers
         self.priority = request.priority
         self.state = "queued"
@@ -125,7 +148,6 @@ class Execution:
         self.points_done = 0
         self.points_total = study.num_points()
         self.cache_hits = 0
-        self.result: Optional[StudyResult] = None
         self.error: Optional[str] = None
         self.traceback: Optional[str] = None
         #: supervised-retry attempt counter (1-based while running).
@@ -136,9 +158,12 @@ class Execution:
         #: true when this execution was re-enqueued from the journal
         #: after a restart (completed points replay from the store).
         self.resumed = False
-        #: optional on-disk mirror of the event list (an
-        #: :class:`~repro.service.journal.EventLog`).
+        #: optional on-disk copy of the event lines (an
+        #: :class:`~repro.service.journal.EventLog`), closed at the
+        #: terminal event.
         self.sink = None
+        #: where the finished log lives once the lines are dropped.
+        self.log_path: Optional[Path] = None
         #: optional ``fn(execution, state)`` called on each state
         #: transition — the journal's write-ahead hook.
         self.on_transition: Optional[Callable] = None
@@ -150,7 +175,8 @@ class Execution:
         self.root_span = obs_trace.NOOP_SPAN
         self._queue_span = obs_trace.NOOP_SPAN
         self._queued_at = time.time()
-        self._events: List[Dict] = []
+        #: encoded event lines; ``None`` once they live at ``log_path``
+        self._lines: Optional[List[bytes]] = []
         #: the terminal event is in the log (or the execution was
         #: restored read-only).  This ends a subscriber's stream; ``state``
         #: turns terminal right after, in the same critical section.
@@ -177,7 +203,7 @@ class Execution:
             name,
             parent=parent,
             key=self.key[:16],
-            study=self.study.name,
+            study=self.study_name,
             points_total=self.points_total,
         )
         self.root_span.add_link(link)
@@ -202,17 +228,31 @@ class Execution:
     # -- event emission (executor side) --------------------------------
     def _emit(self, event: Dict) -> None:
         with self._cond:
+            if self.log_complete:
+                return  # a late emission from an abandoned worker
             event = {
                 "schema": JOB_EVENT_SCHEMA,
-                "seq": len(self._events),
+                "seq": len(self._lines),
                 **event,
             }
-            self._events.append(event)
+            line = encode_event(event)
+            self._lines.append(line)
             if self.sink is not None:
-                self.sink.append(event)
+                self.sink.write(line)
             if event["event"] in TERMINAL_STATES:  # named after the state
                 self.log_complete = True
             self._cond.notify_all()
+
+    def _settle(self) -> None:
+        """Drop what a finished execution no longer needs: close the
+        log and, when the file holds every line, keep its path instead
+        of the lines (a wedged log keeps them); drop study and spans."""
+        sink, self.sink = self.sink, None
+        if sink is not None and sink.close():
+            self.log_path = sink.path
+            self._lines = None
+        self.study = None
+        self.root_span = self._queue_span = obs_trace.NOOP_SPAN
 
     def _notify(self, state: str) -> None:
         if self.on_transition is not None:
@@ -235,7 +275,7 @@ class Execution:
         self._emit(
             {
                 "event": "start",
-                "study": self.study.name,
+                "study": self.study_name,
                 "key": self.key,
                 "points_total": self.points_total,
                 "resumed": self.resumed,
@@ -271,10 +311,11 @@ class Execution:
 
     def _terminate(self, state: str, event: Dict, **fields) -> bool:
         """Turn terminal: set ``fields``, end the trace, notify the
-        journal, append the terminal event and only then set ``state`` —
-        one critical section, so whoever reads a terminal state
-        (``Job.status`` reads it without the lock) finds the event
-        already in the log.  ``False`` when already terminal."""
+        journal, append the terminal event, settle the log and only
+        then set ``state`` — one critical section, so whoever reads a
+        terminal state (``Job.status`` reads it without the lock)
+        finds the event already in the finished log.  ``False`` when
+        already terminal."""
         with self._cond:
             if self.state in TERMINAL_STATES:
                 return False
@@ -283,6 +324,7 @@ class Execution:
             self._end_trace(state, fields.get("error"))
             self._notify(state)
             self._emit({"event": state, **event})
+            self._settle()
             self.state = state
         return True
 
@@ -295,7 +337,6 @@ class Execution:
                 "cache": cache_stats,
                 "result": result.to_dict(),
             },
-            result=result,
         )
 
     def record_retry(
@@ -344,22 +385,48 @@ class Execution:
         return self.state in TERMINAL_STATES
 
     # -- subscriber side -----------------------------------------------
+    def wait_lines(
+        self, start: int, timeout: Optional[float] = None
+    ) -> Tuple[List[bytes], bool]:
+        """Encoded event lines from index ``start``, and whether they
+        end the log.  Blocks until at least one new line exists or the
+        log is complete (then returns whatever is left, possibly
+        nothing); a finished log is read from its file."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self.log_complete or len(self._lines) > start,
+                timeout=timeout,
+            )
+            if self._lines is not None:
+                return self._lines[start:], self.log_complete
+        return _read_log(self.log_path)[start:], True
+
     def wait_events(
         self, start: int, timeout: Optional[float] = None
     ) -> List[Dict]:
-        """Events from index ``start``; blocks until at least one new
-        event exists or the log is complete (then returns whatever is
-        left, possibly nothing)."""
-        with self._cond:
-            self._cond.wait_for(
-                lambda: len(self._events) > start or self.log_complete,
-                timeout=timeout,
-            )
-            return self._events[start:]
+        """:meth:`wait_lines`, decoded."""
+        lines, _ = self.wait_lines(start, timeout=timeout)
+        return [json.loads(line) for line in lines]
 
     def events_snapshot(self) -> List[Dict]:
-        with self._cond:
-            return list(self._events)
+        return self.wait_events(0, timeout=0)
+
+    def result_data(self) -> Optional[Dict]:
+        """The ``done`` event's ``StudyResult.to_dict()``, read from
+        the log; ``None`` unless done, or when the log lost it."""
+        if self.state != "done":
+            return None
+        lines, _ = self.wait_lines(0, timeout=0)
+        try:
+            last = json.loads(lines[-1]) if lines else {}
+        except ValueError:
+            return None
+        return last.get("result") if last.get("event") == "done" else None
+
+    @property
+    def result(self) -> Optional[StudyResult]:
+        data = self.result_data()
+        return None if data is None else StudyResult.from_dict(data)
 
     # -- durability ----------------------------------------------------
     @classmethod
@@ -369,38 +436,38 @@ class Execution:
         request: JobRequest,
         study: Study,
         state: str,
-        events: List[Dict],
+        log_path: Union[str, Path],
         error: Optional[str] = None,
         trace_id: Optional[str] = None,
     ) -> "Execution":
         """Rebuild a finished execution from its journaled state and
         on-disk event log, so status / events / result endpoints keep
-        answering across restarts.  A ``done`` execution whose log
-        lost its ``done`` event (torn tail) keeps its state but has no
-        result — the result endpoint reports that honestly."""
+        answering across restarts.  One pass over the log (its torn
+        tail truncated) restores the counters; no event is kept, the
+        log is read again when asked for.  A ``done`` execution whose
+        log lost its ``done`` event keeps its state but has no result —
+        the result endpoint reports that honestly."""
         execution = cls(key, request, study)
         execution.state = state
-        execution._events = list(events)
         execution.log_complete = True
         execution.error = error
         execution.trace_id = trace_id
-        for event in events:
+        execution.study = None
+        execution._lines = None
+        execution.log_path = Path(log_path)
+
+        def visit(event: Dict) -> None:
             kind = event.get("event")
             if kind == "point":
                 execution.points_done += 1
                 if event.get("source") == "cache":
                     execution.cache_hits += 1
-            elif kind == "done" and state == "done":
-                try:
-                    execution.result = StudyResult.from_dict(
-                        event["result"]
-                    )
-                except (KeyError, TypeError, ValueError):
-                    execution.result = None
             elif kind == "failed":
                 execution.error = event.get("error", error)
                 execution.traceback = event.get("traceback")
                 execution.attempts = event.get("attempts", 0)
+
+        scan_ndjson_tolerant(log_path, visit, label="event log")
         return execution
 
 
@@ -433,7 +500,7 @@ class Job:
             "schema": JOB_STATUS_SCHEMA,
             "id": self.id,
             "state": self.state,
-            "study": exe.study.name,
+            "study": exe.study_name,
             "key": exe.key,
             "client": self.client,
             "priority": self.priority,

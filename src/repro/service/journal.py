@@ -18,12 +18,17 @@ bit-identical to an uninterrupted run.  Terminal executions are
 restored read-only (status / events / result keep answering) from
 their event logs.
 
-The **event logs** mirror each execution's in-memory event list line
-by line.  Both files are written by a process that may die between any
-two bytes, so every reader goes through :func:`read_ndjson_tolerant`,
-which treats an undecodable tail as torn: it truncates the file back
-to the last good line and warns instead of raising — a crashed append
-costs one event, never the whole log.
+The **event logs** hold each execution's event lines, each encoded
+once and written as the stream sends it.  A running execution writes
+a private file beside ``<key>.ndjson`` and swaps it into place
+atomically at its terminal event, so a resubmission of the same key
+never truncates a log that an older, finished job still replays from;
+finished executions keep only the path and serve every later read
+from the file.  Both files are written by a process that may die
+between any two bytes, so restart reads go through
+:func:`read_ndjson_tolerant`, which treats an undecodable tail as torn:
+it truncates the file back to the last good line and warns instead of
+raising — a crashed append costs one event, never the whole log.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import tempfile
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs.log import get_logger
 from . import chaos
@@ -45,7 +51,9 @@ __all__ = [
     "JobJournal",
     "JournalJob",
     "JournalView",
+    "encode_event",
     "read_ndjson_tolerant",
+    "scan_ndjson_tolerant",
 ]
 
 JOB_JOURNAL_SCHEMA = "repro.job-journal/v1"
@@ -53,12 +61,17 @@ JOB_JOURNAL_SCHEMA = "repro.job-journal/v1"
 logger = get_logger("repro.service")
 
 
-def read_ndjson_tolerant(
-    path: Union[str, Path], *, truncate: bool = True, label: str = "log"
-) -> Tuple[List[Dict], bool]:
-    """Parse a JSON-lines file written by a crash-prone process.
+def scan_ndjson_tolerant(
+    path: Union[str, Path],
+    visit: Callable[[Dict], None],
+    *,
+    truncate: bool = True,
+    label: str = "log",
+) -> Tuple[int, bool]:
+    """Parse a JSON-lines file written by a crash-prone process,
+    handing each record to ``visit`` and keeping none.
 
-    Returns ``(records, torn)``.  The first line that fails to decode
+    Returns ``(count, torn)``.  The first line that fails to decode
     — a torn trailing append, or garbage after it — ends the parse:
     everything from its first byte on is dropped and (with
     ``truncate``) physically truncated away, so the file is clean
@@ -68,8 +81,8 @@ def read_ndjson_tolerant(
     try:
         raw = path.read_bytes()
     except OSError:
-        return [], False
-    records: List[Dict] = []
+        return 0, False
+    count = 0
     offset = 0
     for line in raw.splitlines(keepends=True):
         stripped = line.strip()
@@ -82,7 +95,8 @@ def read_ndjson_tolerant(
                 # decodes, but the newline never landed: the *next*
                 # append would have glued onto it — drop it too
                 break
-            records.append(record)
+            visit(record)
+            count += 1
         offset += len(line)
     torn = offset < len(raw)
     if torn:
@@ -92,7 +106,7 @@ def read_ndjson_tolerant(
             label,
             path,
             len(raw) - offset,
-            len(records),
+            count,
             "; truncating" if truncate else "",
         )
         if truncate:
@@ -101,39 +115,93 @@ def read_ndjson_tolerant(
                     fh.truncate(offset)
             except OSError:
                 pass
+    return count, torn
+
+
+def read_ndjson_tolerant(
+    path: Union[str, Path], *, truncate: bool = True, label: str = "log"
+) -> Tuple[List[Dict], bool]:
+    """:func:`scan_ndjson_tolerant` collecting the records:
+    ``(records, torn)``."""
+    records: List[Dict] = []
+    _, torn = scan_ndjson_tolerant(
+        path, records.append, truncate=truncate, label=label
+    )
     return records, torn
 
 
+def encode_event(event: Dict) -> bytes:
+    """One event as the newline-terminated line that the log stores
+    and the stream sends."""
+    return json.dumps(event).encode() + b"\n"
+
+
 class EventLog:
-    """Append-only on-disk mirror of one execution's event list."""
+    """On-disk copy of one execution's event lines.
+
+    By default lines are appended to ``path`` and flushed one by one.
+    With ``fresh`` they go to a private temp file beside ``path``
+    instead, which :meth:`close` swaps into place atomically: until
+    then ``path`` keeps whatever log it held, complete.
+    """
 
     def __init__(self, path: Union[str, Path], fresh: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w" if fresh else "a")
+        self._staged: Optional[Path] = None
+        if fresh:
+            fd, tmp = tempfile.mkstemp(
+                dir=self.path.parent,
+                prefix=f".{self.path.stem}-",
+                suffix=".part",
+            )
+            self._staged = Path(tmp)
+            self._fh = os.fdopen(fd, "wb")
+        else:
+            self._fh = open(self.path, "ab")
         self._wedged = False
 
     def append(self, event: Dict) -> None:
+        self.write(encode_event(event))
+
+    def write(self, line: bytes) -> None:
+        """Append one encoded line (see :func:`encode_event`).  A
+        staged log is read only once it is closed, so only an
+        in-place log flushes each line."""
         if self._wedged:
             return
-        line = json.dumps(event)
         if chaos.should_fire("torn-event"):
             # crash mid-write: half a line, no newline, nothing after
-            self._fh.write(line[: max(1, len(line) // 2)])
+            self._fh.write(line[: max(1, (len(line) - 1) // 2)])
             self._fh.flush()
             self._wedged = True
             return
         try:
-            self._fh.write(line + "\n")
-            self._fh.flush()
+            self._fh.write(line)
+            if self._staged is None:
+                self._fh.flush()
         except OSError:
             self._wedged = True
 
-    def close(self) -> None:
+    def close(self) -> bool:
+        """Close the file (and swap a staged log into ``path``);
+        ``True`` when ``path`` now holds every line written."""
         try:
             self._fh.close()
         except OSError:
-            pass
+            self._wedged = True
+        staged, self._staged = self._staged, None
+        if staged is not None:
+            try:
+                os.replace(staged, self.path)
+            except OSError:
+                logger.exception("event log %s: swap failed", self.path)
+                try:
+                    staged.unlink()
+                except OSError:
+                    pass
+                return False
+        return not self._wedged
 
     @staticmethod
     def load(path: Union[str, Path]) -> Tuple[List[Dict], bool]:

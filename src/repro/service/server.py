@@ -34,9 +34,12 @@ default and trusts its tenants, like a local build daemon.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 import threading
 import time
 import traceback
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -57,7 +60,7 @@ from .jobs import (
     RetryPolicy,
     Scheduler,
 )
-from .journal import EventLog, JobJournal, JournalView
+from .journal import EventLog, JobJournal, encode_event
 from .protocol import JOB_STATES, JobRequest
 
 __all__ = ["SimulationService", "create_server", "serve"]
@@ -126,11 +129,20 @@ class SimulationService:
                 self.state_dir / "spans.ndjson" if self.state_dir else None
             )
             self.spanlog = SpanLog(span_path).install()
+        #: where event logs live: ``<state-dir>/events``, or a private
+        #: temp dir removed at shutdown.  Finished executions replay
+        #: from these files, so there is one replay path either way.
+        if self.state_dir is not None:
+            self.log_dir = self.state_dir / "events"
+            self._drop_log_dir = None
+        else:
+            self.log_dir = Path(tempfile.mkdtemp(prefix="repro-events-"))
+            self._drop_log_dir = weakref.finalize(
+                self, shutil.rmtree, self.log_dir, ignore_errors=True
+            )
         self.scheduler = Scheduler(
             max_inflight_per_client=max_inflight_per_client,
-            execution_hook=(
-                self._attach_durability if self.state_dir else None
-            ),
+            execution_hook=self._attach_durability,
         )
         self.restored_jobs = 0
         self.resumed_executions = 0
@@ -147,21 +159,22 @@ class SimulationService:
 
     # -- durability ----------------------------------------------------
     def _event_path(self, key: str) -> Path:
-        assert self.state_dir is not None
-        return self.state_dir / "events" / f"{key}.ndjson"
+        return self.log_dir / f"{key}.ndjson"
 
     def _attach_durability(self, execution: Execution) -> None:
         """Scheduler hook: give a fresh execution its on-disk event
-        log and journal transition plumbing (called once per enqueued
-        execution, under the scheduler lock)."""
+        log — staged, so the previous log of its key stays whole until
+        this one is finished — and journal transition plumbing (called
+        once per enqueued execution, under the scheduler lock)."""
         execution.sink = EventLog(
             self._event_path(execution.key), fresh=True
         )
         journal = self.journal
+        if journal is None:
+            return
 
         def on_transition(exe: Execution, state: str) -> None:
-            if journal is not None:
-                journal.record_state(exe.key, state, error=exe.error)
+            journal.record_state(exe.key, state, error=exe.error)
 
         execution.on_transition = on_transition
 
@@ -169,6 +182,9 @@ class SimulationService:
         """Replay the journal: re-enqueue interrupted work, restore
         terminal jobs read-only, then compact the journal."""
         assert self.journal is not None
+        # staged logs of executions a crash interrupted: they re-run
+        for part in self.log_dir.glob(".*.part"):
+            part.unlink(missing_ok=True)
         view = self.journal.replay()
         if not view.jobs:
             return
@@ -231,13 +247,12 @@ class SimulationService:
                     # terminal record never landed: settle it now
                     state = "cancelled"
                     view.states[key] = state
-                events, _ = EventLog.load(self._event_path(key))
                 execution = Execution.restore_terminal(
                     key,
                     jobs[0].request,
                     study,
                     state,
-                    events,
+                    self._event_path(key),
                     error=view.errors.get(key),
                     trace_id=prior.trace_id if prior else None,
                 )
@@ -318,9 +333,9 @@ class SimulationService:
     def event_batches(
         self, job_id: str, start: int = 0, timeout: Optional[float] = 30.0
     ):
-        """Yield the job's events from ``start`` until terminal, in the
-        batches they became available in (what the HTTP stream writes
-        as one chunk each).
+        """Yield the job's encoded event lines from ``start`` until
+        terminal, in the batches they became available in (what the
+        HTTP stream writes as one chunk each).
 
         A cancelled *job* on a still-live execution terminates the
         stream with a synthetic ``detached`` event — the execution (and
@@ -332,19 +347,21 @@ class SimulationService:
         while True:
             if job.cancelled and not execution.terminal:
                 yield [
-                    {
-                        "event": "detached",
-                        "seq": seq,
-                        "reason": "job cancelled; execution continues "
-                        "for other subscribers",
-                    }
+                    encode_event(
+                        {
+                            "event": "detached",
+                            "seq": seq,
+                            "reason": "job cancelled; execution "
+                            "continues for other subscribers",
+                        }
+                    )
                 ]
                 return
-            batch = execution.wait_events(seq, timeout=timeout)
+            batch, complete = execution.wait_lines(seq, timeout=timeout)
             if batch:
                 yield batch
-                seq = batch[-1]["seq"] + 1
-            elif execution.log_complete:
+                seq += len(batch)
+            if complete:
                 return
 
     def stats(self) -> Dict:
@@ -375,6 +392,8 @@ class SimulationService:
             self.journal.close()
         if self.spanlog is not None:
             self.spanlog.close()
+        if self._drop_log_dir is not None:
+            self._drop_log_dir()
 
     # -- executor ------------------------------------------------------
     def _run_loop(self) -> None:
@@ -431,6 +450,9 @@ class SimulationService:
                     return
 
     def _run_execution(self, execution: Execution) -> None:
+        # held here: the execution drops its study when it turns
+        # terminal, which the watchdog may do while this thread runs
+        study = execution.study
         if execution.cancel_event.is_set():
             execution.mark_cancelled()
             self.scheduler.finish_execution(execution)
@@ -439,7 +461,7 @@ class SimulationService:
         logger.info(
             "execution %s started: study %r, %d point(s) max%s",
             execution.key[:12],
-            execution.study.name,
+            execution.study_name,
             execution.points_total,
             " (resumed)" if execution.resumed else "",
             trace_id=execution.trace_id,
@@ -476,7 +498,7 @@ class SimulationService:
                 ambient = attempt_span.context or execution.trace
                 try:
                     with obs_trace.use_context(ambient):
-                        result = execution.study.run(
+                        result = study.run(
                             workers=workers,
                             cache=self.store,
                             on_point=on_point,
@@ -766,10 +788,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.close_connection = True
         for batch in service.event_batches(job_id, start=int(start)):
             lines = []
-            for event in batch:
+            for line in batch:
                 if chaos.should_fire("drop-stream"):
                     break
-                lines.append(json.dumps(event).encode() + b"\n")
+                lines.append(line)
             data = b"".join(lines)
             if data:
                 self.wfile.write(
@@ -793,14 +815,15 @@ class _Handler(BaseHTTPRequestHandler):
                 409,
             )
             return
-        if execution.result is None:
+        result = execution.result_data()
+        if result is None:
             self._error(
                 f"job {job_id} finished without a result "
                 f"(state={job.state})",
                 404,
             )
             return
-        self._send_json(execution.result.to_dict())
+        self._send_json(result)
 
     def _metrics(self) -> None:
         """``GET /api/metrics``: the registry snapshot — Prometheus

@@ -11,6 +11,7 @@ goes over it.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import tracemalloc
 
@@ -148,3 +149,22 @@ def test_released_lanes_keep_counters_and_results(system, threads):
             if name.startswith("_n_") and isinstance(value, (np.ndarray, list))
         ]
     assert any(lane.flits_in_flight() for lane in released.lanes)
+
+
+def test_packet_ids_are_recorded_for_probed_runs_only(system):
+    """Only the probe layer reads the delivered packet ids: an
+    unprobed run hands the kernel a NULL ``pid_out`` and gets the
+    same result as a probed one."""
+    results = []
+    for probe in (False, True):
+        core = NativeCore(*_lane(system), PARAMS)
+        if probe:
+            core.enable_probes()
+        ctx = core._begin(0.4, None, None)
+        st = core._build_state(ctx)
+        assert bool(st.pid_out) is probe
+        assert core._lib.sim_run(ctypes.byref(st)) == 0
+        results.append(core._finish(ctx, st))
+        if probe:
+            assert len(core._eject_pid) == len(core._latencies) > 0
+    assert results[0] == results[1]

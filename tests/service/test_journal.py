@@ -144,6 +144,46 @@ class TestEventLog:
         events, _ = EventLog.load(path)
         assert events == [{"seq": 0, "new": True}]
 
+    def test_fresh_log_leaves_the_old_one_whole_until_closed(
+        self, tmp_path
+    ):
+        """A fresh log is staged beside ``path``: readers of ``path``
+        see the previous log, complete, until the new one is swapped
+        in whole at close."""
+        path = tmp_path / "e.ndjson"
+        old = EventLog(path)
+        old.append({"seq": 0, "event": "done"})
+        assert old.close() is True
+        before = path.read_bytes()
+        log = EventLog(path, fresh=True)
+        log.append({"seq": 0, "event": "start"})
+        log.append({"seq": 1, "event": "point"})
+        assert path.read_bytes() == before
+        assert log.close() is True
+        events, torn = EventLog.load(path)
+        assert [e["event"] for e in events] == ["start", "point"]
+        assert torn is False
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.ndjson"]
+
+    def test_torn_fresh_log_reports_it_at_close(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import chaos
+
+        monkeypatch.setenv("REPRO_CHAOS", "torn-event:after=2")
+        chaos.reset()
+        try:
+            path = tmp_path / "e.ndjson"
+            log = EventLog(path, fresh=True)
+            for seq in range(3):
+                log.append({"seq": seq})
+            assert log.close() is False  # the file misses lines
+        finally:
+            monkeypatch.delenv("REPRO_CHAOS")
+            chaos.reset()
+        events, torn = EventLog.load(path)
+        assert events == [{"seq": 0}] and torn is True
+
 
 class TestJobJournal:
     def test_roundtrip(self, tmp_path):

@@ -190,6 +190,73 @@ class TestEviction:
         assert len(store) == 2
 
 
+class TestTotals:
+    """Entry and byte totals come from one scan, then every ``put``,
+    ``prune`` and ``clear`` keeps them equal to a fresh scan."""
+
+    @staticmethod
+    def _scan(path):
+        sizes = [p.stat().st_size for p in path.glob("*.json")]
+        return len(sizes), sum(sizes)
+
+    @staticmethod
+    def _totals(store):
+        stats = store.stats(scan_meta=False)
+        return stats["entries"], stats["bytes"]
+
+    def test_put_overwrite_prune_and_clear_keep_totals_exact(
+        self, tmp_path
+    ):
+        (tmp_path / "before.json").write_text('{"key": "before"}')
+        store = ResultStore(tmp_path)
+        assert self._totals(store) == self._scan(tmp_path) == (1, 17)
+        for i in range(4):
+            store.put(f"k{i}", _result(0.1 * (i + 1)))
+            time.sleep(0.01)
+        assert self._totals(store) == self._scan(tmp_path)
+        store.put("k1", _result(0.123456789))  # an overwrite counts once
+        assert self._totals(store) == self._scan(tmp_path)
+        assert self._totals(store)[0] == 5
+        assert store.prune(max_entries=2) == 3
+        assert self._totals(store) == self._scan(tmp_path) != (0, 0)
+        store.clear()
+        assert self._totals(store) == (0, 0) == self._scan(tmp_path)
+
+    def test_known_totals_take_no_scan(self, tmp_path, monkeypatch):
+        """After the first scan, neither a stats read nor a put within
+        the bounds scans the directory again; a put past a bound does
+        (to evict), once."""
+        store = ResultStore(tmp_path, max_entries=3)
+        store.put("a", _result())
+        scans = []
+        entries = ResultStore.entries
+
+        def counted(self):
+            scans.append(1)
+            return entries(self)
+
+        monkeypatch.setattr(ResultStore, "entries", counted)
+        for key in ("b", "c"):
+            time.sleep(0.01)
+            store.put(key, _result())
+            store.stats_channel()
+        assert scans == []
+        time.sleep(0.01)
+        store.put("d", _result())
+        assert scans == [1] and "a" not in store
+        assert self._totals(store) == self._scan(tmp_path)
+
+    def test_full_stats_scan_picks_up_other_writers(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("mine", _result())
+        assert self._totals(store)[0] == 1
+        other = ResultStore(tmp_path)
+        other.put("theirs", _result())
+        assert self._totals(store)[0] == 1  # counted by its own writes
+        assert store.stats(scan_meta=True)["entries"] == 2
+        assert self._totals(store) == self._scan(tmp_path)
+
+
 class TestStats:
     def test_stats_reports_version_mix_and_stale(self, tmp_path):
         store = ResultStore(tmp_path)
