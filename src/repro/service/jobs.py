@@ -30,7 +30,7 @@ from ..api import Study, StudyResult
 from ..network.stats import SimResult
 from ..obs import REGISTRY
 from ..obs import trace as obs_trace
-from .journal import encode_event, scan_ndjson_tolerant
+from .journal import EventLog, encode_event, scan_ndjson_tolerant
 from .protocol import JOB_EVENT_SCHEMA, JOB_STATUS_SCHEMA, JobRequest
 
 __all__ = [
@@ -106,17 +106,6 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * random.random())
 
 
-def _read_log(path: Path) -> List[bytes]:
-    """A finished log's lines, as written (a missing file is empty)."""
-    try:
-        lines = path.read_bytes().splitlines(keepends=True)
-    except OSError:
-        return []
-    if lines and not lines[-1].endswith(b"\n"):
-        lines.pop()  # a torn tail is not an event
-    return lines
-
-
 class Execution:
     """One deduped computation and its append-only event log.
 
@@ -126,11 +115,11 @@ class Execution:
     :meth:`wait_lines`; the log is complete from event 0, so a late
     subscriber replays the full history before blocking on the live
     tail.  At its terminal event an execution closes its log and, once
-    the file holds every line, keeps only the file's path
-    (``log_path``): its lines, study and spans are dropped, and every
-    later read — stream replays, :meth:`events_snapshot`,
-    :attr:`result` — comes from the file.  All mutation happens under
-    one condition variable.
+    its own file holds every line, keeps only that file's path
+    (``log_path``, which no later execution of the key writes): its
+    lines, study and spans are dropped, and every later read — stream
+    replays, :meth:`events_snapshot`, :attr:`result` — comes from the
+    file.  All mutation happens under one condition variable.
     """
 
     def __init__(
@@ -162,7 +151,8 @@ class Execution:
         #: :class:`~repro.service.journal.EventLog`), closed at the
         #: terminal event.
         self.sink = None
-        #: where the finished log lives once the lines are dropped.
+        #: this execution's own finished log, once the lines are
+        #: dropped.
         self.log_path: Optional[Path] = None
         #: optional ``fn(execution, state)`` called on each state
         #: transition — the journal's write-ahead hook.
@@ -245,11 +235,13 @@ class Execution:
 
     def _settle(self) -> None:
         """Drop what a finished execution no longer needs: close the
-        log and, when the file holds every line, keep its path instead
-        of the lines (a wedged log keeps them); drop study and spans."""
+        log and, when its file holds every line, keep the file's path
+        instead of the lines (a wedged log keeps them); drop study and
+        spans."""
         sink, self.sink = self.sink, None
-        if sink is not None and sink.close():
-            self.log_path = sink.path
+        own = sink.close() if sink is not None else None
+        if own is not None:
+            self.log_path = own
             self._lines = None
         self.study = None
         self.root_span = self._queue_span = obs_trace.NOOP_SPAN
@@ -310,21 +302,23 @@ class Execution:
         )
 
     def _terminate(self, state: str, event: Dict, **fields) -> bool:
-        """Turn terminal: set ``fields``, end the trace, notify the
-        journal, append the terminal event, settle the log and only
+        """Turn terminal: set ``fields``, end the trace, append the
+        terminal event, settle the log, notify the journal and only
         then set ``state`` — one critical section, so whoever reads a
         terminal state (``Job.status`` reads it without the lock)
-        finds the event already in the finished log.  ``False`` when
-        already terminal."""
+        finds the event already in the finished log, and a journaled
+        terminal state always has its log in place (a crash before the
+        record re-runs the execution).  ``False`` when already
+        terminal."""
         with self._cond:
             if self.state in TERMINAL_STATES:
                 return False
             for name, value in fields.items():
                 setattr(self, name, value)
             self._end_trace(state, fields.get("error"))
-            self._notify(state)
             self._emit({"event": state, **event})
             self._settle()
+            self._notify(state)
             self.state = state
         return True
 
@@ -399,7 +393,7 @@ class Execution:
             )
             if self._lines is not None:
                 return self._lines[start:], self.log_complete
-        return _read_log(self.log_path)[start:], True
+        return EventLog.read_lines(self.log_path)[start:], True
 
     def wait_events(
         self, start: int, timeout: Optional[float] = None

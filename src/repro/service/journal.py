@@ -20,15 +20,17 @@ their event logs.
 
 The **event logs** hold each execution's event lines, each encoded
 once and written as the stream sends it.  A running execution writes
-a private file beside ``<key>.ndjson`` and swaps it into place
-atomically at its terminal event, so a resubmission of the same key
-never truncates a log that an older, finished job still replays from;
-finished executions keep only the path and serve every later read
-from the file.  Both files are written by a process that may die
-between any two bytes, so restart reads go through
-:func:`read_ndjson_tolerant`, which treats an undecodable tail as torn:
-it truncates the file back to the last good line and warns instead of
-raising — a crashed append costs one event, never the whole log.
+a private file beside ``<key>.ndjson``; at its terminal event the file
+gets the execution's own finished name and is linked at
+``<key>.ndjson`` atomically, so a resubmission of the same key never
+truncates or replaces the log an older, finished job replays from.
+Finished executions keep only the path of their own file and serve
+every later read from it.  Both files are written by a process that
+may die between any two bytes, so restart reads go through
+:func:`read_ndjson_tolerant`, which treats an undecodable tail as
+torn: it truncates the file back to the last good line and warns
+instead of raising — a crashed append costs one event, never the
+whole log.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import tempfile
 import threading
 from pathlib import Path
@@ -139,35 +142,35 @@ def encode_event(event: Dict) -> bytes:
 class EventLog:
     """On-disk copy of one execution's event lines.
 
-    By default lines are appended to ``path`` and flushed one by one.
-    With ``fresh`` they go to a private temp file beside ``path``
-    instead, which :meth:`close` swaps into place atomically: until
-    then ``path`` keeps whatever log it held, complete.
+    Lines go to a private ``.<key>-*.part`` file beside ``path``.
+    :meth:`close` renames it to the execution's own finished log,
+    ``.<key>-*.ndjson``, and links that at ``path`` atomically (the
+    name a restart restores from).  Until then ``path`` keeps whatever
+    log it held, complete, and a later log linked at ``path`` never
+    touches this one: each finished execution reads its own file.
+    Every hidden file in the directory belongs to one server process;
+    none is live after a restart (see :meth:`sweep`).
     """
 
-    def __init__(self, path: Union[str, Path], fresh: bool = False) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._staged: Optional[Path] = None
-        if fresh:
-            fd, tmp = tempfile.mkstemp(
-                dir=self.path.parent,
-                prefix=f".{self.path.stem}-",
-                suffix=".part",
-            )
-            self._staged = Path(tmp)
-            self._fh = os.fdopen(fd, "wb")
-        else:
-            self._fh = open(self.path, "ab")
+        fd, tmp = tempfile.mkstemp(
+            dir=self.path.parent,
+            prefix=f".{self.path.stem}-",
+            suffix=".part",
+        )
+        self._staged = Path(tmp)
+        self._fh = os.fdopen(fd, "wb")
         self._wedged = False
 
     def append(self, event: Dict) -> None:
         self.write(encode_event(event))
 
     def write(self, line: bytes) -> None:
-        """Append one encoded line (see :func:`encode_event`).  A
-        staged log is read only once it is closed, so only an
-        in-place log flushes each line."""
+        """Append one encoded line (see :func:`encode_event`).  The
+        log is read only once it is closed, so lines are not flushed
+        one by one."""
         if self._wedged:
             return
         if chaos.should_fire("torn-event"):
@@ -178,34 +181,75 @@ class EventLog:
             return
         try:
             self._fh.write(line)
-            if self._staged is None:
-                self._fh.flush()
         except OSError:
             self._wedged = True
 
-    def close(self) -> bool:
-        """Close the file (and swap a staged log into ``path``);
-        ``True`` when ``path`` now holds every line written."""
+    def close(self) -> Optional[Path]:
+        """Close the file, rename it to its finished name and link that
+        at ``path``.  Returns the finished name when it holds every
+        line written, else ``None``."""
         try:
             self._fh.close()
         except OSError:
             self._wedged = True
-        staged, self._staged = self._staged, None
-        if staged is not None:
-            try:
-                os.replace(staged, self.path)
-            except OSError:
-                logger.exception("event log %s: swap failed", self.path)
-                try:
-                    staged.unlink()
-                except OSError:
-                    pass
-                return False
-        return not self._wedged
+        own = self._staged.with_suffix(".ndjson")
+        try:
+            os.replace(self._staged, own)
+            tmp = own.with_suffix(".link")
+            _link(own, tmp)
+            os.replace(tmp, self.path)
+        except OSError:
+            logger.exception("event log %s: swap failed", self.path)
+            return None
+        return None if self._wedged else own
+
+    @staticmethod
+    def keep(path: Union[str, Path]) -> Path:
+        """A private name for the finished log at ``path`` (a missing
+        log stays missing), so that a log swapped into ``path`` later
+        leaves it alone: what a restored execution reads from."""
+        path = Path(path)
+        own = path.with_name(f".{path.name}")
+        try:
+            _link(path, own)
+        except OSError:
+            pass
+        return own
+
+    @staticmethod
+    def sweep(directory: Union[str, Path]) -> None:
+        """Remove the hidden files a previous server process left in
+        ``directory``: staged logs of executions a crash interrupted
+        (they re-run) and private names of finished ones."""
+        for stale in Path(directory).glob(".*"):
+            stale.unlink(missing_ok=True)
 
     @staticmethod
     def load(path: Union[str, Path]) -> Tuple[List[Dict], bool]:
         return read_ndjson_tolerant(path, label="event log")
+
+    @staticmethod
+    def read_lines(path: Union[str, Path]) -> List[bytes]:
+        """A closed log's lines, as written; a missing file is empty
+        and a line without its newline (a torn tail) is dropped, as
+        :func:`scan_ndjson_tolerant` drops it."""
+        try:
+            lines = Path(path).read_bytes().splitlines(keepends=True)
+        except OSError:
+            return []
+        if lines and not lines[-1].endswith(b"\n"):
+            lines.pop()
+        return lines
+
+
+def _link(src: Path, dst: Path) -> None:
+    """Make the new name ``dst`` for ``src``'s file: a hard link, or a
+    copy where the file system has none."""
+    dst.unlink(missing_ok=True)
+    try:
+        os.link(src, dst)
+    except OSError:
+        shutil.copyfile(src, dst)
 
 
 @dataclasses.dataclass

@@ -163,12 +163,10 @@ class SimulationService:
 
     def _attach_durability(self, execution: Execution) -> None:
         """Scheduler hook: give a fresh execution its on-disk event
-        log — staged, so the previous log of its key stays whole until
-        this one is finished — and journal transition plumbing (called
-        once per enqueued execution, under the scheduler lock)."""
-        execution.sink = EventLog(
-            self._event_path(execution.key), fresh=True
-        )
+        log — its own file, so older logs of its key stay whole — and
+        journal transition plumbing (called once per enqueued
+        execution, under the scheduler lock)."""
+        execution.sink = EventLog(self._event_path(execution.key))
         journal = self.journal
         if journal is None:
             return
@@ -182,9 +180,7 @@ class SimulationService:
         """Replay the journal: re-enqueue interrupted work, restore
         terminal jobs read-only, then compact the journal."""
         assert self.journal is not None
-        # staged logs of executions a crash interrupted: they re-run
-        for part in self.log_dir.glob(".*.part"):
-            part.unlink(missing_ok=True)
+        EventLog.sweep(self.log_dir)
         view = self.journal.replay()
         if not view.jobs:
             return
@@ -252,7 +248,7 @@ class SimulationService:
                     jobs[0].request,
                     study,
                     state,
-                    self._event_path(key),
+                    EventLog.keep(self._event_path(key)),
                     error=view.errors.get(key),
                     trace_id=prior.trace_id if prior else None,
                 )

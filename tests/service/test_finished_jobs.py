@@ -1,8 +1,8 @@
 """Finished executions keep a pointer to their log: server memory and
 open files stay flat per finished job, and every read after the end —
 stream replays from any cursor, ``/result``, a restart, an older job
-of a key whose newer execution is mid-run — serves the bytes the live
-stream sent."""
+of a key whose newer execution is mid-run or has ended — serves the
+bytes the live stream sent."""
 
 import gc
 import http.client
@@ -16,12 +16,14 @@ import pytest
 
 from repro.api import StudyResult
 from repro.service import (
+    JobRequest,
     ResultStore,
     ServiceClient,
     SimulationService,
     create_server,
 )
-from repro.service.jobs import Execution
+from repro.service.jobs import TERMINAL_STATES, Execution
+from repro.service.journal import JobJournal
 from repro.service.server import _ServiceHTTPServer
 
 from .conftest import tiny_study
@@ -176,20 +178,89 @@ class TestReplay:
             _result_from(live).to_dict()["scenarios"]
         )
 
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_older_job_keeps_its_log_after_a_newer_one_ends(
+        self, live_job, tmp_path, restart
+    ):
+        """A newer execution of the key that ends without a result
+        (here: cancelled while queued) links its own log at the key's
+        path; the finished job, restored or not, keeps its own."""
+        server, job_id, live = live_job
+        if restart:
+            server.close()
+            server = _Server(tmp_path)
+        try:
+            # no executor: the newer execution stays queued
+            server.service._stopped.set()
+            server.service._executor.join(timeout=10)
+            newer = server.client.submit_study(_study())
+            assert server.client.status(newer["id"])["state"] == "queued"
+            server.client.cancel(newer["id"])
+            key_log = server.service._event_path(newer["key"])
+            assert key_log.read_bytes() == b"".join(
+                _raw_lines(server.client, newer["id"])
+            )
+            assert b'"cancelled"' in key_log.read_bytes()
+            assert server.client.status(job_id)["state"] == "done"
+            assert _raw_lines(server.client, job_id) == live
+            assert _raw_lines(server.client, job_id, start=3) == live[3:]
+            assert server.client.result(job_id).to_dict() == (
+                _result_from(live).to_dict()
+            )
+            assert server.client.watch(job_id).to_dict() == (
+                _result_from(live).to_dict()
+            )
+        finally:
+            if restart:
+                server.close()
+
+
+def test_terminal_state_is_journaled_after_its_log(tmp_path, monkeypatch):
+    """The journal records a terminal state only once the key's log
+    holds the terminal event, so a crash between the two re-runs the
+    execution instead of restoring it from an older log."""
+    seen = []
+    record_state = JobJournal.record_state
+
+    def spy(self, key, state, error=None):
+        if state in TERMINAL_STATES:
+            log = tmp_path / "state" / "events" / f"{key}.ndjson"
+            seen.append((state, json.loads(log.read_bytes().splitlines()[-1])))
+        record_state(self, key, state, error=error)
+
+    monkeypatch.setattr(JobJournal, "record_state", spy)
+    service = SimulationService(
+        ResultStore(tmp_path / "store"), state_dir=tmp_path / "state"
+    )
+    try:
+        job, _ = service.submit(JobRequest(study=_study().to_data()))
+        deadline = time.time() + 60
+        while not job.terminal and time.time() < deadline:
+            time.sleep(0.02)
+    finally:
+        service.shutdown()
+    assert [(state, last["event"]) for state, last in seen] == [
+        ("done", "done")
+    ]
+
 
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
 )
-def test_server_memory_and_files_stay_flat_per_finished_job(tmp_path):
-    """40 warm jobs on a ``--state-dir`` server: between job 10 and
-    job 40 the process keeps ≤ 16 KB of traced memory per finished job
-    (a server that keeps every job's events held ~45 KB each here) and
-    at most 2 more open files."""
+@pytest.mark.parametrize("journal", [True, False], ids=["state-dir", "temp"])
+def test_server_memory_and_files_stay_flat_per_finished_job(
+    tmp_path, journal
+):
+    """40 warm jobs on a server with a ``--state-dir`` or without one
+    (logs in a private temp dir): between job 10 and job 40 the process
+    keeps ≤ 16 KB of traced memory per finished job (a server that
+    keeps every job's events held ~45 KB each here) and at most 2 more
+    open files."""
     server = create_server(
         host="127.0.0.1",
         port=0,
         cache_dir=tmp_path / "store",
-        state_dir=tmp_path / "state",
+        state_dir=tmp_path / "state" if journal else None,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -90,9 +90,9 @@ class TestTolerantReader:
         assert path.read_text() == blob
 
     def test_sigkill_mid_append_leaves_replayable_log(self, tmp_path):
-        """Regression: SIGKILL a process busy appending; the survivors
-        must replay as a clean prefix, never raise."""
-        path = tmp_path / "events.ndjson"
+        """Regression: SIGKILL a process busy appending to an event
+        log; what reached its staged file must replay as a clean
+        prefix, never raise."""
         script = (
             "import sys\n"
             "from repro.service.journal import EventLog\n"
@@ -104,12 +104,15 @@ class TestTolerantReader:
         )
         env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(path)], env=env
+            [sys.executable, "-c", script, str(tmp_path / "e.ndjson")],
+            env=env,
         )
         try:
             deadline = time.time() + 30
             while time.time() < deadline:
-                if path.exists() and path.stat().st_size > 4096:
+                staged = list(tmp_path.glob(".e-*.part"))
+                if staged and staged[0].stat().st_size > 4096:
+                    path = staged[0]
                     break
                 time.sleep(0.01)
             else:
@@ -137,52 +140,78 @@ class TestEventLog:
 
     def test_fresh_truncates_previous_run(self, tmp_path):
         path = tmp_path / "e.ndjson"
-        EventLog(path).append({"seq": 0})
-        log = EventLog(path, fresh=True)
+        old = EventLog(path)
+        old.append({"seq": 0})
+        old.close()
+        log = EventLog(path)
         log.append({"seq": 0, "new": True})
         log.close()
         events, _ = EventLog.load(path)
         assert events == [{"seq": 0, "new": True}]
 
-    def test_fresh_log_leaves_the_old_one_whole_until_closed(
-        self, tmp_path
-    ):
-        """A fresh log is staged beside ``path``: readers of ``path``
-        see the previous log, complete, until the new one is swapped
-        in whole at close."""
+    def test_log_leaves_older_ones_whole(self, tmp_path):
+        """A log is staged beside ``path``: readers of ``path`` see the
+        previous log, complete, until the new one is linked in whole at
+        close, and the previous log's own file never changes."""
         path = tmp_path / "e.ndjson"
         old = EventLog(path)
         old.append({"seq": 0, "event": "done"})
-        assert old.close() is True
+        old_own = old.close()
+        assert old_own is not None and old_own != path
         before = path.read_bytes()
-        log = EventLog(path, fresh=True)
+        assert old_own.read_bytes() == before
+        log = EventLog(path)
         log.append({"seq": 0, "event": "start"})
         log.append({"seq": 1, "event": "point"})
         assert path.read_bytes() == before
-        assert log.close() is True
+        own = log.close()
+        assert own is not None and own.read_bytes() == path.read_bytes()
         events, torn = EventLog.load(path)
         assert [e["event"] for e in events] == ["start", "point"]
         assert torn is False
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.ndjson"]
+        assert old_own.read_bytes() == before
+        assert EventLog.read_lines(old_own) == [before]
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(["e.ndjson", old_own.name, own.name])
 
-    def test_torn_fresh_log_reports_it_at_close(
-        self, tmp_path, monkeypatch
-    ):
+    def test_torn_log_reports_it_at_close(self, tmp_path, monkeypatch):
         from repro.service import chaos
 
         monkeypatch.setenv("REPRO_CHAOS", "torn-event:after=2")
         chaos.reset()
         try:
             path = tmp_path / "e.ndjson"
-            log = EventLog(path, fresh=True)
+            log = EventLog(path)
             for seq in range(3):
                 log.append({"seq": seq})
-            assert log.close() is False  # the file misses lines
+            assert log.close() is None  # the file misses lines
         finally:
             monkeypatch.delenv("REPRO_CHAOS")
             chaos.reset()
+        assert len(EventLog.read_lines(path)) == 1  # torn tail dropped
         events, torn = EventLog.load(path)
         assert events == [{"seq": 0}] and torn is True
+
+    def test_kept_name_outlives_a_later_log(self, tmp_path):
+        """What a restart restores from: a private name for the log at
+        ``path`` that a newer log linked at ``path`` leaves alone;
+        :meth:`EventLog.sweep` removes it and every staged file."""
+        path = tmp_path / "e.ndjson"
+        first = EventLog(path)
+        first.append({"seq": 0, "event": "done"})
+        first.close()
+        EventLog.sweep(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["e.ndjson"]
+        kept = EventLog.keep(path)
+        before = path.read_bytes()
+        newer = EventLog(path)
+        newer.append({"seq": 0, "event": "cancelled"})
+        newer.close()
+        assert kept.read_bytes() == before != path.read_bytes()
+        EventLog(path)  # a run a crash interrupts: staged, never closed
+        EventLog.sweep(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["e.ndjson"]
+        assert EventLog.read_lines(EventLog.keep(tmp_path / "gone")) == []
 
 
 class TestJobJournal:
