@@ -38,6 +38,7 @@
  * stdlib stream) and plane_resolve (routes, from label tables).
  */
 
+#include <stddef.h>
 #include <stdint.h>
 
 typedef int64_t i64;
@@ -48,130 +49,114 @@ typedef int64_t i64;
 #define HOP_MASK ((1 << HOP_BITS) - 1)
 #define FIDX_MASK ((1 << (PID_SHIFT - FIDX_SHIFT)) - 1)
 
+/* Every struct the Python side fills is declared once, here, as an
+ * X-macro list of X(type, name) fields.  FIELD makes the typedef from
+ * it, and sim_layout() at the end of this file exports the same list
+ * as a table (offsetof, sizeof and the type as written) from which
+ * repro.network.native builds each ctypes class.  A field is added,
+ * renamed or moved here and nowhere else. */
+#define FIELD(type, name) type name;
+
 /* A closed-loop plan: the flat arrays of a PhasePlan, which this
  * kernel counts down and stamps in place, plus the scratch release
- * needs.  Mirrored by _PlanState in repro.network.native; every buffer
- * is sized by the plan (n_ph phases, n_ev events) and exists only for
- * a plan's run. */
-typedef struct {
-    i64 n_ph;
-    i64 pid0;        /* first packet id of the run: event e is pid0 + e */
-    /* scratch counters, zero on entry */
-    i64 act_n;       /* released phases with events left */
-    i64 q_head, q_tail;
-    i64 done_n;      /* drained phases */
-    /* the templates (read-only) */
-    i64 *ev_off;     /* [n_ev] injection cycle, relative to phase start */
-    i64 *ev_phase;   /* [n_ev] phase of each event */
-    i64 *ev0;        /* [n_ph + 1] phase i owns events ev0[i]..ev0[i+1] */
-    i64 *compute;    /* [n_ph] cycles from release to first injection */
-    i64 *dep_ptr;    /* [n_ph + 1] CSR of the phases waiting on phase i */
-    i64 *dep_idx;
-    /* counters */
-    i64 *indeg;      /* [n_ph] undrained upstream phases, counts down */
-    i64 *rem;        /* [n_ph] undelivered packets, counts down */
-    /* cycle stamps, -1 until reached */
-    i64 *release;    /* [n_ph] */
-    i64 *comm_start; /* [n_ph] first injection */
-    i64 *done;       /* [n_ph] drain */
-    /* scratch */
-    i64 *cur;        /* [n_ph] next event of a released phase */
-    i64 *act;        /* [n_ph] the act_n active phases, release order */
-    i64 *queue;      /* [n_ph] phases released this cycle, FIFO; every
-                      * phase passes through once, so it never wraps */
-} Plan;
+ * needs.  Every buffer is sized by the plan (n_ph phases, n_ev events)
+ * and exists only for a plan's run. */
+#define PLAN_FIELDS(X) \
+    X(i64, n_ph) \
+    X(i64, pid0)        /* first packet id of the run: event e is pid0 + e */ \
+    /* scratch counters, zero on entry: act_n released phases with \
+     * events left, the queue's head and tail, done_n drained phases */ \
+    X(i64, act_n) X(i64, q_head) X(i64, q_tail) X(i64, done_n) \
+    /* the templates (read-only) */ \
+    X(i64 *, ev_off)    /* [n_ev] injection cycle, relative to phase start */ \
+    X(i64 *, ev_phase)  /* [n_ev] phase of each event */ \
+    X(i64 *, ev0)       /* [n_ph + 1] phase i owns events ev0[i]..ev0[i+1] */ \
+    X(i64 *, compute)   /* [n_ph] cycles from release to first injection */ \
+    X(i64 *, dep_ptr)   /* [n_ph + 1] CSR of the phases waiting on phase i */ \
+    X(i64 *, dep_idx) \
+    X(i64 *, indeg)     /* [n_ph] undrained upstream phases, counts down */ \
+    X(i64 *, rem)       /* [n_ph] undelivered packets, counts down */ \
+    /* cycle stamps, -1 until reached: release, first injection, drain */ \
+    X(i64 *, release) X(i64 *, comm_start) X(i64 *, done) \
+    /* scratch; every phase passes through queue once, so it never wraps */ \
+    X(i64 *, cur)       /* [n_ph] next event of a released phase */ \
+    X(i64 *, act)       /* [n_ph] the act_n active phases, release order */ \
+    X(i64 *, queue)     /* [n_ph] phases released this cycle, FIFO */
 
-/* Everything the kernel touches; mirrored field-for-field by the
- * ctypes.Structure in repro.network.native.  int64 scalars first,
- * then pointers, to keep the layout trivially predictable. */
-typedef struct {
-    /* sizes and parameters */
-    i64 num_nodes;
-    i64 num_links;
-    i64 num_lv;
-    i64 wheel_size;
-    i64 slot_cap;   /* per-wheel-slot event capacity */
-    i64 buf_cap;    /* flits per (link, vc) ring == vc_buffer_size */
-    i64 max_in;     /* max inbound (link, vc) inputs of any router */
-    i64 pkt_len;
-    i64 inj_w;
-    i64 ej_w;
-    i64 warm;
-    i64 meas_end;
-    i64 t_end;
-    i64 t0;         /* first cycle of this run (continues prior runs) */
-    /* injection events (pre-resolved packets: schedule order, or a
-     * plan's template order) */
-    i64 n_ev;
-    /* outputs / running counters (read-modify-write) */
-    i64 n_lat;
-    i64 tfi;
-    i64 tfe;
-    i64 pm;
-    i64 few;
-    i64 hot_n;
-    i64 error;      /* 0 ok; 1 wheel overflow; 2 ne overflow */
+typedef struct { PLAN_FIELDS(FIELD) } Plan;
 
-    /* per-link / per-lv constants, shared read-only by every lane */
-    const i64 *cap;     /* [num_links] flits per cycle */
-    const i64 *lv_dst;  /* [num_lv] destination router */
-    const i64 *cap_lv;  /* [num_lv] upstream link capacity */
-    const i64 *cdel_lv; /* [num_lv] credit return delay */
-    /* mutable per-lv state */
-    i64 *credits;    /* [num_lv] */
-    i64 *owner;      /* [num_lv] owning pid, -1 free */
-    i64 *buf;        /* [num_lv * buf_cap] flit rings */
-    i64 *b_head;     /* [num_lv] ring head index */
-    i64 *b_len;      /* [num_lv] ring occupancy */
-    /* per-router input bookkeeping (insertion-ordered, like the
-     * Python cores' nonempty dicts) */
-    i64 *ne_arr;     /* [num_nodes * max_in] */
-    i64 *ne_len;     /* [num_nodes] */
-    /* source queues: one arena, per-node slices */
-    i64 *sq_arena;   /* [sum of per-node capacities] pids */
-    i64 *sq_off;     /* [num_nodes] arena offset */
-    i64 *sq_head;    /* [num_nodes] index into slice */
-    i64 *sq_len;     /* [num_nodes] */
-    i64 *s_fidx;     /* [num_nodes] next flit idx of queue head */
-    /* event wheels: parallel (flit, lv) arrays per slot */
-    i64 *aw_f;       /* [wheel_size * slot_cap] arrival flits */
-    i64 *aw_lv;      /* [wheel_size * slot_cap] arrival lvs */
-    i64 *aw_n;       /* [wheel_size] */
-    i64 *cw_lv;      /* [wheel_size * slot_cap] credit lvs */
-    i64 *cw_n;       /* [wheel_size] */
-    /* round-robin pointers */
-    i64 *rr_link;    /* [num_links] */
-    i64 *rr_eject;   /* [num_nodes] */
-    /* hot-router machinery */
-    i64 *hot_a;      /* [num_nodes] current list */
-    i64 *hot_b;      /* [num_nodes] next list */
-    unsigned char *hot_flag; /* [num_nodes] */
-    /* packet table and flattened routes (read-only here, except that
-     * plan mode stamps p_t0 and p_meas at injection) */
-    i64 *p_off;      /* [num_packets] route offset */
-    i64 *p_hops;     /* [num_packets] route length */
-    i64 *p_t0;       /* [num_packets] creation cycle */
-    i64 *p_meas;     /* [num_packets] created in window */
-    i64 *route_lv;   /* per-hop (link*V + vc) */
-    const i64 *lv_link;  /* per-lv link id (lv / num_vcs), shared */
-    const i64 *lv_delay; /* per-lv in-flight delay of its link, shared */
-    /* injection events */
-    i64 *ev_cycle;   /* [n_ev] sorted (open loop only) */
-    i64 *ev_src;     /* [n_ev] */
-    i64 *ev_pid;     /* [n_ev] */
-    /* measurement output */
-    i64 *lat_out;    /* [>= packets] */
-    i64 *hops_out;   /* [>= packets] */
-    i64 *pid_out;    /* [>= packets] delivered pid per latency sample,
-                        NULL when unprobed */
-    /* scratch (max_in + 1 each) */
-    i64 *sc_desc;
-    i64 *sc_key;
-    i64 *sc_cand;
-    i64 *sc_used;
-    /* closed-loop plan; NULL for an open-loop run */
-    Plan *plan;
-} S;
+/* Everything the kernel touches: int64 scalars first, then pointers,
+ * so the struct has no padding (sim_layout's reader checks that the
+ * fields tile it). */
+#define S_FIELDS(X) \
+    /* sizes and parameters */ \
+    X(i64, num_nodes) X(i64, num_links) X(i64, num_lv) X(i64, wheel_size) \
+    X(i64, slot_cap)    /* per-wheel-slot event capacity */ \
+    X(i64, buf_cap)     /* flits per (link, vc) ring == vc_buffer_size */ \
+    X(i64, max_in)      /* max inbound (link, vc) inputs of any router */ \
+    X(i64, pkt_len) X(i64, inj_w) X(i64, ej_w) \
+    X(i64, warm) X(i64, meas_end) X(i64, t_end) \
+    X(i64, t0)          /* first cycle of this run (continues prior runs) */ \
+    X(i64, n_ev)        /* injection events: schedule or template order */ \
+    /* outputs / running counters (read-modify-write) */ \
+    X(i64, n_lat) X(i64, tfi) X(i64, tfe) X(i64, pm) X(i64, few) \
+    X(i64, hot_n) \
+    X(i64, error)       /* 0 ok; 1 wheel overflow; 2 ne overflow */ \
+    /* per-link / per-lv constants, shared read-only by every lane */ \
+    X(const i64 *, cap)     /* [num_links] flits per cycle */ \
+    X(const i64 *, lv_dst)  /* [num_lv] destination router */ \
+    X(const i64 *, cap_lv)  /* [num_lv] upstream link capacity */ \
+    X(const i64 *, cdel_lv) /* [num_lv] credit return delay */ \
+    /* mutable per-lv state */ \
+    X(i64 *, credits)   /* [num_lv] */ \
+    X(i64 *, owner)     /* [num_lv] owning pid, -1 free */ \
+    X(i64 *, buf)       /* [num_lv * buf_cap] flit rings */ \
+    X(i64 *, b_head)    /* [num_lv] ring head index */ \
+    X(i64 *, b_len)     /* [num_lv] ring occupancy */ \
+    /* per-router input bookkeeping (insertion-ordered, like the \
+     * Python cores' nonempty dicts) */ \
+    X(i64 *, ne_arr)    /* [num_nodes * max_in] */ \
+    X(i64 *, ne_len)    /* [num_nodes] */ \
+    /* source queues: one arena, per-node slices */ \
+    X(i64 *, sq_arena)  /* [sum of per-node capacities] pids */ \
+    X(i64 *, sq_off)    /* [num_nodes] arena offset */ \
+    X(i64 *, sq_head)   /* [num_nodes] index into slice */ \
+    X(i64 *, sq_len)    /* [num_nodes] */ \
+    X(i64 *, s_fidx)    /* [num_nodes] next flit idx of queue head */ \
+    /* event wheels: parallel (flit, lv) arrays per slot */ \
+    X(i64 *, aw_f)      /* [wheel_size * slot_cap] arrival flits */ \
+    X(i64 *, aw_lv)     /* [wheel_size * slot_cap] arrival lvs */ \
+    X(i64 *, aw_n)      /* [wheel_size] */ \
+    X(i64 *, cw_lv)     /* [wheel_size * slot_cap] credit lvs */ \
+    X(i64 *, cw_n)      /* [wheel_size] */ \
+    /* round-robin pointers */ \
+    X(i64 *, rr_link)   /* [num_links] */ \
+    X(i64 *, rr_eject)  /* [num_nodes] */ \
+    /* hot-router machinery */ \
+    X(i64 *, hot_a)     /* [num_nodes] current list */ \
+    X(i64 *, hot_b)     /* [num_nodes] next list */ \
+    X(unsigned char *, hot_flag) /* [num_nodes] */ \
+    /* packet table and flattened routes (read-only here, except that \
+     * plan mode stamps p_t0 and p_meas at injection) */ \
+    X(i64 *, p_off)     /* [num_packets] route offset */ \
+    X(i64 *, p_hops)    /* [num_packets] route length */ \
+    X(i64 *, p_t0)      /* [num_packets] creation cycle */ \
+    X(i64 *, p_meas)    /* [num_packets] created in window */ \
+    X(i64 *, route_lv)  /* per-hop (link*V + vc) */ \
+    X(const i64 *, lv_link)  /* per-lv link id (lv / num_vcs), shared */ \
+    X(const i64 *, lv_delay) /* per-lv in-flight delay of its link, shared */ \
+    /* injection events: [n_ev] cycles (sorted, open loop only), \
+     * sources and packet ids */ \
+    X(i64 *, ev_cycle) X(i64 *, ev_src) X(i64 *, ev_pid) \
+    /* measurement output, [>= packets] each: latency and hops per \
+     * delivered measured packet, and its pid (NULL when unprobed) */ \
+    X(i64 *, lat_out) X(i64 *, hops_out) X(i64 *, pid_out) \
+    /* scratch (max_in + 1 each) */ \
+    X(i64 *, sc_desc) X(i64 *, sc_key) X(i64 *, sc_cand) X(i64 *, sc_used) \
+    /* closed-loop plan; NULL for an open-loop run */ \
+    X(Plan *, plan)
+
+typedef struct { S_FIELDS(FIELD) } S;
 
 /* drop input lv from router r's insertion-ordered list */
 static void ne_remove(S *s, i64 r, i64 lv)
@@ -760,26 +745,31 @@ i64 sim_run_batch(S *states, i64 n, i64 threads)
 /* ------------------------------------------------------------------
  * Route plane: routes of (src, dst[, via]) triples from label tables.
  *
- * Walks the tables of repro.routing.plane.RoutePlane (struct Plane
- * mirrors its _SCALARS + _TABLES field for field; see that class for
- * what each table holds).  The scalar route() of the routing classes
- * is the specification.
+ * Walks the label tables of repro.routing.plane.RoutePlane, which
+ * fills this struct by field name (see that class for what each table
+ * holds).  The scalar route() of the routing classes is the
+ * specification.
  * ------------------------------------------------------------------ */
 
-typedef struct {
-    i64 num_vcs;
-    i64 C;          /* C-groups per W-group */
-    i64 L;          /* nodes per C-group */
-    i64 W;          /* W-groups */
-    i64 seg_w;      /* padded segment row width */
-    i64 cg_w;       /* template links per C-group */
-    i64 reduced;    /* 0: ordinal VC rule, 1: Sec. IV-B reduced policy */
-    i64 merged_vcs; /* reduced: intermediate and destination share VC-2 */
-    i64 vc_spread, vc_local, vc_global, vc_landed; /* ordinal rule */
-    const i64 *node_w, *node_c, *node_l, *cg_links, *seg;
-    const i64 *loc_link, *loc_src, *loc_dst;
-    const i64 *gateway, *glob_link, *glob_src, *glob_dst, *glob_dst_c;
-} Plane;
+#define PLANE_FIELDS(X) \
+    X(i64, num_vcs) \
+    X(i64, C)           /* C-groups per W-group */ \
+    X(i64, L)           /* nodes per C-group */ \
+    X(i64, W)           /* W-groups */ \
+    X(i64, seg_w)       /* padded segment row width */ \
+    X(i64, cg_w)        /* template links per C-group */ \
+    X(i64, reduced)     /* 0: ordinal VC rule, 1: Sec. IV-B reduced policy */ \
+    X(i64, merged_vcs)  /* reduced: intermediate and destination on VC-2 */ \
+    /* the ordinal rule */ \
+    X(i64, vc_spread) X(i64, vc_local) X(i64, vc_global) X(i64, vc_landed) \
+    X(const i64 *, node_w) X(const i64 *, node_c) X(const i64 *, node_l) \
+    X(const i64 *, cg_links) X(const i64 *, seg) \
+    X(const i64 *, loc_link) X(const i64 *, loc_src) X(const i64 *, loc_dst) \
+    X(const i64 *, gateway) X(const i64 *, glob_link) \
+    X(const i64 *, glob_src) X(const i64 *, glob_dst) \
+    X(const i64 *, glob_dst_c)
+
+typedef struct { PLANE_FIELDS(FIELD) } Plane;
 
 enum { SEG_XY = 0, SEG_WALK = 1, SEG_DELIVERY = 2 };
 
@@ -926,7 +916,7 @@ i64 plane_resolve(const Plane *p, i64 n, const i64 *src, const i64 *dst,
  * the stream.  Every draw is one idiom: a uniform pick from a CSR row
  * keyed by labels, with up to two excluded positions skipped in
  * increasing order.  The tables are repro.network.vecrandom.DestRows
- * and ViaRows (same field order).
+ * and ViaRows.
  * ------------------------------------------------------------------ */
 
 #define MT_N 624
@@ -982,22 +972,24 @@ static i64 pick(uint32_t *mt, const i64 *ptr, const i64 *val, i64 r, i64 a,
     return val ? val[lo + j] : j;
 }
 
-typedef struct {
-    i64 chain;        /* a picked value keys a second, skip-free pick */
-    const i64 *ptr, *val;
-    const i64 *key;   /* [nodes] row a source draws from, -1: none */
-    const i64 *skip;  /* [nodes] position excluded from it, -1: none */
-    const i64 *fixed; /* [nodes] destination without a draw, -1: drop */
-} DestRows;
+#define DEST_ROWS_FIELDS(X) \
+    X(i64, chain)         /* a picked value keys a second, skip-free pick */ \
+    X(const i64 *, ptr) X(const i64 *, val) \
+    X(const i64 *, key)   /* [nodes] row a source draws from, -1: none */ \
+    X(const i64 *, skip)  /* [nodes] position excluded from it, -1: none */ \
+    X(const i64 *, fixed) /* [nodes] destination without a draw, -1: drop */
 
-typedef struct {
-    i64 groups;       /* pairs inside one group, or <= 2 groups: minimal */
-    i64 subs;         /* rows keyed (gs * groups + gd) * subs + sub[d] */
-    i64 count_fallback; /* an empty keyed row counts as a fallback */
-    const i64 *ptr, *val;
-    const i64 *group; /* [nodes] */
-    const i64 *sub;   /* [nodes]; NULL: row 0 with gs and gd skipped */
-} ViaRows;
+typedef struct { DEST_ROWS_FIELDS(FIELD) } DestRows;
+
+#define VIA_ROWS_FIELDS(X) \
+    X(i64, groups)      /* pairs inside one group, or <= 2 groups: minimal */ \
+    X(i64, subs)        /* rows keyed (gs * groups + gd) * subs + sub[d] */ \
+    X(i64, count_fallback) /* an empty keyed row counts as a fallback */ \
+    X(const i64 *, ptr) X(const i64 *, val) \
+    X(const i64 *, group) /* [nodes] */ \
+    X(const i64 *, sub) /* [nodes]; NULL: row 0 with gs and gd skipped */
+
+typedef struct { VIA_ROWS_FIELDS(FIELD) } ViaRows;
 
 /* Fills dst[i] (-1: dropped) and, with v, via[i] (-1: minimal) for the
  * n events of sources src; returns the fallbacks counted. */
@@ -1032,4 +1024,39 @@ i64 draw_pass(uint32_t *mt, const DestRows *d, const ViaRows *v, i64 n,
         }
     }
     return fallbacks;
+}
+
+/* ------------------------------------------------------------------
+ * Layout: the field lists above as data.  One row per struct (name
+ * NULL: its sizeof), then one per field in declaration order with its
+ * type as written; a row of NULLs ends the table, and a struct comes
+ * after the structs it points to.
+ * ------------------------------------------------------------------ */
+
+typedef struct {
+    const char *owner, *name, *type;
+    i64 offset, size;
+} LayoutRow;
+
+#define STRUCT_ROW(T) {#T, 0, 0, 0, sizeof(T)},
+#define FIELD_ROW(T, type, name) \
+    {#T, #name, #type, offsetof(T, name), sizeof(((T *)0)->name)},
+#define PLAN_ROW(type, name) FIELD_ROW(Plan, type, name)
+#define S_ROW(type, name) FIELD_ROW(S, type, name)
+#define PLANE_ROW(type, name) FIELD_ROW(Plane, type, name)
+#define DEST_ROWS_ROW(type, name) FIELD_ROW(DestRows, type, name)
+#define VIA_ROWS_ROW(type, name) FIELD_ROW(ViaRows, type, name)
+
+static const LayoutRow layout[] = {
+    STRUCT_ROW(Plan) PLAN_FIELDS(PLAN_ROW)
+    STRUCT_ROW(S) S_FIELDS(S_ROW)
+    STRUCT_ROW(Plane) PLANE_FIELDS(PLANE_ROW)
+    STRUCT_ROW(DestRows) DEST_ROWS_FIELDS(DEST_ROWS_ROW)
+    STRUCT_ROW(ViaRows) VIA_ROWS_FIELDS(VIA_ROWS_ROW)
+    {0, 0, 0, 0, 0},
+};
+
+const LayoutRow *sim_layout(void)
+{
+    return layout;
 }

@@ -67,7 +67,7 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -120,108 +120,111 @@ def resolve_threads(lanes: int, threads: Optional[int] = None) -> int:
     return max(1, min(int(threads), max(1, lanes)))
 
 _i64p = ctypes.POINTER(ctypes.c_int64)
-_u8p = ctypes.POINTER(ctypes.c_uint8)
 
 
-class _PlanState(ctypes.Structure):
-    """Mirror of ``Plan`` in ``_simcore.c`` (same field order): a
-    closed-loop plan's arrays plus the kernel's release scratch."""
+class _LayoutRow(ctypes.Structure):
+    """A row of the kernel's ``sim_layout()`` table: a field of one of
+    its structs, or (``name`` NULL) the struct's size.  The one struct
+    Python spells out; the kernel's own are built from these rows."""
 
     _fields_ = [
-        ("n_ph", ctypes.c_int64),
-        ("pid0", ctypes.c_int64),
-        ("act_n", ctypes.c_int64),
-        ("q_head", ctypes.c_int64),
-        ("q_tail", ctypes.c_int64),
-        ("done_n", ctypes.c_int64),
-        ("ev_off", _i64p),
-        ("ev_phase", _i64p),
-        ("ev0", _i64p),
-        ("compute", _i64p),
-        ("dep_ptr", _i64p),
-        ("dep_idx", _i64p),
-        ("indeg", _i64p),
-        ("rem", _i64p),
-        ("release", _i64p),
-        ("comm_start", _i64p),
-        ("done", _i64p),
-        ("cur", _i64p),
-        ("act", _i64p),
-        ("queue", _i64p),
+        ("owner", ctypes.c_char_p),
+        ("name", ctypes.c_char_p),
+        ("type", ctypes.c_char_p),
+        ("offset", ctypes.c_int64),
+        ("size", ctypes.c_int64),
     ]
 
 
-class _SimState(ctypes.Structure):
-    """Mirror of ``struct S`` in ``_simcore.c`` (same field order)."""
+#: numpy dtype of the arrays a pointer field takes, by element type
+_DTYPES = {
+    ctypes.c_int64: np.dtype(np.int64),
+    ctypes.c_uint8: np.dtype(np.uint8),
+}
 
-    _fields_ = [
-        ("num_nodes", ctypes.c_int64),
-        ("num_links", ctypes.c_int64),
-        ("num_lv", ctypes.c_int64),
-        ("wheel_size", ctypes.c_int64),
-        ("slot_cap", ctypes.c_int64),
-        ("buf_cap", ctypes.c_int64),
-        ("max_in", ctypes.c_int64),
-        ("pkt_len", ctypes.c_int64),
-        ("inj_w", ctypes.c_int64),
-        ("ej_w", ctypes.c_int64),
-        ("warm", ctypes.c_int64),
-        ("meas_end", ctypes.c_int64),
-        ("t_end", ctypes.c_int64),
-        ("t0", ctypes.c_int64),
-        ("n_ev", ctypes.c_int64),
-        ("n_lat", ctypes.c_int64),
-        ("tfi", ctypes.c_int64),
-        ("tfe", ctypes.c_int64),
-        ("pm", ctypes.c_int64),
-        ("few", ctypes.c_int64),
-        ("hot_n", ctypes.c_int64),
-        ("error", ctypes.c_int64),
-        ("cap", _i64p),
-        ("lv_dst", _i64p),
-        ("cap_lv", _i64p),
-        ("cdel_lv", _i64p),
-        ("credits", _i64p),
-        ("owner", _i64p),
-        ("buf", _i64p),
-        ("b_head", _i64p),
-        ("b_len", _i64p),
-        ("ne_arr", _i64p),
-        ("ne_len", _i64p),
-        ("sq_arena", _i64p),
-        ("sq_off", _i64p),
-        ("sq_head", _i64p),
-        ("sq_len", _i64p),
-        ("s_fidx", _i64p),
-        ("aw_f", _i64p),
-        ("aw_lv", _i64p),
-        ("aw_n", _i64p),
-        ("cw_lv", _i64p),
-        ("cw_n", _i64p),
-        ("rr_link", _i64p),
-        ("rr_eject", _i64p),
-        ("hot_a", _i64p),
-        ("hot_b", _i64p),
-        ("hot_flag", _u8p),
-        ("p_off", _i64p),
-        ("p_hops", _i64p),
-        ("p_t0", _i64p),
-        ("p_meas", _i64p),
-        ("route_lv", _i64p),
-        ("lv_link", _i64p),
-        ("lv_delay", _i64p),
-        ("ev_cycle", _i64p),
-        ("ev_src", _i64p),
-        ("ev_pid", _i64p),
-        ("lat_out", _i64p),
-        ("hops_out", _i64p),
-        ("pid_out", _i64p),
-        ("sc_desc", _i64p),
-        ("sc_key", _i64p),
-        ("sc_cand", _i64p),
-        ("sc_used", _i64p),
-        ("plan", ctypes.POINTER(_PlanState)),
-    ]
+#: ctypes type of each field type the layout names, as written in C; a
+#: pointer to one of the kernel's structs joins once that one is built
+_CTYPES = {
+    "i64": ctypes.c_int64,
+    "i64 *": _i64p,
+    "const i64 *": _i64p,
+    "unsigned char *": ctypes.POINTER(ctypes.c_uint8),
+}
+
+
+def _layout_structs(lib) -> Dict[str, type]:
+    """The ctypes class of every struct in ``lib``'s ``sim_layout()``
+    table, by C name.  A :class:`RuntimeError` naming the struct and
+    field says when a field's type has no ctypes twin or the fields do
+    not tile their struct: a gap, an overlap or a missing tail."""
+    lib.sim_layout.restype = ctypes.POINTER(_LayoutRow)
+    rows = lib.sim_layout()
+    tables: Dict[str, list] = {}  # its size row, then its field rows
+    i = 0
+    while rows[i].owner is not None:
+        tables.setdefault(rows[i].owner.decode(), []).append(rows[i])
+        i += 1
+    types = dict(_CTYPES)
+    structs: Dict[str, type] = {}
+    for owner, (head, *body) in tables.items():
+        spec, end = [], 0
+        for row in body:
+            name, ctype = row.name.decode(), types.get(row.type.decode())
+            if ctype is None:
+                raise RuntimeError(
+                    f"kernel struct {owner}, field {name}: no ctypes type "
+                    f"for {row.type.decode()!r}"
+                )
+            size = ctypes.sizeof(ctype)
+            if (row.offset, row.size) != (end, size):
+                raise RuntimeError(
+                    f"kernel struct {owner}, field {name}: {row.size} bytes "
+                    f"at offset {row.offset}, expected {size} at {end}"
+                )
+            spec.append((name, ctype))
+            end += size
+        if end != head.size:
+            raise RuntimeError(
+                f"kernel struct {owner}: its fields end at byte {end} "
+                f"of {head.size}"
+            )
+        structs[owner] = type(owner, (ctypes.Structure,), {"_fields_": spec})
+        types[f"{owner} *"] = ctypes.POINTER(structs[owner])
+    return structs
+
+
+def kernel_struct(name: str, **fields):
+    """The kernel's ``struct name`` with every field set from ``fields``.
+
+    The names must be exactly the struct's fields: one it lacks or one
+    left out is a :class:`TypeError` naming it, so a ``NULL`` is an
+    explicit ``None``.  A pointer field takes a C-contiguous numpy array
+    of its element type (or a ctypes pointer).  The struct keeps what it
+    points into alive; a copy of it does not.
+    """
+    lib = load_native()
+    if lib is None:
+        raise RuntimeError(f"struct {name} needs the compiled kernel")
+    cls = lib.structs[name]
+    names = {field for field, _ in cls._fields_}
+    if fields.keys() != names:
+        problems = [f"no field {f}" for f in sorted(fields.keys() - names)]
+        problems += [f"{f} left unset" for f in sorted(names - fields.keys())]
+        raise TypeError(f"struct {name}: " + "; ".join(problems))
+    st = cls()
+    st.keepalive = fields
+    for field, ctype in cls._fields_:
+        value = fields[field]
+        if isinstance(value, np.ndarray):
+            want = _DTYPES.get(ctype._type_)
+            if value.dtype != want or not value.flags.c_contiguous:
+                raise TypeError(
+                    f"struct {name}: field {field} takes a contiguous "
+                    f"{want} array, not {value.dtype}"
+                )
+            value = value.ctypes.data_as(ctype)
+        setattr(st, field, value)
+    return st
 
 
 def _find_cc() -> Optional[List[str]]:
@@ -342,56 +345,66 @@ def _compile_library() -> Optional[Path]:
 _LIB = None
 _LIB_TRIED = False
 
+#: what Python calls in the kernel
+_SYMBOLS = ("sim_layout", "sim_run", "sim_run_batch", "plane_resolve",
+            "draw_pass")
+
 
 def load_native():
-    """Compile (once) and load the kernel; ``None`` if unavailable."""
+    """Compile (once) and load the kernel; ``None`` if unavailable.
+    A malformed layout table raises: that is a defect of ``_simcore.c``,
+    not of the host."""
     global _LIB, _LIB_TRIED
-    if _LIB_TRIED:
-        return _LIB
-    _LIB_TRIED = True
-    path = _compile_library()
+    if not _LIB_TRIED:
+        _LIB = _load(_compile_library())
+        _LIB_TRIED = True
+    return _LIB
+
+
+def _load(path: Optional[Path]):
+    """The kernel at ``path`` with its structs and signatures set up;
+    ``None`` (with a warning saying why) when it cannot be used."""
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        lib.sim_run.argtypes = [ctypes.POINTER(_SimState)]
-        lib.sim_run.restype = ctypes.c_int64
-        lib.sim_run_batch.argtypes = [
-            ctypes.POINTER(_SimState),
-            ctypes.c_int64,
-            ctypes.c_int64,
-        ]
-        lib.sim_run_batch.restype = ctypes.c_int64
-        # (plane, n, src, dst, via, off, hops, lv): see
-        # repro.routing.plane.RoutePlane.resolve
-        lib.plane_resolve.argtypes = (
-            [ctypes.c_void_p, ctypes.c_int64] + [_i64p] * 6
+    except OSError as exc:
+        _log.warning("cannot load the native kernel %s: %s", path, exc)
+        return None
+    missing = [sym for sym in _SYMBOLS if not hasattr(lib, sym)]
+    if missing:
+        # a stale cached build: deleting it rebuilds
+        _log.warning(
+            "native kernel %s lacks %s; using the array core",
+            path, ", ".join(missing),
         )
-        lib.plane_resolve.restype = ctypes.c_int64
-        # (state, dest, via, n, src, dst, via_out): see
-        # repro.network.vecrandom.VecRandom.draw
-        lib.draw_pass.argtypes = [
-            ctypes.POINTER(ctypes.c_uint32), ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_int64, _i64p, _i64p, _i64p,
-        ]
-        lib.draw_pass.restype = ctypes.c_int64
-    except OSError:
         return None
-    except AttributeError:
-        # a pre-batch cached build is stale; one-shot rebuilds are not
-        # worth the complexity — clearing the cache dir fixes it
-        return None
-    _LIB = lib
-    return _LIB
+    #: the kernel's structs by C name, built from its layout
+    lib.structs = _layout_structs(lib)
+    state_p = ctypes.POINTER(lib.structs["S"])
+    lib.sim_run.argtypes = [state_p]
+    lib.sim_run.restype = ctypes.c_int64
+    lib.sim_run_batch.argtypes = [state_p, ctypes.c_int64, ctypes.c_int64]
+    lib.sim_run_batch.restype = ctypes.c_int64
+    # (plane, n, src, dst, via, off, hops, lv): see
+    # repro.routing.plane.RoutePlane.resolve
+    lib.plane_resolve.argtypes = (
+        [ctypes.c_void_p, ctypes.c_int64] + [_i64p] * 6
+    )
+    lib.plane_resolve.restype = ctypes.c_int64
+    # (state, dest, via, n, src, dst, via_out): see
+    # repro.network.vecrandom.VecRandom.draw
+    lib.draw_pass.argtypes = [
+        ctypes.POINTER(ctypes.c_uint32), ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_int64, _i64p, _i64p, _i64p,
+    ]
+    lib.draw_pass.restype = ctypes.c_int64
+    return lib
 
 
 def native_available() -> bool:
     """True when the compiled kernel can be (or has been) loaded."""
     return load_native() is not None
-
-
-def _ptr(arr: np.ndarray):
-    return arr.ctypes.data_as(_i64p)
 
 
 def _unset(n: int) -> np.ndarray:
@@ -400,13 +413,14 @@ def _unset(n: int) -> np.ndarray:
     return np.empty(max(1, int(n)), dtype=np.int64)
 
 
-#: a lane's kernel state besides the rings and wheel slots: per
-#: ``(link, VC)``, per node and per wheel slot (see ``struct S``)
+#: the fields of ``struct S`` that hold a lane's kernel state, each in
+#: the array attribute ``_n_<field>``: the flit rings and wheel slots,
+#: then the state per ``(link, VC)``, per node and per wheel slot
 _KERNEL_STATE = (
-    "_n_credits", "_n_owner", "_n_b_head", "_n_b_len", "_n_ne_arr",
-    "_n_ne_len", "_n_sq_arena", "_n_sq_off", "_n_sq_head", "_n_sq_len",
-    "_n_s_fidx", "_n_aw_n", "_n_cw_n", "_n_rr_link", "_n_rr_eject",
-    "_n_hot_a", "_n_hot_b", "_n_hot_flag", "_n_sc",
+    "buf", "aw_f", "aw_lv", "cw_lv", "credits", "owner", "b_head", "b_len",
+    "ne_arr", "ne_len", "sq_arena", "sq_off", "sq_head", "sq_len", "s_fidx",
+    "aw_n", "cw_n", "rr_link", "rr_eject", "hot_a", "hot_b", "hot_flag",
+    "sc_desc", "sc_key", "sc_cand", "sc_used",
 )
 
 
@@ -494,7 +508,8 @@ class NativeCore(CoreBase):
         self._n_hot_a = _zeros(num_nodes)
         self._n_hot_b = _zeros(num_nodes)
         self._n_hot_flag = np.zeros(max(1, num_nodes), dtype=np.uint8)
-        self._n_sc = [_zeros(links.max_in + 1) for _ in range(4)]
+        for name in ("sc_desc", "sc_key", "sc_cand", "sc_used"):
+            setattr(self, "_n_" + name, _zeros(links.max_in + 1))
 
     def _rebuild_srcq_arena(self, ev_src) -> None:
         """Re-lay the per-node source-queue slices for this run.
@@ -527,21 +542,15 @@ class NativeCore(CoreBase):
         self._n_sq_head = np.zeros(num_nodes, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def _build_state(self, ctx: RunCtx) -> _SimState:
-        """Pack the kernel's ``struct S`` for a prepared run; every
-        numpy buffer the struct points into that this core does not
-        hold itself is pinned on ``ctx`` until :meth:`_finish`."""
+    def _build_state(self, ctx: RunCtx):
+        """Pack the kernel's ``struct S`` for a prepared run; the
+        kernel's outputs stay on ``ctx`` for :meth:`_finish`."""
         p = self.params
         links = self._links
         packets = self._packets
         plan = self._plan
         pid0 = ctx.pid0
         n_new = ctx.n_new
-        # this run's events are the packet table's new rows (a plan's
-        # have no cycle yet: the kernel decides, see below)
-        np_ev_cycle = _as_i64(packets.t0[pid0:])
-        np_ev_src = _as_i64(packets.src[pid0:])
-        np_ev_pid = _as_i64(np.arange(pid0, pid0 + n_new, dtype=np.int64))
         if self._n_credits is None:
             self._alloc_state()
         if self._n_buf is None:
@@ -571,21 +580,33 @@ class NativeCore(CoreBase):
         pid_out = ctx.pid_out = (
             _zeros(out_cap) if self._probe_mode else None
         )
-        np_p_off = _as_i64(packets.off)
-        np_p_hops = _as_i64(packets.hops)
-        # views of the table's rows, not copies: plan mode stamps a
-        # packet's creation cycle and measured flag at injection
-        np_p_t0 = _as_i64(packets.t0)
-        np_p_meas = _as_i64(packets.meas)
-        # taken only now: lanes of a batch share a routing's table,
-        # which grows (and may move) until the last lane is prepared
-        np_route_lv = _as_i64(self._routes.lv)
-        ctx.keepalive = (
-            np_p_off, np_p_hops, np_p_t0, np_p_meas, np_route_lv,
-            np_ev_cycle, np_ev_src, np_ev_pid,
-        )
-
-        st = _SimState(
+        plan_state = None
+        if plan is not None:
+            plan.start(ctx.t0, pid0)
+            n_ph = plan.num_phases
+            cur, act, queue = (_zeros(n_ph) for _ in range(3))
+            # the plan's own arrays: the kernel's counters and stamps
+            # are the plan's state when it returns
+            plan_state = ctypes.pointer(kernel_struct(
+                "Plan",
+                n_ph=n_ph,
+                pid0=pid0,
+                act_n=0, q_head=0, q_tail=0, done_n=0,  # zero on entry
+                ev_off=plan.tpl_off,
+                ev_phase=plan.tpl_phase,
+                ev0=plan.ph_ev0,
+                compute=plan.ph_compute,
+                dep_ptr=plan.dep_ptr,
+                dep_idx=plan.dep_idx,
+                indeg=plan.ph_indeg,
+                rem=plan.ph_rem,
+                release=plan.ph_release,
+                comm_start=plan.ph_comm_start,
+                done=plan.ph_done,
+                cur=cur, act=act, queue=queue,
+            ))
+        return kernel_struct(
+            "S",
             num_nodes=self.graph.num_nodes,
             num_links=self.graph.num_links,
             num_lv=self._num_lv,
@@ -608,78 +629,34 @@ class NativeCore(CoreBase):
             few=self._flits_ejected_window,
             hot_n=self._n_hot_n,
             error=0,
-            cap=_ptr(links.cap),
-            lv_dst=_ptr(links.lv_dst),
-            cap_lv=_ptr(links.cap_lv),
-            cdel_lv=_ptr(links.cdel_lv),
-            credits=_ptr(self._n_credits),
-            owner=_ptr(self._n_owner),
-            buf=_ptr(self._n_buf),
-            b_head=_ptr(self._n_b_head),
-            b_len=_ptr(self._n_b_len),
-            ne_arr=_ptr(self._n_ne_arr),
-            ne_len=_ptr(self._n_ne_len),
-            sq_arena=_ptr(self._n_sq_arena),
-            sq_off=_ptr(self._n_sq_off),
-            sq_head=_ptr(self._n_sq_head),
-            sq_len=_ptr(self._n_sq_len),
-            s_fidx=_ptr(self._n_s_fidx),
-            aw_f=_ptr(self._n_aw_f),
-            aw_lv=_ptr(self._n_aw_lv),
-            aw_n=_ptr(self._n_aw_n),
-            cw_lv=_ptr(self._n_cw_lv),
-            cw_n=_ptr(self._n_cw_n),
-            rr_link=_ptr(self._n_rr_link),
-            rr_eject=_ptr(self._n_rr_eject),
-            hot_a=_ptr(self._n_hot_a),
-            hot_b=_ptr(self._n_hot_b),
-            hot_flag=self._n_hot_flag.ctypes.data_as(_u8p),
-            p_off=_ptr(np_p_off),
-            p_hops=_ptr(np_p_hops),
-            p_t0=_ptr(np_p_t0),
-            p_meas=_ptr(np_p_meas),
-            route_lv=_ptr(np_route_lv),
-            lv_link=_ptr(links.lv_link),
-            lv_delay=_ptr(links.lv_delay),
-            ev_cycle=_ptr(np_ev_cycle),
-            ev_src=_ptr(np_ev_src),
-            ev_pid=_ptr(np_ev_pid),
-            lat_out=_ptr(lat_out),
-            hops_out=_ptr(hops_out),
-            pid_out=None if pid_out is None else _ptr(pid_out),
-            sc_desc=_ptr(self._n_sc[0]),
-            sc_key=_ptr(self._n_sc[1]),
-            sc_cand=_ptr(self._n_sc[2]),
-            sc_used=_ptr(self._n_sc[3]),
+            cap=links.cap,
+            lv_dst=links.lv_dst,
+            cap_lv=links.cap_lv,
+            cdel_lv=links.cdel_lv,
+            p_off=_as_i64(packets.off),
+            p_hops=_as_i64(packets.hops),
+            # views of the table's rows, not copies: plan mode stamps a
+            # packet's creation cycle and measured flag at injection
+            p_t0=_as_i64(packets.t0),
+            p_meas=_as_i64(packets.meas),
+            # taken only now: lanes of a batch share a routing's table,
+            # which grows (and may move) until the last lane is prepared
+            route_lv=_as_i64(self._routes.lv),
+            lv_link=links.lv_link,
+            lv_delay=links.lv_delay,
+            # this run's events are the packet table's new rows (a
+            # plan's have no cycle yet: the kernel decides)
+            ev_cycle=_as_i64(packets.t0[pid0:]),
+            ev_src=_as_i64(packets.src[pid0:]),
+            ev_pid=_as_i64(np.arange(pid0, pid0 + n_new, dtype=np.int64)),
+            lat_out=lat_out,
+            hops_out=hops_out,
+            pid_out=pid_out,
+            plan=plan_state,
+            **{name: getattr(self, "_n_" + name) for name in _KERNEL_STATE},
         )
-        if plan is not None:
-            plan.start(ctx.t0, pid0)
-            n_ph = plan.num_phases
-            scratch = ctx.plan_scratch = [_zeros(n_ph) for _ in range(3)]
-            # the plan's own arrays: the kernel's counters and stamps
-            # are the plan's state when it returns
-            ctx.plan_state = _PlanState(
-                n_ph=n_ph,
-                pid0=pid0,
-                ev_off=_ptr(plan.tpl_off),
-                ev_phase=_ptr(plan.tpl_phase),
-                ev0=_ptr(plan.ph_ev0),
-                compute=_ptr(plan.ph_compute),
-                dep_ptr=_ptr(plan.dep_ptr),
-                dep_idx=_ptr(plan.dep_idx),
-                indeg=_ptr(plan.ph_indeg),
-                rem=_ptr(plan.ph_rem),
-                release=_ptr(plan.ph_release),
-                comm_start=_ptr(plan.ph_comm_start),
-                done=_ptr(plan.ph_done),
-                cur=_ptr(scratch[0]),
-                act=_ptr(scratch[1]),
-                queue=_ptr(scratch[2]),
-            )
-            st.plan = ctypes.pointer(ctx.plan_state)
-        return st
 
-    def _finish(self, ctx: RunCtx, st: _SimState) -> SimResult:
+    def _finish(self, ctx: RunCtx, st) -> SimResult:
         """Read the kernel's outputs back and build the result.
 
         ``st`` is the struct the kernel actually ran (for batches, the
@@ -729,9 +706,8 @@ class NativeCore(CoreBase):
 
     def _drop_state(self) -> None:
         """Free the whole kernel state, rings included."""
-        self._drop_rings()
         for name in _KERNEL_STATE:
-            setattr(self, name, None)
+            setattr(self, "_n_" + name, None)
 
     def _release(self) -> None:
         """Free everything a finished lane holds per packet, per
@@ -869,10 +845,14 @@ class NativeBatch:
         ctxs = [core._begin(*run) for core, run in zip(cores, runs)]
         # the wave is resolved before any state is packed: a shared
         # route table is final for these lanes only now
-        states = (_SimState * len(cores))(
-            *(core._build_state(ctx) for core, ctx in zip(cores, ctxs))
-        )
+        # the templates keep alive what the packed copies point into,
+        # until the kernel returns
+        templates = [
+            core._build_state(ctx) for core, ctx in zip(cores, ctxs)
+        ]
+        states = (type(templates[0]) * len(cores))(*templates)
         err = cores[0]._lib.sim_run_batch(states, len(cores), len(cores))
+        del templates
         if err:
             # earlier waves all returned 0
             codes = [0] * lo + [int(st.error) for st in states]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import ctypes
 import random
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,37 +53,35 @@ def csr(rows: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
 
 class KernelTables:
     """Scalars and int64 tables handed to the compiled kernel as one
-    struct: ``_SCALARS + _TABLES`` is the field order of its C twin, a
-    table left out is ``NULL``.  The draw rows below and
+    struct, ``struct <c_name>`` of ``_simcore.c``.  The constructor
+    takes every field of that struct by name, a ``NULL`` table as
+    ``None``; the struct itself is filled on first use, from the layout
+    the loaded kernel exports, so a host without the kernel never needs
+    it.  The draw rows below and
     :class:`~repro.routing.plane.RoutePlane` are such tables."""
 
-    _SCALARS: Tuple[str, ...] = ()
-    _TABLES: Tuple[str, ...] = ()
+    def __init__(self, **fields) -> None:
+        for name, value in fields.items():
+            if isinstance(value, (bool, int, np.integer)):
+                fields[name] = int(value)
+            elif value is not None:
+                fields[name] = np.ascontiguousarray(value, dtype=np.int64)
+        self.__dict__.update(fields)
+        self._fields = fields
 
-    def __init_subclass__(cls) -> None:
-        cls._Struct = type(
-            f"_{cls.__name__}Struct",
-            (ctypes.Structure,),
-            {
-                "_fields_": [(n, ctypes.c_int64) for n in cls._SCALARS]
-                + [(n, _i64p) for n in cls._TABLES]
-            },
+    def table_bytes(self) -> int:
+        """Memory held by the tables."""
+        return sum(
+            value.nbytes for value in self._fields.values()
+            if isinstance(value, np.ndarray)
         )
 
-    def __init__(self, **fields) -> None:
-        values = {}
-        for name in self._SCALARS:
-            values[name] = int(fields.pop(name, 0))
-            setattr(self, name, values[name])
-        for name in self._TABLES:
-            table = fields.pop(name, None)
-            if table is not None:
-                table = np.ascontiguousarray(table, dtype=np.int64)
-                values[name] = table.ctypes.data_as(_i64p)
-            setattr(self, name, table)
-        if fields:
-            raise TypeError(f"unknown fields {sorted(fields)}")
-        self._struct = self._Struct(**values)
+    @cached_property
+    def _struct(self):
+        """The kernel's struct over these fields (built on first use)."""
+        from .native import kernel_struct  # lazy: native imports corebase
+
+        return kernel_struct(self.c_name, **self._fields)
 
 
 class DestRows(KernelTables):
@@ -97,8 +96,7 @@ class DestRows(KernelTables):
     without drawing, as the scalar ``dest()`` returns ``None``.
     """
 
-    _SCALARS = ("chain",)
-    _TABLES = ("ptr", "val", "key", "skip", "fixed")
+    c_name = "DestRows"
 
     @classmethod
     def build(
@@ -128,16 +126,18 @@ class ViaRows(KernelTables):
     ``sub`` from row ``(gs * groups + gd) * subs + sub[d]`` (an empty row
     routes it minimally, counted as a fallback when
     ``count_fallback``), else from row 0 with ``gs`` and ``gd``
-    skipped.  ``val`` left out means a row's values are its positions.
+    skipped.  ``val`` ``None`` means a row's values are its positions.
     """
 
-    _SCALARS = ("groups", "subs", "count_fallback")
-    _TABLES = ("ptr", "val", "group", "sub")
+    c_name = "ViaRows"
 
     @classmethod
     def other_group(cls, group, groups: int) -> "ViaRows":
         """Any group but the pair's own two (``draw_other_group``)."""
-        return cls(groups=groups, ptr=[0, groups], group=group)
+        return cls(
+            groups=groups, subs=0, count_fallback=False, ptr=[0, groups],
+            val=None, group=group, sub=None,
+        )
 
 
 class VecRandom:
@@ -204,7 +204,9 @@ class VecRandom:
             raise ValueError("n must be positive")
         if n.bit_length() > 32:
             return None
-        row = DestRows(ptr=[0, n], key=[0], skip=[-1], fixed=[-1])
+        row = DestRows(
+            chain=False, ptr=[0, n], val=None, key=[0], skip=[-1], fixed=[-1]
+        )
         return self.draw(np.zeros(count, dtype=np.int64), row)[0]
 
     def commit(self) -> None:

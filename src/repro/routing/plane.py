@@ -84,19 +84,11 @@ class RoutePlane(KernelTables):
     vc_spread``; a local channel and everything behind it ride
     ``vc_local`` higher, a global channel ``vc_global`` higher, and
     what follows a global channel another ``vc_landed`` higher.
-    ``reduced`` selects the Sec. IV-B walker instead.
+    ``reduced`` selects the Sec. IV-B walker instead.  These are the
+    fields of ``struct Plane`` (``_simcore.c``), all given by name.
     """
 
-    #: the fields of ``struct Plane`` in ``_simcore.c``, in order
-    _SCALARS = (
-        "num_vcs", "C", "L", "W", "seg_w", "cg_w", "reduced", "merged_vcs",
-        "vc_spread", "vc_local", "vc_global", "vc_landed",
-    )
-    _TABLES = (
-        "node_w", "node_c", "node_l", "cg_links", "seg", "loc_link",
-        "loc_src", "loc_dst", "gateway", "glob_link", "glob_src",
-        "glob_dst", "glob_dst_c",
-    )
+    c_name = "Plane"
 
     def max_hops(self, detours: bool = True) -> int:
         """Upper bound on a route's hops: per W-group crossed at most
@@ -104,10 +96,6 @@ class RoutePlane(KernelTables):
         final segment."""
         groups = 2 if detours else 1
         return (2 + 2 * groups) * self.seg_w + 1 + 2 * groups
-
-    def table_bytes(self) -> int:
-        """Memory held by the plane's tables."""
-        return sum(getattr(self, name).nbytes for name in self._TABLES)
 
     # ------------------------------------------------------------------
     def resolve(self, srcs, dsts, via=None) -> ResolvedRoutes:

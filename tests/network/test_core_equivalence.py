@@ -76,6 +76,27 @@ def faulted_spec():
     )
 
 
+def widths_spec(injection, ejection):
+    """A 4x4 mesh past saturation whose terminals inject and eject at
+    different widths: a core that exchanges the two diverges."""
+    return ExperimentSpec.create(
+        topology="mesh",
+        topology_opts={"dim": 4, "chiplet_dim": 2},
+        routing="xy_mesh",
+        traffic="uniform",
+        params=SimParams(
+            injection_width=injection,
+            ejection_width=ejection,
+            warmup_cycles=100,
+            measure_cycles=250,
+            drain_cycles=150,
+            seed=11,
+        ),
+        rates=[2.5],
+        label=f"widths-{injection}/{ejection}",
+    )
+
+
 def run_cores(spec, rate, *, pinned):
     graph, routing, traffic = build_experiment(spec)
     schedule = None
@@ -159,6 +180,8 @@ class TestUnpinned:
         + [
             pytest.param(switchless_spec(), id="switchless"),
             pytest.param(faulted_spec(), id="faulted"),
+            pytest.param(widths_spec(2, 1), id="inject2-eject1"),
+            pytest.param(widths_spec(1, 2), id="inject1-eject2"),
         ],
     )
     def test_unpinned_results_identical(self, spec):
@@ -253,3 +276,37 @@ def test_native_never_reads_unset_state(monkeypatch):
             for core in ("native", "reference")
         ]
         assert results[0] == results[1], rate
+
+
+def test_reference_core_needs_no_kernel_struct(monkeypatch):
+    """Without a kernel the draw rows and the route plane still build
+    and a reference point runs; nothing fills a kernel struct."""
+    from repro.network import native
+    from repro.network.vecrandom import DestRows, ViaRows
+    from repro.routing.plane import RoutePlane
+
+    def no_struct(name, **fields):
+        raise AssertionError(f"struct {name} filled without a kernel")
+
+    monkeypatch.setattr(native, "load_native", lambda: None)
+    monkeypatch.setattr(native, "kernel_struct", no_struct)
+    spec = ExperimentSpec.create(
+        topology="switchless",
+        topology_opts={"preset": "radix8_equiv", "num_wgroups": 3},
+        routing="switchless",
+        routing_opts={"mode": "valiant"},
+        traffic="uniform",
+        params=SimParams(
+            warmup_cycles=100, measure_cycles=250, drain_cycles=150, seed=5
+        ),
+        rates=[0.3],
+    )
+    graph, routing, traffic = build_experiment(spec)
+    assert isinstance(routing.route_plane(), RoutePlane)
+    assert isinstance(routing.via_rows, ViaRows)
+    assert isinstance(traffic.dest_rows, DestRows)
+    assert routing.route_plane().table_bytes() > 0
+    result = Simulator(
+        graph, routing, traffic, spec.params, core="reference"
+    ).run(0.3)
+    assert result.packets_measured > 0
