@@ -39,7 +39,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..network.native import THREADS_ENV, env_int
@@ -91,7 +90,7 @@ logger = logging.getLogger("repro.engine")
 
 # runtime telemetry (repro.obs).  Counters/histograms are recorded in
 # the *parent* process only — pool workers have their own (discarded)
-# registry copies; their spans still land via the REPRO_SPANLOG file.
+# registry copies; their spans land in the span file (see _schedule).
 _M_POINTS = REGISTRY.counter(
     "engine_points_total",
     "Points delivered by run_experiments (source=cache replayed, "
@@ -239,10 +238,9 @@ def _chunk_task(
     when ``stop_after`` cut it) and the wall time.  An error propagates
     at once; worker *crashes* are contained by the scheduler.
 
-    In a pool worker the span parents to the ``REPRO_TRACEPARENT``
-    carrier and lands in the ``REPRO_SPANLOG`` file (both inherited
-    through the pool), so worker-side timings join the submitting
-    job's trace."""
+    In a pool worker the span parents to the pool's trace carrier and
+    lands in the carrier's span file (see ``_schedule``), so
+    worker-side timings join the submitting job's trace."""
     t0 = time.perf_counter()
     with obs_trace.span(
         "engine.chunk",
@@ -289,34 +287,6 @@ def _pool_context():
         if "fork" in methods:
             return mp.get_context("fork")
     return mp.get_context("spawn")
-
-
-@contextmanager
-def _trace_context_for_workers():
-    """Advertise the ambient trace context to pool workers: pools are
-    created inside this window, so forked and spawned children alike
-    inherit the carrier and parent their spans correctly (spans land
-    via REPRO_SPANLOG)."""
-    ctx = obs_trace.current_context()
-    saved = os.environ.get(obs_trace.TRACEPARENT_ENV)
-    saved_pid = os.environ.get(obs_trace.TRACEPARENT_PID_ENV)
-    if ctx is not None and obs_trace.tracing_active():
-        os.environ[obs_trace.TRACEPARENT_ENV] = (
-            obs_trace.format_traceparent(ctx)
-        )
-        # mark the carrier as ours: only *child* processes read it
-        os.environ[obs_trace.TRACEPARENT_PID_ENV] = str(os.getpid())
-    try:
-        yield
-    finally:
-        for name, old in (
-            (obs_trace.TRACEPARENT_ENV, saved),
-            (obs_trace.TRACEPARENT_PID_ENV, saved_pid),
-        ):
-            if old is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = old
 
 
 # ----------------------------------------------------------------------
@@ -438,12 +408,11 @@ def run_experiments(
         run_span.set(missing=sum(missing), workers=workers)
         t0 = time.perf_counter()
         if any(missing):
-            with _trace_context_for_workers():
-                _schedule(
-                    specs, have, widths, cache, stop_after_saturation,
-                    workers, threads, on_point, key_of, known,
-                    fill,
-                )
+            _schedule(
+                specs, have, widths, cache, stop_after_saturation,
+                workers, threads, on_point, key_of, known,
+                fill,
+            )
         if counts["shared"]:
             _M_POINTS.inc(counts["shared"], source="shared")
         run_span.set(shared=counts["shared"])
@@ -539,6 +508,11 @@ def _schedule(
     innocent casualties complete on their first probation pass and the
     scheduler resumes full-width.  Completed chunks are already cached, so a crash never
     loses finished work.
+
+    **Tracing.**  Every pool starts its workers with
+    :func:`~repro.obs.trace.join` on the carrier taken once here (the
+    ambient ``engine.run`` context and the installed span file), so
+    worker spans parent to this run and land once in that file.
     """
 
     def rates_of(chunk: Chunk) -> List[float]:
@@ -624,13 +598,17 @@ def _schedule(
             record(picked[0], _chunk_task(*task(picked[0])))
 
     ctx = _pool_context()
+    carrier = obs_trace.worker_carrier()
     crashes: Dict[Chunk, int] = {}
     probation: List[Chunk] = []
     while True:
         inflight_now: List[Chunk] = []
         try:
             with ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx
+                max_workers=workers,
+                mp_context=ctx,
+                initializer=obs_trace.join,
+                initargs=(carrier,),
             ) as pool:
 
                 def submit(chunk: Chunk):

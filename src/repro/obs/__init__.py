@@ -11,12 +11,12 @@ Four stdlib-only modules:
 
 * :mod:`repro.obs.trace` — ``trace_id``/``span_id`` context
   (``contextvars``-propagated in-process, W3C-``traceparent``-style
-  over HTTP and ``REPRO_TRACEPARENT`` into engine worker processes)
-  with a ``span()`` context manager that no-ops when no sink is
-  installed;
-* :mod:`repro.obs.spanlog` — the span sink: bounded in-memory index
-  per trace plus an NDJSON file (``repro.span/v1``) under the service
-  ``--state-dir``;
+  over HTTP and as pool initializer arguments into engine worker
+  processes) with a ``span()`` context manager that no-ops when no
+  sink is installed, and the one span-file writer;
+* :mod:`repro.obs.spanlog` — the span file (``repro.span/v1`` NDJSON,
+  the only store of spans): installs its writer, reads one trace
+  back;
 * :mod:`repro.obs.registry` — process-wide thread-safe metrics
   registry (labelled counters / gauges / histograms) with Prometheus
   text and JSON exporters in :mod:`repro.obs.export`;

@@ -304,10 +304,6 @@ class MetricsRegistry:
             for m in metrics
         ]
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
-
 
 #: the process-default registry every runtime component instruments.
 REGISTRY = MetricsRegistry()

@@ -9,20 +9,20 @@ deliberately small subset of W3C Trace Context / OpenTelemetry:
   crosses boundaries.  In-process it rides a :mod:`contextvars`
   variable (so it survives any call depth and is thread-local by
   construction); over HTTP it is a ``traceparent`` header
-  (``00-<trace_id>-<span_id>-01``); into engine worker processes it is
-  the ``REPRO_TRACEPARENT`` environment variable, set by
-  ``run_experiments`` around pool creation so forked and spawned
-  workers alike inherit it.
+  (``00-<trace_id>-<span_id>-01``); into engine pool workers it is
+  half of the :func:`worker_carrier` that ``run_experiments`` hands
+  each pool as its initializer arguments (:func:`join`), so forked and
+  spawned workers alike join the trace.
 * :func:`span` — context manager creating a child span of the current
   context, timing its body, recording exceptions, and emitting the
   finished span to every installed sink.  With **no sink installed and
   no ambient context**, it yields a shared no-op span and touches
   neither the clock nor the contextvar — the disabled path costs one
   list check.
-* Sinks — callables taking one span dict (see :data:`SPAN_KEYS`).  The
-  service installs a :class:`~repro.obs.spanlog.SpanLog`; worker
-  processes with no inherited sink lazily bootstrap a file-append sink
-  from ``REPRO_SPANLOG``.
+* Sinks — callables taking one span dict.  The service installs a
+  :class:`SpanWriter` (through :class:`~repro.obs.spanlog.SpanLog`);
+  each pool worker gets its own writer to the same file, the carrier's
+  other half.
 
 Span dicts are schema-tagged ``repro.span/v1``; see
 :mod:`repro.obs.spanlog` for the stored form.
@@ -30,24 +30,24 @@ Span dicts are schema-tagged ``repro.span/v1``; see
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
-    "SPANLOG_ENV",
-    "TRACEPARENT_ENV",
-    "TRACEPARENT_PID_ENV",
     "Span",
     "SpanContext",
+    "SpanWriter",
     "add_sink",
     "current_context",
     "emit",
     "format_traceparent",
+    "join",
     "new_context",
     "new_id",
     "parse_traceparent",
@@ -56,22 +56,8 @@ __all__ = [
     "start_span",
     "tracing_active",
     "use_context",
+    "worker_carrier",
 ]
-
-#: environment carrier of the ambient span context (W3C traceparent
-#: value), read by engine worker processes.
-TRACEPARENT_ENV = "REPRO_TRACEPARENT"
-
-#: PID of the process that set :data:`TRACEPARENT_ENV`.  The carrier
-#: is for *child* processes only — in the process that exported it,
-#: unrelated threads (concurrent HTTP handlers, the watchdog) must not
-#: inherit the running execution's context from the environment.
-TRACEPARENT_PID_ENV = "REPRO_TRACEPARENT_PID"
-
-#: environment carrier of the span-log path, so worker processes
-#: without an inherited in-memory sink can still persist spans.
-SPANLOG_ENV = "REPRO_SPANLOG"
-
 
 def new_id(nbytes: int = 8) -> str:
     """A random lowercase-hex id (8 bytes = span, 16 bytes = trace)."""
@@ -126,9 +112,6 @@ _current: ContextVar[Optional[SpanContext]] = ContextVar(
 )
 _sinks: List[Callable[[Dict], None]] = []
 _sink_lock = threading.Lock()
-# lazy env-bootstrapped file sink (worker processes): path -> file
-_env_sink_fh = None
-_env_sink_path: Optional[str] = None
 
 
 def add_sink(sink: Callable[[Dict], None]) -> None:
@@ -147,26 +130,13 @@ def remove_sink(sink: Callable[[Dict], None]) -> None:
 
 
 def tracing_active() -> bool:
-    """Whether emitted spans go anywhere (sink installed, or a span-log
-    path is advertised in the environment for this worker to append
-    to)."""
-    return bool(_sinks) or bool(os.environ.get(SPANLOG_ENV))
+    """Whether emitted spans go anywhere (a sink is installed)."""
+    return bool(_sinks)
 
 
 def current_context() -> Optional[SpanContext]:
-    """The ambient span context: contextvar first, then the
-    ``REPRO_TRACEPARENT`` carrier (worker-process bootstrap).
-
-    The env carrier only applies in processes *other* than the one
-    that exported it, so sibling threads of an in-process engine run
-    don't misattribute their spans to the running execution.
-    """
-    ctx = _current.get()
-    if ctx is not None:
-        return ctx
-    if os.environ.get(TRACEPARENT_PID_ENV) == str(os.getpid()):
-        return None
-    return parse_traceparent(os.environ.get(TRACEPARENT_ENV))
+    """The ambient span context of this thread, if any."""
+    return _current.get()
 
 
 @contextmanager
@@ -179,34 +149,69 @@ def use_context(ctx: Optional[SpanContext]):
         _current.reset(token)
 
 
-def _env_sink(record: Dict) -> None:
-    """Append to the ``REPRO_SPANLOG`` file (one JSON line per span).
+class SpanWriter:
+    """Sink appending each span to one NDJSON file, one line per span.
 
-    Used by engine worker processes that were spawned (not forked) and
-    therefore did not inherit the service's in-memory sink.  The
-    handle is cached per path; line appends on an ``O_APPEND`` stream
-    are effectively atomic at these sizes, so concurrent workers can
-    share the file.
+    The file is opened unbuffered with ``O_APPEND``, so each span is a
+    single ``write`` and the server and its pool workers, each with
+    their own writer, can append to one file concurrently.  A failed
+    write costs that span, never the caller.
     """
-    global _env_sink_fh, _env_sink_path
-    import json
 
-    path = os.environ.get(SPANLOG_ENV)
-    if not path:
-        return
-    try:
-        if _env_sink_fh is None or _env_sink_path != path:
-            if _env_sink_fh is not None:
+    def __init__(self, path: str) -> None:
+        self.path = str(path)
+        self._lock = threading.Lock()
+        self._fh = open(self.path, "ab", buffering=0)
+
+    def __call__(self, record: Dict) -> None:
+        line = (json.dumps(record) + "\n").encode()
+        with self._lock:
+            if self._fh is None:
+                return
+            try:
+                self._fh.write(line)
+            except OSError:
+                pass
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
                 try:
-                    _env_sink_fh.close()
+                    self._fh.close()
                 except OSError:
                     pass
-            _env_sink_fh = open(path, "a")
-            _env_sink_path = path
-        _env_sink_fh.write(json.dumps(record) + "\n")
-        _env_sink_fh.flush()
-    except OSError:
-        pass
+                self._fh = None
+
+
+#: what a pool worker needs to join the running trace: the ambient
+#: context and the path of the span file its spans go to.
+Carrier = Tuple[Optional[SpanContext], str]
+
+
+def worker_carrier() -> Optional[Carrier]:
+    """The carrier for pool workers started now: the ambient context
+    and the installed :class:`SpanWriter`'s path, or ``None`` when no
+    span file is installed (worker spans would go nowhere)."""
+    for sink in list(_sinks):
+        if isinstance(sink, SpanWriter):
+            return _current.get(), sink.path
+    return None
+
+
+def join(carrier: Optional[Carrier]) -> None:
+    """Pool-worker initializer: make this process's sinks exactly one
+    :class:`SpanWriter` to the carrier's file (none without a carrier)
+    and its ambient context the carrier's.  Sinks a forked worker
+    inherited are dropped, so every span lands once."""
+    with _sink_lock:
+        _sinks.clear()
+    if carrier is not None:
+        ctx, path = carrier
+        _current.set(ctx)
+        try:
+            add_sink(SpanWriter(path))
+        except OSError:
+            pass  # a pool whose initializer raises is a broken pool
 
 
 def emit(record: Dict) -> None:
@@ -216,12 +221,7 @@ def emit(record: Dict) -> None:
     sink is dropped for the record (not uninstalled — a transient
     disk-full should not silently disable tracing forever).
     """
-    sinks = list(_sinks)
-    if not sinks:
-        if os.environ.get(SPANLOG_ENV):
-            _env_sink(record)
-        return
-    for sink in sinks:
+    for sink in list(_sinks):
         try:
             sink(record)
         except Exception:  # noqa: BLE001 — telemetry must not break work

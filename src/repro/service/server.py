@@ -116,30 +116,29 @@ class SimulationService:
         self.hang_timeout = hang_timeout
         self.state_dir = Path(state_dir) if state_dir else None
         self.journal: Optional[JobJournal] = None
+        #: where event logs and spans live: ``<state-dir>``, or a
+        #: private temp dir removed at shutdown.  Finished executions
+        #: replay from their event logs and traces are read from the
+        #: span file, so there is one path for each either way.
+        if self.state_dir is not None:
+            root = self.state_dir
+            self._drop_root = None
+        else:
+            root = Path(tempfile.mkdtemp(prefix="repro-service-"))
+            self._drop_root = weakref.finalize(
+                self, shutil.rmtree, root, ignore_errors=True
+            )
+        self.log_dir = root / "events"
         #: runtime telemetry plane (tracing + HTTP metrics).  When on,
-        #: a span sink is installed — persistent under
-        #: ``<state-dir>/spans.ndjson``, in-memory otherwise — and the
-        #: HTTP layer records request metrics.  When off, span emission
-        #: takes its no-op fast path and requests skip observation
-        #: (the benchmark's overhead baseline).
+        #: a span sink appending to ``spans.ndjson`` beside the event
+        #: logs is installed and the HTTP layer records request
+        #: metrics.  When off, span emission takes its no-op fast path
+        #: and requests skip observation (the benchmark's overhead
+        #: baseline).
         self.telemetry = telemetry
         self.spanlog: Optional[SpanLog] = None
         if telemetry:
-            span_path = (
-                self.state_dir / "spans.ndjson" if self.state_dir else None
-            )
-            self.spanlog = SpanLog(span_path).install()
-        #: where event logs live: ``<state-dir>/events``, or a private
-        #: temp dir removed at shutdown.  Finished executions replay
-        #: from these files, so there is one replay path either way.
-        if self.state_dir is not None:
-            self.log_dir = self.state_dir / "events"
-            self._drop_log_dir = None
-        else:
-            self.log_dir = Path(tempfile.mkdtemp(prefix="repro-events-"))
-            self._drop_log_dir = weakref.finalize(
-                self, shutil.rmtree, self.log_dir, ignore_errors=True
-            )
+            self.spanlog = SpanLog(root / "spans.ndjson").install()
         self.scheduler = Scheduler(
             max_inflight_per_client=max_inflight_per_client,
             execution_hook=self._attach_durability,
@@ -388,8 +387,8 @@ class SimulationService:
             self.journal.close()
         if self.spanlog is not None:
             self.spanlog.close()
-        if self._drop_log_dir is not None:
-            self._drop_log_dir()
+        if self._drop_root is not None:
+            self._drop_root()
 
     # -- executor ------------------------------------------------------
     def _run_loop(self) -> None:

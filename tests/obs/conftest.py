@@ -6,12 +6,9 @@ from repro.obs import trace
 
 
 @pytest.fixture()
-def capture_spans(monkeypatch):
+def capture_spans():
     """Collect every emitted span dict in a plain list, leaving the
     global sink list as the test found it."""
-    monkeypatch.delenv(trace.SPANLOG_ENV, raising=False)
-    monkeypatch.delenv(trace.TRACEPARENT_ENV, raising=False)
-    monkeypatch.delenv(trace.TRACEPARENT_PID_ENV, raising=False)
     spans = []
     trace.add_sink(spans.append)
     yield spans

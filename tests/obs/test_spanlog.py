@@ -1,4 +1,4 @@
-"""SpanLog sink: bounded memory index, NDJSON file, merged reads."""
+"""SpanLog: the span file is the only store, read back per trace."""
 
 import json
 import os
@@ -26,94 +26,93 @@ def _span(trace_id, span_id, name="s", start=1.0, **extra):
     return rec
 
 
-class TestInMemory:
-    def test_record_and_for_trace(self):
-        log = SpanLog()
-        log.record(_span("t1", "a", start=2.0))
-        log.record(_span("t1", "b", start=1.0))
-        log.record(_span("t2", "c"))
-        assert log.traces() == ["t1", "t2"]
-        got = log.for_trace("t1")
-        assert [s["span_id"] for s in got] == ["b", "a"]  # start order
-        assert log.recorded == 3
-
-    def test_ring_bound_evicts_oldest(self):
-        log = SpanLog(max_spans=2)
-        for i in range(4):
-            log.record(_span(f"t{i}", f"s{i}"))
-        assert log.traces() == ["t2", "t3"]
-        assert log.for_trace("t0") == []
-        assert log.recorded == 4  # the counter keeps the true total
+def _lines(*records):
+    return "".join(json.dumps(r) + "\n" for r in records)
 
 
 class TestFileBacked:
-    def test_spans_persist_and_merge_with_memory(self, tmp_path):
+    def test_for_trace_filters_in_start_order(self, tmp_path):
+        log = SpanLog(tmp_path / "spans.ndjson").install()
+        try:
+            trace.emit(_span("t1", "a", start=2.0))
+            trace.emit(_span("t1", "b", start=1.0))
+            trace.emit(_span("t2", "c"))
+            got = log.for_trace("t1")
+            assert [s["span_id"] for s in got] == ["b", "a"]
+            assert [s["span_id"] for s in log.for_trace("t2")] == ["c"]
+        finally:
+            log.close()
+
+    def test_spans_persist_across_logs(self, tmp_path):
+        """A second log over the file (a restarted server) reads the
+        first one's spans with its own, and so does a log that was
+        never installed: nothing lives outside the file."""
         path = tmp_path / "spans.ndjson"
-        first = SpanLog(path)
-        first.record(_span("t1", "disk-span"))
+        first = SpanLog(path).install()
+        trace.emit(_span("t1", "before-restart"))
         first.close()
 
-        second = SpanLog(path)
-        second.record(_span("t1", "mem-span", start=2.0))
-        got = second.for_trace("t1")
-        assert [s["span_id"] for s in got] == ["disk-span", "mem-span"]
+        second = SpanLog(path).install()
+        trace.emit(_span("t1", "after-restart", start=2.0))
+        ids = ["before-restart", "after-restart"]
+        assert [s["span_id"] for s in second.for_trace("t1")] == ids
         second.close()
+        assert [s["span_id"] for s in SpanLog(path).for_trace("t1")] == ids
 
     def test_duplicate_span_ids_deduplicated(self, tmp_path):
         path = tmp_path / "spans.ndjson"
-        log = SpanLog(path)
-        log.record(_span("t1", "a"))  # lands in memory AND the file
-        assert len(log.for_trace("t1")) == 1
-        log.close()
+        path.write_text(_lines(_span("t1", "a"), _span("t1", "a")))
+        assert len(SpanLog(path).for_trace("t1")) == 1
 
-    def test_torn_file_line_skipped(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            (_lines(_span("t1", "good")) + '{"trace_id": "t1", ', ["good"]),
+            (
+                _lines(_span("t1", "good", start=1.0))
+                + '{"trace_id": "t1", \n'
+                + _lines(_span("t1", "after", start=2.0)),
+                ["good", "after"],
+            ),
+        ],
+        ids=["at-end", "mid-file"],
+    )
+    def test_torn_file_line_skipped(self, tmp_path, text, want):
+        """A torn append (a worker killed mid-write) costs its own span
+        only: spans appended after it by other writers still read."""
         path = tmp_path / "spans.ndjson"
-        path.write_text(
-            json.dumps(_span("t1", "good")) + "\n" + '{"trace_id": "t1", '
-        )
-        log = SpanLog(path)
-        assert [s["span_id"] for s in log.for_trace("t1")] == ["good"]
-        log.close()
+        path.write_text(text)
+        got = SpanLog(path).for_trace("t1")
+        assert [s["span_id"] for s in got] == want
+
+    def test_missing_file_reads_empty(self, tmp_path):
+        assert SpanLog(tmp_path / "absent.ndjson").for_trace("t1") == []
 
 
 class TestInstall:
-    def test_install_receives_emitted_spans(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(trace.SPANLOG_ENV, raising=False)
+    def test_install_receives_emitted_spans(self, tmp_path):
         path = tmp_path / "spans.ndjson"
+        env = dict(os.environ)
         log = SpanLog(path).install()
         try:
-            assert os.environ[trace.SPANLOG_ENV] == str(path)
             assert trace.tracing_active()
-            with span("stage", points=1):
+            with span("stage", points=1) as sp:
                 pass
-            (rec,) = log.for_trace(log.traces()[0])
+            (rec,) = log.for_trace(sp.trace_id)
             assert rec["name"] == "stage"
             assert path.read_text().count('"stage"') == 1
         finally:
             log.close()
-        assert trace.SPANLOG_ENV not in os.environ
         assert not trace.tracing_active()
+        assert dict(os.environ) == env
 
-    @pytest.mark.parametrize(
-        "before", [None, "/elsewhere/spans.ndjson"], ids=["unset", "set"]
-    )
-    def test_leaked_install_does_not_outlive_its_test(
-        self, tmp_path, monkeypatch, before
-    ):
+    def test_leaked_install_does_not_outlive_its_test(self, tmp_path):
         """A log installed and never closed (a service that simulated a
         crash) is undone by the suite's per-test isolation: the sinks
-        and both trace carriers read as they did before."""
-        if before is None:
-            monkeypatch.delenv(trace.SPANLOG_ENV, raising=False)
-        else:
-            monkeypatch.setenv(trace.SPANLOG_ENV, before)
-        monkeypatch.delenv(trace.TRACEPARENT_ENV, raising=False)
+        read as they did before."""
         sinks = list(trace._sinks)
         with telemetry_restored():
             log = SpanLog(tmp_path / "spans.ndjson").install()
-            os.environ[trace.TRACEPARENT_ENV] = "00-t-s-01"
-            assert log in trace._sinks
+            assert log._writer in trace._sinks
         assert trace._sinks == sinks
-        assert os.environ.get(trace.SPANLOG_ENV) == before
-        assert trace.TRACEPARENT_ENV not in os.environ
         log.close()

@@ -1,10 +1,13 @@
 """Trace context: propagation carriers, span lifecycle, no-op path."""
 
+import json
+import multiprocessing as mp
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.obs import trace
+from repro.obs import SpanLog, trace
 from repro.obs.trace import (
     NOOP_SPAN,
     Span,
@@ -40,19 +43,6 @@ class TestTraceparent:
     )
     def test_malformed_values_parse_to_none(self, bad):
         assert parse_traceparent(bad) is None
-
-    def test_env_carrier_is_for_child_processes_only(self, monkeypatch):
-        ctx = new_context()
-        monkeypatch.setenv(trace.TRACEPARENT_ENV, format_traceparent(ctx))
-        # no PID marker: treated as inherited from a parent process
-        assert trace.current_context() == ctx
-        # our own marker: sibling threads of the exporter see nothing
-        monkeypatch.setenv(trace.TRACEPARENT_PID_ENV, str(os.getpid()))
-        assert trace.current_context() is None
-        # a different PID (the worker case) reads the carrier again
-        monkeypatch.setenv(trace.TRACEPARENT_PID_ENV, "1")
-        assert trace.current_context() == ctx
-
 
 class TestSpanLifecycle:
     def test_noop_without_sink_or_context(self):
@@ -119,15 +109,87 @@ class TestSpanLifecycle:
             assert sp is not NOOP_SPAN
 
 
-class TestEnvSpanlogSink:
-    def test_worker_bootstrap_appends_to_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "spans.ndjson"
-        monkeypatch.setenv(trace.SPANLOG_ENV, str(path))
-        assert trace.tracing_active()
-        with span("worker.stage"):
-            pass
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1
-        import json
+def _worker_stage():
+    """Run in a pool worker: one span, then what the worker sees."""
+    with span("worker.stage"):
+        pass
+    return trace.current_context(), len(trace._sinks), os.getpid()
 
-        assert json.loads(lines[0])["name"] == "worker.stage"
+
+def _pool(method, carrier):
+    if method not in mp.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    return ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=mp.get_context(method),
+        initializer=trace.join,
+        initargs=(carrier,),
+    )
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+class TestPoolCarrier:
+    def test_worker_joins_the_trace_and_writes_once(self, tmp_path, method):
+        """The carrier taken under an ambient context reaches the worker
+        as pool arguments: its span parents to that context and lands
+        in the span file once, whether the worker was forked (and
+        inherited the parent's writer) or spawned.  The environment is
+        not touched."""
+        env = dict(os.environ)
+        log = SpanLog(tmp_path / "spans.ndjson").install()
+        try:
+            ctx = new_context()
+            with use_context(ctx):
+                carrier = trace.worker_carrier()
+                assert carrier == (ctx, str(log.path))
+                with _pool(method, carrier) as pool:
+                    seen, sinks, pid = pool.submit(_worker_stage).result()
+            assert (seen, sinks) == (ctx, 1) and pid != os.getpid()
+            (rec,) = log.for_trace(ctx.trace_id)
+            assert rec["name"] == "worker.stage"
+            assert rec["parent_id"] == ctx.span_id
+            assert log.path.read_text().count("worker.stage") == 1
+        finally:
+            log.close()
+        assert dict(os.environ) == env
+
+    def test_no_span_file_means_no_worker_sink(self, capture_spans, method):
+        """Without an installed span file there is no carrier, and a
+        worker keeps no sink, not even the list sink a fork handed
+        down."""
+        assert trace.worker_carrier() is None
+        with _pool(method, None) as pool:
+            seen, sinks, _ = pool.submit(_worker_stage).result()
+        assert (seen, sinks) == (None, 0)
+
+
+def _emit_many(n):
+    for i in range(n):
+        with span("worker.burst", i=i, pad="x" * 200):
+            pass
+    return n
+
+
+def test_concurrent_appenders_lose_no_span(tmp_path):
+    """Four pool workers and the parent append to one span file at
+    once: every line decodes and every span is there exactly once."""
+    log = SpanLog(tmp_path / "spans.ndjson").install()
+    try:
+        ctx = new_context()
+        with use_context(ctx):
+            with ProcessPoolExecutor(
+                max_workers=4,
+                mp_context=mp.get_context(),
+                initializer=trace.join,
+                initargs=(trace.worker_carrier(),),
+            ) as pool:
+                futures = [pool.submit(_emit_many, 300) for _ in range(4)]
+                _emit_many(300)
+                assert sum(f.result(timeout=60) for f in futures) == 1200
+        lines = log.path.read_text().splitlines()
+        spans = [json.loads(line) for line in lines]
+        assert len(spans) == 1500
+        assert len({s["span_id"] for s in spans}) == 1500
+        assert len(log.for_trace(ctx.trace_id)) == 1500
+    finally:
+        log.close()

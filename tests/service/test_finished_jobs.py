@@ -247,6 +247,36 @@ def test_terminal_state_is_journaled_after_its_log(tmp_path, monkeypatch):
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
 )
+def test_stateless_shutdown_closes_its_files(tmp_path):
+    """Without a ``--state-dir`` the event logs and the span file share
+    a private temp root: shutdown closes the span writer and removes
+    the root, and no open descriptor points into it."""
+    service = SimulationService(ResultStore(tmp_path / "store"))
+    root = service.log_dir.parent
+    try:
+        assert service.spanlog.path == root / "spans.ndjson"
+        job, _ = service.submit(JobRequest(study=_study().to_data()))
+        deadline = time.time() + 60
+        while not job.terminal and time.time() < deadline:
+            time.sleep(0.02)
+        assert service.spanlog.for_trace(job.execution.trace_id)
+    finally:
+        service.shutdown()
+    assert not root.exists()
+    inside = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # closed since the listing
+        if target.startswith(f"{root}{os.sep}"):
+            inside.append(target)
+    assert inside == []
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
 @pytest.mark.parametrize("journal", [True, False], ids=["state-dir", "temp"])
 def test_server_memory_and_files_stay_flat_per_finished_job(
     tmp_path, journal

@@ -4,13 +4,16 @@ the resumed incarnation keeps the original trace_id and links the
 span it continues."""
 
 import json
+import multiprocessing as mp
 import os
 import signal
 import time
+from collections import Counter
 
 import pytest
 
 from repro.api import Scenario, Study
+from repro.engine import executor
 from repro.obs.registry import REGISTRY
 from repro.service import (
     JobRequest,
@@ -49,11 +52,8 @@ def _service(tmp_path, **kw):
         "retry",
         RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05),
     )
-    return SimulationService(
-        ResultStore(tmp_path / "store"),
-        state_dir=tmp_path / "state",
-        **kw,
-    )
+    kw.setdefault("state_dir", tmp_path / "state")
+    return SimulationService(ResultStore(tmp_path / "store"), **kw)
 
 
 def _wait_terminal(service, job_id, timeout=120.0):
@@ -66,14 +66,38 @@ def _wait_terminal(service, job_id, timeout=120.0):
     raise AssertionError(f"job {job_id} never reached a terminal state")
 
 
+def _worker_pid(record, by_id):
+    """The ``worker`` pid of the ``engine.chunk`` span ``record`` ran
+    under (``None`` outside any chunk)."""
+    while record is not None:
+        if record["name"] == "engine.chunk":
+            return record["attrs"]["worker"]
+        record = by_id.get(record["parent_id"])
+    return None
+
+
 class TestWorkerPoolCrash:
+    @pytest.mark.parametrize(
+        "stateful, start_method",
+        [(True, "fork"), (False, "fork"), (False, "spawn")],
+        ids=["state-dir", "temp", "temp-spawn"],
+    )
     def test_trace_survives_a_broken_pool(
-        self, tmp_path, arm_chaos, pool_cpus
+        self, tmp_path, arm_chaos, pool_cpus, monkeypatch, stateful,
+        start_method,
     ):
         """A worker SIGKILLs itself mid-chunk (BrokenProcessPool): the
         job still lands ``done`` under its original trace_id, the
-        surviving worker-process spans carry their pids into the span
-        log, and the crash counter moved."""
+        surviving workers' spans (chunk, build, kernel) carry their
+        pids into the span file, each span once, and the crash counter
+        moved.  Workers join the trace through the pool's carrier, so
+        this holds with or without a ``--state-dir`` and for spawned
+        workers as for forked ones."""
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method here")
+        monkeypatch.setattr(
+            executor, "_pool_context", lambda: mp.get_context(start_method)
+        )
         crashes = REGISTRY.counter("engine_worker_crashes_total")
         before = crashes.value()
         arm_chaos(f"crash-worker:once={tmp_path}/crash.marker")
@@ -87,7 +111,9 @@ class TestWorkerPoolCrash:
         study = Study.wrap(
             Scenario(name="pool", specs=specs, title="two sweeps")
         )
-        service = _service(tmp_path)
+        service = _service(
+            tmp_path, state_dir=tmp_path / "state" if stateful else None
+        )
         try:
             job, attached = service.submit(
                 JobRequest(study=study.to_data(), workers=2)
@@ -102,11 +128,23 @@ class TestWorkerPoolCrash:
             assert {s["trace_id"] for s in spans} == {trace_id}
             chunks = [s for s in spans if s["name"] == "engine.chunk"]
             # one span per completed chunk, emitted *inside* the pool
-            # workers (they reach the log via the env-carried file sink)
+            # workers (each writes the span file through its own sink)
             assert sum(s["attrs"]["lanes"] for s in chunks) >= 4
-            worker_pids = {s["attrs"]["worker"] for s in chunks}
-            assert worker_pids
-            assert all(pid != os.getpid() for pid in worker_pids)
+            # (a worker torn down with the pool may leave stages whose
+            # chunk span never closed: those trace to no pid)
+            by_id = {s["span_id"]: s for s in spans}
+            for name in (
+                "engine.chunk", "engine.build", "kernel.prepare",
+                "kernel.run",
+            ):
+                pids = {
+                    _worker_pid(s, by_id) for s in spans if s["name"] == name
+                } - {None}
+                assert pids and os.getpid() not in pids, (name, pids)
+
+            lines = service.spanlog.path.read_text().splitlines()
+            ids = Counter(json.loads(line)["span_id"] for line in lines)
+            assert max(ids.values()) == 1, ids.most_common(3)
         finally:
             service.shutdown()
 
