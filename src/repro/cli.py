@@ -365,9 +365,7 @@ def _metric_value(data, name, labels=None) -> float:
 
 def _live_metrics_line(data) -> str:
     """One refreshing status line from the runtime-metrics payload."""
-    running = _metric_value(
-        data, "service_jobs_by_state", {"state": "running"}
-    )
+    running = _metric_value(data, "service_jobs", {"state": "running"})
     queued = _metric_value(data, "service_queue_depth")
     fields = [
         f"queue={queued:.0f}",
@@ -376,7 +374,7 @@ def _live_metrics_line(data) -> str:
         f"points={_metric_value(data, 'engine_points_total'):.0f}",
         f"hits={_metric_value(data, 'store_hits_total'):.0f}",
         f"misses={_metric_value(data, 'store_misses_total'):.0f}",
-        f"retries={_metric_value(data, 'service_job_retries_total'):.0f}",
+        f"retries={_metric_value(data, 'service_retries_total'):.0f}",
         f"http={_metric_value(data, 'http_requests_total'):.0f}",
     ]
     return "  ".join(fields)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-import time
 import traceback
 from typing import Optional
 
@@ -66,9 +65,6 @@ class ContextLogger(logging.LoggerAdapter):
         for key, value in kwargs.items():
             if key in self._PASSTHROUGH:
                 passthrough[key] = value
-            elif key == "extra":
-                # merge pre-built extra dicts from legacy call sites
-                fields.update(value or {})
             else:
                 fields[key] = value
         ctx = trace.current_context()
@@ -149,8 +145,3 @@ def setup_logging(
     target.setLevel(level)
     return handler
 
-
-def _utc_iso(ts: Optional[float] = None) -> str:
-    """Compact UTC timestamp for ad-hoc CLI output."""
-    ts = time.time() if ts is None else ts
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(ts)) + "Z"

@@ -1,7 +1,8 @@
 """Job bookkeeping: executions, subscriber fan-out, fair scheduling.
 
 The unit of *work* is an :class:`Execution` — one deduped computation,
-identified by the request's execution key.  The unit of *tenancy* is a
+named by the id of the job that created it and deduped by the
+request's execution key.  The unit of *tenancy* is a
 :class:`Job` — one client submission.  Concurrent or repeat submissions
 of the same study attach extra jobs to the already-queued/running
 execution (single-flight at the job level): every subscriber streams
@@ -109,22 +110,29 @@ class RetryPolicy:
 class Execution:
     """One deduped computation and its append-only event log.
 
-    Each event is encoded once; the same line goes to the on-disk log
-    (``sink``) and to every subscriber.  Subscribers (any number,
-    attaching at any time) read lines by index under
+    ``id`` is the id of the job that created the execution (restarts
+    keep it); its event log is ``events/<id>.ndjson``, which no other
+    execution writes.  Each event is encoded once; the same line goes
+    to that file (``sink``) and to every subscriber.  Subscribers (any
+    number, attaching at any time) read lines by index under
     :meth:`wait_lines`; the log is complete from event 0, so a late
     subscriber replays the full history before blocking on the live
     tail.  At its terminal event an execution closes its log and, once
-    its own file holds every line, keeps only that file's path
-    (``log_path``, which no later execution of the key writes): its
+    the file holds every line, keeps only its path (``log_path``): its
     lines, study and spans are dropped, and every later read — stream
-    replays, :meth:`events_snapshot`, :attr:`result` — comes from the
-    file.  All mutation happens under one condition variable.
+    replays, :meth:`events_snapshot`, :attr:`result`, a restart —
+    comes from the file.  All mutation happens under one condition
+    variable.
     """
 
     def __init__(
-        self, key: str, request: JobRequest, study: Study
+        self,
+        execution_id: str,
+        key: str,
+        request: JobRequest,
+        study: Study,
     ) -> None:
+        self.id = execution_id
         self.key = key
         #: the study to run; dropped at the terminal transition
         self.study: Optional[Study] = study
@@ -151,8 +159,7 @@ class Execution:
         #: :class:`~repro.service.journal.EventLog`), closed at the
         #: terminal event.
         self.sink = None
-        #: this execution's own finished log, once the lines are
-        #: dropped.
+        #: the finished log, once the lines are dropped.
         self.log_path: Optional[Path] = None
         #: optional ``fn(execution, state)`` called on each state
         #: transition — the journal's write-ahead hook.
@@ -239,9 +246,8 @@ class Execution:
         instead of the lines (a wedged log keeps them); drop study and
         spans."""
         sink, self.sink = self.sink, None
-        own = sink.close() if sink is not None else None
-        if own is not None:
-            self.log_path = own
+        if sink is not None and sink.close():
+            self.log_path = sink.path
             self._lines = None
         self.study = None
         self.root_span = self._queue_span = obs_trace.NOOP_SPAN
@@ -426,6 +432,7 @@ class Execution:
     @classmethod
     def restore_terminal(
         cls,
+        execution_id: str,
         key: str,
         request: JobRequest,
         study: Study,
@@ -441,7 +448,7 @@ class Execution:
         log is read again when asked for.  A ``done`` execution whose
         log lost its ``done`` event keeps its state but has no result —
         the result endpoint reports that honestly."""
-        execution = cls(key, request, study)
+        execution = cls(execution_id, key, request, study)
         execution.state = state
         execution.log_complete = True
         execution.error = error
@@ -585,8 +592,9 @@ class Scheduler:
                 # after the terminal state is visible): start fresh
                 execution = None
             attached = execution is not None
+            job_id = f"j{next(self._job_seq):06d}"
             if execution is None:
-                execution = Execution(key, request, study)
+                execution = Execution(job_id, key, request, study)
                 execution.begin_trace(parent=trace)
                 if self.execution_hook is not None:
                     self.execution_hook(execution)
@@ -595,7 +603,7 @@ class Scheduler:
                     self._heap,
                     (-request.priority, next(self._seq), key),
                 )
-            job = Job(f"j{next(self._job_seq):06d}", request, execution)
+            job = Job(job_id, request, execution)
             execution.jobs.append(job)
             self._jobs[job.id] = job
             _M_SUBMITTED.inc(attached=str(attached).lower())
@@ -612,11 +620,12 @@ class Scheduler:
     ) -> Job:
         """Re-register a journaled job after a restart.
 
-        ``enqueue`` puts the execution back on the run queue (once per
-        key, however many jobs ride it); terminal executions are
+        ``enqueue`` puts the execution back on the run queue (once,
+        however many jobs ride it); terminal executions are
         registered for status/result lookups only.  Restored job ids
         are preserved; the id sequence is bumped past them so new
-        submissions never collide.
+        submissions, and the executions and log files they create,
+        never collide.
         """
         with self._lock:
             job = Job(job_id, request, execution)

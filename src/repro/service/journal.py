@@ -3,34 +3,35 @@
 Everything the service needs to survive a ``kill -9`` lives in one
 ``--state-dir``::
 
-    <state-dir>/journal.ndjson    write-ahead job journal
-    <state-dir>/events/<key>.ndjson   per-execution event logs
+    <state-dir>/journal.ndjson              write-ahead job journal
+    <state-dir>/events/<execution>.ndjson   one event log per execution
 
 The **journal** (schema ``repro.job-journal/v1``) is an append-only
 JSON-lines file recording every accepted :class:`~repro.service.
 protocol.JobRequest` (fsynced *before* the submission is acknowledged,
-so an acknowledged job is never lost) and every execution state
-transition.  On startup the service replays it: executions whose last
-recorded state is non-terminal are re-enqueued — their completed
-points come back from the shared :class:`~repro.engine.cache.
-ResultCache`, so a job killed mid-sweep resumes and finishes
-bit-identical to an uninterrupted run.  Terminal executions are
-restored read-only (status / events / result keep answering) from
-their event logs.
+so an acknowledged job is never lost) with the execution it rides, and
+every execution's state transitions.  An execution's id is the id of
+the job that created it (``j000123``).  On startup the service replays
+the journal: executions whose last recorded state is non-terminal are
+re-enqueued — their completed points come back from the shared
+:class:`~repro.engine.cache.ResultCache`, so a job killed mid-sweep
+resumes and finishes bit-identical to an uninterrupted run.  Terminal
+executions are restored read-only (status / events / result keep
+answering) from their own event logs.  Records of older trees name no
+execution; they are grouped by execution key instead, with the log at
+``events/<key>.ndjson``.
 
 The **event logs** hold each execution's event lines, each encoded
-once and written as the stream sends it.  A running execution writes
-a private file beside ``<key>.ndjson``; at its terminal event the file
-gets the execution's own finished name and is linked at
-``<key>.ndjson`` atomically, so a resubmission of the same key never
-truncates or replaces the log an older, finished job replays from.
-Finished executions keep only the path of their own file and serve
-every later read from it.  Both files are written by a process that
-may die between any two bytes, so restart reads go through
-:func:`read_ndjson_tolerant`, which treats an undecodable tail as
-torn: it truncates the file back to the last good line and warns
-instead of raising — a crashed append costs one event, never the
-whole log.
+once and written as the stream sends it.  An execution opens its file
+once, when it is enqueued, and closes it at its terminal event; no
+other execution writes it, so a resubmission of the same study never
+touches the log an older job replays from.  Each log stays on disk
+for as long as the journal names its execution.  The files are
+written by a process that may die between any two bytes, so restart
+reads go through :func:`read_ndjson_tolerant`, which treats an
+undecodable tail as torn: it truncates the file back to the last good
+line and warns instead of raising — a crashed append costs one event,
+never the whole log.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import shutil
-import tempfile
 import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -68,7 +67,6 @@ def scan_ndjson_tolerant(
     path: Union[str, Path],
     visit: Callable[[Dict], None],
     *,
-    truncate: bool = True,
     label: str = "log",
 ) -> Tuple[int, bool]:
     """Parse a JSON-lines file written by a crash-prone process,
@@ -76,9 +74,9 @@ def scan_ndjson_tolerant(
 
     Returns ``(count, torn)``.  The first line that fails to decode
     — a torn trailing append, or garbage after it — ends the parse:
-    everything from its first byte on is dropped and (with
-    ``truncate``) physically truncated away, so the file is clean
-    again for the next appender.  A missing file is simply empty.
+    everything from its first byte on is dropped and physically
+    truncated away, so the file is clean again for the next appender.
+    A missing file is simply empty.
     """
     path = Path(path)
     try:
@@ -105,31 +103,27 @@ def scan_ndjson_tolerant(
     if torn:
         logger.warning(
             "%s %s has a torn tail (%d byte(s) after %d good record(s))"
-            "%s",
+            "; truncating",
             label,
             path,
             len(raw) - offset,
             count,
-            "; truncating" if truncate else "",
         )
-        if truncate:
-            try:
-                with open(path, "r+b") as fh:
-                    fh.truncate(offset)
-            except OSError:
-                pass
+        try:
+            with open(path, "r+b") as fh:
+                fh.truncate(offset)
+        except OSError:
+            pass
     return count, torn
 
 
 def read_ndjson_tolerant(
-    path: Union[str, Path], *, truncate: bool = True, label: str = "log"
+    path: Union[str, Path], *, label: str = "log"
 ) -> Tuple[List[Dict], bool]:
     """:func:`scan_ndjson_tolerant` collecting the records:
     ``(records, torn)``."""
     records: List[Dict] = []
-    _, torn = scan_ndjson_tolerant(
-        path, records.append, truncate=truncate, label=label
-    )
+    _, torn = scan_ndjson_tolerant(path, records.append, label=label)
     return records, torn
 
 
@@ -140,28 +134,13 @@ def encode_event(event: Dict) -> bytes:
 
 
 class EventLog:
-    """On-disk copy of one execution's event lines.
-
-    Lines go to a private ``.<key>-*.part`` file beside ``path``.
-    :meth:`close` renames it to the execution's own finished log,
-    ``.<key>-*.ndjson``, and links that at ``path`` atomically (the
-    name a restart restores from).  Until then ``path`` keeps whatever
-    log it held, complete, and a later log linked at ``path`` never
-    touches this one: each finished execution reads its own file.
-    Every hidden file in the directory belongs to one server process;
-    none is live after a restart (see :meth:`sweep`).
-    """
+    """On-disk copy of one execution's event lines: the file at
+    ``path``, truncated when opened and closed at the execution's
+    terminal event."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent,
-            prefix=f".{self.path.stem}-",
-            suffix=".part",
-        )
-        self._staged = Path(tmp)
-        self._fh = os.fdopen(fd, "wb")
+        self._fh = open(self.path, "wb")
         self._wedged = False
 
     def append(self, event: Dict) -> None:
@@ -184,49 +163,13 @@ class EventLog:
         except OSError:
             self._wedged = True
 
-    def close(self) -> Optional[Path]:
-        """Close the file, rename it to its finished name and link that
-        at ``path``.  Returns the finished name when it holds every
-        line written, else ``None``."""
+    def close(self) -> bool:
+        """Close the file; true when it holds every line written."""
         try:
             self._fh.close()
         except OSError:
             self._wedged = True
-        own = self._staged.with_suffix(".ndjson")
-        try:
-            os.replace(self._staged, own)
-            tmp = own.with_suffix(".link")
-            _link(own, tmp)
-            os.replace(tmp, self.path)
-        except OSError:
-            logger.exception("event log %s: swap failed", self.path)
-            return None
-        return None if self._wedged else own
-
-    @staticmethod
-    def keep(path: Union[str, Path]) -> Path:
-        """A private name for the finished log at ``path`` (a missing
-        log stays missing), so that a log swapped into ``path`` later
-        leaves it alone: what a restored execution reads from."""
-        path = Path(path)
-        own = path.with_name(f".{path.name}")
-        try:
-            _link(path, own)
-        except OSError:
-            pass
-        return own
-
-    @staticmethod
-    def sweep(directory: Union[str, Path]) -> None:
-        """Remove the hidden files a previous server process left in
-        ``directory``: staged logs of executions a crash interrupted
-        (they re-run) and private names of finished ones."""
-        for stale in Path(directory).glob(".*"):
-            stale.unlink(missing_ok=True)
-
-    @staticmethod
-    def load(path: Union[str, Path]) -> Tuple[List[Dict], bool]:
-        return read_ndjson_tolerant(path, label="event log")
+        return not self._wedged
 
     @staticmethod
     def read_lines(path: Union[str, Path]) -> List[bytes]:
@@ -242,16 +185,6 @@ class EventLog:
         return lines
 
 
-def _link(src: Path, dst: Path) -> None:
-    """Make the new name ``dst`` for ``src``'s file: a hard link, or a
-    copy where the file system has none."""
-    dst.unlink(missing_ok=True)
-    try:
-        os.link(src, dst)
-    except OSError:
-        shutil.copyfile(src, dst)
-
-
 @dataclasses.dataclass
 class JournalJob:
     """One job as reconstructed from the journal."""
@@ -259,6 +192,9 @@ class JournalJob:
     id: str
     key: str
     request: JobRequest
+    #: id of the execution the job rides (its own id when it created
+    #: it); the key for records that name no execution
+    execution: str
     cancelled: bool = False
     #: trace identity of the execution's pre-crash incarnation — the
     #: shared ``trace_id`` a resumed run must keep, and the root
@@ -270,12 +206,48 @@ class JournalJob:
 @dataclasses.dataclass
 class JournalView:
     """Everything a replay learned: jobs in submission order, the last
-    recorded state per execution key, and whether the tail was torn."""
+    recorded state per execution id, and whether the tail was torn."""
 
     jobs: Dict[str, JournalJob] = dataclasses.field(default_factory=dict)
     states: Dict[str, str] = dataclasses.field(default_factory=dict)
     errors: Dict[str, str] = dataclasses.field(default_factory=dict)
     torn: bool = False
+
+
+def _job_record(
+    job_id: str,
+    key: str,
+    request: JobRequest,
+    trace_id: Optional[str],
+    span_id: Optional[str],
+    execution: Optional[str],
+) -> Dict:
+    record: Dict = {
+        "rec": "job",
+        "id": job_id,
+        "key": key,
+        "request": request.to_data(),
+    }
+    if trace_id:
+        record["trace_id"] = trace_id
+    if span_id:
+        record["span_id"] = span_id
+    if execution:
+        record["execution"] = execution
+    return record
+
+
+def _state_record(
+    execution: str, state: str, error: Optional[str]
+) -> Dict:
+    record: Dict = {"rec": "state", "execution": execution, "state": state}
+    if error:
+        record["error"] = error
+    return record
+
+
+def _line(record: Dict) -> str:
+    return json.dumps({"schema": JOB_JOURNAL_SCHEMA, **record}) + "\n"
 
 
 class JobJournal:
@@ -298,10 +270,9 @@ class JobJournal:
 
     # -- appends -------------------------------------------------------
     def _append(self, record: Dict, sync: bool) -> None:
-        record = {"schema": JOB_JOURNAL_SCHEMA, **record}
         with self._lock:
             try:
-                self._fh.write(json.dumps(record) + "\n")
+                self._fh.write(_line(record))
                 self._fh.flush()
                 if sync:
                     os.fsync(self._fh.fileno())
@@ -315,33 +286,28 @@ class JobJournal:
         request: JobRequest,
         trace_id: Optional[str] = None,
         span_id: Optional[str] = None,
+        execution: Optional[str] = None,
     ) -> None:
-        record: Dict = {
-            "rec": "job",
-            "id": job_id,
-            "key": key,
-            "request": request.to_data(),
-        }
-        if trace_id:
-            record["trace_id"] = trace_id
-        if span_id:
-            record["span_id"] = span_id
-        self._append(record, sync=True)
+        """One accepted job and the id of the execution it rides (a
+        record without one is grouped by ``key`` on replay)."""
+        self._append(
+            _job_record(job_id, key, request, trace_id, span_id, execution),
+            sync=True,
+        )
 
     def record_state(
-        self, key: str, state: str, error: Optional[str] = None
+        self, execution: str, state: str, error: Optional[str] = None
     ) -> None:
-        record: Dict = {"rec": "state", "key": key, "state": state}
-        if error:
-            record["error"] = error
-        self._append(record, sync=False)
+        self._append(_state_record(execution, state, error), sync=False)
 
     def record_cancel(self, job_id: str) -> None:
         self._append({"rec": "cancel", "id": job_id}, sync=False)
 
     # -- replay --------------------------------------------------------
     def replay(self) -> JournalView:
-        """Reconstruct job/state history, tolerating a torn tail."""
+        """Reconstruct job/state history, tolerating a torn tail.
+        Records that name no execution (older trees) stand for the
+        execution of their ``key``."""
         with self._lock:
             records, torn = read_ndjson_tolerant(
                 self.path, label="job journal"
@@ -351,7 +317,16 @@ class JobJournal:
             kind = record.get("rec")
             if kind == "job":
                 try:
-                    request = JobRequest.from_data(record["request"])
+                    job = JournalJob(
+                        id=record["id"],
+                        key=record["key"],
+                        request=JobRequest.from_data(record["request"]),
+                        execution=str(
+                            record.get("execution", record["key"])
+                        ),
+                        trace_id=record.get("trace_id"),
+                        span_id=record.get("span_id"),
+                    )
                 except (KeyError, TypeError, ValueError) as exc:
                     logger.warning(
                         "journal: dropping unreadable job record %r: %s",
@@ -359,19 +334,14 @@ class JobJournal:
                         exc,
                     )
                     continue
-                view.jobs[record["id"]] = JournalJob(
-                    id=record["id"],
-                    key=record["key"],
-                    request=request,
-                    trace_id=record.get("trace_id"),
-                    span_id=record.get("span_id"),
-                )
+                view.jobs[job.id] = job
             elif kind == "state":
-                view.states[record["key"]] = record["state"]
+                execution = str(record.get("execution", record.get("key")))
+                view.states[execution] = record["state"]
                 if record.get("error"):
-                    view.errors[record["key"]] = record["error"]
+                    view.errors[execution] = record["error"]
                 else:
-                    view.errors.pop(record["key"], None)
+                    view.errors.pop(execution, None)
             elif kind == "cancel":
                 job = view.jobs.get(record.get("id"))
                 if job is not None:
@@ -379,44 +349,34 @@ class JobJournal:
         return view
 
     def compact(self, view: JournalView) -> None:
-        """Rewrite the journal to the view's net state (startup GC)."""
+        """Rewrite the journal to the view's net state (startup GC);
+        every record names its execution."""
         tmp = self.path.with_suffix(".ndjson.tmp")
         with self._lock:
             with open(tmp, "w") as fh:
                 for job in view.jobs.values():
-                    record = {
-                        "schema": JOB_JOURNAL_SCHEMA,
-                        "rec": "job",
-                        "id": job.id,
-                        "key": job.key,
-                        "request": job.request.to_data(),
-                    }
-                    if job.trace_id:
-                        record["trace_id"] = job.trace_id
-                    if job.span_id:
-                        record["span_id"] = job.span_id
-                    fh.write(json.dumps(record) + "\n")
-                    if job.cancelled:
-                        fh.write(
-                            json.dumps(
-                                {
-                                    "schema": JOB_JOURNAL_SCHEMA,
-                                    "rec": "cancel",
-                                    "id": job.id,
-                                }
+                    fh.write(
+                        _line(
+                            _job_record(
+                                job.id,
+                                job.key,
+                                job.request,
+                                job.trace_id,
+                                job.span_id,
+                                job.execution,
                             )
-                            + "\n"
                         )
-                for key, state in view.states.items():
-                    record = {
-                        "schema": JOB_JOURNAL_SCHEMA,
-                        "rec": "state",
-                        "key": key,
-                        "state": state,
-                    }
-                    if key in view.errors:
-                        record["error"] = view.errors[key]
-                    fh.write(json.dumps(record) + "\n")
+                    )
+                    if job.cancelled:
+                        fh.write(_line({"rec": "cancel", "id": job.id}))
+                for execution, state in view.states.items():
+                    fh.write(
+                        _line(
+                            _state_record(
+                                execution, state, view.errors.get(execution)
+                            )
+                        )
+                    )
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)

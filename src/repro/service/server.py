@@ -34,6 +34,7 @@ default and trusts its tenants, like a local build daemon.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import tempfile
 import threading
@@ -60,7 +61,7 @@ from .jobs import (
     RetryPolicy,
     Scheduler,
 )
-from .journal import EventLog, JobJournal, encode_event
+from .journal import EventLog, JobJournal, JournalJob, encode_event
 from .protocol import JOB_STATES, JobRequest
 
 __all__ = ["SimulationService", "create_server", "serve"]
@@ -89,6 +90,11 @@ _M_QUEUE_DEPTH = REGISTRY.gauge(
 _M_JOBS_BY_STATE = REGISTRY.gauge(
     "service_jobs", "Jobs known to this service, by state", ("state",)
 )
+
+#: what a journaled execution id may be, and so name its event log:
+#: the id of the job that created it, or (records that name no
+#: execution) an execution key
+_EXECUTION_ID = re.compile(r"j[0-9]{6,}|[0-9a-f]{64}")
 
 
 class SimulationService:
@@ -129,6 +135,7 @@ class SimulationService:
                 self, shutil.rmtree, root, ignore_errors=True
             )
         self.log_dir = root / "events"
+        self.log_dir.mkdir(parents=True, exist_ok=True)
         #: runtime telemetry plane (tracing + HTTP metrics).  When on,
         #: a span sink appending to ``spans.ndjson`` beside the event
         #: logs is installed and the HTTP layer records request
@@ -157,39 +164,41 @@ class SimulationService:
             self._executor.start()
 
     # -- durability ----------------------------------------------------
-    def _event_path(self, key: str) -> Path:
-        return self.log_dir / f"{key}.ndjson"
-
     def _attach_durability(self, execution: Execution) -> None:
-        """Scheduler hook: give a fresh execution its on-disk event
-        log — its own file, so older logs of its key stay whole — and
-        journal transition plumbing (called once per enqueued
-        execution, under the scheduler lock)."""
-        execution.sink = EventLog(self._event_path(execution.key))
+        """Scheduler hook: give a fresh or re-enqueued execution its
+        event log, ``events/<id>.ndjson`` (truncated), and journal
+        transition plumbing (called once per enqueued execution, under
+        the scheduler lock)."""
+        execution.sink = EventLog(self.log_dir / f"{execution.id}.ndjson")
         journal = self.journal
         if journal is None:
             return
 
         def on_transition(exe: Execution, state: str) -> None:
-            journal.record_state(exe.key, state, error=exe.error)
+            journal.record_state(exe.id, state, error=exe.error)
 
         execution.on_transition = on_transition
 
     def _restore(self) -> None:
-        """Replay the journal: re-enqueue interrupted work, restore
-        terminal jobs read-only, then compact the journal."""
+        """Replay the journal: re-enqueue interrupted executions,
+        restore terminal ones read-only from their own event logs, then
+        compact the journal."""
         assert self.journal is not None
-        EventLog.sweep(self.log_dir)
         view = self.journal.replay()
         if not view.jobs:
             return
-        by_key: Dict[str, List] = {}
+        by_execution: Dict[str, List[JournalJob]] = {}
         for job in view.jobs.values():
-            by_key.setdefault(job.key, []).append(job)
-        executions: Dict[str, Execution] = {}
-        for key, jobs in by_key.items():
-            state = view.states.get(key, "queued")
+            by_execution.setdefault(job.execution, []).append(job)
+        for eid, jobs in by_execution.items():
+            key = jobs[0].key
+            state = view.states.get(eid, "queued")
             try:
+                if not _EXECUTION_ID.fullmatch(eid):
+                    raise ValueError(
+                        f"execution id {eid!r} is neither a job id nor "
+                        "an execution key"
+                    )
                 study = jobs[0].request.build_study()
             except ValueError as exc:
                 logger.warning(
@@ -197,11 +206,9 @@ class SimulationService:
                     key[:12],
                     exc,
                 )
-                view.jobs = {
-                    jid: j
-                    for jid, j in view.jobs.items()
-                    if j.key != key
-                }
+                for job in jobs:
+                    del view.jobs[job.id]
+                view.states.pop(eid, None)
                 continue
             live = state not in TERMINAL_STATES and any(
                 not j.cancelled for j in jobs
@@ -220,7 +227,7 @@ class SimulationService:
                         key[:12],
                         state,
                     )
-                execution = Execution(key, jobs[0].request, study)
+                execution = Execution(eid, key, jobs[0].request, study)
                 execution.resumed = True
                 # resume *inside* the original trace: the new root
                 # span keeps the journaled trace_id (its parent is the
@@ -241,17 +248,17 @@ class SimulationService:
                     # every rider was cancelled while queued but the
                     # terminal record never landed: settle it now
                     state = "cancelled"
-                    view.states[key] = state
+                    view.states[eid] = state
                 execution = Execution.restore_terminal(
+                    eid,
                     key,
                     jobs[0].request,
                     study,
                     state,
-                    EventLog.keep(self._event_path(key)),
-                    error=view.errors.get(key),
+                    self.log_dir / f"{eid}.ndjson",
+                    error=view.errors.get(eid),
                     trace_id=prior.trace_id if prior else None,
                 )
-            executions[key] = execution
             for job in jobs:
                 self.scheduler.restore(
                     job.id,
@@ -297,6 +304,7 @@ class SimulationService:
                 span_id=(
                     execution.trace.span_id if execution.trace else None
                 ),
+                execution=execution.id,
             )
         logger.info(
             "job %s %s execution %s (client=%r priority=%d)",

@@ -1,11 +1,13 @@
 """Service CLI verbs driven through ``main()`` against a live server."""
 
 import json
+import threading
 
 import pytest
 
-from repro.cli import main
-from repro.service import ResultStore
+from repro.cli import _live_metrics_line, main
+from repro.service import ResultStore, chaos
+from repro.service.jobs import Execution
 
 from .conftest import tiny_study
 
@@ -207,3 +209,50 @@ class TestRunProgress:
         ) == 0
         err = capsys.readouterr().err
         assert "(cache)" in err and "(fresh)" not in err
+
+
+class TestLiveMetrics:
+    """``metrics --live`` reads the series the service registers."""
+
+    @staticmethod
+    def _line(client):
+        line = _live_metrics_line(client.metrics(fmt="json"))
+        return dict(field.split("=") for field in line.split())
+
+    def test_line_counts_running_jobs_and_retries(
+        self, served, monkeypatch
+    ):
+        client, _, _ = served
+        gate, paused = threading.Event(), threading.Event()
+        record_point = Execution.record_point
+
+        def held(self, *args):
+            paused.set()
+            gate.wait(timeout=60)
+            record_point(self, *args)
+
+        monkeypatch.setattr(Execution, "record_point", held)
+        job = client.submit_study(tiny_study())
+        try:
+            assert paused.wait(timeout=30)
+            running = self._line(client)
+        finally:
+            gate.set()
+        client.watch(job["id"])
+        assert running["running"] == "1"
+        assert self._line(client)["running"] == "0"
+
+        monkeypatch.setattr(Execution, "record_point", record_point)
+        before = self._line(client)
+        monkeypatch.setenv("REPRO_CHAOS", "fail-point:times=1:match=m@")
+        chaos.reset()
+        try:
+            # a fresh seed: its points are computed, so one of them fails
+            job = client.submit_study(tiny_study(seed=5))
+            assert client.watch(job["id"]) is not None
+        finally:
+            monkeypatch.delenv("REPRO_CHAOS")
+            chaos.reset()
+        assert client.status(job["id"])["attempts"] == 2
+        after = self._line(client)
+        assert int(after["retries"]) - int(before["retries"]) == 1

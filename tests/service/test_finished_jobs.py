@@ -183,12 +183,15 @@ class TestReplay:
         self, live_job, tmp_path, restart
     ):
         """A newer execution of the key that ends without a result
-        (here: cancelled while queued) links its own log at the key's
-        path; the finished job, restored or not, keeps its own."""
+        (here: cancelled while queued) writes its own log; the finished
+        job, restored or not, keeps its own, and so does each of them
+        across a restart after the newer one ended."""
         server, job_id, live = live_job
+        started = []  # servers this test opened and must close
         if restart:
             server.close()
             server = _Server(tmp_path)
+            started.append(server)
         try:
             # no executor: the newer execution stays queued
             server.service._stopped.set()
@@ -196,37 +199,45 @@ class TestReplay:
             newer = server.client.submit_study(_study())
             assert server.client.status(newer["id"])["state"] == "queued"
             server.client.cancel(newer["id"])
-            key_log = server.service._event_path(newer["key"])
-            assert key_log.read_bytes() == b"".join(
+            newer_log = server.service.log_dir / f"{newer['id']}.ndjson"
+            assert newer_log.read_bytes() == b"".join(
                 _raw_lines(server.client, newer["id"])
             )
-            assert b'"cancelled"' in key_log.read_bytes()
-            assert server.client.status(job_id)["state"] == "done"
-            assert _raw_lines(server.client, job_id) == live
-            assert _raw_lines(server.client, job_id, start=3) == live[3:]
-            assert server.client.result(job_id).to_dict() == (
-                _result_from(live).to_dict()
-            )
-            assert server.client.watch(job_id).to_dict() == (
-                _result_from(live).to_dict()
-            )
+            assert b'"cancelled"' in newer_log.read_bytes()
+            for restarted in (False, True):
+                if restarted:
+                    server.close()
+                    server = _Server(tmp_path)
+                    started.append(server)
+                assert server.client.status(job_id)["state"] == "done"
+                assert _raw_lines(server.client, job_id) == live
+                assert _raw_lines(server.client, job_id, start=3) == live[3:]
+                assert server.client.result(job_id).to_dict() == (
+                    _result_from(live).to_dict()
+                )
+                assert server.client.watch(job_id).to_dict() == (
+                    _result_from(live).to_dict()
+                )
+                assert server.client.status(newer["id"])["state"] == (
+                    "cancelled"
+                )
         finally:
-            if restart:
-                server.close()
+            for opened in started:
+                opened.close()
 
 
 def test_terminal_state_is_journaled_after_its_log(tmp_path, monkeypatch):
-    """The journal records a terminal state only once the key's log
-    holds the terminal event, so a crash between the two re-runs the
-    execution instead of restoring it from an older log."""
+    """The journal records a terminal state only once the execution's
+    log holds the terminal event, so a crash between the two re-runs
+    the execution instead of restoring it from a partial log."""
     seen = []
     record_state = JobJournal.record_state
 
-    def spy(self, key, state, error=None):
+    def spy(self, execution, state, error=None):
         if state in TERMINAL_STATES:
-            log = tmp_path / "state" / "events" / f"{key}.ndjson"
+            log = tmp_path / "state" / "events" / f"{execution}.ndjson"
             seen.append((state, json.loads(log.read_bytes().splitlines()[-1])))
-        record_state(self, key, state, error=error)
+        record_state(self, execution, state, error=error)
 
     monkeypatch.setattr(JobJournal, "record_state", spy)
     service = SimulationService(

@@ -81,18 +81,10 @@ class TestTolerantReader:
         assert torn is True
         assert path.read_text() == '{"a": 1}\n'
 
-    def test_no_truncate_leaves_file_alone(self, tmp_path):
-        path = tmp_path / "log.ndjson"
-        blob = '{"a": 1}\n{"b'
-        path.write_text(blob)
-        records, torn = read_ndjson_tolerant(path, truncate=False)
-        assert records == [{"a": 1}] and torn is True
-        assert path.read_text() == blob
-
     def test_sigkill_mid_append_leaves_replayable_log(self, tmp_path):
         """Regression: SIGKILL a process busy appending to an event
-        log; what reached its staged file must replay as a clean
-        prefix, never raise."""
+        log; what reached its file must replay as a clean prefix,
+        never raise."""
         script = (
             "import sys\n"
             "from repro.service.journal import EventLog\n"
@@ -103,16 +95,14 @@ class TestTolerantReader:
             "    i += 1\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)
+        path = tmp_path / "e.ndjson"
         proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(tmp_path / "e.ndjson")],
-            env=env,
+            [sys.executable, "-c", script, str(path)], env=env
         )
         try:
             deadline = time.time() + 30
             while time.time() < deadline:
-                staged = list(tmp_path.glob(".e-*.part"))
-                if staged and staged[0].stat().st_size > 4096:
-                    path = staged[0]
+                if path.exists() and path.stat().st_size > 4096:
                     break
                 time.sleep(0.01)
             else:
@@ -133,8 +123,8 @@ class TestEventLog:
         log = EventLog(path)
         log.append({"event": "start", "seq": 0})
         log.append({"event": "done", "seq": 1})
-        log.close()
-        events, torn = EventLog.load(path)
+        assert log.close() is True
+        events, torn = read_ndjson_tolerant(path, label="event log")
         assert [e["event"] for e in events] == ["start", "done"]
         assert torn is False
 
@@ -146,33 +136,8 @@ class TestEventLog:
         log = EventLog(path)
         log.append({"seq": 0, "new": True})
         log.close()
-        events, _ = EventLog.load(path)
+        events, _ = read_ndjson_tolerant(path, label="event log")
         assert events == [{"seq": 0, "new": True}]
-
-    def test_log_leaves_older_ones_whole(self, tmp_path):
-        """A log is staged beside ``path``: readers of ``path`` see the
-        previous log, complete, until the new one is linked in whole at
-        close, and the previous log's own file never changes."""
-        path = tmp_path / "e.ndjson"
-        old = EventLog(path)
-        old.append({"seq": 0, "event": "done"})
-        old_own = old.close()
-        assert old_own is not None and old_own != path
-        before = path.read_bytes()
-        assert old_own.read_bytes() == before
-        log = EventLog(path)
-        log.append({"seq": 0, "event": "start"})
-        log.append({"seq": 1, "event": "point"})
-        assert path.read_bytes() == before
-        own = log.close()
-        assert own is not None and own.read_bytes() == path.read_bytes()
-        events, torn = EventLog.load(path)
-        assert [e["event"] for e in events] == ["start", "point"]
-        assert torn is False
-        assert old_own.read_bytes() == before
-        assert EventLog.read_lines(old_own) == [before]
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == sorted(["e.ndjson", old_own.name, own.name])
 
     def test_torn_log_reports_it_at_close(self, tmp_path, monkeypatch):
         from repro.service import chaos
@@ -184,34 +149,13 @@ class TestEventLog:
             log = EventLog(path)
             for seq in range(3):
                 log.append({"seq": seq})
-            assert log.close() is None  # the file misses lines
+            assert log.close() is False  # the file misses lines
         finally:
             monkeypatch.delenv("REPRO_CHAOS")
             chaos.reset()
         assert len(EventLog.read_lines(path)) == 1  # torn tail dropped
-        events, torn = EventLog.load(path)
+        events, torn = read_ndjson_tolerant(path, label="event log")
         assert events == [{"seq": 0}] and torn is True
-
-    def test_kept_name_outlives_a_later_log(self, tmp_path):
-        """What a restart restores from: a private name for the log at
-        ``path`` that a newer log linked at ``path`` leaves alone;
-        :meth:`EventLog.sweep` removes it and every staged file."""
-        path = tmp_path / "e.ndjson"
-        first = EventLog(path)
-        first.append({"seq": 0, "event": "done"})
-        first.close()
-        EventLog.sweep(tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["e.ndjson"]
-        kept = EventLog.keep(path)
-        before = path.read_bytes()
-        newer = EventLog(path)
-        newer.append({"seq": 0, "event": "cancelled"})
-        newer.close()
-        assert kept.read_bytes() == before != path.read_bytes()
-        EventLog(path)  # a run a crash interrupts: staged, never closed
-        EventLog.sweep(tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == ["e.ndjson"]
-        assert EventLog.read_lines(EventLog.keep(tmp_path / "gone")) == []
 
 
 class TestJobJournal:
@@ -268,6 +212,39 @@ class TestJobJournal:
         # the journal stays appendable after compaction
         journal.record_state("key-a", "running")
         assert JobJournal(path).replay().states == {"key-a": "running"}
+        journal.close()
+
+    def test_records_name_their_execution(self, tmp_path):
+        """Jobs ride executions by id, so two executions of one key keep
+        their own states; records that name no execution (older trees)
+        stand for their key's execution, and compaction names it."""
+        path = tmp_path / "journal.ndjson"
+        req = _request()
+        key = "ab" * 32
+        with open(path, "w") as fh:  # an older tree's records
+            for record in (
+                {"rec": "job", "id": "j000001", "key": key,
+                 "request": req.to_data()},
+                {"rec": "state", "key": key, "state": "done"},
+            ):
+                fh.write(json.dumps(record) + "\n")
+        journal = JobJournal(path)
+        journal.record_job("j000002", key, req, execution="j000002")
+        journal.record_job("j000003", key, req, execution="j000002")
+        journal.record_state("j000002", "cancelled")
+        view = journal.replay()
+        riding = {job.id: job.execution for job in view.jobs.values()}
+        assert riding == {
+            "j000001": key, "j000002": "j000002", "j000003": "j000002"
+        }
+        assert view.states == {key: "done", "j000002": "cancelled"}
+        journal.compact(view)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert all("execution" in record for record in records)
+        assert all("key" not in r for r in records if r["rec"] == "state")
+        after = JobJournal(path).replay()
+        assert after.states == view.states
+        assert {j.id: j.execution for j in after.jobs.values()} == riding
         journal.close()
 
 
@@ -395,14 +372,15 @@ class TestRestart:
         state_dir = tmp_path / "state"
         first = self._service(store_dir, state_dir, start_executor=False)
         job, _ = first.submit(_request())
-        key = first.job(job.id).execution.key
+        execution = first.job(job.id).execution
+        key = execution.key
         first.journal.close()  # the crash: nothing journaled after this
         with open(state_dir / "journal.ndjson", "a") as fh:
             fh.write(
                 json.dumps(
                     {
                         "rec": "state",
-                        "key": key,
+                        "execution": execution.id,
                         "state": "error",
                         "error": "Traceback (most recent call last): ...",
                     }
@@ -424,6 +402,62 @@ class TestRestart:
         assert second.resumed_executions == 1
         assert _wait_terminal(second, job.id)["state"] == "done"
         second.shutdown()
+
+    def test_v1_state_dir_restores_again_after_compaction(self, tmp_path):
+        """The first restart of ``data/state_v1.tar.gz`` compacts its
+        journal into records that name the execution (its key, the
+        name of its log); the next restart restores the same job from
+        the same log."""
+        import shutil
+
+        shutil.unpack_archive(
+            Path(__file__).parent / "data" / "state_v1.tar.gz", tmp_path
+        )
+        seen = []
+        for _ in range(2):
+            service = self._service(tmp_path / "store", tmp_path / "state")
+            try:
+                assert service.restored_jobs == 1
+                assert service.status("j000001")["state"] == "done"
+                execution = service.job("j000001").execution
+                seen.append(
+                    (execution.events_snapshot(), execution.result_data())
+                )
+            finally:
+                service.shutdown()
+        assert seen[0] == seen[1] and seen[0][1] is not None
+        journal = tmp_path / "state" / "journal.ndjson"
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert {r["execution"] for r in records} == {records[0]["key"]}
+
+    def test_unsafe_execution_id_is_dropped(self, tmp_path, caplog):
+        """An execution id that is neither a job id nor an execution key
+        never names a file: the restart drops its job with a warning
+        and leaves the file the id points at alone."""
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        outside = tmp_path / "outside.ndjson"
+        blob = b'{"event": "start"}\n{"torn'
+        outside.write_bytes(blob)
+        req = _request()
+        with open(state_dir / "journal.ndjson", "w") as fh:
+            for record in (
+                {"rec": "job", "id": "j000001", "key": req.execution_key(),
+                 "request": req.to_data(), "execution": "../../outside"},
+                {"rec": "state", "execution": "../../outside",
+                 "state": "running"},
+            ):
+                fh.write(json.dumps(record) + "\n")
+        with caplog.at_level("WARNING", logger="repro.service"):
+            service = self._service(tmp_path / "store", state_dir)
+        try:
+            assert service.restored_jobs == 0
+            with pytest.raises(KeyError):
+                service.status("j000001")
+        finally:
+            service.shutdown()
+        assert outside.read_bytes() == blob
+        assert "neither a job id nor an execution key" in caplog.text
 
     def test_cancelled_queued_job_stays_cancelled(self, tmp_path):
         store_dir = tmp_path / "store"
