@@ -19,7 +19,9 @@ FIGURES = [
     "fig14_allreduce",
 ]
 
-EXTRAS = ["smoke", "resilience", "resilience_smoke"]
+EXTRAS = [
+    "smoke", "resilience", "resilience_smoke", "workload", "workload_smoke",
+]
 
 
 def test_library_contains_the_paper_figures():
@@ -28,7 +30,7 @@ def test_library_contains_the_paper_figures():
     assert set(EXTRAS) <= set(names)
 
 
-@pytest.mark.parametrize("name", FIGURES + EXTRAS)
+@pytest.mark.parametrize("name", list_library())
 def test_every_study_builds_and_round_trips(name):
     for scale in ("quick", "default", "full"):
         study = build_study(name, scale)
@@ -54,7 +56,7 @@ def test_figures_are_tagged_for_discovery():
     assert build_study("smoke", "quick").has_tag("smoke")
 
 
-@pytest.mark.parametrize("name", FIGURES + EXTRAS)
+@pytest.mark.parametrize("name", list_library())
 def test_bundled_files_match_library(name):
     """scenarios/*.json are the default-scale library, committed.
 
