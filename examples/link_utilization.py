@@ -7,16 +7,16 @@ Walks the `repro.metrics` probe API end to end:
    off the result;
 2. print a per-link load table — the Fig. 13-style view of *where*
    traffic goes, not just how fast it gets there;
-3. run minimal vs Valiant routing under hotspot traffic through the
-   scenario layer (`metrics` axis on the specs) and compare misroute
-   ratios and link-load imbalance;
+3. run minimal vs Valiant routing under hotspot traffic as one
+   `panel()` scenario (a `metrics` probe list in each architecture
+   fragment) and compare misroute ratios and link-load imbalance;
 4. export the link telemetry as long-form CSV.
 
 Run:  python examples/link_utilization.py
 """
 
 from repro.metrics import hot_links, link_load_summary, misroute_table
-from repro.api import Scenario, Study, make_spec, sim_params
+from repro.api import Study, panel, sim_params, switchless_arch
 from repro.engine.spec import ExperimentSpec, build_experiment
 from repro.network import SimParams, Simulator
 
@@ -57,34 +57,24 @@ print()
 # ----------------------------------------------------------------------
 # 3. minimal vs Valiant under hotspot traffic (Fig. 13 style)
 # ----------------------------------------------------------------------
-arch = {
-    "topology": "switchless",
-    "topology_opts": {"preset": "small_equiv"},
-    "routing": "switchless",
-}
-quick = sim_params("quick")
-specs = tuple(
-    make_spec(
-        label,
-        traffic="hotspot",
-        traffic_opts={"num_hot": 4},
-        rates=[0.1, 0.25],
-        params=quick,
-        routing_opts={"mode": mode},
-        **{k: v for k, v in arch.items() if k != "routing_opts"},
-    ).with_metrics(["link_util", "misroute"])
-    for label, mode in (("SW-less-Min", "minimal"), ("SW-less-Mis", "valiant"))
+# one curve per routing mode; each fragment carries its own probe list
+probes = ["link_util", "misroute"]
+scenario = panel(
+    "hotspot",
+    {
+        label: {**switchless_arch(mode, preset="small_equiv"),
+                "metrics": probes}
+        for label, mode in (
+            ("SW-less-Min", "minimal"), ("SW-less-Mis", "valiant")
+        )
+    },
+    traffic="hotspot",
+    traffic_opts={"num_hot": 4},
+    rates=[0.1, 0.25],
+    params=sim_params("quick"),
+    title="hotspot: minimal vs Valiant, with probes",
 )
-study = Study(
-    name="fig13_probe_demo",
-    scenarios=(
-        Scenario(
-            name="hotspot",
-            title="hotspot: minimal vs Valiant, with probes",
-            specs=specs,
-        ),
-    ),
-)
+study = Study(name="fig13_probe_demo", scenarios=(scenario,))
 result = study.run(workers=1)
 print(misroute_table(result))
 print()

@@ -11,6 +11,8 @@ evaluation or composing new comparative experiments:
   ``to_json()`` / ``to_csv()`` export and text rendering;
 * :func:`build_study` / :func:`list_library` expose the bundled
   Figs. 10-14 scenario library plus the resilience scenario family;
+* :func:`panel` builds one scenario with a curve per architecture
+  under a shared workload, the way every bundled study is built;
 * :func:`compare_scenario` assembles ad-hoc architecture comparisons
   (the engine behind ``repro-dragonfly compare``);
 * :func:`resilience_study` / :func:`resilience_report` /
@@ -45,11 +47,10 @@ from .library import (
     SCALES,
     build_study,
     dragonfly_arch,
-    library_studies,
     list_library,
     make_spec,
+    panel,
     pick_rates,
-    register_study,
     save_library,
     sim_params,
     switchless_arch,
@@ -98,12 +99,11 @@ __all__ = [
     "compare_scenario",
     "list_probes",
     "dragonfly_arch",
-    "library_studies",
     "list_library",
     "load_study",
     "make_spec",
+    "panel",
     "pick_rates",
-    "register_study",
     "resilience_arches",
     "resilience_report",
     "resilience_study",

@@ -28,7 +28,7 @@ from typing import Dict, Optional, Sequence
 from ..engine import list_presets
 from ..engine.spec import suggest
 from ..network.params import SimParams
-from .library import dragonfly_arch, make_spec, switchless_arch
+from .library import dragonfly_arch, panel, switchless_arch
 from .scenario import Scenario
 
 __all__ = ["compare_scenario"]
@@ -80,6 +80,14 @@ def _arch_fragment(token: str, preset: str, routing: str) -> Dict:
     )
 
 
+def _traffic_scope(scope: str) -> Optional[Dict]:
+    """Traffic options measuring all terminals (``"global"``) or those
+    of W-group / Dragonfly group 0 (``"local"``)."""
+    if scope not in ("local", "global"):
+        raise ValueError(f"scope must be 'local' or 'global', not {scope!r}")
+    return {"scope": ("group", 0)} if scope == "local" else None
+
+
 def compare_scenario(
     arches: Sequence[str],
     *,
@@ -95,35 +103,21 @@ def compare_scenario(
 
     ``scope`` is ``"global"`` (all terminals) or ``"local"`` (terminals
     of W-group / Dragonfly group 0).  ``pattern`` is any registered
-    traffic kind; hyphens are accepted (``bit-reverse``).
+    traffic kind; hyphens are accepted (``bit-reverse``).  A token
+    given twice (in any case) is a ``ValueError``.
     """
     if not arches:
         raise ValueError("need at least one architecture to compare")
     validate_preset(preset)
-    if scope not in ("local", "global"):
-        raise ValueError(f"scope must be 'local' or 'global', not {scope!r}")
-    traffic_opts: Dict = {}
-    if scope == "local":
-        traffic_opts["scope"] = ("group", 0)
-    params = params or SimParams()
-    specs = []
-    for token in arches:
-        arch = _arch_fragment(token, preset, routing)
-        specs.append(
-            make_spec(
-                token.strip().lower(),
-                traffic=pattern.replace("-", "_"),
-                traffic_opts=traffic_opts,
-                rates=rates,
-                params=params,
-                **arch,
-            )
-        )
-    return Scenario(
-        name=name,
-        title=f"{'/'.join(s.label for s in specs)}: {pattern} ({scope}, "
-        f"{preset})",
-        note="",
-        baseline=specs[0].label if len(specs) > 1 else "",
-        specs=tuple(specs),
+    traffic_opts = _traffic_scope(scope)
+    labels = [token.strip().lower() for token in arches]
+    return panel(
+        name,
+        [(label, _arch_fragment(label, preset, routing)) for label in labels],
+        traffic=pattern.replace("-", "_"),
+        traffic_opts=traffic_opts,
+        rates=rates,
+        params=params or SimParams(),
+        title=f"{'/'.join(labels)}: {pattern} ({scope}, {preset})",
+        baseline=labels[0] if len(labels) > 1 else "",
     )

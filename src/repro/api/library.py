@@ -1,11 +1,13 @@
 """Bundled scenario library: the paper's Figs. 10-14 as declarative
-studies, plus a tiny ``smoke`` study for CI.
+studies, plus smoke, resilience and closed-loop workload studies.
 
-Every entry is a builder ``fn(scale) -> Study`` registered under the
-figure's name; :func:`build_study` realises one, :func:`save_library`
-writes the whole library to ``scenarios/*.json`` files (regenerate with
-``python -m repro.api.library scenarios``).  The ``scale`` knob trades
-system size and simulated cycles for wall-clock:
+Every entry of the library table is a builder ``fn(scale) -> Study``;
+:func:`build_study` realises one, :func:`save_library` writes the whole
+library to ``scenarios/*.json`` files (regenerate with
+``python -m repro.api.library scenarios``).  Every panel is one
+:func:`panel` call: a curve per ``{label: architecture fragment}``
+entry under one shared workload.  The ``scale`` knob trades system size
+and simulated cycles for wall-clock:
 
 ``quick``
     smoke-level: thinned rate lists, short windows, fewer panels;
@@ -14,18 +16,18 @@ system size and simulated cycles for wall-clock:
 ``full``
     the paper-exact configurations and Table IV cycle counts.
 
-The builders carry the exact architecture fragments the figure
-benchmarks used to hand-roll (switch-based Dragonfly baseline with an
-ideal-router ``vc_spread=2`` emulation, the switch-less system and its
-2B/4B bandwidth variants), so ``benchmarks/bench_fig10..14`` are now
-thin wrappers over ``build_study(name, scale).run()``.
+The switch-based Dragonfly baseline emulates an ideal router with
+``vc_spread=2``; the switch-less system comes with its 2B/4B
+bandwidth variants (``mesh_capacity``).
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Union
 
 from ..engine import ExperimentSpec
 from ..engine.spec import suggest
@@ -36,17 +38,21 @@ __all__ = [
     "SCALES",
     "build_study",
     "dragonfly_arch",
-    "library_studies",
     "list_library",
     "make_spec",
+    "panel",
     "pick_rates",
-    "register_study",
     "save_library",
     "sim_params",
     "switchless_arch",
 ]
 
 SCALES = ("quick", "default", "full")
+
+#: the windows of the seconds-scale CI studies, at every scale.
+SMOKE_PARAMS = SimParams(
+    warmup_cycles=100, measure_cycles=250, drain_cycles=150, seed=11
+)
 
 
 def sim_params(scale: str = "default", seed: int = 11) -> SimParams:
@@ -94,6 +100,7 @@ SWITCH_ARCH = {
     "topology_opts": {"num_terminals": 4, "terminal_latency": 1},
     "routing": "switch_star",
 }
+_CGROUP_ARCHES = {"Switch": SWITCH_ARCH, "2D-Mesh": MESH_ARCH}
 
 
 def dragonfly_arch(mode: str = "minimal", **topology_opts) -> Dict:
@@ -113,117 +120,100 @@ def switchless_arch(mode: str = "minimal", **topology_opts) -> Dict:
     }
 
 
+def _system_arches(scale: str, mode: str, suffix: str = "") -> Dict:
+    """Whole-system SW-based / SW-less / SW-less-2B under one routing
+    ``mode`` (Figs. 11 and 13): the radix-16 pair at ``full``, the
+    ``small_equiv`` pair below."""
+    full = scale == "full"
+    dfly = "radix16" if full else "small_equiv"
+    sless = "radix16_equiv" if full else "small_equiv"
+    return {
+        f"SW-based{suffix}": dragonfly_arch(mode, preset=dfly),
+        f"SW-less{suffix}": switchless_arch(mode, preset=sless),
+        f"SW-less-2B{suffix}": switchless_arch(
+            mode, preset=sless, mesh_capacity=2
+        ),
+    }
+
+
+def _wgroup_arches(scale: str) -> Dict:
+    """The radix-16 SW-based / SW-less / SW-less-2B systems whose W-group
+    0 is measured (Figs. 10(c-f), 14(b), ``workload``): 41 W-groups at
+    ``full``, 2 below."""
+    groups = 41 if scale == "full" else 2
+    sless = {"preset": "radix16_equiv", "num_wgroups": groups,
+             "cgroups_per_wafer": 1}
+    return {
+        "SW-based": dragonfly_arch(preset="radix16", g=groups),
+        "SW-less": switchless_arch(**sless),
+        "SW-less-2B": switchless_arch(mesh_capacity=2, **sless),
+    }
+
+
 def make_spec(
     label: str,
     *,
-    topology: str,
-    routing: str,
+    rates: Sequence[float],
+    params: SimParams,
+    scale: str = "default",
+    **opts,
+) -> ExperimentSpec:
+    """Labelled :meth:`ExperimentSpec.create` with scale-thinned rates;
+    ``opts`` are its other keywords (``topology``, ``routing``,
+    ``traffic``, their ``*_opts``, ``faults``, ``metrics``,
+    ``workload``/``workload_opts``)."""
+    return ExperimentSpec.create(
+        label=label, rates=pick_rates(rates, scale), params=params, **opts
+    )
+
+
+def panel(
+    name: str,
+    arches: Union[Mapping[str, Dict], Iterable[Tuple[str, Dict]]],
+    *,
     traffic: str,
     rates: Sequence[float],
     params: SimParams,
     scale: str = "default",
-    topology_opts: Optional[Dict] = None,
-    routing_opts: Optional[Dict] = None,
     traffic_opts: Optional[Dict] = None,
-    faults: Optional[Dict] = None,
-    metrics=None,
-    workload: str = "",
-    workload_opts: Optional[Dict] = None,
-) -> ExperimentSpec:
-    """Labelled :meth:`ExperimentSpec.create` with scale-thinned rates."""
-    return ExperimentSpec.create(
-        topology=topology,
-        topology_opts=topology_opts,
-        routing=routing,
-        routing_opts=routing_opts,
-        traffic=traffic,
-        traffic_opts=traffic_opts,
-        params=params,
-        rates=pick_rates(rates, scale),
-        label=label,
-        faults=faults,
-        metrics=metrics,
-        workload=workload,
-        workload_opts=workload_opts,
+    **scenario_meta,
+) -> Scenario:
+    """One scenario with a curve per ``{label: fragment}`` entry, all
+    under one workload.
+
+    A fragment holds :func:`make_spec` keywords: the architecture
+    (``topology``, ``routing`` and their options) plus any of its own
+    ``traffic_opts``, ``faults``, ``workload``/``workload_opts`` or
+    ``metrics``, which override the shared ones.  ``arches`` may also be
+    ``(label, fragment)`` pairs; a repeated label is a ``ValueError``.
+    ``scenario_meta`` (``title``, ``note``, ``baseline``, ...) goes to
+    :class:`Scenario`.
+    """
+    if isinstance(arches, Mapping):
+        arches = arches.items()
+    shared = {"traffic": traffic, "traffic_opts": traffic_opts,
+              "rates": rates, "params": params, "scale": scale}
+    return Scenario(
+        name=name,
+        specs=tuple(
+            make_spec(label, **{**shared, **arch}) for label, arch in arches
+        ),
+        **scenario_meta,
     )
-
-
-# ----------------------------------------------------------------------
-# the registry
-# ----------------------------------------------------------------------
-_LIBRARY: Dict[str, Callable[[str], Study]] = {}
-
-
-def register_study(name: str) -> Callable:
-    """Register ``fn(scale) -> Study`` as a bundled library entry."""
-
-    def deco(fn: Callable[[str], Study]) -> Callable[[str], Study]:
-        if name in _LIBRARY:
-            raise ValueError(f"study {name!r} is already registered")
-        _LIBRARY[name] = fn
-        return fn
-
-    return deco
-
-
-def list_library() -> List[str]:
-    """Names of the bundled studies."""
-    return sorted(_LIBRARY)
-
-
-def build_study(name: str, scale: str = "default") -> Study:
-    """Realise one bundled study at the given scale."""
-    _check_scale(scale)
-    try:
-        builder = _LIBRARY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown library study {name!r}"
-            f"{suggest(name, list_library())}; "
-            f"bundled: {list_library()}"
-        ) from None
-    return builder(scale)
-
-
-def library_studies(scale: str = "default") -> List[Study]:
-    return [build_study(name, scale) for name in list_library()]
-
-
-def save_library(
-    directory: Union[str, Path], scale: str = "default"
-) -> List[Path]:
-    """Write every bundled study to ``<directory>/<name>.json``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return [
-        build_study(name, scale).save(directory / f"{name}.json")
-        for name in list_library()
-    ]
 
 
 # ----------------------------------------------------------------------
 # Fig. 10(a-b): intra-C-group, 2D mesh vs switch
 # ----------------------------------------------------------------------
-@register_study("fig10_intra_cgroup")
 def _fig10_intra_cgroup(scale: str) -> Study:
-    params = sim_params(scale)
-
-    def panel(name, title, traffic, rates, note):
-        specs = [
-            make_spec(
-                "Switch", traffic=traffic, rates=rates, params=params,
-                scale=scale, **SWITCH_ARCH,
-            ),
-            make_spec(
-                "2D-Mesh", traffic=traffic, rates=rates, params=params,
-                scale=scale, **MESH_ARCH,
-            ),
-        ]
-        return Scenario(
-            name=name, specs=tuple(specs), title=title, note=note,
-            baseline="Switch", stop_after_saturation=2,
-        )
-
+    panels = (
+        ("uniform", "Fig. 10(a) intra-C-group: uniform", "uniform",
+         [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5],
+         "paper: mesh ~3.0, switch ~1.0 flits/cycle/chip"),
+        ("bit-reverse", "Fig. 10(b) intra-C-group: bit-reverse",
+         "bit_reverse", [0.4, 0.8, 1.2, 1.6, 2.0, 2.4],
+         "paper: mesh ~2.0, switch <= 1.0 flits/cycle/chip"),
+    )
     return Study(
         name="fig10_intra_cgroup",
         title="Fig. 10(a-b): intra-C-group performance, 2D mesh vs switch",
@@ -232,17 +222,13 @@ def _fig10_intra_cgroup(scale: str) -> Study:
             "against 4 chips on a non-blocking switch."
         ),
         tags=("figure",),
-        scenarios=(
+        scenarios=tuple(
             panel(
-                "uniform", "Fig. 10(a) intra-C-group: uniform", "uniform",
-                [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5],
-                "paper: mesh ~3.0, switch ~1.0 flits/cycle/chip",
-            ),
-            panel(
-                "bit-reverse", "Fig. 10(b) intra-C-group: bit-reverse",
-                "bit_reverse", [0.4, 0.8, 1.2, 1.6, 2.0, 2.4],
-                "paper: mesh ~2.0, switch <= 1.0 flits/cycle/chip",
-            ),
+                name, _CGROUP_ARCHES, traffic=traffic, rates=rates,
+                params=sim_params(scale), scale=scale, title=title,
+                note=note, baseline="Switch", stop_after_saturation=2,
+            )
+            for name, title, traffic, rates, note in panels
         ),
     )
 
@@ -250,59 +236,21 @@ def _fig10_intra_cgroup(scale: str) -> Study:
 # ----------------------------------------------------------------------
 # Fig. 10(c-f): local (intra-W-group) performance under four patterns
 # ----------------------------------------------------------------------
-_FIG10_LOCAL_PANELS = {
-    "uniform": (
-        "uniform", [0.3, 0.6, 0.9, 1.2, 1.6, 2.0],
-        "paper Fig.10(c): SW-less saturates ~1.5x SW-based",
-    ),
-    "bit-reverse": (
-        "bit_reverse", [0.3, 0.6, 0.9, 1.2, 1.6],
-        "paper Fig.10(d): SW-less ~1.2-2x SW-based",
-    ),
-    "bit-shuffle": (
-        "bit_shuffle", [0.1, 0.2, 0.3, 0.4, 0.5],
-        "paper Fig.10(e): all bound by inter-C-group links",
-    ),
-    "bit-transpose": (
-        "bit_transpose", [0.3, 0.6, 0.9, 1.2, 1.6],
-        "paper Fig.10(f): SW-less ~1.2-2x SW-based",
-    ),
-}
+_FIG10_PANELS = (
+    ("uniform", "uniform", [0.3, 0.6, 0.9, 1.2, 1.6, 2.0],
+     "paper Fig.10(c): SW-less saturates ~1.5x SW-based"),
+    ("bit-reverse", "bit_reverse", [0.3, 0.6, 0.9, 1.2, 1.6],
+     "paper Fig.10(d): SW-less ~1.2-2x SW-based"),
+    ("bit-shuffle", "bit_shuffle", [0.1, 0.2, 0.3, 0.4, 0.5],
+     "paper Fig.10(e): all bound by inter-C-group links"),
+    ("bit-transpose", "bit_transpose", [0.3, 0.6, 0.9, 1.2, 1.6],
+     "paper Fig.10(f): SW-less ~1.2-2x SW-based"),
+)
 
 
-@register_study("fig10_local")
 def _fig10_local(scale: str) -> Study:
-    params = sim_params(scale)
-    wgroups = 41 if scale == "full" else 2
-    sless = {"preset": "radix16_equiv", "num_wgroups": wgroups,
-             "cgroups_per_wafer": 1}
-    arches = {
-        "SW-based": dragonfly_arch(preset="radix16", g=wgroups),
-        "SW-less": switchless_arch(**sless),
-        "SW-less-2B": switchless_arch(mesh_capacity=2, **sless),
-    }
-    names = list(_FIG10_LOCAL_PANELS)
-    if scale == "quick":
-        names = ["uniform", "bit-reverse"]
-    scenarios = []
-    for name in names:
-        traffic, rates, note = _FIG10_LOCAL_PANELS[name]
-        scenarios.append(
-            Scenario(
-                name=name,
-                title=f"Fig. 10 local: {name}",
-                note=note,
-                baseline="SW-based",
-                specs=tuple(
-                    make_spec(
-                        label, traffic=traffic,
-                        traffic_opts={"scope": ("group", 0)},
-                        rates=rates, params=params, scale=scale, **arch,
-                    )
-                    for label, arch in arches.items()
-                ),
-            )
-        )
+    panels = _FIG10_PANELS[:2] if scale == "quick" else _FIG10_PANELS
+    arches, params = _wgroup_arches(scale), sim_params(scale)
     return Study(
         name="fig10_local",
         title="Fig. 10(c-f): local (intra-W-group) performance",
@@ -311,31 +259,30 @@ def _fig10_local(scale: str) -> Study:
             "of the radix-16 Dragonfly, under four traffic patterns."
         ),
         tags=("figure",),
-        scenarios=tuple(scenarios),
+        scenarios=tuple(
+            panel(
+                name, arches, traffic=traffic,
+                traffic_opts={"scope": ("group", 0)}, rates=rates,
+                params=params, scale=scale,
+                title=f"Fig. 10 local: {name}", note=note,
+                baseline="SW-based",
+            )
+            for name, traffic, rates, note in panels
+        ),
     )
 
 
 # ----------------------------------------------------------------------
 # Fig. 11: global performance
 # ----------------------------------------------------------------------
-@register_study("fig11_global")
 def _fig11_global(scale: str) -> Study:
-    params = sim_params(scale)
-    dfly_preset = "radix16" if scale == "full" else "small_equiv"
-    sless_preset = "radix16_equiv" if scale == "full" else "small_equiv"
-    arches = {
-        "SW-based": dragonfly_arch(preset=dfly_preset),
-        "SW-less": switchless_arch(preset=sless_preset),
-        "SW-less-2B": switchless_arch(
-            preset=sless_preset, mesh_capacity=2
-        ),
-    }
     panels = (
         ("uniform", "uniform", [0.1, 0.25, 0.4, 0.55, 0.7, 0.85],
          "paper: SW-less slightly below SW-based; SW-less-2B above both"),
         ("bit-reverse", "bit_reverse", [0.1, 0.2, 0.3, 0.45, 0.6],
          "paper: same ordering as uniform"),
     )
+    arches, params = _system_arches(scale, "minimal"), sim_params(scale)
     return Study(
         name="fig11_global",
         title="Fig. 11: global performance",
@@ -345,18 +292,11 @@ def _fig11_global(scale: str) -> Study:
         ),
         tags=("figure",),
         scenarios=tuple(
-            Scenario(
-                name=name,
-                title=f"Fig. 11 global: {name}",
-                note=note,
+            panel(
+                name, arches, traffic=traffic, rates=rates,
+                params=params, scale=scale,
+                title=f"Fig. 11 global: {name}", note=note,
                 baseline="SW-based",
-                specs=tuple(
-                    make_spec(
-                        label, traffic=traffic, rates=rates, params=params,
-                        scale=scale, **arch,
-                    )
-                    for label, arch in arches.items()
-                ),
             )
             for name, traffic, rates, note in panels
         ),
@@ -366,50 +306,34 @@ def _fig11_global(scale: str) -> Study:
 # ----------------------------------------------------------------------
 # Fig. 12: performance scalability (radix-32 class system)
 # ----------------------------------------------------------------------
-@register_study("fig12_scalability")
 def _fig12_scalability(scale: str) -> Study:
-    params = sim_params(scale)
-
-    def topo_opts(capacity: int) -> Dict:
-        if scale == "full":
-            return {"preset": "radix32_equiv", "mesh_capacity": capacity}
-        return {
-            "mesh_dim": 5, "chiplet_dim": 1, "num_local": 7,
-            "num_global": 4, "num_wgroups": 8, "mesh_capacity": capacity,
-        }
-
-    def spec(label, cap, traffic_opts, rates):
-        return make_spec(
-            label, traffic="uniform", traffic_opts=traffic_opts,
-            rates=rates, params=params, scale=scale,
-            **switchless_arch(**topo_opts(cap)),
+    system = {"preset": "radix32_equiv"} if scale == "full" else {
+        "mesh_dim": 5, "chiplet_dim": 1, "num_local": 7, "num_global": 4,
+        "num_wgroups": 8,
+    }
+    arches = {
+        label: switchless_arch(mesh_capacity=capacity, **system)
+        for label, capacity in (
+            ("SW-less", 1), ("SW-less-2B", 2), ("SW-less-4B", 4)
         )
-
-    caps = {"SW-less": 1, "SW-less-2B": 2, "SW-less-4B": 4}
-    local = Scenario(
-        name="local",
+    }
+    params = sim_params(scale)
+    local = panel(
+        "local", {k: v for k, v in arches.items() if k != "SW-less-4B"},
+        traffic="uniform", traffic_opts={"scope": ("group", 0)},
+        rates=[0.2, 0.4, 0.6, 0.9, 1.2], params=params, scale=scale,
         title="Fig. 12(a) large-scale local: uniform",
         note="paper: without 2B, large-scale local is below the "
         "small-scale case",
         baseline="SW-less",
-        specs=tuple(
-            spec(label, cap, {"scope": ("group", 0)},
-                 [0.2, 0.4, 0.6, 0.9, 1.2])
-            for label, cap in caps.items()
-            if label != "SW-less-4B"
-        ),
     )
-    glob = Scenario(
-        name="global",
+    glob = panel(
+        "global", arches, traffic="uniform",
+        rates=[0.04, 0.08, 0.12, 0.18, 0.25], params=params, scale=scale,
         title="Fig. 12(b) large-scale global: uniform",
         note="paper: uniform-bandwidth heavily constrained; 2B/4B "
         "recover it",
-        baseline="SW-less",
-        stop_after_saturation=2,
-        specs=tuple(
-            spec(label, cap, None, [0.04, 0.08, 0.12, 0.18, 0.25])
-            for label, cap in caps.items()
-        ),
+        baseline="SW-less", stop_after_saturation=2,
     )
     return Study(
         name="fig12_scalability",
@@ -426,20 +350,10 @@ def _fig12_scalability(scale: str) -> Study:
 # ----------------------------------------------------------------------
 # Fig. 13: minimal vs non-minimal routing under adversarial traffic
 # ----------------------------------------------------------------------
-@register_study("fig13_misrouting")
 def _fig13_misrouting(scale: str) -> Study:
-    params = sim_params(scale)
-    dfly_preset = "radix16" if scale == "full" else "small_equiv"
-    sless_preset = "radix16_equiv" if scale == "full" else "small_equiv"
-    arches = {
-        "SW-based-Min": dragonfly_arch("minimal", preset=dfly_preset),
-        "SW-less-Min": switchless_arch("minimal", preset=sless_preset),
-        "SW-based-Mis": dragonfly_arch("valiant", preset=dfly_preset),
-        "SW-less-Mis": switchless_arch("valiant", preset=sless_preset),
-        "SW-less-2B-Mis": switchless_arch(
-            "valiant", preset=sless_preset, mesh_capacity=2
-        ),
-    }
+    minimal = _system_arches(scale, "minimal", "-Min")
+    del minimal["SW-less-2B-Min"]
+    arches = {**minimal, **_system_arches(scale, "valiant", "-Mis")}
     panels = (
         ("hotspot", "hotspot", {"num_hot": 4},
          [0.05, 0.15, 0.3, 0.5, 0.7],
@@ -457,18 +371,10 @@ def _fig13_misrouting(scale: str) -> Study:
         ),
         tags=("figure",),
         scenarios=tuple(
-            Scenario(
-                name=name,
-                title=f"Fig. 13 {name}",
-                note=note,
-                baseline="SW-based-Min",
-                specs=tuple(
-                    make_spec(
-                        label, traffic=traffic, traffic_opts=traffic_opts,
-                        rates=rates, params=params, scale=scale, **arch,
-                    )
-                    for label, arch in arches.items()
-                ),
+            panel(
+                name, arches, traffic=traffic, traffic_opts=traffic_opts,
+                rates=rates, params=sim_params(scale), scale=scale,
+                title=f"Fig. 13 {name}", note=note, baseline="SW-based-Min",
             )
             for name, traffic, traffic_opts, rates, note in panels
         ),
@@ -478,77 +384,37 @@ def _fig13_misrouting(scale: str) -> Study:
 # ----------------------------------------------------------------------
 # Fig. 14: ring AllReduce within a C-group and within a W-group
 # ----------------------------------------------------------------------
-@register_study("fig14_allreduce")
 def _fig14_allreduce(scale: str) -> Study:
-    params = sim_params(scale)
+    def ring(bidirectional: bool, **scope) -> Dict:
+        return {"traffic_opts": {"bidirectional": bidirectional, **scope}}
 
-    cg_specs = []
-    cg_rates = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+    wgroup = _wgroup_arches(scale)
+    in_cgroup: Dict[str, Dict] = {}
+    in_wgroup: Dict[str, Dict] = {}
     for bi, tag in ((False, "Uni"), (True, "Bi")):
-        cg_specs.append(
-            make_spec(
-                f"SW-based-{tag}", traffic="ring_allreduce",
-                traffic_opts={"bidirectional": bi},
-                rates=cg_rates, params=params, scale=scale, **SWITCH_ARCH,
-            )
-        )
-        cg_specs.append(
-            make_spec(
-                f"SW-less-{tag}", traffic="ring_allreduce",
-                traffic_opts={"bidirectional": bi, "scope": "snake"},
-                rates=cg_rates, params=params, scale=scale, **MESH_ARCH,
-            )
-        )
-    intra_cgroup = Scenario(
-        name="intra-cgroup",
+        in_cgroup[f"SW-based-{tag}"] = {**SWITCH_ARCH, **ring(bi)}
+        in_cgroup[f"SW-less-{tag}"] = {**MESH_ARCH, **ring(bi, scope="snake")}
+        for label in ("SW-based", "SW-less"):
+            in_wgroup[f"{label}-{tag}"] = {
+                **wgroup[label], **ring(bi, scope=("group", 0)),
+            }
+    in_wgroup["SW-less-Bi-2B"] = {
+        **wgroup["SW-less-2B"], **ring(True, scope=("group", 0)),
+    }
+    params = sim_params(scale)
+    intra_cgroup = panel(
+        "intra-cgroup", in_cgroup, traffic="ring_allreduce",
+        rates=[0.5, 1.0, 1.5, 2.0, 3.0, 4.0], params=params, scale=scale,
         title="Fig. 14(a) AllReduce intra-C-group",
         note="paper: SW-based 1 (uni=bi); SW-less 2 (uni) and 4 (bi)",
-        baseline="SW-based-Uni",
-        stop_after_saturation=2,
-        specs=tuple(cg_specs),
+        baseline="SW-based-Uni", stop_after_saturation=2,
     )
-
-    wgroups = 41 if scale == "full" else 2
-    wg_rates = [0.4, 0.8, 1.1, 1.5, 2.0]
-    sless = {"preset": "radix16_equiv", "num_wgroups": wgroups,
-             "cgroups_per_wafer": 1}
-    dfly = dragonfly_arch(preset="radix16", g=wgroups)
-    sless_arch = switchless_arch(**sless)
-    sless2b_arch = switchless_arch(mesh_capacity=2, **sless)
-
-    def ring(bi):
-        return {"bidirectional": bi, "scope": ("group", 0)}
-
-    wg_specs = []
-    for bi, tag in ((False, "Uni"), (True, "Bi")):
-        wg_specs.append(
-            make_spec(
-                f"SW-based-{tag}", traffic="ring_allreduce",
-                traffic_opts=ring(bi), rates=wg_rates, params=params,
-                scale=scale, **dfly,
-            )
-        )
-        wg_specs.append(
-            make_spec(
-                f"SW-less-{tag}", traffic="ring_allreduce",
-                traffic_opts=ring(bi), rates=wg_rates, params=params,
-                scale=scale, **sless_arch,
-            )
-        )
-    wg_specs.append(
-        make_spec(
-            "SW-less-Bi-2B", traffic="ring_allreduce",
-            traffic_opts=ring(True), rates=wg_rates, params=params,
-            scale=scale, **sless2b_arch,
-        )
-    )
-    intra_wgroup = Scenario(
-        name="intra-wgroup",
+    intra_wgroup = panel(
+        "intra-wgroup", in_wgroup, traffic="ring_allreduce",
+        rates=[0.4, 0.8, 1.1, 1.5, 2.0], params=params, scale=scale,
         title="Fig. 14(b) AllReduce intra-W-group",
         note="paper: both 1 uni; SW-less-Bi ~1.3; SW-less-Bi-2B ~2",
-        baseline="SW-based-Uni",
-        stop_after_saturation=2,
-        specs=tuple(wg_specs),
+        baseline="SW-based-Uni", stop_after_saturation=2,
     )
     return Study(
         name="fig14_allreduce",
@@ -565,26 +431,13 @@ def _fig14_allreduce(scale: str) -> Study:
 # ----------------------------------------------------------------------
 # CI smoke study: seconds, not minutes
 # ----------------------------------------------------------------------
-@register_study("smoke")
 def _smoke(scale: str) -> Study:
-    params = SimParams(
-        warmup_cycles=100, measure_cycles=250, drain_cycles=150, seed=11
-    )
-    scenario = Scenario(
-        name="mesh-vs-switch",
+    scenario = panel(
+        "mesh-vs-switch", _CGROUP_ARCHES, traffic="uniform",
+        rates=[0.3, 0.6], params=SMOKE_PARAMS, scale=scale,
         title="Smoke: one C-group mesh vs switch, uniform",
         note="tiny sanity scenario for CI and the test suite",
         baseline="Switch",
-        specs=(
-            make_spec(
-                "Switch", traffic="uniform", rates=[0.3, 0.6],
-                params=params, scale=scale, **SWITCH_ARCH,
-            ),
-            make_spec(
-                "2D-Mesh", traffic="uniform", rates=[0.3, 0.6],
-                params=params, scale=scale, **MESH_ARCH,
-            ),
-        ),
     )
     return Study(
         name="smoke",
@@ -598,7 +451,6 @@ def _smoke(scale: str) -> Study:
 # ----------------------------------------------------------------------
 # resilience studies: throughput under failure (repro.faults)
 # ----------------------------------------------------------------------
-@register_study("resilience")
 def _resilience(scale: str) -> Study:
     """Failure-rate x load sweep, switch-less vs switch-based Dragonfly.
 
@@ -608,65 +460,42 @@ def _resilience(scale: str) -> Study:
     """
     from .resilience import resilience_study  # late: avoids import cycle
 
-    failure_rates = (0.0, 0.02, 0.05, 0.1)
-    rates = [0.1, 0.25, 0.4, 0.55]
-    if scale == "quick":
-        failure_rates = (0.0, 0.05)
-        rates = [0.15, 0.4]
+    quick = scale == "quick"
     return resilience_study(
         name="resilience",
         arches=("switchless", "dragonfly"),
-        failure_rates=failure_rates,
-        rates=rates,
+        failure_rates=(0.0, 0.05) if quick else (0.0, 0.02, 0.05, 0.1),
+        rates=[0.15, 0.4] if quick else [0.1, 0.25, 0.4, 0.55],
         preset="small_equiv",
         params=sim_params(scale),
         scale=scale,
     )
 
 
-#: tiny architectures for the resilience smoke study: a 4-W-group
-#: switch-less system of 3x3 C-groups vs a 4-group p=2 Dragonfly.
-_RESILIENCE_SMOKE_ARCHES = {
-    "SW-less": {
-        "topology": "switchless",
-        "topology_opts": {
-            "mesh_dim": 3, "chiplet_dim": 1, "num_local": 2,
-            "num_global": 1,
-        },
-        "routing": "switchless",
-        "routing_opts": {"mode": "minimal"},
-    },
-    "SW-based": {
-        "topology": "dragonfly",
-        "topology_opts": {"p": 2, "a": 3, "h": 1},
-        "routing": "dragonfly",
-        "routing_opts": {"mode": "minimal", "vc_spread": 2},
-    },
-}
-
-
-@register_study("resilience_smoke")
 def _resilience_smoke(scale: str) -> Study:
-    """Seconds-scale fault sweep for CI: 2 failure rates x 2 loads."""
+    """Seconds-scale fault sweep for CI: 2 failure rates x 2 loads on a
+    4-W-group switch-less system of 3x3 C-groups vs a 4-group p=2
+    Dragonfly."""
     from .resilience import resilience_study  # late: avoids import cycle
 
-    params = SimParams(
-        warmup_cycles=100, measure_cycles=250, drain_cycles=150, seed=11
-    )
     study = resilience_study(
         name="resilience_smoke",
-        arches=_RESILIENCE_SMOKE_ARCHES,
+        arches={
+            "SW-less": switchless_arch(
+                mesh_dim=3, chiplet_dim=1, num_local=2, num_global=1
+            ),
+            "SW-based": dragonfly_arch(p=2, a=3, h=1),
+        },
         failure_rates=(0.0, 0.08),
         rates=[0.15, 0.35],
-        params=params,
+        params=SMOKE_PARAMS,
         scale=scale,
     )
-    return Study(
-        name=study.name,
+    return replace(
+        study,
         title="CI resilience smoke: tiny fault sweep",
         description="Runs in seconds at every scale.",
         tags=("resilience", "smoke"),
-        scenarios=study.scenarios,
     )
 
 
@@ -678,7 +507,13 @@ def _resilience_smoke(scale: str) -> Study:
 _WORKLOAD_METRICS = ("cct", "bubble", "overlap")
 
 
-@register_study("workload")
+def _closed_loop(arch: Dict, workload: str, volume: int) -> Dict:
+    """``arch`` driven closed-loop by ``workload`` at message ``volume``,
+    with the application channels attached."""
+    return {**arch, "workload": workload, "workload_opts": {"volume": volume},
+            "metrics": _WORKLOAD_METRICS}
+
+
 def _workload(scale: str) -> Study:
     """Closed-loop collective completion times on the switch-less fabric.
 
@@ -701,57 +536,45 @@ def _workload(scale: str) -> Study:
     ``degraded-fabric/Healthy`` is ``schedules/Ring`` under another
     label: the engine simulates its points once and shares them.
     """
-    params = sim_params(scale)
-    wgroups = 41 if scale == "full" else 2
-    sless = switchless_arch(
-        preset="radix16_equiv", num_wgroups=wgroups, cgroups_per_wafer=1
-    )
-    rates = pick_rates([0.25, 0.5, 1.0], scale, quick_count=2)
+    sless = _wgroup_arches(scale)["SW-less"]
     volume = 256 if scale == "full" else 64
-    scope = {"scope": ("group", 0)}
-
-    def spec(label, workload, *, faults=None, opts=None):
-        return make_spec(
-            label, traffic="uniform", traffic_opts=scope, rates=rates,
-            params=params, scale=scale, faults=faults,
-            metrics=_WORKLOAD_METRICS, workload=workload,
-            workload_opts={"volume": volume, **(opts or {})}, **sless,
-        )
-
-    schedules = Scenario(
-        name="schedules",
+    shared = {"traffic": "uniform", "traffic_opts": {"scope": ("group", 0)},
+              "rates": [0.25, 0.5, 1.0], "params": sim_params(scale),
+              "scale": scale}
+    ring = _closed_loop(sless, "ring_allreduce", volume)
+    schedules = panel(
+        "schedules",
+        {
+            "Ring": ring,
+            "Tree": _closed_loop(sless, "tree_allreduce", volume),
+            "Hierarchical": _closed_loop(
+                sless, "hierarchical_allreduce", volume
+            ),
+        },
         title="Closed-loop allreduce: ring vs tree vs hierarchical",
         note=(
             "same message volume, three schedules; the cct channel's "
             "makespan is the figure of merit"
         ),
-        baseline="Ring",
-        specs=(
-            spec("Ring", "ring_allreduce"),
-            spec("Tree", "tree_allreduce"),
-            spec("Hierarchical", "hierarchical_allreduce"),
-        ),
+        baseline="Ring", **shared,
     )
-    degraded = Scenario(
-        name="degraded-fabric",
+    degraded = panel(
+        "degraded-fabric",
+        {
+            "Healthy": ring,
+            # failed channels force reroutes; dead dies mask their share
+            # of the collective (cct reports both effects)
+            "Degraded": {**ring, "faults": {
+                "model": "random", "link_rate": 0.05, "die_rate": 0.15,
+                "seed": 7,
+            }},
+        },
         title="Closed-loop ring allreduce: healthy vs degraded wafer",
         note=(
             "masked packets shrink the collective; completion time "
             "still reflects rerouted traffic on the surviving links"
         ),
-        baseline="Healthy",
-        specs=(
-            spec("Healthy", "ring_allreduce"),
-            spec(
-                "Degraded", "ring_allreduce",
-                # failed channels force reroutes; dead dies mask their
-                # share of the collective (cct reports both effects)
-                faults={
-                    "model": "random", "link_rate": 0.05,
-                    "die_rate": 0.15, "seed": 7,
-                },
-            ),
-        ),
+        baseline="Healthy", **shared,
     )
     return Study(
         name="workload",
@@ -766,30 +589,21 @@ def _workload(scale: str) -> Study:
     )
 
 
-@register_study("workload_smoke")
 def _workload_smoke(scale: str) -> Study:
     """Seconds-scale closed-loop study for CI: one C-group mesh."""
-    params = SimParams(
-        warmup_cycles=100, measure_cycles=250, drain_cycles=150, seed=11
-    )
-    rates = [0.25, 0.5]
-
-    def spec(label, workload, **kw):
-        return make_spec(
-            label, traffic="uniform", rates=rates, params=params,
-            scale=scale, metrics=_WORKLOAD_METRICS, workload=workload,
-            workload_opts={"volume": 32}, **MESH_ARCH, **kw,
-        )
-
-    scenario = Scenario(
-        name="ring-vs-hierarchical",
+    scenario = panel(
+        "ring-vs-hierarchical",
+        {
+            "Ring": _closed_loop(MESH_ARCH, "ring_allreduce", 32),
+            "Hierarchical": _closed_loop(
+                MESH_ARCH, "hierarchical_allreduce", 32
+            ),
+        },
+        traffic="uniform", rates=[0.25, 0.5], params=SMOKE_PARAMS,
+        scale=scale,
         title="Workload smoke: closed-loop allreduce on one C-group",
         note="tiny closed-loop sanity scenario for CI and the tests",
         baseline="Ring",
-        specs=(
-            spec("Ring", "ring_allreduce"),
-            spec("Hierarchical", "hierarchical_allreduce"),
-        ),
     )
     return Study(
         name="workload_smoke",
@@ -798,6 +612,55 @@ def _workload_smoke(scale: str) -> Study:
         tags=("workload", "smoke"),
         scenarios=(scenario,),
     )
+
+
+# ----------------------------------------------------------------------
+# the library table
+# ----------------------------------------------------------------------
+_LIBRARY = {
+    "fig10_intra_cgroup": _fig10_intra_cgroup,
+    "fig10_local": _fig10_local,
+    "fig11_global": _fig11_global,
+    "fig12_scalability": _fig12_scalability,
+    "fig13_misrouting": _fig13_misrouting,
+    "fig14_allreduce": _fig14_allreduce,
+    "smoke": _smoke,
+    "resilience": _resilience,
+    "resilience_smoke": _resilience_smoke,
+    "workload": _workload,
+    "workload_smoke": _workload_smoke,
+}
+
+
+def list_library() -> List[str]:
+    """Names of the bundled studies."""
+    return sorted(_LIBRARY)
+
+
+def build_study(name: str, scale: str = "default") -> Study:
+    """Realise one bundled study at the given scale."""
+    _check_scale(scale)
+    try:
+        builder = _LIBRARY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown library study {name!r}"
+            f"{suggest(name, list_library())}; "
+            f"bundled: {list_library()}"
+        ) from None
+    return builder(scale)
+
+
+def save_library(
+    directory: Union[str, Path], scale: str = "default"
+) -> List[Path]:
+    """Write every bundled study to ``<directory>/<name>.json``."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    return [
+        build_study(name, scale).save(directory / f"{name}.json")
+        for name in list_library()
+    ]
 
 
 def main(argv=None) -> int:  # pragma: no cover - exercised via CLI tests

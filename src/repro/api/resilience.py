@@ -26,18 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine import (
-    ExperimentSpec,
-    build_faults,
-    build_routing,
-    build_system,
-)
+from ..engine import build_faults, build_routing, build_system
 from ..faults import degrade
 from ..routing import verify_deadlock_free
-from .compare import _arch_fragment
-from .library import make_spec, sim_params
+from .compare import _arch_fragment, _traffic_scope
+from .library import panel, sim_params
 from .results import StudyResult
-from .scenario import Scenario, Study
+from .scenario import Study
 
 __all__ = [
     "DEFAULT_FAILURE_RATES",
@@ -92,11 +87,15 @@ def resilience_arches(
     ``switchless-<n>b``, ``dragonfly``), sharing the token grammar and
     preset mapping of :func:`~repro.api.compare.compare_scenario` (the
     Dragonfly side transparently uses the equivalent baseline preset).
+    A name given twice (in any case) is a ``ValueError``.
     """
     out: Dict[str, Dict] = {}
     for name in names:
         token = name.strip().lower()
-        out[_arch_label(token)] = _arch_fragment(token, preset, routing_mode)
+        label = _arch_label(token)
+        if label in out:
+            raise ValueError(f"architecture {token!r} is given twice")
+        out[label] = _arch_fragment(token, preset, routing_mode)
     return out
 
 
@@ -142,8 +141,7 @@ def resilience_study(
         raise ValueError(
             f"fault_model must be 'random' or 'yield', got {fault_model!r}"
         )
-    if scope not in ("local", "global"):
-        raise ValueError(f"scope must be 'local' or 'global', not {scope!r}")
+    traffic_opts = _traffic_scope(scope)
     if isinstance(arches, dict):
         arch_map = dict(arches)
     else:
@@ -163,14 +161,11 @@ def resilience_study(
                 "has no wafer floorplan to map defects through — use "
                 "the random model for cross-architecture comparisons"
             )
-    traffic_opts: Optional[Dict] = (
-        {"scope": ("group", 0)} if scope == "local" else None
-    )
     params = params or sim_params(scale)
     if not baseline:
         baseline = next(iter(arch_map))
 
-    scenarios: List[Scenario] = []
+    scenarios = []
     for fr in failure_rates:
         fr = float(fr)
         if fr < 0:
@@ -192,21 +187,17 @@ def resilience_study(
                 f"{fr:g} defect cluster(s)/wafer, "
                 f"r={defect_radius_mm:g}mm (seed {fault_seed})"
             )
-        specs = tuple(
-            make_spec(
-                label, traffic=traffic, traffic_opts=traffic_opts,
-                rates=rates, params=params, scale=scale, **arch,
-            ).with_faults(faults)
-            for label, arch in arch_map.items()
-        )
         scenarios.append(
-            Scenario(
-                name=_fail_name(fr),
+            panel(
+                _fail_name(fr),
+                {
+                    label: {**arch, "faults": faults}
+                    for label, arch in arch_map.items()
+                },
+                traffic=traffic, traffic_opts=traffic_opts, rates=rates,
+                params=params, scale=scale,
                 title=f"throughput under failure: {_fail_name(fr)}",
-                note=note,
-                baseline=baseline,
-                specs=specs,
-                tags=("resilience",),
+                note=note, baseline=baseline, tags=("resilience",),
             )
         )
     return Study(

@@ -29,9 +29,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-from typing import Callable
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..engine import ExperimentSpec, ResultCache, run_experiments
 from ..engine.spec import shaped
@@ -98,36 +96,8 @@ class Scenario:
         if self.stop_after_saturation < 1:
             raise ValueError("stop_after_saturation must be >= 1")
 
-    @classmethod
-    def create(
-        cls,
-        name: str,
-        specs: Sequence[ExperimentSpec],
-        **meta,
-    ) -> "Scenario":
-        return cls(name=name, specs=tuple(specs), **meta)
-
     def labels(self) -> List[str]:
         return [_curve_label(s) for s in self.specs]
-
-    def with_metrics(self, metrics) -> "Scenario":
-        """Copy with every spec's probe axis replaced (see
-        :meth:`~repro.engine.ExperimentSpec.with_metrics`)."""
-        return replace(
-            self,
-            specs=tuple(s.with_metrics(metrics) for s in self.specs),
-        )
-
-    def with_workload(self, workload, workload_opts=None) -> "Scenario":
-        """Copy with every spec's closed-loop axis replaced (see
-        :meth:`~repro.engine.ExperimentSpec.with_workload`)."""
-        return replace(
-            self,
-            specs=tuple(
-                s.with_workload(workload, workload_opts)
-                for s in self.specs
-            ),
-        )
 
     def run(
         self,
@@ -207,12 +177,6 @@ class Study:
                 f"study {self.name!r} has duplicate scenario names {dupes}"
             )
 
-    @classmethod
-    def create(
-        cls, name: str, scenarios: Sequence[Scenario], **meta
-    ) -> "Study":
-        return cls(name=name, scenarios=tuple(scenarios), **meta)
-
     def names(self) -> List[str]:
         return [s.name for s in self.scenarios]
 
@@ -240,33 +204,33 @@ class Study:
     def __getitem__(self, name: str) -> Scenario:
         return self.scenario(name)
 
+    def _map_specs(self, fn: Callable) -> "Study":
+        """Copy with ``fn(spec)`` in place of every scenario's specs."""
+        return replace(self, scenarios=tuple(
+            replace(scn, specs=tuple(fn(spec) for spec in scn.specs))
+            for scn in self.scenarios
+        ))
+
     def with_metrics(self, metrics) -> "Study":
-        """Copy with the probe axis applied to every scenario's specs.
+        """Copy with the probe axis of every spec replaced (see
+        :meth:`~repro.engine.ExperimentSpec.with_metrics`).
 
         The CLI's ``run --metrics link_util,misroute`` flag goes
         through here; channels then appear on every simulated point of
         the returned study's results.
         """
-        return replace(
-            self,
-            scenarios=tuple(
-                s.with_metrics(metrics) for s in self.scenarios
-            ),
-        )
+        return self._map_specs(lambda spec: spec.with_metrics(metrics))
 
     def with_workload(self, workload, workload_opts=None) -> "Study":
-        """Copy with the closed-loop axis applied to every spec.
+        """Copy with the closed-loop axis of every spec replaced (see
+        :meth:`~repro.engine.ExperimentSpec.with_workload`).
 
         The CLI's ``run <study> --workload ring_allreduce`` flag goes
         through here: every curve of the study is re-driven closed-loop
         by the named workload (rates become pacing bandwidths).
         """
-        return replace(
-            self,
-            scenarios=tuple(
-                s.with_workload(workload, workload_opts)
-                for s in self.scenarios
-            ),
+        return self._map_specs(
+            lambda spec: spec.with_workload(workload, workload_opts)
         )
 
     # -- execution -----------------------------------------------------

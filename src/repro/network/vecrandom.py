@@ -143,11 +143,11 @@ class ViaRows(KernelTables):
 class VecRandom:
     """Batch view over one ``random.Random``'s MT19937 stream.
 
-    Usage: build with :meth:`for_rng`, draw with :meth:`draw` or
-    :meth:`randbelow`, then :meth:`commit` the advanced state back onto
-    the source RNG before anyone consumes it scalar-wise again.  The
-    source RNG must not be touched between ``for_rng`` and ``commit``;
-    dropping the view without committing leaves the RNG where it was.
+    Usage: build with :meth:`for_rng`, draw with :meth:`draw`, then
+    :meth:`commit` the advanced state back onto the source RNG before
+    anyone consumes it scalar-wise again.  The source RNG must not be
+    touched between ``for_rng`` and ``commit``; dropping the view
+    without committing leaves the RNG where it was.
     """
 
     def __init__(self, rng: random.Random, state: np.ndarray, gauss, lib):
@@ -194,20 +194,6 @@ class VecRandom:
             vias.ctypes.data_as(_i64p) if vias is not None else None,
         )
         return dst, vias, int(fallbacks)
-
-    def randbelow(self, n: int, count: int) -> Optional[np.ndarray]:
-        """The results of ``count`` consecutive ``randrange(n)`` calls;
-        ``None`` (consuming nothing) when ``n`` needs more than one word
-        per draw."""
-        n = int(n)
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if n.bit_length() > 32:
-            return None
-        row = DestRows(
-            chain=False, ptr=[0, n], val=None, key=[0], skip=[-1], fixed=[-1]
-        )
-        return self.draw(np.zeros(count, dtype=np.int64), row)[0]
 
     def commit(self) -> None:
         """Write the advanced state back onto the wrapped RNG."""

@@ -57,3 +57,9 @@ def test_bad_scope_rejected():
 def test_hyphenated_pattern_accepted():
     scn = compare(["switchless"], pattern="bit-reverse")
     assert scn.specs[0].traffic == "bit_reverse"
+
+
+def test_repeated_arch_token_rejected():
+    # tokens are case-folded into labels, so these two are one curve
+    with pytest.raises(ValueError, match="duplicate curve labels"):
+        compare(["switchless", "Switchless"])

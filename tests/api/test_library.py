@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Study, build_study, list_library, load_study
+from repro.api import (
+    Study,
+    build_study,
+    list_library,
+    load_study,
+    panel,
+    sim_params,
+    switchless_arch,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -82,3 +90,49 @@ def test_smoke_study_runs_fast():
     assert set(scn.labels()) == {"Switch", "2D-Mesh"}
     for c in scn:
         assert c.max_accepted > 0
+
+
+ARCH = switchless_arch(preset="small_equiv")
+
+
+def test_panel_builds_one_curve_per_entry_under_shared_workload():
+    valiant = switchless_arch("valiant", preset="small_equiv")
+    scn = panel(
+        "p", {"Min": ARCH, "Mis": valiant}, traffic="hotspot",
+        traffic_opts={"num_hot": 4}, rates=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+        params=sim_params("quick"), scale="quick", baseline="Min", note="n",
+    )
+    assert scn.labels() == ["Min", "Mis"] and scn.baseline == "Min"
+    assert scn.note == "n"
+    for spec in scn.specs:
+        assert spec.traffic == "hotspot"
+        assert dict(spec.traffic_opts) == {"num_hot": 4}
+        assert spec.rates == (0.1, 0.3, 0.5)  # thinned at the quick scale
+
+
+def test_panel_fragment_keys_override_shared_ones():
+    faults = {"model": "random", "link_rate": 0.05, "seed": 7}
+    scn = panel(
+        "p",
+        {
+            "Shared": ARCH,
+            "Own": {**ARCH, "traffic_opts": {"scope": ("group", 1)},
+                    "faults": faults, "metrics": ["misroute"]},
+        },
+        traffic="uniform", traffic_opts={"scope": ("group", 0)},
+        rates=[0.1], params=sim_params("quick"),
+    )
+    shared, own = scn.specs
+    assert dict(shared.traffic_opts) == {"scope": ("group", 0)}
+    assert not shared.faults and not shared.metrics
+    assert dict(own.traffic_opts) == {"scope": ("group", 1)}
+    assert dict(own.faults) == faults
+    assert [name for name, _ in own.metrics] == ["misroute"]
+
+
+def test_panel_rejects_repeated_labels():
+    with pytest.raises(ValueError, match=r"duplicate curve labels \['A'\]"):
+        panel(
+            "p", [("A", ARCH), ("B", ARCH), ("A", ARCH)], traffic="uniform",
+            rates=[0.1], params=sim_params("quick"),
+        )

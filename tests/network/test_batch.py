@@ -24,7 +24,7 @@ from repro.network import (
     run_batch,
 )
 from repro.network.native import THREADS_ENV, NativeBatch
-from repro.network.vecrandom import VecRandom
+from repro.network.vecrandom import DestRows, VecRandom
 
 PARAMS = SimParams(
     warmup_cycles=150, measure_cycles=300, drain_cycles=300, seed=11
@@ -64,6 +64,16 @@ def switchless_spec(**over):
 # ----------------------------------------------------------------------
 # VecRandom: the kernel's draws on the exact MT19937 stream
 # ----------------------------------------------------------------------
+def randbelow(vr: VecRandom, n: int, count: int) -> np.ndarray:
+    """``count`` consecutive ``randrange(n)`` results through the
+    kernel's draw: ``count`` events of one source whose destination row
+    is ``[0, n)`` with nothing skipped."""
+    row = DestRows(
+        chain=False, ptr=[0, n], val=None, key=[0], skip=[-1], fixed=[-1]
+    )
+    return vr.draw(np.zeros(count, dtype=np.int64), row)[0]
+
+
 class TestVecRandom:
     def test_word_stream_matches_getrandbits(self):
         """A 32-bit draw is one raw word (only 2**32 - 1 is rejected),
@@ -71,7 +81,7 @@ class TestVecRandom:
         for seed in (0, 7, 123456):
             rng = random.Random(seed)
             vr = VecRandom.for_rng(random.Random(seed))
-            words = vr.randbelow(2**32 - 1, 2000)
+            words = randbelow(vr, 2**32 - 1, 2000)
             expect = [rng.getrandbits(32) for _ in range(2000)]
             assert words.tolist() == [w for w in expect if w < 2**32 - 1]
 
@@ -79,11 +89,11 @@ class TestVecRandom:
         "n",
         [1, 2, 3, 5, 7, 17, 100, 127, 128, 129, 1023, 2**31 - 5, 2**32 - 1],
     )
-    def test_randbelow_matches_randrange(self, n):
+    def test_draw_matches_randrange(self, n):
         rng = random.Random(99)
         vec = random.Random(99)
         vr = VecRandom.for_rng(vec)
-        draws = vr.randbelow(n, 800)
+        draws = randbelow(vr, n, 800)
         expect = [rng.randrange(n) for _ in range(800)]
         assert draws.tolist() == expect
 
@@ -91,7 +101,7 @@ class TestVecRandom:
         scalar = random.Random(5)
         vec = random.Random(5)
         vr = VecRandom.for_rng(vec)
-        vr.randbelow(1000, 500)
+        randbelow(vr, 1000, 500)
         vr.commit()
         for _ in range(500):
             scalar.randrange(1000)
@@ -107,20 +117,12 @@ class TestVecRandom:
         out_s, out_v = [], []
         for block in (3, 100, 1, 257):
             vr = VecRandom.for_rng(vec)
-            out_v.extend(vr.randbelow(63, block).tolist())
+            out_v.extend(randbelow(vr, 63, block).tolist())
             vr.commit()
             out_v.append(vec.randrange(63))
             out_s.extend(scalar.randrange(63) for _ in range(block))
             out_s.append(scalar.randrange(63))
         assert out_v == out_s
-
-    def test_wide_n_declines_without_consuming(self):
-        vec = random.Random(3)
-        vr = VecRandom.for_rng(vec)
-        before = vec.getstate()
-        assert vr.randbelow(2**33, 4) is None
-        vr.commit()
-        assert vec.getstate() == before
 
     def test_subclassed_rng_declined(self):
         class Loaded(random.Random):

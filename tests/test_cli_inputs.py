@@ -119,3 +119,15 @@ def test_run_rejects_bad_rate(capsys, tmp_path, rate):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"rate must be a finite number >= 0, got {rate}" in err
     assert not store.exists() or not any(store.iterdir())
+
+
+@pytest.mark.parametrize(
+    "verb, hint",
+    [("compare", "duplicate curve labels ['switchless']"),
+     ("resilience", "architecture 'switchless' is given twice")],
+)
+def test_repeated_arch_token(capsys, verb, hint):
+    argv = [verb, "--arch", "switchless,Switchless", "--points", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and hint in err
