@@ -7,9 +7,10 @@ energy.  Because routes are oblivious, the trace does not require the
 cycle simulator — sampling source/destination pairs and walking the
 routes gives the exact expectation.
 
-Energy tables are pJ/bit by link class.  ``FIG15_ENERGY`` matches the
-paper's simplification "an intra-C-group hop takes 1 pJ/bit on average";
-``TABLE_II_ENERGY`` uses the raw Table II values (0.1 on-chip / 2 SR).
+Energy tables are pJ/bit by link class, read off
+:data:`~repro.topology.graph.HOP_COSTS`.  ``TABLE_II_ENERGY`` holds the
+raw Table II values; ``FIG15_ENERGY`` follows the paper's simplification
+"an intra-C-group hop takes 1 pJ/bit on average".
 The paper also notes the baseline's switches are themselves NoC-based
 and thus underestimated — we follow that convention (switch traversal
 costs nothing beyond its channels).
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..network.packet import Hop
-from ..topology.graph import NetworkGraph
+from ..topology.graph import HOP_COSTS, NetworkGraph
 
 __all__ = [
     "TABLE_II_ENERGY",
@@ -34,24 +35,17 @@ __all__ = [
 
 #: raw Table II per-bit energies by link class.
 TABLE_II_ENERGY: Dict[str, float] = {
-    "onchip": 0.1,
-    "sr": 2.0,
-    "local": 20.0,
-    "global": 20.0,
-    "terminal": 20.0,
+    k: c.energy_pj_per_bit for k, c in HOP_COSTS.items()
 }
 
 #: Fig. 15 simplification: intra-C-group hops lumped at 1 pJ/bit.
 FIG15_ENERGY: Dict[str, float] = {
-    "onchip": 1.0,
-    "sr": 1.0,
-    "local": 20.0,
-    "global": 20.0,
-    "terminal": 20.0,
+    k: 1.0 if c.intra_cgroup else c.energy_pj_per_bit
+    for k, c in HOP_COSTS.items()
 }
 
 #: link classes counted as intra-C-group transport.
-INTRA_CLASSES = ("onchip", "sr")
+INTRA_CLASSES = tuple(k for k, c in HOP_COSTS.items() if c.intra_cgroup)
 
 
 @dataclass

@@ -6,28 +6,26 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..core.config import SwitchlessConfig
+from ..topology.graph import HOP_COSTS, HopCost
 
 __all__ = ["HopCost", "TABLE_II", "switchless_diameter", "DiameterModel"]
 
+#: Table II: comparison of hop cost, keyed by hop name in the paper's
+#: row order (the reverse of the link classes'; ``terminal`` shares
+#: ``Hl``).  ``Hg``/``Hl`` latency excludes time-of-flight, exactly as
+#: the paper's "+ ToF" entries.
+TABLE_II: Dict[str, HopCost] = dict(
+    reversed({c.name: c for c in HOP_COSTS.values()}.items())
+)
 
-@dataclass(frozen=True)
-class HopCost:
-    """Latency/energy of one hop class (Table II)."""
-
-    name: str
-    medium: str
-    latency_ns: float
-    energy_pj_per_bit: float
-
-
-#: Table II: comparison of hop cost.  ``Hg``/``Hl`` latency excludes
-#: time-of-flight, exactly as the paper's "150 + ToF" entries.
-TABLE_II: Dict[str, HopCost] = {
-    "Hg": HopCost("Hg", "Optical Cable", 150.0, 20.0),
-    "Hl": HopCost("Hl", "Copper Cable", 150.0, 20.0),
-    "Hsr": HopCost("Hsr", "RDL", 5.0, 2.0),
-    "Hon-chip": HopCost("Hon-chip", "Metal Layer", 1.0, 0.1),
-}
+#: (hop-count field, link class, label) of a :class:`DiameterModel`.
+_HOPS = (
+    ("global_hops", "global", "Hg"),
+    ("local_hops", "local", "Hl"),
+    ("terminal_hops", "terminal", "Hl*"),
+    ("sr_hops", "sr", "Hsr"),
+    ("onchip_hops", "onchip", "Hoc"),
+)
 
 
 @dataclass(frozen=True)
@@ -40,35 +38,25 @@ class DiameterModel:
     sr_hops: int
     onchip_hops: int = 0
 
-    def latency_ns(self, costs: Dict[str, HopCost] = TABLE_II) -> float:
-        return (
-            self.global_hops * costs["Hg"].latency_ns
-            + (self.local_hops + self.terminal_hops) * costs["Hl"].latency_ns
-            + self.sr_hops * costs["Hsr"].latency_ns
-            + self.onchip_hops * costs["Hon-chip"].latency_ns
+    def _total(self, attr: str) -> float:
+        """Sum of a :class:`HopCost` attribute over the route's hops."""
+        return sum(
+            getattr(self, field) * getattr(HOP_COSTS[klass], attr)
+            for field, klass, _ in _HOPS
         )
 
-    def energy_pj(self, costs: Dict[str, HopCost] = TABLE_II) -> float:
-        return (
-            self.global_hops * costs["Hg"].energy_pj_per_bit
-            + (self.local_hops + self.terminal_hops)
-            * costs["Hl"].energy_pj_per_bit
-            + self.sr_hops * costs["Hsr"].energy_pj_per_bit
-            + self.onchip_hops * costs["Hon-chip"].energy_pj_per_bit
-        )
+    def latency_ns(self) -> float:
+        return self._total("latency_ns")
+
+    def energy_pj_per_bit(self) -> float:
+        return self._total("energy_pj_per_bit")
 
     def describe(self) -> str:
-        parts = []
-        if self.global_hops:
-            parts.append(f"{self.global_hops}Hg")
-        if self.local_hops:
-            parts.append(f"{self.local_hops}Hl")
-        if self.terminal_hops:
-            parts.append(f"{self.terminal_hops}Hl*")
-        if self.sr_hops:
-            parts.append(f"{self.sr_hops}Hsr")
-        if self.onchip_hops:
-            parts.append(f"{self.onchip_hops}Hoc")
+        parts = [
+            f"{getattr(self, field)}{label}"
+            for field, _, label in _HOPS
+            if getattr(self, field)
+        ]
         return " + ".join(parts) if parts else "0"
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..core.config import SwitchlessConfig
 from ..network.params import SimParams
-from .latency_model import TABLE_II, HopCost
+from ..topology.graph import HOP_COSTS
+from .latency_model import TABLE_II
 
 __all__ = ["ChipSpec", "TABLE_I", "format_table_i", "format_table_ii",
            "format_table_iv"]
@@ -64,9 +66,9 @@ def format_table_ii() -> str:
     ]
     for cost in TABLE_II.values():
         lat = (
-            f"{cost.latency_ns:.0f}+ToF"
-            if cost.name in ("Hg", "Hl")
-            else f"~{cost.latency_ns:.0f}"
+            f"~{cost.latency_ns:.0f}"
+            if cost.intra_cgroup
+            else f"{cost.latency_ns:.0f}+ToF"
         )
         lines.append(
             f"{cost.name:9s} {cost.medium:15s} {lat:>12s} "
@@ -79,9 +81,12 @@ def format_table_iv(params: SimParams = SimParams()) -> str:
     rows = [
         ("Packet Length", f"{params.packet_length} flits"),
         ("Input Buffer Size", f"{params.vc_buffer_size} flits"),
-        ("Base Link Bandwidth", "1 flit/cycle"),
-        ("Short-Reach Link Delay", "1 cycle"),
-        ("Long-Reach Link Delay", "8 cycles"),
+        (
+            "Base Link Bandwidth",
+            f"{SwitchlessConfig.mesh_capacity} flit/cycle",
+        ),
+        ("Short-Reach Link Delay", f"{HOP_COSTS['sr'].cycles} cycle"),
+        ("Long-Reach Link Delay", f"{HOP_COSTS['global'].cycles} cycles"),
         (
             "Simulation Time",
             f"{params.measure_cycles} cycles after "

@@ -4,7 +4,7 @@ studies, plus smoke, resilience and closed-loop workload studies.
 Every entry of the library table is a builder ``fn(scale) -> Study``;
 :func:`build_study` realises one, :func:`save_library` writes the whole
 library to ``scenarios/*.json`` files (regenerate with
-``python -m repro.api.library scenarios``).  Every panel is one
+``python -m repro.api scenarios``).  Every panel is one
 :func:`panel` call: a curve per ``{label: architecture fragment}``
 entry under one shared workload.  The ``scale`` knob trades system size
 and simulated cycles for wall-clock:
@@ -23,7 +23,6 @@ bandwidth variants (``mesh_capacity``).
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -661,20 +660,3 @@ def save_library(
         build_study(name, scale).save(directory / f"{name}.json")
         for name in list_library()
     ]
-
-
-def main(argv=None) -> int:  # pragma: no cover - exercised via CLI tests
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.api.library",
-        description="write the bundled scenario library to JSON files",
-    )
-    parser.add_argument("directory", help="output directory")
-    parser.add_argument("--scale", choices=SCALES, default="default")
-    args = parser.parse_args(argv)
-    for path in save_library(args.directory, scale=args.scale):
-        print(path)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..topology.graph import NetworkGraph
-from ..topology.mesh import DEFAULT_ENERGY
 from .cgroup import PortInfo
 from .config import SwitchlessConfig
 from .labeling import CGroupLabeling
@@ -60,7 +59,6 @@ class IORouterCGroup:
                 nid, self.hub,
                 latency=cfg.sr_latency,
                 capacity=cfg.mesh_capacity,
-                energy_pj=DEFAULT_ENERGY["sr"],
                 klass="sr",
             )
         self._graph = graph

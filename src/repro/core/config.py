@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..topology.graph import HOP_COSTS
+
 __all__ = ["SwitchlessConfig"]
 
 
@@ -49,11 +51,11 @@ class SwitchlessConfig:
     #: C-groups per wafer (cost/layout metadata only).
     cgroups_per_wafer: int = 1
     #: on-wafer short-reach link latency (cycles).
-    sr_latency: int = 1
+    sr_latency: int = HOP_COSTS["sr"].cycles
     #: long-reach (local/global channel) latency (cycles).
-    lr_latency: int = 8
+    lr_latency: int = HOP_COSTS["global"].cycles
     #: on-chip hop latency (cycles).
-    onchip_latency: int = 1
+    onchip_latency: int = HOP_COSTS["onchip"].cycles
     #: intra-C-group link capacity multiplier: 1 = base, 2 = "2B", 4 = "4B".
     mesh_capacity: int = 1
     #: local/global channel capacity (kept 1 to match the baseline).

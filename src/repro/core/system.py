@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..topology.graph import NetworkGraph
-from ..topology.mesh import DEFAULT_ENERGY
 from .cgroup import CGroup, PortInfo
 from .cgroup_io import IORouterCGroup
 from .config import SwitchlessConfig
@@ -75,7 +74,6 @@ class SwitchlessSystem:
                         pi.attach, pj.attach,
                         latency=cfg.lr_latency,
                         capacity=cfg.lr_capacity,
-                        energy_pj=DEFAULT_ENERGY["local"],
                         klass="local",
                     )
                     self._local[(w, i, j)] = Channel(fwd, pi, pj)
@@ -99,7 +97,6 @@ class SwitchlessSystem:
                         pi.attach, pj.attach,
                         latency=cfg.lr_latency,
                         capacity=cfg.lr_capacity,
-                        energy_pj=DEFAULT_ENERGY["global"],
                         klass="global",
                     )
                     self._global[(w, peer)] = Channel(fwd, pi, pj)

@@ -129,8 +129,8 @@ _BATCH_CHUNK_MIN = 8
 # Worker-local reuse of built topologies and routings: building a graph
 # can cost as much as simulating a low-rate point, every point of a
 # sweep shares one, and a reused deterministic routing carries its
-# (src, dst) -> path memo from point to point.  Keyed by the spec
-# fields that define each object.  Chunks of a study's specs run round
+# route table (each pair resolved once) from point to point.  Keyed by
+# the spec fields that define each object.  Chunks of a study's specs run round
 # robin, so a table smaller than a study's distinct keys misses on every
 # chunk; eight holds the largest bundled working set (``resilience``:
 # eight routings; ``fig14_allreduce``: five systems).
@@ -145,7 +145,7 @@ def _system_key(spec: ExperimentSpec) -> Tuple:
 
 def _routing_key(spec: ExperimentSpec) -> Tuple:
     # the fault axis is part of the routing identity: a fault-aware
-    # wrapper (and its repair trees / route memo) must never be reused
+    # wrapper (and its repair trees / route table) must never be reused
     # for a different fault instance, nor for the healthy system
     return _system_key(spec) + (spec.routing, spec.routing_opts, spec.faults)
 

@@ -11,19 +11,11 @@ __all__ = ["SimParams"]
 class SimParams:
     """Knobs of the cycle-accurate simulator.
 
-    Defaults follow Table IV of the paper:
-
-    ==========================  =======================================
-    Packet Length               4 flits
-    Input Buffer Size           32 flits (per virtual channel)
-    Base Link Bandwidth         1 flit/cycle
-    Short-Reach Link Delay      1 cycle
-    Long-Reach Link Delay       8 cycles
-    Simulation Time             10000 cycles after 5000 cycles warm-up
-    ==========================  =======================================
-
-    The link delays themselves live on the links (set by the topology
-    builders); this object holds the router/measurement parameters.
+    Defaults follow Table IV of the paper
+    (:func:`repro.analysis.format_table_iv` prints it).  The link
+    bandwidth and delays live on the links, set by the topology
+    builders from :data:`repro.topology.HOP_COSTS`; this object holds
+    the router/measurement parameters.
     """
 
     #: flits per packet.

@@ -76,10 +76,6 @@ class InjectionSchedule:
         """Total packet-start events (an upper bound on packets sent)."""
         return self.cycles.size
 
-    #: the columns under their former names (they were lists once)
-    np_cycles = property(lambda self: self.cycles)
-    np_nodes = property(lambda self: self.nodes)
-
 
 def _geometric_arrivals(
     p: float, horizon: int, rng: np.random.Generator

@@ -42,14 +42,15 @@ class RoutingAlgorithm(ABC):
 
     #: True when :meth:`route` never consults the RNG, i.e. the route of
     #: a (src, dst) pair is a pure function of the pair.  The simulator
-    #: memoises routes for such algorithms — a large win for oblivious
-    #: minimal routing, where every packet of a pair shares one path.
+    #: then holds each pair's route once in :meth:`route_table` — a
+    #: large win for oblivious minimal routing, where every packet of a
+    #: pair shares one path.
     is_deterministic: bool = False
 
-    #: memo entry cap for :meth:`route_flat`; beyond it routes are
-    #: computed without being stored, bounding memory on full-scale
-    #: systems (100k+ nodes -> billions of pairs) where the routing
-    #: object lives across every point of a sweep.
+    #: pair cap of :meth:`route_table`; beyond it routes are computed
+    #: without being stored, bounding memory on full-scale systems
+    #: (100k+ nodes -> billions of pairs) where the routing object
+    #: lives across every point of a sweep.
     route_memo_max: int = 1 << 19
 
     @abstractmethod
@@ -62,25 +63,12 @@ class RoutingAlgorithm(ABC):
         """``(path, path_lv)`` where ``path_lv[i] = link*num_vcs + vc``.
 
         The flat view is what the simulator's hot loop indexes with.
-        Deterministic algorithms memoise per (src, dst) pair on the
-        routing object itself, so the memo survives across the many
-        simulator instances of a load sweep.
+        It is computed on every call; a deterministic routing's
+        :meth:`route_table` is what keeps resolved pairs.
         """
-        if not self.is_deterministic:
-            path = tuple(self.route(src, dst, rng))
-            V = self.num_vcs
-            return path, tuple(l * V + v for l, v in path)
-        memo = getattr(self, "_route_memo", None)
-        if memo is None:
-            memo = self._route_memo = {}
-        hit = memo.get((src, dst))
-        if hit is None:
-            path = tuple(self.route(src, dst, rng))
-            V = self.num_vcs
-            hit = (path, tuple(l * V + v for l, v in path))
-            if len(memo) < self.route_memo_max:
-                memo[(src, dst)] = hit
-        return hit
+        path = tuple(self.route(src, dst, rng))
+        V = self.num_vcs
+        return path, tuple(l * V + v for l, v in path)
 
     def route_plane(self):
         """The routing's closed-form :class:`~repro.routing.plane.RoutePlane`,

@@ -62,7 +62,8 @@ class RouteArena:
 
 class RouteTable(RouteArena):
     """Resolved routes of one deterministic routing (see module
-    docstring).  Misses go through the routing's scalar
+    docstring), the only place they are kept.  Misses go through the
+    routing's scalar, unmemoised
     :meth:`~repro.routing.base.RoutingAlgorithm.route_flat`, which
     stays the single point of truth; the routing's ``route_memo_max``
     caps the pairs held."""

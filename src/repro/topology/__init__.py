@@ -1,7 +1,7 @@
 """Network topologies lowered to the shared router-graph substrate."""
 
 from .dragonfly import DragonflyConfig, DragonflySystem, build_dragonfly
-from .graph import LINK_CLASSES, Link, NetworkGraph, Node
+from .graph import HOP_COSTS, LINK_CLASSES, HopCost, Link, NetworkGraph, Node
 from .mesh import (
     MeshBlock,
     MeshSpec,
@@ -18,7 +18,7 @@ from .properties import (
 )
 
 __all__ = [
-    "LINK_CLASSES", "Link", "NetworkGraph", "Node",
+    "HOP_COSTS", "HopCost", "LINK_CLASSES", "Link", "NetworkGraph", "Node",
     "DragonflyConfig", "DragonflySystem", "build_dragonfly",
     "MeshBlock", "MeshSpec", "SwitchBlock", "build_mesh",
     "build_switch_with_terminals",

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graph import NetworkGraph
-from .mesh import DEFAULT_ENERGY
+from .graph import HOP_COSTS, NetworkGraph
 
 __all__ = ["DragonflyConfig", "DragonflySystem", "build_dragonfly"]
 
@@ -41,9 +40,9 @@ class DragonflyConfig:
     h: int
     #: number of groups; defaults to the maximum a*h + 1.
     g: Optional[int] = None
-    terminal_latency: int = 8
-    local_latency: int = 8
-    global_latency: int = 8
+    terminal_latency: int = HOP_COSTS["terminal"].cycles
+    local_latency: int = HOP_COSTS["local"].cycles
+    global_latency: int = HOP_COSTS["global"].cycles
     capacity: int = 1
 
     def __post_init__(self) -> None:
@@ -142,7 +141,6 @@ class DragonflySystem:
                         t, sw,
                         latency=cfg.terminal_latency,
                         capacity=cfg.capacity,
-                        energy_pj=DEFAULT_ENERGY["terminal"],
                         klass="terminal",
                     )
                     terms.append(t)
@@ -159,7 +157,6 @@ class DragonflySystem:
                         self.switches[gi][i], self.switches[gi][j],
                         latency=cfg.local_latency,
                         capacity=cfg.capacity,
-                        energy_pj=DEFAULT_ENERGY["local"],
                         klass="local",
                     )
 
@@ -176,7 +173,6 @@ class DragonflySystem:
                     self.switches[gi][si], self.switches[peer][sj],
                     latency=cfg.global_latency,
                     capacity=cfg.capacity,
-                    energy_pj=DEFAULT_ENERGY["global"],
                     klass="global",
                 )
         self.graph.validate()

@@ -10,21 +10,20 @@ two directed links (see :meth:`NetworkGraph.add_channel`).
 Every link carries the attributes the paper's evaluation depends on:
 
 ``latency``
-    cycles a flit spends in flight on the link (Table IV: 1 for short-reach,
-    8 for long-reach by default).
+    cycles a flit spends in flight on the link (by default its class's
+    Table IV delay).
 ``capacity``
     flits accepted per cycle; the paper's "2B"/"4B" configurations double or
     quadruple the intra-C-group capacity (Sec. V-B).
-``energy_pj``
-    transport energy per bit used by the Fig. 15 accounting (Table II).
 ``klass``
-    one of :data:`LINK_CLASSES`, used for energy breakdown and for the
-    diameter/latency model of Eq. (7).
+    one of :data:`LINK_CLASSES`; its :data:`HOP_COSTS` row is what the
+    Table II hop model, the Fig. 15 energy accounting and the builders'
+    default delays read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -40,20 +39,52 @@ if TYPE_CHECKING:  # networkx costs ~0.1 s to import; only analysis needs it
     import networkx as nx
 
 __all__ = [
+    "HOP_COSTS",
+    "HopCost",
     "LINK_CLASSES",
     "Node",
     "Link",
     "NetworkGraph",
 ]
 
-#: Recognised link classes.
+
+@dataclass(frozen=True)
+class HopCost:
+    """What one hop over a link class costs."""
+
+    #: Table II hop name.
+    name: str
+    medium: str
+    #: Table II latency; long-reach hops add time-of-flight to it.
+    latency_ns: float
+    #: Table II transport energy.
+    energy_pj_per_bit: float
+    #: whether the hop stays inside a C-group (Fig. 15's split).
+    intra_cgroup: bool
+    #: default link delay in cycles (Table IV).
+    cycles: int
+
+
+_HL = HopCost("Hl", "Copper Cable", 150.0, 20.0, False, 8)
+
+#: Per-hop cost of each link class, the one source of the paper's
+#: per-class numbers:
 #:
-#: ``onchip``    hop inside a chiplet's NoC              (H_on-chip, ~0.1 pJ/b)
-#: ``sr``        on-wafer short-reach hop incl. SR-LR    (H_sr,      ~2 pJ/b)
-#: ``local``     long-reach intra-group channel          (H_l,       ~20 pJ/b)
-#: ``global``    long-reach inter-group channel          (H_g,       ~20 pJ/b)
-#: ``terminal``  processor-to-switch channel             (H*_l,      ~20 pJ/b)
-LINK_CLASSES = ("onchip", "sr", "local", "global", "terminal")
+#: ``onchip``    hop inside a chiplet's NoC
+#: ``sr``        on-wafer short-reach hop, incl. SR-LR conversion
+#: ``local``     long-reach intra-group channel
+#: ``global``    long-reach inter-group channel (Hl's cost, optical)
+#: ``terminal``  processor-to-switch channel (H*_l, costed as Hl)
+HOP_COSTS: Dict[str, HopCost] = {
+    "onchip": HopCost("Hon-chip", "Metal Layer", 1.0, 0.1, True, 1),
+    "sr": HopCost("Hsr", "RDL", 5.0, 2.0, True, 1),
+    "local": _HL,
+    "global": replace(_HL, name="Hg", medium="Optical Cable"),
+    "terminal": _HL,
+}
+
+#: Recognised link classes.
+LINK_CLASSES = tuple(HOP_COSTS)
 
 
 @dataclass(frozen=True)
@@ -92,7 +123,6 @@ class Link:
     dst: int
     latency: int
     capacity: int
-    energy_pj: float
     klass: str
 
     def __post_init__(self) -> None:
@@ -148,7 +178,6 @@ class NetworkGraph:
         *,
         latency: int,
         capacity: int = 1,
-        energy_pj: float = 0.0,
         klass: str = "sr",
     ) -> int:
         """Add one directed link and return its id."""
@@ -159,7 +188,7 @@ class NetworkGraph:
                 raise KeyError(f"node {nid} does not exist")
         lid = len(self.links)
         self.links.append(
-            Link(lid, src, dst, latency, capacity, energy_pj, klass)
+            Link(lid, src, dst, latency, capacity, klass)
         )
         self._adj[src].setdefault(dst, []).append(lid)
         return lid
@@ -171,17 +200,14 @@ class NetworkGraph:
         *,
         latency: int,
         capacity: int = 1,
-        energy_pj: float = 0.0,
         klass: str = "sr",
     ) -> Tuple[int, int]:
         """Add a full-duplex channel (two directed links a->b and b->a)."""
         fwd = self.add_link(
-            a, b, latency=latency, capacity=capacity,
-            energy_pj=energy_pj, klass=klass,
+            a, b, latency=latency, capacity=capacity, klass=klass
         )
         rev = self.add_link(
-            b, a, latency=latency, capacity=capacity,
-            energy_pj=energy_pj, klass=klass,
+            b, a, latency=latency, capacity=capacity, klass=klass
         )
         return fwd, rev
 

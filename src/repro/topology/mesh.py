@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .graph import NetworkGraph
+from .graph import HOP_COSTS, NetworkGraph
 
 __all__ = [
     "MeshSpec",
@@ -24,15 +24,6 @@ __all__ = [
     "SwitchBlock",
     "build_switch_with_terminals",
 ]
-
-#: default per-bit transport energy by link class (Table II).
-DEFAULT_ENERGY = {
-    "onchip": 0.1,
-    "sr": 2.0,
-    "local": 20.0,
-    "global": 20.0,
-    "terminal": 20.0,
-}
 
 
 @dataclass(frozen=True)
@@ -49,8 +40,8 @@ class MeshSpec:
 
     dim: int
     chiplet_dim: int = 1
-    sr_latency: int = 1
-    onchip_latency: int = 1
+    sr_latency: int = HOP_COSTS["sr"].cycles
+    onchip_latency: int = HOP_COSTS["onchip"].cycles
     capacity: int = 1
 
     def __post_init__(self) -> None:
@@ -182,7 +173,6 @@ def build_mesh(
                     grid[y][x], grid[y][x + 1],
                     latency=spec.onchip_latency if same_chip else spec.sr_latency,
                     capacity=spec.capacity,
-                    energy_pj=DEFAULT_ENERGY["onchip" if same_chip else "sr"],
                     klass="onchip" if same_chip else "sr",
                 )
             if y + 1 < d:
@@ -191,7 +181,6 @@ def build_mesh(
                     grid[y][x], grid[y + 1][x],
                     latency=spec.onchip_latency if same_chip else spec.sr_latency,
                     capacity=spec.capacity,
-                    energy_pj=DEFAULT_ENERGY["onchip" if same_chip else "sr"],
                     klass="onchip" if same_chip else "sr",
                 )
     return MeshBlock(spec, graph, grid, coords, chips_seen)
@@ -260,7 +249,6 @@ def build_switch_with_terminals(
             t, switch,
             latency=terminal_latency,
             capacity=capacity,
-            energy_pj=DEFAULT_ENERGY[terminal_klass],
             klass=terminal_klass,
         )
         terms.append(t)

@@ -39,7 +39,7 @@ class TestHopCosts:
     def test_energy_sums(self):
         d = DiameterModel(global_hops=1, local_hops=2, terminal_hops=2,
                           sr_hops=0)
-        assert d.energy_pj() == 20 + 4 * 20
+        assert d.energy_pj_per_bit() == 20 + 4 * 20
 
     def test_describe(self):
         d = DiameterModel(1, 2, 0, 30)

@@ -1,6 +1,9 @@
 """Bundled scenario library: registry, scales, file sync."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,11 +71,28 @@ def test_figures_are_tagged_for_discovery():
 def test_bundled_files_match_library(name):
     """scenarios/*.json are the default-scale library, committed.
 
-    Regenerate with: python -m repro.api.library scenarios
+    Regenerate with: python -m repro.api scenarios
     """
     path = SCENARIO_DIR / f"{name}.json"
     assert path.exists(), f"missing {path}; regenerate the scenario files"
     assert load_study(path) == build_study(name, scale="default")
+
+
+def test_module_entry_point_regenerates_the_files(tmp_path):
+    """``python -m repro.api DIR`` rewrites scenarios/ byte for byte,
+    and runs without a RuntimeWarning."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.api",
+         str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in SCENARIO_DIR.glob("*.json")
+    )
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (SCENARIO_DIR / path.name).read_bytes()
 
 
 def test_quick_scale_thins_the_campaign():

@@ -89,8 +89,6 @@ def test_schedule_columns_are_int64_arrays_whatever_goes_in():
         assert isinstance(sched.cycles, np.ndarray)
         assert sched.cycles.dtype == np.int64
         assert sched.nodes.dtype == np.int64
-        assert sched.np_cycles is sched.cycles
-        assert sched.np_nodes is sched.nodes
         assert len(sched) == sched.offered_packets() == 4
     assert len(InjectionSchedule()) == 0
     with pytest.raises(ValueError, match="aligned"):

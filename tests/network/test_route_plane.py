@@ -82,9 +82,8 @@ def test_switchless_plane_equals_table(switchless, mode, policy):
     )
     for core in plane.lanes:
         assert core._plane is not None and core._table is None
-    # a plane run builds neither the routing's table nor its memo
+    # a plane run does not build the routing's table
     assert not hasattr(plane.lanes[0].routing, "_route_table")
-    assert not hasattr(plane.lanes[0].routing, "_route_memo")
     assert all(core._plane is None for core in table.lanes)
     shared = table.lanes[0].routing.route_table()
     if mode == "minimal":
@@ -178,7 +177,6 @@ def test_no_per_pair_state_survives_a_batch(switchless):
     many, n_many = retained(plane_routing, 0.5)
     assert n_many > 8 * n_few
     assert many < few + 16_384
-    assert not hasattr(plane_routing, "_route_memo")
 
     # the table lives on (and with) the routing object
     table_routing = TableRoutedSwitchless(switchless, "minimal")
