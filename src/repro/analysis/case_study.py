@@ -9,21 +9,19 @@ cable-length note in :mod:`repro.analysis.cost`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core.config import SwitchlessConfig
 from ..topology.dragonfly import DragonflyConfig
 from .cost import (
     CABINET_NODES,
-    CostSummary,
     dragonfly_cost,
     fattree_cost,
     switchless_cost,
 )
 from .throughput import (
     global_throughput_bound,
-    intra_cgroup_throughput_bound,
     local_throughput_bound,
 )
 

@@ -23,7 +23,7 @@ length" — holds under both estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.config import SwitchlessConfig

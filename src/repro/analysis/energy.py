@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..network.packet import Hop
 from ..topology.graph import HOP_COSTS, NetworkGraph

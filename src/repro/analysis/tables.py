@@ -9,7 +9,7 @@ arithmetic rather than just restate numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..core.config import SwitchlessConfig
 from ..network.params import SimParams

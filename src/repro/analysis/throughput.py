@@ -8,9 +8,6 @@ points against them.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from ..core.config import SwitchlessConfig
 
 __all__ = [

@@ -41,73 +41,31 @@ Resilience::
     print(resilience_report(result).render())
 """
 
-from ..metrics import MetricChannel, build_probe, list_probes
-from .compare import compare_scenario
-from .library import (
-    SCALES,
-    build_study,
-    dragonfly_arch,
-    list_library,
-    make_spec,
-    panel,
-    pick_rates,
-    save_library,
-    sim_params,
-    switchless_arch,
-)
-from .resilience import (
-    DEFAULT_FAILURE_RATES,
-    ResilienceReport,
-    resilience_arches,
-    resilience_report,
-    resilience_study,
-    verify_study_faults,
-)
-from .results import (
-    STUDY_RESULT_SCHEMA,
-    CurveResult,
-    PointResult,
-    ScenarioResult,
-    StudyResult,
-)
-from .scenario import (
-    SCENARIO_SCHEMA,
-    STUDY_SCHEMA,
-    Scenario,
-    Study,
-    StudyPointCallback,
-    load_study,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_FAILURE_RATES",
-    "SCALES",
-    "SCENARIO_SCHEMA",
-    "STUDY_RESULT_SCHEMA",
-    "STUDY_SCHEMA",
-    "CurveResult",
-    "MetricChannel",
-    "PointResult",
-    "ResilienceReport",
-    "Scenario",
-    "ScenarioResult",
-    "Study",
-    "StudyPointCallback",
-    "StudyResult",
-    "build_probe",
-    "build_study",
-    "compare_scenario",
-    "list_probes",
-    "dragonfly_arch",
-    "list_library",
-    "load_study",
-    "make_spec",
-    "panel",
-    "pick_rates",
-    "resilience_arches",
-    "resilience_report",
-    "resilience_study",
-    "save_library",
-    "sim_params",
-    "switchless_arch",
-]
+#: the sizes :func:`build_study` builds a bundled study at (defined
+#: here, so the CLI's ``--scale`` choices load no study code).
+SCALES = ("quick", "default", "full")
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".library": [
+        "build_study", "dragonfly_arch", "list_library",
+        "make_spec", "panel", "pick_rates", "save_library", "sim_params",
+        "switchless_arch",
+    ],
+    ".scenario": [
+        "SCENARIO_SCHEMA", "STUDY_SCHEMA", "Scenario", "Study",
+        "StudyPointCallback", "load_study",
+    ],
+    ".results": [
+        "STUDY_RESULT_SCHEMA", "CurveResult", "PointResult",
+        "ScenarioResult", "StudyResult",
+    ],
+    ".resilience": [
+        "DEFAULT_FAILURE_RATES", "ResilienceReport", "resilience_arches",
+        "resilience_report", "resilience_study", "verify_study_faults",
+    ],
+    ".compare": ["compare_scenario"],
+    "..metrics": ["MetricChannel", "build_probe", "list_probes"],
+})
+__all__.append("SCALES")

@@ -31,6 +31,7 @@ from typing import Union
 from ..engine import ExperimentSpec
 from ..engine.spec import suggest
 from ..network.params import SimParams
+from . import SCALES
 from .scenario import Scenario, Study
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "sim_params",
     "switchless_arch",
 ]
-
-SCALES = ("quick", "default", "full")
 
 #: the windows of the seconds-scale CI studies, at every scale.
 SMOKE_PARAMS = SimParams(

@@ -34,7 +34,8 @@ Every verb is one row of :func:`_verb_table` (help, handler, arguments,
 whether it talks to a service); :func:`main` builds the parser from it
 and is the one error boundary: a ``ValueError`` / ``OSError`` (or, for
 service verbs, a ``ServiceError``) from a handler is one ``error:``
-line on stderr and exit code 2.
+line on stderr and exit code 2.  Each handler imports what its verb
+uses, so a process loads only the code of the verb it runs.
 """
 
 from __future__ import annotations
@@ -45,37 +46,13 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    format_table_i,
-    format_table_ii,
-    format_table_iii,
-    format_table_iv,
-)
-from .api import (
-    SCALES,
-    Study,
-    StudyResult,
-    build_study,
-    compare_scenario,
-    list_library,
-    load_study,
-    resilience_report,
-    resilience_study,
-    verify_study_faults,
-)
-from .core import SwitchlessConfig, build_switchless
-from .engine import (
-    ResultCache,
-    list_presets,
-    list_routings,
-    list_topologies,
-    list_traffics,
-)
-from .layout import plan_cgroup_layout
-from .metrics import probe_descriptions
-from .network import SimParams
-from .routing import SwitchlessRouting, verify_deadlock_free
+from .api import SCALES
+
+if TYPE_CHECKING:
+    from .api import Study, StudyResult
+    from .network.params import SimParams
 
 
 def _note(text: str) -> None:
@@ -88,6 +65,12 @@ def _names(text) -> list:
 
 
 def _cmd_tables(_args) -> int:
+    from .analysis.tables import (
+        format_table_i,
+        format_table_ii,
+        format_table_iv,
+    )
+
     print(format_table_i())
     print()
     print(format_table_ii())
@@ -97,11 +80,15 @@ def _cmd_tables(_args) -> int:
 
 
 def _cmd_table3(_args) -> int:
+    from .analysis.case_study import format_table_iii
+
     print(format_table_iii())
     return 0
 
 
 def _cmd_layout(_args) -> int:
+    from .layout.cgroup_layout import plan_cgroup_layout
+
     layout = plan_cgroup_layout()
     print("Fig. 9 C-group floorplan")
     for key, val in layout.summary().items():
@@ -116,10 +103,14 @@ def _cmd_layout(_args) -> int:
 def _load_target(args) -> Study:
     """``run`` / ``submit`` target: bundled study name or scenario/study
     JSON path."""
+    from .api.scenario import load_study
+
     target = args.scenario
     try:
         if Path(target).is_file() or target.endswith(".json"):
             return load_study(target)
+        from .api.library import build_study
+
         return build_study(target, scale=args.scale)
     except (OSError, ValueError, KeyError) as exc:
         raise ValueError(f"cannot load {target!r}: {exc}") from None
@@ -127,6 +118,8 @@ def _load_target(args) -> Study:
 
 def _load_results(path: str) -> StudyResult:
     """``report`` / ``metrics`` input: a saved StudyResult JSON file."""
+    from .api.results import StudyResult
+
     try:
         return StudyResult.load(path)
     except (OSError, ValueError, KeyError) as exc:
@@ -211,6 +204,8 @@ def _run_study(study, args, report=None) -> int:
             # the value is a file path on the CLI; inline it
             opts["trace"] = Path(opts["trace"]).read_text()
         study = study.with_workload(workload, opts)
+    from .engine.cache import ResultCache
+
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     on_point = None
     if args.progress:
@@ -224,6 +219,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from .api.library import build_study, list_library
+    from .engine.spec import (
+        list_presets,
+        list_routings,
+        list_topologies,
+        list_traffics,
+    )
+    from .workload.ir import list_workloads
+
     tag = args.tag
     shown = 0
     print("bundled scenarios (run with: repro-dragonfly run <name>):")
@@ -256,8 +260,6 @@ def _cmd_list(args) -> int:
         if presets:
             print(f"  {kind:12s} {', '.join(presets)}")
     print()
-    from .workload import list_workloads
-
     print("application workloads (closed-loop; see "
           "'repro-dragonfly workloads'):")
     print(f"  {', '.join(list_workloads() + ['trace'])}")
@@ -275,6 +277,8 @@ def _compare_rates(args):
 
 
 def _compare_params(args) -> SimParams:
+    from .network.params import SimParams
+
     return SimParams(
         warmup_cycles=args.warmup, measure_cycles=args.measure,
         drain_cycles=500, seed=args.seed,
@@ -282,6 +286,9 @@ def _compare_params(args) -> SimParams:
 
 
 def _cmd_compare(args) -> int:
+    from .api.compare import compare_scenario
+    from .api.scenario import Study
+
     scenario = compare_scenario(
         _names(args.arch),
         pattern=args.pattern,
@@ -297,6 +304,13 @@ def _cmd_compare(args) -> int:
 def _cmd_resilience(args) -> int:
     """The ``run`` path between a per-instance deadlock check and the
     saturation-retention report; exit 1 when an instance may deadlock."""
+    from .api.library import build_study
+    from .api.resilience import (
+        resilience_report,
+        resilience_study,
+        verify_study_faults,
+    )
+
     if args.smoke:
         study = build_study("resilience_smoke", scale="quick")
     else:
@@ -408,6 +422,8 @@ def _cmd_metrics(args, client=None) -> int:
         print(client.metrics(fmt="prometheus"), end="")
         return 0
     if not args.results:
+        from .metrics.probe import probe_descriptions
+
         print("registered metric probes (run with: "
               "repro-dragonfly run <name> --metrics <kinds>):")
         for name, desc in probe_descriptions().items():
@@ -432,7 +448,8 @@ def _cmd_metrics(args, client=None) -> int:
 
 def _cmd_workloads(_args) -> int:
     """List the closed-loop application workloads and the trace schema."""
-    from .workload import TRACE_SCHEMA, workload_descriptions
+    from .workload.ir import workload_descriptions
+    from .workload.trace import TRACE_SCHEMA
 
     print("application workloads (run closed-loop with: "
           "repro-dragonfly run <study> --workload <name>):")
@@ -454,6 +471,11 @@ def _cmd_workloads(_args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .core.config import SwitchlessConfig
+    from .core.system import build_switchless
+    from .routing.deadlock import verify_deadlock_free
+    from .routing.switchless import SwitchlessRouting
+
     system = build_switchless(SwitchlessConfig.small_equiv())
     ok = True
     for mode in ("minimal", "valiant"):
@@ -670,6 +692,8 @@ def _cmd_shutdown(_args, client) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from .engine.cache import ResultCache
+
     store = ResultCache(args.cache_dir)
     if args.action == "clear":
         removed = store.clear()

@@ -1,22 +1,12 @@
 """The paper's contribution: wafer-based switch-less Dragonfly."""
 
-from .cgroup import CGroup, PortInfo
-from .config import SwitchlessConfig
-from .labeling import (
-    CGroupLabeling,
-    downonly_reachable_fraction,
-    ring_peel_labels,
-)
-from .system import Channel, SwitchlessSystem, build_switchless
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CGroup",
-    "PortInfo",
-    "SwitchlessConfig",
-    "CGroupLabeling",
-    "downonly_reachable_fraction",
-    "ring_peel_labels",
-    "Channel",
-    "SwitchlessSystem",
-    "build_switchless",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cgroup": ["CGroup", "PortInfo"],
+    ".config": ["SwitchlessConfig"],
+    ".labeling": [
+        "CGroupLabeling", "downonly_reachable_fraction", "ring_peel_labels",
+    ],
+    ".system": ["Channel", "SwitchlessSystem", "build_switchless"],
+})

@@ -30,7 +30,7 @@ functions below quantify exactly how much of c1 a labeling satisfies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "ring_peel_labels",

@@ -11,7 +11,7 @@ if ``c < W`` else ``c + 1``, via C-group ``c // h`` port ``c % h``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..topology.graph import NetworkGraph
 from .cgroup import CGroup, PortInfo

@@ -14,52 +14,16 @@ The engine decouples *describing* an experiment from *running* it:
   re-running a benchmark only simulates the missing points.
 """
 
-from .cache import ResultCache
-from .executor import (
-    PointCallback,
-    run_experiments,
-    simulate_point,
-)
-from .spec import (
-    ExperimentSpec,
-    build_experiment,
-    build_faults,
-    build_metrics,
-    build_routing,
-    build_system,
-    build_traffic,
-    list_presets,
-    list_routings,
-    list_topologies,
-    list_traffics,
-    point_key,
-    point_seed,
-    register_routing,
-    register_topology,
-    register_traffic,
-    suggest,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentSpec",
-    "PointCallback",
-    "ResultCache",
-    "build_experiment",
-    "build_faults",
-    "build_metrics",
-    "build_routing",
-    "build_system",
-    "build_traffic",
-    "list_presets",
-    "list_routings",
-    "list_topologies",
-    "list_traffics",
-    "point_key",
-    "point_seed",
-    "register_routing",
-    "register_topology",
-    "register_traffic",
-    "run_experiments",
-    "simulate_point",
-    "suggest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": ["ResultCache"],
+    ".executor": ["PointCallback", "run_experiments", "simulate_point"],
+    ".spec": [
+        "ExperimentSpec", "build_experiment", "build_faults",
+        "build_metrics", "build_routing", "build_system", "build_traffic",
+        "list_presets", "list_routings", "list_topologies", "list_traffics",
+        "point_key", "point_seed", "register_routing", "register_topology",
+        "register_traffic", "suggest",
+    ],
+})

@@ -32,13 +32,11 @@ then goes to every other point with that key.
 from __future__ import annotations
 
 import logging
-import multiprocessing as mp
 import os
 import sys
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..network.native import THREADS_ENV, env_int
@@ -279,6 +277,8 @@ def _resolve_workers(
 
 
 def _pool_context():
+    import multiprocessing as mp
+
     # fork is the cheap path but is only reliably safe on Linux; macOS
     # made spawn the default because forking a process with Objective-C
     # / Accelerate state aborts or hangs in the child.
@@ -596,6 +596,10 @@ def _schedule(
             if not picked:
                 return
             record(picked[0], _chunk_task(*task(picked[0])))
+
+    # the process pool (multiprocessing) loads only when a run starts one
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     ctx = _pool_context()
     carrier = obs_trace.worker_carrier()

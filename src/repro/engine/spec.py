@@ -29,29 +29,29 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Tuple
 
-from ..core import SwitchlessConfig, build_switchless
-from ..faults import FaultAwareRouting, FaultMaskedTraffic, FaultSpec, degrade
-from ..metrics import build_probes, metrics_to_data, normalize_metrics
+from ..core.config import SwitchlessConfig
+from ..core.system import build_switchless
+from ..metrics.probe import build_probes, metrics_to_data, normalize_metrics
 from ..network.params import SimParams
-from ..routing import (
-    DragonflyRouting,
-    SwitchlessRouting,
-    SwitchStarRouting,
-    XYMeshRouting,
-)
+from ..routing.dragonfly import DragonflyRouting
+from ..routing.switchless import SwitchlessRouting
 from ..topology.dragonfly import DragonflyConfig, build_dragonfly
 from ..topology.mesh import MeshSpec, build_mesh, build_switch_with_terminals
-from ..traffic import (
+from ..traffic.patterns import (
     BitReverseTraffic,
     BitShuffleTraffic,
     BitTransposeTraffic,
-    HotspotTraffic,
-    RingAllReduceTraffic,
     UniformTraffic,
-    WorstCaseTraffic,
 )
+
+# Fault handling, mesh routings and the adversarial/collective patterns
+# are imported by the entries that use them, so a healthy open-loop run
+# never loads them.
+if TYPE_CHECKING:
+    from ..faults.spec import FaultSpec
 
 __all__ = [
     "ExperimentSpec",
@@ -362,7 +362,8 @@ class ExperimentSpec:
             (traffic, _TRAFFICS, "traffic"),
         ):
             _lookup(table, kind, what)
-        FaultSpec.from_opts(faults or {})  # fail fast on a bad fault axis
+        if faults:
+            _fault_spec(faults)  # fail fast on a bad fault axis
         _check_workload(workload, workload_opts)
         return cls(
             topology=topology,
@@ -381,7 +382,8 @@ class ExperimentSpec:
         )
 
     def with_faults(self, faults: Optional[Dict]) -> "ExperimentSpec":
-        FaultSpec.from_opts(faults or {})
+        if faults:
+            _fault_spec(faults)
         return replace(self, faults=_freeze(faults or {}))
 
     def with_workload(
@@ -504,7 +506,7 @@ class ExperimentSpec:
             f"[{len(self.rates)} rates]"
         )
         if self.faults:
-            base += f"+{FaultSpec.from_opts(_thaw_opts(self.faults)).describe()}"
+            base += f"+{_fault_spec(_thaw_opts(self.faults)).describe()}"
         if self.metrics:
             base += f"+probes[{','.join(name for name, _ in self.metrics)}]"
         if self.workload:
@@ -539,11 +541,17 @@ def build_system(spec: ExperimentSpec):
     return factory(**_thaw_opts(spec.topology_opts))
 
 
-def build_faults(spec: ExperimentSpec) -> Optional[FaultSpec]:
+def _fault_spec(opts: Dict) -> "FaultSpec":
+    from ..faults.spec import FaultSpec
+
+    return FaultSpec.from_opts(opts)
+
+
+def build_faults(spec: ExperimentSpec) -> Optional["FaultSpec"]:
     """The spec's fault axis as a :class:`FaultSpec` (None when healthy)."""
     if not spec.faults:
         return None
-    fspec = FaultSpec.from_opts(_thaw_opts(spec.faults))
+    fspec = _fault_spec(_thaw_opts(spec.faults))
     return None if fspec.is_null else fspec
 
 
@@ -558,6 +566,8 @@ def build_routing(spec: ExperimentSpec, system):
     routing = factory(system, **_thaw_opts(spec.routing_opts))
     fspec = build_faults(spec)
     if fspec is not None:
+        from ..faults import FaultAwareRouting, degrade
+
         routing = FaultAwareRouting(routing, degrade(system, fspec))
     return routing
 
@@ -580,6 +590,8 @@ def build_traffic(spec: ExperimentSpec, system):
     traffic = factory(system, scope, **topts)
     fspec = build_faults(spec)
     if fspec is not None:
+        from ..faults import FaultMaskedTraffic, degrade
+
         traffic = FaultMaskedTraffic(traffic, degrade(system, fspec))
     return traffic
 
@@ -675,11 +687,15 @@ def _route_dragonfly(system, mode: str = "minimal", **opts):
 
 @register_routing("xy_mesh")
 def _route_xy_mesh(system):
+    from ..routing.mesh import XYMeshRouting
+
     return XYMeshRouting(system)
 
 
 @register_routing("switch_star")
 def _route_switch_star(system, **opts):
+    from ..routing.mesh import SwitchStarRouting
+
     return SwitchStarRouting(system, **opts)
 
 
@@ -708,6 +724,8 @@ def _traffic_bit_transpose(system, scope):
 
 @register_traffic("hotspot")
 def _traffic_hotspot(system, scope, num_hot: int = 4):
+    from ..traffic.adversarial import HotspotTraffic
+
     if scope is not None:
         raise ValueError("hotspot derives its own scope from num_hot")
     return HotspotTraffic(
@@ -717,6 +735,8 @@ def _traffic_hotspot(system, scope, num_hot: int = 4):
 
 @register_traffic("worst_case")
 def _traffic_worst_case(system, scope):
+    from ..traffic.adversarial import WorstCaseTraffic
+
     if scope is not None:
         raise ValueError("worst_case spans all groups; scope must be None")
     return WorstCaseTraffic(
@@ -726,6 +746,8 @@ def _traffic_worst_case(system, scope):
 
 @register_traffic("ring_allreduce")
 def _traffic_ring_allreduce(system, scope, *, bidirectional: bool = False):
+    from ..traffic.collectives import RingAllReduceTraffic
+
     return RingAllReduceTraffic(
         system.graph, scope, bidirectional=bidirectional
     )

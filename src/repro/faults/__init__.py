@@ -37,33 +37,30 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .degrade import DegradedTopology, degrade
-from .inject import DefectCluster, FaultSet, channel_reverse, sample_faults
-from .routing import FaultAwareRouting, FaultRoutingError
-from .spec import FAULT_MODELS, FaultSpec
-from .traffic import FaultMaskedTraffic
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_MODELS",
-    "DefectCluster",
-    "DegradedTopology",
-    "FaultAwareRouting",
-    "FaultMaskedTraffic",
-    "FaultRoutingError",
-    "FaultSet",
-    "FaultSpec",
-    "apply_faults",
-    "channel_reverse",
-    "degrade",
-    "sample_faults",
-]
+# ``degrade`` names both a function and the submodule defining it, and a
+# submodule's first import binds its name on the package: loading the
+# function here first keeps ``repro.faults.degrade`` the function.
+from .degrade import DegradedTopology, degrade
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".spec": ["FAULT_MODELS", "FaultSpec"],
+    ".inject": [
+        "DefectCluster", "FaultSet", "channel_reverse", "sample_faults",
+    ],
+    ".degrade": ["DegradedTopology", "degrade"],
+    ".routing": ["FaultAwareRouting", "FaultRoutingError"],
+    ".traffic": ["FaultMaskedTraffic"],
+})
+__all__.append("apply_faults")
 
 
 def apply_faults(
     system,
     routing,
     traffic,
-    spec: Optional[FaultSpec],
+    spec: Optional["FaultSpec"],
 ) -> Tuple[object, object, Optional[DegradedTopology]]:
     """Wrap ``(routing, traffic)`` for the fault scenario ``spec``.
 
@@ -72,6 +69,9 @@ def apply_faults(
     nothing.  Already-wrapped inputs are left alone (the engine reuses
     wrapped routings across the points of a sweep).
     """
+    from .routing import FaultAwareRouting
+    from .traffic import FaultMaskedTraffic
+
     if spec is None or spec.is_null:
         return routing, traffic, None
     degraded = degrade(system, spec)

@@ -29,8 +29,8 @@ Three models (plus the null model):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Tuple
 
 __all__ = ["FAULT_MODELS", "FaultSpec"]
 

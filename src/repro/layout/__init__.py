@@ -1,34 +1,16 @@
 """Physical layout models: wafer floorplanning and PHY bandwidth (Fig. 9)."""
 
-from .cgroup_layout import (
-    WAFER_DIAMETER_MM,
-    CGroupLayout,
-    CGroupLayoutSpec,
-    plan_cgroup_layout,
-)
-from .geometry import Rect, fits_in_circle, no_overlaps
-from .phy import (
-    OPTICAL_CONNECTOR,
-    SERDES_112G_LR,
-    UCIE_X64,
-    ConnectorSpec,
-    PhySpec,
-)
-from .wafermap import NodeSite, WaferMap
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NodeSite",
-    "WaferMap",
-    "WAFER_DIAMETER_MM",
-    "CGroupLayout",
-    "CGroupLayoutSpec",
-    "plan_cgroup_layout",
-    "Rect",
-    "fits_in_circle",
-    "no_overlaps",
-    "OPTICAL_CONNECTOR",
-    "SERDES_112G_LR",
-    "UCIE_X64",
-    "ConnectorSpec",
-    "PhySpec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".wafermap": ["NodeSite", "WaferMap"],
+    ".cgroup_layout": [
+        "WAFER_DIAMETER_MM", "CGroupLayout", "CGroupLayoutSpec",
+        "plan_cgroup_layout",
+    ],
+    ".geometry": ["Rect", "fits_in_circle", "no_overlaps"],
+    ".phy": [
+        "OPTICAL_CONNECTOR", "SERDES_112G_LR", "UCIE_X64", "ConnectorSpec",
+        "PhySpec",
+    ],
+})

@@ -13,10 +13,10 @@ one C-group and recomputes the paper's feasibility numbers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
-from .geometry import Rect, fits_in_circle, no_overlaps
+from .geometry import Rect, no_overlaps
 from .phy import (
     OPTICAL_CONNECTOR,
     SERDES_112G_LR,

@@ -34,59 +34,23 @@ or declaratively, through the engine/scenario layer::
     study.with_metrics(["timeseries"]).run(workers=4)
 """
 
-from .channel import METRIC_CHANNEL_SCHEMA, MetricChannel
-from .probe import (
-    Probe,
-    build_probe,
-    build_probes,
-    list_probes,
-    metrics_to_data,
-    normalize_metrics,
-    probe_descriptions,
-    register_probe,
-)
-from .probes import (
-    EjectionFairnessProbe,
-    LatencyHistogramProbe,
-    LinkUtilizationProbe,
-    MisrouteProbe,
-    TimeSeriesProbe,
-    VCUtilizationProbe,
-)
-from .record import HopEvent, PacketView, RunRecord
-from .summary import (
-    channel_columns,
-    congestion_evolution,
-    hot_links,
-    link_load_summary,
-    misroute_rows,
-    misroute_table,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "METRIC_CHANNEL_SCHEMA",
-    "MetricChannel",
-    "Probe",
-    "RunRecord",
-    "PacketView",
-    "HopEvent",
-    "EjectionFairnessProbe",
-    "LatencyHistogramProbe",
-    "LinkUtilizationProbe",
-    "MisrouteProbe",
-    "TimeSeriesProbe",
-    "VCUtilizationProbe",
-    "build_probe",
-    "build_probes",
-    "list_probes",
-    "metrics_to_data",
-    "normalize_metrics",
-    "probe_descriptions",
-    "register_probe",
-    "channel_columns",
-    "congestion_evolution",
-    "hot_links",
-    "link_load_summary",
-    "misroute_rows",
-    "misroute_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".channel": ["METRIC_CHANNEL_SCHEMA", "MetricChannel"],
+    ".probe": [
+        "Probe", "build_probe", "build_probes", "list_probes",
+        "metrics_to_data", "normalize_metrics", "probe_descriptions",
+        "register_probe",
+    ],
+    ".record": ["RunRecord", "PacketView", "HopEvent"],
+    ".probes": [
+        "EjectionFairnessProbe", "LatencyHistogramProbe",
+        "LinkUtilizationProbe", "MisrouteProbe", "TimeSeriesProbe",
+        "VCUtilizationProbe",
+    ],
+    ".summary": [
+        "channel_columns", "congestion_evolution", "hot_links",
+        "link_load_summary", "misroute_rows", "misroute_table",
+    ],
+})

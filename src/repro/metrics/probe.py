@@ -30,10 +30,12 @@ spec-creation time.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from importlib import import_module
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Type
 
-from .channel import MetricChannel
-from .record import HopEvent, PacketView, RunRecord
+if TYPE_CHECKING:
+    from .channel import MetricChannel
+    from .record import HopEvent, PacketView, RunRecord
 
 __all__ = [
     "Probe",
@@ -94,19 +96,28 @@ class Probe:
 _PROBES: Dict[str, Type[Probe]] = {}
 
 
+def _registry() -> Dict[str, Type[Probe]]:
+    """The probe kinds, the built-ins (:mod:`repro.metrics.probes`,
+    registered by its import) included: a run without probes never
+    loads them."""
+    import_module(".probes", __package__)
+    return _PROBES
+
+
 def register_probe(cls: Type[Probe]) -> Type[Probe]:
     """Class decorator registering a probe kind under ``cls.name``."""
     if not cls.name:
         raise ValueError(f"{cls.__name__} needs a non-empty name")
-    if cls.name in _PROBES:
+    probes = _registry()
+    if cls.name in probes:
         raise ValueError(f"probe kind {cls.name!r} is already registered")
-    _PROBES[cls.name] = cls
+    probes[cls.name] = cls
     return cls
 
 
 def list_probes() -> List[str]:
     """Registered probe kind names, sorted."""
-    return sorted(_PROBES)
+    return sorted(_registry())
 
 
 def probe_descriptions() -> Dict[str, str]:
@@ -117,7 +128,7 @@ def probe_descriptions() -> Dict[str, str]:
 def build_probe(name: str, **options) -> Probe:
     """Instantiate one registered probe kind."""
     try:
-        cls = _PROBES[name]
+        cls = _registry()[name]
     except KeyError:
         raise ValueError(
             f"unknown probe kind {name!r}; registered: {list_probes()}"

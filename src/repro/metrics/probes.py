@@ -43,6 +43,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..network.stats import p50_p99
 from .channel import MetricChannel
 from .probe import Probe, register_probe
 from .record import RunRecord
@@ -204,7 +205,7 @@ class LatencyHistogramProbe(Probe):
         if lats.size:
             counts, edges = np.histogram(lats, bins=self.bins)
             rows = _rows(edges[:-1], edges[1:], counts)
-            p50, p99 = np.percentile(lats, (50, 99))
+            p50, p99 = p50_p99(lats)
         else:
             rows, p50, p99 = (), _NAN, _NAN
         return MetricChannel(

@@ -55,17 +55,19 @@ from __future__ import annotations
 
 import random
 import weakref
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from ..metrics.record import RunRecord, graph_tables
 from ..routing.table import RouteArena
 from ..topology.graph import NetworkGraph
 from .params import SimParams
 from .schedule import InjectionSchedule, build_injection_schedule
 from .stats import SimResult
 from .vecrandom import VecRandom
+
+if TYPE_CHECKING:
+    from ..metrics.record import RunRecord
 
 __all__ = ["CoreBase", "LinkTables", "PacketTable", "link_tables"]
 
@@ -303,6 +305,8 @@ class CoreBase:
 
     def run_record(self, rate: float) -> RunRecord:
         """Bulk measurement record of this core's runs so far."""
+        from ..metrics.record import RunRecord, graph_tables
+
         if not self._probe_mode:
             raise RuntimeError(
                 "probing was not enabled on this core; pass probes= to "

@@ -63,7 +63,6 @@ import logging
 import os
 import shlex
 import shutil
-import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
@@ -279,6 +278,8 @@ def _build(cc: List[str], flags: List[str], out: Path) -> None:
     raises :class:`RuntimeError` naming the command and the tail of its
     stderr; nothing of the attempt is left behind.
     """
+    import subprocess  # only a build runs one
+
     out.parent.mkdir(parents=True, exist_ok=True)
     work = tempfile.mkdtemp(dir=out.parent)
     cmd = [*cc, *flags, "-save-temps=obj", str(_C_SOURCE), "-o", "k.so"]

@@ -11,7 +11,7 @@ where all contention behaviour lives.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["Hop", "Packet"]
 

@@ -73,18 +73,20 @@ results and probe channels, whether or not an
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Tuple, Union
 
-from ..metrics import Probe, build_probes
-from ..metrics.record import RunRecord
+from ..metrics.probe import Probe, build_probes
 from ..obs import trace as obs_trace
 from ..topology.graph import NetworkGraph
-from .native import NativeBatch, NativeCore, native_available
+from .native import NativeBatch, native_available
 from .params import SimParams
-from .refcore import ReferenceCore
 from .schedule import InjectionSchedule
-from .simcore import ArrayCore
 from .stats import CurveResult, PointResult, SimResult, cutoff_walk
+
+if TYPE_CHECKING:
+    from ..metrics.record import RunRecord
 
 __all__ = [
     "CORE_ENV",
@@ -98,18 +100,18 @@ __all__ = [
 #: environment override for the default simulation core.
 CORE_ENV = "REPRO_SIM_CORE"
 
+#: core name -> (module, class); a core's module loads when a run picks it.
 _CORES = {
-    "array": ArrayCore,
-    "native": NativeCore,
-    "reference": ReferenceCore,
-    "ref": ReferenceCore,
+    "array": (".simcore", "ArrayCore"),
+    "native": (".native", "NativeCore"),
+    "reference": (".refcore", "ReferenceCore"),
 }
+_ALIASES = {"ref": "reference"}
 
-_CORE_NAMES = {
-    ArrayCore: "array",
-    NativeCore: "native",
-    ReferenceCore: "reference",
-}
+
+def _core_class(name: str):
+    module, cls = _CORES[name]
+    return getattr(import_module(module, __package__), cls)
 
 
 def resolve_core(core: Optional[str] = None) -> str:
@@ -129,13 +131,12 @@ def resolve_core(core: Optional[str] = None) -> str:
         source = CORE_ENV
     if core is None:
         return "native" if native_available() else "array"
-    try:
-        name = _CORE_NAMES[_CORES[core]]
-    except KeyError:
+    name = _ALIASES.get(core, core)
+    if name not in _CORES:
         raise ValueError(
             f"unknown {source} {core!r}; "
-            f"expected one of {sorted(set(_CORES))}"
-        ) from None
+            f"expected one of {sorted([*_CORES, *_ALIASES])}"
+        )
     if name == "native" and not native_available():
         raise ValueError(
             f"{source} {core!r} needs a C compiler and none was found "
@@ -193,7 +194,9 @@ class Simulator:
         probes: Optional[Sequence[Union[Probe, str]]] = None,
     ) -> None:
         self.core_name = resolve_core(core)
-        self._core = _CORES[self.core_name](graph, routing, traffic, params)
+        self._core = _core_class(self.core_name)(
+            graph, routing, traffic, params
+        )
         self.probes: List[Probe] = build_probes(probes)
         #: the most recent run's :class:`~repro.metrics.RunRecord`
         #: (``None`` until a probed run happened).

@@ -7,7 +7,8 @@
   simulator.sweep_rates` and :func:`repro.engine.run_experiments`
   return and :mod:`repro.api.results` nests into scenarios and studies;
 * :func:`cutoff_walk` — the one saturation-cutoff rule both of them
-  apply.
+  apply;
+* :func:`p50_p99` — the latency percentiles of a run.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "PointResult",
     "SimResult",
     "cutoff_walk",
+    "p50_p99",
 ]
 
 #: stable schema tag stamped into serialised results; bump the version
@@ -48,6 +50,29 @@ _SIMRESULT_FIELDS = {
     "measure_cycles": int,
     "avg_hops": float,
 }
+
+
+def p50_p99(values) -> Tuple[float, float]:
+    """``np.percentile(values, (50, 99))`` bit for bit (its default
+    ``linear`` method) for non-empty finite ``values``: one sort, then
+    numpy's virtual index ``(n - 1) * q / 100`` and its two-sided lerp.
+
+    ``np.percentile`` reaches ``np.unique``, which imports ``numpy.ma``
+    on first use: a cost every cold run would pay for two numbers.
+    """
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    last = ordered.size - 1
+    out = []
+    for q in (50, 99):
+        v = last * (q / 100)
+        if v >= last:
+            out.append(float(ordered[last]))
+            continue
+        i = math.floor(v)
+        a, b = float(ordered[i]), float(ordered[i + 1])
+        t, d = v - i, b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return tuple(out)
 
 
 @dataclass
@@ -132,7 +157,7 @@ class SimResult:
         if len(latencies):
             arr = np.asarray(latencies, dtype=np.float64)
             avg = float(arr.mean())
-            p50, p99 = (float(p) for p in np.percentile(arr, (50, 99)))
+            p50, p99 = p50_p99(arr)
         else:
             avg = p50 = p99 = float("nan")
         avg_hops = float(np.mean(hops)) if len(hops) else float("nan")

@@ -24,41 +24,20 @@ Four stdlib-only modules:
   every record with the current trace context.
 """
 
-from .export import parse_prometheus, render_waterfall, to_json, to_prometheus
-from .log import get_logger, setup_logging
-from .registry import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
-from .spanlog import SPAN_SCHEMA, SpanLog
-from .trace import (
-    SpanContext,
-    current_context,
-    format_traceparent,
-    new_context,
-    parse_traceparent,
-    span,
-    tracing_active,
-    use_context,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "SPAN_SCHEMA",
-    "SpanContext",
-    "SpanLog",
-    "current_context",
-    "format_traceparent",
-    "get_logger",
-    "new_context",
-    "parse_prometheus",
-    "parse_traceparent",
-    "render_waterfall",
-    "setup_logging",
-    "span",
-    "to_json",
-    "to_prometheus",
-    "tracing_active",
-    "use_context",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".registry": [
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
+    ],
+    ".spanlog": ["SPAN_SCHEMA", "SpanLog"],
+    ".trace": [
+        "SpanContext", "current_context", "format_traceparent",
+        "new_context", "parse_traceparent", "span", "tracing_active",
+        "use_context",
+    ],
+    ".log": ["get_logger", "setup_logging"],
+    ".export": [
+        "parse_prometheus", "render_waterfall", "to_json", "to_prometheus",
+    ],
+})

@@ -11,14 +11,13 @@ reproduction ships an explicit checker used throughout the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # imported by the functions that need it (~0.1 s)
     import networkx as nx
 
-from ..network.packet import Hop
 from ..topology.graph import NetworkGraph
 from .base import RoutingAlgorithm, validate_path
 

@@ -11,7 +11,6 @@ import random
 from typing import Iterable, List
 
 from ..network.packet import Hop
-from ..topology.graph import NetworkGraph
 from ..topology.mesh import MeshBlock, SwitchBlock, xy_links
 from .base import RoutingAlgorithm
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..core.system import SwitchlessSystem
 from ..network.packet import Hop

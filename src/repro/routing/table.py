@@ -97,11 +97,12 @@ class RouteTable(RouteArena):
         """``(offsets, hops)`` of the aligned pairs, resolving the
         missing ones; ``None`` when the table cannot hold them all."""
         keys = (srcs << _KEY_SHIFT) | dsts
-        # probe first: on a warm table every pair hits, and np.unique
-        # only runs over actual misses
+        # probe first: on a warm table every pair hits, and only the
+        # misses are deduplicated (in key order; a set, since np.unique
+        # imports numpy.ma on its first call)
         pos, miss = self._find(keys)
         if miss.any():
-            for key in np.unique(keys[miss]).tolist():
+            for key in sorted(set(keys[miss].tolist())):
                 if self.slice(
                     key >> _KEY_SHIFT, key & ((1 << _KEY_SHIFT) - 1), rng
                 ) is None:

@@ -31,64 +31,26 @@ Start a server with ``repro-dragonfly serve`` (or
     result = client.watch(job["id"])
 """
 
-from .chaos import CHAOS_ENV, ChaosError
-from .client import (
-    DEFAULT_SERVER_ENV,
-    TERMINAL_EVENTS,
-    ServiceClient,
-    ServiceError,
-)
-from .jobs import (
-    BusyError,
-    Execution,
-    Job,
-    JobCancelled,
-    RetryPolicy,
-    Scheduler,
-    TERMINAL_STATES,
-)
-from .journal import (
-    JOB_JOURNAL_SCHEMA,
-    EventLog,
-    JobJournal,
-    read_ndjson_tolerant,
-)
-from .protocol import (
-    JOB_EVENT_SCHEMA,
-    JOB_REQUEST_SCHEMA,
-    JOB_STATES,
-    JOB_STATUS_SCHEMA,
-    JobRequest,
-)
-from .server import DEFAULT_PORT, SimulationService, create_server, serve
-from ..engine.cache import ResultCache as ResultStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BusyError",
-    "CHAOS_ENV",
-    "ChaosError",
-    "DEFAULT_PORT",
-    "DEFAULT_SERVER_ENV",
-    "EventLog",
-    "Execution",
-    "JOB_EVENT_SCHEMA",
-    "JOB_JOURNAL_SCHEMA",
-    "JOB_REQUEST_SCHEMA",
-    "JOB_STATES",
-    "JOB_STATUS_SCHEMA",
-    "Job",
-    "JobCancelled",
-    "JobJournal",
-    "JobRequest",
-    "ResultStore",
-    "RetryPolicy",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceError",
-    "SimulationService",
-    "TERMINAL_EVENTS",
-    "TERMINAL_STATES",
-    "create_server",
-    "serve",
-    "read_ndjson_tolerant",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".chaos": ["CHAOS_ENV", "ChaosError"],
+    ".client": [
+        "DEFAULT_SERVER_ENV", "TERMINAL_EVENTS", "ServiceClient",
+        "ServiceError",
+    ],
+    ".jobs": [
+        "BusyError", "Execution", "Job", "JobCancelled", "RetryPolicy",
+        "Scheduler", "TERMINAL_STATES",
+    ],
+    ".journal": [
+        "JOB_JOURNAL_SCHEMA", "EventLog", "JobJournal",
+        "read_ndjson_tolerant",
+    ],
+    ".protocol": [
+        "JOB_EVENT_SCHEMA", "JOB_REQUEST_SCHEMA", "JOB_STATES",
+        "JOB_STATUS_SCHEMA", "JobRequest",
+    ],
+    ".server": ["DEFAULT_PORT", "SimulationService", "create_server", "serve"],
+    "..engine.cache": ["ResultCache as ResultStore"],
+})

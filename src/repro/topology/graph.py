@@ -23,15 +23,12 @@ Every link carries the attributes the paper's evaluation depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     Iterator,
     List,
-    Optional,
-    Sequence,
     Tuple,
 )
 

@@ -11,7 +11,7 @@ Two roles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .graph import HOP_COSTS, NetworkGraph

@@ -11,8 +11,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Iterable,
-    List,
-    Optional,
     Sequence,
     Tuple,
 )

@@ -1,27 +1,15 @@
 """Traffic patterns: unicast, adversarial and collective workloads."""
 
-from .adversarial import HotspotTraffic, WorstCaseTraffic
-from .base import ChipIndex, TrafficPattern
-from .collectives import RingAllReduceTraffic, RingStepModel, ring_allreduce_steps
-from .patterns import (
-    BitReverseTraffic,
-    BitShuffleTraffic,
-    BitTransposeTraffic,
-    PermutationTraffic,
-    UniformTraffic,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChipIndex",
-    "TrafficPattern",
-    "UniformTraffic",
-    "PermutationTraffic",
-    "BitReverseTraffic",
-    "BitShuffleTraffic",
-    "BitTransposeTraffic",
-    "HotspotTraffic",
-    "WorstCaseTraffic",
-    "RingAllReduceTraffic",
-    "RingStepModel",
-    "ring_allreduce_steps",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ["ChipIndex", "TrafficPattern"],
+    ".patterns": [
+        "UniformTraffic", "PermutationTraffic", "BitReverseTraffic",
+        "BitShuffleTraffic", "BitTransposeTraffic",
+    ],
+    ".adversarial": ["HotspotTraffic", "WorstCaseTraffic"],
+    ".collectives": [
+        "RingAllReduceTraffic", "RingStepModel", "ring_allreduce_steps",
+    ],
+})

@@ -17,48 +17,19 @@ The engine plugs in through the ``workload`` axis of
 :mod:`repro.metrics.probes`.
 """
 
-from .driver import (
-    PhasePlan,
-    participating_chips,
-    run_closed_loop,
-    workload_for_traffic,
-)
-from .ir import (
-    WORKLOADS,
-    Phase,
-    Workload,
-    build_workload,
-    list_workloads,
-    register_workload,
-    workload_descriptions,
-)
-from .trace import (
-    TRACE_SCHEMA,
-    load_trace,
-    save_trace,
-    workload_dumps,
-    workload_from_data,
-    workload_loads,
-    workload_to_data,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Phase",
-    "Workload",
-    "WORKLOADS",
-    "register_workload",
-    "build_workload",
-    "list_workloads",
-    "workload_descriptions",
-    "TRACE_SCHEMA",
-    "workload_to_data",
-    "workload_from_data",
-    "workload_dumps",
-    "workload_loads",
-    "save_trace",
-    "load_trace",
-    "PhasePlan",
-    "participating_chips",
-    "run_closed_loop",
-    "workload_for_traffic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ir": [
+        "Phase", "Workload", "WORKLOADS", "register_workload",
+        "build_workload", "list_workloads", "workload_descriptions",
+    ],
+    ".trace": [
+        "TRACE_SCHEMA", "workload_to_data", "workload_from_data",
+        "workload_dumps", "workload_loads", "save_trace", "load_trace",
+    ],
+    ".driver": [
+        "PhasePlan", "participating_chips", "run_closed_loop",
+        "workload_for_traffic",
+    ],
+})

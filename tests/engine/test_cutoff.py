@@ -8,6 +8,7 @@ warm resubmission through the service's store (a ``ResultCache``) reads exactly
 the returned points and schedules no work.
 """
 
+import concurrent.futures
 import os
 
 import pytest
@@ -127,7 +128,7 @@ def test_warm_replay_reads_exactly_the_stored_points(
         raise AssertionError("a fully replayed study scheduled work")
 
     monkeypatch.setattr(executor, "resolve_core", forbidden)
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     hits, misses = store.hits, store.misses
     second, calls = run(specs, workers=2, cache=store)
     assert (store.hits - hits, store.misses - misses) == (points, 0)

@@ -7,6 +7,7 @@ to every point that carries it, each with its own ``on_point`` event
 and the owner's source.
 """
 
+import concurrent.futures
 import os
 
 import pytest
@@ -199,7 +200,7 @@ def test_shared_point_waits_for_earlier_rates(
 def test_pool_never_runs_one_key_twice(pool, monkeypatch):
     monkeypatch.setattr(executor, "_chunk_width", lambda spec, threads: 1)
     inflight, submitted = set(), []
-    base = executor.ProcessPoolExecutor
+    base = concurrent.futures.ProcessPoolExecutor
 
     class Tracking(base):
         def submit(self, fn, spec, rates, *args):
@@ -213,7 +214,7 @@ def test_pool_never_runs_one_key_twice(pool, monkeypatch):
             )
             return future
 
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", Tracking)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Tracking)
     specs = [_mesh("a"), _switch("sw"), _mesh("b"), _mesh("c")]
     curves = run_experiments(specs, workers=2)
     assert sorted(submitted) == sorted(_keys(specs))

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.network.stats import PointResult, SimResult, cutoff_walk
+from repro.network.stats import PointResult, SimResult, cutoff_walk, p50_p99
 
 
 def make(offered=0.5, latencies=None, measured=100, delivered_flits=400,
@@ -31,6 +32,31 @@ def test_latency_percentiles():
     assert res.avg_latency == 50.5
     assert res.p50_latency == 50.5
     assert res.p99_latency > 98
+
+
+def _lengths():
+    """Every length up to 64 (n = 1, 2, odd and even), each several
+    times, then random lengths up to 5,000: 4,500 arrays in all."""
+    rng = np.random.default_rng(2024)
+    yield from (n for n in range(1, 65) for _ in range(24))
+    yield from rng.integers(1, 5000, 4500 - 64 * 24).tolist()
+
+
+def test_p50_p99_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in _lengths():
+        # small ranges repeat values, large ones rarely do
+        high = int(rng.choice([2, 7, 100, 10_000, 1 << 40]))
+        values = rng.integers(0, high, n)
+        want = np.percentile(values.astype(np.float64), (50, 99))
+        got = np.array(p50_p99(values))
+        assert got.tobytes() == want.tobytes(), (n, values)
+
+
+def test_p50_p99_of_small_populations():
+    assert p50_p99([7]) == (7.0, 7.0)
+    assert p50_p99([1, 2]) == (1.5, 1.99)
+    assert p50_p99([9, 5, 5, 5])[0] == 5.0
 
 
 def test_empty_latencies_give_nan():
