@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from ..engine.spec import shaped
+from .._shape import shaped
 from ..network.stats import CurveResult, PointResult
 
 __all__ = [

@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from .._shape import shaped
 from ..engine import ExperimentSpec, ResultCache, run_experiments
-from ..engine.spec import shaped
 from ..network.stats import SimResult
 from .results import ScenarioResult, StudyResult
 

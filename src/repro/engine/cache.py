@@ -4,11 +4,14 @@ One file per ``(spec, rate)`` point, named by its :func:`~
 repro.engine.spec.point_key` digest, so concurrent writers (pool
 workers, processes sharing a directory) never contend on a shared file.
 Writes are atomic (temp file + ``os.replace``); a corrupt or truncated
-entry is treated as a miss and overwritten on the next run.  Optional
-LRU bounds (recency = file mtime, refreshed on every hit), entry and
-byte totals kept up to date by this instance's writes (one directory
-scan the first time they are needed), and a ``cache_stats`` metric
-channel make it the service's store too.
+entry is treated as a miss and overwritten on the next run.  A hit is
+one ``os.open``, one ``os.read`` (more only for an entry past 64 KiB),
+one UTF-8 decode and ``json.loads``, one mtime touch through the
+descriptor, one ``close`` and the ``SimResult`` rebuild.  Optional LRU
+bounds (recency = file mtime, refreshed on every hit), entry and byte
+totals kept up to date by this instance's writes (one directory scan
+the first time they are needed), and a ``cache_stats`` metric channel
+make it the service's store too.
 """
 
 from __future__ import annotations
@@ -42,6 +45,19 @@ _M_WRITES = REGISTRY.counter(
 _M_WRITE_BYTES = REGISTRY.counter(
     "cache_write_bytes_total", "Bytes of point results written"
 )
+
+
+#: bytes asked of one ``os.read``: an unprobed entry is ~0.5 KB, so one
+#: read returns it whole, and a larger one (a probed point's channel
+#: rows) is read on until a read comes back short
+_READ_CHUNK = 1 << 16
+
+
+def _read_all(fd: int) -> bytes:
+    parts = [os.read(fd, _READ_CHUNK)]
+    while len(parts[-1]) == _READ_CHUNK:
+        parts.append(os.read(fd, _READ_CHUNK))
+    return b"".join(parts)
 
 
 def _check_bounds(
@@ -80,6 +96,7 @@ class ResultCache:
                 f"cache path {self.root} exists and is not a directory"
             )
         self.root.mkdir(parents=True, exist_ok=True)
+        self._dir = os.fspath(self.root)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.hits = 0
@@ -88,28 +105,42 @@ class ResultCache:
         #: ``[entries, bytes]``, ``None`` until first needed
         self._totals: Optional[List[int]] = None
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._dir}/{key}.json"
 
     def get(self, key: str) -> Optional[SimResult]:
         """Stored result for ``key``, or ``None`` (counted as a miss);
-        a hit refreshes the entry's mtime (its LRU recency)."""
-        path = self._path(key)
+        a hit refreshes the entry's mtime (its LRU recency).
+
+        A missing, unreadable, non-UTF-8, truncated or wrongly shaped
+        entry is a miss.  The touch goes through the open descriptor,
+        so the path is resolved once, and an entry another process
+        evicts after the open still counts as a hit."""
         try:
-            with path.open() as fh:
-                data = json.load(fh)
-            result = SimResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            _M_MISSES.inc()
-            return None
+            fd = os.open(self._path(key), os.O_RDONLY)
+        except OSError:
+            return self._miss()
+        try:
+            try:
+                data = _read_all(fd)
+                result = SimResult.from_dict(
+                    json.loads(data.decode())["result"]
+                )
+            except (OSError, ValueError, KeyError, TypeError):
+                return self._miss()
+            try:
+                os.utime(fd)
+            except OSError:
+                pass
+        finally:
+            os.close(fd)
         self.hits += 1
         _M_HITS.inc()
-        try:
-            os.utime(path)
-        except OSError:
-            pass
         return result
+
+    def _miss(self) -> None:
+        self.misses += 1
+        _M_MISSES.inc()
 
     def put(self, key: str, result: SimResult, meta: Optional[Dict] = None) -> None:
         """Store ``result`` under ``key`` atomically, then apply the
@@ -133,7 +164,7 @@ class ResultCache:
                 fh.write(text)
             if self._totals is not None:
                 try:
-                    replaced = path.stat().st_size
+                    replaced = os.stat(path).st_size
                 except FileNotFoundError:
                     pass
             os.replace(tmp, path)
@@ -157,7 +188,7 @@ class ResultCache:
                 self.prune()
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+        return os.path.exists(self._path(key))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*.json"))

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 from typing import Tuple
 
+from .._shape import shaped
 from ..core.config import SwitchlessConfig
 from ..core.system import build_switchless
 from ..metrics.probe import build_probes, metrics_to_data, normalize_metrics
@@ -111,17 +112,6 @@ __all__ = [
 #: workload, and only closed-loop keys and seeds move.
 ENGINE_VERSION = 4
 PLAN_REVISION = 5
-
-
-def shaped(value, kind: type, what: str):
-    """``value`` when it is a ``kind`` (``dict``: a JSON object,
-    ``list``: an array), else a ``ValueError`` naming ``what`` — parsers
-    of external JSON check a shape before indexing into it, so hostile
-    input is a clear error instead of an ``AttributeError``."""
-    if not isinstance(value, kind):
-        shape = "object" if kind is dict else "array"
-        raise ValueError(f"{what} must be a JSON {shape}, got {value!r:.60}")
-    return value
 
 
 def suggest(name: str, candidates: Sequence[str]) -> str:
@@ -476,8 +466,13 @@ class ExperimentSpec:
 
         The label and rate list are excluded: per-*point* results are
         keyed by :func:`point_key`, so extending a rate list reuses the
-        points already simulated.
+        points already simulated.  The spec is frozen, so the digest is
+        computed once and kept on the instance, outside its fields (and
+        so outside ``==``, ``repr`` and pickles).
         """
+        memo = self.__dict__.get("_config_key")
+        if memo is not None:
+            return memo
         payload = {
             "engine_version": ENGINE_VERSION,
             "topology": [self.topology, self.topology_opts],
@@ -498,7 +493,14 @@ class ExperimentSpec:
                 self.workload, list(self.workload_opts), PLAN_REVISION
             ]
         blob = json.dumps(payload, sort_keys=True, default=list)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        memo = hashlib.sha256(blob.encode()).hexdigest()
+        object.__setattr__(self, "_config_key", memo)
+        return memo
+
+    def __getstate__(self) -> Dict:
+        state = dict(self.__dict__)
+        state.pop("_config_key", None)
+        return state
 
     def describe(self) -> str:
         base = (

@@ -35,21 +35,19 @@ engine calls when an :class:`~repro.engine.ExperimentSpec` carries a
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .._lazy import lazy_exports
 
-# ``degrade`` names both a function and the submodule defining it, and a
-# submodule's first import binds its name on the package: loading the
-# function here first keeps ``repro.faults.degrade`` the function.
-from .degrade import DegradedTopology, degrade
+if TYPE_CHECKING:
+    from .degraded import DegradedTopology
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".spec": ["FAULT_MODELS", "FaultSpec"],
     ".inject": [
         "DefectCluster", "FaultSet", "channel_reverse", "sample_faults",
     ],
-    ".degrade": ["DegradedTopology", "degrade"],
+    ".degraded": ["DegradedTopology", "degrade"],
     ".routing": ["FaultAwareRouting", "FaultRoutingError"],
     ".traffic": ["FaultMaskedTraffic"],
 })
@@ -61,7 +59,7 @@ def apply_faults(
     routing,
     traffic,
     spec: Optional["FaultSpec"],
-) -> Tuple[object, object, Optional[DegradedTopology]]:
+) -> Tuple[object, object, Optional["DegradedTopology"]]:
     """Wrap ``(routing, traffic)`` for the fault scenario ``spec``.
 
     Returns ``(routing, traffic, degraded)`` — unchanged objects and
@@ -69,6 +67,7 @@ def apply_faults(
     nothing.  Already-wrapped inputs are left alone (the engine reuses
     wrapped routings across the points of a sweep).
     """
+    from .degraded import degrade
     from .routing import FaultAwareRouting
     from .traffic import FaultMaskedTraffic
 

@@ -3,7 +3,7 @@
 :class:`FaultAwareRouting` wraps any base
 :class:`~repro.routing.base.RoutingAlgorithm` (the switch-less or
 Dragonfly routers included) against a
-:class:`~repro.faults.degrade.DegradedTopology`:
+:class:`~repro.faults.degraded.DegradedTopology`:
 
 * pairs whose base route survives keep it unchanged — same links, same
   virtual channels, so the healthy traffic keeps the base policy's
@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..network.packet import Hop
 from ..routing.base import RoutingAlgorithm
-from .degrade import DegradedTopology
+from .degraded import DegradedTopology
 
 __all__ = ["FaultRoutingError", "FaultAwareRouting"]
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from .degrade import DegradedTopology
+from .degraded import DegradedTopology
 
 __all__ = ["FaultMaskedTraffic"]
 

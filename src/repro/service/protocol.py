@@ -35,8 +35,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from .._shape import shaped
 from ..api import Study
-from ..engine.spec import shaped
 
 __all__ = [
     "JOB_EVENT_SCHEMA",

@@ -1,6 +1,7 @@
 """ExperimentSpec: hashing, pickling, registries, realisation."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -110,6 +111,41 @@ class TestSpecValue:
         # so create() refuses it outright
         with pytest.raises(TypeError, match="nested dict"):
             mesh_spec(topology_opts={"dim": 4, "extra": {"a": 1}})
+
+
+class TestConfigKeyMemo:
+    """The digest is hashed once per instance and kept off its fields."""
+
+    def test_equals_a_fresh_equal_spec_before_and_after_the_first_call(self):
+        spec = mesh_spec()
+        assert spec.config_key() == mesh_spec().config_key()
+        assert spec.config_key() == mesh_spec().config_key()
+
+    def test_memo_leaves_equality_repr_and_pickle_alone(self):
+        spec, fresh = mesh_spec(), mesh_spec()
+        before = pickle.dumps(spec)
+        spec.config_key()
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert repr(spec) == repr(fresh)
+        assert pickle.dumps(spec) == before
+
+    def test_survives_a_pickle_round_trip(self):
+        spec = mesh_spec()
+        key = spec.config_key()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.config_key() == key
+
+    def test_replace_rehashes_what_changed(self):
+        spec = mesh_spec()
+        key = spec.config_key()
+        assert replace(spec, rates=(0.9,)).config_key() == key
+        moved = replace(spec, params=PARAMS.scaled(seed=7))
+        assert moved.config_key() != key
+        assert (
+            moved.config_key()
+            == mesh_spec(params=PARAMS.scaled(seed=7)).config_key()
+        )
 
 
 class TestDeclarativeForm:

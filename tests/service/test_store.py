@@ -141,10 +141,11 @@ class TestEviction:
 
         store = ResultStore(tmp_path)
         store.put("k", _result())
+        real_utime = os.utime
 
-        def evicted_first(path, *args):
-            path.unlink()
-            raise FileNotFoundError(path)
+        def evicted_first(target, *args, **kwargs):
+            (tmp_path / "k.json").unlink()
+            return real_utime(target, *args, **kwargs)
 
         monkeypatch.setattr(cache_mod.os, "utime", evicted_first)
         assert store.get("k") == _result()

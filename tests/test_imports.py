@@ -177,3 +177,39 @@ def test_cold_run_loads_only_what_it_runs(tmp_path, monkeypatch):
     assert not modules & unused
     ours = sorted(m for m in modules if m.split(".")[0] == "repro")
     assert len(ours) <= 45, ours
+
+
+# ----------------------------------------------------------------------
+# reading a results file, validating a fault axis
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("module, most, unused", [
+    # ``report`` and ``metrics <file>`` read a results JSON
+    ("repro.api.results", 9, {
+        "repro.engine", "repro.core", "repro.topology", "repro.routing",
+        "repro.traffic",
+    }),
+    # ``ExperimentSpec.create(faults=...)`` validates the axis
+    ("repro.faults.spec", 4, {
+        "repro.faults.inject", "repro.faults.degraded", "repro.layout",
+        "repro.topology", "numpy",
+    }),
+])
+def test_leaf_import_loads_only_its_closure(module, most, unused):
+    script = (
+        f"import json, sys, {module}\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    loaded = [
+        m for m in modules
+        if any(m == u or m.startswith(u + ".") for u in unused)
+    ]
+    assert not loaded
+    ours = [m for m in modules if m.split(".")[0] == "repro"]
+    assert len(ours) <= most, ours
