@@ -167,8 +167,8 @@ def _chunk_width(spec: ExperimentSpec, threads: int) -> int:
     kernel thread beyond that — when the compiled kernel will run them,
     whether the spec is open-loop or carries a workload (the kernel
     releases a closed-loop plan's phases itself); one otherwise: the
-    pure-Python cores gain nothing from a batch and are parallelised by
-    the process pool instead.
+    pure-Python reference core gains nothing from a batch and is
+    parallelised by the process pool instead.
     """
     if resolve_core() == "native":
         return max(_BATCH_CHUNK_MIN, threads)

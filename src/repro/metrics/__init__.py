@@ -1,7 +1,7 @@
 """``repro.metrics`` — composable observability for the simulator.
 
 The measurement layer the fixed ``SimResult`` aggregate grew out of:
-:class:`Probe` objects attach to any of the three simulation cores
+:class:`Probe` objects attach to either simulation core
 through a narrow post-run surface (:class:`RunRecord`) and produce
 typed, schema-tagged :class:`MetricChannel` tables that ride inside
 ``SimResult.channels`` — through the experiment engine, the result

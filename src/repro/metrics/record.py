@@ -209,7 +209,7 @@ class RunRecord:
     core's own tables.
     """
 
-    #: producing core ("array", "native", "reference").
+    #: producing core ("native" or "reference").
     core: str
     #: offered rate of the run (flits/cycle/chip).
     rate: float

@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "THREADS_ENV", "NativeBatch", "NativeCore", "native_available",
         "resolve_threads",
     ],
-    ".simcore": ["ArrayCore"],
     ".refcore": ["ReferenceCore"],
     ".schedule": ["InjectionSchedule", "build_injection_schedule"],
     ".stats": [

@@ -13,7 +13,7 @@
  * exactly — phases, per-output round-robin over candidate inputs in
  * input-insertion order, multi-pass grants for capacity > 1, wormhole
  * VC ownership, credit flow — so that, given the same pre-resolved
- * packet table, results are bit-identical to both Python cores.  The
+ * packet table, results are bit-identical to the reference core.  The
  * Python wrapper pre-resolves every packet's destination and route
  * (the only consumers of the stdlib RNG stream) before the run, so
  * this kernel needs no callbacks in either of its two modes:
@@ -114,7 +114,7 @@ typedef struct { PLAN_FIELDS(FIELD) } Plan;
     X(i64 *, b_head)    /* [num_lv] ring head index */ \
     X(i64 *, b_len)     /* [num_lv] ring occupancy */ \
     /* per-router input bookkeeping (insertion-ordered, like the \
-     * Python cores' nonempty dicts) */ \
+     * reference core's nonempty dicts) */ \
     X(i64 *, ne_arr)    /* [num_nodes * max_in] */ \
     X(i64 *, ne_len)    /* [num_nodes] */ \
     /* source queues: one arena, per-node slices */ \
@@ -400,7 +400,7 @@ i64 sim_run(S *s)
             }
 
             /* collect requests: descriptor (lv, or -2 for the source
-             * queue) + requested output key, in the Python cores'
+             * queue) + requested output key, in the reference core's
              * order: nonempty inputs first (insertion order), source
              * last.  Key -1 is the ejection port. */
             i64 *desc = s->sc_desc, *dkey = s->sc_key;

@@ -1,12 +1,11 @@
-"""The loop-free half of a simulator core, shared by all three.
+"""The loop-free half of a simulator core, shared by both.
 
 The paper's minimal and non-minimal algorithms are oblivious and
 source-routed: a packet's destination and route are drawn at injection
 and never depend on network state.  Turning ``(rate, seed)`` into
 packets with routes is therefore a pure function that has nothing to do
 with the per-cycle router model — and :class:`CoreBase` owns it, once,
-for :class:`~repro.network.native.NativeCore`,
-:class:`~repro.network.simcore.ArrayCore` and
+for :class:`~repro.network.native.NativeCore` and
 :class:`~repro.network.refcore.ReferenceCore`, which keep only their
 loops:
 
@@ -22,7 +21,7 @@ loops:
   source, destination and the route's ``(offset, hops)`` slice of
   :attr:`CoreBase._routes`.  The stdlib RNG is consumed in schedule
   order (destination draw, then route draw for packets that are
-  actually created) by this one code path, so the three cores agree on
+  actually created) by this one code path, so the two cores agree on
   everything but the router model by construction, pinned schedule or
   not.  The native core runs the same draws in the compiled kernel
   (:meth:`CoreBase._resolve_packets_vec`), bit-exact, whenever the
@@ -34,7 +33,8 @@ deterministic routing, else a per-core
 :class:`~repro.routing.table.RouteArena` — randomised routes, and cores
 that resolve through the routing's closed-form
 :class:`~repro.routing.plane.RoutePlane` (the native core only: the
-Python cores keep checking the plane against the scalar ``route()``).
+reference core keeps checking the plane against the scalar
+``route()``).
 
 Closed-loop (``plan``) runs are pre-resolved too
 (:meth:`CoreBase._begin`): *when* a phase's events inject is dynamic,
@@ -71,14 +71,11 @@ if TYPE_CHECKING:
 
 __all__ = ["CoreBase", "LinkTables", "PacketTable", "link_tables"]
 
-# Flit word of the array and native cores:
-# (pid << PID_SHIFT) | (flit_idx << FIDX_SHIFT) | hop.
-_HOP_BITS = 11
-_FIDX_SHIFT = 11
-_PID_SHIFT = 22
-_HOP_MASK = (1 << _HOP_BITS) - 1
-_FIDX_MASK = (1 << (_PID_SHIFT - _FIDX_SHIFT)) - 1
-_MAX_HOPS = _HOP_MASK  # longest representable route
+# Flit word of the native kernel (``_simcore.c``):
+# (pid << 22) | (flit_idx << 11) | hop, 11 bits each for the flit
+# index and the hop, so a packet and a route hold at most 2047.
+_FIDX_MASK = (1 << 11) - 1
+_MAX_HOPS = (1 << 11) - 1  # longest representable route
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -196,7 +193,7 @@ class CoreBase:
     #: name reported in :class:`~repro.metrics.RunRecord.core`.
     core_id = ""
     #: flits are packed ints, so routes and packets have a length limit.
-    packed_flits = True
+    packed_flits = False
     #: run the front end through the compiled kernel: routes through
     #: the routing's closed-form plane, draws through the draw pass.
     compiled_front_end = False
@@ -266,8 +263,9 @@ class CoreBase:
             nid: len(chips[graph.nodes[nid].chip]) for nid in self._active_nodes
         }
 
-        # per measured packet ejected: lists the Python loops append
-        # to, int64 arrays on the native core (the kernel's outputs)
+        # per measured packet ejected: lists the reference loop
+        # appends to, int64 arrays on the native core (the kernel's
+        # outputs)
         self._latencies: List[int] = []
         self._hops: List[int] = []
         # Probe bookkeeping (see repro.metrics): disabled by default.
@@ -404,7 +402,7 @@ class CoreBase:
         dst``, resolved on demand.
 
         The scalar single point of truth: the scalar pre-pass and the
-        Python loops' closed-loop injection both call it, and it draws
+        reference loop's closed-loop injection both call it, and it draws
         from the stdlib RNG exactly as ``routing.route()`` does.
         """
         if self._table is not None:

@@ -1,10 +1,10 @@
 """Compiled kernel for the struct-of-arrays simulator loop.
 
-The pure-Python array loop (:mod:`repro.network.simcore`) lays every
-piece of hot state out as flat integer arrays — which makes the inner
-loop mechanically portable to C.  This module compiles ``_simcore.c``
-on demand (plain ``cc -O1 -shared -fPIC``; no Python headers, no
-build-system dependency), loads it via :mod:`ctypes`, and wraps it as
+The kernel lays every piece of hot router state out as flat integer
+arrays (packed-int flits, integer VC ownership, per-(link, VC) rings
+and an event wheel).  This module compiles ``_simcore.c`` on demand
+(plain ``cc -O1 -shared -fPIC``; no Python headers, no build-system
+dependency), loads it via :mod:`ctypes`, and wraps it as
 :class:`NativeCore`.  The compile is part of every cold process's
 start-up, so it is kept short two ways:
 
@@ -42,17 +42,17 @@ without a single callback — open-loop, where the packets' creation
 cycles are pre-drawn too, and closed-loop, where a
 :class:`~repro.workload.driver.PhasePlan`'s flat arrays are handed to
 the kernel's plan mode and phase release is integer dependency
-counters inside it.  It replicates the Python loops' cycle semantics
-exactly: ``NativeCore`` returns **bit-identical**
-:class:`~repro.network.stats.SimResult`\\ s to the array and reference
-cores (asserted by ``tests/network/test_core_equivalence.py`` and
+counters inside it.  It replicates the reference loop's cycle
+semantics exactly: ``NativeCore`` returns **bit-identical**
+:class:`~repro.network.stats.SimResult`\\ s to the reference core
+(asserted by ``tests/network/test_core_equivalence.py`` and
 ``tests/workload/test_closed_loop_identity.py``).
 
 When no C compiler is available the loader returns ``None`` and
 :class:`~repro.network.simulator.Simulator` falls back to the
-pure-Python array core by default; nothing in the public API changes.
-Set ``REPRO_SIM_CORE=array`` (or ``native``/``reference``) to pin a
-core, and ``REPRO_NATIVE_CACHE`` to relocate the compiled-object cache.
+pure-Python reference core by default; nothing in the public API
+changes.  Set ``REPRO_SIM_CORE=native`` or ``reference`` to pin a core,
+and ``REPRO_NATIVE_CACHE`` to relocate the compiled-object cache.
 """
 
 from __future__ import annotations
@@ -308,7 +308,8 @@ def _compile_library() -> Optional[Path]:
     """Compile ``_simcore.c`` into the cache, reusing prior builds.
 
     When every flag set fails it logs one warning with the last
-    failure: the caller then falls back to the much slower array core.
+    failure: the caller then falls back to the much slower reference
+    core.
     """
     cc = _find_cc()
     if cc is None or not _C_SOURCE.is_file():
@@ -338,7 +339,8 @@ def _compile_library() -> Optional[Path]:
         except (OSError, RuntimeError) as exc:
             failure = exc
     _log.warning(
-        "native kernel build failed, using the array core: %s", failure
+        "native kernel build failed, using the reference core: %s",
+        failure,
     )
     return None
 
@@ -376,7 +378,7 @@ def _load(path: Optional[Path]):
     if missing:
         # a stale cached build: deleting it rebuilds
         _log.warning(
-            "native kernel %s lacks %s; using the array core",
+            "native kernel %s lacks %s; using the reference core",
             path, ", ".join(missing),
         )
         return None
@@ -432,7 +434,7 @@ class NativeCore(CoreBase):
     :class:`~repro.network.corebase.CoreBase`; this class packs the
     pre-resolved packet table and the router state into the kernel's
     ``struct S`` and reads the counters back.  Results are
-    bit-identical to the pure-Python cores.
+    bit-identical to the reference core.
 
     Probing (see :mod:`repro.metrics`) needs no kernel callbacks: the
     kernel already reports every delivered measured packet's latency,
@@ -447,6 +449,7 @@ class NativeCore(CoreBase):
     """
 
     core_id = "native"
+    packed_flits = True
     compiled_front_end = True
 
     def __init__(self, graph, routing, traffic, params) -> None:
@@ -457,7 +460,7 @@ class NativeCore(CoreBase):
                 "native simulation core unavailable "
                 "(no C compiler or compilation failed); leave core= and "
                 "REPRO_SIM_CORE unset and resolve_core() falls back to "
-                "the array core"
+                "the reference core"
             )
         self._lib = lib
         # what the kernel reports per ejected packet, kept as arrays

@@ -4,10 +4,10 @@ This is the original, heap-object implementation of the cycle-accurate
 VC simulator: flits are small mutable lists, packets are
 :class:`~repro.network.packet.Packet` objects, VC ownership is object
 identity.  It is kept as the short, obviously-correct executable
-specification of the router model: it consumes the same pre-resolved
-packets as :mod:`repro.network.simcore` and the compiled kernel (the
-shared front end of :mod:`repro.network.corebase`), so all three must
-produce *identical* results, pinned schedule or not, which the
+specification of the router model, and the fallback on hosts without
+a C compiler: it consumes the same pre-resolved packets as the compiled
+kernel (the shared front end of :mod:`repro.network.corebase`), so the
+two must produce *identical* results, pinned schedule or not, which the
 cross-core equivalence tests assert.
 
 The per-cycle model (see :mod:`repro.network.simulator` for the full
@@ -42,8 +42,6 @@ class ReferenceCore(CoreBase):
     """Object-based simulation core (see module docstring)."""
 
     core_id = "reference"
-    #: flits are objects: no hop or flit-index field to overflow.
-    packed_flits = False
 
     def __init__(self, graph, routing, traffic, params) -> None:
         super().__init__(graph, routing, traffic, params)

@@ -38,32 +38,30 @@ appear in routes because :class:`repro.faults.FaultAwareRouting` routes
 around them; the simulator arrays keep the healthy graph's link ids, so
 degraded and healthy runs share the same core machinery.
 
-:class:`Simulator` is a thin facade over three interchangeable loops
-under one front end.  :class:`~repro.network.corebase.CoreBase` turns
+:class:`Simulator` is a thin facade over two interchangeable loops under
+one front end.  :class:`~repro.network.corebase.CoreBase` turns
 ``(rate, seed)`` into packets with routes — schedule, destination and
-route are drawn once, before the loop, by the same code on every core
-— and each core adds only its implementation of the per-cycle model:
+route are drawn once, before the loop, by the same code on both cores —
+and each core adds only its implementation of the per-cycle model:
 
 * :class:`~repro.network.native.NativeCore` (default when a C compiler
   is present) — the struct-of-arrays loop compiled on demand from
   ``_simcore.c``, open-loop and closed-loop (the kernel's plan mode
   owns phase release).
-* :class:`~repro.network.simcore.ArrayCore` (portable default) — the
-  same loop in pure Python: packed-int flits, integer VC ownership,
-  cached head-flit requests, and idle-cycle fast-forwarding.
-* :class:`~repro.network.refcore.ReferenceCore` — the original
-  object-based implementation, kept as the semantic reference.
+* :class:`~repro.network.refcore.ReferenceCore` — the object-based
+  loop, kept as the executable specification of the router model and
+  the fallback on hosts without a C compiler.
 
 A closed-loop run (``run(rate, plan=...)``, see
 :mod:`repro.workload.driver`) goes through the same front end: the
 plan's template events are packet rows with routes before the loop
 starts, and only their release is dynamic — counters in the kernel,
-``PhasePlan.begin/packet_done/flush`` under the two Python loops,
-which is the specification the kernel is tested against.
+``PhasePlan.begin/packet_done/flush`` under the reference loop, which
+is the specification the kernel is tested against.
 
 Select explicitly with ``Simulator(..., core="reference")`` or globally
 via the ``REPRO_SIM_CORE`` environment variable.  For the same
-``(graph, routing, traffic, params, rate)`` all cores return identical
+``(graph, routing, traffic, params, rate)`` both cores return identical
 results and probe channels, whether or not an
 :class:`~repro.network.schedule.InjectionSchedule` is pinned
 (``tests/network/test_core_equivalence.py``), or a plan given
@@ -102,11 +100,13 @@ CORE_ENV = "REPRO_SIM_CORE"
 
 #: core name -> (module, class); a core's module loads when a run picks it.
 _CORES = {
-    "array": (".simcore", "ArrayCore"),
     "native": (".native", "NativeCore"),
     "reference": (".refcore", "ReferenceCore"),
 }
-_ALIASES = {"ref": "reference"}
+#: other accepted spellings.  "array" named a third, pure-Python core;
+#: it stays only because bench/layers.py ``_cores`` still asks for it,
+#: and goes with that call in ROADMAP item 1(a).
+_ALIASES = {"ref": "reference", "array": "reference"}
 
 
 def _core_class(name: str):
@@ -115,11 +115,10 @@ def _core_class(name: str):
 
 
 def resolve_core(core: Optional[str] = None) -> str:
-    """The core a run will use: ``"native"``, ``"array"`` or
-    ``"reference"``.
+    """The core a run will use: ``"native"`` or ``"reference"``.
 
     An explicit name wins, then ``REPRO_SIM_CORE``, then the native
-    core when it can be compiled, else the array core.  This is the
+    core when it can be compiled, else the reference core.  This is the
     only reader of the variable, so :class:`Simulator`,
     :func:`run_batch` and the engine always agree on the answer.
     Asking for the native core by name on a host that cannot compile
@@ -130,19 +129,18 @@ def resolve_core(core: Optional[str] = None) -> str:
         core = os.environ.get(CORE_ENV) or None
         source = CORE_ENV
     if core is None:
-        return "native" if native_available() else "array"
+        return "native" if native_available() else "reference"
     name = _ALIASES.get(core, core)
     if name not in _CORES:
         raise ValueError(
             f"unknown {source} {core!r}; "
-            f"expected one of {sorted([*_CORES, *_ALIASES])}"
+            f"expected one of {sorted(_CORES)}"
         )
     if name == "native" and not native_available():
         raise ValueError(
             f"{source} {core!r} needs a C compiler and none was found "
-            "(or the kernel failed to build); use 'array' or "
-            f"'reference', or leave {CORE_ENV} unset to fall back "
-            "automatically"
+            "(or the kernel failed to build); use 'reference', or "
+            f"leave {CORE_ENV} unset to fall back automatically"
         )
     return name
 
@@ -163,9 +161,9 @@ class Simulator:
     params:
         Router/measurement knobs (Table IV defaults).
     core:
-        ``"native"``, ``"array"`` or ``"reference"``; ``None`` reads
-        the ``REPRO_SIM_CORE`` environment variable, then picks the
-        native core when it can be compiled, else the array core.
+        ``"native"`` or ``"reference"``; ``None`` reads the
+        ``REPRO_SIM_CORE`` environment variable, then picks the native
+        core when it can be compiled, else the reference core.
     probes:
         Optional metric probes (see :mod:`repro.metrics`): a sequence
         of :class:`~repro.metrics.Probe` instances and/or registered
@@ -323,8 +321,8 @@ def run_batch(
 
     ``core`` resolves as in :func:`resolve_core`.  This is the one
     place that decides between the packed :class:`NativeBatch` (native
-    core) and an equivalent per-lane :class:`Simulator` loop (every
-    other core: same results, no amortisation).  ``probes`` may be
+    core) and an equivalent per-lane :class:`Simulator` loop (the
+    reference core: same results, no amortisation).  ``probes`` may be
     instances, kind names or ``(name, options)`` pairs; channels land
     on each lane's ``SimResult.channels``.
 

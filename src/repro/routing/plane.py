@@ -23,9 +23,9 @@ the plane against it exhaustively on every small preset.
 well under 0.1 us per route; a numpy walker over the same tables made
 a warm sweep, which re-resolves every packet, 47 % slower).  Its only
 consumer is the native core, which exists only when the kernel is
-loaded; the array and reference cores resolve through the scalar
+loaded; the reference core resolves through the scalar
 ``route()`` (into the routing's :mod:`~repro.routing.table`) on every
-host, which keeps them an independent check of the plane.
+host, which keeps it an independent check of the plane.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ int64 array holding ``link * num_vcs + vc`` per hop — a
 packet) fill a per-core arena.  A deterministic routing without a
 plane instead owns one :class:`RouteTable`: an arena plus the ``(src,
 dst) -> (offset, hops)`` index, so every core of that routing — batch
-lanes, consecutive batches, the Python cores — reads the same slices
+lanes, consecutive batches, the reference core — reads the same slices
 and each pair is resolved once while the routing object lives.
 """
 

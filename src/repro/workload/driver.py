@@ -33,11 +33,10 @@ release, and it exists twice:
   kernel writes each phase's release / first-injection / drain cycle
   into the plan's arrays; nothing calls back into Python.
 * **here**, as the executable specification the kernel is tested
-  against, which the two Python loops
-  (:class:`~repro.network.refcore.ReferenceCore`,
-  :class:`~repro.network.simcore.ArrayCore`) drive: ``begin(t0)``
-  materialises the DAG's root phases into the event lists the loops
-  walk, ``packet_done(pid, t)`` is called at every tail-flit ejection,
+  against, which the reference loop
+  (:class:`~repro.network.refcore.ReferenceCore`) drives: ``begin(t0)``
+  materialises the DAG's root phases into the event lists the loop
+  walks, ``packet_done(pid, t)`` is called at every tail-flit ejection,
   ``flush(ip)`` (end of cycle, when ``dirty``) merges newly released
   phases in, and ``finished`` breaks the loop.
 
@@ -254,7 +253,7 @@ class PhasePlan:
         self._pid0 = 0
         self._begun = False
 
-        # ---- the Python loops' view (begin / packet_done / flush) -----
+        # ---- the reference loop's view (begin / packet_done / flush) -
         self._pending: List[Tuple[int, int]] = []
         #: set when completions queued releases a flush must materialise.
         self.dirty = False

@@ -113,7 +113,7 @@ class TestPackedChunkParity:
     @pytest.fixture(autouse=True)
     def native_session(self, monkeypatch):
         """Packed chunks need the kernel as the session's core, also
-        on the CI leg that runs the suite with REPRO_SIM_CORE=array."""
+        on the CI leg that runs the suite with REPRO_SIM_CORE=reference."""
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
 
     def test_packed_equals_per_lane(self, tmp_path):
@@ -142,7 +142,7 @@ class TestPackedChunkParity:
             [spec], cache=ResultCache(tmp_path / "packed"), workers=1
         )
         with monkeypatch.context() as m:
-            m.setenv("REPRO_SIM_CORE", "array")
+            m.setenv("REPRO_SIM_CORE", "reference")
             replay = ResultCache(tmp_path / "packed")
             [replayed] = run_experiments([spec], cache=replay, workers=1)
             assert replay.hits == 2
@@ -292,11 +292,11 @@ class TestChunkWidth:
             (None, OPEN, 1, 8),
             (None, OPEN, 12, 12),
             ("native", OPEN, 1, 8),
-            ("array", OPEN, 1, 1),
+            ("reference", OPEN, 1, 1),
             ("reference", OPEN, 4, 1),
             (None, CLOSED, 1, 8),
             ("native", CLOSED, 12, 12),
-            ("array", CLOSED, 1, 1),
+            ("reference", CLOSED, 1, 1),
         ],
     )
     def test_width_table(self, monkeypatch, core, spec, threads, width):
@@ -316,7 +316,7 @@ class TestChunkWidth:
     def test_width_one_sweep_equals_per_lane(self, monkeypatch):
         """A non-native session walks the same sweep one rate at a
         time, through the same scheduler."""
-        monkeypatch.setenv("REPRO_SIM_CORE", "array")
+        monkeypatch.setenv("REPRO_SIM_CORE", "reference")
         spec = mesh_spec([0.1, 0.2])
         [sweep] = run_experiments([spec], workers=1)
         sweeps_equal(sweep, per_lane_reference(spec))

@@ -33,10 +33,12 @@ def switch_spec():
     )
 
 
-@pytest.fixture(params=[None, "array"], ids=["default-core", "array-core"])
+@pytest.fixture(
+    params=[None, "reference"], ids=["default-core", "reference-core"]
+)
 def pooled_session(request, monkeypatch):
     """Packed chunks (compiled kernel, when there is one) and one-rate
-    chunks (array core), each with room for a two-worker pool."""
+    chunks (reference core), each with room for a two-worker pool."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("REPRO_SIM_THREADS", "1")
     if request.param is None:

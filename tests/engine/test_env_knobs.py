@@ -49,7 +49,10 @@ def test_engine_reads_threads_up_front(monkeypatch):
 
 def test_unknown_core_lists_the_valid_ones(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_CORE", "bogus")
-    with pytest.raises(ValueError, match="REPRO_SIM_CORE 'bogus'.*'array'"):
+    with pytest.raises(
+        ValueError,
+        match=r"REPRO_SIM_CORE 'bogus'.*\['native', 'reference'\]$",
+    ):
         resolve_core()
     with pytest.raises(ValueError, match="REPRO_SIM_CORE 'bogus'"):
         run_experiments([SPEC], workers=1)
@@ -59,6 +62,25 @@ def test_unknown_core_lists_the_valid_ones(monkeypatch):
         Simulator(None, None, None, SPEC.params, core="fast")
 
 
+def test_array_is_another_name_for_the_reference_core(monkeypatch):
+    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+    assert resolve_core("array") == "reference"
+    monkeypatch.setenv("REPRO_SIM_CORE", "array")
+    assert resolve_core() == "reference"
+    monkeypatch.delenv("REPRO_SIM_CORE")
+
+    from repro.engine import build_experiment
+
+    graph, routing, traffic = build_experiment(SPEC)
+    results = {}
+    for core in ("array", "reference"):
+        sim = Simulator(graph, routing, traffic, SPEC.params, core=core)
+        assert sim.core_name == "reference"
+        results[core] = sim.run(SPEC.rates[0]).to_dict()
+    assert results["array"] == results["reference"]
+    assert results["array"]["packets_delivered"] > 0
+
+
 def test_native_core_without_a_compiler_is_one_sentence(
     monkeypatch, capsys
 ):
@@ -66,16 +88,18 @@ def test_native_core_without_a_compiler_is_one_sentence(
 
     monkeypatch.setattr(simulator, "native_available", lambda: False)
     monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
-    assert resolve_core() == "array"  # unset: falls back quietly
+    assert resolve_core() == "reference"  # unset: falls back quietly
     with pytest.raises(
-        ValueError, match="simulation core 'native' needs a C compiler"
+        ValueError,
+        match="^simulation core 'native' needs a C compiler.*'reference'",
     ):
         resolve_core("native")
     monkeypatch.setenv("REPRO_SIM_CORE", "native")
     with pytest.raises(
-        ValueError, match="^REPRO_SIM_CORE 'native' needs.*'array'"
-    ):
+        ValueError, match="^REPRO_SIM_CORE 'native' needs.*'reference'"
+    ) as raised:
         resolve_core()
+    assert "array" not in str(raised.value)
     test_cli_prints_one_line_and_exits_2(
         monkeypatch, capsys, "REPRO_SIM_CORE", "native"
     )
@@ -92,7 +116,7 @@ def test_native_core_hint_names_the_fallback_rule(monkeypatch):
     with pytest.raises(
         RuntimeError,
         match="REPRO_SIM_CORE unset and resolve_core.. falls back to the "
-        "array core",
+        "reference core$",
     ):
         NativeCore(graph, routing, traffic, SPEC.params)
 

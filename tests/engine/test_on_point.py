@@ -69,7 +69,7 @@ class TestEnginePaths:
         # a real pool: workers x threads <= cpu_count would clamp it
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("REPRO_SIM_THREADS", "1")
-        # one chunk per sweep on every core (the pure-Python cores run
+        # one chunk per sweep on both cores (the reference core runs
         # one rate per chunk otherwise, completing in the pool's order)
         monkeypatch.setattr(
             executor, "_chunk_width", lambda spec, threads: len(spec.rates)

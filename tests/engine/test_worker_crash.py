@@ -66,13 +66,13 @@ def pool_cpus(monkeypatch):
 
 @pytest.fixture(
     params=[
-        pytest.param("array", id="width1"),
+        pytest.param("reference", id="width1"),
         pytest.param(None, id="width8", marks=needs_native),
     ]
 )
 def width(request, monkeypatch):
     """Both chunk widths go through the one scheduler and the one
-    crash handler: one-rate chunks (a pure-Python core session) and
+    crash handler: one-rate chunks (a reference-core session) and
     packed chunks (the compiled kernel)."""
     if request.param is None:
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)

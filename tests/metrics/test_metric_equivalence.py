@@ -1,6 +1,6 @@
 """Cross-core metric equivalence: probe channels agree bit-for-bit.
 
-All three cores read the same packet table off the shared front end
+Both cores read the same packet table off the shared front end
 (no schedule is pinned here), so the post-run probe decode must
 produce *identical* channels, rows and summaries — on the smoke
 scenario's configurations, on a degraded (faulted) switchless system,
@@ -27,7 +27,7 @@ from repro.network import SimParams, Simulator, native_available
 
 REPO = Path(__file__).resolve().parents[2]
 
-CORES = ["array", "reference"] + (
+CORES = ["reference"] + (
     ["native"] if native_available() else []
 )
 
@@ -153,8 +153,7 @@ class TestDistanceRowLifetime:
             graph, routing, traffic = build_experiment(spec, system=system)
             assert graph is system.graph
             sim = Simulator(
-                graph, routing, traffic, spec.params, core=CORES[0],
-                probes=["misroute"],
+                graph, routing, traffic, spec.params, probes=["misroute"],
             )
             sim.run(rate)
             return sim.last_record.tables

@@ -4,7 +4,7 @@ The batch contract is absolute: N lanes packed into one
 ``sim_run_batch`` call produce results **bit-identical** to N serial
 per-lane runs, for any thread count, any lane count, healthy or
 degraded topologies, with or without probes.  These tests pin
-injection schedules so every core (reference, array, native) must
+injection schedules so both cores (reference, native) must
 agree with the batched lanes exactly, and they drive the compiled
 pre-pass through its edges (fault-masked traffic declines, a
 non-power-of-two permutation scope draws only for its tail).
@@ -163,7 +163,7 @@ needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native core"
 )
 
-SERIAL_CORES = ["reference", "array", "native"]
+SERIAL_CORES = ["reference", "native"]
 
 
 def pinned_setup(spec, lanes):
@@ -230,7 +230,7 @@ class TestBatchBitIdentity:
             graph, routing, traffic, spec.params, self.LANES,
             core="native", schedules=schedules,
         )
-        serial = serial_results(spec, self.LANES, schedules, "array")
+        serial = serial_results(spec, self.LANES, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -246,7 +246,7 @@ class TestBatchBitIdentity:
             graph, routing, traffic, spec.params, self.LANES,
             core="native", schedules=schedules,
         )
-        serial = serial_results(spec, self.LANES, schedules, "array")
+        serial = serial_results(spec, self.LANES, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -283,7 +283,7 @@ class TestBatchBitIdentity:
             graph, routing, traffic, spec.params, lanes,
             core="native", schedules=schedules,
         )
-        serial = serial_results(spec, lanes, schedules, "array")
+        serial = serial_results(spec, lanes, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -300,7 +300,7 @@ class TestBatchBitIdentity:
             graph, routing, traffic, spec.params, lanes,
             core="native", schedules=schedules,
         )
-        serial = serial_results(spec, lanes, schedules, "array")
+        serial = serial_results(spec, lanes, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
@@ -314,7 +314,7 @@ class TestBatchBitIdentity:
             core="native", schedules=schedules, probes=probes,
         )
         serial = serial_results(
-            spec, lanes, schedules, "array", probes=list(probes)
+            spec, lanes, schedules, "reference", probes=list(probes)
         )
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
@@ -383,7 +383,7 @@ class TestBatchLaneEdges:
     def test_unpinned_batch_matches_unpinned_serial(self, core):
         """Free-running lanes sample their own schedules from their
         seed-derived streams — identical to free-running serial runs
-        on every core."""
+        on both cores."""
         spec = switchless_spec()
         lanes = self.lanes(4)
         graph, routing, traffic = build_experiment(spec)
@@ -411,9 +411,9 @@ class TestRunBatchFacade:
         graph, routing, traffic, schedules = pinned_setup(spec, lanes)
         batched = run_batch(
             graph, routing, traffic, spec.params, lanes,
-            core="array", schedules=schedules,
+            core="reference", schedules=schedules,
         )
-        serial = serial_results(spec, lanes, schedules, "array")
+        serial = serial_results(spec, lanes, schedules, "reference")
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 

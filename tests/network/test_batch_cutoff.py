@@ -29,7 +29,6 @@ CORES = [
             not native_available(), reason="no C compiler"
         ),
     ),
-    "array",
     "reference",
 ]
 

@@ -24,7 +24,7 @@ from repro.traffic import UniformTraffic
 
 from .test_simulator import LineRouting, line_graph
 
-CORES = ["array", "reference"] + (
+CORES = ["reference"] + (
     ["native"] if native_available() else []
 )
 

@@ -1,4 +1,4 @@
-"""Cross-core equivalence: array, native and reference cores agree.
+"""Cross-core equivalence: the native and reference cores agree.
 
 Schedule, destination and route of every packet are drawn by one
 shared front end (:mod:`repro.network.corebase`) before any core's
@@ -19,7 +19,7 @@ from repro.network import SimParams, Simulator, native_available
 
 REPO = Path(__file__).resolve().parents[2]
 
-CORES = ["array", "reference"] + (
+CORES = ["reference"] + (
     ["native"] if native_available() else []
 )
 

@@ -62,12 +62,14 @@ def test_traced_peak_per_packet_of_one_lane(system):
     lane = _lane(system)
     params = PARAMS.scaled(measure_cycles=10_000, seed=5)
     # kernel loaded, plane built, link tables shared: not per packet
-    run_batch(*lane, PARAMS, [(1, 0.3)], threads=1)
+    run_batch(*lane, PARAMS, [(1, 0.3)], core="native", threads=1)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        [res] = run_batch(*lane, params, [(7, 0.3)], threads=1)
+        [res] = run_batch(
+            *lane, params, [(7, 0.3)], core="native", threads=1
+        )
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

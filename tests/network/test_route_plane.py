@@ -3,8 +3,8 @@
 A routing that offers ``route_plane()`` is resolved in bulk from labels
 and leaves no per-pair state behind; one that returns ``None`` goes
 through the routing's shared :class:`~repro.routing.RouteTable`.
-Results are bit-identical either way (and to the pure-Python cores,
-which always run the scalar ``route()``).
+Results are bit-identical either way (and to the reference core,
+which always runs the scalar ``route()``).
 """
 
 from __future__ import annotations
@@ -106,19 +106,19 @@ def test_dragonfly_plane_equals_table(dragonfly, mode):
 
 
 @pytest.mark.parametrize("mode", ["minimal", "valiant"])
-def test_plane_core_equals_python_cores(switchless, mode):
+def test_plane_core_equals_reference_core(switchless, mode):
     """Same RNG draws in the same order as the scalar ``route()``."""
     graph = switchless.graph
     traffic = UniformTraffic(graph)
     results = {}
-    for core in ("native", "array"):
+    for core in ("native", "reference"):
         routing = SwitchlessRouting(
             switchless, mode, policy="reduced", misroute_scope="lower"
         )
         sim = Simulator(graph, routing, traffic, PARAMS, core=core)
         schedule = sim.make_schedule(0.4)
         results[core] = (sim.run(0.4, schedule=schedule), routing.fallback_count)
-    assert results["native"] == results["array"]
+    assert results["native"] == results["reference"]
 
 
 @pytest.mark.parametrize(

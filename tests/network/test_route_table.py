@@ -2,7 +2,7 @@
 
 A deterministic routing without a closed-form plane owns one
 :class:`~repro.routing.RouteTable`; every core of that routing —
-batch lanes, consecutive batches, the Python cores — reads it, so each
+batch lanes, consecutive batches, the reference core — reads it, so each
 pair is resolved through ``route()`` once while the routing lives, and
 the table dies with it.
 """
@@ -21,8 +21,8 @@ PARAMS = SimParams(
 )
 LANES = [(31, 0.2), (32, 0.4), (33, 0.6)]
 #: ``run_batch`` packs lanes only on the native core; without a compiler
-#: the same assertions hold for per-lane array simulators
-BATCH_CORE = "native" if native_available() else "array"
+#: the same assertions hold for per-lane reference simulators
+BATCH_CORE = "native" if native_available() else "reference"
 
 
 def mesh_spec(**over):
@@ -61,7 +61,7 @@ def counted(routing) -> Counter:
     return calls
 
 
-def two_batches_and_an_array_run(spec, routing=None):
+def two_batches_and_a_reference_run(spec, routing=None):
     graph, built, traffic = build_experiment(spec)
     routing = routing or built
     results = [
@@ -71,7 +71,9 @@ def two_batches_and_an_array_run(spec, routing=None):
         for _ in range(2)
     ]
     results.append(
-        Simulator(graph, routing, traffic, spec.params, core="array").run(0.5)
+        Simulator(
+            graph, routing, traffic, spec.params, core="reference"
+        ).run(0.5)
     )
     return routing, results
 
@@ -80,7 +82,7 @@ def two_batches_and_an_array_run(spec, routing=None):
 def test_each_pair_is_resolved_once_per_routing(spec):
     _, routing, _ = build_experiment(spec)
     calls = counted(routing)
-    two_batches_and_an_array_run(spec, routing)
+    two_batches_and_a_reference_run(spec, routing)
     table = routing.route_table()
     assert len(table) == len(calls) > 50
     assert set(calls.values()) == {1}
@@ -88,16 +90,16 @@ def test_each_pair_is_resolved_once_per_routing(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_full_table_changes_no_result(spec):
-    _, want = two_batches_and_an_array_run(spec)
+    _, want = two_batches_and_a_reference_run(spec)
     _, capped, _ = build_experiment(spec)
     capped.route_memo_max = 8
-    _, got = two_batches_and_an_array_run(spec, capped)
+    _, got = two_batches_and_a_reference_run(spec, capped)
     assert got == want
     assert 0 < len(capped.route_table()) <= 8
 
 
 def test_table_dies_with_its_routing():
-    routing, _ = two_batches_and_an_array_run(mesh_spec())
+    routing, _ = two_batches_and_a_reference_run(mesh_spec())
     table = weakref.ref(routing.route_table())
     assert len(table())
     del routing

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import Scenario, Study
 from repro.engine import executor
+from repro.network import resolve_core
 from repro.obs.registry import REGISTRY
 from repro.service import (
     JobRequest,
@@ -133,10 +134,11 @@ class TestWorkerPoolCrash:
             # (a worker torn down with the pool may leave stages whose
             # chunk span never closed: those trace to no pid)
             by_id = {s["span_id"]: s for s in spans}
-            for name in (
-                "engine.chunk", "engine.build", "kernel.prepare",
-                "kernel.run",
-            ):
+            stages = ["engine.chunk", "engine.build", "kernel.run"]
+            if resolve_core() == "native":
+                # only a packed kernel call has a prepare stage
+                stages.append("kernel.prepare")
+            for name in stages:
                 pids = {
                     _worker_pid(s, by_id) for s in spans if s["name"] == name
                 } - {None}

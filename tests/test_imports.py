@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -117,6 +118,15 @@ def test_public_surface(name):
     assert set(exported) <= set(namespace)
 
 
+def test_network_exports_two_cores():
+    """The compiled kernel and the reference loop are the only cores;
+    the pure-Python array core and its module are gone."""
+    network = importlib.import_module("repro.network")
+    cores = {name for name in network.__all__ if name.endswith("Core")}
+    assert cores == {"NativeCore", "ReferenceCore"}
+    assert importlib.util.find_spec("repro.network.simcore") is None
+
+
 # ----------------------------------------------------------------------
 # a cold run
 # ----------------------------------------------------------------------
@@ -128,7 +138,6 @@ UNUSED_BY_A_RUN = {
     "repro.api.library",
     "repro.api.compare",
     "repro.api.resilience",
-    "repro.network.simcore",
     "repro.network.refcore",
     "repro.metrics.probes",
     "repro.metrics.record",
@@ -169,11 +178,10 @@ def test_cold_run_loads_only_what_it_runs(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     assert out.is_file()
     modules = set(json.loads(loaded.read_text()))
-    # a host without a C compiler runs a Python core instead
-    unused = UNUSED_BY_A_RUN - {
-        {"array": "repro.network.simcore",
-         "reference": "repro.network.refcore"}.get(resolve_core(), "")
-    }
+    # a host without a C compiler runs the reference core instead
+    unused = UNUSED_BY_A_RUN - (
+        {"repro.network.refcore"} if resolve_core() == "reference" else set()
+    )
     assert not modules & unused
     ours = sorted(m for m in modules if m.split(".")[0] == "repro")
     assert len(ours) <= 45, ours

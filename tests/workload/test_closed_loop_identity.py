@@ -1,9 +1,9 @@
-"""Cross-core closed-loop identity: reference == array == native.
+"""Cross-core closed-loop identity: reference == native.
 
 A plan's packets are resolved before the loop by the shared front end,
 so what differs between the cores is only who releases the phases: the
 kernel's dependency counters (native) or ``PhasePlan.begin /
-packet_done / flush`` under the two Python loops — the specification.
+packet_done / flush`` under the reference loop — the specification.
 Every run here is compared on every ``SimResult`` field, every
 channel's rows and summary, the per-phase records and the per-packet
 record columns, over the *workload registry* and four fabrics that each
@@ -19,7 +19,7 @@ from repro.engine import ExperimentSpec, build_experiment
 from repro.engine.spec import point_seed
 from repro.network import SimParams, native_available
 from repro.network import native as native_mod
-from repro.network.simcore import ArrayCore
+from repro.network.refcore import ReferenceCore
 from repro.network.simulator import Simulator, run_batch
 from repro.workload import PhasePlan, list_workloads, workload_for_traffic
 
@@ -35,7 +35,7 @@ DEGRADED = {
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native core"
 )
-CORES = ["reference", "array"] + (["native"] if native_available() else [])
+CORES = ["reference"] + (["native"] if native_available() else [])
 
 
 def mesh_spec(**kw):
@@ -132,11 +132,11 @@ def test_cores_identical(workload, fabric):
 
 
 @needs_native
-def test_native_plan_never_enters_the_array_loop(monkeypatch):
+def test_native_plan_never_enters_the_reference_loop(monkeypatch):
     def boom(*args, **kwargs):
-        raise AssertionError("ArrayCore.run reached from the native core")
+        raise AssertionError("ReferenceCore.run reached from the native core")
 
-    monkeypatch.setattr(ArrayCore, "run", boom)
+    monkeypatch.setattr(ReferenceCore, "run", boom)
     spec = mesh_spec(workload="all_to_all")
     graph, routing, traffic, plan = build(spec)
     sim = Simulator(graph, routing, traffic, spec.params, core="native")
