@@ -6,9 +6,9 @@ benches are thin wrappers over the bundled ``repro.api`` scenario
 library (:func:`run_library_study`); only the ablation bench still
 builds live objects, and sweeps them with ``repro.network.sweep_rates``.
 
-Because the substrate is a pure-Python cycle-accurate simulator, the
-default scale trades simulated cycles / system size for wall-clock
-(documented per bench and in EXPERIMENTS.md); set ``REPRO_SCALE=full``
+Because a cycle-accurate simulation of a paper-size system takes hours,
+the default scale trades simulated cycles / system size for wall-clock
+(documented per bench); set ``REPRO_SCALE=full``
 for paper-exact configurations and Table IV cycle counts, or
 ``REPRO_SCALE=quick`` for a smoke-level pass.
 """

@@ -201,7 +201,10 @@ class SwitchlessConfig:
         """Tiny 3x3-mesh config (5 ports: 3 local + 2 global, 9 W-groups,
         324 nodes).  Used by fast tests; note that 3x3 C-groups have no
         usable mesh interior, so the *reduced* VC policy is knowingly
-        cyclic here (see EXPERIMENTS.md) — use the baseline policy."""
+        cyclic here, as on every mesh C-group with corner chips
+        (``test_reduced_cyclic_on_mesh_cgroups`` in
+        ``tests/routing/test_switchless_routing.py``) — use the baseline
+        policy."""
         return cls(
             mesh_dim=3, chiplet_dim=1, num_local=3, num_global=2, **kw
         )

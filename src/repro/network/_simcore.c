@@ -5,9 +5,8 @@
  * Every cold process pays that compile, so it runs at -O1 (the kernel
  * is within 2% of an -O3 build) and writes only new files: no temp
  * file is reopened with truncation (the module doc there has numbers).
- * All state lives in caller-owned int64 buffers, so a core instance
- * can run() repeatedly (drain leftovers persist) and Python can
- * inspect buffers for conservation checks.
+ * All state lives in caller-owned int64 buffers, fresh for the core's
+ * one run, so Python can inspect them for conservation checks.
  *
  * The cycle model replicates repro.network.refcore.ReferenceCore
  * exactly — phases, per-output round-robin over candidate inputs in
@@ -18,8 +17,8 @@
  * (the only consumers of the stdlib RNG stream) before the run, so
  * this kernel needs no callbacks in either of its two modes:
  *
- * - open loop: the packets inject at their scheduled cycles
- *   (ev_cycle sorted, absolute);
+ * - open loop: the packets inject at their creation cycles (p_t0,
+ *   sorted);
  * - plan mode (S.plan set): the packets are the template events of a
  *   repro.workload.driver.PhasePlan, phase-major, and *when* they
  *   inject is decided here.  A phase is released one cycle after the
@@ -29,8 +28,10 @@
  *   the run ends when every phase has drained.
  *   PhasePlan.begin/packet_done/flush is the specification.
  *
- * Flit words use the Python core's packing, minus the event tag that
- * would overflow 64 bits: f = (pid << 22) | (flit_idx << 11) | hop.
+ * Either way event e is packet e: a run starts at cycle 0 with the
+ * packet table holding exactly its packets.  Flit words use the Python
+ * core's packing, minus the event tag that would overflow 64 bits:
+ * f = (pid << 22) | (flit_idx << 11) | hop.
  * Wheel events are parallel (flit, lv) arrays.
  *
  * The pre-resolution itself has two entry points at the end of this
@@ -63,7 +64,6 @@ typedef int64_t i64;
  * and exists only for a plan's run. */
 #define PLAN_FIELDS(X) \
     X(i64, n_ph) \
-    X(i64, pid0)        /* first packet id of the run: event e is pid0 + e */ \
     /* scratch counters, zero on entry: act_n released phases with \
      * events left, the queue's head and tail, done_n drained phases */ \
     X(i64, act_n) X(i64, q_head) X(i64, q_tail) X(i64, done_n) \
@@ -96,11 +96,9 @@ typedef struct { PLAN_FIELDS(FIELD) } Plan;
     X(i64, max_in)      /* max inbound (link, vc) inputs of any router */ \
     X(i64, pkt_len) X(i64, inj_w) X(i64, ej_w) \
     X(i64, warm) X(i64, meas_end) X(i64, t_end) \
-    X(i64, t0)          /* first cycle of this run (continues prior runs) */ \
-    X(i64, n_ev)        /* injection events: schedule or template order */ \
-    /* outputs / running counters (read-modify-write) */ \
+    X(i64, n_ev)        /* packets: schedule or template order */ \
+    /* outputs, written on return */ \
     X(i64, n_lat) X(i64, tfi) X(i64, tfe) X(i64, pm) X(i64, few) \
-    X(i64, hot_n) \
     X(i64, error)       /* 0 ok; 1 wheel overflow; 2 ne overflow */ \
     /* per-link / per-lv constants, shared read-only by every lane */ \
     X(const i64 *, cap)     /* [num_links] flits per cycle */ \
@@ -142,12 +140,10 @@ typedef struct { PLAN_FIELDS(FIELD) } Plan;
     X(i64 *, p_hops)    /* [num_packets] route length */ \
     X(i64 *, p_t0)      /* [num_packets] creation cycle */ \
     X(i64 *, p_meas)    /* [num_packets] created in window */ \
+    X(i64 *, p_src)     /* [num_packets] source router */ \
     X(i64 *, route_lv)  /* per-hop (link*V + vc) */ \
     X(const i64 *, lv_link)  /* per-lv link id (lv / num_vcs), shared */ \
     X(const i64 *, lv_delay) /* per-lv in-flight delay of its link, shared */ \
-    /* injection events: [n_ev] cycles (sorted, open loop only), \
-     * sources and packet ids */ \
-    X(i64 *, ev_cycle) X(i64 *, ev_src) X(i64 *, ev_pid) \
     /* measurement output, [>= packets] each: latency and hops per \
      * delivered measured packet, and its pid (NULL when unprobed) */ \
     X(i64 *, lat_out) X(i64 *, hops_out) X(i64 *, pid_out) \
@@ -192,16 +188,12 @@ static void plan_drained(Plan *p, i64 i, i64 t_done)
     }
 }
 
-/* tail flit of packet pid left the network at cycle t (leftovers of an
- * earlier open-loop run, pid < pid0, are not the plan's) */
+/* tail flit of packet pid left the network at cycle t */
 static inline void plan_packet_done(Plan *p, i64 pid, i64 t)
 {
-    i64 e = pid - p->pid0;
-    if (e >= 0) {
-        i64 i = p->ev_phase[e];
-        if (--p->rem[i] == 0)
-            plan_drained(p, i, t);
-    }
+    i64 i = p->ev_phase[pid];
+    if (--p->rem[i] == 0)
+        plan_drained(p, i, t);
 }
 
 /* end of cycle: start every phase released during it.  A phase with
@@ -223,12 +215,12 @@ static void plan_flush(Plan *p)
     }
 }
 
-/* the DAG's roots are released at t0 */
-static void plan_begin(Plan *p, i64 t0)
+/* the DAG's roots are released at cycle 0 */
+static void plan_begin(Plan *p)
 {
     for (i64 i = 0; i < p->n_ph; i++)
         if (p->indeg[i] == 0) {
-            p->release[i] = t0;
+            p->release[i] = 0;
             p->queue[p->q_tail++] = i;
         }
     plan_flush(p);
@@ -283,19 +275,15 @@ i64 sim_run(S *s)
     Plan *const plan = s->plan;
 
     i64 *hot = s->hot_a, *nxt = s->hot_b;
-    i64 hot_n = s->hot_n, nxt_n;
-    i64 tfi = s->tfi, tfe = s->tfe, pm = s->pm, few = s->few;
-    i64 n_lat = s->n_lat;
+    i64 hot_n = 0, nxt_n;
+    i64 tfi = 0, tfe = 0, pm = 0, few = 0, n_lat = 0;
     i64 ipk = 0;
-
-    i64 pending = 0;
-    for (i64 i = 0; i < W; i++)
-        pending += s->aw_n[i] + s->cw_n[i];
+    i64 pending = 0; /* wheel events: flit arrivals, credit returns */
 
     if (plan)
-        plan_begin(plan, s->t0);
+        plan_begin(plan);
 
-    for (i64 t = s->t0; t < t_end; ) {
+    for (i64 t = 0; t < t_end; ) {
         i64 slot = t % W;
         int in_window = (warm <= t) && (t < meas_end);
 
@@ -342,18 +330,17 @@ i64 sim_run(S *s)
 
         /* --- 3. packet generation (pre-resolved packets) --------- */
         for (;;) {
-            i64 e;
+            i64 pid;
             if (plan) {
-                e = plan_due(plan, t);
-                if (e < 0)
+                pid = plan_due(plan, t);
+                if (pid < 0)
                     break;
             } else {
-                if (ipk >= n_ev || s->ev_cycle[ipk] > t)
+                if (ipk >= n_ev || s->p_t0[ipk] > t)
                     break;
-                e = ipk++;
+                pid = ipk++;
             }
-            i64 pid = s->ev_pid[e];
-            i64 src = s->ev_src[e];
+            i64 src = s->p_src[pid];
             if (plan) {
                 /* a plan's packet is created when it is released */
                 s->p_t0[pid] = t;
@@ -647,7 +634,7 @@ i64 sim_run(S *s)
         /* --- idle fast-forward ----------------------------------- */
         if (hot_n == 0 && pending == 0) {
             i64 next = plan ? plan_next_cycle(plan)
-                     : ipk < n_ev ? s->ev_cycle[ipk] : -1;
+                     : ipk < n_ev ? s->p_t0[ipk] : -1;
             if (next < 0)
                 break;
             t = next;
@@ -655,12 +642,6 @@ i64 sim_run(S *s)
     }
 
 out:
-    /* persist the hot list in hot_a for the next run() */
-    if (hot != s->hot_a) {
-        for (i64 i = 0; i < hot_n; i++)
-            s->hot_a[i] = hot[i];
-    }
-    s->hot_n = hot_n;
     s->tfi = tfi;
     s->tfe = tfe;
     s->pm = pm;

@@ -42,13 +42,12 @@ but which packets exist is not, so every template event of the
 :class:`~repro.workload.driver.PhasePlan` becomes a packet-table row
 before the loop, in template order — its route resolved through the
 same bulk calls, its creation cycle and measured flag stamped by the
-loop at injection.  A plan's packet ids are therefore static
-(``pid0`` + template index) on every core.
+loop at injection.  A plan's packet ids are therefore static (the
+template index) on every core.
 
-Measurement state accumulates across ``run()`` calls and the cycle
-clock keeps counting, so leftover in-flight state from a truncated
-drain stays consistent (wheel slots aligned, latencies non-negative).
-The engine still builds a fresh instance per simulated point.
+A core runs once: its one run starts at cycle 0 with the packet table
+holding exactly that run's packets, and a second ``run()`` raises
+:data:`SINGLE_RUN`.
 """
 
 from __future__ import annotations
@@ -69,7 +68,18 @@ from .vecrandom import VecRandom
 if TYPE_CHECKING:
     from ..metrics.record import RunRecord
 
-__all__ = ["CoreBase", "LinkTables", "PacketTable", "link_tables"]
+__all__ = [
+    "CoreBase", "LinkTables", "PacketTable", "SINGLE_RUN", "link_tables",
+]
+
+#: what a second ``run()`` of a core, a
+#: :class:`~repro.network.simulator.Simulator`, a
+#: :class:`~repro.network.native.NativeBatch` or a
+#: :class:`~repro.workload.driver.PhasePlan` raises
+SINGLE_RUN = (
+    "a simulator core, Simulator, NativeBatch or PhasePlan runs once: "
+    "build a fresh one per run()"
+)
 
 # Flit word of the native kernel (``_simcore.c``):
 # (pid << 22) | (flit_idx << 11) | hop, 11 bits each for the flit
@@ -88,12 +98,12 @@ def _as_i64(values) -> np.ndarray:
 
 
 class PacketTable:
-    """Every packet a core created, one int64 row per field.
+    """Every packet of a core's run, one int64 row per field.
 
-    Packet ids are column indices; each pre-pass appends its packets
-    once: an open-loop run's in creation order, a closed-loop plan's in
-    template order (``t0`` = -1 and ``meas`` = 0 until a loop injects
-    the packet and stamps both in place).
+    Packet ids are column indices; the pre-pass fills the table once:
+    an open-loop run's packets in creation order, a closed-loop plan's
+    in template order (``t0`` = -1 and ``meas`` = 0 until a loop
+    injects the packet and stamps both in place).
     """
 
     def __init__(self) -> None:
@@ -102,18 +112,13 @@ class PacketTable:
     def __len__(self) -> int:
         return self._rows.shape[1]
 
-    def append(self, t0, meas, src, dst, off, hops) -> None:
-        """Append aligned columns (lists or arrays) of new packets."""
-        block = np.empty((6, len(t0)), dtype=np.int64)
-        for row, column in zip(block, (t0, meas, src, dst, off, hops)):
+    def fill(self, t0, meas, src, dst, off, hops) -> None:
+        """Set the packets from aligned columns (lists or arrays)."""
+        self._rows = np.empty((6, len(t0)), dtype=np.int64)
+        for row, column in zip(self._rows, (t0, meas, src, dst, off, hops)):
             row[:] = column
-        self._rows = (
-            np.concatenate([self._rows, block], axis=1)
-            if len(self)
-            else block
-        )
 
-    #: creation cycle (absolute), created-in-window flag, source and
+    #: creation cycle, created-in-window flag, source and
     #: destination node, route offset into the core's arena, route hops.
     t0 = property(lambda self: self._rows[0])
     meas = property(lambda self: self._rows[1])
@@ -172,18 +177,14 @@ def link_tables(graph, num_vcs: int, router_latency: int) -> LinkTables:
 def _window_events(schedule: InjectionSchedule, ctx: "RunCtx") -> int:
     """How many of the schedule's (sorted) events start before the
     run's injection window closes; later ones never become packets."""
-    return int(
-        np.searchsorted(schedule.cycles, ctx.meas_end - ctx.t0, side="left")
-    )
+    return int(np.searchsorted(schedule.cycles, ctx.meas_end, side="left"))
 
 
 class RunCtx:
-    """One open-loop run, resolved: the window's absolute cycle stamps
-    and which rows of the packet table are this run's injection events
-    (``[pid0, pid0 + n_new)``, in event order — an event that creates
-    no packet was dropped by the pre-pass).  Attributes: ``rate``,
-    ``t0``, ``warm``, ``meas_end``, ``t_end``, ``effective_offered``,
-    ``pid0``, ``n_new``; the native core adds its kernel staging."""
+    """A core's run, resolved: the window's cycle stamps (the run
+    covers ``[0, t_end)``) and the offered load.  Attributes: ``rate``,
+    ``warm``, ``meas_end``, ``t_end``, ``effective_offered``; the
+    native core adds its kernel's output buffers."""
 
 
 class CoreBase:
@@ -269,7 +270,7 @@ class CoreBase:
         self._latencies: List[int] = []
         self._hops: List[int] = []
         # Probe bookkeeping (see repro.metrics): disabled by default.
-        # When enabled (before the first run) the ejection sites keep
+        # When enabled (before the run) the ejection sites keep
         # the delivered packet ids, aligned with ``_latencies``;
         # everything else run_record() needs is in the packet table.
         self._probe_mode = False
@@ -278,31 +279,28 @@ class CoreBase:
         self._flits_ejected_window = 0
         self.total_flits_injected = 0
         self.total_flits_ejected = 0
-        #: cycles simulated by previous run() calls.  The clock keeps
-        #: counting across runs so that leftover in-flight events stay
-        #: aligned with their wheel slots and leftover packets report
-        #: non-negative latencies.
-        self._clock = 0
-        #: the closed-loop PhasePlan of the most recent run (None for
-        #: open-loop runs); run_record() reads its phase records and
-        #: measurement window.
+        #: set when the core's one run starts (see SINGLE_RUN)
+        self._ran = False
+        #: the closed-loop PhasePlan of the run (None for an open-loop
+        #: run); run_record() reads its phase records and measurement
+        #: window.
         self._plan = None
 
     # -- probes ---------------------------------------------------------
     def enable_probes(self) -> None:
         """Start recording the per-packet probe surface.
 
-        Must be called before the first ``run()`` — packets delivered
-        earlier have no recorded id, which would misalign the arrays.
+        Must be called before ``run()`` — packets delivered earlier
+        have no recorded id, which would misalign the arrays.
         """
-        if self._clock:
+        if self._ran:
             raise RuntimeError(
                 "probes must be enabled before the first run()"
             )
         self._probe_mode = True
 
     def run_record(self, rate: float) -> RunRecord:
-        """Bulk measurement record of this core's runs so far."""
+        """Bulk measurement record of this core's run."""
         from ..metrics.record import RunRecord, graph_tables
 
         if not self._probe_mode:
@@ -324,13 +322,11 @@ class CoreBase:
         if plan is not None:
             # closed-loop: the window is the measured makespan, not the
             # (huge) horizon the params carried as a safety bound
-            measure_start = plan._t0
+            measure_start = 0
             measure_cycles = plan.elapsed()
-            measure_end = measure_start + measure_cycles
             phases = plan.phase_records()
         else:
-            measure_end = self._clock - p.drain_cycles
-            measure_start = measure_end - p.measure_cycles
+            measure_start = p.warmup_cycles
             measure_cycles = p.measure_cycles
             phases = ()
         return RunRecord(
@@ -341,7 +337,7 @@ class CoreBase:
             num_vcs=self.num_vcs,
             packet_length=p.packet_length,
             measure_start=measure_start,
-            measure_end=measure_end,
+            measure_end=measure_start + measure_cycles,
             measure_cycles=measure_cycles,
             active_chips=self._active_chips,
             phases=phases,
@@ -401,9 +397,10 @@ class CoreBase:
         """``(offset, hops)`` into :attr:`_routes` of a route ``src ->
         dst``, resolved on demand.
 
-        The scalar single point of truth: the scalar pre-pass and the
-        reference loop's closed-loop injection both call it, and it draws
-        from the stdlib RNG exactly as ``routing.route()`` does.
+        The scalar single point of truth: the scalar pre-pass calls it
+        per packet, :meth:`_begin` per template event of a plan it
+        cannot resolve in bulk, and it draws from the stdlib RNG exactly
+        as ``routing.route()`` does.
         """
         if self._table is not None:
             sl = self._table.slice(src, dst, self._py_rng)
@@ -437,24 +434,24 @@ class CoreBase:
 
     # -- the open-loop packet front end ---------------------------------
     def _open(self, rate: float) -> RunCtx:
-        """The next run's context, before any packet of it exists."""
+        """Claim the core's one run (see :data:`SINGLE_RUN`): its
+        context, before any packet of it exists."""
+        if self._ran:
+            raise RuntimeError(SINGLE_RUN)
+        self._ran = True
         p = self.params
         ctx = RunCtx()
         ctx.rate = rate
-        # absolute cycle stamps: the run covers [t0, t_end)
-        ctx.t0 = self._clock
-        ctx.warm = ctx.t0 + p.warmup_cycles
+        ctx.warm = p.warmup_cycles
         ctx.meas_end = ctx.warm + p.measure_cycles
         ctx.t_end = ctx.meas_end + p.drain_cycles
         ctx.effective_offered = 0.0
-        ctx.pid0 = len(self._packets)
-        ctx.n_new = 0
         return ctx
 
-    def _append_packets(self, t, src, dst, off, hops, ctx: "RunCtx"):
+    def _fill_packets(self, t, src, dst, off, hops, ctx: "RunCtx"):
         t = np.asarray(t, dtype=np.int64)
         measured = (t >= ctx.warm) & (t < ctx.meas_end)
-        self._packets.append(t, measured, src, dst, off, hops)
+        self._packets.fill(t, measured, src, dst, off, hops)
 
     def _resolve_packets(self, schedule: InjectionSchedule, ctx: RunCtx):
         """Resolve every scheduled event into the packet table.
@@ -462,8 +459,7 @@ class CoreBase:
         Consumes the stdlib RNG in schedule order: the destination
         draw, then the route draw for packets that are actually
         created.  Events at or past the injection window are dropped
-        *before* any RNG draw — no core injects into the drain window;
-        stamps are absolute (``t0``-shifted).
+        *before* any RNG draw — no core injects into the drain window.
         """
         dest = self.traffic.dest
         py_rng = self._py_rng
@@ -471,7 +467,6 @@ class CoreBase:
         # with a plane and a routing that never draws, the loop only
         # draws destinations; the pairs are resolved in one call behind
         bulk = self._plane is not None and self._deterministic
-        t0 = ctx.t0
         # cycles are sorted: no RNG is consumed past the gate
         n_ev = _window_events(schedule, ctx)
         ts: List[int] = []
@@ -489,12 +484,12 @@ class CoreBase:
                 off, nhops = route_slice(nid, dst)
                 offs.append(off)
                 hops.append(nhops)
-            ts.append(t + t0)
+            ts.append(t)
             srcs.append(nid)
             dsts.append(dst)
         if bulk and srcs:
             offs, hops = self._plane_slices(_as_i64(srcs), _as_i64(dsts))
-        self._append_packets(ts, srcs, dsts, offs, hops, ctx)
+        self._fill_packets(ts, srcs, dsts, offs, hops, ctx)
 
     def _resolve_packets_vec(
         self, schedule: InjectionSchedule, ctx: RunCtx
@@ -546,9 +541,8 @@ class CoreBase:
         vr.commit()
         if fallbacks:
             self.routing.fallback_count += fallbacks
-        self._append_packets(
-            schedule.cycles[:n_ev][keep] + ctx.t0, k_src, k_dst, off, nhops,
-            ctx,
+        self._fill_packets(
+            schedule.cycles[:n_ev][keep], k_src, k_dst, off, nhops, ctx
         )
         return True
 
@@ -575,7 +569,6 @@ class CoreBase:
             and self._resolve_packets_vec(schedule, ctx)
         ):
             self._resolve_packets(schedule, ctx)
-        ctx.n_new = len(self._packets) - ctx.pid0
         return ctx
 
     def _begin(self, rate: float, schedule, plan) -> RunCtx:
@@ -588,8 +581,8 @@ class CoreBase:
         table when the routing is deterministic, else (a randomised
         routing, a full table) pair by pair through :meth:`route_slice`,
         which is then the stdlib RNG's only consumer.  The plan brings
-        its own window, ``[t0, t0 + horizon)`` with no warmup and no
-        drain, and nothing is offered open-loop.
+        its own window, ``[0, horizon)`` with no warmup and no drain,
+        and nothing is offered open-loop.
         """
         if plan is not None and schedule is not None:
             raise ValueError("pass either a schedule or a plan, not both")
@@ -599,8 +592,8 @@ class CoreBase:
         if rate <= 0:
             raise ValueError("closed-loop rate must be > 0")
         ctx = self._open(rate)
-        ctx.warm = ctx.t0
-        ctx.meas_end = ctx.t_end = ctx.t0 + plan.horizon()
+        ctx.warm = 0
+        ctx.meas_end = ctx.t_end = plan.horizon()
         srcs, dsts = plan.tpl_src, plan.tpl_dst
         bulk = None
         if self._deterministic and srcs.size:
@@ -617,10 +610,7 @@ class CoreBase:
             ]
             bulk = [sl[0] for sl in pairs], [sl[1] for sl in pairs]
         n = srcs.size
-        self._packets.append(
-            np.full(n, -1), np.zeros(n), srcs, dsts, *bulk
-        )
-        ctx.n_new = n
+        self._packets.fill(np.full(n, -1), np.zeros(n), srcs, dsts, *bulk)
         return ctx
 
     # -- results ----------------------------------------------------------

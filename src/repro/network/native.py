@@ -463,10 +463,6 @@ class NativeCore(CoreBase):
                 "the reference core"
             )
         self._lib = lib
-        # what the kernel reports per ejected packet, kept as arrays
-        self._latencies = self._hops = self._eject_pid = np.empty(
-            0, dtype=np.int64
-        )
 
         # Per-wheel-slot capacity.  Arrivals delivered in one cycle are
         # bounded by the sum of link capacities (one issuing cycle per
@@ -479,29 +475,29 @@ class NativeCore(CoreBase):
             params.ejection_width, params.injection_width
         ) + 8
         self._slot_cap = slot_cap
-        # the kernel state lives from the first _build_state to
-        # _release: a lane a cutoff never runs holds none of it
+        # the kernel state lives from _build_state to _release: a lane
+        # a cutoff never runs holds none of it
         self._drop_state()
-        self._n_hot_n = 0
         #: flits a released lane left in flight
         self._n_left = 0
 
     def _alloc_state(self) -> None:
-        """Allocate the kernel state a run starts from (all idle)."""
+        """Allocate the kernel state the run starts from (all idle)."""
         num_nodes = self.graph.num_nodes
         num_lv = self._num_lv
         links = self._links
         W = self._wheel_size
-        self._n_credits = np.full(
-            num_lv, self.params.vc_buffer_size, dtype=np.int64
-        )
+        p = self.params
+        self._n_credits = np.full(num_lv, p.vc_buffer_size, dtype=np.int64)
         self._n_owner = np.full(num_lv, -1, dtype=np.int64)
         self._n_b_head = _zeros(num_lv)
         self._n_b_len = _zeros(num_lv)
         self._n_ne_arr = _zeros(num_nodes * links.max_in)
         self._n_ne_len = _zeros(num_nodes)
-        self._n_sq_arena = _zeros(0)
-        self._n_sq_off = _zeros(num_nodes)
+        # the source queues: one arena, a slice per node for its packets
+        per_node = np.bincount(self._packets.src, minlength=num_nodes)
+        self._n_sq_arena = _zeros(len(self._packets))
+        self._n_sq_off = np.cumsum(per_node) - per_node
         self._n_sq_head = _zeros(num_nodes)
         self._n_sq_len = _zeros(num_nodes)
         self._n_s_fidx = _zeros(num_nodes)
@@ -514,36 +510,19 @@ class NativeCore(CoreBase):
         self._n_hot_flag = np.zeros(max(1, num_nodes), dtype=np.uint8)
         for name in ("sc_desc", "sc_key", "sc_cand", "sc_used"):
             setattr(self, "_n_" + name, _zeros(links.max_in + 1))
-
-    def _rebuild_srcq_arena(self, ev_src) -> None:
-        """Re-lay the per-node source-queue slices for this run.
-
-        Heads are rewound to slice starts; leftovers from a previous
-        run (drain may not empty saturated queues) are copied over, and
-        each slice gets room for this run's new events.
-        """
-        num_nodes = self.graph.num_nodes
-        ev_src = np.asarray(ev_src, dtype=np.int64)
-        sq_len = self._n_sq_len
-        need = sq_len + (
-            np.bincount(ev_src, minlength=num_nodes)
-            if ev_src.size
-            else 0
+        # The flit rings and the wheel slots are nine tenths of a lane's
+        # state, sized for the worst case and mostly never touched.  The
+        # kernel reads a ring entry or a slot entry only below its count
+        # (b_len, aw_n, cw_n) and writes it before it counts it, so they
+        # need no zeroing — and must not get it: zeroed memory is only
+        # free while the allocator hands out fresh pages, and once a
+        # freed batch's heap is recycled calloc clears every page of
+        # them (measured: +14 MB peak RSS on a five-lane Valiant sweep).
+        slots = W * self._slot_cap
+        self._n_buf = _unset(num_lv * p.vc_buffer_size)
+        self._n_aw_f, self._n_aw_lv, self._n_cw_lv = (
+            _unset(slots) for _ in range(3)
         )
-        off = np.zeros(num_nodes, dtype=np.int64)
-        if num_nodes > 1:
-            off[1:] = np.cumsum(need[:-1])
-        arena = _zeros(int(need.sum()))
-        old = self._n_sq_arena
-        old_off = self._n_sq_off
-        old_head = self._n_sq_head
-        for r in np.flatnonzero(sq_len).tolist():
-            n = int(sq_len[r])
-            start = int(old_off[r] + old_head[r])
-            arena[int(off[r]): int(off[r]) + n] = old[start: start + n]
-        self._n_sq_arena = arena
-        self._n_sq_off = off
-        self._n_sq_head = np.zeros(num_nodes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _build_state(self, ctx: RunCtx):
@@ -553,30 +532,9 @@ class NativeCore(CoreBase):
         links = self._links
         packets = self._packets
         plan = self._plan
-        pid0 = ctx.pid0
-        n_new = ctx.n_new
-        if self._n_credits is None:
-            self._alloc_state()
-        if self._n_buf is None:
-            # The flit rings and the wheel slots are nine tenths of a
-            # lane's state, sized for the worst case and mostly never
-            # touched.  The kernel reads a ring entry or a slot entry
-            # only below its count (b_len, aw_n, cw_n) and writes it
-            # before it counts it, so they need no zeroing — and must
-            # not get it: zeroed memory is only free while the
-            # allocator hands out fresh pages, and once a freed batch's
-            # heap is recycled calloc clears every page of them
-            # (measured: +14 MB peak RSS on a five-lane Valiant sweep).
-            slots = self._wheel_size * self._slot_cap
-            self._n_buf = _unset(self._num_lv * p.vc_buffer_size)
-            self._n_aw_f, self._n_aw_lv, self._n_cw_lv = (
-                _unset(slots) for _ in range(3)
-            )
-        self._rebuild_srcq_arena(packets.src[pid0:])
-        # sized for every latency the kernel may report this run: new
-        # packets plus measured leftovers still in flight from earlier
-        # runs (each delivered packet reports exactly once)
-        out_cap = len(packets) - len(self._latencies)
+        self._alloc_state()
+        # each delivered measured packet reports exactly once
+        out_cap = len(packets)
         lat_out = ctx.lat_out = _zeros(out_cap)
         hops_out = ctx.hops_out = _zeros(out_cap)
         # only the probe layer reads delivered packet ids: unprobed
@@ -586,7 +544,7 @@ class NativeCore(CoreBase):
         )
         plan_state = None
         if plan is not None:
-            plan.start(ctx.t0, pid0)
+            plan.start()
             n_ph = plan.num_phases
             cur, act, queue = (_zeros(n_ph) for _ in range(3))
             # the plan's own arrays: the kernel's counters and stamps
@@ -594,7 +552,6 @@ class NativeCore(CoreBase):
             plan_state = ctypes.pointer(kernel_struct(
                 "Plan",
                 n_ph=n_ph,
-                pid0=pid0,
                 act_n=0, q_head=0, q_tail=0, done_n=0,  # zero on entry
                 ev_off=plan.tpl_off,
                 ev_phase=plan.tpl_phase,
@@ -624,15 +581,8 @@ class NativeCore(CoreBase):
             warm=ctx.warm,
             meas_end=ctx.meas_end,
             t_end=ctx.t_end,
-            t0=ctx.t0,
-            n_ev=n_new,
-            n_lat=0,
-            tfi=self.total_flits_injected,
-            tfe=self.total_flits_ejected,
-            pm=self._packets_measured,
-            few=self._flits_ejected_window,
-            hot_n=self._n_hot_n,
-            error=0,
+            n_ev=len(packets),
+            n_lat=0, tfi=0, tfe=0, pm=0, few=0, error=0,  # outputs
             cap=links.cap,
             lv_dst=links.lv_dst,
             cap_lv=links.cap_lv,
@@ -643,16 +593,12 @@ class NativeCore(CoreBase):
             # packet's creation cycle and measured flag at injection
             p_t0=_as_i64(packets.t0),
             p_meas=_as_i64(packets.meas),
+            p_src=_as_i64(packets.src),
             # taken only now: lanes of a batch share a routing's table,
             # which grows (and may move) until the last lane is prepared
             route_lv=_as_i64(self._routes.lv),
             lv_link=links.lv_link,
             lv_delay=links.lv_delay,
-            # this run's events are the packet table's new rows (a
-            # plan's have no cycle yet: the kernel decides)
-            ev_cycle=_as_i64(packets.t0[pid0:]),
-            ev_src=_as_i64(packets.src[pid0:]),
-            ev_pid=_as_i64(np.arange(pid0, pid0 + n_new, dtype=np.int64)),
             lat_out=lat_out,
             hops_out=hops_out,
             pid_out=pid_out,
@@ -667,24 +613,17 @@ class NativeCore(CoreBase):
         lane's slot in the packed array — not the template
         :meth:`_build_state` returned, which it was copied from).
         """
-        self._n_hot_n = int(st.hot_n)
-        self._clock = ctx.t_end
         self.total_flits_injected = int(st.tfi)
         self.total_flits_ejected = int(st.tfe)
         self._packets_measured = int(st.pm)
         self._flits_ejected_window = int(st.few)
         n_lat = int(st.n_lat)
-        # the kernel's ejection records stay arrays, copied out of the
-        # run's oversized output buffers
-        self._latencies = np.concatenate(
-            [self._latencies, ctx.lat_out[:n_lat]]
-        )
-        self._hops = np.concatenate([self._hops, ctx.hops_out[:n_lat]])
+        # the kernel's ejection records stay arrays, copied out so the
+        # run's oversized output buffers die with ctx
+        self._latencies = ctx.lat_out[:n_lat].copy()
+        self._hops = ctx.hops_out[:n_lat].copy()
         if self._probe_mode:
-            self._eject_pid = np.concatenate(
-                [self._eject_pid, ctx.pid_out[:n_lat]]
-            )
-
+            self._eject_pid = ctx.pid_out[:n_lat].copy()
         return self._result(ctx)
 
     def run(
@@ -755,9 +694,9 @@ class NativeBatch:
     True)`` (what :func:`~repro.network.simulator.run_batch` passes
     when nothing probes the lanes) none of its packets after it either.
 
-    A batch is **one-shot**: lanes accumulate measurement state, so
-    ``run()`` raises on reuse.  Build a fresh batch per lane set (as
-    :func:`repro.network.simulator.run_batch` does).
+    Like its lanes, a batch runs once: a second ``run()`` raises
+    :data:`~repro.network.corebase.SINGLE_RUN`.  Build a fresh batch per
+    lane set (as :func:`repro.network.simulator.run_batch` does).
     """
 
     def __init__(
@@ -782,7 +721,6 @@ class NativeBatch:
         # inert: bench/layers.py still passes route_donor= and reads
         # .route_donor; route sharing is the routing's table now
         self.route_donor: Optional[NativeCore] = None
-        self._ran = False
 
     def __len__(self) -> int:
         return len(self.lanes)
@@ -808,12 +746,6 @@ class NativeBatch:
         (:meth:`NativeCore._release`) as soon as its wave is read back,
         so a batch holds one wave's packets at a time; its lanes then
         keep only their counters and cannot be probed."""
-        if self._ran:
-            raise RuntimeError(
-                "NativeBatch is one-shot: lanes accumulate measurement "
-                "state — build a fresh batch per lane set"
-            )
-        self._ran = True
         n = len(self.lanes)
         if len(rates) != n:
             raise ValueError(

@@ -63,7 +63,6 @@ class ReferenceCore(CoreBase):
         ]
         self._srcq: List[deque] = [deque() for _ in range(num_nodes)]
         self._hot_flag = bytearray(num_nodes)
-        self._hot_list: List[int] = []
 
         # Event wheels.
         self._arrivals: List[list] = [[] for _ in range(self._wheel_size)]
@@ -107,28 +106,26 @@ class ReferenceCore(CoreBase):
         loop ends when the last phase drains.
         """
         ctx = self._begin(rate, schedule, plan)
-        t0, warm, meas_end, t_end = ctx.t0, ctx.warm, ctx.meas_end, ctx.t_end
+        warm, meas_end, t_end = ctx.warm, ctx.meas_end, ctx.t_end
         p = self.params
         pkt_len = p.packet_length
         num_vcs = self.num_vcs
         packets = self._packets
-        pid0 = ctx.pid0
-        # this run's packets are the packet table's new rows
-        p_dst = packets.dst[pid0:].tolist()
-        p_off = packets.off[pid0:].tolist()
-        p_hops = packets.hops[pid0:].tolist()
+        p_dst = packets.dst.tolist()
+        p_off = packets.off.tolist()
+        p_hops = packets.hops.tolist()
         if plan is not None:
             # the plan releases the rows (template order) phase by
             # phase; the lists grow at every flush
-            n_ev = plan.begin(t0, pid0)
+            n_ev = plan.begin()
             ev_cycles = plan.ev_cycles
             ev_nodes = plan.ev_nodes
             ev_pids = plan.ev_pids
         else:
-            n_ev = ctx.n_new
-            ev_cycles = packets.t0[pid0:].tolist()
-            ev_nodes = packets.src[pid0:].tolist()
-            ev_pids = range(pid0, pid0 + n_ev)
+            n_ev = len(packets)
+            ev_cycles = packets.t0.tolist()
+            ev_nodes = packets.src.tolist()
+            ev_pids = range(n_ev)
         ev_ptr = 0
 
         wheel_size = self._wheel_size
@@ -140,7 +137,7 @@ class ReferenceCore(CoreBase):
         nonempty = self._nonempty
         srcq = self._srcq
         hot_flag = self._hot_flag
-        hot_list = self._hot_list
+        hot_list: List[int] = []
         rr_link = self._rr_link
         rr_eject = self._rr_eject
         links = self._links
@@ -153,7 +150,7 @@ class ReferenceCore(CoreBase):
         ej_w = p.ejection_width
         finish_flit = self._finish_flit
 
-        for t in range(t0, t_end):
+        for t in range(t_end):
             slot = t % wheel_size
             in_window = warm <= t < meas_end
 
@@ -183,17 +180,16 @@ class ReferenceCore(CoreBase):
                 while ev_ptr < n_ev and ev_cycles[ev_ptr] == t:
                     nid = ev_nodes[ev_ptr]
                     pid = ev_pids[ev_ptr]
-                    row = pid - pid0
                     if plan is not None:
                         # closed-loop: injection stamps the row
                         packets.t0[pid] = t
                         packets.meas[pid] = in_window
-                    off = p_off[row]
+                    off = p_off[pid]
                     path_lv = tuple(
-                        self._routes.lv[off: off + p_hops[row]].tolist()
+                        self._routes.lv[off: off + p_hops[pid]].tolist()
                     )
                     pkt = Packet(
-                        pid, nid, p_dst[row], pkt_len,
+                        pid, nid, p_dst[pid], pkt_len,
                         [(lv // num_vcs, lv % num_vcs) for lv in path_lv],
                         t, in_window,
                     )
@@ -450,9 +446,6 @@ class ReferenceCore(CoreBase):
                     n_ev = plan.flush(ev_ptr)
                 if plan.finished:
                     break
-
-        self._hot_list = hot_list
-        self._clock = t_end
 
         return self._result(ctx)
 

@@ -146,7 +146,11 @@ def resolve_core(core: Optional[str] = None) -> str:
 
 
 class Simulator:
-    """One simulation instance binding a graph, routing and traffic.
+    """One simulation run binding a graph, routing and traffic.
+
+    A simulator runs once, like the core under it: a second
+    :meth:`run` raises :data:`~repro.network.corebase.SINGLE_RUN`.
+    Build a fresh ``Simulator`` per point (the engine always does).
 
     Parameters
     ----------
@@ -172,13 +176,6 @@ class Simulator:
         on ``SimResult.channels`` (and keeps the record itself on
         :attr:`last_record`).  Without probes nothing is recorded and
         results are bit-identical to a probe-less build.
-
-        A probed simulator is **single-run**: the cores accumulate
-        measurement state across repeated ``run()`` calls, but probes
-        decode the record against one measurement window, so a second
-        probed ``run()`` raises instead of producing channels that mix
-        windows.  Build a fresh ``Simulator`` per probed point (the
-        engine always does).
     """
 
     def __init__(
@@ -201,7 +198,6 @@ class Simulator:
         self.last_record: Optional[RunRecord] = None
         if self.probes:
             self._core.enable_probes()
-        self._probed_runs = 0
 
     # -- construction-time bindings (read-only conveniences) -----------
     @property
@@ -247,22 +243,13 @@ class Simulator:
         to closed-loop mode (see
         :class:`~repro.workload.driver.PhasePlan`): injections follow
         the plan's phase releases, the window is the plan's
-        ``[t0, t0 + horizon())`` whatever ``params`` says, and the run
-        ends when the last phase drains.
+        ``[0, horizon())`` whatever ``params`` says, and the run ends
+        when the last phase drains.
 
         With probes attached, each probe decodes the run's record into
         one channel on the returned result — strictly after the core
         finished, so the simulated numbers are unaffected.
         """
-        if self.probes:
-            if self._probed_runs:
-                raise RuntimeError(
-                    "a probed Simulator is single-run: probes decode "
-                    "one measurement window, but repeated run() calls "
-                    "accumulate across windows — build a fresh "
-                    "Simulator per probed point"
-                )
-            self._probed_runs = 1
         result = self._core.run(rate, schedule=schedule, plan=plan)
         if self.probes:
             self.last_record = _collect_channels(

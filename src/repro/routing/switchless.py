@@ -35,9 +35,10 @@ Two virtual-channel policies are provided:
     walks except at corner destinations.  This is the closest provable
     approximation of the paper's Property 1(c1), which no strict total
     node order can fully satisfy on a mesh (see
-    :mod:`repro.core.labeling`); the test suite therefore checks the
-    reduced policy's CDG explicitly for every shipped configuration and
-    EXPERIMENTS.md records the results.  ``misroute_scope="lower"``
+    :mod:`repro.core.labeling`), so the reduced policy's CDG is checked
+    explicitly: acyclic on IO-router C-groups, cyclic on mesh ones
+    (``TestDeadlock`` in ``tests/routing/test_switchless_routing.py``).
+    ``misroute_scope="lower"``
     implements the paper's 3-VC non-minimal variant (misroute only
     through W-groups with a label-monotone continuation; falls back to
     minimal when none qualifies).  For a configuration where the 3-VC

@@ -21,9 +21,8 @@ faults, the degraded view's component labels — with no Python loop per
 event.  The shared front end
 (:meth:`~repro.network.corebase.CoreBase._begin`) turns the template
 events into packet-table rows — routes resolved in bulk, in template
-order — before any loop starts, so a plan's packet ids are static:
-template index plus the run's first id.  What is left for the run is
-release, and it exists twice:
+order — before any loop starts, so a plan's packet id is its template
+index.  What is left for the run is release, and it exists twice:
 
 * **in the compiled kernel** (``_simcore.c``, plan mode), as integer
   counters over these arrays: a per-phase count of undelivered packets
@@ -34,9 +33,10 @@ release, and it exists twice:
   into the plan's arrays; nothing calls back into Python.
 * **here**, as the executable specification the kernel is tested
   against, which the reference loop
-  (:class:`~repro.network.refcore.ReferenceCore`) drives: ``begin(t0)``
-  materialises the DAG's root phases into the event lists the loop
-  walks, ``packet_done(pid, t)`` is called at every tail-flit ejection,
+  (:class:`~repro.network.refcore.ReferenceCore`) drives: ``begin()``
+  materialises the DAG's root phases, released at cycle 0, into the
+  event lists the loop walks, ``packet_done(pid, t)`` is called at every
+  tail-flit ejection,
   ``flush(ip)`` (end of cycle, when ``dirty``) merges newly released
   phases in, and ``finished`` breaks the loop.
 
@@ -51,8 +51,11 @@ Mechanics both share:
   a release materialised at the end of cycle ``t_done``;
 * a phase with nothing to send (compute-only, or fully masked) drains
   at its release plus compute delay and cascades on the spot;
-* a plan brings its own run window: ``[t0, t0 + horizon())``, no
-  warmup and no drain.
+* a plan brings its own run window: ``[0, horizon())``, no warmup and
+  no drain;
+* a plan describes one run: a second :meth:`PhasePlan.start` raises
+  :data:`~repro.network.corebase.SINGLE_RUN`, like a second run of a
+  core.
 
 Faults: when the traffic is a
 :class:`~repro.faults.traffic.FaultMaskedTraffic`, events whose source
@@ -70,6 +73,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..network.corebase import SINGLE_RUN
 from ..network.params import SimParams
 from .ir import Workload
 
@@ -249,8 +253,6 @@ class PhasePlan:
         self.ph_release = np.full(P, -1, dtype=np.int64)
         self.ph_comm_start = np.full(P, -1, dtype=np.int64)
         self.ph_done = np.full(P, -1, dtype=np.int64)
-        self._t0 = 0
-        self._pid0 = 0
         self._begun = False
 
         # ---- the reference loop's view (begin / packet_done / flush) -
@@ -258,7 +260,7 @@ class PhasePlan:
         #: set when completions queued releases a flush must materialise.
         self.dirty = False
         #: released events in injection order: cycle, source node and
-        #: packet id (the run's first id + the event's template index).
+        #: packet id (the event's template index).
         self.ev_cycles: List[int] = []
         self.ev_nodes: List[int] = []
         self.ev_pids: List[int] = []
@@ -272,33 +274,26 @@ class PhasePlan:
     def finished(self) -> bool:
         return bool((self.ph_done >= 0).all())
 
-    def start(self, t0: int, pid0: int = 0) -> None:
-        """Claim the plan for the one run it describes: starting at
-        cycle ``t0``, its packets numbered from ``pid0`` in template
-        order (the kernel releases the root phases itself)."""
+    def start(self) -> None:
+        """Claim the plan for the one run it describes (the kernel
+        releases the root phases itself)."""
         if self._begun:
-            raise RuntimeError(
-                "a PhasePlan is single-run: build a fresh plan per run()"
-            )
+            raise RuntimeError(SINGLE_RUN)
         self._begun = True
-        self._t0 = t0
-        self._pid0 = pid0
 
-    def begin(self, t0: int, pid0: int = 0) -> int:
-        """:meth:`start`, then materialise the DAG's root phases;
-        returns the event count."""
-        self.start(t0, pid0)
+    def begin(self) -> int:
+        """:meth:`start`, then materialise the DAG's root phases,
+        released at cycle 0; returns the event count."""
+        self.start()
         for i in self.workload.topo_order():
             if self.ph_indeg[i] == 0:
-                self._pending.append((i, t0))
+                self._pending.append((i, 0))
         self.dirty = True
         return self.flush(0)
 
     def packet_done(self, pid: int, t: int) -> None:
         """Tail flit of packet ``pid`` ejected at cycle ``t``."""
-        if pid < self._pid0:
-            return  # a leftover of the core's earlier open-loop run
-        i = self.tpl_phase[pid - self._pid0]
+        i = self.tpl_phase[pid]
         rem = self.ph_rem
         rem[i] -= 1
         if rem[i] == 0:
@@ -331,9 +326,7 @@ class PhasePlan:
                 self.ph_comm_start[i] = start + offs[0]
                 self.ev_cycles.extend(start + off for off in offs)
                 self.ev_nodes.extend(self.tpl_src[e0:e1].tolist())
-                self.ev_pids.extend(
-                    range(self._pid0 + e0, self._pid0 + e1)
-                )
+                self.ev_pids.extend(range(e0, e1))
                 appended = True
             else:
                 # compute-only (or fully masked) phase: done after its
@@ -356,8 +349,7 @@ class PhasePlan:
     # ------------------------------------------------------------------
     def elapsed(self) -> int:
         """Makespan in cycles (through the last completed phase)."""
-        last = max(int(self.ph_done.max()), self._t0)
-        return max(1, last - self._t0 + 1)
+        return max(1, int(self.ph_done.max()) + 1)
 
     def horizon(self) -> int:
         """Generous cycle bound for the run window.

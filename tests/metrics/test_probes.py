@@ -314,26 +314,6 @@ class TestProbeGuards:
         with pytest.raises(RuntimeError, match="not enabled"):
             sim._core.run_record(0.2)
 
-    def test_probed_simulator_is_single_run(self):
-        """A second probed run() would decode one record against two
-        measurement windows; it must raise, not mis-report."""
-        _, sim = run_probed()
-        with pytest.raises(RuntimeError, match="single-run"):
-            sim.run(0.3)
-
-    def test_unprobed_simulator_still_supports_repeated_runs(self):
-        spec = ExperimentSpec.create(
-            topology="mesh",
-            topology_opts={"dim": 4, "chiplet_dim": 2},
-            routing="xy_mesh",
-            traffic="uniform",
-            params=PARAMS,
-        )
-        graph, routing, traffic = build_experiment(spec)
-        sim = Simulator(graph, routing, traffic, PARAMS)
-        sim.run(0.3)
-        sim.run(0.3)  # accumulating reruns stay supported probe-off
-
     def test_empty_traffic_probes_report_nan_not_crash(self):
         res, _ = run_probed(rate=0.0)
         s = res.channels["latency_hist"].summary

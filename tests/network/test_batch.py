@@ -362,16 +362,6 @@ class TestBatchLaneEdges:
         for b, s in zip(batched, serial):
             assert b.to_dict() == s.to_dict()
 
-    def test_batch_is_one_shot(self):
-        spec = mesh_spec()
-        graph, routing, traffic = build_experiment(spec)
-        batch = NativeBatch(
-            graph, routing, traffic, spec.params, [1, 2]
-        )
-        batch.run([0.2, 0.2])
-        with pytest.raises(RuntimeError, match="one-shot"):
-            batch.run([0.2, 0.2])
-
     def test_lane_count_mismatch_rejected(self):
         spec = mesh_spec()
         graph, routing, traffic = build_experiment(spec)

@@ -1,7 +1,7 @@
 """Switch-less routing: Algorithm 1 structure, VC policies, deadlock.
 
 The deadlock section encodes the reproduction's central finding about
-Sec. IV-B (see EXPERIMENTS.md): the baseline VC scheme is acyclic
+Sec. IV-B: the baseline VC scheme is acyclic
 everywhere; the reduced scheme is acyclic on IO-router C-groups (where
 Property 1(c1) literally holds) and *cyclic* on mesh C-groups with
 corner chips — pinned here as expected behaviour, not an accident.
@@ -164,7 +164,8 @@ class TestDeadlock:
         links with transit walks, so no strict label order can realise
         Property 1(c1) on a plain mesh and the 3-VC scheme has CDG
         cycles there.  If this ever turns acyclic, the routing changed
-        and EXPERIMENTS.md needs updating."""
+        and so must the module docs of repro.routing.switchless and
+        this file."""
         r = SwitchlessRouting(small_switchless, "minimal", policy="reduced")
         rep = verify_deadlock_free(small_switchless.graph, r, max_pairs=2500)
         assert not rep.acyclic

@@ -1,12 +1,14 @@
 """PhasePlan semantics and the closed-loop driver."""
 
 import math
+import re
 
 import pytest
 
 from repro.engine import ExperimentSpec, build_experiment
 from repro.engine.executor import simulate_point
 from repro.network import SimParams
+from repro.network.corebase import SINGLE_RUN
 from repro.workload import (
     PhasePlan,
     build_workload,
@@ -52,7 +54,7 @@ class TestPhasePlan:
 
     def test_begin_materialises_only_roots(self):
         plan = self.build_plan()
-        n_ev = plan.begin(0)
+        n_ev = plan.begin()
         # ring: one root phase; later phases are gated
         assert n_ev == plan.ph_ev0[1]
         assert n_ev < plan.total_events
@@ -60,13 +62,13 @@ class TestPhasePlan:
 
     def test_begin_is_single_run(self):
         plan = self.build_plan()
-        plan.begin(0)
-        with pytest.raises(RuntimeError, match="single-run"):
-            plan.begin(0)
+        plan.begin()
+        with pytest.raises(RuntimeError, match=re.escape(SINGLE_RUN)):
+            plan.begin()
 
     def test_packet_done_drains_phase_and_releases_dependent(self):
         plan = self.build_plan()
-        n_ev = plan.begin(0)
+        n_ev = plan.begin()
         for pid in range(n_ev):
             plan.packet_done(pid, 100 + pid)
         assert plan.dirty  # phase 0 done -> phase 1 pending
@@ -79,7 +81,7 @@ class TestPhasePlan:
 
     def test_event_arrays_stay_cycle_sorted_past_pointer(self):
         plan = self.build_plan()
-        n_ev = plan.begin(0)
+        n_ev = plan.begin()
         for pid in range(n_ev):
             plan.packet_done(pid, 50)
         plan.flush(n_ev)
@@ -88,7 +90,7 @@ class TestPhasePlan:
 
     def test_compute_only_phases_cascade_through_flush(self):
         plan = self.build_plan("all_to_all", {"compute": 64})
-        plan.begin(0)
+        plan.begin()
         n_ev = len(plan.ev_cycles)
         for pid in range(n_ev):
             plan.packet_done(pid, 10)
@@ -102,7 +104,7 @@ class TestPhasePlan:
     def test_elapsed_is_makespan(self):
         # drive every event to completion round by round
         plan = self.build_plan()
-        plan.begin(5)
+        plan.begin()
         consumed = 0
         t = 30
         while not plan.finished:
@@ -113,7 +115,7 @@ class TestPhasePlan:
             if plan.dirty:
                 plan.flush(consumed)
             t += 100
-        assert plan.elapsed() == (t - 100) - 5 + 1
+        assert plan.elapsed() == (t - 100) + 1
         assert consumed == plan.total_events
 
     def test_phase_records_report_all_phases(self):
