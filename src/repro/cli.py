@@ -936,9 +936,10 @@ def _verb_table():
                 _arg("--port", type=int, default=8642,
                      help="TCP port (0 picks an ephemeral port)"),
                 store_dir,
-                _arg("--workers", type=int, default=1,
-                     help="default engine worker processes per job (a "
-                     "request's 'workers' field overrides)"),
+                _arg("--workers", type=int, default=None,
+                     help="default engine worker processes per job "
+                     "(default: as for run; a request's 'workers' field "
+                     "overrides)"),
                 _arg("--max-inflight", type=int, default=8,
                      help="per-client cap on jobs in flight (submissions "
                      "beyond it are rejected with HTTP 429)"),

@@ -22,6 +22,10 @@ cutoff, so nothing past it is simulated or cached — except in a pool,
 by a chunk started while earlier rates of its sweep were in flight
 (which is what lets a single sweep's points run concurrently).
 
+The process pool is the one parallelism layer: a chunk's lanes run one
+after another, and the pool runs chunks side by side
+(:func:`_resolve_workers`).
+
 A point's identity is its :func:`~repro.engine.spec.point_key` (the
 label is not part of it), hashed once per point per run.  Each key is
 read from the cache once, simulated once — by the first curve that
@@ -39,7 +43,6 @@ from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..network.native import THREADS_ENV, env_int
 from ..network.simulator import resolve_core, run_batch
 from ..network.stats import CurveResult, PointResult, SimResult, cutoff_walk
 from ..obs import REGISTRY
@@ -112,6 +115,23 @@ _M_BATCH_LANES = REGISTRY.histogram(
 #: environment override for the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
 
+
+def env_int(name: str, default: int) -> int:
+    """Integer environment knob ``name`` (``default`` when unset or
+    empty); anything but a positive integer is a :class:`ValueError`
+    that names the variable."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
+
+
 #: crashes of one chunk's worker (the last one solo, under probation)
 #: before the scheduler gives up on it with :class:`PointFailure`.  A
 #: chunk that *raises* is not re-run here: results are pure functions
@@ -160,23 +180,22 @@ def _lru_get(table: "OrderedDict[Tuple, object]", key: Tuple, build):
     return obj
 
 
-def _chunk_width(spec: ExperimentSpec, threads: int) -> int:
+def _chunk_width(spec: ExperimentSpec) -> int:
     """Rates of ``spec`` simulated per chunk.
 
-    A packed batch — at least :data:`_BATCH_CHUNK_MIN` lanes, one per
-    kernel thread beyond that — when the compiled kernel will run them,
-    whether the spec is open-loop or carries a workload (the kernel
-    releases a closed-loop plan's phases itself); one otherwise: the
-    pure-Python reference core gains nothing from a batch and is
-    parallelised by the process pool instead.
+    A packed batch of :data:`_BATCH_CHUNK_MIN` lanes when the compiled
+    kernel will run them, whether the spec is open-loop or carries a
+    workload (the kernel releases a closed-loop plan's phases itself);
+    one otherwise: the pure-Python reference core gains nothing from a
+    batch.  Either way the process pool runs chunks side by side.
     """
     if resolve_core() == "native":
-        return max(_BATCH_CHUNK_MIN, threads)
+        return _BATCH_CHUNK_MIN
     return 1
 
 
 def _run_chunk(
-    spec: ExperimentSpec, rates: Sequence[float], threads: int,
+    spec: ExperimentSpec, rates: Sequence[float],
     stop_after: Optional[int] = None,
 ) -> List[SimResult]:
     """Simulate ``rates`` of ``spec``, each with its derived seed, up to
@@ -214,7 +233,6 @@ def _run_chunk(
         traffic,
         spec.params,
         [(point_seed(spec, rate), rate) for rate in rates],
-        threads=threads,
         probes=build_metrics(spec),
         plans=plans,
         stop_after=stop_after,
@@ -223,13 +241,12 @@ def _run_chunk(
 
 def simulate_point(spec: ExperimentSpec, rate: float) -> SimResult:
     """Simulate one point with its deterministic derived seed."""
-    return _run_chunk(spec, [rate], 1)[0]
+    return _run_chunk(spec, [rate])[0]
 
 
 def _chunk_task(
     spec: ExperimentSpec,
     rates: Sequence[float],
-    threads: int,
     stop_after: Optional[int] = None,
 ) -> Tuple[List[SimResult], float]:
     """One chunk, wherever it runs: the results (a prefix of ``rates``
@@ -247,33 +264,23 @@ def _chunk_task(
         rates=list(rates),
         worker=os.getpid(),
     ):
-        results = _run_chunk(spec, rates, threads, stop_after)
+        results = _run_chunk(spec, rates, stop_after)
     return results, time.perf_counter() - t0
 
 
-def _resolve_workers(
-    workers: Optional[int],
-    total_chunks: int,
-    kernel_threads: int = 1,
-) -> int:
-    """Pool size: explicit/env/cpu-count default, clamped to both the
-    amount of work and the machine.  Oversubscribing a CPU-bound
-    simulation only adds pool overhead — an early benchmark forced 4
-    workers onto a 1-CPU host and reported the resulting 0.7x slowdown
-    as a parallel 'speedup'.
-
-    ``kernel_threads`` is how many threads each worker's kernel calls
-    will spin up (a packed chunk's lane threads); the clamp keeps
-    ``workers x kernel_threads <= cpu_count`` so process- and
-    thread-level parallelism never multiply into oversubscription.
+def _resolve_workers(workers: Optional[int], total_chunks: int) -> int:
+    """Pool size: explicit, else ``REPRO_WORKERS``, else the CPU count,
+    clamped to both the amount of work and the machine.
+    Oversubscribing a CPU-bound simulation only adds pool overhead — an
+    early benchmark forced 4 workers onto a 1-CPU host and reported the
+    resulting 0.7x slowdown as a parallel 'speedup'.
     """
     cpus = os.cpu_count() or 1
     if workers is None:
         workers = env_int(WORKERS_ENV, cpus)
     elif workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    budget = max(1, cpus // max(1, kernel_threads))
-    return max(1, min(workers, total_chunks, budget))
+    return max(1, min(workers, total_chunks, cpus))
 
 
 def _pool_context():
@@ -309,11 +316,9 @@ def run_experiments(
         CurveResult` is returned per spec, in order.
     workers:
         Pool size.  ``None`` reads ``REPRO_WORKERS`` and falls back to
-        the CPU count; ``<= 1`` runs the same chunks in this process,
-        one spec after the other in rate order.  Workers parallelise
-        chunks while kernel threads (``REPRO_SIM_THREADS``) parallelise
-        the lanes of a packed chunk, clamped together so
-        ``workers x threads <= cpu_count``.
+        the CPU count; either is clamped to the chunks and the CPUs.
+        ``1`` runs the same chunks in this process, one spec after the
+        other in rate order.
     cache:
         Optional on-disk store; previously simulated points are loaded
         instead of re-run, and fresh points are written back.
@@ -394,23 +399,20 @@ def run_experiments(
             len(_needed(len(spec.rates), have[si], stop_after_saturation))
             for si, spec in enumerate(specs)
         ]
-        threads = env_int(THREADS_ENV, os.cpu_count() or 1)
         # a fully replayed study never asks which core is in play
         widths = [
-            _chunk_width(spec, threads) if missing[si] else 1
+            _chunk_width(spec) if missing[si] else 1
             for si, spec in enumerate(specs)
         ]
         workers = _resolve_workers(
-            workers,
-            sum(-(-m // w) for m, w in zip(missing, widths)),
-            kernel_threads=threads if max(widths, default=1) > 1 else 1,
+            workers, sum(-(-m // w) for m, w in zip(missing, widths))
         )
         run_span.set(missing=sum(missing), workers=workers)
         t0 = time.perf_counter()
         if any(missing):
             _schedule(
                 specs, have, widths, cache, stop_after_saturation,
-                workers, threads, on_point, key_of, known,
+                workers, on_point, key_of, known,
                 fill,
             )
         if counts["shared"]:
@@ -476,7 +478,6 @@ def _schedule(
     cache: Optional[ResultCache],
     stop_after_saturation: int,
     workers: int,
-    threads: int,
     on_point: Optional[PointCallback],
     key_of: Callable[[int, int], str],
     known: Dict[str, Tuple[SimResult, str]],
@@ -525,7 +526,7 @@ def _schedule(
         known = sum(r.saturated for ri, r in have[si].items() if ri < ris[0])
         # >= 1 when scheduled; a probation re-run may find it spent
         budget = max(1, stop_after_saturation - known)
-        return specs[si], rates_of(chunk), threads, budget
+        return specs[si], rates_of(chunk), budget
 
     def record(chunk: Chunk, done: Tuple[List[SimResult], float]) -> None:
         si, ris = chunk

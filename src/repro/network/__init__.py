@@ -9,10 +9,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Simulator", "run_batch", "CORE_ENV", "find_saturation",
         "resolve_core", "sweep_rates",
     ],
-    ".native": [
-        "THREADS_ENV", "NativeBatch", "NativeCore", "native_available",
-        "resolve_threads",
-    ],
+    ".native": ["NativeBatch", "NativeCore", "native_available"],
     ".refcore": ["ReferenceCore"],
     ".schedule": ["InjectionSchedule", "build_injection_schedule"],
     ".stats": [

@@ -650,79 +650,6 @@ out:
     return s->error;
 }
 
-/* ------------------------------------------------------------------ *
- * Batched entry: run N independent lanes (one struct S each, fully
- * isolated state) with optional pthread workers.  Lanes are pulled
- * from a shared atomic index, so any thread count yields the same
- * per-lane results as a serial loop — bit-identical by construction.
- *
- * Compiled with -DREPRO_HAVE_PTHREADS (and -pthread) when the
- * toolchain supports it; otherwise the entry still exists and runs
- * the lanes serially, so the Python side needs no capability probe.
- * ------------------------------------------------------------------ */
-
-#ifdef REPRO_HAVE_PTHREADS
-#include <pthread.h>
-
-typedef struct {
-    S *states;
-    i64 n;
-    i64 next; /* atomic lane cursor */
-} BatchCtl;
-
-static void *batch_worker(void *arg)
-{
-    BatchCtl *ctl = (BatchCtl *)arg;
-    for (;;) {
-        i64 i = __atomic_fetch_add(&ctl->next, 1, __ATOMIC_RELAXED);
-        if (i >= ctl->n)
-            break;
-        sim_run(&ctl->states[i]);
-    }
-    return 0;
-}
-#endif
-
-#define BATCH_MAX_THREADS 64
-
-/* Returns the first lane's nonzero error code (0 = all lanes ok);
- * per-lane codes stay readable in states[i].error either way. */
-i64 sim_run_batch(S *states, i64 n, i64 threads)
-{
-    if (n <= 0)
-        return 0;
-    if (threads > n)
-        threads = n;
-#ifdef REPRO_HAVE_PTHREADS
-    if (threads > 1) {
-        pthread_t tid[BATCH_MAX_THREADS];
-        BatchCtl ctl;
-        i64 started = 0;
-        if (threads > BATCH_MAX_THREADS)
-            threads = BATCH_MAX_THREADS;
-        ctl.states = states;
-        ctl.n = n;
-        ctl.next = 0;
-        for (i64 i = 0; i < threads - 1; i++) {
-            if (pthread_create(&tid[started], 0, batch_worker, &ctl))
-                break; /* thread-spawn failure: caller thread picks up */
-            started++;
-        }
-        batch_worker(&ctl);
-        for (i64 i = 0; i < started; i++)
-            pthread_join(tid[i], 0);
-    } else
-#endif
-    {
-        for (i64 i = 0; i < n; i++)
-            sim_run(&states[i]);
-    }
-    for (i64 i = 0; i < n; i++)
-        if (states[i].error)
-            return states[i].error;
-    return 0;
-}
-
 /* ------------------------------------------------------------------
  * Route plane: routes of (src, dst[, via]) triples from label tables.
  *

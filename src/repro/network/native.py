@@ -72,51 +72,18 @@ import numpy as np
 
 from .corebase import CoreBase, RunCtx, _as_i64, _zeros
 from .schedule import InjectionSchedule
-from .stats import SimResult, cutoff_walk
+from .stats import SimResult
 
 __all__ = [
     "NativeBatch",
     "NativeCore",
-    "THREADS_ENV",
-    "env_int",
     "load_native",
     "native_available",
-    "resolve_threads",
 ]
 
 _C_SOURCE = Path(__file__).with_name("_simcore.c")
 
 _log = logging.getLogger(__name__)
-
-#: environment override for batch-lane kernel threads (default: auto =
-#: the CPU count; ``1`` forces serial lanes).
-THREADS_ENV = "REPRO_SIM_THREADS"
-
-
-def env_int(name: str, default: int, minimum: int = 1) -> int:
-    """Integer environment knob ``name`` (``default`` when unset or
-    empty); anything but an integer ``>= minimum`` is a
-    :class:`ValueError` that names the variable."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < minimum:
-        kind = "a positive" if minimum == 1 else "a non-negative"
-        raise ValueError(f"{name} must be {kind} integer, got {raw!r}")
-    return value
-
-
-def resolve_threads(lanes: int, threads: Optional[int] = None) -> int:
-    """Kernel threads for a batch of ``lanes``: explicit argument, else
-    ``REPRO_SIM_THREADS``, else the CPU count — clamped to the lane
-    count (extra threads would only spin on the empty work queue)."""
-    if threads is None:
-        threads = env_int(THREADS_ENV, os.cpu_count() or 1)
-    return max(1, min(int(threads), max(1, lanes)))
 
 _i64p = ctypes.POINTER(ctypes.c_int64)
 
@@ -257,18 +224,13 @@ def _cache_dir() -> Path:
     return Path(base) / "repro-dragonfly"
 
 
-#: preferred flag set first; the plain serial build is the fallback for
-#: toolchains without pthread support (sim_run_batch then loops lanes
-#: serially, which is bit-identical anyway).  ``-O1``: see the module
-#: doc.  The cache tag hashes the flags, so changing them rebuilds once.
-_FLAG_SETS = (
-    ["-O1", "-shared", "-fPIC", "-pthread", "-DREPRO_HAVE_PTHREADS"],
-    ["-O1", "-shared", "-fPIC"],
-)
+#: the kernel's compile flags (``-O1``: see the module doc).  The cache
+#: tag hashes them, so changing them rebuilds once.
+_FLAGS = ["-O1", "-shared", "-fPIC"]
 
 
-def _build(cc: List[str], flags: List[str], out: Path) -> None:
-    """Compile ``_simcore.c`` with ``cc + flags`` and move it to ``out``.
+def _build(cc: List[str], out: Path) -> None:
+    """Compile ``_simcore.c`` with ``cc + _FLAGS`` and move it to ``out``.
 
     The compile runs in a fresh directory beside ``out`` (same file
     system, so the final ``os.replace`` is atomic and concurrent
@@ -282,7 +244,7 @@ def _build(cc: List[str], flags: List[str], out: Path) -> None:
 
     out.parent.mkdir(parents=True, exist_ok=True)
     work = tempfile.mkdtemp(dir=out.parent)
-    cmd = [*cc, *flags, "-save-temps=obj", str(_C_SOURCE), "-o", "k.so"]
+    cmd = [*cc, *_FLAGS, "-save-temps=obj", str(_C_SOURCE), "-o", "k.so"]
     try:
         try:
             res = subprocess.run(
@@ -305,52 +267,37 @@ def _build(cc: List[str], flags: List[str], out: Path) -> None:
 
 
 def _compile_library() -> Optional[Path]:
-    """Compile ``_simcore.c`` into the cache, reusing prior builds.
+    """Compile ``_simcore.c`` into the cache, reusing a prior build.
 
-    When every flag set fails it logs one warning with the last
-    failure: the caller then falls back to the much slower reference
-    core.
+    When the build fails it logs one warning saying why: the caller
+    then falls back to the much slower reference core.
     """
     cc = _find_cc()
     if cc is None or not _C_SOURCE.is_file():
         return None
-    source = _C_SOURCE.read_bytes()
-    cache = _cache_dir()
-    outs = [
-        cache / "_simcore-{}.so".format(
-            hashlib.sha256(
-                source
-                + " ".join(flags).encode()
-                + sysconfig.get_platform().encode()
-            ).hexdigest()[:16]
+    tag = hashlib.sha256(
+        _C_SOURCE.read_bytes()
+        + " ".join(_FLAGS).encode()
+        + sysconfig.get_platform().encode()
+    ).hexdigest()[:16]
+    out = _cache_dir() / f"_simcore-{tag}.so"
+    if out.is_file():
+        return out
+    try:
+        _build(cc, out)
+    except (OSError, RuntimeError) as exc:
+        _log.warning(
+            "native kernel build failed, using the reference core: %s", exc
         )
-        for flags in _FLAG_SETS
-    ]
-    # any cached set first: a toolchain that failed the preferred set
-    # must not rerun that failing compile in every new process
-    for out in outs:
-        if out.is_file():
-            return out
-    failure = None
-    for flags, out in zip(_FLAG_SETS, outs):
-        try:
-            _build(cc, flags, out)
-            return out
-        except (OSError, RuntimeError) as exc:
-            failure = exc
-    _log.warning(
-        "native kernel build failed, using the reference core: %s",
-        failure,
-    )
-    return None
+        return None
+    return out
 
 
 _LIB = None
 _LIB_TRIED = False
 
 #: what Python calls in the kernel
-_SYMBOLS = ("sim_layout", "sim_run", "sim_run_batch", "plane_resolve",
-            "draw_pass")
+_SYMBOLS = ("sim_layout", "sim_run", "plane_resolve", "draw_pass")
 
 
 def load_native():
@@ -387,8 +334,6 @@ def _load(path: Optional[Path]):
     state_p = ctypes.POINTER(lib.structs["S"])
     lib.sim_run.argtypes = [state_p]
     lib.sim_run.restype = ctypes.c_int64
-    lib.sim_run_batch.argtypes = [state_p, ctypes.c_int64, ctypes.c_int64]
-    lib.sim_run_batch.restype = ctypes.c_int64
     # (plane, n, src, dst, via, off, hops, lv): see
     # repro.routing.plane.RoutePlane.resolve
     lib.plane_resolve.argtypes = (
@@ -595,7 +540,7 @@ class NativeCore(CoreBase):
             p_meas=_as_i64(packets.meas),
             p_src=_as_i64(packets.src),
             # taken only now: lanes of a batch share a routing's table,
-            # which grows (and may move) until the last lane is prepared
+            # which grows (and may move) as each lane is prepared
             route_lv=_as_i64(self._routes.lv),
             lv_link=links.lv_link,
             lv_delay=links.lv_delay,
@@ -607,12 +552,8 @@ class NativeCore(CoreBase):
         )
 
     def _finish(self, ctx: RunCtx, st) -> SimResult:
-        """Read the kernel's outputs back and build the result.
-
-        ``st`` is the struct the kernel actually ran (for batches, the
-        lane's slot in the packed array — not the template
-        :meth:`_build_state` returned, which it was copied from).
-        """
+        """Read the kernel's outputs in ``st`` (the struct it ran) back
+        and build the result."""
         self.total_flits_injected = int(st.tfi)
         self.total_flits_ejected = int(st.tfe)
         self._packets_measured = int(st.pm)
@@ -672,7 +613,7 @@ class NativeCore(CoreBase):
 
 
 class NativeBatch:
-    """N replica lanes of one configuration, run as one kernel call.
+    """N replica lanes of one configuration, run in order.
 
     Each lane is an isolated :class:`NativeCore` (own seed-derived RNG
     streams, flit/VC/credit/latency state, and its own
@@ -684,15 +625,13 @@ class NativeBatch:
     from the graph's shared :class:`~repro.network.corebase.LinkTables`.
     Each lane's packets are pre-resolved by the compiled front end
     (falling back to the scalar resolve for a pattern or routing that
-    publishes no draw rows).  Lanes run in order, in waves of
-    :func:`resolve_threads` lanes, each wave's ``struct S`` states
-    packed into one ctypes array for one ``sim_run_batch`` call —
-    threaded over workers pulling lanes from an atomic cursor, which is
-    bit-identical to the serial loop because lanes share no mutable
-    state.  One wave's rings and wheels are alive at a time; a lane
-    holds no kernel state before its wave, and under ``run(release=
-    True)`` (what :func:`~repro.network.simulator.run_batch` passes
-    when nothing probes the lanes) none of its packets after it either.
+    publishes no draw rows).  Lanes run one after another, each one
+    ``sim_run`` call, so one lane's rings and wheels are alive at a
+    time; a lane holds no kernel state before it runs, and under
+    ``run(release=True)`` (what :func:`~repro.network.simulator.
+    run_batch` passes when nothing probes the lanes) none of its
+    packets after it either.  Parallelism is the engine's process
+    pool, which runs chunks of lanes side by side.
 
     Like its lanes, a batch runs once: a second ``run()`` raises
     :data:`~repro.network.corebase.SINGLE_RUN`.  Build a fresh batch per
@@ -739,13 +678,14 @@ class NativeBatch:
         ``schedules[i]``, or closed-loop under ``plans[i]``); returns
         per-lane results in lane order.
 
-        With ``stop_after`` = k the lanes are a curve's rates, cut by
-        :func:`~repro.network.stats.cutoff_walk`: lanes past the wave
-        holding the k-th saturated one never run, and the results end
-        at that lane.  With ``release`` each lane is released
-        (:meth:`NativeCore._release`) as soon as its wave is read back,
-        so a batch holds one wave's packets at a time; its lanes then
-        keep only their counters and cannot be probed."""
+        With ``stop_after`` = k the lanes are a curve's rates, cut by the
+        rule of :func:`~repro.network.stats.cutoff_walk`: the results
+        end at the k-th saturated lane and no lane after it runs.  With
+        ``release`` each lane is released (:meth:`NativeCore._release`)
+        as soon as it is read back, so a batch holds one lane's packets
+        at a time; its lanes then keep only their counters and cannot
+        be probed.  ``threads`` is accepted and ignored (inert: the
+        ledger's ``bench/layers.py`` still passes it)."""
         n = len(self.lanes)
         if len(rates) != n:
             raise ValueError(
@@ -754,52 +694,18 @@ class NativeBatch:
         for name, per_lane in (("schedules", schedules), ("plans", plans)):
             if per_lane is not None and len(per_lane) != n:
                 raise ValueError(f"{len(per_lane)} {name} for {n} lanes")
-        runs = [
-            (
+        results: List[SimResult] = []
+        saturated = 0
+        for i, core in enumerate(self.lanes):
+            results.append(core.run(
                 rates[i],
                 schedules[i] if schedules is not None else None,
                 plans[i] if plans is not None else None,
-            )
-            for i in range(n)
-        ]
-        wave = resolve_threads(n, threads)
-        results: List[SimResult] = []
-        for lo in range(0, n, wave):
-            results += self._run_wave(lo, runs[lo:lo + wave], release)
-            cut, kept = cutoff_walk(
-                n, dict(enumerate(results)), stop_after or n + 1
-            )
-            if cut:
-                return results[:kept]
-        return results
-
-    def _run_wave(self, lo: int, runs, release: bool) -> List[SimResult]:
-        """Run lanes ``lo, lo + 1, ...`` under ``runs`` (their ``(rate,
-        schedule, plan)``) in one kernel call.  The wave's staging —
-        contexts, packed states, output buffers — dies on return."""
-        cores = self.lanes[lo:lo + len(runs)]
-        ctxs = [core._begin(*run) for core, run in zip(cores, runs)]
-        # the wave is resolved before any state is packed: a shared
-        # route table is final for these lanes only now
-        # the templates keep alive what the packed copies point into,
-        # until the kernel returns
-        templates = [
-            core._build_state(ctx) for core, ctx in zip(cores, ctxs)
-        ]
-        states = (type(templates[0]) * len(cores))(*templates)
-        err = cores[0]._lib.sim_run_batch(states, len(cores), len(cores))
-        del templates
-        if err:
-            # earlier waves all returned 0
-            codes = [0] * lo + [int(st.error) for st in states]
-            raise RuntimeError(
-                "native batch kernel failed "
-                f"(first error {err}; per-lane codes {codes})"
-            )
-        results = []
-        for core, ctx, st in zip(cores, ctxs, states):
-            results.append(core._finish(ctx, st))
+            ))
             core._drop_rings()
             if release:
                 core._release()
+            saturated += results[-1].saturated
+            if stop_after and saturated >= stop_after:
+                break
         return results

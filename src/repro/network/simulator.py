@@ -289,7 +289,6 @@ def run_batch(
     lanes: Sequence[Tuple[int, float]],
     *,
     core: Optional[str] = None,
-    threads: Optional[int] = None,
     probes: Optional[Sequence[Union[Probe, str]]] = None,
     schedules: Optional[Sequence[InjectionSchedule]] = None,
     plans: Optional[Sequence] = None,
@@ -302,12 +301,12 @@ def run_batch(
     with ``params`` reseeded to ``lanes[i][0]``.  Results are
     **bit-identical** to running each lane through its own
     :class:`Simulator` — the batch only amortises setup (vectorized
-    packet pre-resolution, one kernel call) and, on multi-core hosts,
-    threads lanes via ``REPRO_SIM_THREADS`` / ``threads`` (see
-    :func:`repro.network.native.resolve_threads`).
+    packet pre-resolution, the shared route table).  Lanes run one
+    after another; the engine's process pool runs batches side by
+    side.
 
     ``core`` resolves as in :func:`resolve_core`.  This is the one
-    place that decides between the packed :class:`NativeBatch` (native
+    place that decides between a :class:`NativeBatch` (native
     core) and an equivalent per-lane :class:`Simulator` loop (the
     reference core: same results, no amortisation).  ``probes`` may be
     instances, kind names or ``(name, options)`` pairs; channels land
@@ -315,15 +314,15 @@ def run_batch(
 
     ``plans`` makes the lanes closed-loop: lane ``i`` runs
     ``plans[i]`` (a fresh :class:`~repro.workload.driver.PhasePlan`
-    each) paced at its rate, on the same path — packed into the one
-    kernel call on the native core.  A lane whose plan did not drain
-    inside its horizon raises :class:`RuntimeError` naming the stuck
-    phases.
+    each) paced at its rate, on the same path — in the one
+    :class:`NativeBatch` on the native core.  A lane whose plan did not
+    drain inside its horizon raises :class:`RuntimeError` naming the
+    stuck phases.
 
     ``stop_after`` = k makes the lanes a curve's rates, cut after k
     saturated points (:func:`~repro.network.stats.cutoff_walk`): on
     every core the results end at the k-th saturated lane, and no lane
-    after it runs (on the native core: after its wave of threads).
+    after it runs.
     """
     lanes = list(lanes)
     for name, per_lane in (("schedules", schedules), ("plans", plans)):
@@ -348,13 +347,11 @@ def run_batch(
                 [seed for seed, _ in lanes],
                 probes=bool(built),
             )
-        with obs_trace.span(
-            "kernel.run", lanes=n, threads=threads, workload=workload
-        ):
+        with obs_trace.span("kernel.run", lanes=n, workload=workload):
             # unprobed lanes are read once, by _finish: each one frees
-            # its packets as soon as its wave is back
+            # its packets as soon as it is back
             results = batch.run(
-                rates, schedules=schedules, threads=threads, plans=plans,
+                rates, schedules=schedules, plans=plans,
                 stop_after=stop_after, release=not built,
             )
         if built:
@@ -420,7 +417,7 @@ def sweep_rates(
     The direct, object-level walk.  :func:`repro.engine.
     run_experiments` applies the same cutoff (:func:`~repro.network.
     stats.cutoff_walk`) to specs it can rebuild in worker processes,
-    several rates per kernel call, with caching.
+    several rates per batch, with caching.
     """
     params = params or SimParams()
     rates = [float(r) for r in rates]

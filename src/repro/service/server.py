@@ -8,8 +8,11 @@ engine's worker-local LRUs (built topologies, routings with their route
 planes or route tables) and the compiled native kernel stay resident
 across jobs: a resubmission pays
 zero process startup, zero kernel compile and zero route resolution.
-Engine worker processes (``workers > 1``) still fork per job for
-intra-job parallelism — on Linux they inherit the warm state.
+Engine worker processes still fork per job for intra-job parallelism
+— on Linux they inherit the warm state.  A job's ``workers`` default to
+the service's ``default_workers``, which by default (``None``) resolve
+as ``run``'s do: ``REPRO_WORKERS``, else the CPU count, clamped to the
+job's chunks and the CPUs.
 
 :func:`create_server` wraps the service in a threaded stdlib HTTP
 server bound to a local address, speaking schema-tagged JSON:
@@ -104,7 +107,7 @@ class SimulationService:
         self,
         store: Union[ResultCache, str, Path],
         *,
-        default_workers: Optional[int] = 1,
+        default_workers: Optional[int] = None,
         max_inflight_per_client: int = 8,
         state_dir: Union[str, Path, None] = None,
         retry: Optional[RetryPolicy] = None,
@@ -892,7 +895,7 @@ def create_server(
     *,
     cache_dir: Union[str, Path, None] = None,
     store: Optional[ResultCache] = None,
-    default_workers: Optional[int] = 1,
+    default_workers: Optional[int] = None,
     max_inflight_per_client: int = 8,
     max_entries: Optional[int] = None,
     max_bytes: Optional[int] = None,

@@ -102,10 +102,9 @@ def batch_lanes_observed():
 
 @pytest.fixture()
 def pool_cpus(monkeypatch):
-    """A real worker pool even on a small box: without this the
-    ``workers x threads <= cpu_count`` clamp runs everything inline."""
+    """A real worker pool even on a small box: without this the clamp
+    to the CPU count runs everything inline on a 1-CPU host."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
 
 
 @needs_native
@@ -261,20 +260,32 @@ class TestPackedChunkParity:
             ) > 0
 
 
-class TestWorkerThreadBudget:
-    def test_resolve_workers_counts_kernel_threads(self, monkeypatch):
+class TestDefaultWorkers:
+    def test_default_is_the_cpu_count_clamped_to_the_chunks(
+        self, monkeypatch
+    ):
         monkeypatch.delenv(ex.WORKERS_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        # default: all CPUs when the kernel is single-threaded
+        # no knob: min(CPU count, chunks)
         assert ex._resolve_workers(None, 100) == 8
-        # workers x threads <= cpu_count
-        assert ex._resolve_workers(None, 100, kernel_threads=4) == 2
-        assert ex._resolve_workers(None, 100, kernel_threads=8) == 1
-        assert ex._resolve_workers(None, 100, kernel_threads=16) == 1
-        # explicit workers still respect the thread budget
-        assert ex._resolve_workers(6, 100, kernel_threads=4) == 2
-        # and the amount of work
-        assert ex._resolve_workers(None, 1, kernel_threads=1) == 1
+        assert ex._resolve_workers(None, 3) == 3
+        assert ex._resolve_workers(None, 1) == 1
+        # an explicit count wins, clamped the same way
+        assert ex._resolve_workers(2, 100) == 2
+        assert ex._resolve_workers(16, 100) == 8
+        assert ex._resolve_workers(6, 4) == 4
+        # REPRO_WORKERS wins over the CPU count, an explicit count over it
+        monkeypatch.setenv(ex.WORKERS_ENV, "3")
+        assert ex._resolve_workers(None, 100) == 3
+        assert ex._resolve_workers(None, 2) == 2
+        assert ex._resolve_workers(5, 100) == 5
+        # zero and malformed values are rejected
+        with pytest.raises(ValueError, match="workers must be a positive"):
+            ex._resolve_workers(0, 100)
+        for bad in ("0", "-1", "two", "1.5"):
+            monkeypatch.setenv(ex.WORKERS_ENV, bad)
+            with pytest.raises(ValueError, match="^REPRO_WORKERS must be"):
+                ex._resolve_workers(None, 100)
 
 
 class TestChunkWidth:
@@ -287,31 +298,29 @@ class TestChunkWidth:
 
     @needs_native
     @pytest.mark.parametrize(
-        "core, spec, threads, width",
+        "core, spec, width",
         [
-            (None, OPEN, 1, 8),
-            (None, OPEN, 12, 12),
-            ("native", OPEN, 1, 8),
-            ("reference", OPEN, 1, 1),
-            ("reference", OPEN, 4, 1),
-            (None, CLOSED, 1, 8),
-            ("native", CLOSED, 12, 12),
-            ("reference", CLOSED, 1, 1),
+            (None, OPEN, 8),
+            ("native", OPEN, 8),
+            ("reference", OPEN, 1),
+            (None, CLOSED, 8),
+            ("native", CLOSED, 8),
+            ("reference", CLOSED, 1),
         ],
     )
-    def test_width_table(self, monkeypatch, core, spec, threads, width):
+    def test_width_table(self, monkeypatch, core, spec, width):
         if core is None:
             monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         else:
             monkeypatch.setenv("REPRO_SIM_CORE", core)
-        assert ex._chunk_width(spec, threads) == width
+        assert ex._chunk_width(spec) == width
 
     def test_no_compiler_means_width_one(self, monkeypatch):
         from repro.network import simulator
 
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         monkeypatch.setattr(simulator, "native_available", lambda: False)
-        assert ex._chunk_width(self.OPEN, 8) == 1
+        assert ex._chunk_width(self.OPEN) == 1
 
     def test_width_one_sweep_equals_per_lane(self, monkeypatch):
         """A non-native session walks the same sweep one rate at a

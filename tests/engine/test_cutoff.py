@@ -58,9 +58,8 @@ def test_nothing_past_the_cutoff(tmp_path, monkeypatch, workers, stop):
         # a real pool, one chunk per sweep: no chunk starts while an
         # earlier rate of its sweep is in flight
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("REPRO_SIM_THREADS", "1")
         monkeypatch.setattr(
-            executor, "_chunk_width", lambda spec, threads: len(spec.rates)
+            executor, "_chunk_width", lambda spec: len(spec.rates)
         )
     specs = [switch(), switch(label="sw1", seed=5)]
     cache = ResultCache(tmp_path)
@@ -80,7 +79,7 @@ def test_nothing_past_the_cutoff(tmp_path, monkeypatch, workers, stop):
 def test_chunk_budget_counts_saturations_before_it(tmp_path, monkeypatch):
     """A chunk that starts after a saturated point gets the cutoff
     minus that saturation as its budget, and stops when it is spent."""
-    monkeypatch.setattr(executor, "_chunk_width", lambda spec, threads: 2)
+    monkeypatch.setattr(executor, "_chunk_width", lambda spec: 2)
     batches = []
     run_batch = executor.run_batch
 

@@ -57,10 +57,9 @@ def lanes(monkeypatch):
 
 @pytest.fixture()
 def pool(monkeypatch):
-    """A real two-worker pool: workers x threads <= cpu_count would
-    clamp it to one otherwise."""
+    """A real two-worker pool: the clamp to the CPU count would make it
+    one otherwise."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
 
 
 def test_aliased_scenarios_get_identical_curves():
@@ -154,7 +153,7 @@ def test_owner_cut_before_a_shared_rate(
         # one chunk per sweep: none starts while an earlier rate of its
         # sweep is in flight
         monkeypatch.setattr(
-            executor, "_chunk_width", lambda spec, threads: len(spec.rates)
+            executor, "_chunk_width", lambda spec: len(spec.rates)
         )
     owner = _switch("owner").with_rates(OVER)
     alias = _switch("alias").with_rates([0.4, 2.2])
@@ -170,7 +169,7 @@ def test_owner_cut_before_a_shared_rate(
         # the owner's chunk stops at 1.5; 2.2 then runs for the alias.
         # A packed chunk hands run_batch all of its rates (the batch
         # stops at the cutoff); one-rate chunks never hand it 2.2.
-        owned = OVER if executor._chunk_width(owner, 1) > 1 else OVER[:2]
+        owned = OVER if executor._chunk_width(owner) > 1 else OVER[:2]
         assert [rate for _, rate in lanes] == owned + [2.2]
     [solo] = run_experiments([alias], workers=1)
     assert curves[1].results == solo.results
@@ -201,7 +200,7 @@ def test_shared_point_waits_for_earlier_rates(
 
 
 def test_pool_never_runs_one_key_twice(pool, monkeypatch):
-    monkeypatch.setattr(executor, "_chunk_width", lambda spec, threads: 1)
+    monkeypatch.setattr(executor, "_chunk_width", lambda spec: 1)
     inflight, submitted = set(), []
     base = concurrent.futures.ProcessPoolExecutor
 

@@ -40,7 +40,6 @@ def pooled_session(request, monkeypatch):
     """Packed chunks (compiled kernel, when there is one) and one-rate
     chunks (reference core), each with room for a two-worker pool."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
     if request.param is None:
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     else:

@@ -5,12 +5,7 @@ import pytest
 from repro import cli
 from repro.engine import ExperimentSpec, run_experiments
 from repro.engine import executor as ex
-from repro.network import (
-    SimParams,
-    Simulator,
-    resolve_core,
-    resolve_threads,
-)
+from repro.network import SimParams, Simulator, resolve_core
 
 SPEC = ExperimentSpec.create(
     topology="mesh", topology_opts={"dim": 4, "chiplet_dim": 2},
@@ -22,7 +17,6 @@ SPEC = ExperimentSpec.create(
 #: each integer knob with a function that reads it
 READERS = {
     "REPRO_WORKERS": lambda: ex._resolve_workers(None, 100),
-    "REPRO_SIM_THREADS": lambda: resolve_threads(4),
 }
 
 
@@ -34,17 +28,10 @@ def test_malformed_integer_knob_names_the_variable(monkeypatch, name, value):
         READERS[name]()
 
 
-@pytest.mark.parametrize("name", ["REPRO_WORKERS", "REPRO_SIM_THREADS"])
-def test_zero_workers_or_threads_is_rejected(monkeypatch, name):
-    monkeypatch.setenv(name, "0")
-    with pytest.raises(ValueError, match=f"^{name} must be a positive"):
-        READERS[name]()
-
-
-def test_engine_reads_threads_up_front(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_THREADS", "two")
-    with pytest.raises(ValueError, match="^REPRO_SIM_THREADS must be"):
-        run_experiments([SPEC], workers=1)
+def test_zero_workers_is_rejected(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "0")
+    with pytest.raises(ValueError, match="^REPRO_WORKERS must be a positive"):
+        READERS["REPRO_WORKERS"]()
 
 
 def test_unknown_core_lists_the_valid_ones(monkeypatch):
@@ -125,7 +112,7 @@ def test_native_core_hint_names_the_fallback_rule(monkeypatch):
     "name, value",
     [
         ("REPRO_WORKERS", "abc"),
-        ("REPRO_SIM_THREADS", "0"),
+        ("REPRO_WORKERS", "0"),
         ("REPRO_SIM_CORE", "bogus"),
     ],
 )

@@ -66,13 +66,12 @@ class TestEnginePaths:
         one ``fresh`` event per simulated point, a chunk's points in
         rate order, and nothing past a cutoff — the chunk stops there,
         so its events and cache entries are exactly the curve's."""
-        # a real pool: workers x threads <= cpu_count would clamp it
+        # a real pool: the clamp to the CPU count would shrink it
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("REPRO_SIM_THREADS", "1")
         # one chunk per sweep on both cores (the reference core runs
         # one rate per chunk otherwise, completing in the pool's order)
         monkeypatch.setattr(
-            executor, "_chunk_width", lambda spec, threads: len(spec.rates)
+            executor, "_chunk_width", lambda spec: len(spec.rates)
         )
         parent = os.getpid()
         # the 4-terminal switch saturates near 1.0: the cutoff bites

@@ -61,7 +61,6 @@ def pool_cpus(monkeypatch):
     ``_resolve_workers`` would clamp ``workers=2`` down to the inline
     branch and ``crash-worker`` (child-only) could never fire."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
 
 
 @pytest.fixture(

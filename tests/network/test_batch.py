@@ -1,11 +1,10 @@
 """Batched native execution: draw exactness and lane bit-identity.
 
-The batch contract is absolute: N lanes packed into one
-``sim_run_batch`` call produce results **bit-identical** to N serial
-per-lane runs, for any thread count, any lane count, healthy or
-degraded topologies, with or without probes.  These tests pin
-injection schedules so both cores (reference, native) must
-agree with the batched lanes exactly, and they drive the compiled
+The batch contract is absolute: N lanes of one :class:`NativeBatch`
+produce results **bit-identical** to N serial per-lane runs, for any
+lane count, healthy or degraded topologies, with or without probes.
+These tests pin injection schedules so both cores (reference, native)
+must agree with the batched lanes exactly, and they drive the compiled
 pre-pass through its edges (fault-masked traffic declines, a
 non-power-of-two permutation scope draws only for its tail).
 """
@@ -20,10 +19,9 @@ from repro.network import (
     SimParams,
     Simulator,
     native_available,
-    resolve_threads,
     run_batch,
 )
-from repro.network.native import THREADS_ENV, NativeBatch
+from repro.network.native import NativeBatch
 from repro.network.vecrandom import DestRows, VecRandom
 
 PARAMS = SimParams(
@@ -130,30 +128,6 @@ class TestVecRandom:
                 return 0.5
 
         assert VecRandom.for_rng(Loaded(1)) is None
-
-
-# ----------------------------------------------------------------------
-# resolve_threads
-# ----------------------------------------------------------------------
-class TestResolveThreads:
-    def test_explicit_clamped_to_lanes(self):
-        assert resolve_threads(3, 16) == 3
-        assert resolve_threads(16, 3) == 3
-        assert resolve_threads(4, 1) == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        assert resolve_threads(8) == 2
-        monkeypatch.setenv(THREADS_ENV, "64")
-        assert resolve_threads(8) == 8  # still clamped to lanes
-
-    def test_floor_of_one(self, monkeypatch):
-        assert resolve_threads(8, 0) == 1
-        assert resolve_threads(0, 4) == 1
-        # the environment knob is outside input: rejected, not floored
-        monkeypatch.setenv(THREADS_ENV, "0")
-        with pytest.raises(ValueError, match=THREADS_ENV):
-            resolve_threads(8)
 
 
 # ----------------------------------------------------------------------
@@ -330,29 +304,10 @@ class TestBatchLaneEdges:
     def lanes(self, n, rate=0.3):
         return [(1000 + 17 * i, rate) for i in range(n)]
 
-    @pytest.mark.parametrize("n_lanes,threads", [
-        (1, 1),     # single lane
-        (1, 8),     # threads clamp to one lane
-        (5, 2),     # odd remainder: 5 lanes over 2 threads
-        (3, 16),    # more threads than lanes
-        (7, 3),     # another odd split
-    ])
-    def test_every_lane_split_is_bit_identical(self, n_lanes, threads):
+    @pytest.mark.parametrize("n_lanes", [1, 5])
+    def test_every_lane_count_is_bit_identical(self, n_lanes):
         spec = mesh_spec()
         lanes = self.lanes(n_lanes)
-        graph, routing, traffic, schedules = pinned_setup(spec, lanes)
-        batched = run_batch(
-            graph, routing, traffic, spec.params, lanes,
-            core="native", schedules=schedules, threads=threads,
-        )
-        serial = serial_results(spec, lanes, schedules, "native")
-        for b, s in zip(batched, serial):
-            assert b.to_dict() == s.to_dict()
-
-    def test_threads_env_respected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        spec = mesh_spec()
-        lanes = self.lanes(6)
         graph, routing, traffic, schedules = pinned_setup(spec, lanes)
         batched = run_batch(
             graph, routing, traffic, spec.params, lanes,

@@ -1,10 +1,8 @@
 """``run_batch(stop_after=k)``: lanes run as the rates of a cut curve.
 
 Every core returns the same prefix — through the k-th saturated lane —
-and each returned lane equals its solo ``Simulator`` run.  The native
-core runs lanes in waves of kernel threads; under
-``REPRO_SIM_THREADS=4`` a wave holds lanes past the cutoff, which run
-and are dropped, so the prefix rule is checked inside a wave too.
+and each returned lane equals its solo ``Simulator`` run.  Both cores
+run lanes one after another, so no lane past the cutoff runs.
 """
 
 import numpy as np
@@ -61,19 +59,16 @@ def test_prefix_through_kth_saturated_lane(switch, core, stop_after, kept):
 
 
 @pytest.mark.skipif(not native_available(), reason="no C compiler")
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_lanes_past_the_deciding_wave_never_run(switch, threads):
-    """Lanes after the wave holding the cutoff are neither resolved nor
-    given kernel state (none is allocated before a lane's wave); every
-    lane is still listed, and a lane that ran keeps its conservation
-    counters with its rings freed."""
+def test_lanes_past_the_deciding_wave_never_run(switch):
+    """Exactly the lanes through the cutoff lane run: the lanes after it
+    are neither resolved nor given kernel state (none is allocated
+    before a lane runs); every lane is still listed, and a lane that ran
+    keeps its conservation counters with its rings freed."""
     batch = NativeBatch(*switch, PARAMS, [seed for seed, _ in LANES])
-    got = batch.run(
-        [rate for _, rate in LANES], threads=threads, stop_after=1
-    )
+    got = batch.run([rate for _, rate in LANES], stop_after=1)
     assert len(got) == 2
     assert len(batch.lanes) == len(LANES)
-    ran = max(2, threads)
+    ran = 2  # lane 1 is the first saturated one
     assert [len(core._packets) > 0 for core in batch.lanes] == [
         i < ran for i in range(len(LANES))
     ]

@@ -3,7 +3,7 @@ changes no result.
 
 A schedule is two int64 columns, a plane-resolved route arena is its
 resolve scratch shrunk in place, and ``run_batch`` releases each
-unprobed lane's packets as soon as its wave is read back.  The traced
+unprobed lane's packets as soon as it is read back.  The traced
 peak of one lane bounds the first two: a schedule that also kept its
 events as Python-int lists, or an arena copied out of its scratch,
 goes over it.
@@ -62,14 +62,12 @@ def test_traced_peak_per_packet_of_one_lane(system):
     lane = _lane(system)
     params = PARAMS.scaled(measure_cycles=10_000, seed=5)
     # kernel loaded, plane built, link tables shared: not per packet
-    run_batch(*lane, PARAMS, [(1, 0.3)], core="native", threads=1)
+    run_batch(*lane, PARAMS, [(1, 0.3)], core="native")
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        [res] = run_batch(
-            *lane, params, [(7, 0.3)], core="native", threads=1
-        )
+        [res] = run_batch(*lane, params, [(7, 0.3)], core="native")
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -124,17 +122,16 @@ def test_scalar_and_compiled_front_ends_fill_the_same_table(system, mode):
     )
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_released_lanes_keep_counters_and_results(system, threads):
-    """``run(release=True)`` frees each lane after its wave: results,
+def test_released_lanes_keep_counters_and_results(system):
+    """``run(release=True)`` frees each lane after it runs: results,
     conservation counters and flits left in flight are a retained
     batch's, and nothing per packet or per ``(link, VC)`` is left."""
     seeds, rates = [3, 4, 5, 6, 7], [0.3, 0.9, 0.5, 1.6, 0.7]
     lane = _lane(system)
     retained = NativeBatch(*lane, PARAMS, seeds)
     released = NativeBatch(*lane, PARAMS, seeds)
-    want = retained.run(rates, threads=threads)
-    got = released.run(rates, threads=threads, release=True)
+    want = retained.run(rates)
+    got = released.run(rates, release=True)
     assert got == want
     assert got == run_batch(
         *lane, PARAMS, list(zip(seeds, rates)), core="native"

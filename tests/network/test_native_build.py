@@ -1,13 +1,11 @@
-"""The kernel's build path: flag-set fallback, cache reuse, clean-up.
+"""The kernel's build path: cache reuse, clean-up, failure reports.
 
-``_compile_library`` tries each entry of ``_FLAG_SETS`` in order and
-caches the first that builds.  A fake compiler that refuses
-``-pthread`` (a toolchain without pthreads) must push it onto the
-serial set, leave nothing of the failed attempt in the cache, and a
-second call must find the cached build without starting a compiler.
-The build writes only files that do not exist yet (and none under
-``TMPDIR``), yields the same bytes as a plain one-step ``gcc``, says
-why when no flag set builds, and honours a ``CC`` with arguments.
+``_compile_library`` builds ``_simcore.c`` with ``_FLAGS`` once and
+caches it: a second call must find the cached build without starting
+a compiler.  The build writes only files that do not exist yet (and
+none under ``TMPDIR``), yields the same bytes as a plain one-step
+``gcc``, leaves nothing behind and says why when it fails, and honours
+a ``CC`` with arguments.
 
 The load path builds every struct the kernel takes from the layout
 the kernel exports, so patched copies of ``_simcore.c`` check that
@@ -43,42 +41,31 @@ def _script(tmp_path, body):
 
 @pytest.fixture()
 def fake_cc(tmp_path, monkeypatch):
-    """A ``CC`` that logs its argv, fails on ``-pthread`` and otherwise
-    runs gcc; returns the log path."""
+    """A ``CC`` that logs its argv and runs gcc; returns the log path."""
     log = tmp_path / "cc.log"
-    script = _script(
-        tmp_path,
-        f'echo "$*" >> "{log}"\n'
-        'for arg in "$@"; do\n'
-        '  [ "$arg" = "-pthread" ] && exit 1\n'
-        "done\n"
-        'exec gcc "$@"\n',
-    )
+    script = _script(tmp_path, f'echo "$*" >> "{log}"\nexec gcc "$@"\n')
     monkeypatch.setenv("CC", str(script))
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
     return log
 
 
-def test_serial_fallback_is_cached_and_reused(fake_cc, tmp_path):
+def test_build_is_cached_and_reused(fake_cc, tmp_path):
     path = native._compile_library()
     assert path is not None
 
-    calls = fake_cc.read_text().splitlines()
-    assert len(calls) == 2
-    threaded, serial = native._FLAG_SETS
-    assert calls[0].startswith(" ".join(threaded))
-    assert calls[1].startswith(" ".join(serial))
+    (call,) = fake_cc.read_text().splitlines()
+    assert call.startswith(" ".join(native._FLAGS))
 
-    # the failed attempt left neither a .so nor a temp file behind
+    # the build left neither a temp file nor a directory behind
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
         path.name
     ]
     lib = ctypes.CDLL(str(path))
-    assert hasattr(lib, "sim_run_batch")
+    assert hasattr(lib, "sim_run")
 
     # a second call finds the cached build without a compiler
     assert native._compile_library() == path
-    assert len(fake_cc.read_text().splitlines()) == 2
+    assert len(fake_cc.read_text().splitlines()) == 1
 
 
 def test_build_writes_only_new_files(tmp_path, monkeypatch):
@@ -113,7 +100,7 @@ def test_build_matches_plain_gcc(tmp_path, monkeypatch):
 
     plain = tmp_path / "x.so"
     subprocess.run(
-        ["gcc", *native._FLAG_SETS[0], str(native._C_SOURCE), "-o", plain],
+        ["gcc", *native._FLAGS, str(native._C_SOURCE), "-o", plain],
         check=True,
     )
     assert path.read_bytes() == plain.read_bytes()
@@ -129,8 +116,9 @@ def test_failed_build_logs_stderr_tail(tmp_path, monkeypatch, caplog):
     (record,) = caplog.records
     message = record.getMessage()
     assert "cc1: fatal: no MARKER" in message
-    # names the last command tried: the serial set
-    assert " ".join([str(script), *native._FLAG_SETS[-1]]) in message
+    # names the command it ran
+    assert " ".join([str(script), *native._FLAGS]) in message
+    # a failed build leaves nothing behind
     assert list((tmp_path / "cache").iterdir()) == []
 
 

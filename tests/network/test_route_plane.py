@@ -62,7 +62,7 @@ def run_batch(system, routing, **kw):
         system.graph, routing, UniformTraffic(system.graph), PARAMS, SEEDS,
         **kw,
     )
-    return batch, batch.run(RATES, threads=1)
+    return batch, batch.run(RATES)
 
 
 @pytest.mark.parametrize("mode", ["minimal", "valiant"])
@@ -163,7 +163,7 @@ def test_no_per_pair_state_survives_a_batch(switchless):
         tracemalloc.start()
         before = tracemalloc.get_traced_memory()[0]
         batch = NativeBatch(graph, routing, traffic, PARAMS, SEEDS[:1])
-        batch.run([rate], threads=1)
+        batch.run([rate])
         packets = sum(len(core._packets) for core in batch.lanes)
         del batch
         gc.collect()

@@ -362,5 +362,5 @@ def test_radix32_class_system_beyond_the_old_dense_cap():
 
     params = SimParams(warmup_cycles=50, measure_cycles=100, drain_cycles=200)
     batch = NativeBatch(graph, routing, UniformTraffic(graph), params, [1])
-    [result] = batch.run([0.05], threads=1)
+    [result] = batch.run([0.05])
     assert result.packets_measured > 0

@@ -1,11 +1,19 @@
 """HTTP surface of the simulation service (real sockets, tiny studies)."""
 
+import os
 import time
 
 import pytest
 
+from repro.api import Scenario, Study
 from repro.engine.spec import ENGINE_VERSION
-from repro.service import JobRequest, ServiceError
+from repro.service import (
+    JobRequest,
+    ResultStore,
+    ServiceError,
+    SimulationService,
+    create_server,
+)
 
 from .conftest import slow_study, tiny_study
 
@@ -514,3 +522,75 @@ class TestHostileInputs:
             body["error"]
         )
         assert "Exception occurred" not in capsys.readouterr().err
+
+
+class TestDefaultWorkers:
+    """Built without ``default_workers``, the service resolves a job's
+    workers as ``run`` does: ``REPRO_WORKERS``, else the CPU count,
+    clamped to the job's chunks and the CPUs."""
+
+    @pytest.fixture()
+    def resolved(self, monkeypatch):
+        """Each ``(workers, chunks, pool size)`` the engine resolves."""
+        from repro.engine import executor
+
+        calls = []
+        real = executor._resolve_workers
+
+        def spy(workers, chunks):
+            calls.append((workers, chunks, real(workers, chunks)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(executor, "_resolve_workers", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        return calls
+
+    def test_a_served_job_resolves_like_run(self, tmp_path, resolved):
+        specs = tuple(
+            tiny_study(rates=(0.1, 0.2), label=label, seed=seed)
+            .scenarios[0].specs[0]
+            for label, seed in (("a", 3), ("b", 5))
+        )
+        study = Study.wrap(Scenario(name="two", specs=specs, title="two"))
+        study.run()  # as `repro-dragonfly run` does without --workers
+        service = SimulationService(ResultStore(tmp_path / "store"))
+        try:
+            assert service.default_workers is None
+            job, _ = service.submit(JobRequest(study=study.to_data()))
+            deadline = time.time() + 120
+            while service.status(job.id)["state"] not in ("done", "failed"):
+                assert time.time() < deadline
+                time.sleep(0.02)
+            assert service.status(job.id)["state"] == "done"
+        finally:
+            service.shutdown(wait=True)
+        by_run, by_job = resolved
+        assert by_job == by_run
+        workers, chunks, pool = by_run
+        assert workers is None and pool == min(4, chunks) > 1
+
+    def test_create_server_and_serve_default_to_none(
+        self, tmp_path, monkeypatch
+    ):
+        server = create_server(port=0, cache_dir=tmp_path / "store")
+        try:
+            assert server.service.default_workers is None
+        finally:  # never served: no serve_forever loop to stop
+            server.service.shutdown(wait=True)
+            server.server_close()
+
+        import repro.obs
+        import repro.service
+        from repro import cli
+
+        seen = {}
+
+        def fake_server(**kwargs):
+            seen.update(kwargs)
+            raise ValueError("not serving in a test")
+
+        monkeypatch.setattr(repro.service, "create_server", fake_server)
+        monkeypatch.setattr(repro.obs, "setup_logging", lambda **kw: None)
+        assert cli.main(["serve", "--cache-dir", str(tmp_path)]) == 2
+        assert seen["default_workers"] is None

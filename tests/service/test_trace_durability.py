@@ -45,7 +45,6 @@ def pool_cpus(monkeypatch):
     """Pretend we have CPUs so ``workers=2`` is a real process pool
     (child-only chaos sites can never fire on the serial path)."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("REPRO_SIM_THREADS", "1")
 
 
 def _service(tmp_path, **kw):
@@ -136,7 +135,7 @@ class TestWorkerPoolCrash:
             by_id = {s["span_id"]: s for s in spans}
             stages = ["engine.chunk", "engine.build", "kernel.run"]
             if resolve_core() == "native":
-                # only a packed kernel call has a prepare stage
+                # only a native batch has a prepare stage
                 stages.append("kernel.prepare")
             for name in stages:
                 pids = {

@@ -107,7 +107,7 @@ OPTION_TABLE = {
         (("--host",), "host", "127.0.0.1", None, None, None),
         (("--port",), "port", 8642, "int", None, None),
         (("--cache-dir",), "cache_dir", "/store", None, None, None),
-        (("--workers",), "workers", 1, "int", None, None),
+        (("--workers",), "workers", None, "int", None, None),
         (("--max-inflight",), "max_inflight", 8, "int", None, None),
         (("--max-entries",), "max_entries", None, "int", None, None),
         (("--max-bytes",), "max_bytes", None, "int", None, None),

@@ -127,6 +127,17 @@ def test_network_exports_two_cores():
     assert importlib.util.find_spec("repro.network.simcore") is None
 
 
+def test_no_kernel_thread_knob():
+    """The process pool is the one parallelism layer: the kernel's lane
+    threads, their knob and its readers are gone."""
+    network = importlib.import_module("repro.network")
+    native = importlib.import_module("repro.network.native")
+    for gone in ("THREADS_ENV", "resolve_threads", "env_int"):
+        assert gone not in network.__all__ and gone not in native.__all__
+        assert not hasattr(native, gone), gone
+    assert "env_int" in vars(importlib.import_module("repro.engine.executor"))
+
+
 # ----------------------------------------------------------------------
 # a cold run
 # ----------------------------------------------------------------------
