@@ -306,6 +306,8 @@ class TestChunkWidth:
             (None, CLOSED, 8),
             ("native", CLOSED, 8),
             ("reference", CLOSED, 1),
+            ("array", OPEN, 1),
+            ("array", CLOSED, 1),
         ],
     )
     def test_width_table(self, monkeypatch, core, spec, width):

@@ -34,6 +34,38 @@ def test_zero_workers_is_rejected(monkeypatch):
         READERS["REPRO_WORKERS"]()
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "-2", "0"])
+def test_engine_reads_workers_up_front(monkeypatch, value):
+    """A malformed ``REPRO_WORKERS`` fails the run before any chunk is
+    simulated."""
+    chunks = []
+    monkeypatch.setattr(ex, "_run_chunk", lambda *a, **kw: chunks.append(a))
+    monkeypatch.setenv("REPRO_WORKERS", value)
+    with pytest.raises(ValueError, match="^REPRO_WORKERS must be"):
+        run_experiments([SPEC])
+    assert chunks == []
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_sim_threads_is_read_by_nothing(monkeypatch, value):
+    """The kernel has no threads: a ``REPRO_SIM_THREADS`` left in the
+    environment, even a malformed one, changes no run."""
+    monkeypatch.delenv("REPRO_SIM_THREADS", raising=False)
+    [want] = run_experiments([SPEC], workers=1)
+    monkeypatch.setenv("REPRO_SIM_THREADS", value)
+    [got] = run_experiments([SPEC], workers=1)
+    assert got.results == want.results
+
+
+def test_env_int_unset_or_empty_is_the_default(monkeypatch):
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    assert ex.env_int("REPRO_WORKERS", 7) == 7
+    monkeypatch.setenv("REPRO_WORKERS", "")
+    assert ex.env_int("REPRO_WORKERS", 7) == 7
+    monkeypatch.setenv("REPRO_WORKERS", "3")
+    assert ex.env_int("REPRO_WORKERS", 7) == 3
+
+
 def test_unknown_core_lists_the_valid_ones(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_CORE", "bogus")
     with pytest.raises(

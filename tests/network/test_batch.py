@@ -304,7 +304,7 @@ class TestBatchLaneEdges:
     def lanes(self, n, rate=0.3):
         return [(1000 + 17 * i, rate) for i in range(n)]
 
-    @pytest.mark.parametrize("n_lanes", [1, 5])
+    @pytest.mark.parametrize("n_lanes", [1, 3, 5, 7])
     def test_every_lane_count_is_bit_identical(self, n_lanes):
         spec = mesh_spec()
         lanes = self.lanes(n_lanes)

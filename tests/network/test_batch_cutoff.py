@@ -59,16 +59,17 @@ def test_prefix_through_kth_saturated_lane(switch, core, stop_after, kept):
 
 
 @pytest.mark.skipif(not native_available(), reason="no C compiler")
-def test_lanes_past_the_deciding_wave_never_run(switch):
+@pytest.mark.parametrize("stop_after, ran", [(1, 2), (2, 4), (3, 6)])
+def test_lanes_past_the_deciding_wave_never_run(switch, stop_after, ran):
     """Exactly the lanes through the cutoff lane run: the lanes after it
     are neither resolved nor given kernel state (none is allocated
     before a lane runs); every lane is still listed, and a lane that ran
     keeps its conservation counters with its rings freed."""
     batch = NativeBatch(*switch, PARAMS, [seed for seed, _ in LANES])
-    got = batch.run([rate for _, rate in LANES], stop_after=1)
-    assert len(got) == 2
+    got = batch.run([rate for _, rate in LANES], stop_after=stop_after)
+    # lanes 1, 3 and 5 are the saturated ones
+    assert len(got) == ran
     assert len(batch.lanes) == len(LANES)
-    ran = 2  # lane 1 is the first saturated one
     assert [len(core._packets) > 0 for core in batch.lanes] == [
         i < ran for i in range(len(LANES))
     ]
@@ -85,7 +86,28 @@ def test_lanes_past_the_deciding_wave_never_run(switch):
                      "_n_ne_arr", "_n_sq_off", "_n_aw_n", "_n_rr_link"):
             assert getattr(core, name) is None, name
         assert core.flits_in_flight() == 0
-    saturated = batch.lanes[1]
+    saturated = batch.lanes[ran - 1]
     assert saturated.flits_in_flight() == (
         saturated.total_flits_injected - saturated.total_flits_ejected
     )
+
+
+@pytest.mark.parametrize("stop_after, ran", [(1, 2), (2, 4)])
+def test_reference_lanes_past_the_cutoff_never_run(
+    switch, monkeypatch, stop_after, ran
+):
+    """The reference core's lane loop simulates exactly the rates
+    through the cutoff lane, in lane order."""
+    calls = []
+    real = Simulator.run
+
+    def spy(self, rate, **kw):
+        calls.append(rate)
+        return real(self, rate, **kw)
+
+    monkeypatch.setattr(Simulator, "run", spy)
+    got = run_batch(
+        *switch, PARAMS, LANES, core="reference", stop_after=stop_after
+    )
+    assert calls == [rate for _, rate in LANES[:ran]]
+    assert len(got) == ran

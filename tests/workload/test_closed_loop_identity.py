@@ -145,8 +145,11 @@ def test_native_plan_never_enters_the_reference_loop(monkeypatch):
 
 
 @needs_native
-def test_batched_plans_equal_one_lane_runs():
-    spec = switchless_spec(workload="hierarchical_allreduce")
+@pytest.mark.parametrize(
+    "workload", ["hierarchical_allreduce", "ring_allreduce"]
+)
+def test_batched_plans_equal_one_lane_runs(workload):
+    spec = switchless_spec(workload=workload)
     rates = [0.25, 0.5, 1.0]
     graph, routing, traffic, plan = build(spec)
     lanes = [(point_seed(spec, r), r) for r in rates]
