@@ -1,10 +1,11 @@
 """Execution of experiment specs: one chunk scheduler, one lane runner.
 
 The unit of work is a *chunk*: the next few missing rates of one spec,
-simulated together by :func:`_run_chunk`.  How many is computed, never
-set (:func:`_chunk_width`): a packed batch of lanes when the session's
-core is the compiled kernel (open-loop and closed-loop specs alike),
-one rate otherwise.  Every lane is simulated with its
+simulated one after another by :func:`_run_chunk`.  How many is
+computed, never set (:func:`_chunk_width`): on the compiled kernel, the
+run's missing points split evenly over the pool, at most
+:data:`_MAX_LANES` per chunk (open-loop and closed-loop specs alike);
+one rate on the reference core.  Every lane is simulated with its
 :func:`~repro.engine.spec.point_seed`-derived seed, so a point's result
 is a pure function of the spec and rate — identical whatever chunk it
 rode in, whether that chunk ran in this process or in a pool worker,
@@ -139,10 +140,10 @@ def env_int(name: str, default: int) -> int:
 #: supervisor retries the whole execution.
 _MAX_CRASHES = 2
 
-#: minimum lanes per packed chunk (its lanes stop at the cutoff).
-#: Eight lanes amortize per-chunk setup (batch construction,
-#: route-plane lookups) measurably better than four.
-_BATCH_CHUNK_MIN = 8
+#: most rates one native chunk carries (its lanes stop at the
+#: cutoff): a long sweep still reports to the parent (cache writes,
+#: ``on_point`` events, the cutoff) every eight rates.
+_MAX_LANES = 8
 
 # Worker-local reuse of built topologies and routings: building a graph
 # can cost as much as simulating a low-rate point, every point of a
@@ -180,17 +181,19 @@ def _lru_get(table: "OrderedDict[Tuple, object]", key: Tuple, build):
     return obj
 
 
-def _chunk_width(spec: ExperimentSpec) -> int:
-    """Rates of ``spec`` simulated per chunk.
+def _chunk_width(spec: ExperimentSpec, share: int) -> int:
+    """Rates of ``spec`` simulated per chunk, when the run's missing
+    points split evenly over the pool are ``share`` per worker.
 
-    A packed batch of :data:`_BATCH_CHUNK_MIN` lanes when the compiled
-    kernel will run them, whether the spec is open-loop or carries a
-    workload (the kernel releases a closed-loop plan's phases itself);
-    one otherwise: the pure-Python reference core gains nothing from a
-    batch.  Either way the process pool runs chunks side by side.
+    On the compiled kernel, ``share`` rates, at most :data:`_MAX_LANES`,
+    whether the spec is open-loop or carries a workload: a study of one
+    sweep still gives every worker a chunk, and a serial run keeps each
+    sweep of up to eight missing rates in one chunk.  One rate on the
+    pure-Python reference core, whose points are slow enough that the
+    pool balances best one at a time.
     """
     if resolve_core() == "native":
-        return _BATCH_CHUNK_MIN
+        return max(1, min(_MAX_LANES, share))
     return 1
 
 
@@ -268,9 +271,10 @@ def _chunk_task(
     return results, time.perf_counter() - t0
 
 
-def _resolve_workers(workers: Optional[int], total_chunks: int) -> int:
+def _resolve_workers(workers: Optional[int], points: int) -> int:
     """Pool size: explicit, else ``REPRO_WORKERS``, else the CPU count,
-    clamped to both the amount of work and the machine.
+    clamped to both the amount of work (``points`` to simulate) and the
+    machine.
     Oversubscribing a CPU-bound simulation only adds pool overhead — an
     early benchmark forced 4 workers onto a 1-CPU host and reported the
     resulting 0.7x slowdown as a parallel 'speedup'.
@@ -280,7 +284,7 @@ def _resolve_workers(workers: Optional[int], total_chunks: int) -> int:
         workers = env_int(WORKERS_ENV, cpus)
     elif workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    return max(1, min(workers, total_chunks, cpus))
+    return max(1, min(workers, points, cpus))
 
 
 def _pool_context():
@@ -399,14 +403,18 @@ def run_experiments(
             len(_needed(len(spec.rates), have[si], stop_after_saturation))
             for si, spec in enumerate(specs)
         ]
+        # the pool first, then chunks that give each worker its share
+        # of the missing points, so one sweep still splits across it
+        workers = _resolve_workers(workers, sum(missing))
+        share = -(-sum(missing) // workers)
         # a fully replayed study never asks which core is in play
         widths = [
-            _chunk_width(spec) if missing[si] else 1
+            _chunk_width(spec, share) if missing[si] else 1
             for si, spec in enumerate(specs)
         ]
-        workers = _resolve_workers(
+        workers = max(1, min(
             workers, sum(-(-m // w) for m, w in zip(missing, widths))
-        )
+        ))
         run_span.set(missing=sum(missing), workers=workers)
         t0 = time.perf_counter()
         if any(missing):

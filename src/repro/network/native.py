@@ -420,11 +420,9 @@ class NativeCore(CoreBase):
             params.ejection_width, params.injection_width
         ) + 8
         self._slot_cap = slot_cap
-        # the kernel state lives from _build_state to _release: a lane
-        # a cutoff never runs holds none of it
+        # the kernel state lives from _build_state on: a core that
+        # never runs holds none of it
         self._drop_state()
-        #: flits a released lane left in flight
-        self._n_left = 0
 
     def _alloc_state(self) -> None:
         """Allocate the kernel state the run starts from (all idle)."""
@@ -593,22 +591,11 @@ class NativeCore(CoreBase):
         for name in _KERNEL_STATE:
             setattr(self, "_n_" + name, None)
 
-    def _release(self) -> None:
-        """Free everything a finished lane holds per packet, per
-        ``(link, VC)`` and per node — packet table, route arena,
-        ejection records, kernel state — keeping its counters:
-        ``total_flits_*`` stay and ``flits_in_flight()`` reads what the
-        lane left.  The lane can neither run nor be probed again."""
-        self._n_left = self.flits_in_flight()
-        self._packets = self._routes = self._table = None
-        self._latencies = self._hops = self._eject_pid = None
-        self._drop_state()
-
     # ------------------------------------------------------------------
     def flits_in_flight(self) -> int:
         """Flits currently buffered or on wires (conservation checks)."""
-        if self._n_b_len is None:  # never ran, or released
-            return self._n_left
+        if self._n_b_len is None:  # never ran
+            return 0
         return int(self._n_b_len.sum()) + int(self._n_aw_n.sum())
 
 
@@ -616,26 +603,17 @@ class NativeBatch:
     """N replica lanes of one configuration, run in order.
 
     Each lane is an isolated :class:`NativeCore` (own seed-derived RNG
-    streams, flit/VC/credit/latency state, and its own
-    :class:`~repro.workload.driver.PhasePlan` when the lanes run
-    closed-loop).  Routes come from the
-    routing object — its closed-form plane, resolved per lane in one
-    call, or else its shared route table — so nothing about routes is
-    batch state; nor are the link constants, which every lane reads
-    from the graph's shared :class:`~repro.network.corebase.LinkTables`.
-    Each lane's packets are pre-resolved by the compiled front end
-    (falling back to the scalar resolve for a pattern or routing that
-    publishes no draw rows).  Lanes run one after another, each one
-    ``sim_run`` call, so one lane's rings and wheels are alive at a
-    time; a lane holds no kernel state before it runs, and under
-    ``run(release=True)`` (what :func:`~repro.network.simulator.
-    run_batch` passes when nothing probes the lanes) none of its
-    packets after it either.  Parallelism is the engine's process
-    pool, which runs chunks of lanes side by side.
+    streams and state); routes come from the routing (its closed-form
+    plane, or else its shared route table) and link constants from the
+    graph's shared :class:`~repro.network.corebase.LinkTables`, so lane
+    ``i`` returns exactly what ``Simulator(..., core="native")`` returns
+    for its seed.  The simulation path is :func:`~repro.network.simulator.run_batch`,
+    which builds one :class:`~repro.network.simulator.Simulator` per
+    lane; this class keeps every lane alive after it ran, for the
+    ledger's ``bench/layers.py`` and the tests that inspect lanes.
 
     Like its lanes, a batch runs once: a second ``run()`` raises
-    :data:`~repro.network.corebase.SINGLE_RUN`.  Build a fresh batch per
-    lane set (as :func:`repro.network.simulator.run_batch` does).
+    :data:`~repro.network.corebase.SINGLE_RUN`.
     """
 
     def __init__(
@@ -671,21 +649,13 @@ class NativeBatch:
         *,
         threads: Optional[int] = None,
         plans=None,
-        stop_after: Optional[int] = None,
-        release: bool = False,
     ) -> List[SimResult]:
         """Run lane ``i`` at ``rates[i]`` (optionally pinning
         ``schedules[i]``, or closed-loop under ``plans[i]``); returns
-        per-lane results in lane order.
-
-        With ``stop_after`` = k the lanes are a curve's rates, cut by the
-        rule of :func:`~repro.network.stats.cutoff_walk`: the results
-        end at the k-th saturated lane and no lane after it runs.  With
-        ``release`` each lane is released (:meth:`NativeCore._release`)
-        as soon as it is read back, so a batch holds one lane's packets
-        at a time; its lanes then keep only their counters and cannot
-        be probed.  ``threads`` is accepted and ignored (inert: the
-        ledger's ``bench/layers.py`` still passes it)."""
+        per-lane results in lane order.  Each lane's rings and wheel
+        slots are freed after it runs.  ``threads`` is accepted and
+        ignored (inert: the ledger's ``bench/layers.py`` still passes
+        it)."""
         n = len(self.lanes)
         if len(rates) != n:
             raise ValueError(
@@ -695,7 +665,6 @@ class NativeBatch:
             if per_lane is not None and len(per_lane) != n:
                 raise ValueError(f"{len(per_lane)} {name} for {n} lanes")
         results: List[SimResult] = []
-        saturated = 0
         for i, core in enumerate(self.lanes):
             results.append(core.run(
                 rates[i],
@@ -703,9 +672,4 @@ class NativeBatch:
                 plans[i] if plans is not None else None,
             ))
             core._drop_rings()
-            if release:
-                core._release()
-            saturated += results[-1].saturated
-            if stop_after and saturated >= stop_after:
-                break
         return results

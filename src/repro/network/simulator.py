@@ -78,7 +78,7 @@ from typing import Tuple, Union
 from ..metrics.probe import Probe, build_probes
 from ..obs import trace as obs_trace
 from ..topology.graph import NetworkGraph
-from .native import NativeBatch, native_available
+from .native import native_available
 from .params import SimParams
 from .schedule import InjectionSchedule
 from .stats import CurveResult, PointResult, SimResult, cutoff_walk
@@ -274,10 +274,18 @@ class Simulator:
 def _collect_channels(core, rate, probes, result) -> RunRecord:
     """Decode ``core``'s finished run into one channel per probe on
     ``result``; returns the record the probes read."""
-    record = core.run_record(rate)
-    for probe in probes:
-        channel = probe.collect(record)
-        result.channels[channel.name] = channel
+    with obs_trace.span("probe.decode", rate=rate) as decode:
+        record = core.run_record(rate)
+        for probe in probes:
+            channel = probe.collect(record)
+            result.channels[channel.name] = channel
+        # decode cost per hop: the run's measured delivered packets and
+        # the route hops gathered for them
+        delivered = record.measured_delivered_pids()
+        decode.set(
+            packets=int(delivered.size),
+            hops=int(record.p_hops[delivered].sum()),
+        )
     return record
 
 
@@ -294,35 +302,33 @@ def run_batch(
     plans: Optional[Sequence] = None,
     stop_after: Optional[int] = None,
 ) -> List[SimResult]:
-    """Simulate N replica lanes of one configuration as a batch.
+    """Simulate N replica lanes of one configuration, one after another.
 
-    ``lanes`` is a sequence of ``(seed, rate)`` pairs; lane ``i`` runs
-    a fresh simulator over the shared ``graph``/``routing``/``traffic``
-    with ``params`` reseeded to ``lanes[i][0]``.  Results are
-    **bit-identical** to running each lane through its own
-    :class:`Simulator` — the batch only amortises setup (vectorized
-    packet pre-resolution, the shared route table).  Lanes run one
-    after another; the engine's process pool runs batches side by
-    side.
+    ``lanes`` is a sequence of ``(seed, rate)`` pairs; lane ``i`` is a
+    fresh :class:`Simulator` over the shared ``graph``/``routing``/
+    ``traffic`` with ``params`` reseeded to ``lanes[i][0]``, so results
+    are those of each lane run on its own.  What lanes share is the
+    routing (its closed-form plane, or its route table with each pair
+    resolved once) and the graph's link and probe tables.  Each lane is dropped as soon as its result
+    (and, with ``probes``, its channels) is read back, so one lane's
+    packets and kernel state are alive at a time.  The engine's process
+    pool runs batches side by side.
 
-    ``core`` resolves as in :func:`resolve_core`.  This is the one
-    place that decides between a :class:`NativeBatch` (native
-    core) and an equivalent per-lane :class:`Simulator` loop (the
-    reference core: same results, no amortisation).  ``probes`` may be
+    ``core`` resolves as in :func:`resolve_core`.  ``probes`` may be
     instances, kind names or ``(name, options)`` pairs; channels land
     on each lane's ``SimResult.channels``.
 
-    ``plans`` makes the lanes closed-loop: lane ``i`` runs
-    ``plans[i]`` (a fresh :class:`~repro.workload.driver.PhasePlan`
-    each) paced at its rate, on the same path — in the one
-    :class:`NativeBatch` on the native core.  A lane whose plan did not
-    drain inside its horizon raises :class:`RuntimeError` naming the
-    stuck phases.
+    ``plans`` makes the lanes closed-loop: lane ``i`` runs ``plans[i]``
+    (a fresh :class:`~repro.workload.driver.PhasePlan` each) paced at
+    its rate.  A lane whose plan did not drain inside its horizon
+    raises :class:`RuntimeError` naming the stuck phases.
 
     ``stop_after`` = k makes the lanes a curve's rates, cut after k
-    saturated points (:func:`~repro.network.stats.cutoff_walk`): on
-    every core the results end at the k-th saturated lane, and no lane
-    after it runs.
+    saturated points (:func:`~repro.network.stats.cutoff_walk`): the
+    results end at the k-th saturated lane, and no lane after it runs.
+
+    A lane whose core fails raises :class:`RuntimeError` naming the
+    lane and its rate.
     """
     lanes = list(lanes)
     for name, per_lane in (("schedules", schedules), ("plans", plans)):
@@ -332,54 +338,15 @@ def run_batch(
             )
     core = resolve_core(core)
     built = build_probes(probes)
-    n = len(lanes)
-    rates = [rate for _, rate in lanes]
     # span attribute only: what the lanes run when they are closed-loop
     workload = plans[0].workload.name if plans else None
-
-    if core == "native":
-        with obs_trace.span("kernel.prepare", lanes=n):
-            batch = NativeBatch(
-                graph,
-                routing,
-                traffic,
-                params,
-                [seed for seed, _ in lanes],
-                probes=bool(built),
-            )
-        with obs_trace.span("kernel.run", lanes=n, workload=workload):
-            # unprobed lanes are read once, by _finish: each one frees
-            # its packets as soon as it is back
-            results = batch.run(
-                rates, schedules=schedules, plans=plans,
-                stop_after=stop_after, release=not built,
-            )
-        if built:
-            with obs_trace.span("probe.decode", lanes=n) as decode:
-                records = [
-                    _collect_channels(lane_core, rate, built, res)
-                    for lane_core, rate, res in zip(
-                        batch.lanes, rates, results
-                    )
-                ]
-                # decode cost per hop: the chunk's measured delivered
-                # packets and the route hops gathered for them
-                delivered = [r.measured_delivered_pids() for r in records]
-                decode.set(
-                    packets=sum(pids.size for pids in delivered),
-                    hops=sum(
-                        int(r.p_hops[pids].sum())
-                        for r, pids in zip(records, delivered)
-                    ),
-                )
-    else:
-        # per-lane simulators, same per-lane seeds and probe semantics,
-        # so results match the packed path bit-for-bit
-        with obs_trace.span(
-            "kernel.run", lanes=n, core=core, workload=workload
-        ):
-            results, saturated = [], 0
-            for i, (seed, rate) in enumerate(lanes):
+    results: List[SimResult] = []
+    saturated = 0
+    with obs_trace.span(
+        "kernel.run", lanes=len(lanes), core=core, workload=workload
+    ):
+        for i, (seed, rate) in enumerate(lanes):
+            try:
                 results.append(Simulator(
                     graph,
                     routing,
@@ -392,9 +359,11 @@ def run_batch(
                     schedule=schedules[i] if schedules is not None else None,
                     plan=plans[i] if plans is not None else None,
                 ))
-                saturated += results[-1].saturated
-                if stop_after and saturated >= stop_after:
-                    break
+            except RuntimeError as err:
+                raise RuntimeError(f"lane {i} (rate {rate:g}): {err}") from err
+            saturated += results[-1].saturated
+            if stop_after and saturated >= stop_after:
+                break
     for plan in (plans or ())[:len(results)]:
         plan.check_drained()
     return results

@@ -218,9 +218,10 @@ class TestPackedChunkParity:
         sweeps_equal(mixed[1], alone_open)
 
     def test_one_span_shape_for_both_loops(self):
-        """Closed-loop chunks emit the open-loop chunks' three kernel
-        spans, with the lane count; the workload rides as an attribute,
-        and only the closed-loop chunk adds a ``workload.plan`` span."""
+        """Closed-loop chunks emit the open-loop chunks' spans: one
+        ``kernel.run`` with the lane count, the workload riding as an
+        attribute, over one ``probe.decode`` per probed lane; only the
+        closed-loop chunk adds a ``workload.plan`` span."""
         from repro.obs import trace
 
         specs = {
@@ -237,27 +238,24 @@ class TestPackedChunkParity:
                 (sweep,) = run_experiments([spec], workers=1)
             finally:
                 trace.remove_sink(spans.append)
-            kernel = {
-                s["name"]: s["attrs"] for s in spans
-                if s["name"] in ("kernel.prepare", "kernel.run",
-                                 "probe.decode")
-            }
-            assert sorted(kernel) == [
-                "kernel.prepare", "kernel.run", "probe.decode"
-            ], workload
-            assert {a["lanes"] for a in kernel.values()} == {2}
-            assert (kernel["kernel.run"]["workload"] or "") == workload
+            names = {s["name"] for s in spans}
+            assert "kernel.prepare" not in names
+            [run] = [s for s in spans if s["name"] == "kernel.run"]
+            assert run["attrs"]["lanes"] == 2
+            assert (run["attrs"]["workload"] or "") == workload
+            decodes = [s for s in spans if s["name"] == "probe.decode"]
+            assert [s["attrs"]["rate"] for s in decodes] == list(spec.rates)
+            assert {s["parent_id"] for s in decodes} == {run["span_id"]}
             # the closed-loop chunk's plan build is its own span
             plans = [s["attrs"] for s in spans if s["name"] == "workload.plan"]
             assert [a["lanes"] for a in plans] == ([2] if workload else [])
-            # decode cost per hop: the chunk's measured delivered
+            # decode cost per hop: each lane's measured delivered
             # packets and the route hops gathered for them
-            decode = kernel["probe.decode"]
-            delivered = sum(r.packets_delivered for r in sweep.results)
-            assert decode["packets"] == delivered > 0
-            assert decode["hops"] == round(
-                sum(r.avg_hops * r.packets_delivered for r in sweep.results)
-            ) > 0
+            for decode, res in zip(decodes, sweep.results):
+                assert decode["attrs"]["packets"] == res.packets_delivered > 0
+                assert decode["attrs"]["hops"] == round(
+                    res.avg_hops * res.packets_delivered
+                ) > 0
 
 
 class TestDefaultWorkers:
@@ -298,31 +296,74 @@ class TestChunkWidth:
 
     @needs_native
     @pytest.mark.parametrize(
-        "core, spec, width",
+        "core, spec, share, width",
         [
-            (None, OPEN, 8),
-            ("native", OPEN, 8),
-            ("reference", OPEN, 1),
-            (None, CLOSED, 8),
-            ("native", CLOSED, 8),
-            ("reference", CLOSED, 1),
-            ("array", OPEN, 1),
-            ("array", CLOSED, 1),
+            (None, OPEN, 8, 8),
+            ("native", OPEN, 20, 8),
+            ("native", OPEN, 3, 3),
+            ("reference", OPEN, 8, 1),
+            (None, CLOSED, 8, 8),
+            ("native", CLOSED, 20, 8),
+            ("native", CLOSED, 2, 2),
+            ("reference", CLOSED, 8, 1),
+            ("array", OPEN, 8, 1),
+            ("array", CLOSED, 8, 1),
         ],
     )
-    def test_width_table(self, monkeypatch, core, spec, width):
+    def test_width_table(self, monkeypatch, core, spec, share, width):
         if core is None:
             monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         else:
             monkeypatch.setenv("REPRO_SIM_CORE", core)
-        assert ex._chunk_width(spec) == width
+        assert ex._chunk_width(spec, share) == width
 
     def test_no_compiler_means_width_one(self, monkeypatch):
         from repro.network import simulator
 
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         monkeypatch.setattr(simulator, "native_available", lambda: False)
-        assert ex._chunk_width(self.OPEN) == 1
+        assert ex._chunk_width(self.OPEN, 8) == 1
+
+    @needs_native
+    @pytest.mark.parametrize(
+        "cpus, sweeps, widths, workers",
+        [
+            (1, 1, [6], 1),
+            # one sweep splits across the pool ...
+            (2, 1, [3], 2),
+            (4, 1, [2], 3),
+            # ... and two sweeps keep one chunk each
+            (2, 2, [6, 6], 2),
+        ],
+    )
+    def test_missing_points_split_over_the_pool(
+        self, monkeypatch, cpus, sweeps, widths, workers
+    ):
+        """No knob: each worker gets a share of the run's missing
+        points, so a study of one six-rate sweep still runs on every
+        CPU; the curves are the serial walk's."""
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        monkeypatch.delenv(ex.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        seen = []
+        schedule = ex._schedule
+
+        def spy(specs, have, widths, cache, stop, workers, *rest):
+            seen.append((list(widths), workers))
+            return schedule(specs, have, widths, cache, stop, workers, *rest)
+
+        monkeypatch.setattr(ex, "_schedule", spy)
+        rates = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
+        specs = [
+            mesh_spec(
+                rates, label=f"m{i}", params=PARAMS.scaled(seed=3 + i)
+            )
+            for i in range(sweeps)
+        ]
+        curves = run_experiments(specs)
+        assert seen == [(widths, workers)]
+        for spec, curve in zip(specs, curves):
+            sweeps_equal(curve, per_lane_reference(spec))
 
     def test_width_one_sweep_equals_per_lane(self, monkeypatch):
         """A non-native session walks the same sweep one rate at a

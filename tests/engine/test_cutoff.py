@@ -59,7 +59,7 @@ def test_nothing_past_the_cutoff(tmp_path, monkeypatch, workers, stop):
         # earlier rate of its sweep is in flight
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(
-            executor, "_chunk_width", lambda spec: len(spec.rates)
+            executor, "_chunk_width", lambda spec, share: len(spec.rates)
         )
     specs = [switch(), switch(label="sw1", seed=5)]
     cache = ResultCache(tmp_path)
@@ -79,7 +79,7 @@ def test_nothing_past_the_cutoff(tmp_path, monkeypatch, workers, stop):
 def test_chunk_budget_counts_saturations_before_it(tmp_path, monkeypatch):
     """A chunk that starts after a saturated point gets the cutoff
     minus that saturation as its budget, and stops when it is spent."""
-    monkeypatch.setattr(executor, "_chunk_width", lambda spec: 2)
+    monkeypatch.setattr(executor, "_chunk_width", lambda spec, share: 2)
     batches = []
     run_batch = executor.run_batch
 

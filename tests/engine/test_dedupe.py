@@ -153,7 +153,7 @@ def test_owner_cut_before_a_shared_rate(
         # one chunk per sweep: none starts while an earlier rate of its
         # sweep is in flight
         monkeypatch.setattr(
-            executor, "_chunk_width", lambda spec: len(spec.rates)
+            executor, "_chunk_width", lambda spec, share: len(spec.rates)
         )
     owner = _switch("owner").with_rates(OVER)
     alias = _switch("alias").with_rates([0.4, 2.2])
@@ -169,7 +169,7 @@ def test_owner_cut_before_a_shared_rate(
         # the owner's chunk stops at 1.5; 2.2 then runs for the alias.
         # A packed chunk hands run_batch all of its rates (the batch
         # stops at the cutoff); one-rate chunks never hand it 2.2.
-        owned = OVER if executor._chunk_width(owner) > 1 else OVER[:2]
+        owned = OVER if executor._chunk_width(owner, len(OVER)) > 1 else OVER[:2]
         assert [rate for _, rate in lanes] == owned + [2.2]
     [solo] = run_experiments([alias], workers=1)
     assert curves[1].results == solo.results
@@ -200,7 +200,7 @@ def test_shared_point_waits_for_earlier_rates(
 
 
 def test_pool_never_runs_one_key_twice(pool, monkeypatch):
-    monkeypatch.setattr(executor, "_chunk_width", lambda spec: 1)
+    monkeypatch.setattr(executor, "_chunk_width", lambda spec, share: 1)
     inflight, submitted = set(), []
     base = concurrent.futures.ProcessPoolExecutor
 

@@ -71,7 +71,7 @@ class TestEnginePaths:
         # one chunk per sweep on both cores (the reference core runs
         # one rate per chunk otherwise, completing in the pool's order)
         monkeypatch.setattr(
-            executor, "_chunk_width", lambda spec: len(spec.rates)
+            executor, "_chunk_width", lambda spec, share: len(spec.rates)
         )
         parent = os.getpid()
         # the 4-terminal switch saturates near 1.0: the cutoff bites

@@ -1,16 +1,14 @@
 """``run_batch(stop_after=k)``: lanes run as the rates of a cut curve.
 
 Every core returns the same prefix — through the k-th saturated lane —
-and each returned lane equals its solo ``Simulator`` run.  Both cores
-run lanes one after another, so no lane past the cutoff runs.
+and each returned lane equals its solo ``Simulator`` run.  Lanes run one
+after another, so no lane past the cutoff is built or run.
 """
 
-import numpy as np
 import pytest
 
 from repro.engine.spec import ExperimentSpec, build_experiment
 from repro.network import SimParams, Simulator, native_available, run_batch
-from repro.network.native import NativeBatch
 
 PARAMS = SimParams(
     warmup_cycles=100, measure_cycles=300, drain_cycles=150, seed=3
@@ -58,56 +56,28 @@ def test_prefix_through_kth_saturated_lane(switch, core, stop_after, kept):
     assert got == [solo(switch, seed, rate) for seed, rate in LANES[:kept]]
 
 
-@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("stop_after, ran", [(1, 2), (2, 4), (3, 6)])
-def test_lanes_past_the_deciding_wave_never_run(switch, stop_after, ran):
-    """Exactly the lanes through the cutoff lane run: the lanes after it
-    are neither resolved nor given kernel state (none is allocated
-    before a lane runs); every lane is still listed, and a lane that ran
-    keeps its conservation counters with its rings freed."""
-    batch = NativeBatch(*switch, PARAMS, [seed for seed, _ in LANES])
-    got = batch.run([rate for _, rate in LANES], stop_after=stop_after)
+def test_lanes_past_the_deciding_wave_never_run(
+    switch, monkeypatch, core, stop_after, ran
+):
+    """Exactly the lanes through the cutoff lane are built and run, in
+    lane order: the lanes after it get no simulator at all."""
+    built, calls = [], []
+    init, run = Simulator.__init__, Simulator.run
+
+    def spy_init(self, *args, **kw):
+        built.append(args[3].seed)
+        init(self, *args, **kw)
+
+    def spy_run(self, rate, **kw):
+        calls.append(rate)
+        return run(self, rate, **kw)
+
+    monkeypatch.setattr(Simulator, "__init__", spy_init)
+    monkeypatch.setattr(Simulator, "run", spy_run)
+    got = run_batch(*switch, PARAMS, LANES, core=core, stop_after=stop_after)
     # lanes 1, 3 and 5 are the saturated ones
     assert len(got) == ran
-    assert len(batch.lanes) == len(LANES)
-    assert [len(core._packets) > 0 for core in batch.lanes] == [
-        i < ran for i in range(len(LANES))
-    ]
-    for core in batch.lanes:
-        assert core._n_buf is None
-    # unrun lanes never allocated kernel state either
-    for core in batch.lanes[ran:]:
-        assert not [
-            name
-            for name, value in vars(core).items()
-            if name.startswith("_n_") and isinstance(value, (np.ndarray, list))
-        ]
-        for name in ("_n_credits", "_n_owner", "_n_b_head", "_n_b_len",
-                     "_n_ne_arr", "_n_sq_off", "_n_aw_n", "_n_rr_link"):
-            assert getattr(core, name) is None, name
-        assert core.flits_in_flight() == 0
-    saturated = batch.lanes[ran - 1]
-    assert saturated.flits_in_flight() == (
-        saturated.total_flits_injected - saturated.total_flits_ejected
-    )
-
-
-@pytest.mark.parametrize("stop_after, ran", [(1, 2), (2, 4)])
-def test_reference_lanes_past_the_cutoff_never_run(
-    switch, monkeypatch, stop_after, ran
-):
-    """The reference core's lane loop simulates exactly the rates
-    through the cutoff lane, in lane order."""
-    calls = []
-    real = Simulator.run
-
-    def spy(self, rate, **kw):
-        calls.append(rate)
-        return real(self, rate, **kw)
-
-    monkeypatch.setattr(Simulator, "run", spy)
-    got = run_batch(
-        *switch, PARAMS, LANES, core="reference", stop_after=stop_after
-    )
+    assert built == [seed for seed, _ in LANES[:ran]]
     assert calls == [rate for _, rate in LANES[:ran]]
-    assert len(got) == ran

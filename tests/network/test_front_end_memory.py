@@ -2,8 +2,8 @@
 changes no result.
 
 A schedule is two int64 columns, a plane-resolved route arena is its
-resolve scratch shrunk in place, and ``run_batch`` releases each
-unprobed lane's packets as soon as it is read back.  The traced
+resolve scratch shrunk in place, and ``run_batch`` frees each lane as
+soon as it is read back.  The traced
 peak of one lane bounds the first two: a schedule that also kept its
 events as Python-int lists, or an arena copied out of its scratch,
 goes over it.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ import pytest
 from repro.core import SwitchlessConfig, build_switchless
 from repro.network import (
     InjectionSchedule,
-    NativeBatch,
     SimParams,
+    Simulator,
     native_available,
     run_batch,
 )
@@ -122,37 +123,39 @@ def test_scalar_and_compiled_front_ends_fill_the_same_table(system, mode):
     )
 
 
-@pytest.mark.parametrize("stop_after, ran", [(None, 5), (2, 2), (4, 4)])
-def test_released_lanes_keep_counters_and_results(system, stop_after, ran):
-    """``run(release=True)`` frees each lane after it runs: results,
-    conservation counters and flits left in flight are a retained
-    batch's, and nothing per packet or per ``(link, VC)`` is left.  A
-    cut batch releases exactly the lanes it ran."""
-    # at these short windows every lane saturates
-    seeds, rates = [3, 4, 5, 6, 7], [0.3, 0.9, 0.5, 1.6, 0.7]
-    lane = _lane(system)
-    retained = NativeBatch(*lane, PARAMS, seeds)
-    released = NativeBatch(*lane, PARAMS, seeds)
-    want = retained.run(rates, stop_after=stop_after)
-    got = released.run(rates, stop_after=stop_after, release=True)
-    assert len(got) == ran
-    assert got == want
-    assert got == run_batch(
-        *lane, PARAMS, list(zip(seeds, rates)), core="native",
-        stop_after=stop_after,
-    )
-    for kept, freed in zip(retained.lanes[:ran], released.lanes[:ran]):
-        assert freed.total_flits_injected == kept.total_flits_injected
-        assert freed.total_flits_ejected == kept.total_flits_ejected
-        assert freed.flits_in_flight() == kept.flits_in_flight()
-        assert freed._packets is None and freed._routes is None
-        assert freed._latencies is None
-        assert not [
-            name
-            for name, value in vars(freed).items()
-            if name.startswith("_n_") and isinstance(value, (np.ndarray, list))
-        ]
-    assert any(lane.flits_in_flight() for lane in released.lanes)
+@pytest.mark.parametrize("probes", [(), ("latency_hist",)])
+def test_each_lane_is_freed_before_the_next_runs(system, monkeypatch, probes):
+    """``run_batch`` holds one lane at a time, probed or not: when a
+    lane's simulator is built, every earlier lane's core (its packets,
+    route arena and kernel state) is already gone — freed by reference
+    counting, not left for the cycle collector."""
+    seeds, rates = [3, 4, 5], [0.3, 0.5, 0.7]
+    cores = []
+    init = Simulator.__init__
+
+    def spy(self, *args, **kw):
+        assert [ref() for ref in cores] == [None] * len(cores)
+        init(self, *args, **kw)
+        cores.append(weakref.ref(self._core))
+
+    monkeypatch.setattr(Simulator, "__init__", spy)
+    gc.disable()
+    try:
+        got = run_batch(
+            *_lane(system), PARAMS, list(zip(seeds, rates)),
+            core="native", probes=probes,
+        )
+        assert [ref() for ref in cores] == [None] * len(seeds)
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    assert got == [
+        Simulator(
+            *_lane(system), PARAMS.scaled(seed=seed), core="native",
+            probes=probes,
+        ).run(rate)
+        for seed, rate in zip(seeds, rates)
+    ]
 
 
 def test_packet_ids_are_recorded_for_probed_runs_only(system):

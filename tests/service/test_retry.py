@@ -62,7 +62,9 @@ class TestSupervisedRetry:
         two retry events and still finishes bit-identical to offline
         (completed points replay from the store on each retry)."""
         arm_chaos("fail-point:times=2:match=m@")
-        service = _service(tmp_path)
+        # serial: the chaos counter lives in this process, where a pool
+        # worker would start its own count at zero
+        service = _service(tmp_path, default_workers=1)
         try:
             job, _ = service.submit(
                 JobRequest(study=tiny_study().to_data())
@@ -186,7 +188,9 @@ class TestWatchdog:
         """A run that stops heartbeating past hang_timeout is
         quarantined and the executor moves on."""
         arm_chaos("hang-point:after=1:seconds=30")
-        service = _service(tmp_path, hang_timeout=1.0)
+        # serial: the chaos counter lives in this process, where each
+        # pool worker would hang at its own first point
+        service = _service(tmp_path, hang_timeout=1.0, default_workers=1)
         try:
             job, _ = service.submit(
                 JobRequest(study=tiny_study().to_data())

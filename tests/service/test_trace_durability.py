@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import Scenario, Study
 from repro.engine import executor
-from repro.network import resolve_core
 from repro.obs.registry import REGISTRY
 from repro.service import (
     JobRequest,
@@ -133,11 +132,7 @@ class TestWorkerPoolCrash:
             # (a worker torn down with the pool may leave stages whose
             # chunk span never closed: those trace to no pid)
             by_id = {s["span_id"]: s for s in spans}
-            stages = ["engine.chunk", "engine.build", "kernel.run"]
-            if resolve_core() == "native":
-                # only a native batch has a prepare stage
-                stages.append("kernel.prepare")
-            for name in stages:
+            for name in ("engine.chunk", "engine.build", "kernel.run"):
                 pids = {
                     _worker_pid(s, by_id) for s in spans if s["name"] == name
                 } - {None}
@@ -157,7 +152,9 @@ class TestRetryTraceContinuity:
         closes ok, and both live in the one execution trace."""
         arm_chaos("fail-point:times=1:match=ret@")
 
-        service = _service(tmp_path)
+        # serial: the chaos counter lives in this process, where a pool
+        # worker would start its own count at zero
+        service = _service(tmp_path, default_workers=1)
         try:
             job, _ = service.submit(
                 JobRequest(study=tiny_study(label="ret").to_data())

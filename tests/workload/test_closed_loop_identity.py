@@ -204,7 +204,8 @@ def test_stuck_plan_names_its_phases_per_lane(monkeypatch):
 @pytest.mark.parametrize("code", [1, 2])
 def test_kernel_error_in_a_plan_lane_surfaces_its_code(monkeypatch, code):
     """Wheel overflow (1) and input-list overflow (2) in a plan lane
-    come back as that lane's kernel error code."""
+    come back as that lane's kernel error code, naming the lane and its
+    rate."""
     spec = mesh_spec(workload="ring_allreduce")
     graph, routing, traffic, plan = build(spec)
     build_state = native_mod.NativeCore._build_state
@@ -220,7 +221,9 @@ def test_kernel_error_in_a_plan_lane_surfaces_its_code(monkeypatch, code):
 
     monkeypatch.setattr(native_mod.NativeCore, "_build_state", cramped)
     with pytest.raises(
-        RuntimeError, match=rf"kernel failed \(error code {code}\)$"
+        RuntimeError,
+        match=rf"^lane 1 \(rate {RATE:g}\): native simulation kernel "
+        rf"failed \(error code {code}\)$",
     ):
         run_batch(
             graph, routing, traffic, spec.params, [(1, RATE), (2, RATE)],
